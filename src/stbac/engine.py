@@ -183,7 +183,6 @@ class GraphNode:
     key: tuple
     label: str
     flags_ever: Flag = Flag(0)
-    history: list = field(default_factory=list)   # (tick, flag, on, rule)
 
 
 @dataclass
@@ -280,16 +279,41 @@ def apply_event(world: World, event: Event, policy: Policy,
 
 def replay(world: World, events, policy: Policy | None = None,
            track_taint: bool = False) -> ReplayResult:
+    """Replay events in order.  With track_taint, tainted_after[i] is
+    tainted_snapshot(world) after event i; the snapshot is rebuilt only
+    after events that can change it; otherwise the previous frozenset
+    is reused."""
     policy = policy or Policy()
     graph = DepGraph()
     replayer = _Replayer(world, policy, graph)
     records = []
     tainted_after = [] if track_taint else None
+    tainted = tainted_snapshot(world) if track_taint else None
     for event in events:
-        records.append(replayer.step(event))
+        record = replayer.step(event)
+        records.append(record)
         if track_taint:
-            tainted_after.append(tainted_snapshot(world))
+            if _may_change_taint(record, tainted):
+                tainted = tainted_snapshot(world)
+            tainted_after.append(tainted)
     return ReplayResult(world, records, graph, tainted_after)
+
+
+# Ops that remove or move nodes: allowed, they can drop a tainted file or
+# change the path it is keyed by.
+_STRUCTURAL_OPS = frozenset({"unlink", "rmdir", "rename"})
+
+
+def _may_change_taint(record: AuditRecord, tainted: frozenset) -> bool:
+    """Whether the event behind record may have changed the tainted
+    snapshot, given the snapshot taken before it.  Taint bits flip only
+    through FlagChanges; apart from those, a tainted process can exit and
+    a tainted file can be removed or moved."""
+    if any(change.flag == Flag.TAINT for change in record.flag_changes):
+        return True
+    if record.op == "exit":
+        return ("proc", record.pid) in tainted
+    return bool(tainted) and record.op in _STRUCTURAL_OPS and not record.denied
 
 
 class _Replayer:
@@ -354,8 +378,6 @@ class _Replayer:
             target_node = self.graph.touch(mutation.target,
                                            self._display_label(mutation.target))
             target_node.flags_ever |= after
-            for change in changes:
-                target_node.history.append((tick, change.flag, change.on, rule))
             cause_node = self.graph.touch(mutation.cause,
                                           self._display_label(mutation.cause))
             cause_node.flags_ever |= world.flags_of(mutation.cause)
@@ -583,6 +605,8 @@ class _Replayer:
         node = self._node_arg(ev, 0)
         if node.kind != "dir":
             raise TraceError(f"rmdir of a non-directory: {node.path}", ev.line)
+        if node.parent is None:
+            raise TraceError("cannot remove /", ev.line)
         if self.world.children(node):
             raise TraceError(f"directory not empty: {node.path}", ev.line)
         decision = pr_inte(self.world, proc, node, "delete")
@@ -592,6 +616,8 @@ class _Replayer:
 
     def _ev_rename(self, proc, ev):
         src = self._node_arg(ev, 0)
+        if src.parent is None:
+            raise TraceError("cannot rename /", ev.line)
         dst_path = self._path_arg(ev, 1)
         if dst_path == src.path or dst_path.startswith(src.path + "/"):
             raise TraceError(f"cannot rename {src.path} into itself", ev.line)
@@ -790,7 +816,6 @@ class _Replayer:
             if self.graph is not None and ref[0] != "res":
                 node = self.graph.touch(ref, self._display_label(ref))
                 node.flags_ever |= after
-                node.history.append((ev.tick, flag, on, "set_stbac_attr"))
         return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}"
 
     def _ev_get_stbac_attr(self, proc, ev):

@@ -134,6 +134,7 @@ class World:
     audit: list = field(default_factory=list)       # append-only AuditRecords
 
     path_index: dict = field(default_factory=dict)  # live path -> node id
+    kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
     fifos: set = field(default_factory=set)         # node ids created as fifos
     fifo_queues: dict = field(default_factory=dict) # node id -> [(writer pid, tainted at write)]
     next_node_id: int = 1
@@ -182,28 +183,36 @@ class World:
         """Insert a node; the parent directory must already exist."""
         if path in self.path_index:
             raise StbacError(f"path exists: {path}")
-        parent_id = None
+        parent_id = siblings = None
         if path != "/":
             parent_path = parent_of(path)
             parent_id = self.lookup(parent_path)
             if parent_id is None:
                 raise UnknownEntity(f"missing parent directory {parent_path}")
-            if self.fs[parent_id].kind != "dir":
+            siblings = self.kids.get(parent_id)
+            if siblings is None:
                 raise StbacError(f"parent is not a directory: {parent_path}")
         node = FsNode(self.next_node_id, path, kind, exec_bits, flags, parent_id)
         self.next_node_id += 1
         self.fs[node.node_id] = node
         self.path_index[path] = node.node_id
+        if siblings is not None:
+            siblings[node.node_id] = node
+        if kind == "dir":
+            self.kids[node.node_id] = {}
         return node
 
     def remove_node(self, node: FsNode):
+        """Drop a node; directories must be empty, and "/" stays."""
         del self.path_index[node.path]
         del self.fs[node.node_id]
+        del self.kids[node.parent][node.node_id]
+        self.kids.pop(node.node_id, None)
         self.fifos.discard(node.node_id)
         self.fifo_queues.pop(node.node_id, None)
 
     def children(self, node: FsNode) -> list:
-        return [n for n in self.fs.values() if n.parent == node.node_id]
+        return list(self.kids.get(node.node_id, {}).values())
 
     def subtree(self, node: FsNode) -> list:
         """The node and all its descendants, parents before children."""
@@ -211,19 +220,23 @@ class World:
         stack = [node]
         while stack:
             current = stack.pop()
-            for child in self.children(current):
-                out.append(child)
-                stack.append(child)
+            below = self.kids.get(current.node_id)
+            if below:
+                out.extend(below.values())
+                stack.extend(below.values())
         return out
 
     def repath(self, node: FsNode, new_path: str):
-        """Move a node (and its subtree) to a new absolute path."""
+        """Move a node (and its subtree) to a new absolute path, whose
+        parent directory must exist outside that subtree."""
         old_prefix = node.path
         for member in self.subtree(node):
             del self.path_index[member.path]
             member.path = new_path + member.path[len(old_prefix):]
             self.path_index[member.path] = member.node_id
+        del self.kids[node.parent][node.node_id]
         node.parent = self.lookup(parent_of(new_path))
+        self.kids[node.parent][node.node_id] = node
 
     def spawn(self, parent: Process, child_pid: int) -> Process:
         if child_pid <= self.max_pid_seen:

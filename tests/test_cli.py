@@ -67,6 +67,17 @@ class TestReplayCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("event,message", [("rename,/,/x", "cannot rename /"),
+                                               ("rmdir,/", "cannot remove /")])
+    def test_root_rename_and_rmdir_exit_two_with_line(self, bundle_dir, capsys,
+                                                       event, message):
+        (bundle_dir / "trace").write_text(f"1,1,sched_tick\n2,1,{event}\n")
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert f"line 2: {message}" in capsys.readouterr().err
+
     def test_bad_config_exits_two(self, bundle_dir, capsys):
         (bundle_dir / "init.cfg").write_text("node /x file 0\nnode /x file 0\n")
         code = main(["replay", "--init", str(bundle_dir / "init.cfg"),

@@ -2,14 +2,17 @@ import copy
 
 import pytest
 
+from stbac import scenarios
 from stbac.engine import (
     ARITY,
     DepGraph,
     Policy,
     RULE_FAMILIES,
+    apply_event,
     export_graph,
     parse_trace,
     replay,
+    tainted_snapshot,
 )
 from stbac.guard import parse_pcopy_map, parse_trust_list
 from stbac.model import Flag, ResourceKind, TraceError
@@ -296,6 +299,73 @@ class TestRename:
     def test_rename_into_own_subtree_rejected(self):
         with pytest.raises(TraceError, match="into itself"):
             run("1,1,mkdir,/tmp/a\n2,1,rename,/tmp/a,/tmp/a/b\n")
+
+    def test_rename_of_root_rejected(self):
+        with pytest.raises(TraceError, match="line 1: cannot rename /"):
+            run("1,1,rename,/,/x\n")
+
+
+class TestRmdir:
+    def test_rmdir_of_root_rejected(self):
+        world = spawn_boot_world(parse_init_config(""))
+        with pytest.raises(TraceError, match="line 1: cannot remove /"):
+            replay(world, parse_trace("1,1,rmdir,/\n"))
+        assert world.lookup("/") is not None
+
+
+def rebuilt_snapshots(world, events, policy):
+    """tainted_snapshot after each event, applying one event at a time."""
+    out = []
+    for event in events:
+        apply_event(world, event, policy)
+        out.append(tainted_snapshot(world))
+    return out
+
+
+class TestTrackedSnapshots:
+    """A tracked replay rebuilds its snapshot only after events that can
+    change taint; every snapshot must still equal a rebuild."""
+
+    TRACE = ("1,1,fork,2\n"
+             "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+             "3,1,mkdir,/tmp/d\n"
+             "4,2,create,/tmp/d/x,1\n"
+             "5,2,create,/tmp/y,1\n"
+             "6,2,create,/tmp/z,1\n"
+             "7,2,fork,3\n"
+             "8,1,rename,/tmp/d,/tmp/e\n"          # moves tainted /tmp/d/x
+             "9,1,rename,/tmp/y,/tmp/z\n"          # tainted y overwrites tainted z
+             "10,2,rename,/tmp/z,/sbin/z\n"        # denied
+             "11,1,unlink,/tmp/z\n"
+             "12,3,exit\n"                         # a tainted process exits
+             "13,1,mkdir,/tmp/t\n"
+             "14,1,set_stbac_attr,/tmp/t,taint,1\n"
+             "15,1,set_stbac_attr,pid:2,taint,0\n"
+             "16,1,rmdir,/tmp/t\n"
+             "17,1,fork,4\n"
+             "18,4,exit\n"                         # an untainted process exits
+             "19,1,set_stbac_attr,pid:2,taint,1\n"
+             "20,2,exit\n"
+             "21,1,unlink,/tmp/e/x\n")
+
+    def test_hand_written_trace_matches_rebuilds(self):
+        events = parse_trace(self.TRACE)
+        tracked = run(self.TRACE, track_taint=True).tainted_after
+        assert tracked == rebuilt_snapshots(boot(), events, Policy())
+        assert tracked[7] == {("file", "/tmp/e/x"), ("file", "/tmp/y"),
+                              ("file", "/tmp/z"), ("proc", 2), ("proc", 3)}
+        assert tracked[11] == {("file", "/tmp/e/x"), ("proc", 2)}
+        assert tracked[13] == tracked[11] | {("file", "/tmp/t")}
+        assert tracked[15] == {("file", "/tmp/e/x")}
+        assert tracked[20] == frozenset()
+
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_bundled_scenarios_match_rebuilds(self, name):
+        bundle = scenarios.load(name)
+        tracked = bundle.replay(track_taint=True).tainted_after
+        world = spawn_boot_world(bundle.config())
+        assert tracked == rebuilt_snapshots(world, bundle.events(), bundle.policy())
+        assert any(tracked)
 
 
 class TestTableMapping:

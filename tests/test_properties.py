@@ -15,7 +15,7 @@ from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
 from conftest import run_generated
-from test_engine import fingerprint
+from test_engine import fingerprint, rebuilt_snapshots
 import trace_gen
 
 intents = trace_gen.intents_strategy
@@ -145,3 +145,11 @@ def test_identifier_freshness(intent_list):
     spawned = [int(e.args[0]) for e in events if e.op in ("fork", "vfork", "clone")]
     assert len(spawned) == len(set(spawned))
     assert set(spawned) | {1} == set(result.world.processes)
+
+
+@given(intents)
+@settings(max_examples=60, deadline=None)
+def test_tracked_snapshots_match_per_event_rebuilds(intent_list):
+    config, events, policy, result = run_generated(intent_list)
+    rebuilt = rebuilt_snapshots(spawn_boot_world(config), events, policy)
+    assert result.tainted_after == rebuilt

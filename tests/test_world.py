@@ -1,11 +1,18 @@
+import itertools
+import random
+from collections import defaultdict
+
 import pytest
 
-from stbac.model import ConfigError, Flag, ProtRule, StbacError, UnknownEntity, Verdict
+from stbac.engine import parse_trace, replay
+from stbac.model import (ConfigError, Flag, ProtRule, StbacError, TraceError,
+                         UnknownEntity, Verdict)
 from stbac.world import (
     INIT_PID,
     classify,
     get_flag,
     parse_init_config,
+    parent_of,
     serialize_config,
     set_flag,
     spawn_boot_world,
@@ -203,3 +210,87 @@ class TestIdentifiers:
         world.remove_node(node)
         new = world.add_node("/a", "file")
         assert new.node_id not in seen
+
+
+def assert_index_exact(world):
+    """children() and path_index agree with brute force over fs."""
+    below = defaultdict(set)
+    for node in world.fs.values():
+        below[node.parent].add(node.node_id)
+    for node in world.fs.values():
+        if node.kind != "dir":
+            continue
+        kids = world.children(node)
+        assert {k.node_id for k in kids} == below[node.node_id], node.path
+        assert all(world.fs[k.node_id] is k for k in kids)
+    assert world.path_index == {n.path: i for i, n in world.fs.items()}
+    for node in world.fs.values():
+        if node.path != "/":
+            assert world.lookup(parent_of(node.path)) == node.parent, node.path
+
+
+def join(directory, name):
+    return f"/{name}" if directory.path == "/" else f"{directory.path}/{name}"
+
+
+def random_step(world, rng, names, counts):
+    """One add_node, remove_node or repath, the last the way rename does it:
+    an existing file at the destination is removed first."""
+    nodes = list(world.fs.values())
+    dirs = [n for n in nodes if n.kind == "dir"]
+    action = rng.random()
+    if action < 0.45 or len(nodes) < 4:
+        parent = rng.choice(dirs)
+        kind = "dir" if rng.random() < 0.4 else "file"
+        world.add_node(join(parent, f"n{next(names)}"), kind)
+    elif action < 0.6:
+        leaves = [n for n in nodes if n.path != "/" and not world.children(n)]
+        world.remove_node(rng.choice(leaves))
+    else:
+        src = rng.choice([n for n in nodes if n.path != "/"])
+        inside = {n.node_id for n in world.subtree(src)}
+        dst_dir = rng.choice([d for d in dirs if d.node_id not in inside])
+        files = [n for n in world.children(dst_dir)
+                 if n.kind == "file" and n.node_id != src.node_id]
+        if files and rng.random() < 0.4:
+            overwritten = rng.choice(files)
+            dst_path = overwritten.path
+            world.remove_node(overwritten)
+            counts["overwrites"] += 1
+        else:
+            dst_path = join(dst_dir, f"n{next(names)}")
+        if len(inside) > 2 and src.parent != dst_dir.node_id:
+            counts["nested_moves"] += 1
+        world.repath(src, dst_path)
+
+
+class TestChildIndex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_add_remove_repath_keeps_index_exact(self, seed):
+        rng = random.Random(seed)
+        names = itertools.count()
+        counts = defaultdict(int)
+        world = boot("")
+        for _ in range(250):
+            random_step(world, rng, names, counts)
+            assert_index_exact(world)
+        assert counts["overwrites"] > 0 and counts["nested_moves"] > 0
+
+    def test_subtree_lists_parents_before_children(self):
+        world = boot("node /a/b/c/d file 0\nnode /a/e file 0\n")
+        order = [n.path for n in world.subtree(world.node_at("/a"))]
+        assert sorted(order) == ["/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/e"]
+        for path in order[1:]:
+            assert order.index(parent_of(path)) < order.index(path)
+
+    def test_file_renamed_into_directory_makes_it_non_empty(self):
+        world = boot("node /d dir 0\nnode /f file 0\n")
+        with pytest.raises(TraceError, match="line 2: directory not empty"):
+            replay(world, parse_trace("1,1,rename,/f,/d/f\n2,1,rmdir,/d\n"))
+
+    def test_directory_empty_once_its_last_child_is_renamed_away(self):
+        world = boot("node /d dir 0\nnode /d/f file 0\n")
+        result = replay(world, parse_trace("1,1,rename,/d/f,/f\n2,1,rmdir,/d\n"))
+        assert [r.result for r in result.records] == ["ALLOW", "ALLOW"]
+        assert world.lookup("/d") is None
+        assert_index_exact(world)
