@@ -132,8 +132,18 @@ def _bundle_args(parser):
 
 
 def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file as text with universal newlines; bytes that are not UTF-8
+    are malformed input, reported with the line they sit on."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as the parsers do (str.splitlines) over the valid prefix.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path} line {line}: invalid UTF-8 byte "
+                          f"0x{data[exc.start]:02x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path, text):

@@ -17,6 +17,7 @@ primary operand: a path, ``pid:N``, ``sock:N``, a resource kind, or ``-``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import taint, vital
 from .guard import PartialCopyMap, match_trust, pr_avai, pr_conf, pr_inte
@@ -36,75 +37,6 @@ from .model import (
     proc_ref,
 )
 from .world import World, parent_of, set_flag as world_set_flag, get_flag as world_get_flag
-
-# Expected argument count per operation (min, max).
-ARITY = {
-    "fork": (1, 1), "vfork": (1, 1), "clone": (1, 1),
-    "pipe": (1, 1), "shmat": (1, 1), "msgrcv": (1, 1),
-    "mkfifo": (1, 1), "mknod": (2, 2),
-    "open_read": (1, 1), "open_write": (1, 1), "create": (2, 2),
-    "chmod": (2, 2), "fchmod": (2, 2),
-    "execve": (1, 1), "mmap_exec": (1, 1),
-    "mkdir": (1, 1), "truncate": (1, 1), "chown": (2, 2),
-    "rmdir": (1, 1), "rename": (2, 2), "unlink": (1, 1),
-    "mount": (0, 1), "umount": (0, 1),
-    "setrlimit": (0, 0), "reboot": (0, 0), "swapoff": (0, 0),
-    "create_module": (0, 1), "delete_module": (0, 1),
-    "setuid": (1, 1), "setgid": (1, 1), "setfsuid": (1, 1),
-    "kill": (1, 1), "ptrace": (1, 1),
-    "socket_open": (4, 4), "sock_send": (2, 3), "sock_recv": (2, 3),
-    "brk_alloc": (1, 1), "sched_tick": (0, 0), "disk_alloc": (1, 1),
-    "set_stbac_attr": (3, 3), "get_stbac_attr": (1, 1),
-    "exit": (0, 0),
-}
-
-# Which rule families each operation is wired to.  Mirrors the syscall
-# hook map of the kernel design; the bookkeeping op "exit" hooks nothing.
-RULE_FAMILIES = {
-    "fork": frozenset({"TR_proc_proc", "VR_proc_proc"}),
-    "vfork": frozenset({"TR_proc_proc", "VR_proc_proc"}),
-    "clone": frozenset({"TR_proc_proc", "VR_proc_proc"}),
-    "pipe": frozenset({"TR_proc_proc"}),
-    "shmat": frozenset({"TR_proc_proc"}),
-    "msgrcv": frozenset({"TR_proc_proc"}),
-    "mkfifo": frozenset({"TR_proc_proc", "VR_dir_dir", "PR_inte"}),
-    "mknod": frozenset({"TR_proc_proc", "VR_dir_dir", "PR_inte"}),
-    "open_read": frozenset({"PR_conf", "VR_file_proc", "TR_proc_proc"}),
-    "open_write": frozenset({"PR_inte", "TR_proc_exe", "VR_proc_file", "TR_proc_proc"}),
-    "create": frozenset({"PR_inte", "TR_proc_exe", "VR_proc_file", "VR_dir_dir"}),
-    "chmod": frozenset({"PR_inte", "TR_proc_exe"}),
-    "fchmod": frozenset({"PR_inte", "TR_proc_exe"}),
-    "execve": frozenset({"TR_exe_proc", "VR_file_proc"}),
-    "mmap_exec": frozenset({"TR_exe_proc"}),
-    "mkdir": frozenset({"PR_inte", "VR_dir_dir"}),
-    "truncate": frozenset({"PR_inte"}),
-    "chown": frozenset({"PR_inte"}),
-    "rmdir": frozenset({"PR_inte"}),
-    "rename": frozenset({"PR_inte"}),
-    "unlink": frozenset({"PR_inte"}),
-    "mount": frozenset({"PR_inte"}),
-    "umount": frozenset({"PR_inte"}),
-    "setrlimit": frozenset({"PR_inte"}),
-    "reboot": frozenset({"PR_inte"}),
-    "swapoff": frozenset({"PR_inte"}),
-    "create_module": frozenset({"PR_inte"}),
-    "delete_module": frozenset({"PR_inte"}),
-    "setuid": frozenset({"PR_inte"}),
-    "setgid": frozenset({"PR_inte"}),
-    "setfsuid": frozenset({"PR_inte"}),
-    "kill": frozenset({"PR_inte"}),
-    "ptrace": frozenset({"PR_conf"}),
-    "socket_open": frozenset({"TR_sock_proc"}),
-    "sock_send": frozenset({"PR_avai", "TR_proc_proc"}),
-    "sock_recv": frozenset({"PR_avai", "TR_proc_proc"}),
-    "brk_alloc": frozenset({"PR_avai"}),
-    "sched_tick": frozenset({"PR_avai"}),
-    "disk_alloc": frozenset({"PR_avai"}),
-    "set_stbac_attr": frozenset({"PR_inte"}),
-    "get_stbac_attr": frozenset({"PR_conf"}),
-    "exit": frozenset(),
-}
-
 
 @dataclass(frozen=True)
 class Event:
@@ -137,10 +69,11 @@ def parse_trace(text: str) -> list[Event]:
             raise TraceError(f"tick {tick} decreases (previous {last_tick})", line_no)
         last_tick = tick
         op = parts[2]
-        if op not in ARITY:
+        spec = OPS.get(op)
+        if spec is None:
             raise TraceError(f"unknown operation {op!r}", line_no)
         args = tuple(parts[3:])
-        lo, hi = ARITY[op]
+        lo, hi = spec.arity
         if not lo <= len(args) <= hi:
             raise TraceError(
                 f"{op} takes {lo}..{hi} argument(s), got {len(args)}", line_no)
@@ -316,6 +249,8 @@ def _may_change_taint(record: AuditRecord, tainted: frozenset) -> bool:
     return bool(tainted) and record.op in _STRUCTURAL_OPS and not record.denied
 
 
+
+
 class _Replayer:
     """Per-replay dispatch state; the world carries everything durable."""
 
@@ -335,8 +270,7 @@ class _Replayer:
         world.clock = ev.tick
         try:
             proc = world.live_process(ev.pid)
-            handler = getattr(self, "_ev_" + ev.op)
-            decision, obj, param = handler(proc, ev)
+            decision, obj, param = OPS[ev.op].handler(self, proc, ev)
         except TraceError:
             raise
         except ResourceExhausted as exc:
@@ -351,7 +285,6 @@ class _Replayer:
         result = decision.result_text()
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
                              result, changes)
-        world.audit.append(record)
         if result.startswith("DENY") and self.graph is not None:
             self._mark_denial(proc, obj, decision.rule.value, ev.tick)
         return record
@@ -417,36 +350,30 @@ class _Replayer:
             self.graph.touch(object_key, label)
         self.graph.denials.append((subject, object_key, rule, tick))
 
-    def _note_direct_change(self, changes):
-        self._direct_changes = list(changes)
-
     # -- argument helpers ----------------------------------------------------
 
-    def _int_arg(self, ev: Event, index: int, what: str) -> int:
-        try:
-            return int(ev.args[index])
-        except ValueError:
-            raise TraceError(f"{what} must be an integer, got {ev.args[index]!r}",
-                             ev.line) from None
-
-    def _bit_arg(self, ev: Event, index: int, what: str) -> bool:
-        token = ev.args[index]
-        if token not in ("0", "1"):
-            raise TraceError(f"{what} must be 0 or 1, got {token!r}", ev.line)
-        return token == "1"
-
-    def _path_arg(self, ev: Event, index: int) -> str:
-        path = ev.args[index]
-        if not path.startswith("/") or (path != "/" and path.endswith("/")):
-            raise TraceError(f"bad path {path!r}", ev.line)
-        return path
-
-    def _node_arg(self, ev: Event, index: int):
-        path = self._path_arg(ev, index)
+    def _node_arg(self, token: str, ev: Event):
+        path = _path_arg(token, ev)
         node_id = self.world.lookup(path)
         if node_id is None:
             raise TraceError(f"no such path {path}", ev.line)
         return self.world.fs[node_id]
+
+    def _fresh_path(self, token: str, ev: Event) -> str:
+        path = _path_arg(token, ev)
+        if self.world.lookup(path) is not None:
+            raise TraceError(f"path exists: {path}", ev.line)
+        return path
+
+    def _parent_dir(self, path: str, ev: Event):
+        parent_path = parent_of(path)
+        parent_id = self.world.lookup(parent_path)
+        if parent_id is None:
+            raise TraceError(f"missing parent directory {parent_path}", ev.line)
+        parent = self.world.fs[parent_id]
+        if parent.kind != "dir":
+            raise TraceError(f"parent is not a directory: {parent_path}", ev.line)
+        return parent
 
     def _redirect_target(self, decision, default_node, ev: Event):
         if decision.redirect_path is None:
@@ -459,16 +386,11 @@ class _Replayer:
     # -- process lifecycle ---------------------------------------------------
 
     def _ev_fork(self, proc, ev):
-        child_pid = self._int_arg(ev, 0, "child pid")
+        child_pid = _int_arg(ev.args[0], "child pid", ev)
         child = self.world.spawn(proc, child_pid)
         decision = allow(taint.tr_proc_proc(self.world, proc, child, "fork_child"))
-        mutation = vital.vr_proc_proc(self.world, proc, child)
-        if mutation:
-            decision.mutations.append(mutation)
+        decision.add(vital.vr_proc_proc(self.world, proc, child))
         return decision, f"pid:{child_pid}", "-"
-
-    _ev_vfork = _ev_fork
-    _ev_clone = _ev_fork
 
     def _ev_exit(self, proc, ev):
         self.world.ledger.release_all(proc)
@@ -478,37 +400,35 @@ class _Replayer:
     # -- IPC -------------------------------------------------------------------
 
     def _ev_pipe(self, proc, ev):
-        reader = self.world.live_process(self._int_arg(ev, 0, "reader pid"))
+        reader = self.world.live_process(_int_arg(ev.args[0], "reader pid", ev))
         decision = allow(taint.tr_proc_proc(self.world, proc, reader, "pipe_msg"))
         return decision, f"pid:{reader.pid}", "-"
 
     def _ev_shmat(self, proc, ev):
-        peer = self.world.live_process(self._int_arg(ev, 0, "peer pid"))
+        peer = self.world.live_process(_int_arg(ev.args[0], "peer pid", ev))
         decision = allow(taint.tr_proc_proc(self.world, proc, peer, "shm_attach"))
         return decision, f"pid:{peer.pid}", "-"
 
     def _ev_msgrcv(self, proc, ev):
-        sender = self.world.live_process(self._int_arg(ev, 0, "sender pid"))
+        sender = self.world.live_process(_int_arg(ev.args[0], "sender pid", ev))
         decision = allow(taint.tr_proc_proc(self.world, sender, proc, "msgq_recv"))
         return decision, f"pid:{sender.pid}", "-"
 
     # -- filesystem --------------------------------------------------------------
 
     def _ev_open_read(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         op_kind = "read_dir" if node.kind == "dir" else "read_file"
         decision = pr_conf(self.world, proc, node, op_kind, self.policy.pcopy)
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
-                mutation = vital.vr_file_proc(self.world, proc, target, "read")
-                if mutation:
-                    decision.mutations.append(mutation)
+                decision.add(vital.vr_file_proc(self.world, proc, target, "read"))
                 decision.mutations.extend(self._drain_fifo(proc, target))
         return decision, node.path, "-"
 
     def _ev_open_write(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot write a directory: {node.path}", ev.line)
         decision = pr_inte(self.world, proc, node, "write", self.policy.pcopy)
@@ -522,48 +442,38 @@ class _Replayer:
         return decision, node.path, "-"
 
     def _ev_create(self, proc, ev):
-        path = self._fresh_path(ev, 0)
-        exec_bits = self._bit_arg(ev, 1, "exec bit")
+        path = self._fresh_path(ev.args[0], ev)
+        exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
         parent = self._parent_dir(path, ev)
         decision = pr_inte(self.world, proc, parent, "create_in_dir")
         if decision.allowed:
             node = self.world.add_node(path, "file", exec_bits)
-            self._creation_mutations(decision, proc, parent, node)
+            decision.add(vital.vr_dir_dir(self.world, parent, node))
             self._write_mutations(decision, proc, node, "create")
         return decision, path, f"exec={int(exec_bits)}"
 
-    def _ev_mkdir(self, proc, ev):
-        path = self._fresh_path(ev, 0)
-        parent = self._parent_dir(path, ev)
-        decision = pr_inte(self.world, proc, parent, "create_in_dir")
-        if decision.allowed:
-            node = self.world.add_node(path, "dir")
-            self._creation_mutations(decision, proc, parent, node)
-        return decision, path, "-"
-
-    def _ev_mkfifo(self, proc, ev):
-        return self._make_node(proc, ev, self._fresh_path(ev, 0), "fifo")
-
-    def _ev_mknod(self, proc, ev):
-        kind = ev.args[1]
-        if kind not in ("file", "device", "fifo"):
-            raise TraceError(f"mknod kind must be file|device|fifo, got {kind!r}",
-                             ev.line)
-        return self._make_node(proc, ev, self._fresh_path(ev, 0), kind)
-
-    def _make_node(self, proc, ev, path, kind):
+    def _ev_make_node(self, proc, ev):
+        """mkdir, mkfifo and mknod: a new empty node, audited with its kind."""
+        if ev.op == "mknod":
+            kind = ev.args[1]
+            if kind not in ("file", "device", "fifo"):
+                raise TraceError(f"mknod kind must be file|device|fifo, got {kind!r}",
+                                 ev.line)
+        else:
+            kind = "dir" if ev.op == "mkdir" else "fifo"
+        path = self._fresh_path(ev.args[0], ev)
         parent = self._parent_dir(path, ev)
         decision = pr_inte(self.world, proc, parent, "create_in_dir")
         if decision.allowed:
             node = self.world.add_node(path, "file" if kind == "fifo" else kind)
             if kind == "fifo":
                 self.world.fifos.add(node.node_id)
-            self._creation_mutations(decision, proc, parent, node)
-        return decision, path, kind
+            decision.add(vital.vr_dir_dir(self.world, parent, node))
+        return decision, path, "-" if kind == "dir" else kind
 
     def _ev_chmod(self, proc, ev):
-        node = self._node_arg(ev, 0)
-        exec_bits = self._bit_arg(ev, 1, "exec bit")
+        node = self._node_arg(ev.args[0], ev)
+        exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
         decision = pr_inte(self.world, proc, node, "chmod", self.policy.pcopy)
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
@@ -571,29 +481,25 @@ class _Replayer:
                 became_set = exec_bits and not target.exec_bits
                 target.exec_bits = exec_bits
                 if became_set:
-                    mutation = taint.tr_proc_exe(self.world, proc, target,
-                                                 "chmod_set_exec")
-                    if mutation:
-                        decision.mutations.append(mutation)
+                    decision.add(taint.tr_proc_exe(self.world, proc, target,
+                                                   "chmod_set_exec"))
         return decision, node.path, f"exec={int(exec_bits)}"
 
-    _ev_fchmod = _ev_chmod
-
     def _ev_truncate(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot truncate a directory: {node.path}", ev.line)
         decision = pr_inte(self.world, proc, node, "truncate", self.policy.pcopy)
         return decision, node.path, "-"
 
     def _ev_chown(self, proc, ev):
-        node = self._node_arg(ev, 0)
-        uid = self._int_arg(ev, 1, "uid")
+        node = self._node_arg(ev.args[0], ev)
+        uid = _int_arg(ev.args[1], "uid", ev)
         decision = pr_inte(self.world, proc, node, "chown")
         return decision, node.path, f"uid={uid}"
 
     def _ev_unlink(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"unlink of a directory: {node.path}", ev.line)
         decision = pr_inte(self.world, proc, node, "delete")
@@ -602,7 +508,7 @@ class _Replayer:
         return decision, node.path, "-"
 
     def _ev_rmdir(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         if node.kind != "dir":
             raise TraceError(f"rmdir of a non-directory: {node.path}", ev.line)
         if node.parent is None:
@@ -615,10 +521,10 @@ class _Replayer:
         return decision, node.path, "-"
 
     def _ev_rename(self, proc, ev):
-        src = self._node_arg(ev, 0)
+        src = self._node_arg(ev.args[0], ev)
         if src.parent is None:
             raise TraceError("cannot rename /", ev.line)
-        dst_path = self._path_arg(ev, 1)
+        dst_path = _path_arg(ev.args[1], ev)
         if dst_path == src.path or dst_path.startswith(src.path + "/"):
             raise TraceError(f"cannot rename {src.path} into itself", ev.line)
         dst_id = self.world.lookup(dst_path)
@@ -641,93 +547,60 @@ class _Replayer:
     # -- exec and loading ----------------------------------------------------------
 
     def _ev_execve(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         if node.kind != "file":
             raise TraceError(f"cannot exec {node.kind} {node.path}", ev.line)
         if not node.exec_bits:
             raise TraceError(f"{node.path} is not executable", ev.line)
         decision = allow()
-        mutation = taint.tr_exe_proc(self.world, proc, node, "execve")
-        if mutation:
-            decision.mutations.append(mutation)
-        mutation = vital.vr_file_proc(self.world, proc, node, "execve")
-        if mutation:
-            decision.mutations.append(mutation)
+        decision.add(taint.tr_exe_proc(self.world, proc, node, "execve"))
+        decision.add(vital.vr_file_proc(self.world, proc, node, "execve"))
         proc.exe = node.node_id
         proc.exe_path = node.path
         return decision, node.path, "-"
 
     def _ev_mmap_exec(self, proc, ev):
-        node = self._node_arg(ev, 0)
+        node = self._node_arg(ev.args[0], ev)
         decision = allow()
-        mutation = taint.tr_exe_proc(self.world, proc, node, "mmap_exec")
-        if mutation:
-            decision.mutations.append(mutation)
+        decision.add(taint.tr_exe_proc(self.world, proc, node, "mmap_exec"))
         return decision, node.path, "-"
 
     # -- privileged operations --------------------------------------------------
 
-    def _ev_mount(self, proc, ev):
-        return self._privileged(proc, ev, "mount")
-
-    def _ev_umount(self, proc, ev):
-        return self._privileged(proc, ev, "umount")
-
-    def _ev_setrlimit(self, proc, ev):
-        return self._privileged(proc, ev, "setrlimit")
-
-    def _ev_reboot(self, proc, ev):
-        return self._privileged(proc, ev, "reboot")
-
-    def _ev_swapoff(self, proc, ev):
-        return self._privileged(proc, ev, "swapoff")
-
-    def _ev_create_module(self, proc, ev):
-        return self._privileged(proc, ev, "create_module")
-
-    def _ev_delete_module(self, proc, ev):
-        return self._privileged(proc, ev, "delete_module")
-
-    def _privileged(self, proc, ev, op_kind):
-        decision = pr_inte(self.world, proc, None, op_kind)
+    def _ev_privileged(self, proc, ev):
+        """mount, umount, setrlimit, reboot, swapoff, create/delete_module:
+        the op itself is the integrity-guarded kind."""
+        decision = pr_inte(self.world, proc, None, ev.op)
         obj = ev.args[0] if ev.args else "-"
         return decision, obj, "-"
 
-    def _ev_setuid(self, proc, ev):
-        uid = self._int_arg(ev, 0, "uid")
+    def _ev_set_id(self, proc, ev):
+        """setuid, setgid, setfsuid; only setuid's new id is modeled."""
+        what = "gid" if ev.op == "setgid" else "uid"
+        ident = _int_arg(ev.args[0], what, ev)
         decision = pr_inte(self.world, proc, None, "setuid_family")
-        if decision.allowed:
-            proc.uid = uid
-        return decision, "-", f"uid={uid}"
-
-    def _ev_setgid(self, proc, ev):
-        gid = self._int_arg(ev, 0, "gid")
-        decision = pr_inte(self.world, proc, None, "setuid_family")
-        return decision, "-", f"gid={gid}"
-
-    def _ev_setfsuid(self, proc, ev):
-        uid = self._int_arg(ev, 0, "uid")
-        decision = pr_inte(self.world, proc, None, "setuid_family")
-        return decision, "-", f"uid={uid}"
+        if decision.allowed and ev.op == "setuid":
+            proc.uid = ident
+        return decision, "-", f"{what}={ident}"
 
     def _ev_kill(self, proc, ev):
-        target = self.world.live_process(self._int_arg(ev, 0, "target pid"))
+        target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
         decision = pr_inte(self.world, proc, target, "kill")
         # Signal delivery itself is not modeled; a dying target shows up
         # in the trace as its own exit event.
         return decision, f"pid:{target.pid}", "-"
 
     def _ev_ptrace(self, proc, ev):
-        target = self.world.live_process(self._int_arg(ev, 0, "target pid"))
+        target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
         decision = pr_conf(self.world, proc, target, "ptrace")
         return decision, f"pid:{target.pid}", "-"
 
     # -- network ---------------------------------------------------------------
 
     def _ev_socket_open(self, proc, ev):
-        sock_id = self._int_arg(ev, 0, "socket id")
-        local = self._endpoint_arg(ev, 1)
-        remote = self._endpoint_arg(ev, 2)
+        sock_id = _int_arg(ev.args[0], "socket id", ev)
+        local = _endpoint_arg(ev.args[1], ev)
+        remote = _endpoint_arg(ev.args[2], ev)
         proto = ev.args[3]
         if proto not in ("tcp", "udp"):
             raise TraceError(f"bad protocol {proto!r}", ev.line)
@@ -736,38 +609,23 @@ class _Replayer:
         sock = self.world.open_socket(sock_id, proc.pid, local, remote, proto,
                                       trusted)
         decision = allow()
-        mutation = taint.tr_sock_proc(self.world, proc, sock)
-        if mutation:
-            decision.mutations.append(mutation)
+        decision.add(taint.tr_sock_proc(self.world, proc, sock))
         param = (f"{local[0]}:{local[1]}->{remote[0]}:{remote[1]}/{proto}")
         return decision, f"sock:{sock_id}", param
 
-    def _endpoint_arg(self, ev: Event, index: int) -> tuple:
-        token = ev.args[index]
-        if ":" not in token:
-            raise TraceError(f"endpoint must be ip:port, got {token!r}", ev.line)
-        ip, port = token.rsplit(":", 1)
-        if not port.isdigit():
-            raise TraceError(f"bad port {port!r}", ev.line)
-        return (ip, int(port))
-
-    def _ev_sock_send(self, proc, ev):
-        return self._sock_io(proc, ev, sending=True)
-
-    def _ev_sock_recv(self, proc, ev):
-        return self._sock_io(proc, ev, sending=False)
-
-    def _sock_io(self, proc, ev, sending: bool):
-        sock = self.world.socket(self._int_arg(ev, 0, "socket id"))
+    def _ev_sock_io(self, proc, ev):
+        """sock_send and sock_recv; with a peer pid the message carries taint."""
+        sending = ev.op == "sock_send"
+        sock = self.world.socket(_int_arg(ev.args[0], "socket id", ev))
         if sock.owner != proc.pid:
             raise TraceError(f"socket {sock.sock_id} belongs to pid {sock.owner}",
                              ev.line)
-        amount = self._int_arg(ev, 1, "byte count")
+        amount = _int_arg(ev.args[1], "byte count", ev)
         if amount <= 0:
             raise TraceError(f"byte count must be positive, got {amount}", ev.line)
         peer = None
         if len(ev.args) == 3:
-            peer = self.world.live_process(self._int_arg(ev, 2, "peer pid"))
+            peer = self.world.live_process(_int_arg(ev.args[2], "peer pid", ev))
         decision = pr_avai(self.world, proc, ResourceKind.NET_BYTES, amount)
         arrow = "->" if sending else "<-"
         param = str(amount) if peer is None else f"{amount}{arrow}pid:{peer.pid}"
@@ -782,11 +640,11 @@ class _Replayer:
     # -- resource allocation ------------------------------------------------------
 
     def _ev_brk_alloc(self, proc, ev):
-        amount = self._int_arg(ev, 0, "byte count")
+        amount = _int_arg(ev.args[0], "byte count", ev)
         return self._allocate(proc, ev, ResourceKind.MEMORY_BYTES, amount)
 
     def _ev_disk_alloc(self, proc, ev):
-        amount = self._int_arg(ev, 0, "block count")
+        amount = _int_arg(ev.args[0], "block count", ev)
         return self._allocate(proc, ev, ResourceKind.DISK_BLOCKS, amount)
 
     def _ev_sched_tick(self, proc, ev):
@@ -804,15 +662,14 @@ class _Replayer:
 
     def _ev_set_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
-        flag = self._flag_arg(ev, 1)
-        on = self._bit_arg(ev, 2, "flag value")
+        flag = _flag_arg(ev.args[1], ev)
+        on = _bit_arg(ev.args[2], "flag value", ev)
         before = self.world.flags_of(ref)
         decision = world_set_flag(self.world, ref, flag, on, actor=proc.pid)
         after = self.world.flags_of(ref)
         if after != before:
             label = self._entity_label(ref) if ref[0] != "res" else ("res", ref[1].value)
-            change = FlagChange(label, flag, on, "set_stbac_attr")
-            self._note_direct_change([change])
+            self._direct_changes = [FlagChange(label, flag, on, "set_stbac_attr")]
             if self.graph is not None and ref[0] != "res":
                 node = self.graph.touch(ref, self._display_label(ref))
                 node.flags_ever |= after
@@ -828,7 +685,7 @@ class _Replayer:
     def _attr_target(self, ev: Event):
         token = ev.args[0]
         if token.startswith("pid:"):
-            pid = self._int_arg_from(token[4:], "pid", ev)
+            pid = _int_arg(token[4:], "pid", ev)
             self.world.process(pid)
             return proc_ref(pid), token
         if token.startswith("res:"):
@@ -838,63 +695,17 @@ class _Replayer:
             except ValueError:
                 raise TraceError(f"unknown resource kind {name!r}", ev.line) from None
             return ("res", kind), token
-        path = self._path_arg_from(token, ev)
-        node_id = self.world.lookup(path)
-        if node_id is None:
-            raise TraceError(f"no such path {path}", ev.line)
-        return ("file", node_id), path
-
-    def _flag_arg(self, ev: Event, index: int) -> Flag:
-        try:
-            return parse_flag(ev.args[index])
-        except StbacError as exc:
-            raise TraceError(str(exc), ev.line) from None
-
-    def _int_arg_from(self, token: str, what: str, ev: Event) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise TraceError(f"{what} must be an integer, got {token!r}",
-                             ev.line) from None
-
-    def _path_arg_from(self, token: str, ev: Event) -> str:
-        if not token.startswith("/") or (token != "/" and token.endswith("/")):
-            raise TraceError(f"bad path {token!r}", ev.line)
-        return token
+        node = self._node_arg(token, ev)
+        return ("file", node.node_id), node.path
 
     # -- shared pieces -------------------------------------------------------------
 
-    def _fresh_path(self, ev: Event, index: int) -> str:
-        path = self._path_arg(ev, index)
-        if self.world.lookup(path) is not None:
-            raise TraceError(f"path exists: {path}", ev.line)
-        return path
-
-    def _parent_dir(self, path: str, ev: Event):
-        parent_path = parent_of(path)
-        parent_id = self.world.lookup(parent_path)
-        if parent_id is None:
-            raise TraceError(f"missing parent directory {parent_path}", ev.line)
-        parent = self.world.fs[parent_id]
-        if parent.kind != "dir":
-            raise TraceError(f"parent is not a directory: {parent_path}", ev.line)
-        return parent
-
-    def _creation_mutations(self, decision, proc, parent, node):
-        mutation = vital.vr_dir_dir(self.world, parent, node)
-        if mutation:
-            decision.mutations.append(mutation)
-
     def _write_mutations(self, decision, proc, node, action):
-        mutation = taint.tr_proc_exe(self.world, proc, node, action)
-        if mutation:
-            decision.mutations.append(mutation)
+        decision.add(taint.tr_proc_exe(self.world, proc, node, action))
         # Partial copies hold the non-secret subset by construction, so the
         # secrecy spread of a leak-capable writer stops at them.
         if node.path not in self.copy_paths:
-            mutation = vital.vr_proc_file(self.world, proc, node, action)
-            if mutation:
-                decision.mutations.append(mutation)
+            decision.add(vital.vr_proc_file(self.world, proc, node, action))
 
     def _drain_fifo(self, proc, node) -> list:
         if node.node_id not in self.world.fifos:
@@ -913,3 +724,104 @@ class _Replayer:
                                                proc_ref(writer_pid)))
         queue.clear()
         return mutations
+
+
+# -- trace tokens ------------------------------------------------------------------
+
+def _int_arg(token: str, what: str, ev: Event) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise TraceError(f"{what} must be an integer, got {token!r}", ev.line) from None
+
+
+def _bit_arg(token: str, what: str, ev: Event) -> bool:
+    if token not in ("0", "1"):
+        raise TraceError(f"{what} must be 0 or 1, got {token!r}", ev.line)
+    return token == "1"
+
+
+def _path_arg(token: str, ev: Event) -> str:
+    if not token.startswith("/") or (token != "/" and token.endswith("/")):
+        raise TraceError(f"bad path {token!r}", ev.line)
+    return token
+
+
+def _endpoint_arg(token: str, ev: Event) -> tuple:
+    if ":" not in token:
+        raise TraceError(f"endpoint must be ip:port, got {token!r}", ev.line)
+    ip, port = token.rsplit(":", 1)
+    # str.isdigit alone admits digits such as "²" that int() rejects.
+    if not (port.isascii() and port.isdigit()):
+        raise TraceError(f"bad port {port!r}", ev.line)
+    return (ip, _int_arg(port, "port", ev))
+
+
+def _flag_arg(token: str, ev: Event) -> Flag:
+    try:
+        return parse_flag(token)
+    except StbacError as exc:
+        raise TraceError(str(exc), ev.line) from None
+
+
+# -- the op table ------------------------------------------------------------------
+
+class OpSpec(NamedTuple):
+    arity: tuple          # (min, max) argument count
+    handler: Callable     # _Replayer method: (proc, ev) -> (decision, obj, param)
+    families: frozenset   # rule families the op is wired to
+
+
+def _op(lo, hi, handler, *families) -> OpSpec:
+    return OpSpec((lo, hi), handler, frozenset(families))
+
+
+_R = _Replayer
+
+# One row per trace operation.  Mirrors the syscall hook map of the kernel
+# design; the bookkeeping op "exit" hooks nothing.
+OPS = {
+    "fork": _op(1, 1, _R._ev_fork, "TR_proc_proc", "VR_proc_proc"),
+    "vfork": _op(1, 1, _R._ev_fork, "TR_proc_proc", "VR_proc_proc"),
+    "clone": _op(1, 1, _R._ev_fork, "TR_proc_proc", "VR_proc_proc"),
+    "exit": _op(0, 0, _R._ev_exit),
+    "pipe": _op(1, 1, _R._ev_pipe, "TR_proc_proc"),
+    "shmat": _op(1, 1, _R._ev_shmat, "TR_proc_proc"),
+    "msgrcv": _op(1, 1, _R._ev_msgrcv, "TR_proc_proc"),
+    "mkfifo": _op(1, 1, _R._ev_make_node, "TR_proc_proc", "VR_dir_dir", "PR_inte"),
+    "mknod": _op(2, 2, _R._ev_make_node, "TR_proc_proc", "VR_dir_dir", "PR_inte"),
+    "mkdir": _op(1, 1, _R._ev_make_node, "PR_inte", "VR_dir_dir"),
+    "open_read": _op(1, 1, _R._ev_open_read, "PR_conf", "VR_file_proc", "TR_proc_proc"),
+    "open_write": _op(1, 1, _R._ev_open_write,
+                      "PR_inte", "TR_proc_exe", "VR_proc_file", "TR_proc_proc"),
+    "create": _op(2, 2, _R._ev_create, "PR_inte", "TR_proc_exe", "VR_proc_file", "VR_dir_dir"),
+    "chmod": _op(2, 2, _R._ev_chmod, "PR_inte", "TR_proc_exe"),
+    "fchmod": _op(2, 2, _R._ev_chmod, "PR_inte", "TR_proc_exe"),
+    "truncate": _op(1, 1, _R._ev_truncate, "PR_inte"),
+    "chown": _op(2, 2, _R._ev_chown, "PR_inte"),
+    "unlink": _op(1, 1, _R._ev_unlink, "PR_inte"),
+    "rmdir": _op(1, 1, _R._ev_rmdir, "PR_inte"),
+    "rename": _op(2, 2, _R._ev_rename, "PR_inte"),
+    "execve": _op(1, 1, _R._ev_execve, "TR_exe_proc", "VR_file_proc"),
+    "mmap_exec": _op(1, 1, _R._ev_mmap_exec, "TR_exe_proc"),
+    "mount": _op(0, 1, _R._ev_privileged, "PR_inte"),
+    "umount": _op(0, 1, _R._ev_privileged, "PR_inte"),
+    "setrlimit": _op(0, 0, _R._ev_privileged, "PR_inte"),
+    "reboot": _op(0, 0, _R._ev_privileged, "PR_inte"),
+    "swapoff": _op(0, 0, _R._ev_privileged, "PR_inte"),
+    "create_module": _op(0, 1, _R._ev_privileged, "PR_inte"),
+    "delete_module": _op(0, 1, _R._ev_privileged, "PR_inte"),
+    "setuid": _op(1, 1, _R._ev_set_id, "PR_inte"),
+    "setgid": _op(1, 1, _R._ev_set_id, "PR_inte"),
+    "setfsuid": _op(1, 1, _R._ev_set_id, "PR_inte"),
+    "kill": _op(1, 1, _R._ev_kill, "PR_inte"),
+    "ptrace": _op(1, 1, _R._ev_ptrace, "PR_conf"),
+    "socket_open": _op(4, 4, _R._ev_socket_open, "TR_sock_proc"),
+    "sock_send": _op(2, 3, _R._ev_sock_io, "PR_avai", "TR_proc_proc"),
+    "sock_recv": _op(2, 3, _R._ev_sock_io, "PR_avai", "TR_proc_proc"),
+    "brk_alloc": _op(1, 1, _R._ev_brk_alloc, "PR_avai"),
+    "disk_alloc": _op(1, 1, _R._ev_disk_alloc, "PR_avai"),
+    "sched_tick": _op(0, 0, _R._ev_sched_tick, "PR_avai"),
+    "set_stbac_attr": _op(3, 3, _R._ev_set_stbac_attr, "PR_inte"),
+    "get_stbac_attr": _op(1, 1, _R._ev_get_stbac_attr, "PR_conf"),
+}

@@ -169,7 +169,9 @@ def _endpoint_matches(ip_pat: str, port_pat: str, endpoint: tuple) -> bool:
     ip, port = endpoint
     if ip_pat != "*" and ip_pat != ip:
         return False
-    if port_pat != "*" and port_pat != str(port):
+    # Ports compare as numbers ("022" is 22), without int(): a parsed
+    # pattern is ASCII digits of any length.
+    if port_pat != "*" and (port_pat.lstrip("0") or "0") != str(port):
         return False
     return True
 
@@ -224,7 +226,7 @@ def _split_endpoint(token: str):
     if ":" not in token:
         raise ConfigError(f"endpoint must be ip:port, got {token!r}")
     ip, port = token.rsplit(":", 1)
-    if port != "*" and not port.isdigit():
+    if port != "*" and not (port.isascii() and port.isdigit()):
         raise ConfigError(f"bad port {port!r}")
     return ip, port
 

@@ -146,10 +146,6 @@ def sock_ref(sock_id: int) -> Ref:
     return ("sock", sock_id)
 
 
-def res_ref(kind: ResourceKind) -> Ref:
-    return ("res", kind)
-
-
 @dataclass(frozen=True)
 class TaintMutation:
     """Sets TAINT on target; cause is the entity the taint flowed from."""
@@ -205,6 +201,11 @@ class Decision:
     @property
     def allowed(self) -> bool:
         return self.verdict is not Verdict.DENY
+
+    def add(self, mutation):
+        """Attach a rule's mutation; None (the rule did not fire) is skipped."""
+        if mutation is not None:
+            self.mutations.append(mutation)
 
     def result_text(self) -> str:
         """Audit spelling: ALLOW, ALLOW_REDIR(path) or DENY(rule)."""

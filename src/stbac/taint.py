@@ -20,7 +20,6 @@ IPC_CHANNELS = frozenset({
     "local_socket_msg",
     "shm_attach",
     "msgq_recv",
-    "fifo_msg",
 })
 
 

@@ -131,7 +131,6 @@ class World:
     sockets: dict = field(default_factory=dict)     # sock id -> Socket
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
     clock: int = 0
-    audit: list = field(default_factory=list)       # append-only AuditRecords
 
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}

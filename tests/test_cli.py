@@ -84,6 +84,30 @@ class TestReplayCommand:
                      str(bundle_dir / "trace")])
         assert code == 2
 
+    def test_non_ascii_digit_port_exits_two_with_line(self, bundle_dir, capsys):
+        (bundle_dir / "trace").write_text(
+            "1,1,socket_open,1,10.0.0.1:²,10.0.0.9:99,tcp\n", encoding="utf-8")
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert "line 1: bad port '²'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,content", [
+        ("trace", b"1,1,sched_tick\n2,1,\xff\n"),
+        ("init.cfg", b"node /bin dir 0\nnode /b\xffn file 1\n"),
+    ])
+    def test_non_utf8_input_exits_two_naming_file_and_line(self, bundle_dir, capsys,
+                                                           name, content):
+        (bundle_dir / name).write_bytes(content)
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{bundle_dir / name} line 2" in err
+            assert "0xff" in err
+
     def test_dot_output(self, tmp_path):
         args, _ = scenario_args("web_download", tmp_path)
         dot_path = tmp_path / "graph.dot"

@@ -4,10 +4,9 @@ import pytest
 
 from stbac import scenarios
 from stbac.engine import (
-    ARITY,
+    OPS,
     DepGraph,
     Policy,
-    RULE_FAMILIES,
     apply_event,
     export_graph,
     parse_trace,
@@ -48,7 +47,7 @@ def run(trace_text, trust="", pcopy="", track_taint=False):
 
 
 def fingerprint(world):
-    """World state modulo audit log and clock."""
+    """World state modulo the clock."""
     return (
         {pid: (p.parent, p.uid, p.exe, p.flags, p.alive, tuple(sorted(
             (k.value, v) for k, v in p.usage.items())))
@@ -83,6 +82,20 @@ class TestParsing:
     def test_bad_pid_reports_line(self):
         with pytest.raises(TraceError, match="line 1"):
             parse_trace("1,x,fork,2\n")
+
+
+class TestEndpoints:
+    def test_non_ascii_digit_port_rejected_with_line(self):
+        with pytest.raises(TraceError, match="line 2: bad port '²'"):
+            run("1,1,sched_tick\n2,1,socket_open,1,10.0.0.1:²,10.0.0.9:99,tcp\n")
+
+    def test_trust_port_with_leading_zero_matches(self):
+        trace = ("1,1,execve,/bin/sh\n"
+                 "2,1,socket_open,1,10.0.0.1:5000,10.0.0.9:22,tcp\n")
+        result = run(trace, trust="trust /bin/sh *:* *:022 tcp 0..inf\n",
+                     track_taint=True)
+        assert result.world.sockets[1].trusted
+        assert result.tainted_after[-1] == frozenset()
 
 
 class TestApplyBasics:
@@ -129,7 +142,6 @@ class TestApplyBasics:
         trace = "1,1,fork,2\n2,2,sched_tick\n3,2,exit\n"
         result = run(trace)
         assert len(result.records) == len(parse_trace(trace))
-        assert len(result.world.audit) == len(result.records)
 
     def test_unknown_pid_aborts_with_line(self):
         with pytest.raises(TraceError, match="line 1"):
@@ -417,11 +429,11 @@ class TestTableMapping:
 
     def test_every_op_carries_its_assigned_families(self):
         for op, families in self.EXPECTED.items():
-            assert families <= RULE_FAMILIES[op], op
+            assert families <= OPS[op].families, op
 
     def test_vocabulary_is_complete(self):
-        assert set(RULE_FAMILIES) == set(ARITY)
-        assert RULE_FAMILIES["exit"] == frozenset()
+        assert set(OPS) == set(self.EXPECTED) | {"exit"}
+        assert OPS["exit"].families == frozenset()
 
 
 class TestDotExport:

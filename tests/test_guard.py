@@ -217,6 +217,20 @@ class TestTrustMatching:
             with pytest.raises(ConfigError):
                 parse_trust_list(bad + "\n")
 
+    def test_non_ascii_digit_port_rejected_with_line(self):
+        for bad in ("trust /p *:* *:² tcp 0..inf", "trust /p *:٢٢ *:* tcp 0..inf"):
+            with pytest.raises(ConfigError, match="line 2: bad port"):
+                parse_trust_list("# header\n" + bad + "\n")
+
+    def test_ports_compare_as_integers(self):
+        entry = parse_trust_entry("trust /p *:* *:022 tcp 0..inf")
+        assert match_trust([entry], "/p", ("a", 1), ("b", 22), "tcp", 0)
+        assert not match_trust([entry], "/p", ("a", 1), ("b", 220), "tcp", 0)
+        zero = parse_trust_entry("trust /p *:* *:000 tcp 0..inf")
+        assert match_trust([zero], "/p", ("a", 1), ("b", 0), "tcp", 0)
+        longer = parse_trust_entry(f"trust /p *:* *:{'1' * 5000} tcp 0..inf")
+        assert not match_trust([longer], "/p", ("a", 1), ("b", 22), "tcp", 0)
+
     def test_comments_and_blanks_skipped(self):
         entries = parse_trust_list("# header\n\ntrust /p *:* *:* tcp 0..inf\n")
         assert len(entries) == 1
