@@ -31,8 +31,10 @@ from .model import (
     TaintRule,
     TraceError,
     allow,
+    ascii_int,
     flag_bits,
     format_flags,
+    is_ascii_int,
     parse_flag,
     proc_ref,
 )
@@ -59,8 +61,8 @@ def parse_trace(text: str) -> list[Event]:
         if len(parts) < 3:
             raise TraceError(f"expected tick,pid,op[,...], got {line!r}", line_no)
         try:
-            tick = int(parts[0])
-            pid = int(parts[1])
+            tick = ascii_int(parts[0])
+            pid = ascii_int(parts[1])
         except ValueError:
             raise TraceError(f"tick and pid must be integers: {line!r}", line_no) from None
         if tick < 0:
@@ -730,7 +732,7 @@ class _Replayer:
 
 def _int_arg(token: str, what: str, ev: Event) -> int:
     try:
-        return int(token)
+        return ascii_int(token)
     except ValueError:
         raise TraceError(f"{what} must be an integer, got {token!r}", ev.line) from None
 
@@ -751,8 +753,7 @@ def _endpoint_arg(token: str, ev: Event) -> tuple:
     if ":" not in token:
         raise TraceError(f"endpoint must be ip:port, got {token!r}", ev.line)
     ip, port = token.rsplit(":", 1)
-    # str.isdigit alone admits digits such as "²" that int() rejects.
-    if not (port.isascii() and port.isdigit()):
+    if not is_ascii_int(port, signed=False):
         raise TraceError(f"bad port {port!r}", ev.line)
     return (ip, _int_arg(port, "port", ev))
 

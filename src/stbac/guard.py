@@ -20,7 +20,9 @@ from .model import (
     ResourceKind,
     StbacError,
     allow,
+    ascii_int,
     deny,
+    is_ascii_int,
     redirect,
 )
 from .world import FsNode, Process, World, check_path, parent_of
@@ -226,7 +228,7 @@ def _split_endpoint(token: str):
     if ":" not in token:
         raise ConfigError(f"endpoint must be ip:port, got {token!r}")
     ip, port = token.rsplit(":", 1)
-    if port != "*" and not (port.isascii() and port.isdigit()):
+    if port != "*" and not is_ascii_int(port, signed=False):
         raise ConfigError(f"bad port {port!r}")
     return ip, port
 
@@ -236,7 +238,7 @@ def _parse_span(token: str):
         raise ConfigError(f"span must be from..to, got {token!r}")
     lo, hi = token.split("..", 1)
     try:
-        tick_from = int(lo)
+        tick_from = ascii_int(lo)
     except ValueError:
         raise ConfigError(f"bad span start {lo!r}") from None
     if tick_from < 0:
@@ -244,7 +246,7 @@ def _parse_span(token: str):
     if hi == "inf":
         return tick_from, float("inf")
     try:
-        tick_to = int(hi)
+        tick_to = ascii_int(hi)
     except ValueError:
         raise ConfigError(f"bad span end {hi!r}") from None
     return tick_from, tick_to
@@ -252,6 +254,7 @@ def _parse_span(token: str):
 
 def parse_pcopy_map(text: str) -> PartialCopyMap:
     pcopy = PartialCopyMap()
+    line_of = {}             # shared path -> line number of its entry
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -267,15 +270,12 @@ def parse_pcopy_map(text: str) -> PartialCopyMap:
         if shared in pcopy.entries:
             raise ConfigError(f"copy map line {line_no}: duplicate entry for {shared}")
         pcopy.entries[shared] = copy
-    _validate_pcopy(pcopy)
+        line_of[shared] = line_no
+    for shared, copy in pcopy.entries.items():
+        if copy in pcopy.entries:
+            raise ConfigError(f"copy map line {line_of[shared]}: "
+                              f"copy path {copy} is itself a shared path")
     return pcopy
-
-
-def _validate_pcopy(pcopy: PartialCopyMap):
-    shared = set(pcopy.entries)
-    for copy in pcopy.entries.values():
-        if copy in shared:
-            raise ConfigError(f"copy path {copy} is itself a shared path")
 
 
 def validate_pcopy_against_world(pcopy: PartialCopyMap, world: World):

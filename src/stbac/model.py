@@ -40,6 +40,25 @@ class ResourceExhausted(StbacError):
     """
 
 
+def is_ascii_int(token: str, signed: bool = True) -> bool:
+    """True for ASCII digits, after one optional '-' when signed.
+
+    int() alone also accepts '+5', ' 5 ', '1_0' and digits of other scripts
+    such as '١٠', which would give one field several spellings.
+    """
+    if signed and token.startswith("-"):
+        token = token[1:]
+    return token.isascii() and token.isdigit()
+
+
+def ascii_int(token: str) -> int:
+    """int(token) for a token that is_ascii_int accepts; ValueError otherwise."""
+    # Unsigned tokens skip the call: parse_trace converts two per event.
+    if (token.isdigit() and token.isascii()) or is_ascii_int(token):
+        return int(token)
+    raise ValueError(f"not an ASCII integer: {token!r}")
+
+
 class Flag(enum.Flag):
     """Label bits carried by processes, filesystem nodes and resources.
 

@@ -1,11 +1,27 @@
 """Independent brute-force verifiers for the rule engine.
 
-taint_closure recomputes the set of tainted entities by plain forward
-reachability over the trace, sharing no code with the taint rule module,
-and diff_taint compares it with what the engine produced.  check_biba
-verifies the low-water-mark integrity conditions (two levels: tainted
-entities are low, everything else is high) against the audit an engine
-replay produced.
+One structural walker, _walk, replays the allowed events of a trace over a
+_Structure (paths, exec bits, fifos, pids, protected cells) rebuilt from
+the boot config and the raw trace alone, and yields for each event the
+flow facts it implies, judged against its caller's sets of low (tainted)
+pids and cells:
+
+* _READ: a pid that low input must lower (an untrusted endpoint, an IPC
+  message from a low process, executing or loading a low file);
+* _EXEC: a pid that must be low because it comes from a low source (a
+  child of a low process, an exec of a low file or by a low process);
+* _PRODUCE: a cell that a low writer must lower (an executable it
+  created, wrote or made executable);
+* _EXCEPTION: a low write to a non-executable, carrying its exception
+  text and the violation text that applies if the object is protected;
+* _MARK: an administrative taint mark.
+
+taint_closure folds the facts into its own low sets: plain forward
+reachability that shares no code with the taint rule module, which
+diff_taint compares with the engine's tainted sets.  check_biba checks the
+same facts against the engine's audited flag changes, verifying the
+low-water-mark integrity conditions (two levels: tainted entities are low,
+everything else is high).
 
 Denied events contribute no edges and no structure on either side: the
 engine applies nothing on a denial, so equivalence is judged over the
@@ -18,14 +34,13 @@ from dataclasses import dataclass, field
 
 from .guard import match_trust
 from .model import Flag
-from .world import InitConfig
+from .world import InitConfig, parent_of
 
 
-@dataclass
+@dataclass(eq=False)
 class _Cell:
-    """One live filesystem object, tracked by path independently of the engine."""
+    """One live filesystem object, tracked by identity independently of the engine."""
 
-    serial: int
     path: str
     is_dir: bool = False
     is_fifo: bool = False
@@ -43,7 +58,7 @@ class _Cell:
 
 
 class _Structure:
-    """Structural shadow of a replay: paths, exec bits, fifos, pids, sockets.
+    """Structural shadow of a replay: paths, exec bits, fifos, pids, protection.
 
     Rebuilt from the boot config and the raw trace only; never from engine
     state.
@@ -51,12 +66,10 @@ class _Structure:
 
     def __init__(self, config: InitConfig):
         self.cells = {}          # path -> _Cell
-        self.next_serial = 0
         self.live_pids = {1}
         self.exe_paths = {1: "-"}
-        self.sockets = {}        # sock id -> (owner pid, trusted)
-        self.fifo_msgs = {}      # cell serial -> [(writer pid, low at write)]
-        self.finte = set()       # cell serials marked INTE at boot
+        self.fifo_msgs = {}      # _Cell -> [(writer pid, low at write)]
+        self.protected = set()   # INTE cells
         self.add_cell("/", is_dir=True)
         for path, kind, exec_bits in config.nodes:
             self._ensure_parents(path)
@@ -64,7 +77,7 @@ class _Structure:
                           exec_bits=exec_bits)
         for flag, path in config.marks:
             if flag is Flag.INTE and path in self.cells:
-                self.finte.add(self.cells[path].serial)
+                self.protected.add(self.cells[path])
 
     def _ensure_parents(self, path: str):
         parts = path.strip("/").split("/")[:-1]
@@ -74,22 +87,16 @@ class _Structure:
             if current not in self.cells:
                 self.add_cell(current, is_dir=True)
 
-    def add_cell(self, path: str, is_dir=False, is_fifo=False, is_device=False,
-                 exec_bits=False) -> _Cell:
-        cell = _Cell(self.next_serial, path, is_dir=is_dir, is_fifo=is_fifo,
-                     is_device=is_device, exec_bits=exec_bits)
-        self.next_serial += 1
-        self.cells[path] = cell
+    def add_cell(self, path: str, **kind) -> _Cell:
+        cell = self.cells[path] = _Cell(path, **kind)
         return cell
 
-    def cell(self, path: str) -> _Cell | None:
-        return self.cells.get(path)
-
-    def add_special(self, op: str, args) -> _Cell:
-        """The cell a mkfifo/mknod event makes."""
-        kind = "fifo" if op == "mkfifo" else args[1]
-        return self.add_cell(args[0], is_fifo=(kind == "fifo"),
-                             is_device=(kind == "device"))
+    def create(self, path: str, **kind) -> _Cell:
+        """The cell an event makes; it inherits protection from its directory."""
+        cell = self.add_cell(path, **kind)
+        if self.cells.get(parent_of(path)) in self.protected:
+            self.protected.add(cell)
+        return cell
 
     def chmod(self, cell: _Cell, bit: str) -> bool:
         """Apply a chmod to a regular file; True if it set the exec bits."""
@@ -102,7 +109,7 @@ class _Structure:
     def remove(self, path: str):
         cell = self.cells.pop(path, None)
         if cell is not None:
-            self.fifo_msgs.pop(cell.serial, None)
+            self.fifo_msgs.pop(cell, None)
 
     def rename(self, src: str, dst: str):
         moved = [p for p in self.cells if p == src or p.startswith(src + "/")]
@@ -112,35 +119,148 @@ class _Structure:
             cell.path = dst + old[len(src):]
             self.cells[cell.path] = cell
 
-    def fork(self, parent: int, child: int):
-        self.live_pids.add(child)
-        self.exe_paths[child] = self.exe_paths.get(parent, "-")
 
-    def exit(self, pid: int):
-        self.live_pids.discard(pid)
-
-    def fifo_write(self, cell: _Cell, writer: int, low: bool):
-        self.fifo_msgs.setdefault(cell.serial, []).append((writer, low))
-
-    def fifo_read(self, cell: _Cell) -> list:
-        return self.fifo_msgs.pop(cell.serial, [])
-
-    def parse_endpoint(self, token: str) -> tuple:
-        ip, port = token.rsplit(":", 1)
-        return (ip, int(port))
+def _endpoint(token: str) -> tuple:
+    ip, port = token.rsplit(":", 1)
+    return (ip, int(port))
 
 
-def _denied_mask(records) -> set:
-    return {i for i, r in enumerate(records) if r.denied}
+# Flow facts are (kind, target, detail) triples; see the module docstring.
+_READ = 1          # target pid; detail: the reason
+_EXEC = 2          # target pid; detail: the reason
+_PRODUCE = 4       # target cell; detail: the reason
+_EXCEPTION = 8     # target cell; detail: (exception text or None, violation text)
+_MARK = 16         # target pid or cell; detail: True to mark, False to clear
+
+_REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
-def _redirect_map(records) -> dict:
-    """Event index -> substitute path, for accesses the guard redirected."""
-    out = {}
+def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_cells):
+    """Apply each allowed event to struct; yield (index, event, facts) for
+    every event, with facts None for a denied one.
+
+    Lowness is read from the caller's sets as they stand when the event is
+    reached, so a caller that folds an event's facts into them between
+    events sees its own levels; a fifo message records whether its writer
+    was low when it wrote.
+    """
+    for index, ev in enumerate(events):
+        if index in denied:
+            yield index, ev, None
+            continue
+        op, args, pid = ev.op, ev.args, ev.pid
+        if index in redirects and op in _REDIRECTABLE:
+            args = (redirects[index],) + args[1:]
+        pid_low = pid in low_pids
+        facts = []
+        if op in ("fork", "vfork", "clone"):
+            child = int(args[0])
+            struct.live_pids.add(child)
+            struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
+            if pid_low:
+                facts.append((_READ | _EXEC, child, f"child of low pid {pid}"))
+        elif op == "exit":
+            struct.live_pids.discard(pid)
+        elif op == "pipe":
+            if pid_low:
+                facts.append((_READ, int(args[0]), f"pipe from low pid {pid}"))
+        elif op == "shmat":
+            peer = int(args[0])
+            if pid_low:
+                facts.append((_READ, peer, f"shared memory with low pid {pid}"))
+            if peer in low_pids:
+                facts.append((_READ, pid, f"shared memory with low pid {peer}"))
+        elif op == "msgrcv":
+            if int(args[0]) in low_pids:
+                facts.append((_READ, pid, f"message from low pid {args[0]}"))
+        elif op == "socket_open":
+            if not match_trust(trust, struct.exe_paths.get(pid, "-"), _endpoint(args[1]),
+                               _endpoint(args[2]), args[3], ev.tick):
+                facts.append((_READ, pid, "untrusted endpoint"))
+        elif op in ("sock_send", "sock_recv") and len(args) == 3:
+            peer = int(args[2])
+            source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
+            if source in low_pids:
+                facts.append((_READ, sink, f"local socket from low pid {source}"))
+        elif op in ("create", "mkdir", "mkfifo", "mknod"):
+            path = args[0]
+            if op == "create":
+                cell, noun = struct.create(path, exec_bits=(args[1] == "1")), "non-executable"
+            elif op == "mkdir":
+                cell, noun = struct.create(path, is_dir=True), "directory"
+            else:
+                kind = "fifo" if op == "mkfifo" else args[1]
+                cell = struct.create(path, is_fifo=(kind == "fifo"),
+                                     is_device=(kind == "device"))
+                noun = "special file"
+            if pid_low and cell.executable:
+                facts.append((_PRODUCE, cell, f"low pid {pid} created executable"))
+            elif pid_low:
+                facts.append((_EXCEPTION, cell, (
+                    f"{noun} {path}",
+                    f"allowed creation in protected directory {parent_of(path)}")))
+        elif op == "open_write":
+            cell = struct.cells.get(args[0])
+            if cell is not None and not cell.is_dir:
+                if cell.is_fifo:
+                    struct.fifo_msgs.setdefault(cell, []).append((pid, pid_low))
+                if pid_low and cell.executable:
+                    facts.append((_PRODUCE, cell, f"low pid {pid} wrote executable"))
+                elif pid_low:
+                    facts.append((_EXCEPTION, cell, (
+                        f"non-executable {args[0]}", f"allowed write to protected {args[0]}")))
+        elif op == "truncate":
+            cell = struct.cells.get(args[0])
+            if cell is not None and pid_low and not cell.executable:
+                facts.append((_EXCEPTION, cell, (
+                    f"non-executable {args[0]}", f"allowed truncate of protected {args[0]}")))
+        elif op in ("chmod", "fchmod"):
+            cell = struct.cells.get(args[0])
+            if cell is not None and not cell.is_dir:
+                became_set = struct.chmod(cell, args[1])
+                if pid_low and became_set:
+                    facts.append((_PRODUCE, cell, f"low pid {pid} made {args[0]} executable"))
+                elif pid_low and not cell.executable:
+                    facts.append((_EXCEPTION, cell, (
+                        None, f"allowed chmod of protected {args[0]}")))
+        elif op == "open_read":
+            cell = struct.cells.get(args[0])
+            if cell is not None and cell.is_fifo:
+                senders = [w for w, low in struct.fifo_msgs.pop(cell, ()) if low]
+                if senders:
+                    facts.append((_READ, pid, f"fifo message from low pid {senders[0]}"))
+        elif op == "execve":
+            struct.exe_paths[pid] = args[0]
+            if struct.cells.get(args[0]) in low_cells:
+                facts.append((_READ | _EXEC, pid, f"exec of low file {args[0]}"))
+            if pid_low:
+                facts.append((_EXEC, pid, f"low pid {pid} after exec"))
+        elif op == "mmap_exec":
+            if struct.cells.get(args[0]) in low_cells:
+                facts.append((_READ, pid, f"load of low file {args[0]}"))
+        elif op in ("unlink", "rmdir"):
+            struct.remove(args[0])
+        elif op == "rename":
+            struct.rename(args[0], args[1])
+        elif op == "set_stbac_attr":
+            target, flag_name, value = args
+            if flag_name == "taint" and target.startswith("pid:"):
+                facts.append((_MARK, int(target[4:]), value == "1"))
+            elif flag_name == "taint" and target in struct.cells:
+                facts.append((_MARK, struct.cells[target], value == "1"))
+        yield index, ev, facts
+
+
+def _access_verdicts(records) -> tuple:
+    """(denied event indexes, event index -> substitute path for accesses the
+    guard redirected), from an audit."""
+    denied, redirects = set(), {}
     for index, record in enumerate(records):
-        if record.result.startswith("ALLOW_REDIR("):
-            out[index] = record.result[len("ALLOW_REDIR("):-1]
-    return out
+        if record.denied:
+            denied.add(index)
+        elif record.result.startswith("ALLOW_REDIR("):
+            redirects[index] = record.result[len("ALLOW_REDIR("):-1]
+    return denied, redirects
 
 
 def taint_closure(config: InitConfig, trust, events, denied=frozenset(),
@@ -157,111 +277,29 @@ def taint_closure(config: InitConfig, trust, events, denied=frozenset(),
     ("file", path) labels for live entities.
     """
     struct = _Structure(config)
-    redirects = redirects or {}
     low_pids = set()
-    low_cells = set()        # serials
+    low_cells = set()
     snapshots = []
-
-    def low_file(path) -> bool:
-        cell = struct.cell(path)
-        return cell is not None and cell.serial in low_cells
-
-    for index, ev in enumerate(events):
-        if index in denied:
-            snapshots.append(_closure_snapshot(struct, low_pids, low_cells))
-            continue
-        op, args = ev.op, ev.args
-        if index in redirects and op in ("open_read", "open_write", "chmod", "fchmod"):
-            args = (redirects[index],) + args[1:]
-        if op in ("fork", "vfork", "clone"):
-            child = int(args[0])
-            struct.fork(ev.pid, child)
-            if ev.pid in low_pids:
-                low_pids.add(child)
-        elif op == "exit":
-            struct.exit(ev.pid)
-        elif op == "pipe":
-            if ev.pid in low_pids:
-                low_pids.add(int(args[0]))
-        elif op == "shmat":
-            peer = int(args[0])
-            if ev.pid in low_pids:
-                low_pids.add(peer)
-            if peer in low_pids:
-                low_pids.add(ev.pid)
-        elif op == "msgrcv":
-            if int(args[0]) in low_pids:
-                low_pids.add(ev.pid)
-        elif op == "socket_open":
-            sock_id = int(args[0])
-            local = struct.parse_endpoint(args[1])
-            remote = struct.parse_endpoint(args[2])
-            trusted = match_trust(trust, struct.exe_paths.get(ev.pid, "-"),
-                                  local, remote, args[3], ev.tick)
-            struct.sockets[sock_id] = (ev.pid, trusted)
-            if not trusted:
-                low_pids.add(ev.pid)
-        elif op in ("sock_send", "sock_recv") and len(args) == 3:
-            peer = int(args[2])
-            source, sink = (ev.pid, peer) if op == "sock_send" else (peer, ev.pid)
-            if source in low_pids:
-                low_pids.add(sink)
-        elif op == "create":
-            cell = struct.add_cell(args[0], exec_bits=(args[1] == "1"))
-            if ev.pid in low_pids and cell.exec_bits:
-                low_cells.add(cell.serial)
-        elif op == "mkdir":
-            struct.add_cell(args[0], is_dir=True)
-        elif op in ("mkfifo", "mknod"):
-            struct.add_special(op, args)
-        elif op == "open_write":
-            cell = struct.cell(args[0])
-            if cell is not None:
-                if cell.is_fifo:
-                    struct.fifo_write(cell, ev.pid, ev.pid in low_pids)
-                if ev.pid in low_pids and cell.executable:
-                    low_cells.add(cell.serial)
-        elif op == "open_read":
-            cell = struct.cell(args[0])
-            if cell is not None and cell.is_fifo:
-                if any(low for _, low in struct.fifo_read(cell)):
-                    low_pids.add(ev.pid)
-        elif op in ("chmod", "fchmod"):
-            cell = struct.cell(args[0])
-            if cell is not None and struct.chmod(cell, args[1]) and ev.pid in low_pids:
-                low_cells.add(cell.serial)
-        elif op == "execve":
-            struct.exe_paths[ev.pid] = args[0]
-            if low_file(args[0]):
-                low_pids.add(ev.pid)
-        elif op == "mmap_exec":
-            if low_file(args[0]):
-                low_pids.add(ev.pid)
-        elif op in ("unlink", "rmdir"):
-            struct.remove(args[0])
-        elif op == "rename":
-            struct.rename(args[0], args[1])
-        elif op == "set_stbac_attr":
-            target, flag_name, value = args
-            if flag_name == "taint" and target.startswith("pid:"):
-                pid = int(target[4:])
-                low_pids.add(pid) if value == "1" else low_pids.discard(pid)
-            elif flag_name == "taint":
-                cell = struct.cell(target)
-                if cell is not None:
-                    if value == "1":
-                        low_cells.add(cell.serial)
-                    else:
-                        low_cells.discard(cell.serial)
+    for _, _, facts in _walk(struct, trust, events, denied, redirects or {},
+                             low_pids, low_cells):
+        for kind, target, detail in facts or ():
+            if kind & (_READ | _EXEC):
+                low_pids.add(target)
+            elif kind == _PRODUCE:
+                low_cells.add(target)
+            elif kind == _MARK:
+                low = low_pids if isinstance(target, int) else low_cells
+                low.add(target) if detail else low.discard(target)
         snapshots.append(_closure_snapshot(struct, low_pids, low_cells))
     return snapshots
 
 
 def _closure_snapshot(struct: _Structure, low_pids, low_cells) -> frozenset:
+    """Labels of the live low entities; a removed cell stays in low_cells but
+    is no longer the cell at its path."""
     out = {("proc", pid) for pid in low_pids if pid in struct.live_pids}
-    for path, cell in struct.cells.items():
-        if cell.serial in low_cells:
-            out.add(("file", path))
+    out |= {("file", cell.path) for cell in low_cells
+            if struct.cells.get(cell.path) is cell}
     return frozenset(out)
 
 
@@ -300,8 +338,7 @@ def diff_taint(engine_sets, oracle_sets, events=None) -> list:
 
 def closure_from_replay(config: InitConfig, trust, events, records):
     """Convenience: the oracle closure with the audit's access verdicts."""
-    return taint_closure(config, trust, events, _denied_mask(records),
-                         _redirect_map(records))
+    return taint_closure(config, trust, events, *_access_verdicts(records))
 
 
 # -- low-water-mark integrity conditions ---------------------------------------
@@ -365,184 +402,39 @@ def check_biba(config: InitConfig, trust, events, records) -> BibaReport:
     struct = _Structure(config)
     low_pids = set()
     low_cells = set()
-    finte_cells = set(struct.finte)
-
     cond_read = ConditionReport("low-input consumers become low")
     cond_write = ConditionReport("low writers lower what they produce")
     cond_exec = ConditionReport("processes from low sources are low")
 
-    def is_low_file(path) -> bool:
-        cell = struct.cell(path)
-        return cell is not None and cell.serial in low_cells
-
-    def is_finte(path) -> bool:
-        cell = struct.cell(path)
-        return cell is not None and cell.serial in finte_cells
-
-    def parent_of(path):
-        head = path.rsplit("/", 1)[0]
-        return head or "/"
-
-    for index, (ev, record) in enumerate(zip(events, records)):
-        if record.denied:
+    for index, ev, facts in _walk(struct, trust, events, *_access_verdicts(records),
+                                  low_pids, low_cells):
+        if facts is None:
             continue
-        op, args = ev.op, ev.args
-        if (record.result.startswith("ALLOW_REDIR(")
-                and op in ("open_read", "open_write", "chmod", "fchmod", "truncate")):
-            args = (record.result[len("ALLOW_REDIR("):-1],) + args[1:]
-        pid_low_before = ev.pid in low_pids
-        where = f"event {index} ({op}, tick {ev.tick})"
-
-        # Expected consequences are checked after applying this event's
-        # engine-reported flag changes, so gather the structural facts first.
-        demands_read = []    # (pid, reason)
-        demands_exec = []
-        demands_write = []   # (path, reason)
-
-        if op in ("fork", "vfork", "clone"):
-            child = int(args[0])
-            struct.fork(ev.pid, child)
-            if pid_low_before:
-                demands_read.append((child, f"{where}: child of low pid {ev.pid}"))
-                demands_exec.append((child, f"{where}: child of low pid {ev.pid}"))
-        elif op == "exit":
-            struct.exit(ev.pid)
-        elif op == "pipe":
-            if pid_low_before:
-                demands_read.append((int(args[0]), f"{where}: pipe from low pid {ev.pid}"))
-        elif op == "shmat":
-            peer = int(args[0])
-            if pid_low_before:
-                demands_read.append((peer, f"{where}: shared memory with low pid {ev.pid}"))
-            if peer in low_pids:
-                demands_read.append((ev.pid, f"{where}: shared memory with low pid {peer}"))
-        elif op == "msgrcv":
-            if int(args[0]) in low_pids:
-                demands_read.append((ev.pid, f"{where}: message from low pid {args[0]}"))
-        elif op == "socket_open":
-            local = struct.parse_endpoint(args[1])
-            remote = struct.parse_endpoint(args[2])
-            trusted = match_trust(trust, struct.exe_paths.get(ev.pid, "-"),
-                                  local, remote, args[3], ev.tick)
-            if not trusted:
-                demands_read.append((ev.pid, f"{where}: untrusted endpoint"))
-        elif op in ("sock_send", "sock_recv") and len(args) == 3:
-            peer = int(args[2])
-            source, sink = (ev.pid, peer) if op == "sock_send" else (peer, ev.pid)
-            if source in low_pids:
-                demands_read.append((sink, f"{where}: local socket from low pid {source}"))
-        elif op == "create":
-            cell = struct.add_cell(args[0], exec_bits=(args[1] == "1"))
-            if is_finte(parent_of(args[0])):
-                finte_cells.add(cell.serial)   # directory inheritance
-            if pid_low_before:
-                if cell.exec_bits:
-                    demands_write.append((args[0], f"{where}: low pid {ev.pid} created executable"))
-                else:
-                    cond_write.exceptions.append(f"{where}: non-executable {args[0]}")
-                    if cell.serial in finte_cells:
-                        cond_write.violations.append(
-                            f"{where}: allowed creation in protected directory {parent_of(args[0])}")
-        elif op == "mkdir":
-            cell = struct.add_cell(args[0], is_dir=True)
-            if is_finte(parent_of(args[0])):
-                finte_cells.add(cell.serial)
-            if pid_low_before:
-                cond_write.exceptions.append(f"{where}: directory {args[0]}")
-                if cell.serial in finte_cells:
-                    cond_write.violations.append(
-                        f"{where}: allowed creation in protected directory {parent_of(args[0])}")
-        elif op in ("mkfifo", "mknod"):
-            cell = struct.add_special(op, args)
-            if is_finte(parent_of(args[0])):
-                finte_cells.add(cell.serial)
-            if pid_low_before:
-                cond_write.exceptions.append(f"{where}: special file {args[0]}")
-                if cell.serial in finte_cells:
-                    cond_write.violations.append(
-                        f"{where}: allowed creation in protected directory {parent_of(args[0])}")
-        elif op == "open_write":
-            cell = struct.cell(args[0])
-            if cell is not None and not cell.is_dir:
-                if cell.is_fifo:
-                    struct.fifo_write(cell, ev.pid, pid_low_before)
-                if pid_low_before:
-                    if cell.executable:
-                        demands_write.append((args[0], f"{where}: low pid {ev.pid} wrote executable"))
-                    else:
-                        cond_write.exceptions.append(f"{where}: non-executable {args[0]}")
-                        if cell.serial in finte_cells:
-                            cond_write.violations.append(
-                                f"{where}: allowed write to protected {args[0]}")
-        elif op == "truncate":
-            cell = struct.cell(args[0])
-            if cell is not None and pid_low_before and not cell.executable:
-                cond_write.exceptions.append(f"{where}: non-executable {args[0]}")
-                if cell.serial in finte_cells:
-                    cond_write.violations.append(
-                        f"{where}: allowed truncate of protected {args[0]}")
-        elif op in ("chmod", "fchmod"):
-            cell = struct.cell(args[0])
-            if cell is not None and not cell.is_dir:
-                became_set = struct.chmod(cell, args[1])
-                if pid_low_before:
-                    if became_set:
-                        demands_write.append(
-                            (args[0], f"{where}: low pid {ev.pid} made {args[0]} executable"))
-                    elif cell.serial in finte_cells and not cell.executable:
-                        cond_write.violations.append(
-                            f"{where}: allowed chmod of protected {args[0]}")
-        elif op == "open_read":
-            cell = struct.cell(args[0])
-            if cell is not None and cell.is_fifo:
-                senders = [w for w, low in struct.fifo_read(cell) if low]
-                if senders:
-                    demands_read.append(
-                        (ev.pid, f"{where}: fifo message from low pid {senders[0]}"))
-        elif op == "execve":
-            struct.exe_paths[ev.pid] = args[0]
-            if is_low_file(args[0]):
-                demands_read.append((ev.pid, f"{where}: exec of low file {args[0]}"))
-                demands_exec.append((ev.pid, f"{where}: exec of low file {args[0]}"))
-            if pid_low_before:
-                demands_exec.append((ev.pid, f"{where}: low pid {ev.pid} after exec"))
-        elif op == "mmap_exec":
-            if is_low_file(args[0]):
-                demands_read.append((ev.pid, f"{where}: load of low file {args[0]}"))
-        elif op in ("unlink", "rmdir"):
-            struct.remove(args[0])
-        elif op == "rename":
-            struct.rename(args[0], args[1])
-
-        # Fold in the engine's flag changes for this event, then check.
-        for change in record.flag_changes:
+        where = f"event {index} ({ev.op}, tick {ev.tick})" if facts else ""
+        # Exceptions and protected-object violations judge the levels before
+        # this event's engine-reported flag changes; the demands, after.
+        for kind, target, detail in facts:
+            if kind == _EXCEPTION:
+                exception, violation = detail
+                if exception:
+                    cond_write.exceptions.append(f"{where}: {exception}")
+                if target in struct.protected:
+                    cond_write.violations.append(f"{where}: {violation}")
+        for change in records[index].flag_changes:
             kind, ident = change.entity
-            if change.flag is Flag.TAINT:
-                if kind == "proc":
-                    low_pids.add(ident) if change.on else low_pids.discard(ident)
-                elif kind == "file":
-                    cell = struct.cell(ident)
-                    if cell is not None:
-                        if change.on:
-                            low_cells.add(cell.serial)
-                        else:
-                            low_cells.discard(cell.serial)
-            elif change.flag is Flag.INTE and kind == "file":
-                cell = struct.cell(ident)
+            if change.flag is Flag.TAINT and kind == "proc":
+                low_pids.add(ident) if change.on else low_pids.discard(ident)
+            elif kind == "file" and change.flag in (Flag.TAINT, Flag.INTE):
+                cells = low_cells if change.flag is Flag.TAINT else struct.protected
+                cell = struct.cells.get(ident)
                 if cell is not None:
-                    if change.on:
-                        finte_cells.add(cell.serial)
-                    else:
-                        finte_cells.discard(cell.serial)
-
-        for pid, reason in demands_read:
-            if pid not in low_pids:
-                cond_read.violations.append(reason + " did not lower the consumer")
-        for pid, reason in demands_exec:
-            if pid not in low_pids:
-                cond_exec.violations.append(reason + " is not low")
-        for path, reason in demands_write:
-            if not is_low_file(path):
-                cond_write.violations.append(reason + " but the file is not low")
+                    cells.add(cell) if change.on else cells.discard(cell)
+        for kind, target, reason in facts:
+            if kind & _READ and target not in low_pids:
+                cond_read.violations.append(f"{where}: {reason} did not lower the consumer")
+            if kind & _EXEC and target not in low_pids:
+                cond_exec.violations.append(f"{where}: {reason} is not low")
+            if kind == _PRODUCE and target not in low_cells:
+                cond_write.violations.append(f"{where}: {reason} but the file is not low")
 
     return BibaReport(cond_read, cond_write, cond_exec)

@@ -20,6 +20,7 @@ from .model import (
     StbacError,
     UnknownEntity,
     allow,
+    ascii_int,
     deny,
     parse_flag,
     parse_resource,
@@ -369,8 +370,8 @@ def parse_init_config(text: str) -> InitConfig:
             elif directive == "hwm":
                 kind_name, limit, percent = args
                 kind = parse_resource(kind_name)
-                limit = int(limit)
-                percent = int(percent)
+                limit = ascii_int(limit)
+                percent = ascii_int(percent)
                 if limit < 0:
                     raise ConfigError("per-taint limit must be >= 0")
                 if not 0 < percent <= 100:
@@ -379,7 +380,7 @@ def parse_init_config(text: str) -> InitConfig:
             elif directive == "cap":
                 kind_name, total = args
                 kind = parse_resource(kind_name)
-                total = int(total)
+                total = ascii_int(total)
                 if total <= 0:
                     raise ConfigError("system total must be positive")
                 config.caps[kind] = total

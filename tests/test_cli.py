@@ -41,6 +41,23 @@ def scenario_args(name, tmp_path):
             str(trace)], bundle
 
 
+# Spellings of ten that int() alone accepts, and a space inside the field.
+# Config and trust fields are split on whitespace, so a space padding a
+# field is harmless there; a trace field keeps it (" 10 " below).
+LOOKALIKE_INTEGERS = ("١٠", "1_0", "+10", "1 0")
+
+INTEGER_FIELDS = [
+    ("trace", "1,1,sched_tick\n{},1,sched_tick\n"),            # tick
+    ("trace", "1,1,fork,10\n2,{},sched_tick\n"),               # pid
+    ("trace", "1,1,sched_tick\n2,1,fork,{}\n"),                # an integer argument
+    ("init.cfg", BOOT + "hwm cpu_ticks {} 90\n"),
+    ("init.cfg", BOOT + "hwm cpu_ticks 10 {}\n"),
+    ("init.cfg", BOOT + "cap cpu_ticks {}\n"),
+    ("trust.list", "# spans\ntrust /bin/sh *:* *:* tcp {}..20\n"),
+    ("trust.list", "# spans\ntrust /bin/sh *:* *:* tcp 1..{}\n"),
+]
+
+
 class TestReplayCommand:
     def test_health_only_trace_exits_zero(self, bundle_dir, capsys):
         code = main(["replay", "--init", str(bundle_dir / "init.cfg"),
@@ -92,6 +109,20 @@ class TestReplayCommand:
                          str(bundle_dir / "trace")])
             assert code == 2
             assert "line 1: bad port '²'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,template,spelling", [
+        (name, template, spelling) for name, template in INTEGER_FIELDS
+        for spelling in LOOKALIKE_INTEGERS + ((" 10 ",) if name == "trace" else ())])
+    def test_integer_fields_take_ascii_digits_only(self, bundle_dir, capsys,
+                                                   name, template, spelling):
+        text = template.format(spelling)
+        (bundle_dir / name).write_text(text, encoding="utf-8")
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         "--trust", str(bundle_dir / "trust.list"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert f"line {text.count(chr(10))}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,content", [
         ("trace", b"1,1,sched_tick\n2,1,\xff\n"),

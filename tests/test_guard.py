@@ -248,7 +248,8 @@ class TestPartialCopies:
         assert redirect_partial(pcopy, "/etc/hosts") is None
 
     def test_copy_cannot_be_shared(self):
-        with pytest.raises(ConfigError, match="itself a shared path"):
+        with pytest.raises(ConfigError,
+                           match="line 1: copy path /b is itself a shared path"):
             parse_pcopy_map("pcopy /a /b\npcopy /b /c\n")
 
     def test_duplicate_shared_rejected(self):

@@ -1,17 +1,21 @@
 """The op table as a checked contract.
 
 Every rule a replay names for an event must be one of the rule families
-`OPS` wires the event's op to, and a trace whose tokens are garbled into
+`OPS` wires the event's op to, a trace with every op must satisfy both
+oracle checkers, and a trace or config whose tokens are garbled into
 arbitrary Unicode may fail only as a `StbacError` that carries its line.
 """
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stbac import scenarios
 from stbac.engine import OPS, Policy, parse_trace, replay
 from stbac.guard import parse_pcopy_map, parse_trust_list
 from stbac.model import StbacError
+from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
 from conftest import run_generated
@@ -171,6 +175,18 @@ def test_all_ops_trace_names_every_wired_family():
     assert named == wired - SILENT_HOOKS
 
 
+def test_all_ops_trace_passes_both_checkers():
+    config = parse_init_config(trace_gen.BOOT_CONFIG)
+    trust = parse_trust_list(trace_gen.TRUST_FULL)
+    events = parse_trace(ALL_OPS_TRACE)
+    result = replay_over_generated_boot(ALL_OPS_TRACE)
+    closure = closure_from_replay(config, trust, events, result.records)
+    assert diff_taint(result.tainted_after, closure, events) == []
+    report = check_biba(config, trust, events, result.records)
+    assert report.all_passed(), report.summary_lines()
+    assert len(report.cond_write.exceptions) == 2, report.cond_write.exceptions
+
+
 @st.composite
 def garbled_token(draw, token: str) -> str:
     """A token replaced by arbitrary text, or with one character replaced or
@@ -228,3 +244,36 @@ def test_digit_lookalikes_fail_only_with_a_line_number():
                 garbled = line[:at] + lookalike + line[at + 1:]
                 assert_fails_only_with_a_line_number(
                     "\n".join(lines[:index] + [garbled]) + "\n")
+
+
+CONFIG_PARSERS = {
+    "boot": (trace_gen.BOOT_CONFIG, parse_init_config),
+    "trust": (trace_gen.TRUST_FULL, parse_trust_list),
+    "benign trust": (trace_gen.TRUST_BENIGN, parse_trust_list),
+    "copy map": (trace_gen.PCOPY_TEXT, parse_pcopy_map),
+}
+
+
+@st.composite
+def garbled_configs(draw) -> tuple:
+    """(parser name, text): one of the generator's configs with one to three
+    whitespace-separated tokens garbled or replaced by another of its tokens."""
+    name = draw(st.sampled_from(sorted(CONFIG_PARSERS)))
+    lines = [line.split() for line in CONFIG_PARSERS[name][0].splitlines()]
+    slots = [(i, j) for i, tokens in enumerate(lines) for j in range(len(tokens))]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from(slots))
+        lines[i][j] = draw(st.one_of(garbled_token(lines[i][j]),
+                                     st.sampled_from([lines[a][b] for a, b in slots])))
+    return name, "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@given(garbled_configs())
+@example(("copy map", "pcopy /data/shared /data/shared\n"))
+@settings(max_examples=300, deadline=None)
+def test_garbled_configs_fail_only_with_a_line_number(case):
+    name, text = case
+    try:
+        CONFIG_PARSERS[name][1](text)
+    except StbacError as exc:
+        assert re.search(r"\bline \d+", str(exc)), exc

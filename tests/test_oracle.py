@@ -258,6 +258,45 @@ class TestBiba:
         report = check_biba(BOOT, TRUSTED, events, result.records)
         assert not report.cond_read.passed
 
+    def test_broken_integrity_rule_fails_the_write_condition(self, monkeypatch):
+        # every write and creation of a suspect is allowed; /sbin/d and
+        # /sbin/x inherit the protection of /sbin, and a health process
+        # marks /etc/passwd protected before the suspect writes it
+        import stbac.engine
+        from stbac.model import allow
+        monkeypatch.setattr(stbac.engine, "pr_inte", lambda *args, **kwargs: allow())
+        trace = ("1,1,execve,/bin/sh\n"
+                 "2,1,fork,2\n"
+                 "3,2,set_stbac_attr,/etc/passwd,inte,1\n"
+                 "4,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
+                 "5,1,create,/sbin/x,0\n"
+                 "6,1,mkdir,/sbin/d\n"
+                 "7,1,mknod,/sbin/d/n,file\n"
+                 "8,1,open_write,/sbin/x\n"
+                 "9,1,truncate,/sbin/x\n"
+                 "10,1,chmod,/sbin/x,0\n"
+                 "11,1,open_write,/etc/passwd\n")
+        events, result = run(trace)
+        report = check_biba(BOOT, TRUSTED, events, result.records)
+        assert report.cond_read.passed and report.cond_exec.passed
+        assert report.cond_write.violations == [
+            "event 4 (create, tick 5): allowed creation in protected directory /sbin",
+            "event 5 (mkdir, tick 6): allowed creation in protected directory /sbin",
+            "event 6 (mknod, tick 7): allowed creation in protected directory /sbin/d",
+            "event 7 (open_write, tick 8): allowed write to protected /sbin/x",
+            "event 8 (truncate, tick 9): allowed truncate of protected /sbin/x",
+            "event 9 (chmod, tick 10): allowed chmod of protected /sbin/x",
+            "event 10 (open_write, tick 11): allowed write to protected /etc/passwd",
+        ]
+        assert report.cond_write.exceptions == [
+            "event 4 (create, tick 5): non-executable /sbin/x",
+            "event 5 (mkdir, tick 6): directory /sbin/d",
+            "event 6 (mknod, tick 7): special file /sbin/d/n",
+            "event 7 (open_write, tick 8): non-executable /sbin/x",
+            "event 8 (truncate, tick 9): non-executable /sbin/x",
+            "event 10 (open_write, tick 11): non-executable /etc/passwd",
+        ]
+
     def test_audit_length_mismatch_rejected(self):
         events, result = run("1,1,execve,/bin/sh\n")
         with pytest.raises(ValueError, match="records"):

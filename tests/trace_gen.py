@@ -3,9 +3,11 @@
 A trace is derived from a list of small integer "intents"; resolution
 against a running structural model guarantees the result is always a
 valid trace (fresh pids, live operands, existing paths), so every
-generated case must replay without errors.  Structure-changing events are
-restricted to areas where the guard never denies them, which keeps the
-generator's view of the tree exact without simulating decisions.
+generated case must replay without errors.  Structure-changing events
+(create, mkdir, mkfifo, mknod, unlink, rmdir, rename) are restricted to
+/srv, where the guard never denies them, which keeps the generator's view
+of the tree exact without simulating decisions.  Device nodes stay out of
+the write, chmod and exec pools.
 
 Two modes: "full" includes untrusted endpoints that seed taint; "benign"
 produces only trusted or local activity.
@@ -53,7 +55,11 @@ BOOT_FILES = BOOT_BINS + ("/data/secret", "/data/notes", "/data/shared")
 TRUST_FULL = "trust /bin/sh *:* *:* tcp 0..inf\n"
 TRUST_BENIGN = "".join(f"trust {p} *:* *:* tcp 0..inf\n" for p in BOOT_BINS)
 
-N_OPCODES = 20
+PRIVILEGED_OPS = ("mount", "umount", "setrlimit", "reboot", "swapoff",
+                  "setuid", "setgid", "setfsuid")
+MKNOD_KINDS = ("file", "device", "fifo")
+
+N_OPCODES = 26
 
 intents_strategy = st.lists(
     st.tuples(
@@ -77,7 +83,7 @@ class _Resolver:
         self.next_sock = 1
         self.next_file = 0
         self.exes = {1: "/bin/sh"}
-        self.files = []      # dicts: path, exec, fifo
+        self.nodes = []      # generated nodes under /srv, dicts: path, kind, exec
         self.sockets = []    # (sock id, owner pid)
 
     def emit(self, pid: int, op: str, *args):
@@ -93,23 +99,49 @@ class _Resolver:
         return pool[sel % len(pool)]
 
     def all_files(self):
-        return [{"path": p, "exec": p in BOOT_BINS, "fifo": False}
-                for p in BOOT_FILES] + self.files
+        """Every non-directory: boot files, then generated ones."""
+        return [{"path": p, "kind": "file", "exec": p in BOOT_BINS}
+                for p in BOOT_FILES] + [n for n in self.nodes if n["kind"] != "dir"]
 
-    def fresh_path(self, prefix="f") -> str:
+    def writable(self):
+        return [f for f in self.all_files() if f["kind"] != "device"]
+
+    def regular(self):
+        """Generated regular files, the chmod pool."""
+        return [n for n in self.nodes if n["kind"] == "file"]
+
+    def dirs(self, outside=None):
+        """/srv and the generated directories, except outside's subtree."""
+        found = ["/srv"] + [n["path"] for n in self.nodes if n["kind"] == "dir"]
+        if outside is not None:
+            found = [d for d in found if not self.within(d, outside)]
+        return found
+
+    @staticmethod
+    def within(path: str, top: str) -> bool:
+        return path == top or path.startswith(top + "/")
+
+    def fresh_path(self, sel: int, prefix="f", outside=None) -> str:
         self.next_file += 1
-        return f"/srv/{prefix}{self.next_file}"
+        parent = self.pick_file(sel, self.dirs(outside))
+        return f"{parent}/{prefix}{self.next_file}"
+
+    def add_node(self, path: str, kind: str, exec_bit=False):
+        self.nodes.append({"path": path, "kind": kind, "exec": exec_bit})
+
+    def spawn(self, pid: int, op: str):
+        child = self.next_pid
+        self.next_pid += 1
+        self.live.append(child)
+        self.exes[child] = self.exes[pid]
+        self.emit(pid, op, child)
 
     def resolve(self, intent):
         opcode, a, b, c, dt = intent
         self.tick += dt
         pid = self.pick_pid(a)
         if opcode == 0:      # fork
-            child = self.next_pid
-            self.next_pid += 1
-            self.live.append(child)
-            self.exes[child] = self.exes[pid]
-            self.emit(pid, "fork", child)
+            self.spawn(pid, "fork")
         elif opcode == 1:    # exit, init never leaves
             candidates = [p for p in self.live if p != 1]
             if candidates:
@@ -140,11 +172,11 @@ class _Resolver:
                 peer = self.pick_pid(b)
                 self.emit(owner, "sock_recv", sock, 10 + b, peer)
         elif opcode == 5:    # create a file (sometimes executable)
-            path = self.fresh_path()
-            self.files.append({"path": path, "exec": c == 1, "fifo": False})
+            path = self.fresh_path(b)
+            self.add_node(path, "file", c == 1)
             self.emit(pid, "create", path, c)
         elif opcode == 6:    # write an existing file
-            entry = self.pick_file(b)
+            entry = self.pick_file(b, self.writable())
             if entry:
                 self.emit(pid, "open_write", entry["path"])
         elif opcode == 7:    # read an existing file
@@ -152,14 +184,13 @@ class _Resolver:
             if entry:
                 self.emit(pid, "open_read", entry["path"])
         elif opcode == 8:    # chmod a generated file
-            pool = [f for f in self.files if not f["fifo"]]
-            entry = self.pick_file(b, pool)
+            entry = self.pick_file(b, self.regular())
             if entry:
                 entry["exec"] = c == 1
                 self.emit(pid, "chmod", entry["path"], c)
         elif opcode == 9:    # exec a known-executable image
             pool = [{"path": p} for p in BOOT_BINS] + \
-                   [f for f in self.files if f["exec"] and not f["fifo"]]
+                   [f for f in self.regular() if f["exec"]]
             entry = pool[b % len(pool)]
             self.exes[pid] = entry["path"]
             self.emit(pid, "execve", entry["path"])
@@ -170,8 +201,8 @@ class _Resolver:
         elif opcode == 12:   # message-queue receive
             self.emit(pid, "msgrcv", self.pick_pid(b))
         elif opcode == 13:   # named pipe
-            path = self.fresh_path("p")
-            self.files.append({"path": path, "exec": False, "fifo": True})
+            path = self.fresh_path(b, "p")
+            self.add_node(path, "fifo")
             self.emit(pid, "mkfifo", path)
         elif opcode == 14:
             self.emit(pid, "brk_alloc", 20 + 10 * b)
@@ -188,10 +219,65 @@ class _Resolver:
             target = self.pick_pid(b)
             self.emit(pid, "kill" if c == 0 else "ptrace", target)
         elif opcode == 19:   # load a library image
-            pool = [f for f in self.all_files() if not f["fifo"]]
+            pool = [{"path": p} for p in BOOT_FILES] + self.regular()
             entry = self.pick_file(b, pool)
             if entry:
                 self.emit(pid, "mmap_exec", entry["path"])
+        elif opcode == 20:   # the other process-creating calls
+            self.spawn(pid, "vfork" if c == 0 else "clone")
+        elif opcode == 21:   # content and owner changes
+            entry = self.pick_file(b, self.writable())
+            if entry and c == 0:
+                self.emit(pid, "truncate", entry["path"])
+            elif entry:
+                self.emit(pid, "chown", entry["path"], b)
+        elif opcode == 22:   # privileged calls; denied to suspects
+            op = PRIVILEGED_OPS[b % len(PRIVILEGED_OPS)]
+            if op in ("setuid", "setgid", "setfsuid"):
+                self.emit(pid, op, 1000 * c)
+            elif op in ("mount", "umount") and c == 1:
+                self.emit(pid, op, "/srv")
+            else:
+                self.emit(pid, op)
+        elif opcode == 23:   # directories and special files
+            if c == 0:
+                path = self.fresh_path(b, "d")
+                self.add_node(path, "dir")
+                self.emit(pid, "mkdir", path)
+            else:
+                kind = MKNOD_KINDS[b % len(MKNOD_KINDS)]
+                path = self.fresh_path(b, "n")
+                self.add_node(path, kind)
+                self.emit(pid, "mknod", path, kind)
+        elif opcode == 24:   # unlink a file, remove an empty directory
+            if c == 0:
+                pool = [n for n in self.nodes if n["kind"] != "dir"]
+            else:
+                pool = [n for n in self.nodes if n["kind"] == "dir" and not any(
+                    m["path"].startswith(n["path"] + "/") for m in self.nodes)]
+            entry = self.pick_file(b, pool)
+            if entry:
+                self.nodes.remove(entry)
+                self.emit(pid, "unlink" if c == 0 else "rmdir", entry["path"])
+        elif opcode == 25:   # rename to a fresh name or onto an existing file
+            src = self.pick_file(b, self.nodes)
+            if src is None:
+                return
+            if c == 0:
+                dst = self.fresh_path(a, "r", outside=src["path"])
+            else:
+                pool = [n for n in self.nodes if n["kind"] != "dir"
+                        and not self.within(n["path"], src["path"])]
+                target = self.pick_file(a, pool)
+                if target is None:
+                    return
+                self.nodes.remove(target)
+                dst = target["path"]
+            old = src["path"]
+            for node in self.nodes:
+                if self.within(node["path"], old):
+                    node["path"] = dst + node["path"][len(old):]
+            self.emit(pid, "rename", old, dst)
 
 
 def build_trace(intents, mode: str = "full") -> tuple[str, str]:
