@@ -28,22 +28,20 @@ from .guard import (
     pr_avai,
     pr_conf,
     pr_inte,
-    redirect_partial,
 )
 from .model import (
     ConfigError,
     Decision,
     Flag,
+    FlagMutation,
     ProtRule,
     ResourceExhausted,
     ResourceKind,
     StbacError,
-    TaintMutation,
     TaintRule,
     TraceError,
     UnknownEntity,
     Verdict,
-    VitalMutation,
     VitalRule,
 )
 from .oracle import BibaReport, check_biba, closure_from_replay, diff_taint, taint_closure
@@ -57,10 +55,8 @@ from .world import (
     Socket,
     World,
     classify,
-    get_flag,
     parse_init_config,
     serialize_config,
-    set_flag,
     spawn_boot_world,
 )
 

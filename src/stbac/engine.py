@@ -6,6 +6,10 @@ exactly one audit record; a denied event changes nothing but the clock and
 the audit log.  Replay is a pure function of its inputs: identical trace,
 boot config, trust list and copy map give bit-identical audit output.
 
+Every label change is a FlagMutation: a taint or vital rule's spread, or an
+administrative set_stbac_attr that the integrity rule allowed.
+_Replayer._apply_mutation is the one place a replay applies them.
+
 Audit line shape (one per event):
 
     <4>{tick},{pid}:{exe},{object},{op},{param},{RESULT}
@@ -23,22 +27,24 @@ from . import taint, vital
 from .guard import PartialCopyMap, match_trust, pr_avai, pr_conf, pr_inte
 from .model import (
     FLAG_NAMES,
+    NO_FLAGS,
     Flag,
+    FlagMutation,
     ResourceExhausted,
     ResourceKind,
     StbacError,
-    TaintMutation,
     TaintRule,
     TraceError,
     allow,
     ascii_int,
+    content_lines,
     flag_bits,
     format_flags,
     is_ascii_int,
     parse_flag,
     proc_ref,
 )
-from .world import World, parent_of, set_flag as world_set_flag, get_flag as world_get_flag
+from .world import World, parent_of
 
 @dataclass(frozen=True)
 class Event:
@@ -53,10 +59,7 @@ def parse_trace(text: str) -> list[Event]:
     """Parse a trace file; the first malformed line aborts with its number."""
     events = []
     last_tick = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         parts = line.split(",")
         if len(parts) < 3:
             raise TraceError(f"expected tick,pid,op[,...], got {line!r}", line_no)
@@ -261,7 +264,6 @@ class _Replayer:
         self.policy = policy
         self.graph = graph
         self.copy_paths = policy.pcopy.copy_paths()
-        self._direct_changes = []
 
     # -- main step ---------------------------------------------------------
 
@@ -282,8 +284,6 @@ class _Replayer:
         changes = []
         for mutation in decision.mutations:
             changes.extend(self._apply_mutation(mutation, ev.tick))
-        changes.extend(self._direct_changes)
-        self._direct_changes = []
         result = decision.result_text()
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
                              result, changes)
@@ -293,30 +293,31 @@ class _Replayer:
 
     # -- mutation plumbing ---------------------------------------------------
 
-    def _apply_mutation(self, mutation, tick: int) -> list:
+    def _apply_mutation(self, mutation: FlagMutation, tick: int) -> list:
+        """The one place a replay changes label bits."""
         world = self.world
-        entity = world.resolve(mutation.target)
-        before = entity.flags
-        if isinstance(mutation, TaintMutation):
-            after = before | Flag.TAINT
-        else:
-            after = (before & ~mutation.flags_cleared) | mutation.flags_added
+        target, cause = mutation.target, mutation.cause
+        before = after = world.flags_of(target)
+        if mutation.flags_cleared is not NO_FLAGS:   # rare; a Flag operator costs ~1 us
+            after &= ~mutation.flags_cleared
+        after |= mutation.flags_added
         if after == before:
             return []
-        entity.flags = after
-        rule = mutation.rule.value
-        label = self._entity_label(mutation.target)
+        world.set_flags(target, after)
+        # Rule enums carry their audit spelling as value; admin rules are
+        # plain op names.
+        rule = getattr(mutation.rule, "value", mutation.rule)
+        label = self._entity_label(target)
         changes = []
         for flag in flag_bits(before ^ after):
             changes.append(FlagChange(label, flag, flag in after, rule))
-        if self.graph is not None:
-            target_node = self.graph.touch(mutation.target,
-                                           self._display_label(mutation.target))
+        if self.graph is not None and target[0] != "res":
+            target_node = self.graph.touch(target, self._display_label(target))
             target_node.flags_ever |= after
-            cause_node = self.graph.touch(mutation.cause,
-                                          self._display_label(mutation.cause))
-            cause_node.flags_ever |= world.flags_of(mutation.cause)
-            self.graph.edges.append((mutation.cause, mutation.target, rule, tick))
+            if cause is not None:
+                cause_node = self.graph.touch(cause, self._display_label(cause))
+                cause_node.flags_ever |= world.flags_of(cause)
+                self.graph.edges.append((cause, target, rule, tick))
         return changes
 
     def _entity_label(self, ref) -> tuple:
@@ -325,7 +326,7 @@ class _Replayer:
             return ("proc", ident)
         if kind == "file":
             return ("file", self.world.fs[ident].path)
-        return (kind, ident)
+        return ("res", ident.value)
 
     def _display_label(self, ref) -> str:
         kind, ident = ref
@@ -666,23 +667,21 @@ class _Replayer:
         ref, obj = self._attr_target(ev)
         flag = _flag_arg(ev.args[1], ev)
         on = _bit_arg(ev.args[2], "flag value", ev)
-        before = self.world.flags_of(ref)
-        decision = world_set_flag(self.world, ref, flag, on, actor=proc.pid)
-        after = self.world.flags_of(ref)
-        if after != before:
-            label = self._entity_label(ref) if ref[0] != "res" else ("res", ref[1].value)
-            self._direct_changes = [FlagChange(label, flag, on, "set_stbac_attr")]
-            if self.graph is not None and ref[0] != "res":
-                node = self.graph.touch(ref, self._display_label(ref))
-                node.flags_ever |= after
+        if (flag is Flag.AVAI) != (ref[0] == "res"):
+            target = "resource kinds" if flag is Flag.AVAI else "processes and nodes"
+            raise TraceError(f"flag {FLAG_NAMES[flag]} only applies to {target}", ev.line)
+        decision = pr_inte(self.world, proc, None, "set_stbac_attr")
+        if decision.allowed:
+            added, cleared = (flag, NO_FLAGS) if on else (NO_FLAGS, flag)
+            decision.add(FlagMutation(ref, "set_stbac_attr", None, added, cleared))
         return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}"
 
     def _ev_get_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
-        outcome = world_get_flag(self.world, ref, actor=proc.pid)
-        if isinstance(outcome, Flag):
-            return allow(), obj, f"flags={format_flags(outcome)}"
-        return outcome, obj, "-"
+        decision = pr_conf(self.world, proc, None, "get_stbac_attr")
+        if decision.allowed:
+            return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}"
+        return decision, obj, "-"
 
     def _attr_target(self, ev: Event):
         token = ev.args[0]
@@ -721,9 +720,8 @@ class _Replayer:
             # writer may be gone by now, so the mutation is built directly
             # rather than through the live-process IPC rule.
             if tainted:
-                mutations.append(TaintMutation(proc_ref(proc.pid),
-                                               TaintRule.PROC_PROC,
-                                               proc_ref(writer_pid)))
+                mutations.append(FlagMutation(proc_ref(proc.pid), TaintRule.PROC_PROC,
+                                              proc_ref(writer_pid), Flag.TAINT))
         queue.clear()
         return mutations
 

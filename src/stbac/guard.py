@@ -21,6 +21,7 @@ from .model import (
     StbacError,
     allow,
     ascii_int,
+    content_lines,
     deny,
     is_ascii_int,
     redirect,
@@ -178,11 +179,6 @@ def _endpoint_matches(ip_pat: str, port_pat: str, endpoint: tuple) -> bool:
     return True
 
 
-def redirect_partial(pcopy: PartialCopyMap, path: str) -> str | None:
-    """Copy path for a shared secret, or None when unmapped."""
-    return pcopy.entries.get(path)
-
-
 # -- policy file formats -------------------------------------------------------
 #
 # Trust list, one entry per line:
@@ -192,10 +188,7 @@ def redirect_partial(pcopy: PartialCopyMap, path: str) -> str | None:
 
 def parse_trust_list(text: str) -> list[TrustEntry]:
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         try:
             entries.append(parse_trust_entry(line))
         except StbacError as exc:
@@ -255,10 +248,7 @@ def _parse_span(token: str):
 def parse_pcopy_map(text: str) -> PartialCopyMap:
     pcopy = PartialCopyMap()
     line_of = {}             # shared path -> line number of its entry
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3 or fields[0] != "pcopy":
             raise ConfigError(f"copy map line {line_no}: malformed entry: {line!r}")

@@ -1,4 +1,5 @@
-"""Shared vocabulary of the policy model: flags, rule names, mutations, decisions.
+"""Shared vocabulary of the policy model: flags, rule names, decisions and
+FlagMutation, the one shape of every label change a replay applies.
 
 Everything here is plain data.  Rule logic lives in taint/vital/guard; state
 lives in world; sequencing lives in engine.
@@ -57,6 +58,15 @@ def ascii_int(token: str) -> int:
     if (token.isdigit() and token.isascii()) or is_ascii_int(token):
         return int(token)
     raise ValueError(f"not an ASCII integer: {token!r}")
+
+
+def content_lines(text: str):
+    """Yield (line number, stripped line) for every line of a trace or
+    config file that is neither blank nor a # comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 class Flag(enum.Flag):
@@ -166,29 +176,20 @@ def sock_ref(sock_id: int) -> Ref:
 
 
 @dataclass(frozen=True)
-class TaintMutation:
-    """Sets TAINT on target; cause is the entity the taint flowed from."""
+class FlagMutation:
+    """Clears, then adds, label bits on target.
 
-    target: Ref
-    rule: TaintRule
-    cause: Ref
-
-
-@dataclass(frozen=True)
-class VitalMutation:
-    """Adds/clears vital flags on target.
-
-    flags_cleared is nonempty only for the exec reset of VR_file_proc.
+    rule is the TaintRule or VitalRule that fired, or the op name
+    "set_stbac_attr" for administration.  cause is the entity the bits
+    flowed from, None for administration.  flags_cleared is nonempty only
+    for the exec reset of VR_file_proc and for administrative clears.
     """
 
     target: Ref
-    rule: VitalRule
-    cause: Ref
+    rule: str
+    cause: Ref | None
     flags_added: Flag = NO_FLAGS
     flags_cleared: Flag = NO_FLAGS
-
-
-Mutation = TaintMutation | VitalMutation
 
 
 class Verdict(str, enum.Enum):

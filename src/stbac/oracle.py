@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .guard import match_trust
-from .model import Flag
+from .model import Flag, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
 
 
@@ -120,8 +120,18 @@ class _Structure:
             self.cells[cell.path] = cell
 
 
-def _endpoint(token: str) -> tuple:
-    ip, port = token.rsplit(":", 1)
+def _int(token: str, ev) -> int:
+    """An integer field, ASCII digits only, as the engine reads it."""
+    try:
+        return ascii_int(token)
+    except ValueError:
+        raise TraceError(f"not an integer: {token!r}", ev.line) from None
+
+
+def _endpoint(token: str, ev) -> tuple:
+    ip, colon, port = token.rpartition(":")
+    if not colon or not is_ascii_int(port, signed=False):
+        raise TraceError(f"bad endpoint {token!r}", ev.line)
     return (ip, int(port))
 
 
@@ -154,7 +164,7 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
         pid_low = pid in low_pids
         facts = []
         if op in ("fork", "vfork", "clone"):
-            child = int(args[0])
+            child = _int(args[0], ev)
             struct.live_pids.add(child)
             struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
             if pid_low:
@@ -162,23 +172,25 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
         elif op == "exit":
             struct.live_pids.discard(pid)
         elif op == "pipe":
+            reader = _int(args[0], ev)
             if pid_low:
-                facts.append((_READ, int(args[0]), f"pipe from low pid {pid}"))
+                facts.append((_READ, reader, f"pipe from low pid {pid}"))
         elif op == "shmat":
-            peer = int(args[0])
+            peer = _int(args[0], ev)
             if pid_low:
                 facts.append((_READ, peer, f"shared memory with low pid {pid}"))
             if peer in low_pids:
                 facts.append((_READ, pid, f"shared memory with low pid {peer}"))
         elif op == "msgrcv":
-            if int(args[0]) in low_pids:
+            if _int(args[0], ev) in low_pids:
                 facts.append((_READ, pid, f"message from low pid {args[0]}"))
         elif op == "socket_open":
-            if not match_trust(trust, struct.exe_paths.get(pid, "-"), _endpoint(args[1]),
-                               _endpoint(args[2]), args[3], ev.tick):
+            local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
+            if not match_trust(trust, struct.exe_paths.get(pid, "-"), local, remote,
+                               args[3], ev.tick):
                 facts.append((_READ, pid, "untrusted endpoint"))
         elif op in ("sock_send", "sock_recv") and len(args) == 3:
-            peer = int(args[2])
+            peer = _int(args[2], ev)
             source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
             if source in low_pids:
                 facts.append((_READ, sink, f"local socket from low pid {source}"))
@@ -244,10 +256,12 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
             struct.rename(args[0], args[1])
         elif op == "set_stbac_attr":
             target, flag_name, value = args
-            if flag_name == "taint" and target.startswith("pid:"):
-                facts.append((_MARK, int(target[4:]), value == "1"))
-            elif flag_name == "taint" and target in struct.cells:
-                facts.append((_MARK, struct.cells[target], value == "1"))
+            if target.startswith("pid:"):
+                marked = _int(target[4:], ev)
+            else:
+                marked = struct.cells.get(target)
+            if flag_name == "taint" and marked is not None:
+                facts.append((_MARK, marked, value == "1"))
         yield index, ev, facts
 
 

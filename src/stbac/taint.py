@@ -9,7 +9,7 @@ non-executable files never spread taint.
 
 from __future__ import annotations
 
-from .model import Flag, StbacError, TaintMutation, TaintRule, file_ref, proc_ref, sock_ref
+from .model import Flag, FlagMutation, StbacError, TaintRule, file_ref, proc_ref, sock_ref
 from .world import Process, FsNode, Socket, World
 
 # IPC channels a message can arrive through.  Shared memory is symmetric:
@@ -23,18 +23,18 @@ IPC_CHANNELS = frozenset({
 })
 
 
-def tr_sock_proc(world: World, process: Process, socket: Socket) -> TaintMutation | None:
+def tr_sock_proc(world: World, process: Process, socket: Socket) -> FlagMutation | None:
     """A process speaking over an untrusted remote endpoint becomes tainted."""
     if socket.owner != process.pid:
         raise StbacError(f"socket {socket.sock_id} does not belong to pid {process.pid}")
     if socket.trusted:
         return None
-    return TaintMutation(proc_ref(process.pid), TaintRule.SOCK_PROC,
-                         sock_ref(socket.sock_id))
+    return FlagMutation(proc_ref(process.pid), TaintRule.SOCK_PROC,
+                        sock_ref(socket.sock_id), Flag.TAINT)
 
 
 def tr_proc_proc(world: World, source: Process, sink: Process,
-                 channel: str) -> list[TaintMutation]:
+                 channel: str) -> list[FlagMutation]:
     """Taint flows to the receiver of a message (or child at fork).
 
     Returns up to two mutations: shared-memory attach has no direction, so
@@ -46,16 +46,16 @@ def tr_proc_proc(world: World, source: Process, sink: Process,
         raise StbacError("IPC between dead processes")
     mutations = []
     if Flag.TAINT in source.flags:
-        mutations.append(TaintMutation(proc_ref(sink.pid), TaintRule.PROC_PROC,
-                                       proc_ref(source.pid)))
+        mutations.append(FlagMutation(proc_ref(sink.pid), TaintRule.PROC_PROC,
+                                      proc_ref(source.pid), Flag.TAINT))
     if channel == "shm_attach" and Flag.TAINT in sink.flags:
-        mutations.append(TaintMutation(proc_ref(source.pid), TaintRule.PROC_PROC,
-                                       proc_ref(sink.pid)))
+        mutations.append(FlagMutation(proc_ref(source.pid), TaintRule.PROC_PROC,
+                                      proc_ref(sink.pid), Flag.TAINT))
     return mutations
 
 
 def tr_proc_exe(world: World, process: Process, node: FsNode,
-                action: str) -> TaintMutation | None:
+                action: str) -> FlagMutation | None:
     """An executable file created or modified by a tainted process is tainted.
 
     The exec bits are judged after the action takes effect; clearing them
@@ -69,12 +69,12 @@ def tr_proc_exe(world: World, process: Process, node: FsNode,
         return None
     if not node.exec_bits:
         return None
-    return TaintMutation(file_ref(node.node_id), TaintRule.PROC_EXE,
-                         proc_ref(process.pid))
+    return FlagMutation(file_ref(node.node_id), TaintRule.PROC_EXE,
+                        proc_ref(process.pid), Flag.TAINT)
 
 
 def tr_exe_proc(world: World, process: Process, node: FsNode,
-                action: str) -> TaintMutation | None:
+                action: str) -> FlagMutation | None:
     """Executing or loading a tainted file taints the process."""
     if action not in ("execve", "mmap_exec"):
         raise StbacError(f"bad taint action {action!r}")
@@ -84,5 +84,5 @@ def tr_exe_proc(world: World, process: Process, node: FsNode,
         raise StbacError(f"{node.path} is not executable")
     if Flag.TAINT not in node.flags:
         return None
-    return TaintMutation(proc_ref(process.pid), TaintRule.EXE_PROC,
-                         file_ref(node.node_id))
+    return FlagMutation(proc_ref(process.pid), TaintRule.EXE_PROC,
+                        file_ref(node.node_id), Flag.TAINT)

@@ -3,16 +3,17 @@
 CONF/INTE descend from directories to new entries, CONF/LEAK descend from
 parent to child process, and the leak mechanism spreads CONF selectively:
 only a process carrying both CONF and LEAK writes secrecy into files.
-Nothing here ever removes INTE from anything.
+Nothing here ever removes INTE from anything.  Each rule returns the
+FlagMutation an event implies, or None; the engine applies it.
 """
 
 from __future__ import annotations
 
-from .model import Flag, NO_FLAGS, StbacError, VitalMutation, VitalRule, file_ref, proc_ref
+from .model import Flag, FlagMutation, NO_FLAGS, StbacError, VitalRule, file_ref, proc_ref
 from .world import Process, FsNode, World
 
 
-def vr_dir_dir(world: World, parent_dir: FsNode, new_node: FsNode) -> VitalMutation | None:
+def vr_dir_dir(world: World, parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
     """A new entry inherits CONF and INTE from its directory, at creation only."""
     if parent_dir.kind != "dir":
         raise StbacError(f"{parent_dir.path} is not a directory")
@@ -21,21 +22,21 @@ def vr_dir_dir(world: World, parent_dir: FsNode, new_node: FsNode) -> VitalMutat
     inherited = parent_dir.flags & (Flag.CONF | Flag.INTE)
     if inherited is NO_FLAGS:
         return None
-    return VitalMutation(file_ref(new_node.node_id), VitalRule.DIR_DIR,
-                         file_ref(parent_dir.node_id), flags_added=inherited)
+    return FlagMutation(file_ref(new_node.node_id), VitalRule.DIR_DIR,
+                        file_ref(parent_dir.node_id), inherited)
 
 
-def vr_proc_proc(world: World, parent: Process, child: Process) -> VitalMutation | None:
+def vr_proc_proc(world: World, parent: Process, child: Process) -> FlagMutation | None:
     """A new process inherits CONF and LEAK from its parent, at creation only."""
     inherited = parent.flags & (Flag.CONF | Flag.LEAK)
     if inherited is NO_FLAGS:
         return None
-    return VitalMutation(proc_ref(child.pid), VitalRule.PROC_PROC,
-                         proc_ref(parent.pid), flags_added=inherited)
+    return FlagMutation(proc_ref(child.pid), VitalRule.PROC_PROC,
+                        proc_ref(parent.pid), inherited)
 
 
 def vr_proc_file(world: World, process: Process, node: FsNode,
-                 action: str) -> VitalMutation | None:
+                 action: str) -> FlagMutation | None:
     """Selective secrecy spread: a writer carrying both CONF and LEAK marks
     the written file CONF.
 
@@ -47,13 +48,13 @@ def vr_proc_file(world: World, process: Process, node: FsNode,
     if node.kind != "file":
         raise StbacError(f"{node.path} is not a regular file")
     if Flag.CONF in process.flags and Flag.LEAK in process.flags:
-        return VitalMutation(file_ref(node.node_id), VitalRule.PROC_FILE,
-                             proc_ref(process.pid), flags_added=Flag.CONF)
+        return FlagMutation(file_ref(node.node_id), VitalRule.PROC_FILE,
+                            proc_ref(process.pid), Flag.CONF)
     return None
 
 
 def vr_file_proc(world: World, process: Process, node: FsNode,
-                 action: str) -> VitalMutation | None:
+                 action: str) -> FlagMutation | None:
     """Exec resets CONF/LEAK and inherits LEAK from the image; reading a
     CONF file marks the reader CONF.
 
@@ -71,10 +72,9 @@ def vr_file_proc(world: World, process: Process, node: FsNode,
         added = node.flags & Flag.LEAK
         if cleared is NO_FLAGS and added is NO_FLAGS:
             return None
-        return VitalMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
-                             file_ref(node.node_id),
-                             flags_added=added, flags_cleared=cleared)
+        return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
+                            file_ref(node.node_id), added, cleared)
     if Flag.CONF in node.flags:
-        return VitalMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
-                             file_ref(node.node_id), flags_added=Flag.CONF)
+        return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
+                            file_ref(node.node_id), Flag.CONF)
     return None

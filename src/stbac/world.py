@@ -10,18 +10,15 @@ from dataclasses import dataclass, field
 
 from .model import (
     ConfigError,
-    Decision,
     FLAG_NAMES,
     Flag,
     NO_FLAGS,
-    ProtRule,
     Ref,
     ResourceKind,
     StbacError,
     UnknownEntity,
-    allow,
     ascii_int,
-    deny,
+    content_lines,
     parse_flag,
     parse_resource,
 )
@@ -280,6 +277,15 @@ class World:
             return NO_FLAGS
         return entity.flags
 
+    def set_flags(self, ref: Ref, flags: Flag):
+        """Store an entity's label set, unguarded: replay changes labels
+        only here, through the engine's mutation step."""
+        entity = self.resolve(ref)
+        if isinstance(entity, ResourceKind):
+            self.ledger.flags[entity] = flags
+        else:
+            entity.flags = flags
+
 
 def parent_of(path: str) -> str:
     """Parent of an absolute path ('/' is its own parent)."""
@@ -297,41 +303,6 @@ def check_path(path: str) -> str:
     if path != "/" and path.endswith("/"):
         raise StbacError(f"trailing slash not allowed: {path!r}")
     return path
-
-
-# -- guarded flag operations ------------------------------------------------
-
-def set_flag(world: World, ref: Ref, flag: Flag, on: bool, actor: int) -> Decision:
-    """Set or clear one flag bit, guarded against tainted actors.
-
-    AVAI is only valid on resource kinds; the other four bits live on
-    processes and nodes.  Idempotent.
-    """
-    actor_proc = world.live_process(actor)
-    entity = world.resolve(ref)   # raises UnknownEntity before the guard
-    is_resource = isinstance(entity, ResourceKind)
-    if (flag is Flag.AVAI) != is_resource:
-        target = "resource kinds" if flag is Flag.AVAI else "processes and nodes"
-        raise StbacError(f"flag {FLAG_NAMES[flag]} only applies to {target}")
-    if Flag.TAINT in actor_proc.flags:
-        return deny(ProtRule.INTE)
-    if is_resource:
-        current = world.ledger.flags[entity]
-        world.ledger.flags[entity] = current | flag if on else current & ~flag
-    elif on:
-        entity.flags |= flag
-    else:
-        entity.flags &= ~flag
-    return allow()
-
-
-def get_flag(world: World, ref: Ref, actor: int) -> Decision | Flag:
-    """Read an entity's flag set; tainted actors are refused."""
-    actor_proc = world.live_process(actor)
-    flags = world.flags_of(ref)
-    if Flag.TAINT in actor_proc.flags:
-        return deny(ProtRule.CONF)
-    return flags
 
 
 # -- boot config --------------------------------------------------------------
@@ -352,10 +323,7 @@ class InitConfig:
 
 def parse_init_config(text: str) -> InitConfig:
     config = InitConfig()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         fields = line.split()
         directive, args = fields[0], fields[1:]
         try:

@@ -14,7 +14,6 @@ from stbac.guard import (
     pr_avai,
     pr_conf,
     pr_inte,
-    redirect_partial,
     validate_pcopy_against_world,
 )
 from stbac.model import (
@@ -240,12 +239,12 @@ class TestPartialCopies:
     def test_mapped_path_redirects(self):
         pcopy = parse_pcopy_map("pcopy /etc/passwd /.stbac/passwd\n"
                                 "pcopy /etc/shadow /.stbac/shadow\n")
-        assert redirect_partial(pcopy, "/etc/passwd") == "/.stbac/passwd"
-        assert redirect_partial(pcopy, "/etc/shadow") == "/.stbac/shadow"
+        assert pcopy.entries.get("/etc/passwd") == "/.stbac/passwd"
+        assert pcopy.entries.get("/etc/shadow") == "/.stbac/shadow"
 
     def test_unmapped_path_is_none(self):
         pcopy = parse_pcopy_map("pcopy /etc/passwd /.stbac/passwd\n")
-        assert redirect_partial(pcopy, "/etc/hosts") is None
+        assert pcopy.entries.get("/etc/hosts") is None
 
     def test_copy_cannot_be_shared(self):
         with pytest.raises(ConfigError,

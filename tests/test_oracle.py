@@ -2,6 +2,7 @@ import pytest
 
 from stbac.engine import Policy, parse_trace, replay
 from stbac.guard import parse_trust_list
+from stbac.model import TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -84,6 +85,20 @@ class TestClosure:
         assert ("file", "/srv/b") in oracle[-1]
         assert ("file", "/srv/a") not in oracle[-1]
         assert diff_taint(result.tainted_after, oracle, events) == []
+
+    @pytest.mark.parametrize("trace", [
+        "1,1,fork,١٠",
+        "1,1,pipe,١٠",
+        "1,1,shmat,١٠",
+        "1,1,msgrcv,١٠",
+        "1,1,sock_send,1,5,١٠",
+        "1,1,set_stbac_attr,pid:١٠,taint,1",
+        "1,1,socket_open,1,10.0.0.1:٢٢,10.0.0.9:50,tcp",
+        "1,1,socket_open,1,10.0.0.1:22,10.0.0.9:-50,tcp",
+    ])
+    def test_unreplayed_trace_takes_ascii_integers_only(self, trace):
+        with pytest.raises(TraceError, match="^line 1: "):
+            taint_closure(BOOT, TRUSTED, parse_trace(trace))
 
 
 class TestRedirectedAccesses:

@@ -4,17 +4,15 @@ from collections import defaultdict
 
 import pytest
 
-from stbac.engine import parse_trace, replay
-from stbac.model import (ConfigError, Flag, ProtRule, StbacError, TraceError,
-                         UnknownEntity, Verdict)
+from stbac import engine
+from stbac.engine import FlagChange, parse_trace, replay
+from stbac.model import ConfigError, Flag, ResourceKind, StbacError, TraceError, allow
 from stbac.world import (
     INIT_PID,
     classify,
-    get_flag,
     parse_init_config,
     parent_of,
     serialize_config,
-    set_flag,
     spawn_boot_world,
 )
 
@@ -60,7 +58,6 @@ class TestBoot:
 
     def test_hwm_and_cap_recorded(self):
         world = boot("hwm memory_bytes 512 75\ncap memory_bytes 4096\n")
-        from stbac.model import ResourceKind
         assert world.ledger.hwm_st[ResourceKind.MEMORY_BYTES] == 512
         assert world.ledger.hwm_sys[ResourceKind.MEMORY_BYTES] == 75
         assert world.ledger.caps[ResourceKind.MEMORY_BYTES] == 4096
@@ -85,67 +82,97 @@ class TestLookup:
         assert world.lookup("/no/such") is None
 
 
+def admin(world, trace_text, tainted=False):
+    """Audit records of a flag administration trace; the actor is tainted
+    first when asked."""
+    if tainted:
+        world.processes[INIT_PID].flags |= Flag.TAINT
+    return replay(world, parse_trace(trace_text)).records
+
+
 class TestFlagOps:
     def test_health_actor_sets_flag(self):
         world = boot("node /sbin dir 0\n")
-        ref = ("file", world.lookup("/sbin"))
-        decision = set_flag(world, ref, Flag.INTE, True, actor=INIT_PID)
-        assert decision.verdict is Verdict.ALLOW
+        (record,) = admin(world, "1,1,set_stbac_attr,/sbin,inte,1\n")
+        assert record.result == "ALLOW"
+        assert record.param == "inte=1"
+        assert record.flag_changes == [
+            FlagChange(("file", "/sbin"), Flag.INTE, True, "set_stbac_attr")]
         assert Flag.INTE in world.node_at("/sbin").flags
 
     def test_tainted_actor_denied_set(self):
         world = boot("node /sbin dir 0\n")
-        world.processes[INIT_PID].flags |= Flag.TAINT
-        ref = ("file", world.lookup("/sbin"))
-        decision = set_flag(world, ref, Flag.INTE, True, actor=INIT_PID)
-        assert decision.verdict is Verdict.DENY
-        assert decision.rule is ProtRule.INTE
+        (record,) = admin(world, "1,1,set_stbac_attr,/sbin,inte,1\n", tainted=True)
+        assert record.result == "DENY(PR_inte)"
+        assert record.flag_changes == []
         assert Flag.INTE not in world.node_at("/sbin").flags
 
     def test_set_is_idempotent(self):
         world = boot("node /f file 0\n")
-        ref = ("file", world.lookup("/f"))
-        set_flag(world, ref, Flag.CONF, True, actor=INIT_PID)
-        set_flag(world, ref, Flag.CONF, True, actor=INIT_PID)
+        first, second = admin(world, "1,1,set_stbac_attr,/f,conf,1\n"
+                                     "2,1,set_stbac_attr,/f,conf,1\n")
+        assert [c.flag for c in first.flag_changes] == [Flag.CONF]
+        assert second.result == "ALLOW"
+        assert second.flag_changes == []
         assert world.node_at("/f").flags == Flag.CONF
 
     def test_clear_taint_explicitly_allowed(self):
         world = boot("node /f file 1\n")
         node = world.node_at("/f")
         node.flags |= Flag.TAINT
-        set_flag(world, ("file", node.node_id), Flag.TAINT, False, actor=INIT_PID)
+        (record,) = admin(world, "1,1,set_stbac_attr,/f,taint,0\n")
+        assert record.result == "ALLOW"
+        assert record.flag_changes == [
+            FlagChange(("file", "/f"), Flag.TAINT, False, "set_stbac_attr")]
         assert Flag.TAINT not in node.flags
 
     def test_avai_only_on_resources(self):
         world = boot("node /f file 0\n")
-        with pytest.raises(StbacError, match="avai"):
-            set_flag(world, ("file", world.lookup("/f")), Flag.AVAI, True, INIT_PID)
-        from stbac.model import ResourceKind
-        decision = set_flag(world, ("res", ResourceKind.CPU_TICKS), Flag.AVAI,
-                            True, INIT_PID)
-        assert decision.verdict is Verdict.ALLOW
-        with pytest.raises(StbacError, match="only applies"):
-            set_flag(world, ("res", ResourceKind.CPU_TICKS), Flag.CONF, True, INIT_PID)
+        with pytest.raises(TraceError,
+                           match="line 1: flag avai only applies to resource kinds"):
+            admin(world, "1,1,set_stbac_attr,/f,avai,1\n")
+        (record,) = admin(world, "1,1,set_stbac_attr,res:cpu_ticks,avai,1\n")
+        assert record.result == "ALLOW"
+        (change,) = record.flag_changes
+        assert change == FlagChange(("res", "cpu_ticks"), Flag.AVAI, True,
+                                    "set_stbac_attr")
+        assert type(change.entity[1]) is str and type(change.rule) is str
+        assert Flag.AVAI in world.ledger.flags[ResourceKind.CPU_TICKS]
+        with pytest.raises(TraceError,
+                           match="line 1: flag conf only applies to processes and nodes"):
+            admin(world, "1,1,set_stbac_attr,res:cpu_ticks,conf,1\n")
 
     def test_get_flag_health_actor(self):
         world = boot("node /f file 0\nconf /f\n")
-        flags = get_flag(world, ("file", world.lookup("/f")), actor=INIT_PID)
-        assert flags == Flag.CONF
+        (record,) = admin(world, "1,1,get_stbac_attr,/f\n")
+        assert (record.result, record.param) == ("ALLOW", "flags=conf")
 
     def test_get_flag_tainted_actor_denied(self):
         world = boot("node /f file 0\nconf /f\n")
-        world.processes[INIT_PID].flags |= Flag.TAINT
-        decision = get_flag(world, ("file", world.lookup("/f")), actor=INIT_PID)
-        assert decision.rule is ProtRule.CONF
+        (record,) = admin(world, "1,1,get_stbac_attr,/f\n", tainted=True)
+        assert (record.result, record.param) == ("DENY(PR_conf)", "-")
 
     def test_get_flag_unflagged_is_empty(self):
         world = boot("node /f file 0\n")
-        assert get_flag(world, ("file", world.lookup("/f")), INIT_PID) is Flag(0)
+        (record,) = admin(world, "1,1,get_stbac_attr,/f\n")
+        assert (record.result, record.param) == ("ALLOW", "flags=-")
 
     def test_unknown_entity(self):
         world = boot("")
-        with pytest.raises(UnknownEntity):
-            set_flag(world, ("file", 999), Flag.CONF, True, INIT_PID)
+        with pytest.raises(TraceError, match="line 1: no such path /nope"):
+            admin(world, "1,1,set_stbac_attr,/nope,conf,1\n")
+        with pytest.raises(TraceError, match="line 1: no such pid 9"):
+            admin(world, "1,1,get_stbac_attr,pid:9\n")
+
+    def test_admin_verdicts_come_from_the_guard(self, monkeypatch):
+        monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: allow())
+        monkeypatch.setattr(engine, "pr_conf", lambda *args, **kwargs: allow())
+        world = boot("node /f file 0\n")
+        set_record, get_record = admin(world, "1,1,set_stbac_attr,/f,conf,1\n"
+                                              "2,1,get_stbac_attr,/f\n", tainted=True)
+        assert set_record.result == "ALLOW"
+        assert Flag.CONF in world.node_at("/f").flags
+        assert (get_record.result, get_record.param) == ("ALLOW", "flags=conf")
 
 
 class TestClassification:
@@ -188,7 +215,6 @@ class TestSerialization:
         assert Flag.INTE in again.node_at("/bin").flags
         assert Flag.LEAK in again.node_at("/bin/sh").flags
         assert again.node_at("/bin/sh").exec_bits
-        from stbac.model import ResourceKind
         assert again.ledger.hwm_st[ResourceKind.CPU_TICKS] == 10
         assert again.ledger.caps[ResourceKind.CPU_TICKS] == 100
 
