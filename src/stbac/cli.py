@@ -226,10 +226,8 @@ def cmd_set_flag(args) -> int:
     node = world.node_at(args.path)
     targets = world.subtree(node) if args.recursive else [node]
     for target in targets:
-        if on:
-            target.flags |= flag
-        else:
-            target.flags &= ~flag
+        flags = target.flags | flag if on else target.flags & ~flag
+        world.set_flags(("file", target.node_id), flags)
     _write(args.init, serialize_config(world))
     print(f"{FLAG_NAMES[flag]} {'set' if on else 'cleared'} on "
           f"{len(targets)} node(s)")

@@ -8,7 +8,9 @@ boot config, trust list and copy map give bit-identical audit output.
 
 Every label change is a FlagMutation: a taint or vital rule's spread, or an
 administrative set_stbac_attr that the integrity rule allowed.
-_Replayer._apply_mutation is the one place a replay applies them.
+_Replayer._apply_mutation is the one place a replay applies them, through
+World.set_flags.  The world, not the engine, owns the tainted set and its
+epoch; tainted_snapshot only reads them.
 
 Audit line shape (one per event):
 
@@ -198,15 +200,10 @@ class ReplayResult:
 
 
 def tainted_snapshot(world: World) -> frozenset:
-    """Live tainted entities, files keyed by their current path."""
-    out = set()
-    for pid, proc in world.processes.items():
-        if proc.alive and Flag.TAINT in proc.flags:
-            out.add(("proc", pid))
-    for node in world.fs.values():
-        if Flag.TAINT in node.flags:
-            out.add(("file", node.path))
-    return frozenset(out)
+    """Live tainted entities, files keyed by their current path, read from
+    the world's tainted set in O(tainted)."""
+    return frozenset(ref if ref[0] == "proc" else ("file", world.fs[ref[1]].path)
+                     for ref in world.tainted)
 
 
 def apply_event(world: World, event: Event, policy: Policy,
@@ -218,42 +215,25 @@ def apply_event(world: World, event: Event, policy: Policy,
 def replay(world: World, events, policy: Policy | None = None,
            track_taint: bool = False) -> ReplayResult:
     """Replay events in order.  With track_taint, tainted_after[i] is
-    tainted_snapshot(world) after event i; the snapshot is rebuilt only
-    after events that can change it; otherwise the previous frozenset
-    is reused."""
+    tainted_snapshot(world) after event i.  The world owns the tainted set
+    and moves its taint_epoch whenever the snapshot may differ; the snapshot
+    is rebuilt only then, and otherwise the previous frozenset is reused."""
     policy = policy or Policy()
     graph = DepGraph()
     replayer = _Replayer(world, policy, graph)
     records = []
     tainted_after = [] if track_taint else None
     tainted = tainted_snapshot(world) if track_taint else None
+    epoch = world.taint_epoch
     for event in events:
         record = replayer.step(event)
         records.append(record)
         if track_taint:
-            if _may_change_taint(record, tainted):
+            if world.taint_epoch != epoch:
+                epoch = world.taint_epoch
                 tainted = tainted_snapshot(world)
             tainted_after.append(tainted)
     return ReplayResult(world, records, graph, tainted_after)
-
-
-# Ops that remove or move nodes: allowed, they can drop a tainted file or
-# change the path it is keyed by.
-_STRUCTURAL_OPS = frozenset({"unlink", "rmdir", "rename"})
-
-
-def _may_change_taint(record: AuditRecord, tainted: frozenset) -> bool:
-    """Whether the event behind record may have changed the tainted
-    snapshot, given the snapshot taken before it.  Taint bits flip only
-    through FlagChanges; apart from those, a tainted process can exit and
-    a tainted file can be removed or moved."""
-    if any(change.flag == Flag.TAINT for change in record.flag_changes):
-        return True
-    if record.op == "exit":
-        return ("proc", record.pid) in tainted
-    return bool(tainted) and record.op in _STRUCTURAL_OPS and not record.denied
-
-
 
 
 class _Replayer:
@@ -396,8 +376,7 @@ class _Replayer:
         return decision, f"pid:{child_pid}", "-"
 
     def _ev_exit(self, proc, ev):
-        self.world.ledger.release_all(proc)
-        proc.alive = False
+        self.world.exit(proc)
         return allow(), "-", "-"
 
     # -- IPC -------------------------------------------------------------------
@@ -687,7 +666,7 @@ class _Replayer:
         token = ev.args[0]
         if token.startswith("pid:"):
             pid = _int_arg(token[4:], "pid", ev)
-            self.world.process(pid)
+            self.world.live_process(pid)
             return proc_ref(pid), token
         if token.startswith("res:"):
             name = token[4:]
@@ -751,6 +730,8 @@ def _endpoint_arg(token: str, ev: Event) -> tuple:
     if ":" not in token:
         raise TraceError(f"endpoint must be ip:port, got {token!r}", ev.line)
     ip, port = token.rsplit(":", 1)
+    if not ip:
+        raise TraceError(f"empty IP address in {token!r}", ev.line)
     if not is_ascii_int(port, signed=False):
         raise TraceError(f"bad port {port!r}", ev.line)
     return (ip, _int_arg(port, "port", ev))

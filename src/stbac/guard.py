@@ -221,6 +221,8 @@ def _split_endpoint(token: str):
     if ":" not in token:
         raise ConfigError(f"endpoint must be ip:port, got {token!r}")
     ip, port = token.rsplit(":", 1)
+    if not ip:
+        raise ConfigError(f"empty IP address in {token!r}")
     if port != "*" and not is_ascii_int(port, signed=False):
         raise ConfigError(f"bad port {port!r}")
     return ip, port

@@ -18,7 +18,9 @@ pids and cells:
 
 taint_closure folds the facts into its own low sets: plain forward
 reachability that shares no code with the taint rule module, which
-diff_taint compares with the engine's tainted sets.  check_biba checks the
+diff_taint compares with the engine's tainted sets.  Trusted endpoints are
+matched by the oracle's own reading of the trust entries, so nothing here
+comes from the engine, the rule modules or the guard.  check_biba checks the
 same facts against the engine's audited flag changes, verifying the
 low-water-mark integrity conditions (two levels: tainted entities are low,
 everything else is high).
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .guard import match_trust
 from .model import Flag, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
 
@@ -130,9 +131,28 @@ def _int(token: str, ev) -> int:
 
 def _endpoint(token: str, ev) -> tuple:
     ip, colon, port = token.rpartition(":")
-    if not colon or not is_ascii_int(port, signed=False):
+    if not ip or not colon or not is_ascii_int(port, signed=False):
         raise TraceError(f"bad endpoint {token!r}", ev.line)
-    return (ip, int(port))
+    return (ip, _int(port, ev))
+
+
+def _trusted(trust, program: str, local: tuple, remote: tuple, proto: str,
+             tick: int) -> bool:
+    """Whether a trust entry covers a socket: the oracle's own reading of
+    the TrustEntry fields, with "*" matching any IP or port."""
+    return any(entry.program == program and entry.proto == proto
+               and _covers(entry.local_ip, entry.local_port, local)
+               and _covers(entry.remote_ip, entry.remote_port, remote)
+               and entry.tick_from <= tick <= entry.tick_to
+               for entry in trust)
+
+
+def _covers(ip_pattern: str, port_pattern: str, endpoint: tuple) -> bool:
+    ip, port = endpoint
+    # A port pattern is ASCII digits of any length; compare it as a number
+    # ("022" is 22) without int(), which refuses very long digit strings.
+    return (ip_pattern in ("*", ip)
+            and port_pattern in ("*", str(port).zfill(len(port_pattern))))
 
 
 # Flow facts are (kind, target, detail) triples; see the module docstring.
@@ -186,8 +206,8 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
                 facts.append((_READ, pid, f"message from low pid {args[0]}"))
         elif op == "socket_open":
             local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
-            if not match_trust(trust, struct.exe_paths.get(pid, "-"), local, remote,
-                               args[3], ev.tick):
+            if not _trusted(trust, struct.exe_paths.get(pid, "-"), local, remote,
+                            args[3], ev.tick):
                 facts.append((_READ, pid, "untrusted endpoint"))
         elif op in ("sock_send", "sock_recv") and len(args) == 3:
             peer = _int(args[2], ev)

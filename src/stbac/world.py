@@ -1,7 +1,9 @@
 """Simulated kernel state: processes, filesystem tree, sockets, resource ledger.
 
-The world is the single mutable value a replay folds over.  All label bits
-live inline on the entity records; there is no side table.
+The world is the single mutable value a replay folds over.  Label bits live
+inline on the entity records, written only by World.set_flags; the world
+owns the tainted set (refs of the live entities holding TAINT) and an epoch
+that moves when that set or the path of a member changes.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class World:
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
     clock: int = 0
 
+    tainted: set = field(default_factory=set)       # refs of live entities holding TAINT
+    taint_epoch: int = 0                            # moves with tainted or a member's path
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
     fifos: set = field(default_factory=set)         # node ids created as fifos
@@ -175,8 +179,7 @@ class World:
         except KeyError:
             raise UnknownEntity(f"no such socket {sock_id}") from None
 
-    def add_node(self, path: str, kind: str, exec_bits: bool = False,
-                 flags: Flag = NO_FLAGS) -> FsNode:
+    def add_node(self, path: str, kind: str, exec_bits: bool = False) -> FsNode:
         """Insert a node; the parent directory must already exist."""
         if path in self.path_index:
             raise StbacError(f"path exists: {path}")
@@ -189,7 +192,7 @@ class World:
             siblings = self.kids.get(parent_id)
             if siblings is None:
                 raise StbacError(f"parent is not a directory: {parent_path}")
-        node = FsNode(self.next_node_id, path, kind, exec_bits, flags, parent_id)
+        node = FsNode(self.next_node_id, path, kind, exec_bits, parent=parent_id)
         self.next_node_id += 1
         self.fs[node.node_id] = node
         self.path_index[path] = node.node_id
@@ -207,6 +210,7 @@ class World:
         self.kids.pop(node.node_id, None)
         self.fifos.discard(node.node_id)
         self.fifo_queues.pop(node.node_id, None)
+        self._track(("file", node.node_id), False)
 
     def children(self, node: FsNode) -> list:
         return list(self.kids.get(node.node_id, {}).values())
@@ -231,6 +235,8 @@ class World:
             del self.path_index[member.path]
             member.path = new_path + member.path[len(old_prefix):]
             self.path_index[member.path] = member.node_id
+            if ("file", member.node_id) in self.tainted:
+                self.taint_epoch += 1
         del self.kids[node.parent][node.node_id]
         node.parent = self.lookup(parent_of(new_path))
         self.kids[node.parent][node.node_id] = node
@@ -244,6 +250,11 @@ class World:
                         exe=parent.exe, exe_path=parent.exe_path)
         self.processes[child_pid] = child
         return child
+
+    def exit(self, proc: Process):
+        self.ledger.release_all(proc)
+        proc.alive = False
+        self._track(("proc", proc.pid), False)
 
     def open_socket(self, sock_id: int, owner: int, local, remote, proto,
                     trusted: bool) -> Socket:
@@ -278,13 +289,20 @@ class World:
         return entity.flags
 
     def set_flags(self, ref: Ref, flags: Flag):
-        """Store an entity's label set, unguarded: replay changes labels
-        only here, through the engine's mutation step."""
+        """Store an entity's label set, unguarded: the one writer of label
+        bits, for replay mutations, boot marks and config edits alike."""
         entity = self.resolve(ref)
         if isinstance(entity, ResourceKind):
             self.ledger.flags[entity] = flags
         else:
             entity.flags = flags
+            self._track(ref, Flag.TAINT in flags)
+
+    def _track(self, ref: Ref, tainted: bool):
+        """Make ref's membership of the tainted set match tainted."""
+        if (ref in self.tainted) != tainted:
+            self.tainted ^= {ref}
+            self.taint_epoch += 1
 
 
 def parent_of(path: str) -> str:
@@ -393,14 +411,14 @@ def spawn_boot_world(config: InitConfig) -> World:
         node_id = world.lookup(path)
         if node_id is None:
             raise ConfigError(f"flag {FLAG_NAMES[flag]} on nonexistent path {path}")
-        world.fs[node_id].flags |= flag
+        world.set_flags(("file", node_id), world.fs[node_id].flags | flag)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit
         world.ledger.hwm_sys[kind] = percent
-        world.ledger.flags[kind] |= Flag.AVAI
+        world.set_flags(("res", kind), Flag.AVAI)
     for kind, total in config.caps.items():
         world.ledger.caps[kind] = total
-        world.ledger.flags[kind] |= Flag.AVAI
+        world.set_flags(("res", kind), Flag.AVAI)
         if kind not in config.hwms:
             world.ledger.hwm_st[kind] = total // 2
     world.processes[INIT_PID] = Process(INIT_PID, parent=0)

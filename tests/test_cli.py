@@ -95,6 +95,21 @@ class TestReplayCommand:
             assert code == 2
             assert f"line 2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace,message", [
+        ("1,1,socket_open,1,:22,:80,tcp\n", "line 1: empty IP address in ':22'"),
+        ("1,1,fork,3\n2,3,exit\n3,1,set_stbac_attr,pid:3,taint,1\n",
+         "line 3: pid 3 has exited"),
+        ("1,1,fork,3\n2,3,exit\n3,1,get_stbac_attr,pid:3\n", "line 3: pid 3 has exited"),
+    ])
+    def test_empty_ip_and_exited_pid_exit_two_with_line(self, bundle_dir, capsys,
+                                                         trace, message):
+        (bundle_dir / "trace").write_text(trace)
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
     def test_bad_config_exits_two(self, bundle_dir, capsys):
         (bundle_dir / "init.cfg").write_text("node /x file 0\nnode /x file 0\n")
         code = main(["replay", "--init", str(bundle_dir / "init.cfg"),
@@ -269,6 +284,19 @@ class TestTrustCommands:
         code = main(["trust", "--trust", str(trust), "add",
                      "/p", "nonsense", "*:*", "tcp", "0..inf"])
         assert code == 2
+
+    def test_empty_ip_rejected_and_file_unchanged(self, tmp_path, capsys):
+        trust = tmp_path / "trust.list"
+        before = "trust /usr/sbin/sshd *:22 *:* tcp 0..inf\n"
+        trust.write_text(before)
+        code = main(["trust", "--trust", str(trust), "add",
+                     "/bin/sh", ":22", "*:*", "tcp", "0..inf"])
+        assert code == 2
+        assert "empty IP address" in capsys.readouterr().err
+        assert trust.read_text() == before
+        trust.write_text(before + "trust /bin/sh :22 *:* tcp 0..inf\n")
+        assert main(["trust", "--trust", str(trust), "list"]) == 2
+        assert "trust list line 2: empty IP address" in capsys.readouterr().err
 
     def test_list_empty_file(self, tmp_path, capsys):
         trust = tmp_path / "trust.list"

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from stbac import scenarios
+from stbac import engine, scenarios
 from stbac.engine import (
     OPS,
     DepGraph,
@@ -11,7 +11,6 @@ from stbac.engine import (
     export_graph,
     parse_trace,
     replay,
-    tainted_snapshot,
 )
 from stbac.guard import parse_pcopy_map, parse_trust_list
 from stbac.model import Flag, ResourceKind, TraceError
@@ -88,6 +87,12 @@ class TestEndpoints:
     def test_non_ascii_digit_port_rejected_with_line(self):
         with pytest.raises(TraceError, match="line 2: bad port '²'"):
             run("1,1,sched_tick\n2,1,socket_open,1,10.0.0.1:²,10.0.0.9:99,tcp\n")
+
+    @pytest.mark.parametrize("local,remote", [(":22", "10.0.0.9:80"),
+                                              ("10.0.0.1:22", ":80")])
+    def test_empty_ip_rejected_with_line(self, local, remote):
+        with pytest.raises(TraceError, match="^line 1: empty IP address in ':"):
+            run(f"1,1,socket_open,1,{local},{remote},tcp\n")
 
     def test_trust_port_with_leading_zero_matches(self):
         trace = ("1,1,execve,/bin/sh\n"
@@ -325,18 +330,29 @@ class TestRmdir:
         assert world.lookup("/") is not None
 
 
+def scanned_snapshot(world):
+    """Live tainted processes and tainted nodes by path, from a full scan of
+    the world that does not read its tainted set."""
+    procs = {("proc", pid) for pid, proc in world.processes.items()
+             if proc.alive and Flag.TAINT in proc.flags}
+    files = {("file", node.path) for node in world.fs.values()
+             if Flag.TAINT in node.flags}
+    return frozenset(procs | files)
+
+
 def rebuilt_snapshots(world, events, policy):
-    """tainted_snapshot after each event, applying one event at a time."""
+    """A full-scan snapshot after each event, applying one event at a time."""
     out = []
     for event in events:
         apply_event(world, event, policy)
-        out.append(tainted_snapshot(world))
+        out.append(scanned_snapshot(world))
     return out
 
 
 class TestTrackedSnapshots:
-    """A tracked replay rebuilds its snapshot only after events that can
-    change taint; every snapshot must still equal a rebuild."""
+    """A tracked replay rebuilds its snapshot from the world's tainted set
+    only when the world's taint epoch moved; every snapshot must still
+    equal a full scan."""
 
     TRACE = ("1,1,fork,2\n"
              "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
@@ -378,6 +394,22 @@ class TestTrackedSnapshots:
         world = spawn_boot_world(bundle.config())
         assert tracked == rebuilt_snapshots(world, bundle.events(), bundle.policy())
         assert any(tracked)
+
+    def test_untainted_structure_changes_do_not_rebuild(self, monkeypatch):
+        rebuilds = []
+        snapshot = engine.tainted_snapshot
+        monkeypatch.setattr(engine, "tainted_snapshot",
+                            lambda world: rebuilds.append(world) or snapshot(world))
+        result = run("1,1,mkdir,/tmp/d\n"
+                     "2,1,create,/tmp/d/f,0\n"
+                     "3,1,create,/tmp/g,0\n"
+                     "4,1,fork,2\n"
+                     "5,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                     "6,1,unlink,/tmp/g\n"              # untainted file
+                     "7,1,rename,/tmp/d,/tmp/e\n",      # untainted directory
+                     track_taint=True)
+        assert len(rebuilds) == 2   # the initial snapshot, then pid 2's taint
+        assert result.tainted_after[-1] == {("proc", 2)}
 
 
 class TestTableMapping:

@@ -221,6 +221,13 @@ class TestTrustMatching:
             with pytest.raises(ConfigError, match="line 2: bad port"):
                 parse_trust_list("# header\n" + bad + "\n")
 
+    def test_empty_ip_rejected_with_line(self):
+        for bad in ("trust /bin/sh :22 *:* tcp 0..inf", "trust /bin/sh *:* :80 tcp 0..inf"):
+            with pytest.raises(ConfigError, match="line 2: empty IP address in ':"):
+                parse_trust_list("# header\n" + bad + "\n")
+        (entry,) = parse_trust_list("trust /bin/sh *:22 *:* tcp 0..inf\n")
+        assert (entry.local_ip, entry.local_port) == ("*", "22")
+
     def test_ports_compare_as_integers(self):
         entry = parse_trust_entry("trust /p *:* *:022 tcp 0..inf")
         assert match_trust([entry], "/p", ("a", 1), ("b", 22), "tcp", 0)

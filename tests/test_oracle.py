@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from stbac import oracle
 from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import parse_trust_list
+from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
 from stbac.model import TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
 from stbac.world import parse_init_config, spawn_boot_world
@@ -99,6 +103,64 @@ class TestClosure:
     def test_unreplayed_trace_takes_ascii_integers_only(self, trace):
         with pytest.raises(TraceError, match="^line 1: "):
             taint_closure(BOOT, TRUSTED, parse_trace(trace))
+
+    @pytest.mark.parametrize("endpoints,message", [
+        (":22,10.0.0.9:50", "bad endpoint ':22'"),
+        ("10.0.0.1:22,:50", "bad endpoint ':50'"),
+        (f"10.0.0.1:{'1' * 5000},10.0.0.9:50", "not an integer"),
+    ], ids=["empty local ip", "empty remote ip", "5000-digit port"])
+    def test_unreplayed_trace_rejects_bad_endpoints(self, endpoints, message):
+        with pytest.raises(TraceError, match=f"^line 1: {message}"):
+            taint_closure(BOOT, TRUSTED, parse_trace(f"1,1,socket_open,1,{endpoints},tcp"))
+
+
+class TestIndependence:
+    FORBIDDEN = {"engine", "taint", "vital", "guard"}
+
+    def test_oracle_imports_nothing_from_the_engine_side(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        assert "model" in imported                 # the walk sees the imports
+        assert imported.isdisjoint(self.FORBIDDEN), imported & self.FORBIDDEN
+
+    ENTRY = "trust /usr/sbin/sshd *:22 10.0.0.9:* tcp 3..7"
+
+    @pytest.mark.parametrize("entry,program,local,remote,proto,tick", [
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.9", 40), "tcp", 3),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.9", 40), "tcp", 7),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.9", 40), "tcp", 8),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.9", 40), "tcp", 2),
+        (ENTRY, "/bin/sh", ("10.0.0.1", 22), ("10.0.0.9", 40), "tcp", 5),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.9", 40), "udp", 5),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 23), ("10.0.0.9", 40), "tcp", 5),
+        (ENTRY, "/usr/sbin/sshd", ("10.0.0.1", 22), ("10.0.0.8", 40), "tcp", 5),
+        ("trust /p *:* *:022 tcp 0..inf", "/p", ("a", 1), ("b", 22), "tcp", 0),
+        ("trust /p *:* *:022 tcp 0..inf", "/p", ("a", 1), ("b", 220), "tcp", 0),
+        ("trust /p *:* *:022 tcp 0..inf", "/p", ("a", 1), ("b", 1022), "tcp", 0),
+        ("trust /p *:* *:000 tcp 0..inf", "/p", ("a", 1), ("b", 0), "tcp", 0),
+        ("trust /p *:* *:2 tcp 0..inf", "/p", ("a", 1), ("b", 22), "tcp", 0),
+        ("trust /p 10.0.0.1:* *:* tcp 0..inf", "/p", ("*", 1), ("b", 2), "tcp", 0),
+    ])
+    def test_own_trust_matcher_agrees_with_the_guard(self, entry, program, local,
+                                                     remote, proto, tick):
+        entries = [parse_trust_entry(entry)]
+        assert (oracle._trusted(entries, program, local, remote, proto, tick)
+                == match_trust(entries, program, local, remote, proto, tick))
+
+    def test_own_trust_matcher_reads_the_entry_fields(self):
+        entry = TrustEntry("/p", "*", "22", "*", "*", "tcp", 0, float("inf"))
+        assert oracle._trusted([entry], "/p", ("a", 22), ("b", 9), "tcp", 10 ** 9)
+        assert not oracle._trusted([entry], "/p", ("a", 21), ("b", 9), "tcp", 0)
+        assert not oracle._trusted([], "/p", ("a", 22), ("b", 9), "tcp", 0)
+        longer = parse_trust_entry(f"trust /p *:* *:{'1' * 5000} tcp 0..inf")
+        assert not oracle._trusted([longer], "/p", ("a", 1), ("b", 22), "tcp", 0)
 
 
 class TestRedirectedAccesses:

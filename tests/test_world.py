@@ -1,14 +1,18 @@
+import ast
 import itertools
 import random
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import stbac
 from stbac import engine
 from stbac.engine import FlagChange, parse_trace, replay
 from stbac.model import ConfigError, Flag, ResourceKind, StbacError, TraceError, allow
 from stbac.world import (
     INIT_PID,
+    World,
     classify,
     parse_init_config,
     parent_of,
@@ -86,7 +90,7 @@ def admin(world, trace_text, tainted=False):
     """Audit records of a flag administration trace; the actor is tainted
     first when asked."""
     if tainted:
-        world.processes[INIT_PID].flags |= Flag.TAINT
+        world.set_flags(("proc", INIT_PID), Flag.TAINT)
     return replay(world, parse_trace(trace_text)).records
 
 
@@ -119,7 +123,7 @@ class TestFlagOps:
     def test_clear_taint_explicitly_allowed(self):
         world = boot("node /f file 1\n")
         node = world.node_at("/f")
-        node.flags |= Flag.TAINT
+        world.set_flags(("file", node.node_id), Flag.TAINT)
         (record,) = admin(world, "1,1,set_stbac_attr,/f,taint,0\n")
         assert record.result == "ALLOW"
         assert record.flag_changes == [
@@ -164,6 +168,14 @@ class TestFlagOps:
         with pytest.raises(TraceError, match="line 1: no such pid 9"):
             admin(world, "1,1,get_stbac_attr,pid:9\n")
 
+    @pytest.mark.parametrize("event", ["set_stbac_attr,pid:3,taint,1",
+                                       "get_stbac_attr,pid:3"])
+    def test_exited_pid_rejected(self, event):
+        world = boot("")
+        with pytest.raises(TraceError, match="^line 3: pid 3 has exited$"):
+            admin(world, f"1,1,fork,3\n2,3,exit\n3,1,{event}\n")
+        assert world.tainted == set()
+
     def test_admin_verdicts_come_from_the_guard(self, monkeypatch):
         monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: allow())
         monkeypatch.setattr(engine, "pr_conf", lambda *args, **kwargs: allow())
@@ -173,6 +185,115 @@ class TestFlagOps:
         assert set_record.result == "ALLOW"
         assert Flag.CONF in world.node_at("/f").flags
         assert (get_record.result, get_record.param) == ("ALLOW", "flags=conf")
+
+
+class TestTaintedSet:
+    def scan(self, world, by_path=False):
+        """Refs of the live TAINT processes and of the TAINT nodes (by node
+        id, or by path), from a full scan of the world."""
+        return ({("proc", pid) for pid, p in world.processes.items()
+                 if p.alive and Flag.TAINT in p.flags}
+                | {("file", n.path if by_path else i) for i, n in world.fs.items()
+                   if Flag.TAINT in n.flags})
+
+    def test_set_flags_exit_remove_and_repath_keep_it_current(self):
+        world = boot("node /d/f file 0\nnode /g file 0\n")
+        child = world.spawn(world.processes[INIT_PID], 2)
+        f = world.node_at("/d/f")
+        world.set_flags(("file", f.node_id), Flag.TAINT)
+        world.set_flags(("proc", 2), Flag.TAINT)
+        assert world.tainted == self.scan(world) == {("file", f.node_id), ("proc", 2)}
+        assert world.taint_epoch == 2
+        world.set_flags(("file", f.node_id), Flag.TAINT | Flag.CONF)
+        world.repath(world.node_at("/g"), "/h")
+        assert world.taint_epoch == 2           # no TAINT flip, no tainted member moved
+        world.repath(world.node_at("/d"), "/e")
+        assert world.taint_epoch == 3           # tainted /d/f is now /e/f
+        world.exit(child)
+        assert world.tainted == self.scan(world) == {("file", f.node_id)}
+        world.remove_node(f)
+        assert world.tainted == self.scan(world) == set()
+        assert world.taint_epoch == 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_changes_move_the_epoch_whenever_the_snapshot_changes(self, seed):
+        rng = random.Random(seed)
+        names = itertools.count()
+        world = boot("")
+        for _ in range(300):
+            epoch, snapshot = world.taint_epoch, self.scan(world, by_path=True)
+            roll = rng.random()
+            if roll < 0.2:
+                node = rng.choice(list(world.fs.values()))
+                world.set_flags(("file", node.node_id), node.flags ^ Flag.TAINT)
+            elif roll < 0.3:
+                proc = rng.choice([p for p in world.processes.values() if p.alive])
+                if proc.pid == INIT_PID or rng.random() < 0.5:
+                    world.set_flags(("proc", proc.pid), proc.flags ^ Flag.TAINT)
+                else:
+                    world.exit(proc)
+            elif roll < 0.35:
+                world.spawn(world.processes[INIT_PID], world.max_pid_seen + 1)
+            else:
+                random_step(world, rng, names, defaultdict(int))
+            assert world.tainted == self.scan(world)
+            assert engine.tainted_snapshot(world) == self.scan(world, by_path=True)
+            if self.scan(world, by_path=True) != snapshot:
+                assert world.taint_epoch != epoch
+
+    def test_boot_marks_go_through_set_flags(self, monkeypatch):
+        writes = []
+        set_flags = World.set_flags
+        monkeypatch.setattr(World, "set_flags", lambda world, ref, flags: (
+            writes.append((ref[0], flags)), set_flags(world, ref, flags)))
+        boot("node /f file 0\nconf /f\nleak /f\nhwm cpu_ticks 5 50\n")
+        assert writes == [("file", Flag.CONF), ("file", Flag.CONF | Flag.LEAK),
+                          ("res", Flag.AVAI)]
+
+
+class LabelWrites(ast.NodeVisitor):
+    """Collects (enclosing class.function, line) of every store into an
+    attribute named flags or into an item of one, and of every setattr
+    naming "flags"."""
+
+    def __init__(self):
+        self.scope = []
+        self.found = set()
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Attribute(self, node):
+        if node.attr == "flags" and isinstance(node.ctx, ast.Store):
+            self.found.add((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        if (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "flags"):
+            self.found.add((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "setattr" and any(
+                isinstance(arg, ast.Constant) and arg.value == "flags" for arg in node.args):
+            self.found.add((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_set_flags_is_the_only_writer_of_label_bits():
+    writers = {}
+    for path in sorted(Path(stbac.__file__).parent.glob("*.py")):
+        visitor = LabelWrites()
+        visitor.visit(ast.parse(path.read_text()))
+        for scope, line in visitor.found:
+            writers.setdefault((path.name, scope), []).append(line)
+    assert set(writers) == {("world.py", "World.set_flags")}, writers
+    assert len(writers["world.py", "World.set_flags"]) == 2
 
 
 class TestClassification:
