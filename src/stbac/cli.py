@@ -23,7 +23,6 @@ from .guard import (
 from .model import (
     ConfigError,
     FLAG_NAMES,
-    Flag,
     StbacError,
     TraceError,
     UnknownEntity,

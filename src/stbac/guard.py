@@ -26,7 +26,7 @@ from .model import (
     is_ascii_int,
     redirect,
 )
-from .world import FsNode, Process, World, check_path, parent_of
+from .world import FsNode, Process, World, check_path
 
 # Operation kinds the confidentiality rule judges.  ptrace and flag reads
 # are denied for tainted subjects regardless of the target's labels.

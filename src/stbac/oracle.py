@@ -4,7 +4,9 @@ One structural walker, _walk, replays the allowed events of a trace over a
 _Structure (paths, exec bits, fifos, pids, protected cells) rebuilt from
 the boot config and the raw trace alone, and yields for each event the
 flow facts it implies, judged against its caller's sets of low (tainted)
-pids and cells:
+pids and cells.  The structure keeps its own child index, so a rename
+costs the size of the moved subtree; nothing of it comes from the world.
+The facts are:
 
 * _READ: a pid that low input must lower (an untrusted endpoint, an IPC
   message from a low process, executing or loading a low file);
@@ -38,70 +40,90 @@ from .model import Flag, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
 
 
-@dataclass(eq=False)
+_REGULAR = ("file", "fifo")     # the kinds whose exec bits count
+
+
 class _Cell:
-    """One live filesystem object, tracked by identity independently of the engine."""
+    """One live filesystem object, tracked by identity independently of the
+    engine; kind is "dir", "file", "device" or "fifo"."""
 
-    path: str
-    is_dir: bool = False
-    is_fifo: bool = False
-    is_device: bool = False
-    exec_bits: bool = False
+    __slots__ = ("path", "kind", "exec_bits")
 
-    @property
-    def plain_file(self) -> bool:
-        return not self.is_dir and not self.is_device
+    def __init__(self, path: str, kind: str, exec_bits: bool):
+        self.path = path
+        self.kind = kind
+        self.exec_bits = exec_bits
 
     @property
     def executable(self) -> bool:
         """Exec bits count only on regular files (fifos included)."""
-        return self.plain_file and self.exec_bits
+        return self.exec_bits and self.kind in _REGULAR
 
 
 class _Structure:
     """Structural shadow of a replay: paths, exec bits, fifos, pids, protection.
 
     Rebuilt from the boot config and the raw trace only; never from engine
-    state.
+    state.  kids is the oracle's own child index: each directory cell maps
+    to its child cells, so a rename visits the moved subtree only.  A cell
+    whose parent path holds no directory (possible only in a trace the
+    engine would reject) is in no kids entry and moves with no rename.
     """
 
     def __init__(self, config: InitConfig):
         self.cells = {}          # path -> _Cell
+        self.kids = {}           # directory _Cell -> {child _Cell: None}, in insertion order
         self.live_pids = {1}
         self.exe_paths = {1: "-"}
         self.fifo_msgs = {}      # _Cell -> [(writer pid, low at write)]
         self.protected = set()   # INTE cells
-        self.add_cell("/", is_dir=True)
+        self.add_cell("/", "dir", False, None)
         for path, kind, exec_bits in config.nodes:
-            self._ensure_parents(path)
-            self.add_cell(path, is_dir=(kind == "dir"), is_device=(kind == "device"),
-                          exec_bits=exec_bits)
+            self.add_cell(path, kind, exec_bits, self._parent_dir(path))
         for flag, path in config.marks:
             if flag is Flag.INTE and path in self.cells:
                 self.protected.add(self.cells[path])
 
-    def _ensure_parents(self, path: str):
-        parts = path.strip("/").split("/")[:-1]
-        current = ""
-        for part in parts:
-            current += "/" + part
-            if current not in self.cells:
-                self.add_cell(current, is_dir=True)
+    def _parent_dir(self, path: str) -> _Cell:
+        """The cell at a boot path's parent; missing directories on the way
+        are created implicitly, as the boot config allows."""
+        parent_path = parent_of(path)
+        parent = self.cells.get(parent_path)
+        if parent is None:
+            missing = []
+            while parent is None:
+                missing.append(parent_path)
+                parent_path = parent_of(parent_path)
+                parent = self.cells.get(parent_path)
+            for dir_path in reversed(missing):
+                parent = self.add_cell(dir_path, "dir", False, parent)
+        return parent
 
-    def add_cell(self, path: str, **kind) -> _Cell:
-        cell = self.cells[path] = _Cell(path, **kind)
+    def add_cell(self, path: str, kind: str, exec_bits: bool,
+                 parent: _Cell | None) -> _Cell:
+        """Put a cell at path, replacing any there, and list it under parent
+        (the cell at its parent path, or None) if that is a directory."""
+        if path in self.cells:
+            self.remove(path)
+        cell = self.cells[path] = _Cell(path, kind, exec_bits)
+        siblings = self.kids.get(parent)
+        if siblings is not None:
+            siblings[cell] = None
+        if kind == "dir":
+            self.kids[cell] = {}
         return cell
 
-    def create(self, path: str, **kind) -> _Cell:
+    def create(self, path: str, kind: str, exec_bits: bool = False) -> _Cell:
         """The cell an event makes; it inherits protection from its directory."""
-        cell = self.add_cell(path, **kind)
-        if self.cells.get(parent_of(path)) in self.protected:
+        parent = self.cells.get(parent_of(path))
+        cell = self.add_cell(path, kind, exec_bits, parent)
+        if parent in self.protected:
             self.protected.add(cell)
         return cell
 
     def chmod(self, cell: _Cell, bit: str) -> bool:
         """Apply a chmod to a regular file; True if it set the exec bits."""
-        if not cell.plain_file:
+        if cell.kind not in _REGULAR:
             return False
         became_set = bit == "1" and not cell.exec_bits
         cell.exec_bits = bit == "1"
@@ -111,14 +133,36 @@ class _Structure:
         cell = self.cells.pop(path, None)
         if cell is not None:
             self.fifo_msgs.pop(cell, None)
+            self.kids.pop(cell, None)
+            siblings = self.kids.get(self.cells.get(parent_of(path)))
+            if siblings is not None:
+                siblings.pop(cell, None)
 
     def rename(self, src: str, dst: str):
-        moved = [p for p in self.cells if p == src or p.startswith(src + "/")]
+        """Move the cell at src, and its subtree, to dst, replacing dst.  A
+        rename of "/", or onto or into its own subtree, changes nothing."""
+        if src == "/" or dst == src or dst.startswith(src + "/"):
+            return
         self.remove(dst)
-        for old in moved:
-            cell = self.cells.pop(old)
-            cell.path = dst + old[len(src):]
-            self.cells[cell.path] = cell
+        cell = self.cells.get(src)
+        if cell is None:
+            return
+        siblings = self.kids.get(self.cells.get(parent_of(src)))
+        if siblings is not None:
+            siblings.pop(cell, None)
+        moved = [cell]              # the subtree, parents before children
+        for member in moved:
+            moved.extend(self.kids.get(member, ()))
+        for member in moved:
+            del self.cells[member.path]
+        siblings = self.kids.get(self.cells.get(parent_of(dst)))
+        if siblings is not None:
+            siblings[cell] = None
+        for member in moved:
+            member.path = dst + member.path[len(src):]
+            if member.path in self.cells:     # left below dst by a rejected trace
+                self.remove(member.path)
+            self.cells[member.path] = member
 
 
 def _int(token: str, ev) -> int:
@@ -217,13 +261,12 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
         elif op in ("create", "mkdir", "mkfifo", "mknod"):
             path = args[0]
             if op == "create":
-                cell, noun = struct.create(path, exec_bits=(args[1] == "1")), "non-executable"
+                cell, noun = struct.create(path, "file", args[1] == "1"), "non-executable"
             elif op == "mkdir":
-                cell, noun = struct.create(path, is_dir=True), "directory"
+                cell, noun = struct.create(path, "dir"), "directory"
             else:
                 kind = "fifo" if op == "mkfifo" else args[1]
-                cell = struct.create(path, is_fifo=(kind == "fifo"),
-                                     is_device=(kind == "device"))
+                cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
                 noun = "special file"
             if pid_low and cell.executable:
                 facts.append((_PRODUCE, cell, f"low pid {pid} created executable"))
@@ -233,8 +276,8 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
                     f"allowed creation in protected directory {parent_of(path)}")))
         elif op == "open_write":
             cell = struct.cells.get(args[0])
-            if cell is not None and not cell.is_dir:
-                if cell.is_fifo:
+            if cell is not None and cell.kind != "dir":
+                if cell.kind == "fifo":
                     struct.fifo_msgs.setdefault(cell, []).append((pid, pid_low))
                 if pid_low and cell.executable:
                     facts.append((_PRODUCE, cell, f"low pid {pid} wrote executable"))
@@ -248,7 +291,7 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
                     f"non-executable {args[0]}", f"allowed truncate of protected {args[0]}")))
         elif op in ("chmod", "fchmod"):
             cell = struct.cells.get(args[0])
-            if cell is not None and not cell.is_dir:
+            if cell is not None and cell.kind != "dir":
                 became_set = struct.chmod(cell, args[1])
                 if pid_low and became_set:
                     facts.append((_PRODUCE, cell, f"low pid {pid} made {args[0]} executable"))
@@ -257,7 +300,7 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
                         None, f"allowed chmod of protected {args[0]}")))
         elif op == "open_read":
             cell = struct.cells.get(args[0])
-            if cell is not None and cell.is_fifo:
+            if cell is not None and cell.kind == "fifo":
                 senders = [w for w, low in struct.fifo_msgs.pop(cell, ()) if low]
                 if senders:
                     facts.append((_READ, pid, f"fifo message from low pid {senders[0]}"))

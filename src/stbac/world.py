@@ -335,6 +335,8 @@ class InitConfig:
 
     nodes: list = field(default_factory=list)   # (path, kind, exec_bits)
     marks: list = field(default_factory=list)   # (Flag, path)
+    node_lines: list = field(default_factory=list)  # line number of each entry of nodes
+    mark_lines: list = field(default_factory=list)  # line number of each entry of marks
     hwms: dict = field(default_factory=dict)    # kind -> (per-taint limit, sys percent)
     caps: dict = field(default_factory=dict)    # kind -> system total
 
@@ -350,9 +352,11 @@ def parse_init_config(text: str) -> InitConfig:
                 if kind not in ("file", "dir", "device"):
                     raise ConfigError(f"bad node kind {kind!r}")
                 config.nodes.append((check_path(path), kind, _parse_bit(exec_bit)))
+                config.node_lines.append(line_no)
             elif directive in ("conf", "inte", "leak"):
                 (path,) = args
                 config.marks.append((parse_flag(directive), check_path(path)))
+                config.mark_lines.append(line_no)
             elif directive == "hwm":
                 kind_name, limit, percent = args
                 kind = parse_resource(kind_name)
@@ -393,24 +397,22 @@ def spawn_boot_world(config: InitConfig) -> World:
     """
     world = World()
     world.add_node("/", "dir")
-    declared = set()
-    for path, kind, exec_bits in config.nodes:
-        if path in declared:
-            raise ConfigError(f"duplicate path in config: {path}")
-        declared.add(path)
-        _ensure_parents(world, path)
-        if world.lookup(path) is not None:
-            # Happens when a later directive names a directory that was
-            # already created implicitly: declare directories first.
-            raise ConfigError(f"duplicate path in config: {path}")
+    for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines,
+                                                strict=True):
         try:
+            _ensure_parents(world, path)
+            if world.lookup(path) is not None:
+                # A repeated node line, or a directory named after a deeper
+                # path created it implicitly: declare directories first.
+                raise ConfigError(f"duplicate path in config: {path}")
             world.add_node(path, kind, exec_bits)
         except StbacError as exc:
-            raise ConfigError(str(exc)) from None
-    for flag, path in config.marks:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    for (flag, path), line_no in zip(config.marks, config.mark_lines, strict=True):
         node_id = world.lookup(path)
         if node_id is None:
-            raise ConfigError(f"flag {FLAG_NAMES[flag]} on nonexistent path {path}")
+            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
+                              f"on nonexistent path {path}")
         world.set_flags(("file", node_id), world.fs[node_id].flags | flag)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit

@@ -116,6 +116,23 @@ class TestReplayCommand:
                      str(bundle_dir / "trace")])
         assert code == 2
 
+    @pytest.mark.parametrize("config,message", [
+        ("node /x file 0\n# again\nnode /x file 0\n",
+         "line 3: duplicate path in config: /x"),
+        ("node /d/f file 0\nnode /d dir 0\n", "line 2: duplicate path in config: /d"),
+        ("node /d dir 0\n\ninte /d\nconf /e\n",
+         "line 4: flag conf on nonexistent path /e"),
+    ], ids=["repeated node", "directory after its implicit creation",
+            "mark on a missing path"])
+    def test_boot_tree_errors_name_their_line(self, bundle_dir, capsys, config,
+                                              message):
+        (bundle_dir / "init.cfg").write_text(config)
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert f"error: {message}\n" == capsys.readouterr().err
+
     def test_non_ascii_digit_port_exits_two_with_line(self, bundle_dir, capsys):
         (bundle_dir / "trace").write_text(
             "1,1,socket_open,1,10.0.0.1:²,10.0.0.9:99,tcp\n", encoding="utf-8")

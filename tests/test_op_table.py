@@ -246,8 +246,13 @@ def test_digit_lookalikes_fail_only_with_a_line_number():
                     "\n".join(lines[:index] + [garbled]) + "\n")
 
 
+def boot_world(text: str):
+    """Parse a boot config and build the world it describes."""
+    return spawn_boot_world(parse_init_config(text))
+
+
 CONFIG_PARSERS = {
-    "boot": (trace_gen.BOOT_CONFIG, parse_init_config),
+    "boot": (trace_gen.BOOT_CONFIG, boot_world),
     "trust": (trace_gen.TRUST_FULL, parse_trust_list),
     "benign trust": (trace_gen.TRUST_BENIGN, parse_trust_list),
     "copy map": (trace_gen.PCOPY_TEXT, parse_pcopy_map),

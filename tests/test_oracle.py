@@ -1,14 +1,22 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 from stbac import oracle
+from stbac import scenarios
 from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
+from stbac.guard import (
+    TrustEntry,
+    match_trust,
+    parse_pcopy_map,
+    parse_trust_entry,
+    parse_trust_list,
+)
 from stbac.model import TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
-from stbac.world import parse_init_config, spawn_boot_world
+from stbac.world import parent_of, parse_init_config, spawn_boot_world
 
 import trace_gen
 
@@ -112,6 +120,155 @@ class TestClosure:
     def test_unreplayed_trace_rejects_bad_endpoints(self, endpoints, message):
         with pytest.raises(TraceError, match=f"^line 1: {message}"):
             taint_closure(BOOT, TRUSTED, parse_trace(f"1,1,socket_open,1,{endpoints},tcp"))
+
+
+class TestUnreplayedStructure:
+    """taint_closure stays total on traces the engine never replayed: an
+    operand may be missing or the tree may break rules the engine enforces."""
+
+    BOOT = parse_init_config("node /a dir 0\nnode /a/x file 1\n")
+
+    @pytest.mark.parametrize("trace", [
+        "1,1,rename,/nope,/b\n",
+        "1,1,create,/q/r,1\n",
+        "1,1,rename,/a,/z/a\n",
+        "1,1,rmdir,/a\n2,1,mkdir,/a\n3,1,rename,/a,/c\n",
+    ], ids=["missing source", "missing parent", "missing target parent",
+            "non-empty rmdir then rename"])
+    def test_missing_or_broken_structure_gives_empty_sets(self, trace):
+        events = parse_trace(trace)
+        assert taint_closure(self.BOOT, [], events) == [frozenset()] * len(events)
+
+    def test_rename_into_itself_changes_nothing(self):
+        events = parse_trace("1,1,set_stbac_attr,/a/x,taint,1\n"
+                             "2,1,rename,/a,/a\n3,1,rename,/a,/a/y\n"
+                             "4,1,rename,/,/b\n")
+        assert taint_closure(self.BOOT, [], events) == [
+            frozenset({("file", "/a/x")})] * len(events)
+
+    PATHS = ("/", "/a", "/a/x", "/a/x/z", "/a/y", "/b", "/b/x", "/c", "a", "/a/")
+    OPS = ("create", "mkdir", "mkfifo", "unlink", "rmdir", "rename", "rename",
+           "set_stbac_attr")
+
+    def test_random_structure_ops_keep_the_index_sound(self):
+        """Orphans may appear, but every indexed cell stays live, one level
+        below its directory, and no walk raises."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            lines = []
+            for tick in range(1, rng.randint(2, 25)):
+                op, path = rng.choice(self.OPS), rng.choice(self.PATHS)
+                args = {"create": (path, "1"), "rename": (path, rng.choice(self.PATHS)),
+                        "set_stbac_attr": (path, "taint", "1")}.get(op, (path,))
+                lines.append(",".join((str(tick), "1", op) + args))
+            events = parse_trace("\n".join(lines) + "\n")
+            struct = oracle._Structure(self.BOOT)
+            for _ in oracle._walk(struct, [], events, set(), {}, set(), set()):
+                pass
+            for directory, kids in struct.kids.items():
+                assert struct.cells[directory.path] is directory, seed
+                for cell in kids:
+                    assert struct.cells[cell.path] is cell, seed
+                    assert parent_of(cell.path) == directory.path, seed
+            assert len(taint_closure(self.BOOT, [], events)) == len(events)
+
+
+def walk_structure(config, trust, events, records):
+    """The oracle's structure after walking a replayed trace, with the
+    index checked before every event; also counts renames of a directory
+    with children and renames onto an existing file."""
+    struct = oracle._Structure(config)
+    denied, redirects = oracle._access_verdicts(records)
+    seen = {"directory with children": 0, "onto a file": 0}
+    walk = oracle._walk(struct, trust, events, denied, redirects, set(), set())
+    for index, ev in enumerate(events):
+        assert_index_consistent(struct)
+        if ev.op == "rename" and index not in denied:
+            moved = struct.cells[ev.args[0]]
+            seen["directory with children"] += bool(struct.kids.get(moved))
+            seen["onto a file"] += ev.args[1] in struct.cells
+        next(walk)
+    assert_index_consistent(struct)
+    return struct, seen
+
+
+def assert_index_consistent(struct):
+    """kids holds exactly the directories, each mapped to the cells one
+    level below its path."""
+    dirs = {cell for cell in struct.cells.values() if cell.kind == "dir"}
+    assert set(struct.kids) == dirs
+    below = {cell: set() for cell in dirs}
+    for path, cell in struct.cells.items():
+        assert cell.path == path
+        if path != "/":
+            below[struct.cells[parent_of(path)]].add(cell)
+    assert {d: set(kids) for d, kids in struct.kids.items()} == below
+
+
+def assert_structure_matches(struct, world):
+    assert set(struct.cells) == set(world.path_index)
+    for path, node_id in world.path_index.items():
+        kind = "fifo" if node_id in world.fifos else world.fs[node_id].kind
+        assert struct.cells[path].kind == kind, path
+
+
+def generated_case(seed: int, mode: str) -> tuple:
+    """A trace_gen trace weighted towards mkdir, unlink/rmdir and rename."""
+    rng = random.Random(seed)
+    intents = [(rng.choice((rng.randrange(trace_gen.N_OPCODES), 23, 24, 25)),
+                rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 1),
+                rng.randint(0, 2))
+               for _ in range(rng.randint(40, 160))]
+    trace_text, trust_text = trace_gen.build_trace(intents, mode)
+    policy = Policy(parse_trust_list(trust_text), parse_pcopy_map(trace_gen.PCOPY_TEXT))
+    return parse_init_config(trace_gen.BOOT_CONFIG), policy, parse_trace(trace_text)
+
+
+class TestChildIndex:
+    """The oracle's child index against the world's own paths, differentially."""
+
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_bundled_scenarios(self, name):
+        bundle = scenarios.load(name)
+        result = bundle.replay()
+        struct, _ = walk_structure(bundle.config(), bundle.policy().trust,
+                                   bundle.events(), result.records)
+        assert_structure_matches(struct, result.world)
+
+    @pytest.mark.parametrize("mode", ["full", "benign"])
+    def test_generated_traces(self, mode):
+        seen = {}
+        for seed in range(40):
+            config, policy, events = generated_case(seed, mode)
+            result = replay(spawn_boot_world(config), events, policy)
+            struct, counts = walk_structure(config, policy.trust, events, result.records)
+            assert_structure_matches(struct, result.world)
+            for kind, count in counts.items():
+                seen[kind] = seen.get(kind, 0) + count
+        # the traces exercise what the index has to get right
+        assert seen["directory with children"] >= 10 and seen["onto a file"] >= 10, seen
+
+    def test_tainted_executable_in_a_directory_renamed_twice(self):
+        trace = ("1,1,execve,/bin/sh\n"
+                 "2,1,fork,2\n"
+                 "3,2,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
+                 "4,2,mkdir,/srv/d\n"
+                 "5,2,mkdir,/srv/d/e\n"
+                 "6,2,create,/srv/d/e/tool,1\n"
+                 "7,1,mkdir,/srv/n\n"
+                 "8,1,rename,/srv/d,/srv/n/d2\n"
+                 "9,1,rename,/srv/n,/srv/m\n"
+                 "10,1,execve,/srv/m/d2/e/tool\n")
+        events, result = run(trace)
+        assert not result.denial_records()
+        oracle_sets = closure_from_replay(BOOT, TRUSTED, events, result.records)
+        assert diff_taint(result.tainted_after, oracle_sets, events) == []
+        assert oracle_sets[-1] == frozenset({
+            ("proc", 1), ("proc", 2), ("file", "/srv/m/d2/e/tool")})
+        report = check_biba(BOOT, TRUSTED, events, result.records)
+        assert report.all_passed(), report.summary_lines()
+        struct, _ = walk_structure(BOOT, TRUSTED, events, result.records)
+        assert_structure_matches(struct, result.world)
 
 
 class TestIndependence:
@@ -383,7 +540,6 @@ class TestBiba:
 class TestGeneratedEquivalence:
     def test_handful_of_fixed_seeds(self):
         # quick non-hypothesis sanity pass over the generator machinery
-        import random
         for seed in range(25):
             rng = random.Random(seed)
             intents = [(rng.randint(0, trace_gen.N_OPCODES - 1), rng.randint(0, 7),
