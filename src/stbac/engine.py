@@ -48,8 +48,8 @@ from .model import (
 )
 from .world import World, parent_of
 
-@dataclass(frozen=True)
-class Event:
+
+class Event(NamedTuple):
     tick: int
     pid: int
     op: str
@@ -734,7 +734,10 @@ def _endpoint_arg(token: str, ev: Event) -> tuple:
         raise TraceError(f"empty IP address in {token!r}", ev.line)
     if not is_ascii_int(port, signed=False):
         raise TraceError(f"bad port {port!r}", ev.line)
-    return (ip, _int_arg(port, "port", ev))
+    try:
+        return (ip, int(port))
+    except ValueError:          # more digits than int() converts
+        raise TraceError(f"port must be an integer, got {port!r}", ev.line) from None
 
 
 def _flag_arg(token: str, ev: Event) -> Flag:

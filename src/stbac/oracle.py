@@ -79,33 +79,36 @@ class _Structure:
         self.protected = set()   # INTE cells
         self.add_cell("/", "dir", False, None)
         for path, kind, exec_bits in config.nodes:
-            self.add_cell(path, kind, exec_bits, self._parent_dir(path))
+            parent_path = parent_of(path)
+            parent = self.cells.get(parent_path)
+            if parent is None:
+                parent = self._make_dirs(parent_path)
+            self.add_cell(path, kind, exec_bits, parent)
         for flag, path in config.marks:
             if flag is Flag.INTE and path in self.cells:
                 self.protected.add(self.cells[path])
 
-    def _parent_dir(self, path: str) -> _Cell:
-        """The cell at a boot path's parent; missing directories on the way
-        are created implicitly, as the boot config allows."""
-        parent_path = parent_of(path)
-        parent = self.cells.get(parent_path)
-        if parent is None:
-            missing = []
-            while parent is None:
-                missing.append(parent_path)
-                parent_path = parent_of(parent_path)
-                parent = self.cells.get(parent_path)
-            for dir_path in reversed(missing):
-                parent = self.add_cell(dir_path, "dir", False, parent)
+    def _make_dirs(self, path: str) -> _Cell:
+        """Create the missing directory cell at a boot path and every missing
+        one above it, as the boot config allows; the cell at path."""
+        missing = []
+        parent = None
+        while parent is None:
+            missing.append(path)
+            path = parent_of(path)
+            parent = self.cells.get(path)
+        for dir_path in reversed(missing):
+            parent = self.add_cell(dir_path, "dir", False, parent)
         return parent
 
     def add_cell(self, path: str, kind: str, exec_bits: bool,
                  parent: _Cell | None) -> _Cell:
         """Put a cell at path, replacing any there, and list it under parent
         (the cell at its parent path, or None) if that is a directory."""
-        if path in self.cells:
+        cell = _Cell(path, kind, exec_bits)
+        if self.cells.setdefault(path, cell) is not cell:
             self.remove(path)
-        cell = self.cells[path] = _Cell(path, kind, exec_bits)
+            self.cells[path] = cell
         siblings = self.kids.get(parent)
         if siblings is not None:
             siblings[cell] = None
@@ -177,7 +180,10 @@ def _endpoint(token: str, ev) -> tuple:
     ip, colon, port = token.rpartition(":")
     if not ip or not colon or not is_ascii_int(port, signed=False):
         raise TraceError(f"bad endpoint {token!r}", ev.line)
-    return (ip, _int(port, ev))
+    try:
+        return (ip, int(port))
+    except ValueError:          # more digits than int() converts
+        raise TraceError(f"not an integer: {port!r}", ev.line) from None
 
 
 def _trusted(trust, program: str, local: tuple, remote: tuple, proto: str,

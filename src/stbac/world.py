@@ -32,7 +32,7 @@ DEFAULT_CAP = 1_000_000
 DEFAULT_HWM_SYS_PERCENT = 90
 
 
-@dataclass
+@dataclass(slots=True)
 class Process:
     pid: int
     parent: int
@@ -44,7 +44,7 @@ class Process:
     usage: dict = field(default_factory=dict)   # ResourceKind -> allocated amount
 
 
-@dataclass
+@dataclass(slots=True)
 class FsNode:
     node_id: int
     path: str
@@ -183,15 +183,22 @@ class World:
         """Insert a node; the parent directory must already exist."""
         if path in self.path_index:
             raise StbacError(f"path exists: {path}")
-        parent_id = siblings = None
-        if path != "/":
-            parent_path = parent_of(path)
-            parent_id = self.lookup(parent_path)
-            if parent_id is None:
-                raise UnknownEntity(f"missing parent directory {parent_path}")
+        parent_path = parent_of(path)
+        parent_id = self.path_index.get(parent_path)
+        if parent_id is None:
+            raise UnknownEntity(f"missing parent directory {parent_path}")
+        return self._insert(path, kind, exec_bits, parent_id)
+
+    def _insert(self, path: str, kind: str, exec_bits: bool,
+                parent_id: int | None) -> FsNode:
+        """Insert a node at a free path straight under the node parent_id,
+        which must be a directory (None only for "/")."""
+        siblings = None
+        if parent_id is not None:
             siblings = self.kids.get(parent_id)
             if siblings is None:
-                raise StbacError(f"parent is not a directory: {parent_path}")
+                raise StbacError(
+                    f"parent is not a directory: {self.fs[parent_id].path}")
         node = FsNode(self.next_node_id, path, kind, exec_bits, parent=parent_id)
         self.next_node_id += 1
         self.fs[node.node_id] = node
@@ -307,10 +314,7 @@ class World:
 
 def parent_of(path: str) -> str:
     """Parent of an absolute path ('/' is its own parent)."""
-    if path == "/":
-        return "/"
-    head = path.rsplit("/", 1)[0]
-    return head or "/"
+    return path.rsplit("/", 1)[0] or "/"
 
 
 def check_path(path: str) -> str:
@@ -320,6 +324,8 @@ def check_path(path: str) -> str:
         raise StbacError(f"comma not allowed in paths: {path!r}")
     if path != "/" and path.endswith("/"):
         raise StbacError(f"trailing slash not allowed: {path!r}")
+    if "//" in path:
+        raise StbacError(f"empty path component not allowed: {path!r}")
     return path
 
 
@@ -345,20 +351,27 @@ def parse_init_config(text: str) -> InitConfig:
     config = InitConfig()
     for line_no, line in content_lines(text):
         fields = line.split()
-        directive, args = fields[0], fields[1:]
+        directive = fields[0]
         try:
             if directive == "node":
-                path, kind, exec_bit = args
+                # Fields are checked in the order their errors are reported;
+                # check_path runs only to name the rule a bad path breaks.
+                _, path, kind, exec_bit = fields
                 if kind not in ("file", "dir", "device"):
                     raise ConfigError(f"bad node kind {kind!r}")
-                config.nodes.append((check_path(path), kind, _parse_bit(exec_bit)))
+                if path != "/" and (path[0] != "/" or path[-1] == "/"
+                                    or "," in path or "//" in path):
+                    check_path(path)
+                if exec_bit != "0" and exec_bit != "1":
+                    raise ConfigError(f"expected 0 or 1, got {exec_bit!r}")
+                config.nodes.append((path, kind, exec_bit == "1"))
                 config.node_lines.append(line_no)
             elif directive in ("conf", "inte", "leak"):
-                (path,) = args
+                _, path = fields
                 config.marks.append((parse_flag(directive), check_path(path)))
                 config.mark_lines.append(line_no)
             elif directive == "hwm":
-                kind_name, limit, percent = args
+                _, kind_name, limit, percent = fields
                 kind = parse_resource(kind_name)
                 limit = ascii_int(limit)
                 percent = ascii_int(percent)
@@ -368,7 +381,7 @@ def parse_init_config(text: str) -> InitConfig:
                     raise ConfigError(f"system percentage {percent} outside (0,100]")
                 config.hwms[kind] = (limit, percent)
             elif directive == "cap":
-                kind_name, total = args
+                _, kind_name, total = fields
                 kind = parse_resource(kind_name)
                 total = ascii_int(total)
                 if total <= 0:
@@ -383,12 +396,6 @@ def parse_init_config(text: str) -> InitConfig:
     return config
 
 
-def _parse_bit(token: str) -> bool:
-    if token not in ("0", "1"):
-        raise ConfigError(f"expected 0 or 1, got {token!r}")
-    return token == "1"
-
-
 def spawn_boot_world(config: InitConfig) -> World:
     """Build the boot-time world: filesystem tree, labels, ledger, init process.
 
@@ -396,16 +403,19 @@ def spawn_boot_world(config: InitConfig) -> World:
     created later during replay, not to the configured tree.
     """
     world = World()
-    world.add_node("/", "dir")
+    world._insert("/", "dir", False, None)
     for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines,
                                                 strict=True):
         try:
-            _ensure_parents(world, path)
-            if world.lookup(path) is not None:
+            if path in world.path_index:
                 # A repeated node line, or a directory named after a deeper
                 # path created it implicitly: declare directories first.
                 raise ConfigError(f"duplicate path in config: {path}")
-            world.add_node(path, kind, exec_bits)
+            parent_path = parent_of(path)
+            parent_id = world.path_index.get(parent_path)
+            if parent_id is None:
+                parent_id = _make_dirs(world, parent_path)
+            world._insert(path, kind, exec_bits, parent_id)
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     for (flag, path), line_no in zip(config.marks, config.mark_lines, strict=True):
@@ -427,14 +437,18 @@ def spawn_boot_world(config: InitConfig) -> World:
     return world
 
 
-def _ensure_parents(world: World, path: str):
-    parents = []
-    current = parent_of(path)
-    while world.lookup(current) is None:
-        parents.append(current)
-        current = parent_of(current)
-    for parent_path in reversed(parents):
-        world.add_node(parent_path, "dir")
+def _make_dirs(world: World, path: str) -> int:
+    """Create the missing directory at path and every missing one above it,
+    as the boot config allows; the node id of the one at path."""
+    missing = []
+    parent_id = None
+    while parent_id is None:
+        missing.append(path)
+        path = parent_of(path)
+        parent_id = world.lookup(path)
+    for dir_path in reversed(missing):
+        parent_id = world._insert(dir_path, "dir", False, parent_id).node_id
+    return parent_id
 
 
 def serialize_config(world: World, ledger_lines: bool = True) -> str:

@@ -122,8 +122,10 @@ class TestReplayCommand:
         ("node /d/f file 0\nnode /d dir 0\n", "line 2: duplicate path in config: /d"),
         ("node /d dir 0\n\ninte /d\nconf /e\n",
          "line 4: flag conf on nonexistent path /e"),
+        ("node /d dir 0\nnode /d//f file 0\n",
+         "line 2: empty path component not allowed: '/d//f'"),
     ], ids=["repeated node", "directory after its implicit creation",
-            "mark on a missing path"])
+            "mark on a missing path", "empty path component"])
     def test_boot_tree_errors_name_their_line(self, bundle_dir, capsys, config,
                                               message):
         (bundle_dir / "init.cfg").write_text(config)
@@ -275,6 +277,24 @@ class TestFlagCommands:
         code = main(["set-flag", "--init", str(bundle_dir / "init.cfg"),
                      "/nope", "conf", "on"])
         assert code == 1
+
+    def test_set_flag_round_trip_keeps_implicit_directories(self, bundle_dir, capsys):
+        init = bundle_dir / "init.cfg"
+        init.write_text("node /a/b file 0\n")
+        assert main(["set-flag", "--init", str(init), "/a/b", "conf", "on"]) == 0
+        assert init.read_text() == "node /a dir 0\nnode /a/b file 0\nconf /a/b\n"
+        capsys.readouterr()
+        assert main(["get-flag", "--init", str(init), "--recursive", "/a"]) == 0
+        assert capsys.readouterr().out == "/a -\n/a/b conf\n"
+
+    def test_set_flag_refuses_an_empty_path_component(self, bundle_dir, capsys):
+        init = bundle_dir / "init.cfg"
+        init.write_text("node /a//b file 0\n")
+        code = main(["set-flag", "--init", str(init), "/a//b", "conf", "on"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: empty path component not allowed: '/a//b'\n")
+        assert init.read_text() == "node /a//b file 0\n"
 
     def test_snapshot_still_boots_after_rewrite(self, bundle_dir):
         init = bundle_dir / "init.cfg"

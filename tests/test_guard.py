@@ -212,6 +212,7 @@ class TestTrustMatching:
                     "trust /p *:* *:* icmp 0..inf",
                     "trust /p *:* *:* tcp 5",
                     "trust relative *:* *:* tcp 0..inf",
+                    "trust /usr//bin/sh *:* *:* tcp 0..inf",
                     "trust /p *:* *:* tcp 9..3"):
             with pytest.raises(ConfigError):
                 parse_trust_list(bad + "\n")

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from stbac import oracle
 from stbac import scenarios
@@ -14,10 +15,11 @@ from stbac.guard import (
     parse_trust_entry,
     parse_trust_list,
 )
-from stbac.model import TraceError
+from stbac.model import Flag, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
-from stbac.world import parent_of, parse_init_config, spawn_boot_world
+from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
 
+import boot_gen
 import trace_gen
 
 BOOT = parse_init_config(
@@ -269,6 +271,54 @@ class TestChildIndex:
         assert report.all_passed(), report.summary_lines()
         struct, _ = walk_structure(BOOT, TRUSTED, events, result.records)
         assert_structure_matches(struct, result.world)
+
+
+def structure_cell_by_cell(config):
+    """Reference _Structure build: every boot cell, and every missing
+    directory above it, through add_cell."""
+    struct = oracle._Structure(InitConfig())
+    for path, kind, exec_bits in config.nodes:
+        missing = []
+        parent = parent_of(path)
+        while parent not in struct.cells:
+            missing.append(parent)
+            parent = parent_of(parent)
+        for dir_path in reversed(missing):
+            struct.add_cell(dir_path, "dir", False, struct.cells[parent_of(dir_path)])
+        struct.add_cell(path, kind, exec_bits, struct.cells[parent_of(path)])
+    for flag, path in config.marks:
+        if flag is Flag.INTE and path in struct.cells:
+            struct.protected.add(struct.cells[path])
+    return struct
+
+
+def structure_shape(struct):
+    """Cells, kinds, exec bits, kids order and protection, with each listed
+    cell's liveness (whether it is still the cell at its path)."""
+    def live(cell):
+        return cell.path, struct.cells.get(cell.path) is cell
+    return {
+        "cells": [(path, cell.path, cell.kind, cell.exec_bits)
+                  for path, cell in struct.cells.items()],
+        "kids": [(live(d), [live(c) for c in kids]) for d, kids in struct.kids.items()],
+        "protected": sorted(live(c) for c in struct.protected),
+    }
+
+
+class TestBootStructure:
+    """_Structure(config) against a cell-by-cell reference build, on boot
+    configs the world accepts and on those it rejects."""
+
+    @given(boot_gen.boot_configs)
+    @example("node /a/b/c file 1\nnode /a dir 0\ninte /a\n")   # directory after its child
+    @example("node /a file 0\nnode /a/b/c dir 0\n")              # under a file
+    @example("node /a dir 0\nnode /a/b file 1\nnode /a file 1\ninte /a\n")  # replaced
+    @example("node / file 1\nnode /a dir 0\n")                   # "/" replaced
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cell_by_cell_build(self, text):
+        config = parse_init_config(text)
+        assert (structure_shape(oracle._Structure(config))
+                == structure_shape(structure_cell_by_cell(config)))
 
 
 class TestIndependence:

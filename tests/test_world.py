@@ -5,20 +5,33 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stbac
 from stbac import engine
 from stbac.engine import FlagChange, parse_trace, replay
-from stbac.model import ConfigError, Flag, ResourceKind, StbacError, TraceError, allow
+from stbac.model import (
+    FLAG_NAMES,
+    ConfigError,
+    Flag,
+    ResourceKind,
+    StbacError,
+    TraceError,
+    allow,
+)
 from stbac.world import (
     INIT_PID,
+    InitConfig,
     World,
+    check_path,
     classify,
     parse_init_config,
     parent_of,
     serialize_config,
     spawn_boot_world,
 )
+
+import boot_gen
 
 
 def boot(text):
@@ -70,6 +83,113 @@ class TestBoot:
     def test_unknown_directive_rejected(self):
         with pytest.raises(ConfigError, match="unknown directive"):
             parse_init_config("frob /x\n")
+
+
+def boot_node_by_node(config):
+    """Reference boot: every node, and every missing directory above it,
+    through World.add_node; marks through World.set_flags."""
+    world = spawn_boot_world(InitConfig())
+    for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines):
+        try:
+            if world.lookup(path) is not None:
+                raise ConfigError(f"duplicate path in config: {path}")
+            missing = []
+            parent = parent_of(path)
+            while world.lookup(parent) is None:
+                missing.append(parent)
+                parent = parent_of(parent)
+            for dir_path in reversed(missing):
+                world.add_node(dir_path, "dir")
+            world.add_node(path, kind, exec_bits)
+        except StbacError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    for (flag, path), line_no in zip(config.marks, config.mark_lines):
+        if world.lookup(path) is None:
+            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
+                              f"on nonexistent path {path}")
+        node = world.node_at(path)
+        world.set_flags(("file", node.node_id), node.flags | flag)
+    for kind, (limit, percent) in config.hwms.items():
+        world.ledger.hwm_st[kind] = limit
+        world.ledger.hwm_sys[kind] = percent
+        world.set_flags(("res", kind), Flag.AVAI)
+    for kind, total in config.caps.items():
+        world.ledger.caps[kind] = total
+        world.set_flags(("res", kind), Flag.AVAI)
+        if kind not in config.hwms:
+            world.ledger.hwm_st[kind] = total // 2
+    return world
+
+
+def boot_state(world):
+    """Everything boot decides, in insertion order where the world keeps one."""
+    return {
+        "nodes": [(n.node_id, n.path, n.parent, n.kind, n.exec_bits, n.flags)
+                  for n in world.fs.values()],
+        "kids": [(d, [(c, node is world.fs[c]) for c, node in kids.items()])
+                 for d, kids in world.kids.items()],
+        "path_index": list(world.path_index.items()),
+        "tainted": world.tainted,
+        "ledger": world.ledger,
+        "processes": [(p.pid, p.parent, p.flags) for p in world.processes.values()],
+        "next_node_id": world.next_node_id,
+    }
+
+
+def boot_outcome(build, config):
+    try:
+        return boot_state(build(config))
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestBootDifferential:
+    """spawn_boot_world against a node-by-node reference build."""
+
+    @given(boot_gen.boot_configs)
+    @example("node /a/b/c file 1\nnode /a dir 0\n")       # directory after its child
+    @example("node /a file 0\nnode /a/b/c dir 0\n")       # under a file, parents missing
+    @example("node /a file 0\nnode /a device 1\n")        # repeated path
+    @example("node /a dir 0\nconf /a/b\n")                # mark on a missing path
+    @example("node / dir 0\n")
+    @example("node /c/b dir 0\nnode /a/b/c file 1\nnode /c/a file 0\ninte /c\n"
+             "leak /a/b/c\nhwm cpu_ticks 3 40\ncap net_bytes 9\ncap cpu_ticks 7\n")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_node_by_node_boot(self, text):
+        config = parse_init_config(text)
+        assert boot_outcome(spawn_boot_world, config) == boot_outcome(boot_node_by_node,
+                                                                     config)
+
+    @given(st.text(alphabet="/a,.", min_size=1, max_size=8))
+    @example("/a//b")
+    @example("//")
+    @example("/")
+    @settings(max_examples=300, deadline=None)
+    def test_node_lines_check_paths_as_check_path_does(self, path):
+        try:
+            check_path(path)
+            expected = None
+        except StbacError as exc:
+            expected = f"line 1: {exc}"
+        try:
+            parse_init_config(f"node {path} file 0\n")
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("line,message", [
+        ("conf /a//b", "line 1: empty path component not allowed: '/a//b'"),
+        ("node /a// file 0", "line 1: trailing slash not allowed: '/a//'"),
+        ("node a//b sock 0", "line 1: bad node kind 'sock'"),
+        ("node a//b file 2", "line 1: path must be absolute: 'a//b'"),
+        ("node /a file 2", "line 1: expected 0 or 1, got '2'"),
+        ("node /a file", "line 1: malformed directive: node /a file"),
+    ])
+    def test_node_line_errors_keep_their_order(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_init_config(line + "\n")
+        assert str(info.value) == message
 
 
 class TestLookup:
