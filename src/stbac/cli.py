@@ -246,7 +246,7 @@ def cmd_trust_add(args) -> int:
     line = (f"trust {args.program} {args.local} {args.remote}"
             f" {args.proto} {args.span}")
     entry = parse_trust_entry(line)
-    text = _read(args.trust) if _exists(args.trust) else ""
+    text = _read(args.trust) if os.path.exists(args.trust) else ""
     if text and not text.endswith("\n"):
         text += "\n"
     _write(args.trust, text + format_trust_entry(entry) + "\n")
@@ -270,7 +270,7 @@ def cmd_trust_list(args) -> int:
 
 
 def cmd_pcopy_add(args) -> int:
-    text = _read(args.pcopy) if _exists(args.pcopy) else ""
+    text = _read(args.pcopy) if os.path.exists(args.pcopy) else ""
     pcopy = parse_pcopy_map(text)
     if args.shared in pcopy.entries:
         print(f"error: {args.shared} already mapped", file=sys.stderr)
@@ -299,10 +299,6 @@ def cmd_pcopy_list(args) -> int:
     for shared, copy in sorted(pcopy.entries.items()):
         print(f"pcopy {shared} {copy}")
     return EXIT_OK
-
-
-def _exists(path) -> bool:
-    return os.path.exists(path)
 
 
 if __name__ == "__main__":

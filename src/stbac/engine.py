@@ -12,6 +12,11 @@ _Replayer._apply_mutation is the one place a replay applies them, through
 World.set_flags.  The world, not the engine, owns the tainted set and its
 epoch; tainted_snapshot only reads them.
 
+The engine is the one place that checks trace input: paths, kinds, exec
+bits, live pids, socket owners and amounts are checked in the handlers
+before any guard or rule is asked, and the rules and World.add_node trust
+their arguments.
+
 Audit line shape (one per event):
 
     <4>{tick},{pid}:{exe},{object},{op},{param},{RESULT}
@@ -371,8 +376,9 @@ class _Replayer:
     def _ev_fork(self, proc, ev):
         child_pid = _int_arg(ev.args[0], "child pid", ev)
         child = self.world.spawn(proc, child_pid)
-        decision = allow(taint.tr_proc_proc(self.world, proc, child, "fork_child"))
-        decision.add(vital.vr_proc_proc(self.world, proc, child))
+        decision = allow()
+        decision.add(taint.tr_proc_proc(proc, child))
+        decision.add(vital.vr_proc_proc(proc, child))
         return decision, f"pid:{child_pid}", "-"
 
     def _ev_exit(self, proc, ev):
@@ -383,17 +389,22 @@ class _Replayer:
 
     def _ev_pipe(self, proc, ev):
         reader = self.world.live_process(_int_arg(ev.args[0], "reader pid", ev))
-        decision = allow(taint.tr_proc_proc(self.world, proc, reader, "pipe_msg"))
+        decision = allow()
+        decision.add(taint.tr_proc_proc(proc, reader))
         return decision, f"pid:{reader.pid}", "-"
 
     def _ev_shmat(self, proc, ev):
         peer = self.world.live_process(_int_arg(ev.args[0], "peer pid", ev))
-        decision = allow(taint.tr_proc_proc(self.world, proc, peer, "shm_attach"))
+        # Shared memory has no direction: each side reads the other.
+        decision = allow()
+        decision.add(taint.tr_proc_proc(proc, peer))
+        decision.add(taint.tr_proc_proc(peer, proc))
         return decision, f"pid:{peer.pid}", "-"
 
     def _ev_msgrcv(self, proc, ev):
         sender = self.world.live_process(_int_arg(ev.args[0], "sender pid", ev))
-        decision = allow(taint.tr_proc_proc(self.world, sender, proc, "msgq_recv"))
+        decision = allow()
+        decision.add(taint.tr_proc_proc(sender, proc))
         return decision, f"pid:{sender.pid}", "-"
 
     # -- filesystem --------------------------------------------------------------
@@ -401,11 +412,11 @@ class _Replayer:
     def _ev_open_read(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         op_kind = "read_dir" if node.kind == "dir" else "read_file"
-        decision = pr_conf(self.world, proc, node, op_kind, self.policy.pcopy)
+        decision = pr_conf(proc, node, op_kind, self.policy.pcopy)
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
-                decision.add(vital.vr_file_proc(self.world, proc, target, "read"))
+                decision.add(vital.vr_file_proc(proc, target, "read"))
                 decision.mutations.extend(self._drain_fifo(proc, target))
         return decision, node.path, "-"
 
@@ -413,11 +424,11 @@ class _Replayer:
         node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot write a directory: {node.path}", ev.line)
-        decision = pr_inte(self.world, proc, node, "write", self.policy.pcopy)
+        decision = pr_inte(proc, node, "write", self.policy.pcopy)
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
-                self._write_mutations(decision, proc, target, "write")
+                self._write_mutations(decision, proc, target)
                 if target.node_id in self.world.fifos:
                     queue = self.world.fifo_queues.setdefault(target.node_id, [])
                     queue.append((proc.pid, Flag.TAINT in proc.flags))
@@ -427,11 +438,11 @@ class _Replayer:
         path = self._fresh_path(ev.args[0], ev)
         exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
         parent = self._parent_dir(path, ev)
-        decision = pr_inte(self.world, proc, parent, "create_in_dir")
+        decision = pr_inte(proc, parent, "create_in_dir")
         if decision.allowed:
-            node = self.world.add_node(path, "file", exec_bits)
-            decision.add(vital.vr_dir_dir(self.world, parent, node))
-            self._write_mutations(decision, proc, node, "create")
+            node = self.world.add_node(path, "file", exec_bits, parent.node_id)
+            decision.add(vital.vr_dir_dir(parent, node))
+            self._write_mutations(decision, proc, node)
         return decision, path, f"exec={int(exec_bits)}"
 
     def _ev_make_node(self, proc, ev):
@@ -445,46 +456,46 @@ class _Replayer:
             kind = "dir" if ev.op == "mkdir" else "fifo"
         path = self._fresh_path(ev.args[0], ev)
         parent = self._parent_dir(path, ev)
-        decision = pr_inte(self.world, proc, parent, "create_in_dir")
+        decision = pr_inte(proc, parent, "create_in_dir")
         if decision.allowed:
-            node = self.world.add_node(path, "file" if kind == "fifo" else kind)
+            node = self.world.add_node(path, "file" if kind == "fifo" else kind,
+                                       False, parent.node_id)
             if kind == "fifo":
                 self.world.fifos.add(node.node_id)
-            decision.add(vital.vr_dir_dir(self.world, parent, node))
+            decision.add(vital.vr_dir_dir(parent, node))
         return decision, path, "-" if kind == "dir" else kind
 
     def _ev_chmod(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
-        decision = pr_inte(self.world, proc, node, "chmod", self.policy.pcopy)
+        decision = pr_inte(proc, node, "chmod", self.policy.pcopy)
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
                 became_set = exec_bits and not target.exec_bits
                 target.exec_bits = exec_bits
                 if became_set:
-                    decision.add(taint.tr_proc_exe(self.world, proc, target,
-                                                   "chmod_set_exec"))
+                    decision.add(taint.tr_proc_exe(proc, target))
         return decision, node.path, f"exec={int(exec_bits)}"
 
     def _ev_truncate(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot truncate a directory: {node.path}", ev.line)
-        decision = pr_inte(self.world, proc, node, "truncate", self.policy.pcopy)
+        decision = pr_inte(proc, node, "truncate", self.policy.pcopy)
         return decision, node.path, "-"
 
     def _ev_chown(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         uid = _int_arg(ev.args[1], "uid", ev)
-        decision = pr_inte(self.world, proc, node, "chown")
+        decision = pr_inte(proc, node, "chown")
         return decision, node.path, f"uid={uid}"
 
     def _ev_unlink(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"unlink of a directory: {node.path}", ev.line)
-        decision = pr_inte(self.world, proc, node, "delete")
+        decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-"
@@ -497,7 +508,7 @@ class _Replayer:
             raise TraceError("cannot remove /", ev.line)
         if self.world.children(node):
             raise TraceError(f"directory not empty: {node.path}", ev.line)
-        decision = pr_inte(self.world, proc, node, "delete")
+        decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-"
@@ -509,19 +520,18 @@ class _Replayer:
         dst_path = _path_arg(ev.args[1], ev)
         if dst_path == src.path or dst_path.startswith(src.path + "/"):
             raise TraceError(f"cannot rename {src.path} into itself", ev.line)
-        dst_id = self.world.lookup(dst_path)
         dst_parent = self._parent_dir(dst_path, ev)
-        decision = pr_inte(self.world, proc, src, "rename")
-        if decision.allowed and dst_id is not None:
-            decision = pr_inte(self.world, proc, self.world.fs[dst_id], "delete")
+        dst_id = self.world.lookup(dst_path)
+        overwritten = None if dst_id is None else self.world.fs[dst_id]
+        if overwritten is not None and overwritten.kind == "dir":
+            raise TraceError(f"rename target is a directory: {dst_path}", ev.line)
+        decision = pr_inte(proc, src, "rename")
+        if decision.allowed and overwritten is not None:
+            decision = pr_inte(proc, overwritten, "delete")
         if decision.allowed:
-            decision = pr_inte(self.world, proc, dst_parent, "rename_into")
+            decision = pr_inte(proc, dst_parent, "rename_into")
         if decision.allowed:
-            if dst_id is not None:
-                overwritten = self.world.fs[dst_id]
-                if overwritten.kind == "dir":
-                    raise TraceError(f"rename target is a directory: {dst_path}",
-                                     ev.line)
+            if overwritten is not None:
                 self.world.remove_node(overwritten)
             self.world.repath(src, dst_path)
         return decision, ev.args[0], dst_path
@@ -535,16 +545,18 @@ class _Replayer:
         if not node.exec_bits:
             raise TraceError(f"{node.path} is not executable", ev.line)
         decision = allow()
-        decision.add(taint.tr_exe_proc(self.world, proc, node, "execve"))
-        decision.add(vital.vr_file_proc(self.world, proc, node, "execve"))
+        decision.add(taint.tr_exe_proc(proc, node))
+        decision.add(vital.vr_file_proc(proc, node, "execve"))
         proc.exe = node.node_id
         proc.exe_path = node.path
         return decision, node.path, "-"
 
     def _ev_mmap_exec(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
+        if node.kind != "file":
+            raise TraceError(f"{node.path} is not a regular file", ev.line)
         decision = allow()
-        decision.add(taint.tr_exe_proc(self.world, proc, node, "mmap_exec"))
+        decision.add(taint.tr_exe_proc(proc, node))
         return decision, node.path, "-"
 
     # -- privileged operations --------------------------------------------------
@@ -552,7 +564,7 @@ class _Replayer:
     def _ev_privileged(self, proc, ev):
         """mount, umount, setrlimit, reboot, swapoff, create/delete_module:
         the op itself is the integrity-guarded kind."""
-        decision = pr_inte(self.world, proc, None, ev.op)
+        decision = pr_inte(proc, None, ev.op)
         obj = ev.args[0] if ev.args else "-"
         return decision, obj, "-"
 
@@ -560,21 +572,21 @@ class _Replayer:
         """setuid, setgid, setfsuid; only setuid's new id is modeled."""
         what = "gid" if ev.op == "setgid" else "uid"
         ident = _int_arg(ev.args[0], what, ev)
-        decision = pr_inte(self.world, proc, None, "setuid_family")
+        decision = pr_inte(proc, None, "setuid_family")
         if decision.allowed and ev.op == "setuid":
             proc.uid = ident
         return decision, "-", f"{what}={ident}"
 
     def _ev_kill(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
-        decision = pr_inte(self.world, proc, target, "kill")
+        decision = pr_inte(proc, target, "kill")
         # Signal delivery itself is not modeled; a dying target shows up
         # in the trace as its own exit event.
         return decision, f"pid:{target.pid}", "-"
 
     def _ev_ptrace(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
-        decision = pr_conf(self.world, proc, target, "ptrace")
+        decision = pr_conf(proc, target, "ptrace")
         return decision, f"pid:{target.pid}", "-"
 
     # -- network ---------------------------------------------------------------
@@ -591,7 +603,7 @@ class _Replayer:
         sock = self.world.open_socket(sock_id, proc.pid, local, remote, proto,
                                       trusted)
         decision = allow()
-        decision.add(taint.tr_sock_proc(self.world, proc, sock))
+        decision.add(taint.tr_sock_proc(proc, sock))
         param = (f"{local[0]}:{local[1]}->{remote[0]}:{remote[1]}/{proto}")
         return decision, f"sock:{sock_id}", param
 
@@ -615,8 +627,7 @@ class _Replayer:
             self.world.ledger.charge(proc, ResourceKind.NET_BYTES, amount)
             if peer is not None:
                 source, sink = (proc, peer) if sending else (peer, proc)
-                decision.mutations.extend(
-                    taint.tr_proc_proc(self.world, source, sink, "local_socket_msg"))
+                decision.add(taint.tr_proc_proc(source, sink))
         return decision, f"sock:{sock.sock_id}", param
 
     # -- resource allocation ------------------------------------------------------
@@ -649,7 +660,7 @@ class _Replayer:
         if (flag is Flag.AVAI) != (ref[0] == "res"):
             target = "resource kinds" if flag is Flag.AVAI else "processes and nodes"
             raise TraceError(f"flag {FLAG_NAMES[flag]} only applies to {target}", ev.line)
-        decision = pr_inte(self.world, proc, None, "set_stbac_attr")
+        decision = pr_inte(proc, None, "set_stbac_attr")
         if decision.allowed:
             added, cleared = (flag, NO_FLAGS) if on else (NO_FLAGS, flag)
             decision.add(FlagMutation(ref, "set_stbac_attr", None, added, cleared))
@@ -657,7 +668,7 @@ class _Replayer:
 
     def _ev_get_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
-        decision = pr_conf(self.world, proc, None, "get_stbac_attr")
+        decision = pr_conf(proc, None, "get_stbac_attr")
         if decision.allowed:
             return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}"
         return decision, obj, "-"
@@ -680,12 +691,12 @@ class _Replayer:
 
     # -- shared pieces -------------------------------------------------------------
 
-    def _write_mutations(self, decision, proc, node, action):
-        decision.add(taint.tr_proc_exe(self.world, proc, node, action))
+    def _write_mutations(self, decision, proc, node):
+        decision.add(taint.tr_proc_exe(proc, node))
         # Partial copies hold the non-secret subset by construction, so the
         # secrecy spread of a leak-capable writer stops at them.
         if node.path not in self.copy_paths:
-            decision.add(vital.vr_proc_file(self.world, proc, node, action))
+            decision.add(vital.vr_proc_file(proc, node))
 
     def _drain_fifo(self, proc, node) -> list:
         if node.node_id not in self.world.fifos:

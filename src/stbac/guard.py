@@ -76,7 +76,7 @@ class PartialCopyMap:
         return set(self.entries.values())
 
 
-def pr_conf(world: World, process: Process, target, op_kind: str,
+def pr_conf(process: Process, target, op_kind: str,
             pcopy: PartialCopyMap | None = None) -> Decision:
     """Confidentiality: tainted subjects may not read secret objects.
 
@@ -98,7 +98,7 @@ def pr_conf(world: World, process: Process, target, op_kind: str,
     return deny(ProtRule.CONF)
 
 
-def pr_inte(world: World, process: Process, target, op_kind: str,
+def pr_inte(process: Process, target, op_kind: str,
             pcopy: PartialCopyMap | None = None) -> Decision:
     """Integrity: tainted subjects may not modify protected objects nor run
     the privileged calls that would subvert them.
@@ -133,10 +133,9 @@ def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> 
     The check is predictive (the post-allocation value is compared) and
     strict: landing exactly on a mark is allowed.  Health processes are
     bounded only by the system capacity, which is an error condition
-    rather than a denial.  Pure; the engine charges the ledger on allow.
+    rather than a denial.  Pure; the engine checks that amount is positive
+    and charges the ledger on allow.
     """
-    if amount <= 0:
-        raise StbacError(f"allocation amount must be positive, got {amount}")
     ledger = world.ledger
     cap = ledger.caps[kind]
     allocated = ledger.allocated_sys[kind]

@@ -202,21 +202,16 @@ class Verdict(str, enum.Enum):
 class Decision:
     """Outcome of consulting the protection rules for one access.
 
-    A deny carries the rule that fired and never carries mutations; a
-    redirected allow carries the substitute path.  The engine attaches the
-    flag mutations implied by the access before applying them.
+    Built only through allow(), deny(rule) and redirect(path): a deny
+    carries the rule that fired, a redirected allow the substitute path.
+    The engine attaches the flag mutations implied by an allowed access
+    before applying them.
     """
 
     verdict: Verdict
     rule: ProtRule | None = None
     redirect_path: str | None = None
     mutations: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.verdict is Verdict.DENY and self.mutations:
-            raise ValueError("a denial must not carry mutations")
-        if self.verdict is Verdict.ALLOW_REDIRECTED and not self.redirect_path:
-            raise ValueError("a redirected allow needs a redirect path")
 
     @property
     def allowed(self) -> bool:
@@ -236,8 +231,8 @@ class Decision:
         return f"DENY({self.rule.value})"
 
 
-def allow(mutations=None) -> Decision:
-    return Decision(Verdict.ALLOW, mutations=list(mutations or ()))
+def allow() -> Decision:
+    return Decision(Verdict.ALLOW)
 
 
 def deny(rule: ProtRule) -> Decision:

@@ -3,22 +3,19 @@
 CONF/INTE descend from directories to new entries, CONF/LEAK descend from
 parent to child process, and the leak mechanism spreads CONF selectively:
 only a process carrying both CONF and LEAK writes secrecy into files.
-Nothing here ever removes INTE from anything.  Each rule returns the
-FlagMutation an event implies, or None; the engine applies it.
+Nothing here ever removes INTE from anything.  Each rule is a pure function
+of the entities it reads and returns the FlagMutation an event implies, or
+None; the engine has checked the trace first and applies the mutation.
 """
 
 from __future__ import annotations
 
-from .model import Flag, FlagMutation, NO_FLAGS, StbacError, VitalRule, file_ref, proc_ref
-from .world import Process, FsNode, World
+from .model import Flag, FlagMutation, NO_FLAGS, VitalRule, file_ref, proc_ref
+from .world import Process, FsNode
 
 
-def vr_dir_dir(world: World, parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
+def vr_dir_dir(parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
     """A new entry inherits CONF and INTE from its directory, at creation only."""
-    if parent_dir.kind != "dir":
-        raise StbacError(f"{parent_dir.path} is not a directory")
-    if new_node.parent != parent_dir.node_id:
-        raise StbacError(f"{new_node.path} is not an entry of {parent_dir.path}")
     inherited = parent_dir.flags & (Flag.CONF | Flag.INTE)
     if inherited is NO_FLAGS:
         return None
@@ -26,7 +23,7 @@ def vr_dir_dir(world: World, parent_dir: FsNode, new_node: FsNode) -> FlagMutati
                         file_ref(parent_dir.node_id), inherited)
 
 
-def vr_proc_proc(world: World, parent: Process, child: Process) -> FlagMutation | None:
+def vr_proc_proc(parent: Process, child: Process) -> FlagMutation | None:
     """A new process inherits CONF and LEAK from its parent, at creation only."""
     inherited = parent.flags & (Flag.CONF | Flag.LEAK)
     if inherited is NO_FLAGS:
@@ -35,39 +32,27 @@ def vr_proc_proc(world: World, parent: Process, child: Process) -> FlagMutation 
                         proc_ref(parent.pid), inherited)
 
 
-def vr_proc_file(world: World, process: Process, node: FsNode,
-                 action: str) -> FlagMutation | None:
+def vr_proc_file(process: Process, node: FsNode) -> FlagMutation | None:
     """Selective secrecy spread: a writer carrying both CONF and LEAK marks
     the written file CONF.
 
     Writing is never denied on this path; a writer holding only one of the
     two bits spreads nothing.
     """
-    if action not in ("create", "write"):
-        raise StbacError(f"bad vital action {action!r}")
-    if node.kind != "file":
-        raise StbacError(f"{node.path} is not a regular file")
     if Flag.CONF in process.flags and Flag.LEAK in process.flags:
         return FlagMutation(file_ref(node.node_id), VitalRule.PROC_FILE,
                             proc_ref(process.pid), Flag.CONF)
     return None
 
 
-def vr_file_proc(world: World, process: Process, node: FsNode,
-                 action: str) -> FlagMutation | None:
-    """Exec resets CONF/LEAK and inherits LEAK from the image; reading a
-    CONF file marks the reader CONF.
+def vr_file_proc(process: Process, node: FsNode, action: str) -> FlagMutation | None:
+    """Exec ("execve") resets CONF/LEAK and inherits LEAK from the image;
+    reading ("read") a CONF file marks the reader CONF.
 
     The exec reset applies uniformly to every process; taint is untouched
     either way.
     """
-    if action not in ("execve", "read"):
-        raise StbacError(f"bad vital action {action!r}")
-    if node.kind != "file":
-        raise StbacError(f"{node.path} is not a regular file")
     if action == "execve":
-        if not node.exec_bits:
-            raise StbacError(f"{node.path} is not executable")
         cleared = process.flags & (Flag.CONF | Flag.LEAK)
         added = node.flags & Flag.LEAK
         if cleared is NO_FLAGS and added is NO_FLAGS:

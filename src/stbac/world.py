@@ -179,20 +179,11 @@ class World:
         except KeyError:
             raise UnknownEntity(f"no such socket {sock_id}") from None
 
-    def add_node(self, path: str, kind: str, exec_bits: bool = False) -> FsNode:
-        """Insert a node; the parent directory must already exist."""
-        if path in self.path_index:
-            raise StbacError(f"path exists: {path}")
-        parent_path = parent_of(path)
-        parent_id = self.path_index.get(parent_path)
-        if parent_id is None:
-            raise UnknownEntity(f"missing parent directory {parent_path}")
-        return self._insert(path, kind, exec_bits, parent_id)
-
-    def _insert(self, path: str, kind: str, exec_bits: bool,
-                parent_id: int | None) -> FsNode:
+    def add_node(self, path: str, kind: str, exec_bits: bool,
+                 parent_id: int | None) -> FsNode:
         """Insert a node at a free path straight under the node parent_id,
-        which must be a directory (None only for "/")."""
+        which must be a directory (None only for "/").  The one inserter:
+        callers check that the path is free and is an entry of parent_id."""
         siblings = None
         if parent_id is not None:
             siblings = self.kids.get(parent_id)
@@ -403,7 +394,7 @@ def spawn_boot_world(config: InitConfig) -> World:
     created later during replay, not to the configured tree.
     """
     world = World()
-    world._insert("/", "dir", False, None)
+    world.add_node("/", "dir", False, None)
     for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines,
                                                 strict=True):
         try:
@@ -415,7 +406,7 @@ def spawn_boot_world(config: InitConfig) -> World:
             parent_id = world.path_index.get(parent_path)
             if parent_id is None:
                 parent_id = _make_dirs(world, parent_path)
-            world._insert(path, kind, exec_bits, parent_id)
+            world.add_node(path, kind, exec_bits, parent_id)
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     for (flag, path), line_no in zip(config.marks, config.mark_lines, strict=True):
@@ -447,7 +438,7 @@ def _make_dirs(world: World, path: str) -> int:
         path = parent_of(path)
         parent_id = world.lookup(path)
     for dir_path in reversed(missing):
-        parent_id = world._insert(dir_path, "dir", False, parent_id).node_id
+        parent_id = world.add_node(dir_path, "dir", False, parent_id).node_id
     return parent_id
 
 

@@ -124,10 +124,10 @@ def test_criterion_4a_report():
 
 
 DISABLED_RULES = [
-    ("tr_sock_proc", lambda world, process, socket: None, "remote_user"),
-    ("tr_proc_proc", lambda world, source, sink, channel: [], "remote_user"),
-    ("tr_proc_exe", lambda world, process, node, action: None, "web_download"),
-    ("tr_exe_proc", lambda world, process, node, action: None, "web_download"),
+    ("tr_sock_proc", lambda process, socket: None, "remote_user"),
+    ("tr_proc_proc", lambda source, sink: None, "remote_user"),
+    ("tr_proc_exe", lambda process, node: None, "web_download"),
+    ("tr_exe_proc", lambda process, node: None, "web_download"),
 ]
 
 # The first entity each rule marks in its scenario.

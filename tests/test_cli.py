@@ -100,15 +100,15 @@ class TestReplayCommand:
         ("1,1,fork,3\n2,3,exit\n3,1,set_stbac_attr,pid:3,taint,1\n",
          "line 3: pid 3 has exited"),
         ("1,1,fork,3\n2,3,exit\n3,1,get_stbac_attr,pid:3\n", "line 3: pid 3 has exited"),
+        ("1,1,mmap_exec,/etc\n", "line 1: /etc is not a regular file"),
     ])
-    def test_empty_ip_and_exited_pid_exit_two_with_line(self, bundle_dir, capsys,
-                                                         trace, message):
+    def test_bad_events_exit_two_with_line(self, bundle_dir, capsys, trace, message):
         (bundle_dir / "trace").write_text(trace)
         for command in ("replay", "check"):
             code = main([command, "--init", str(bundle_dir / "init.cfg"),
                          str(bundle_dir / "trace")])
             assert code == 2
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_config_exits_two(self, bundle_dir, capsys):
         (bundle_dir / "init.cfg").write_text("node /x file 0\nnode /x file 0\n")
@@ -124,8 +124,9 @@ class TestReplayCommand:
          "line 4: flag conf on nonexistent path /e"),
         ("node /d dir 0\nnode /d//f file 0\n",
          "line 2: empty path component not allowed: '/d//f'"),
+        ("node /a file 0\nnode /a/b file 0\n", "line 2: parent is not a directory: /a"),
     ], ids=["repeated node", "directory after its implicit creation",
-            "mark on a missing path", "empty path component"])
+            "mark on a missing path", "empty path component", "entry under a file"])
     def test_boot_tree_errors_name_their_line(self, bundle_dir, capsys, config,
                                               message):
         (bundle_dir / "init.cfg").write_text(config)
@@ -235,8 +236,7 @@ class TestCheckCommand:
 
     def test_broken_engine_reports_divergence(self, tmp_path, capsys, monkeypatch):
         import stbac.taint
-        monkeypatch.setattr(stbac.taint, "tr_exe_proc",
-                            lambda world, process, node, action: None)
+        monkeypatch.setattr(stbac.taint, "tr_exe_proc", lambda process, node: None)
         args, _ = scenario_args("web_download", tmp_path)
         assert main(["check", *args]) == 1
         out = capsys.readouterr().out

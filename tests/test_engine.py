@@ -322,12 +322,67 @@ class TestRename:
             run("1,1,rename,/,/x\n")
 
 
+    @pytest.mark.parametrize("tainted", [False, True])
+    def test_rename_onto_a_directory_rejected_whatever_the_verdict(self, tainted):
+        # /sbin/d inherits INTE from /sbin, so a tainted renamer would be
+        # denied; the bad target is reported before the guard is asked
+        taint = "3,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n" if tainted else ""
+        with pytest.raises(TraceError) as info:
+            run("1,1,mkdir,/sbin/d\n2,1,create,/tmp/f,0\n" + taint
+                + "4,1,rename,/tmp/f,/sbin/d\n")
+        assert str(info.value) == f"line {3 + tainted}: rename target is a directory: /sbin/d"
+
+
 class TestRmdir:
     def test_rmdir_of_root_rejected(self):
         world = spawn_boot_world(parse_init_config(""))
         with pytest.raises(TraceError, match="line 1: cannot remove /"):
             replay(world, parse_trace("1,1,rmdir,/\n"))
         assert world.lookup("/") is not None
+
+
+class TestTraceChecks:
+    """The engine checks every trace fact before a guard or rule sees it."""
+
+    @pytest.mark.parametrize("trace,message", [
+        ("1,1,execve,/tmp", "cannot exec dir /tmp"),
+        ("1,1,execve,/etc/passwd", "/etc/passwd is not executable"),
+        ("1,1,open_write,/tmp", "cannot write a directory: /tmp"),
+        ("1,1,mmap_exec,/tmp", "/tmp is not a regular file"),
+        ("1,1,mknod,/tmp/dev,device\n2,1,mmap_exec,/tmp/dev", "/tmp/dev is not a regular file"),
+        ("1,1,brk_alloc,0", "allocation must be positive, got 0"),
+        ("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n2,1,sock_send,1,0",
+         "byte count must be positive, got 0"),
+        ("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n2,1,fork,2\n3,2,sock_send,1,5",
+         "socket 1 belongs to pid 1"),
+        ("1,1,fork,2\n2,2,exit\n3,1,pipe,2", "pid 2 has exited"),
+        ("1,1,create,/etc/passwd,0", "path exists: /etc/passwd"),
+        ("1,1,mkdir,/tmp", "path exists: /tmp"),
+        ("1,1,create,/none/f,0", "missing parent directory /none"),
+        ("1,1,mkdir,/none/d", "missing parent directory /none"),
+        ("1,1,create,/etc/passwd/f,0", "parent is not a directory: /etc/passwd"),
+        ("1,1,mkdir,/etc/passwd/d", "parent is not a directory: /etc/passwd"),
+    ], ids=["execve dir", "execve non-executable", "open_write dir", "mmap_exec dir",
+            "mmap_exec device", "brk_alloc 0", "sock_send 0", "sock_send foreign socket",
+            "pipe to exited pid", "create over existing", "mkdir over existing",
+            "create under missing", "mkdir under missing", "create under file",
+            "mkdir under file"])
+    def test_bad_trace_input_names_its_line(self, trace, message):
+        line = trace.count("\n") + 1
+        with pytest.raises(TraceError) as info:
+            run(trace + "\n")
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_shmat_spreads_taint_both_ways(self):
+        # either side of an attach may be the tainted one
+        untrusted = "socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp"
+        for trace in (f"1,1,fork,2\n2,1,fork,3\n3,3,{untrusted}\n4,2,shmat,3\n",
+                      f"1,1,fork,2\n2,1,fork,3\n3,2,{untrusted}\n4,2,shmat,3\n"):
+            result = run(trace)
+            assert Flag.TAINT in result.world.processes[2].flags
+            assert Flag.TAINT in result.world.processes[3].flags
+            assert len(result.records[3].flag_changes) == 1
 
 
 def scanned_snapshot(world):

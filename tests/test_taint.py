@@ -1,6 +1,6 @@
 import pytest
 
-from stbac.model import Flag, StbacError, TaintRule
+from stbac.model import Flag, TaintRule
 from stbac.taint import tr_exe_proc, tr_proc_exe, tr_proc_proc, tr_sock_proc
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -24,27 +24,21 @@ def make_socket(world, owner, trusted):
 class TestSockProc:
     def test_untrusted_socket_taints_owner(self, world):
         sock = make_socket(world, INIT_PID, trusted=False)
-        mutation = tr_sock_proc(world, proc(world), sock)
+        mutation = tr_sock_proc(proc(world), sock)
         assert mutation.rule is TaintRule.SOCK_PROC
         assert mutation.target == ("proc", INIT_PID)
         assert mutation.cause == ("sock", sock.sock_id)
 
     def test_trusted_socket_spreads_nothing(self, world):
         sock = make_socket(world, INIT_PID, trusted=True)
-        assert tr_sock_proc(world, proc(world), sock) is None
+        assert tr_sock_proc(proc(world), sock) is None
 
     def test_already_tainted_owner_is_idempotent(self, world):
         p = proc(world)
         p.flags |= Flag.TAINT
         sock = make_socket(world, INIT_PID, trusted=False)
-        mutation = tr_sock_proc(world, p, sock)
+        mutation = tr_sock_proc(p, sock)
         assert mutation is not None  # applying it again changes nothing
-
-    def test_socket_owner_mismatch_is_an_error(self, world):
-        child = world.spawn(proc(world), 2)
-        sock = make_socket(world, INIT_PID, trusted=False)
-        with pytest.raises(StbacError, match="belong"):
-            tr_sock_proc(world, child, sock)
 
 
 class TestProcProc:
@@ -52,34 +46,21 @@ class TestProcProc:
         parent = proc(world)
         parent.flags |= Flag.TAINT
         child = world.spawn(parent, 2)
-        (mutation,) = tr_proc_proc(world, parent, child, "fork_child")
+        mutation = tr_proc_proc(parent, child)
+        assert mutation.rule is TaintRule.PROC_PROC
         assert mutation.target == ("proc", 2)
+        assert mutation.cause == ("proc", INIT_PID)
 
     def test_health_parent_spreads_nothing(self, world):
         child = world.spawn(proc(world), 2)
-        assert tr_proc_proc(world, proc(world), child, "fork_child") == []
+        assert tr_proc_proc(proc(world), child) is None
 
-    def test_shared_memory_is_bidirectional(self, world):
+    def test_taint_flows_from_source_to_sink_only(self, world):
         a = world.spawn(proc(world), 2)
         b = world.spawn(proc(world), 3)
         b.flags |= Flag.TAINT
-        # tainted peer attaches second: the health attacher still gets marked
-        mutations = tr_proc_proc(world, a, b, "shm_attach")
-        assert [m.target for m in mutations] == [("proc", 2)]
-        # and in the opposite event order the outcome is the same
-        mutations = tr_proc_proc(world, b, a, "shm_attach")
-        assert [m.target for m in mutations] == [("proc", 2)]
-
-    def test_unknown_channel_rejected(self, world):
-        child = world.spawn(proc(world), 2)
-        with pytest.raises(StbacError, match="channel"):
-            tr_proc_proc(world, proc(world), child, "telepathy")
-
-    def test_dead_process_rejected(self, world):
-        child = world.spawn(proc(world), 2)
-        child.alive = False
-        with pytest.raises(StbacError, match="dead"):
-            tr_proc_proc(world, proc(world), child, "pipe_msg")
+        assert tr_proc_proc(a, b) is None
+        assert tr_proc_proc(b, a).target == ("proc", 2)
 
 
 class TestProcExe:
@@ -87,50 +68,40 @@ class TestProcExe:
         p = proc(world)
         p.flags |= Flag.TAINT
         node = world.node_at("/tmp/dropper")
-        mutation = tr_proc_exe(world, p, node, "write")
+        mutation = tr_proc_exe(p, node)
         assert mutation.rule is TaintRule.PROC_EXE
         assert mutation.target == ("file", node.node_id)
 
     def test_non_executable_write_spreads_nothing(self, world):
         p = proc(world)
         p.flags |= Flag.TAINT
-        assert tr_proc_exe(world, p, world.node_at("/tmp/log"), "write") is None
+        assert tr_proc_exe(p, world.node_at("/tmp/log")) is None
 
     def test_health_writer_spreads_nothing(self, world):
-        assert tr_proc_exe(world, proc(world), world.node_at("/tmp/dropper"),
-                           "write") is None
+        assert tr_proc_exe(proc(world), world.node_at("/tmp/dropper")) is None
 
     def test_chmod_to_executable_taints(self, world):
         p = proc(world)
         p.flags |= Flag.TAINT
         node = world.node_at("/tmp/log")
         node.exec_bits = True  # state after the chmod took effect
-        mutation = tr_proc_exe(world, p, node, "chmod_set_exec")
+        mutation = tr_proc_exe(p, node)
         assert mutation is not None
-
-    def test_directory_rejected(self, world):
-        with pytest.raises(StbacError, match="regular file"):
-            tr_proc_exe(world, proc(world), world.node_at("/tmp"), "write")
 
 
 class TestExeProc:
     def test_exec_of_tainted_file_taints(self, world):
         node = world.node_at("/tmp/dropper")
         node.flags |= Flag.TAINT
-        mutation = tr_exe_proc(world, proc(world), node, "execve")
+        mutation = tr_exe_proc(proc(world), node)
         assert mutation.rule is TaintRule.EXE_PROC
         assert mutation.target == ("proc", INIT_PID)
 
     def test_exec_of_clean_file_spreads_nothing(self, world):
-        assert tr_exe_proc(world, proc(world), world.node_at("/bin/ls"),
-                           "execve") is None
+        assert tr_exe_proc(proc(world), world.node_at("/bin/ls")) is None
 
     def test_mmap_of_tainted_library_taints(self, world):
         node = world.node_at("/tmp/log")   # not executable, still loadable
         node.flags |= Flag.TAINT
-        mutation = tr_exe_proc(world, proc(world), node, "mmap_exec")
+        mutation = tr_exe_proc(proc(world), node)
         assert mutation is not None
-
-    def test_exec_of_non_executable_is_an_error(self, world):
-        with pytest.raises(StbacError, match="not executable"):
-            tr_exe_proc(world, proc(world), world.node_at("/tmp/log"), "execve")

@@ -1,8 +1,8 @@
 import pytest
 
-from stbac.model import Flag, NO_FLAGS, StbacError, VitalRule
+from stbac.model import Flag, NO_FLAGS, VitalRule
 from stbac.vital import vr_dir_dir, vr_file_proc, vr_proc_file, vr_proc_proc
-from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
+from stbac.world import INIT_PID, parent_of, parse_init_config, spawn_boot_world
 
 
 @pytest.fixture
@@ -18,34 +18,33 @@ def proc(world):
     return world.processes[INIT_PID]
 
 
+def add(world, path, kind, exec_bits=False):
+    return world.add_node(path, kind, exec_bits, world.lookup(parent_of(path)))
+
+
 class TestDirDir:
     def test_new_file_inherits_inte(self, world):
         parent = world.node_at("/sbin")
-        node = world.add_node("/sbin/new_command", "file", exec_bits=True)
-        mutation = vr_dir_dir(world, parent, node)
+        node = add(world, "/sbin/new_command", "file", exec_bits=True)
+        mutation = vr_dir_dir(parent, node)
         assert mutation.rule is VitalRule.DIR_DIR
         assert mutation.flags_added == Flag.INTE
 
     def test_unflagged_parent_spreads_nothing(self, world):
         parent = world.node_at("/tmp")
-        node = world.add_node("/tmp/scratch", "file")
-        assert vr_dir_dir(world, parent, node) is None
+        node = add(world, "/tmp/scratch", "file")
+        assert vr_dir_dir(parent, node) is None
 
     def test_conf_inherits_through_two_levels(self, world):
         # hand application on a growing tree: dir then file inside it
         vault = world.node_at("/vault")
-        subdir = world.add_node("/vault/inner", "dir")
-        mutation = vr_dir_dir(world, vault, subdir)
+        subdir = add(world, "/vault/inner", "dir")
+        mutation = vr_dir_dir(vault, subdir)
         subdir.flags |= mutation.flags_added
         assert subdir.flags == Flag.CONF
-        leaf = world.add_node("/vault/inner/file", "file")
-        mutation = vr_dir_dir(world, subdir, leaf)
+        leaf = add(world, "/vault/inner/file", "file")
+        mutation = vr_dir_dir(subdir, leaf)
         assert mutation.flags_added == Flag.CONF
-
-    def test_non_dir_parent_rejected(self, world):
-        node = world.add_node("/tmp/x", "file")
-        with pytest.raises(StbacError, match="not a directory"):
-            vr_dir_dir(world, world.node_at("/etc/passwd"), node)
 
 
 class TestProcProc:
@@ -53,24 +52,24 @@ class TestProcProc:
         parent = proc(world)
         parent.flags = Flag.CONF | Flag.LEAK
         child = world.spawn(parent, 2)
-        mutation = vr_proc_proc(world, parent, child)
+        mutation = vr_proc_proc(parent, child)
         assert mutation.flags_added == Flag.CONF | Flag.LEAK
 
     def test_flagless_parent_spreads_nothing(self, world):
         child = world.spawn(proc(world), 2)
-        assert vr_proc_proc(world, proc(world), child) is None
+        assert vr_proc_proc(proc(world), child) is None
 
     def test_leak_only_parent(self, world):
         parent = proc(world)
         parent.flags = Flag.LEAK
         child = world.spawn(parent, 2)
-        assert vr_proc_proc(world, parent, child).flags_added == Flag.LEAK
+        assert vr_proc_proc(parent, child).flags_added == Flag.LEAK
 
     def test_inte_is_not_inherited(self, world):
         parent = proc(world)
         parent.flags = Flag.INTE | Flag.CONF
         child = world.spawn(parent, 2)
-        assert vr_proc_proc(world, parent, child).flags_added == Flag.CONF
+        assert vr_proc_proc(parent, child).flags_added == Flag.CONF
 
 
 class TestProcFile:
@@ -83,44 +82,32 @@ class TestProcFile:
     def test_selective_spread_truth_table(self, world, conf, leak, spreads):
         p = proc(world)
         p.flags = (Flag.CONF if conf else NO_FLAGS) | (Flag.LEAK if leak else NO_FLAGS)
-        node = world.add_node("/tmp/out", "file")
-        mutation = vr_proc_file(world, p, node, "write")
+        node = add(world, "/tmp/out", "file")
+        mutation = vr_proc_file(p, node)
         if spreads:
             assert mutation.flags_added == Flag.CONF
             assert mutation.rule is VitalRule.PROC_FILE
         else:
             assert mutation is None
 
-    def test_directory_rejected(self, world):
-        p = proc(world)
-        p.flags = Flag.CONF | Flag.LEAK
-        with pytest.raises(StbacError, match="regular file"):
-            vr_proc_file(world, p, world.node_at("/tmp"), "write")
-
 
 class TestFileProc:
     def test_exec_inherits_leak(self, world):
-        mutation = vr_file_proc(world, proc(world), world.node_at("/bin/copy"),
-                                "execve")
+        mutation = vr_file_proc(proc(world), world.node_at("/bin/copy"), "execve")
         assert mutation.flags_added == Flag.LEAK
         assert mutation.flags_cleared is NO_FLAGS
 
     def test_exec_clears_old_conf_and_leak(self, world):
         p = proc(world)
         p.flags = Flag.CONF | Flag.LEAK
-        mutation = vr_file_proc(world, p, world.node_at("/bin/sh"), "execve")
+        mutation = vr_file_proc(p, world.node_at("/bin/sh"), "execve")
         assert mutation.flags_cleared == Flag.CONF | Flag.LEAK
         assert mutation.flags_added is NO_FLAGS
 
     def test_read_of_secret_marks_reader(self, world):
-        mutation = vr_file_proc(world, proc(world), world.node_at("/etc/passwd"),
-                                "read")
+        mutation = vr_file_proc(proc(world), world.node_at("/etc/passwd"), "read")
         assert mutation.flags_added == Flag.CONF
 
     def test_read_of_plain_file_spreads_nothing(self, world):
-        assert vr_file_proc(world, proc(world), world.node_at("/bin/sh"),
-                            "read") is None
+        assert vr_file_proc(proc(world), world.node_at("/bin/sh"), "read") is None
 
-    def test_exec_of_non_executable_rejected(self, world):
-        with pytest.raises(StbacError, match="not executable"):
-            vr_file_proc(world, proc(world), world.node_at("/etc/passwd"), "execve")

@@ -99,8 +99,8 @@ def boot_node_by_node(config):
                 missing.append(parent)
                 parent = parent_of(parent)
             for dir_path in reversed(missing):
-                world.add_node(dir_path, "dir")
-            world.add_node(path, kind, exec_bits)
+                world.add_node(dir_path, "dir", False, world.lookup(parent_of(dir_path)))
+            world.add_node(path, kind, exec_bits, world.lookup(parent_of(path)))
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     for (flag, path), line_no in zip(config.marks, config.mark_lines):
@@ -470,12 +470,25 @@ class TestIdentifiers:
         with pytest.raises(StbacError, match="not fresh"):
             world.spawn(init, 3)
 
+    def test_add_node_is_the_only_inserter(self, monkeypatch):
+        # boot nodes, implicit boot directories and replayed creations all
+        # go through World.add_node, which the benchmark's node counter wraps
+        calls = []
+        add_node = World.add_node
+        monkeypatch.setattr(World, "add_node", lambda world, *args: (
+            calls.append(args[0]), add_node(world, *args))[1])
+        world = boot("node /a/b/c file 1\nnode /d dir 0\n")
+        replay(world, parse_trace("1,1,create,/d/f,0\n2,1,mkdir,/d/e\n"
+                                  "3,1,mkfifo,/d/e/p\n4,1,mknod,/d/n,device\n"))
+        assert len(calls) == len(world.fs) == 9
+        assert sorted(calls) == sorted(n.path for n in world.fs.values())
+
     def test_node_ids_never_reused(self):
         world = boot("node /a file 0\n")
         seen = {world.lookup("/a")}
         node = world.node_at("/a")
         world.remove_node(node)
-        new = world.add_node("/a", "file")
+        new = world.add_node("/a", "file", False, world.lookup("/"))
         assert new.node_id not in seen
 
 
@@ -509,7 +522,7 @@ def random_step(world, rng, names, counts):
     if action < 0.45 or len(nodes) < 4:
         parent = rng.choice(dirs)
         kind = "dir" if rng.random() < 0.4 else "file"
-        world.add_node(join(parent, f"n{next(names)}"), kind)
+        world.add_node(join(parent, f"n{next(names)}"), kind, False, parent.node_id)
     elif action < 0.6:
         leaves = [n for n in nodes if n.path != "/" and not world.children(n)]
         world.remove_node(rng.choice(leaves))
