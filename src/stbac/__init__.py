@@ -41,7 +41,6 @@ from .model import (
     TaintRule,
     TraceError,
     UnknownEntity,
-    Verdict,
     VitalRule,
 )
 from .oracle import BibaReport, check_biba, closure_from_replay, diff_taint, taint_closure

@@ -6,11 +6,13 @@ exactly one audit record; a denied event changes nothing but the clock and
 the audit log.  Replay is a pure function of its inputs: identical trace,
 boot config, trust list and copy map give bit-identical audit output.
 
-Every label change is a FlagMutation: a taint or vital rule's spread, or an
-administrative set_stbac_attr that the integrity rule allowed.
-_Replayer._apply_mutation is the one place a replay applies them, through
-World.set_flags.  The world, not the engine, owns the tainted set and its
-epoch; tainted_snapshot only reads them.
+Each handler returns its verdict, a shared constant of model or a redirect,
+beside the label changes the event implies.  Every label change is a
+FlagMutation: a taint or vital rule's spread, or an administrative
+set_stbac_attr that the integrity rule allowed.  A handler asks all its
+rules before step applies any mutation; _Replayer._apply_mutation is the one
+place a replay applies them, through World.set_flags.  The world, not the
+engine, owns the tainted set and its epoch; tainted_snapshot only reads them.
 
 The engine is the one place that checks trace input: paths, kinds, exec
 bits, live pids, socket owners and amounts are checked in the handlers
@@ -33,6 +35,7 @@ from typing import Callable, NamedTuple
 from . import taint, vital
 from .guard import PartialCopyMap, match_trust, pr_avai, pr_conf, pr_inte
 from .model import (
+    ALLOW,
     FLAG_NAMES,
     NO_FLAGS,
     Flag,
@@ -42,7 +45,6 @@ from .model import (
     StbacError,
     TaintRule,
     TraceError,
-    allow,
     ascii_int,
     content_lines,
     flag_bits,
@@ -259,7 +261,7 @@ class _Replayer:
         world.clock = ev.tick
         try:
             proc = world.live_process(ev.pid)
-            decision, obj, param = OPS[ev.op].handler(self, proc, ev)
+            decision, obj, param, mutations = OPS[ev.op].handler(self, proc, ev)
         except TraceError:
             raise
         except ResourceExhausted as exc:
@@ -267,12 +269,12 @@ class _Replayer:
         except StbacError as exc:
             raise TraceError(str(exc), ev.line) from exc
         changes = []
-        for mutation in decision.mutations:
-            changes.extend(self._apply_mutation(mutation, ev.tick))
-        result = decision.result_text()
+        for mutation in mutations:
+            if mutation is not None:        # None: the rule did not fire
+                changes.extend(self._apply_mutation(mutation, ev.tick))
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
-                             result, changes)
-        if result.startswith("DENY") and self.graph is not None:
+                             decision.result, changes)
+        if decision.rule is not None and self.graph is not None:
             self._mark_denial(proc, obj, decision.rule.value, ev.tick)
         return record
 
@@ -376,36 +378,28 @@ class _Replayer:
     def _ev_fork(self, proc, ev):
         child_pid = _int_arg(ev.args[0], "child pid", ev)
         child = self.world.spawn(proc, child_pid)
-        decision = allow()
-        decision.add(taint.tr_proc_proc(proc, child))
-        decision.add(vital.vr_proc_proc(proc, child))
-        return decision, f"pid:{child_pid}", "-"
+        return ALLOW, f"pid:{child_pid}", "-", (taint.tr_proc_proc(proc, child),
+                                                 vital.vr_proc_proc(proc, child))
 
     def _ev_exit(self, proc, ev):
         self.world.exit(proc)
-        return allow(), "-", "-"
+        return ALLOW, "-", "-", ()
 
     # -- IPC -------------------------------------------------------------------
 
     def _ev_pipe(self, proc, ev):
         reader = self.world.live_process(_int_arg(ev.args[0], "reader pid", ev))
-        decision = allow()
-        decision.add(taint.tr_proc_proc(proc, reader))
-        return decision, f"pid:{reader.pid}", "-"
+        return ALLOW, f"pid:{reader.pid}", "-", (taint.tr_proc_proc(proc, reader),)
 
     def _ev_shmat(self, proc, ev):
         peer = self.world.live_process(_int_arg(ev.args[0], "peer pid", ev))
         # Shared memory has no direction: each side reads the other.
-        decision = allow()
-        decision.add(taint.tr_proc_proc(proc, peer))
-        decision.add(taint.tr_proc_proc(peer, proc))
-        return decision, f"pid:{peer.pid}", "-"
+        return ALLOW, f"pid:{peer.pid}", "-", (taint.tr_proc_proc(proc, peer),
+                                               taint.tr_proc_proc(peer, proc))
 
     def _ev_msgrcv(self, proc, ev):
         sender = self.world.live_process(_int_arg(ev.args[0], "sender pid", ev))
-        decision = allow()
-        decision.add(taint.tr_proc_proc(sender, proc))
-        return decision, f"pid:{sender.pid}", "-"
+        return ALLOW, f"pid:{sender.pid}", "-", (taint.tr_proc_proc(sender, proc),)
 
     # -- filesystem --------------------------------------------------------------
 
@@ -413,37 +407,40 @@ class _Replayer:
         node = self._node_arg(ev.args[0], ev)
         op_kind = "read_dir" if node.kind == "dir" else "read_file"
         decision = pr_conf(proc, node, op_kind, self.policy.pcopy)
+        mutations = ()
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
-                decision.add(vital.vr_file_proc(proc, target, "read"))
-                decision.mutations.extend(self._drain_fifo(proc, target))
-        return decision, node.path, "-"
+                mutations = (vital.vr_file_proc(proc, target, "read"),
+                             *self._drain_fifo(proc, target))
+        return decision, node.path, "-", mutations
 
     def _ev_open_write(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot write a directory: {node.path}", ev.line)
         decision = pr_inte(proc, node, "write", self.policy.pcopy)
+        mutations = ()
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
-                self._write_mutations(decision, proc, target)
+                mutations = self._write_mutations(proc, target)
                 if target.node_id in self.world.fifos:
                     queue = self.world.fifo_queues.setdefault(target.node_id, [])
                     queue.append((proc.pid, Flag.TAINT in proc.flags))
-        return decision, node.path, "-"
+        return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
         path = self._fresh_path(ev.args[0], ev)
         exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
         parent = self._parent_dir(path, ev)
         decision = pr_inte(proc, parent, "create_in_dir")
+        mutations = ()
         if decision.allowed:
             node = self.world.add_node(path, "file", exec_bits, parent.node_id)
-            decision.add(vital.vr_dir_dir(parent, node))
-            self._write_mutations(decision, proc, node)
-        return decision, path, f"exec={int(exec_bits)}"
+            mutations = (vital.vr_dir_dir(parent, node),
+                         *self._write_mutations(proc, node))
+        return decision, path, f"exec={int(exec_bits)}", mutations
 
     def _ev_make_node(self, proc, ev):
         """mkdir, mkfifo and mknod: a new empty node, audited with its kind."""
@@ -457,39 +454,41 @@ class _Replayer:
         path = self._fresh_path(ev.args[0], ev)
         parent = self._parent_dir(path, ev)
         decision = pr_inte(proc, parent, "create_in_dir")
+        mutations = ()
         if decision.allowed:
             node = self.world.add_node(path, "file" if kind == "fifo" else kind,
                                        False, parent.node_id)
             if kind == "fifo":
                 self.world.fifos.add(node.node_id)
-            decision.add(vital.vr_dir_dir(parent, node))
-        return decision, path, "-" if kind == "dir" else kind
+            mutations = (vital.vr_dir_dir(parent, node),)
+        return decision, path, "-" if kind == "dir" else kind, mutations
 
     def _ev_chmod(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
         decision = pr_inte(proc, node, "chmod", self.policy.pcopy)
+        mutations = ()
         if decision.allowed:
             target = self._redirect_target(decision, node, ev)
             if target.kind == "file":
                 became_set = exec_bits and not target.exec_bits
                 target.exec_bits = exec_bits
                 if became_set:
-                    decision.add(taint.tr_proc_exe(proc, target))
-        return decision, node.path, f"exec={int(exec_bits)}"
+                    mutations = (taint.tr_proc_exe(proc, target),)
+        return decision, node.path, f"exec={int(exec_bits)}", mutations
 
     def _ev_truncate(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         if node.kind == "dir":
             raise TraceError(f"cannot truncate a directory: {node.path}", ev.line)
         decision = pr_inte(proc, node, "truncate", self.policy.pcopy)
-        return decision, node.path, "-"
+        return decision, node.path, "-", ()
 
     def _ev_chown(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         uid = _int_arg(ev.args[1], "uid", ev)
         decision = pr_inte(proc, node, "chown")
-        return decision, node.path, f"uid={uid}"
+        return decision, node.path, f"uid={uid}", ()
 
     def _ev_unlink(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
@@ -498,7 +497,7 @@ class _Replayer:
         decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
-        return decision, node.path, "-"
+        return decision, node.path, "-", ()
 
     def _ev_rmdir(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
@@ -511,7 +510,7 @@ class _Replayer:
         decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
-        return decision, node.path, "-"
+        return decision, node.path, "-", ()
 
     def _ev_rename(self, proc, ev):
         src = self._node_arg(ev.args[0], ev)
@@ -534,7 +533,7 @@ class _Replayer:
             if overwritten is not None:
                 self.world.remove_node(overwritten)
             self.world.repath(src, dst_path)
-        return decision, ev.args[0], dst_path
+        return decision, ev.args[0], dst_path, ()
 
     # -- exec and loading ----------------------------------------------------------
 
@@ -544,20 +543,17 @@ class _Replayer:
             raise TraceError(f"cannot exec {node.kind} {node.path}", ev.line)
         if not node.exec_bits:
             raise TraceError(f"{node.path} is not executable", ev.line)
-        decision = allow()
-        decision.add(taint.tr_exe_proc(proc, node))
-        decision.add(vital.vr_file_proc(proc, node, "execve"))
+        mutations = (taint.tr_exe_proc(proc, node),
+                     vital.vr_file_proc(proc, node, "execve"))
         proc.exe = node.node_id
         proc.exe_path = node.path
-        return decision, node.path, "-"
+        return ALLOW, node.path, "-", mutations
 
     def _ev_mmap_exec(self, proc, ev):
         node = self._node_arg(ev.args[0], ev)
         if node.kind != "file":
             raise TraceError(f"{node.path} is not a regular file", ev.line)
-        decision = allow()
-        decision.add(taint.tr_exe_proc(proc, node))
-        return decision, node.path, "-"
+        return ALLOW, node.path, "-", (taint.tr_exe_proc(proc, node),)
 
     # -- privileged operations --------------------------------------------------
 
@@ -566,7 +562,7 @@ class _Replayer:
         the op itself is the integrity-guarded kind."""
         decision = pr_inte(proc, None, ev.op)
         obj = ev.args[0] if ev.args else "-"
-        return decision, obj, "-"
+        return decision, obj, "-", ()
 
     def _ev_set_id(self, proc, ev):
         """setuid, setgid, setfsuid; only setuid's new id is modeled."""
@@ -575,19 +571,19 @@ class _Replayer:
         decision = pr_inte(proc, None, "setuid_family")
         if decision.allowed and ev.op == "setuid":
             proc.uid = ident
-        return decision, "-", f"{what}={ident}"
+        return decision, "-", f"{what}={ident}", ()
 
     def _ev_kill(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
         decision = pr_inte(proc, target, "kill")
         # Signal delivery itself is not modeled; a dying target shows up
         # in the trace as its own exit event.
-        return decision, f"pid:{target.pid}", "-"
+        return decision, f"pid:{target.pid}", "-", ()
 
     def _ev_ptrace(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
         decision = pr_conf(proc, target, "ptrace")
-        return decision, f"pid:{target.pid}", "-"
+        return decision, f"pid:{target.pid}", "-", ()
 
     # -- network ---------------------------------------------------------------
 
@@ -602,10 +598,8 @@ class _Replayer:
                               proto, ev.tick)
         sock = self.world.open_socket(sock_id, proc.pid, local, remote, proto,
                                       trusted)
-        decision = allow()
-        decision.add(taint.tr_sock_proc(proc, sock))
         param = (f"{local[0]}:{local[1]}->{remote[0]}:{remote[1]}/{proto}")
-        return decision, f"sock:{sock_id}", param
+        return ALLOW, f"sock:{sock_id}", param, (taint.tr_sock_proc(proc, sock),)
 
     def _ev_sock_io(self, proc, ev):
         """sock_send and sock_recv; with a peer pid the message carries taint."""
@@ -623,12 +617,13 @@ class _Replayer:
         decision = pr_avai(self.world, proc, ResourceKind.NET_BYTES, amount)
         arrow = "->" if sending else "<-"
         param = str(amount) if peer is None else f"{amount}{arrow}pid:{peer.pid}"
+        mutations = ()
         if decision.allowed:
             self.world.ledger.charge(proc, ResourceKind.NET_BYTES, amount)
             if peer is not None:
                 source, sink = (proc, peer) if sending else (peer, proc)
-                decision.add(taint.tr_proc_proc(source, sink))
-        return decision, f"sock:{sock.sock_id}", param
+                mutations = (taint.tr_proc_proc(source, sink),)
+        return decision, f"sock:{sock.sock_id}", param, mutations
 
     # -- resource allocation ------------------------------------------------------
 
@@ -649,7 +644,7 @@ class _Replayer:
         decision = pr_avai(self.world, proc, kind, amount)
         if decision.allowed:
             self.world.ledger.charge(proc, kind, amount)
-        return decision, kind.value, str(amount)
+        return decision, kind.value, str(amount), ()
 
     # -- flag administration --------------------------------------------------------
 
@@ -661,17 +656,18 @@ class _Replayer:
             target = "resource kinds" if flag is Flag.AVAI else "processes and nodes"
             raise TraceError(f"flag {FLAG_NAMES[flag]} only applies to {target}", ev.line)
         decision = pr_inte(proc, None, "set_stbac_attr")
+        mutations = ()
         if decision.allowed:
             added, cleared = (flag, NO_FLAGS) if on else (NO_FLAGS, flag)
-            decision.add(FlagMutation(ref, "set_stbac_attr", None, added, cleared))
-        return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}"
+            mutations = (FlagMutation(ref, "set_stbac_attr", None, added, cleared),)
+        return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}", mutations
 
     def _ev_get_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
         decision = pr_conf(proc, None, "get_stbac_attr")
         if decision.allowed:
-            return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}"
-        return decision, obj, "-"
+            return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}", ()
+        return decision, obj, "-", ()
 
     def _attr_target(self, ev: Event):
         token = ev.args[0]
@@ -691,12 +687,12 @@ class _Replayer:
 
     # -- shared pieces -------------------------------------------------------------
 
-    def _write_mutations(self, decision, proc, node):
-        decision.add(taint.tr_proc_exe(proc, node))
+    def _write_mutations(self, proc, node) -> tuple:
         # Partial copies hold the non-secret subset by construction, so the
         # secrecy spread of a leak-capable writer stops at them.
-        if node.path not in self.copy_paths:
-            decision.add(vital.vr_proc_file(proc, node))
+        if node.path in self.copy_paths:
+            return (taint.tr_proc_exe(proc, node),)
+        return taint.tr_proc_exe(proc, node), vital.vr_proc_file(proc, node)
 
     def _drain_fifo(self, proc, node) -> list:
         if node.node_id not in self.world.fifos:
@@ -762,7 +758,8 @@ def _flag_arg(token: str, ev: Event) -> Flag:
 
 class OpSpec(NamedTuple):
     arity: tuple          # (min, max) argument count
-    handler: Callable     # _Replayer method: (proc, ev) -> (decision, obj, param)
+    handler: Callable     # _Replayer method: (proc, ev) -> (decision, obj, param,
+                          # mutations), mutations a tuple of rule results or ()
     families: frozenset   # rule families the op is wired to
 
 

@@ -12,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import (
+    ALLOW,
+    DENY_AVAI,
+    DENY_CONF,
+    DENY_INTE,
     ConfigError,
     Decision,
     Flag,
-    ProtRule,
     ResourceExhausted,
     ResourceKind,
     StbacError,
-    allow,
     ascii_int,
     content_lines,
-    deny,
     is_ascii_int,
     redirect,
 )
@@ -86,16 +87,16 @@ def pr_conf(process: Process, target, op_kind: str,
     if op_kind not in CONF_OPS:
         raise StbacError(f"bad confidentiality op {op_kind!r}")
     if Flag.TAINT not in process.flags:
-        return allow()
+        return ALLOW
     if op_kind in CONF_UNCONDITIONAL:
-        return deny(ProtRule.CONF)
+        return DENY_CONF
     if target is None or Flag.CONF not in target.flags:
-        return allow()
+        return ALLOW
     if pcopy is not None and isinstance(target, FsNode):
         copy_path = pcopy.entries.get(target.path)
         if copy_path is not None:
             return redirect(copy_path)
-    return deny(ProtRule.CONF)
+    return DENY_CONF
 
 
 def pr_inte(process: Process, target, op_kind: str,
@@ -110,31 +111,32 @@ def pr_inte(process: Process, target, op_kind: str,
     if op_kind not in INTE_OPS:
         raise StbacError(f"bad integrity op {op_kind!r}")
     if Flag.TAINT not in process.flags:
-        return allow()
+        return ALLOW
     if op_kind in INTE_PRIVILEGED_OPS:
-        return deny(ProtRule.INTE)
+        return DENY_INTE
     if op_kind == "kill":
         if target is not None and Flag.INTE in target.flags:
-            return deny(ProtRule.INTE)
-        return allow()
+            return DENY_INTE
+        return ALLOW
     if target is None or Flag.INTE not in target.flags:
-        return allow()
+        return ALLOW
     if (pcopy is not None and op_kind in INTE_REDIRECT_OPS
             and isinstance(target, FsNode)):
         copy_path = pcopy.entries.get(target.path)
         if copy_path is not None:
             return redirect(copy_path)
-    return deny(ProtRule.INTE)
+    return DENY_INTE
 
 
 def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> Decision:
     """Availability: judge one allocation request against the water marks.
 
     The check is predictive (the post-allocation value is compared) and
-    strict: landing exactly on a mark is allowed.  Health processes are
-    bounded only by the system capacity, which is an error condition
-    rather than a denial.  Pure; the engine checks that amount is positive
-    and charges the ledger on allow.
+    strict: landing exactly on a mark is allowed.  The system mark, a
+    percentage of the capacity, is compared exactly in integers.  Health
+    processes are bounded only by the system capacity, which is an error
+    condition rather than a denial.  Pure; the engine checks that amount
+    is positive and charges the ledger on allow.
     """
     ledger = world.ledger
     cap = ledger.caps[kind]
@@ -142,13 +144,13 @@ def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> 
     if Flag.TAINT in process.flags:
         held = process.usage.get(kind, 0)
         if held + amount > ledger.hwm_st[kind]:
-            return deny(ProtRule.AVAI)
-        if 100 * (allocated + amount) / cap > ledger.hwm_sys[kind]:
-            return deny(ProtRule.AVAI)
+            return DENY_AVAI
+        if 100 * (allocated + amount) > ledger.hwm_sys[kind] * cap:
+            return DENY_AVAI
     if allocated + amount > cap:
         raise ResourceExhausted(
             f"{kind.value}: {allocated} + {amount} exceeds system total {cap}")
-    return allow()
+    return ALLOW
 
 
 def match_trust(entries, program: str, local: tuple, remote: tuple,

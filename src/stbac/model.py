@@ -1,5 +1,6 @@
-"""Shared vocabulary of the policy model: flags, rule names, decisions and
-FlagMutation, the one shape of every label change a replay applies.
+"""Shared vocabulary of the policy model: flags, rule names, the shared
+verdict constants and FlagMutation, the one shape of every label change a
+replay applies.
 
 Everything here is plain data.  Rule logic lives in taint/vital/guard; state
 lives in world; sequencing lives in engine.
@@ -8,7 +9,7 @@ lives in world; sequencing lives in engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class StbacError(Exception):
@@ -192,52 +193,30 @@ class FlagMutation:
     flags_cleared: Flag = NO_FLAGS
 
 
-class Verdict(str, enum.Enum):
-    ALLOW = "ALLOW"
-    DENY = "DENY"
-    ALLOW_REDIRECTED = "ALLOW_REDIR"
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Decision:
-    """Outcome of consulting the protection rules for one access.
+    """Outcome of the protection rules for one access, an immutable value.
 
-    Built only through allow(), deny(rule) and redirect(path): a deny
-    carries the rule that fired, a redirected allow the substitute path.
-    The engine attaches the flag mutations implied by an allowed access
-    before applying them.
+    result is the audit spelling: ALLOW, ALLOW_REDIR(path) or DENY(rule).
+    rule is the ProtRule that denied, None on allow.  Every outcome is one
+    of the shared constants below except a redirect, which names its path.
+    The flag mutations of an allowed access travel beside it, not in it.
     """
 
-    verdict: Verdict
+    result: str
     rule: ProtRule | None = None
     redirect_path: str | None = None
-    mutations: list = field(default_factory=list)
 
     @property
     def allowed(self) -> bool:
-        return self.verdict is not Verdict.DENY
-
-    def add(self, mutation):
-        """Attach a rule's mutation; None (the rule did not fire) is skipped."""
-        if mutation is not None:
-            self.mutations.append(mutation)
-
-    def result_text(self) -> str:
-        """Audit spelling: ALLOW, ALLOW_REDIR(path) or DENY(rule)."""
-        if self.verdict is Verdict.ALLOW:
-            return "ALLOW"
-        if self.verdict is Verdict.ALLOW_REDIRECTED:
-            return f"ALLOW_REDIR({self.redirect_path})"
-        return f"DENY({self.rule.value})"
+        return self.rule is None
 
 
-def allow() -> Decision:
-    return Decision(Verdict.ALLOW)
-
-
-def deny(rule: ProtRule) -> Decision:
-    return Decision(Verdict.DENY, rule=rule)
+ALLOW = Decision("ALLOW")
+DENY_CONF = Decision("DENY(PR_conf)", ProtRule.CONF)
+DENY_INTE = Decision("DENY(PR_inte)", ProtRule.INTE)
+DENY_AVAI = Decision("DENY(PR_avai)", ProtRule.AVAI)
 
 
 def redirect(path: str) -> Decision:
-    return Decision(Verdict.ALLOW_REDIRECTED, redirect_path=path)
+    return Decision(f"ALLOW_REDIR({path})", redirect_path=path)

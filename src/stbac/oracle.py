@@ -439,7 +439,7 @@ class ConditionReport:
 
 @dataclass
 class BibaReport:
-    """Verdicts for the three two-level low-water-mark conditions.
+    """Findings for the three two-level low-water-mark conditions.
 
     Reads/receives of low input must lower the consumer (condition on
     reads), writes must lower what low subjects produce - checked for

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import stbac
 from stbac.guard import (
     CONF_OPS,
     INTE_OPS,
@@ -17,13 +21,15 @@ from stbac.guard import (
     validate_pcopy_against_world,
 )
 from stbac.model import (
+    ALLOW,
+    DENY_AVAI,
+    DENY_CONF,
+    DENY_INTE,
     ConfigError,
     Flag,
     NO_FLAGS,
-    ProtRule,
     ResourceExhausted,
     ResourceKind,
-    Verdict,
 )
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -68,25 +74,25 @@ class TestConfRule:
                         op in ("ptrace", "get_stbac_attr")
                         or Flag.CONF in object_flags))
                     decision = pr_conf(p, node, op)
-                    assert (decision.verdict is Verdict.DENY) == expected_deny, (
-                        subject_flags, object_flags, op)
+                    expected = DENY_CONF if expected_deny else ALLOW
+                    assert decision is expected, (subject_flags, object_flags, op)
 
     def test_redirect_replaces_denial(self, world):
         p = proc(world, Flag.TAINT)
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
         decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
-        assert decision.verdict is Verdict.ALLOW_REDIRECTED
+        assert decision.allowed
         assert decision.redirect_path == "/.stbac/passwd"
+        assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
 
     def test_health_read_of_secret_is_allowed(self, world):
         decision = pr_conf(proc(world), world.node_at("/etc/passwd"), "read_file")
-        assert decision.verdict is Verdict.ALLOW
+        assert decision is ALLOW
 
     def test_unmapped_secret_still_denied(self, world):
         p = proc(world, Flag.TAINT)
         pcopy = PartialCopyMap({"/other": "/.stbac/other"})
-        decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
-        assert decision.rule is ProtRule.CONF
+        assert pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy) is DENY_CONF
 
 
 class TestInteRule:
@@ -101,22 +107,22 @@ class TestInteRule:
                     expected_deny = (Flag.TAINT in subject_flags
                                      and Flag.INTE in object_flags)
                     decision = pr_inte(p, node, op)
-                    assert (decision.verdict is Verdict.DENY) == expected_deny
+                    assert decision is (DENY_INTE if expected_deny else ALLOW)
 
     def test_privileged_ops_unconditional_for_tainted(self, world):
         p = proc(world, Flag.TAINT)
         for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(p, None, op).rule is ProtRule.INTE
+            assert pr_inte(p, None, op) is DENY_INTE
         p = proc(world)
         for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(p, None, op).verdict is Verdict.ALLOW
+            assert pr_inte(p, None, op) is ALLOW
 
     def test_kill_keys_on_target_process_label(self, world):
         attacker = proc(world, Flag.TAINT)
         victim = world.spawn(attacker, 2)
-        assert pr_inte(attacker, victim, "kill").verdict is Verdict.ALLOW
+        assert pr_inte(attacker, victim, "kill") is ALLOW
         victim.flags |= Flag.INTE
-        assert pr_inte(attacker, victim, "kill").rule is ProtRule.INTE
+        assert pr_inte(attacker, victim, "kill") is DENY_INTE
 
     def test_write_redirect_for_shared_secret(self, world):
         p = proc(world, Flag.TAINT)
@@ -124,14 +130,15 @@ class TestInteRule:
         node.flags |= Flag.INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
         decision = pr_inte(p, node, "write", pcopy)
-        assert decision.verdict is Verdict.ALLOW_REDIRECTED
+        assert decision.allowed
+        assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
 
     def test_delete_of_shared_secret_is_not_redirected(self, world):
         p = proc(world, Flag.TAINT)
         node = world.node_at("/etc/passwd")
         node.flags |= Flag.INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        assert pr_inte(p, node, "delete", pcopy).verdict is Verdict.DENY
+        assert not pr_inte(p, node, "delete", pcopy).allowed
 
     def test_known_ops_only(self, world):
         assert "write" in INTE_OPS
@@ -144,23 +151,33 @@ class TestAvaiRule:
         """Landing exactly on the per-process mark allows; one past denies."""
         p = proc(world, Flag.TAINT)
         p.usage[ResourceKind.CPU_TICKS] = 9
-        assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1).verdict is Verdict.ALLOW
+        assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1) is ALLOW
         p.usage[ResourceKind.CPU_TICKS] = 10
-        decision = pr_avai(world, p, ResourceKind.CPU_TICKS, 1)
-        assert decision.rule is ProtRule.AVAI
+        assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1) is DENY_AVAI
 
     def test_system_percentage_mark(self, world):
         # memory: cap 1000, system mark 50%; a tainted request that would
         # push the system past 500 is refused even under its own mark
         p = proc(world, Flag.TAINT)
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 450
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50).verdict is Verdict.ALLOW
+        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50) is ALLOW
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 460
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50).rule is ProtRule.AVAI
+        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50) is DENY_AVAI
+        # The mark is compared exactly: at this cap, 33% + 1e-18 would
+        # round onto the mark as a float, and exactly 33% lands on it.
+        world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 0
+        world.ledger.caps[ResourceKind.MEMORY_BYTES] = 1000000000000000003
+        world.ledger.hwm_st[ResourceKind.MEMORY_BYTES] = 10000000000000000000
+        world.ledger.hwm_sys[ResourceKind.MEMORY_BYTES] = 33
+        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES,
+                       330000000000000001) is DENY_AVAI
+        world.ledger.caps[ResourceKind.MEMORY_BYTES] = 1000000000000000000
+        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES,
+                       330000000000000000) is ALLOW
 
     def test_health_processes_unbounded_until_capacity(self, world):
         p = proc(world)
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 999).verdict is Verdict.ALLOW
+        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 999) is ALLOW
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 999
         with pytest.raises(ResourceExhausted):
             pr_avai(world, p, ResourceKind.MEMORY_BYTES, 2)
@@ -280,3 +297,23 @@ class TestLedgerConservation:
         ledger.release_all(p1)
         assert ledger.allocated_sys[ResourceKind.MEMORY_BYTES] == 50
         assert p1.usage == {}
+
+
+def test_decisions_are_built_only_in_model():
+    """Verdicts are values: model's shared constants and redirect() build
+    every Decision in the package, and nothing else makes one per event."""
+    builders = set()
+    for path in sorted(Path(stbac.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.Assign):
+                scope = ",".join(getattr(t, "id", "?") for t in top.targets)
+            else:
+                scope = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "Decision" in
+                        (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                    builders.add((path.name, scope, node.lineno))
+    assert {(name, scope) for name, scope, _ in builders} == {
+        ("model.py", "ALLOW"), ("model.py", "DENY_CONF"), ("model.py", "DENY_INTE"),
+        ("model.py", "DENY_AVAI"), ("model.py", "redirect")}, builders
+    assert len(builders) == 5

@@ -545,8 +545,8 @@ class TestBiba:
         # /sbin/x inherit the protection of /sbin, and a health process
         # marks /etc/passwd protected before the suspect writes it
         import stbac.engine
-        from stbac.model import allow
-        monkeypatch.setattr(stbac.engine, "pr_inte", lambda *args, **kwargs: allow())
+        from stbac.model import ALLOW
+        monkeypatch.setattr(stbac.engine, "pr_inte", lambda *args, **kwargs: ALLOW)
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,fork,2\n"
                  "3,2,set_stbac_attr,/etc/passwd,inte,1\n"

@@ -11,13 +11,13 @@ import stbac
 from stbac import engine
 from stbac.engine import FlagChange, parse_trace, replay
 from stbac.model import (
+    ALLOW,
     FLAG_NAMES,
     ConfigError,
     Flag,
     ResourceKind,
     StbacError,
     TraceError,
-    allow,
 )
 from stbac.world import (
     INIT_PID,
@@ -297,8 +297,8 @@ class TestFlagOps:
         assert world.tainted == set()
 
     def test_admin_verdicts_come_from_the_guard(self, monkeypatch):
-        monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: allow())
-        monkeypatch.setattr(engine, "pr_conf", lambda *args, **kwargs: allow())
+        monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: ALLOW)
+        monkeypatch.setattr(engine, "pr_conf", lambda *args, **kwargs: ALLOW)
         world = boot("node /f file 0\n")
         set_record, get_record = admin(world, "1,1,set_stbac_attr,/f,conf,1\n"
                                               "2,1,get_stbac_attr,/f\n", tainted=True)
