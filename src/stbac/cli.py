@@ -173,7 +173,7 @@ def cmd_replay(args) -> int:
         sys.stdout.write(audit)
     if args.dot:
         _write(args.dot, export_graph(result.graph))
-    return EXIT_DENIED if result.denial_records() else EXIT_OK
+    return _exit_code(result)
 
 
 def cmd_graph(args) -> int:
@@ -184,7 +184,12 @@ def cmd_graph(args) -> int:
         _write(args.dot, dot)
     else:
         sys.stdout.write(dot)
-    return EXIT_DENIED if result.denial_records() else EXIT_OK
+    return _exit_code(result)
+
+
+def _exit_code(result) -> int:
+    """EXIT_DENIED when the replay denied some event, EXIT_OK otherwise."""
+    return EXIT_DENIED if any(r.denied for r in result.records) else EXIT_OK
 
 
 def cmd_check(args) -> int:
@@ -208,8 +213,8 @@ def cmd_check(args) -> int:
     if not report.all_passed():
         failures += 1
 
-    denials = result.denial_records()
-    print(f"replay: {len(result.records)} events, {len(denials)} denials")
+    denials = sum(r.denied for r in result.records)
+    print(f"replay: {len(result.records)} events, {denials} denials")
     return EXIT_OK if failures == 0 else EXIT_DENIED
 
 
@@ -221,11 +226,12 @@ def _snapshot_world(args):
 def cmd_set_flag(args) -> int:
     world = _snapshot_world(args)
     flag = parse_flag(args.flag)
+    bit = flag.value
     on = args.value == "on"
     node = world.node_at(args.path)
     targets = world.subtree(node) if args.recursive else [node]
     for target in targets:
-        flags = target.flags | flag if on else target.flags & ~flag
+        flags = target.flags | bit if on else target.flags & ~bit
         world.set_flags(("file", target.node_id), flags)
     _write(args.init, serialize_config(world))
     print(f"{FLAG_NAMES[flag]} {'set' if on else 'cleared'} on "

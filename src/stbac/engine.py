@@ -14,6 +14,11 @@ rules before step applies any mutation; _Replayer._apply_mutation is the one
 place a replay applies them, through World.set_flags.  The world, not the
 engine, owns the tainted set and its epoch; tainted_snapshot only reads them.
 
+Label bits stay int masks through a replay.  Flag members appear only in
+the FlagChange records of an audit record, and the audit spellings of rules
+and resource kinds come from dicts built at import, so the per-event path
+calls no enum code.
+
 The engine is the one place that checks trace input: paths, kinds, exec
 bits, live pids, socket owners and amounts are checked in the handlers
 before any guard or rule is asked, and the rules and World.add_node trust
@@ -36,15 +41,23 @@ from . import taint, vital
 from .guard import PartialCopyMap, match_trust, pr_avai, pr_conf, pr_inte
 from .model import (
     ALLOW,
+    AVAI,
+    CONF,
     FLAG_NAMES,
+    FLAG_ORDER,
+    INTE,
+    LEAK,
     NO_FLAGS,
+    TAINT,
     Flag,
     FlagMutation,
+    ProtRule,
     ResourceExhausted,
     ResourceKind,
     StbacError,
     TaintRule,
     TraceError,
+    VitalRule,
     ascii_int,
     content_lines,
     flag_bits,
@@ -54,6 +67,16 @@ from .model import (
     proc_ref,
 )
 from .world import World, parent_of
+
+
+# Audit spellings.  Rule enums carry theirs as value, and administration is
+# audited under its op name.  Looked up here rather than through .value, an
+# enum property call, or an f-string, whose rendering of a str-mixin enum
+# changed in Python 3.11.
+RULE_NAMES = {rule: rule.value for rules in (TaintRule, VitalRule, ProtRule)
+              for rule in rules}
+RULE_NAMES["set_stbac_attr"] = "set_stbac_attr"
+RESOURCE_NAMES = {kind: kind.value for kind in ResourceKind}
 
 
 class Event(NamedTuple):
@@ -105,7 +128,7 @@ class FlagChange:
     rule: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AuditRecord:
     tick: int
     pid: int
@@ -114,7 +137,7 @@ class AuditRecord:
     op: str
     param: str
     result: str
-    flag_changes: list = field(default_factory=list)
+    flag_changes: tuple = ()     # FlagChange records, in application order
 
     def line(self) -> str:
         return (f"<4>{self.tick},{self.pid}:{self.exe},{self.obj},"
@@ -129,7 +152,7 @@ class AuditRecord:
 class GraphNode:
     key: tuple
     label: str
-    flags_ever: Flag = Flag(0)
+    flags_ever: int = NO_FLAGS    # union of every mask the entity showed
 
 
 @dataclass
@@ -157,13 +180,12 @@ def export_graph(graph: DepGraph) -> str:
     for key in sorted(graph.nodes, key=_key_order):
         node = graph.nodes[key]
         attrs = [f'label="{node.label}"']
-        if Flag.TAINT in node.flags_ever:
+        if node.flags_ever & TAINT:
             attrs.append("taint=1")
-        vital_bits = [FLAG_NAMES[f] for f in (Flag.CONF, Flag.INTE)
-                      if f in node.flags_ever]
+        vital_bits = [FLAG_NAMES[f] for f in flag_bits(node.flags_ever & (CONF | INTE))]
         if vital_bits:
             attrs.append(f'vital="{",".join(vital_bits)}"')
-        if Flag.LEAK in node.flags_ever:
+        if node.flags_ever & LEAK:
             attrs.append("leak=1")
         out.append(f'  "{_key_id(key)}" [{", ".join(attrs)}];')
     for cause, effect, rule, tick in graph.edges:
@@ -268,36 +290,33 @@ class _Replayer:
             raise TraceError(f"resource exhausted: {exc}", ev.line) from exc
         except StbacError as exc:
             raise TraceError(str(exc), ev.line) from exc
-        changes = []
+        changes = ()
         for mutation in mutations:
             if mutation is not None:        # None: the rule did not fire
-                changes.extend(self._apply_mutation(mutation, ev.tick))
+                changes += self._apply_mutation(mutation, ev.tick)
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
                              decision.result, changes)
         if decision.rule is not None and self.graph is not None:
-            self._mark_denial(proc, obj, decision.rule.value, ev.tick)
+            self._mark_denial(proc, obj, RULE_NAMES[decision.rule], ev.tick)
         return record
 
     # -- mutation plumbing ---------------------------------------------------
 
-    def _apply_mutation(self, mutation: FlagMutation, tick: int) -> list:
-        """The one place a replay changes label bits."""
+    def _apply_mutation(self, mutation: FlagMutation, tick: int) -> tuple:
+        """The one place a replay changes label bits; the FlagChange records
+        of the bits that flipped, or () when none did."""
         world = self.world
         target, cause = mutation.target, mutation.cause
-        before = after = world.flags_of(target)
-        if mutation.flags_cleared is not NO_FLAGS:   # rare; a Flag operator costs ~1 us
-            after &= ~mutation.flags_cleared
-        after |= mutation.flags_added
+        before = world.flags_of(target)
+        after = before & ~mutation.flags_cleared | mutation.flags_added
         if after == before:
-            return []
+            return ()
         world.set_flags(target, after)
-        # Rule enums carry their audit spelling as value; admin rules are
-        # plain op names.
-        rule = getattr(mutation.rule, "value", mutation.rule)
+        rule = RULE_NAMES[mutation.rule]
         label = self._entity_label(target)
-        changes = []
-        for flag in flag_bits(before ^ after):
-            changes.append(FlagChange(label, flag, flag in after, rule))
+        flipped = before ^ after
+        changes = tuple(FlagChange(label, flag, after & bit != 0, rule)
+                        for bit, flag in FLAG_ORDER if flipped & bit)
         if self.graph is not None and target[0] != "res":
             target_node = self.graph.touch(target, self._display_label(target))
             target_node.flags_ever |= after
@@ -313,7 +332,7 @@ class _Replayer:
             return ("proc", ident)
         if kind == "file":
             return ("file", self.world.fs[ident].path)
-        return ("res", ident.value)
+        return ("res", RESOURCE_NAMES[ident])
 
     def _display_label(self, ref) -> str:
         kind, ident = ref
@@ -427,7 +446,7 @@ class _Replayer:
                 mutations = self._write_mutations(proc, target)
                 if target.node_id in self.world.fifos:
                     queue = self.world.fifo_queues.setdefault(target.node_id, [])
-                    queue.append((proc.pid, Flag.TAINT in proc.flags))
+                    queue.append((proc.pid, proc.flags & TAINT != 0))
         return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
@@ -644,21 +663,22 @@ class _Replayer:
         decision = pr_avai(self.world, proc, kind, amount)
         if decision.allowed:
             self.world.ledger.charge(proc, kind, amount)
-        return decision, kind.value, str(amount), ()
+        return decision, RESOURCE_NAMES[kind], str(amount), ()
 
     # -- flag administration --------------------------------------------------------
 
     def _ev_set_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
         flag = _flag_arg(ev.args[1], ev)
+        bit = flag.value
         on = _bit_arg(ev.args[2], "flag value", ev)
-        if (flag is Flag.AVAI) != (ref[0] == "res"):
-            target = "resource kinds" if flag is Flag.AVAI else "processes and nodes"
+        if (bit == AVAI) != (ref[0] == "res"):
+            target = "resource kinds" if bit == AVAI else "processes and nodes"
             raise TraceError(f"flag {FLAG_NAMES[flag]} only applies to {target}", ev.line)
         decision = pr_inte(proc, None, "set_stbac_attr")
         mutations = ()
         if decision.allowed:
-            added, cleared = (flag, NO_FLAGS) if on else (NO_FLAGS, flag)
+            added, cleared = (bit, NO_FLAGS) if on else (NO_FLAGS, bit)
             mutations = (FlagMutation(ref, "set_stbac_attr", None, added, cleared),)
         return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}", mutations
 
@@ -707,7 +727,7 @@ class _Replayer:
             # rather than through the live-process IPC rule.
             if tainted:
                 mutations.append(FlagMutation(proc_ref(proc.pid), TaintRule.PROC_PROC,
-                                              proc_ref(writer_pid), Flag.TAINT))
+                                              proc_ref(writer_pid), TAINT))
         queue.clear()
         return mutations
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 from .model import (
     ALLOW,
+    CONF,
     DENY_AVAI,
     DENY_CONF,
     DENY_INTE,
+    INTE,
+    TAINT,
     ConfigError,
     Decision,
-    Flag,
     ResourceExhausted,
     ResourceKind,
     StbacError,
@@ -86,11 +88,11 @@ def pr_conf(process: Process, target, op_kind: str,
     """
     if op_kind not in CONF_OPS:
         raise StbacError(f"bad confidentiality op {op_kind!r}")
-    if Flag.TAINT not in process.flags:
+    if not process.flags & TAINT:
         return ALLOW
     if op_kind in CONF_UNCONDITIONAL:
         return DENY_CONF
-    if target is None or Flag.CONF not in target.flags:
+    if target is None or not target.flags & CONF:
         return ALLOW
     if pcopy is not None and isinstance(target, FsNode):
         copy_path = pcopy.entries.get(target.path)
@@ -110,15 +112,15 @@ def pr_inte(process: Process, target, op_kind: str,
     """
     if op_kind not in INTE_OPS:
         raise StbacError(f"bad integrity op {op_kind!r}")
-    if Flag.TAINT not in process.flags:
+    if not process.flags & TAINT:
         return ALLOW
     if op_kind in INTE_PRIVILEGED_OPS:
         return DENY_INTE
     if op_kind == "kill":
-        if target is not None and Flag.INTE in target.flags:
+        if target is not None and target.flags & INTE:
             return DENY_INTE
         return ALLOW
-    if target is None or Flag.INTE not in target.flags:
+    if target is None or not target.flags & INTE:
         return ALLOW
     if (pcopy is not None and op_kind in INTE_REDIRECT_OPS
             and isinstance(target, FsNode)):
@@ -141,7 +143,7 @@ def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> 
     ledger = world.ledger
     cap = ledger.caps[kind]
     allocated = ledger.allocated_sys[kind]
-    if Flag.TAINT in process.flags:
+    if process.flags & TAINT:
         held = process.usage.get(kind, 0)
         if held + amount > ledger.hwm_st[kind]:
             return DENY_AVAI
@@ -280,5 +282,5 @@ def validate_pcopy_against_world(pcopy: PartialCopyMap, world: World):
         node = world.fs[node_id]
         if node.kind != "file":
             raise ConfigError(f"partial copy {copy} is not a regular file")
-        if Flag.CONF in node.flags:
+        if node.flags & CONF:
             raise ConfigError(f"partial copy {copy} must not be marked conf")

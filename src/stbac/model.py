@@ -2,6 +2,12 @@
 verdict constants and FlagMutation, the one shape of every label change a
 replay applies.
 
+Label bits travel as plain int masks built from TAINT, CONF, INTE, AVAI and
+LEAK: an int test costs a fraction of an enum.Flag operator, and a replay
+makes several per event.  Flag is the API-edge type, for parsing names
+(parse_flag, FLAG_NAMES), for FlagChange records and for classify; flag_bits
+turns a mask into Flag members where a label leaves the engine.
+
 Everything here is plain data.  Rule logic lives in taint/vital/guard; state
 lives in world; sequencing lives in engine.
 """
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class StbacError(Exception):
@@ -73,6 +80,10 @@ def content_lines(text: str):
 class Flag(enum.Flag):
     """Label bits carried by processes, filesystem nodes and resources.
 
+    A plain enum.Flag, not an IntFlag: or-ing an IntFlag into an int mask
+    gives an IntFlag back, and every later test on that mask would run enum
+    code again.  A Flag mixed into a mask raises TypeError instead.
+
     TAINT marks entities suspected to be under intruder control.  CONF and
     INTE mark confidentiality/integrity protected objects.  LEAK marks
     executables (and processes derived from them) able to relay secrets,
@@ -87,7 +98,13 @@ class Flag(enum.Flag):
     LEAK = enum.auto()
 
 
-NO_FLAGS = Flag(0)
+# The int bits of the label masks that entities carry.
+TAINT = Flag.TAINT.value
+CONF = Flag.CONF.value
+INTE = Flag.INTE.value
+AVAI = Flag.AVAI.value
+LEAK = Flag.LEAK.value
+NO_FLAGS = 0
 
 # Canonical short names, also the config / CLI / audit spelling.
 FLAG_NAMES = {
@@ -99,18 +116,19 @@ FLAG_NAMES = {
 }
 FLAGS_BY_NAME = {name: flag for flag, name in FLAG_NAMES.items()}
 
-# Fixed rendering order for flag sets.
-_FLAG_ORDER = (Flag.TAINT, Flag.CONF, Flag.INTE, Flag.AVAI, Flag.LEAK)
+# (bit, member) pairs in the fixed rendering order of flag sets.
+FLAG_ORDER = ((TAINT, Flag.TAINT), (CONF, Flag.CONF), (INTE, Flag.INTE),
+              (AVAI, Flag.AVAI), (LEAK, Flag.LEAK))
 
 
-def flag_bits(flags: Flag) -> list[Flag]:
-    """Decompose a flag set into single bits in canonical order."""
-    return [f for f in _FLAG_ORDER if f in flags]
+def flag_bits(mask: int) -> list[Flag]:
+    """The Flag members of a mask's set bits, in canonical order."""
+    return [flag for bit, flag in FLAG_ORDER if mask & bit]
 
 
-def format_flags(flags: Flag) -> str:
-    """Render a flag set as 'conf|leak', or '-' when empty."""
-    names = [FLAG_NAMES[f] for f in flag_bits(flags)]
+def format_flags(mask: int) -> str:
+    """Render a mask as 'conf|leak', or '-' when empty."""
+    names = [FLAG_NAMES[flag] for flag in flag_bits(mask)]
     return "|".join(names) if names else "-"
 
 
@@ -176,21 +194,22 @@ def sock_ref(sock_id: int) -> Ref:
     return ("sock", sock_id)
 
 
-@dataclass(frozen=True)
-class FlagMutation:
-    """Clears, then adds, label bits on target.
+class FlagMutation(NamedTuple):
+    """Clears, then adds, label bits (int masks) on target.
 
     rule is the TaintRule or VitalRule that fired, or the op name
     "set_stbac_attr" for administration.  cause is the entity the bits
     flowed from, None for administration.  flags_cleared is nonempty only
-    for the exec reset of VR_file_proc and for administrative clears.
+    for the exec reset of VR_file_proc and for administrative clears.  A
+    NamedTuple builds in about half the time of a frozen dataclass, and a
+    replay builds one per rule that fires.
     """
 
     target: Ref
     rule: str
     cause: Ref | None
-    flags_added: Flag = NO_FLAGS
-    flags_cleared: Flag = NO_FLAGS
+    flags_added: int = NO_FLAGS
+    flags_cleared: int = NO_FLAGS
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ reads and writes of non-executable files never spread taint.
 
 from __future__ import annotations
 
-from .model import Flag, FlagMutation, TaintRule, file_ref, proc_ref, sock_ref
+from .model import TAINT, FlagMutation, TaintRule, file_ref, proc_ref, sock_ref
 from .world import Process, FsNode, Socket
 
 
@@ -20,7 +20,7 @@ def tr_sock_proc(process: Process, socket: Socket) -> FlagMutation | None:
     if socket.trusted:
         return None
     return FlagMutation(proc_ref(process.pid), TaintRule.SOCK_PROC,
-                        sock_ref(socket.sock_id), Flag.TAINT)
+                        sock_ref(socket.sock_id), TAINT)
 
 
 def tr_proc_proc(source: Process, sink: Process) -> FlagMutation | None:
@@ -28,10 +28,10 @@ def tr_proc_proc(source: Process, sink: Process) -> FlagMutation | None:
 
     Shared-memory attach has no direction; the engine asks once each way.
     """
-    if Flag.TAINT not in source.flags:
+    if not source.flags & TAINT:
         return None
     return FlagMutation(proc_ref(sink.pid), TaintRule.PROC_PROC,
-                        proc_ref(source.pid), Flag.TAINT)
+                        proc_ref(source.pid), TAINT)
 
 
 def tr_proc_exe(process: Process, node: FsNode) -> FlagMutation | None:
@@ -40,17 +40,17 @@ def tr_proc_exe(process: Process, node: FsNode) -> FlagMutation | None:
     The exec bits are judged after the action takes effect; clearing them
     never taints, and writes to non-executable files are exempt.
     """
-    if Flag.TAINT not in process.flags:
+    if not process.flags & TAINT:
         return None
     if not node.exec_bits:
         return None
     return FlagMutation(file_ref(node.node_id), TaintRule.PROC_EXE,
-                        proc_ref(process.pid), Flag.TAINT)
+                        proc_ref(process.pid), TAINT)
 
 
 def tr_exe_proc(process: Process, node: FsNode) -> FlagMutation | None:
     """Executing or loading a tainted file taints the process."""
-    if Flag.TAINT not in node.flags:
+    if not node.flags & TAINT:
         return None
     return FlagMutation(proc_ref(process.pid), TaintRule.EXE_PROC,
-                        file_ref(node.node_id), Flag.TAINT)
+                        file_ref(node.node_id), TAINT)

@@ -10,14 +10,14 @@ None; the engine has checked the trace first and applies the mutation.
 
 from __future__ import annotations
 
-from .model import Flag, FlagMutation, NO_FLAGS, VitalRule, file_ref, proc_ref
+from .model import CONF, INTE, LEAK, FlagMutation, VitalRule, file_ref, proc_ref
 from .world import Process, FsNode
 
 
 def vr_dir_dir(parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
     """A new entry inherits CONF and INTE from its directory, at creation only."""
-    inherited = parent_dir.flags & (Flag.CONF | Flag.INTE)
-    if inherited is NO_FLAGS:
+    inherited = parent_dir.flags & (CONF | INTE)
+    if not inherited:
         return None
     return FlagMutation(file_ref(new_node.node_id), VitalRule.DIR_DIR,
                         file_ref(parent_dir.node_id), inherited)
@@ -25,8 +25,8 @@ def vr_dir_dir(parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
 
 def vr_proc_proc(parent: Process, child: Process) -> FlagMutation | None:
     """A new process inherits CONF and LEAK from its parent, at creation only."""
-    inherited = parent.flags & (Flag.CONF | Flag.LEAK)
-    if inherited is NO_FLAGS:
+    inherited = parent.flags & (CONF | LEAK)
+    if not inherited:
         return None
     return FlagMutation(proc_ref(child.pid), VitalRule.PROC_PROC,
                         proc_ref(parent.pid), inherited)
@@ -39,9 +39,9 @@ def vr_proc_file(process: Process, node: FsNode) -> FlagMutation | None:
     Writing is never denied on this path; a writer holding only one of the
     two bits spreads nothing.
     """
-    if Flag.CONF in process.flags and Flag.LEAK in process.flags:
+    if process.flags & (CONF | LEAK) == CONF | LEAK:
         return FlagMutation(file_ref(node.node_id), VitalRule.PROC_FILE,
-                            proc_ref(process.pid), Flag.CONF)
+                            proc_ref(process.pid), CONF)
     return None
 
 
@@ -53,13 +53,13 @@ def vr_file_proc(process: Process, node: FsNode, action: str) -> FlagMutation | 
     either way.
     """
     if action == "execve":
-        cleared = process.flags & (Flag.CONF | Flag.LEAK)
-        added = node.flags & Flag.LEAK
-        if cleared is NO_FLAGS and added is NO_FLAGS:
+        cleared = process.flags & (CONF | LEAK)
+        added = node.flags & LEAK
+        if not cleared and not added:
             return None
         return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
                             file_ref(node.node_id), added, cleared)
-    if Flag.CONF in node.flags:
+    if node.flags & CONF:
         return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
-                            file_ref(node.node_id), Flag.CONF)
+                            file_ref(node.node_id), CONF)
     return None

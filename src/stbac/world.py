@@ -1,9 +1,10 @@
 """Simulated kernel state: processes, filesystem tree, sockets, resource ledger.
 
 The world is the single mutable value a replay folds over.  Label bits live
-inline on the entity records, written only by World.set_flags; the world
-owns the tainted set (refs of the live entities holding TAINT) and an epoch
-that moves when that set or the path of a member changes.
+inline on the entity records as int masks of model's TAINT, CONF, INTE,
+AVAI and LEAK bits, written only by World.set_flags; the world owns the
+tainted set (refs of the live entities holding TAINT) and an epoch that
+moves when that set or the path of a member changes.
 """
 
 from __future__ import annotations
@@ -11,16 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import (
-    ConfigError,
+    AVAI,
+    CONF,
     FLAG_NAMES,
-    Flag,
+    INTE,
+    LEAK,
     NO_FLAGS,
+    TAINT,
+    ConfigError,
+    Flag,
     Ref,
     ResourceKind,
     StbacError,
     UnknownEntity,
     ascii_int,
     content_lines,
+    flag_bits,
     parse_flag,
     parse_resource,
 )
@@ -39,7 +46,7 @@ class Process:
     uid: int = 0
     exe: int | None = None        # node id of the last exec'd file, None before any exec
     exe_path: str = "-"           # path snapshot taken at exec time, for audit
-    flags: Flag = NO_FLAGS
+    flags: int = NO_FLAGS         # label mask
     alive: bool = True
     usage: dict = field(default_factory=dict)   # ResourceKind -> allocated amount
 
@@ -50,7 +57,7 @@ class FsNode:
     path: str
     kind: str                     # "file" | "dir" | "device"
     exec_bits: bool = False
-    flags: Flag = NO_FLAGS
+    flags: int = NO_FLAGS         # label mask
     parent: int | None = None     # None only for "/"
 
 
@@ -79,7 +86,7 @@ class ResourceLedger:
     allocated_sys: dict = field(default_factory=dict) # kind -> currently allocated
     hwm_st: dict = field(default_factory=dict)        # kind -> absolute amount
     hwm_sys: dict = field(default_factory=dict)       # kind -> percent in (0, 100]
-    flags: dict = field(default_factory=dict)         # kind -> Flag (AVAI label only)
+    flags: dict = field(default_factory=dict)         # kind -> mask (AVAI bit only)
 
     def __post_init__(self):
         for kind in ResourceKind:
@@ -113,14 +120,14 @@ class Classification:
 
     @property
     def health(self) -> bool:
-        return not self.tainted and self.vital is NO_FLAGS
+        return not self.tainted and not self.vital
 
 
-def classify(flags: Flag) -> Classification:
+def classify(mask: int) -> Classification:
     return Classification(
-        tainted=Flag.TAINT in flags,
-        vital=flags & (Flag.CONF | Flag.INTE),
-        leak=Flag.LEAK in flags,
+        tainted=bool(mask & TAINT),
+        vital=Flag(mask & (CONF | INTE)),
+        leak=bool(mask & LEAK),
     )
 
 
@@ -278,7 +285,7 @@ class World:
             return ident
         raise UnknownEntity(f"bad entity reference {ref!r}")
 
-    def flags_of(self, ref: Ref) -> Flag:
+    def flags_of(self, ref: Ref) -> int:
         entity = self.resolve(ref)
         if isinstance(entity, ResourceKind):
             return self.ledger.flags[entity]
@@ -286,15 +293,15 @@ class World:
             return NO_FLAGS
         return entity.flags
 
-    def set_flags(self, ref: Ref, flags: Flag):
-        """Store an entity's label set, unguarded: the one writer of label
+    def set_flags(self, ref: Ref, flags: int):
+        """Store an entity's label mask, unguarded: the one writer of label
         bits, for replay mutations, boot marks and config edits alike."""
         entity = self.resolve(ref)
         if isinstance(entity, ResourceKind):
             self.ledger.flags[entity] = flags
         else:
             entity.flags = flags
-            self._track(ref, Flag.TAINT in flags)
+            self._track(ref, flags & TAINT != 0)
 
     def _track(self, ref: Ref, tainted: bool):
         """Make ref's membership of the tainted set match tainted."""
@@ -331,7 +338,7 @@ class InitConfig:
     """
 
     nodes: list = field(default_factory=list)   # (path, kind, exec_bits)
-    marks: list = field(default_factory=list)   # (Flag, path)
+    marks: list = field(default_factory=list)   # (Flag, path), as parsed
     node_lines: list = field(default_factory=list)  # line number of each entry of nodes
     mark_lines: list = field(default_factory=list)  # line number of each entry of marks
     hwms: dict = field(default_factory=dict)    # kind -> (per-taint limit, sys percent)
@@ -414,14 +421,14 @@ def spawn_boot_world(config: InitConfig) -> World:
         if node_id is None:
             raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
                               f"on nonexistent path {path}")
-        world.set_flags(("file", node_id), world.fs[node_id].flags | flag)
+        world.set_flags(("file", node_id), world.fs[node_id].flags | flag.value)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit
         world.ledger.hwm_sys[kind] = percent
-        world.set_flags(("res", kind), Flag.AVAI)
+        world.set_flags(("res", kind), AVAI)
     for kind, total in config.caps.items():
         world.ledger.caps[kind] = total
-        world.set_flags(("res", kind), Flag.AVAI)
+        world.set_flags(("res", kind), AVAI)
         if kind not in config.hwms:
             world.ledger.hwm_st[kind] = total // 2
     world.processes[INIT_PID] = Process(INIT_PID, parent=0)
@@ -454,12 +461,11 @@ def serialize_config(world: World, ledger_lines: bool = True) -> str:
     for node in nodes:
         lines.append(f"node {node.path} {node.kind} {int(node.exec_bits)}")
     for node in nodes:
-        for flag in (Flag.CONF, Flag.INTE, Flag.LEAK):
-            if flag in node.flags:
-                lines.append(f"{FLAG_NAMES[flag]} {node.path}")
+        for flag in flag_bits(node.flags & (CONF | INTE | LEAK)):
+            lines.append(f"{FLAG_NAMES[flag]} {node.path}")
     if ledger_lines:
         for kind in ResourceKind:
-            if Flag.AVAI in world.ledger.flags[kind]:
+            if world.ledger.flags[kind] & AVAI:
                 lines.append(f"hwm {kind.value} {world.ledger.hwm_st[kind]}"
                              f" {world.ledger.hwm_sys[kind]}")
                 lines.append(f"cap {kind.value} {world.ledger.caps[kind]}")

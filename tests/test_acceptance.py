@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from stbac import scenarios
 from stbac.engine import Policy, parse_trace, replay
 from stbac.guard import parse_trust_list
-from stbac.model import Flag
+from stbac.model import CONF, LEAK, TAINT, Flag
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -102,7 +102,7 @@ def test_criterion_3_remote_attack_scenario():
     ]
     assert len(denials) >= 7
     planted = result.world.node_at("/tmp/sh")
-    assert Flag.TAINT in planted.flags
+    assert planted.flags & TAINT
     print(f"\nACCEPTANCE 3 (remote-attack): PASS "
           f"({len(denials)} denials, planted shell tainted)")
 
@@ -190,9 +190,9 @@ def test_criterion_6_selective_spread(gain_conf, gain_leak):
     world.spawn(world.processes[1], 2)
     result = replay(world, parse_trace("\n".join(lines) + "\n"), Policy())
     writer = result.world.processes[2]
-    assert (Flag.CONF in writer.flags) == gain_conf
-    assert (Flag.LEAK in writer.flags) == gain_leak
-    spread = Flag.CONF in result.world.node_at("/srv/out").flags
+    assert bool(writer.flags & CONF) == gain_conf
+    assert bool(writer.flags & LEAK) == gain_leak
+    spread = bool(result.world.node_at("/srv/out").flags & CONF)
     assert spread == (gain_conf and gain_leak)
     if gain_conf and gain_leak:
         print("\nACCEPTANCE 6 (selective spread): PASS "

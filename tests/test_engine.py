@@ -13,7 +13,7 @@ from stbac.engine import (
     replay,
 )
 from stbac.guard import parse_pcopy_map, parse_trust_list
-from stbac.model import Flag, ResourceKind, TraceError
+from stbac.model import CONF, LEAK, TAINT, ResourceKind, TraceError
 from stbac.world import parse_init_config, spawn_boot_world
 
 BOOT = """
@@ -112,8 +112,8 @@ class TestApplyBasics:
         rules = [c.rule for c in result.records[3].flag_changes]
         assert "TR_proc_proc" in rules and "VR_proc_proc" in rules
         child = result.world.processes[2]
-        assert Flag.TAINT in child.flags
-        assert Flag.CONF in child.flags and Flag.LEAK in child.flags
+        assert child.flags & TAINT
+        assert child.flags & CONF and child.flags & LEAK
 
     def test_denied_write_changes_nothing(self):
         world = boot()
@@ -204,8 +204,8 @@ class TestRedirection:
                      "2,1,open_read,/etc/passwd\n",
                      pcopy="pcopy /etc/passwd /.stbac/passwd\n")
         # the copy carries no secret label, so the reader gains nothing
-        assert result.world.processes[1].flags == Flag.TAINT
-        assert result.records[1].flag_changes == []
+        assert result.world.processes[1].flags == TAINT
+        assert result.records[1].flag_changes == ()
 
     def test_secrecy_spread_stops_at_copies(self):
         # a leak-capable secret-holding writer does not mark the copy
@@ -213,7 +213,7 @@ class TestRedirection:
                      "2,1,open_read,/etc/passwd\n"
                      "3,1,open_write,/.stbac/passwd\n",
                      pcopy="pcopy /etc/passwd /.stbac/passwd\n")
-        assert Flag.CONF not in result.world.node_at("/.stbac/passwd").flags
+        assert not result.world.node_at("/.stbac/passwd").flags & CONF
 
     def test_missing_copy_aborts(self):
         with pytest.raises(TraceError, match="missing"):
@@ -230,7 +230,7 @@ class TestFifoMessages:
                      "4,2,open_write,/tmp/pipe\n"
                      "5,2,exit\n"                  # writer is gone
                      "6,1,open_read,/tmp/pipe\n")
-        assert Flag.TAINT in result.world.processes[1].flags
+        assert result.world.processes[1].flags & TAINT
         assert result.records[5].flag_changes[0].rule == "TR_proc_proc"
 
     def test_health_message_carries_nothing(self):
@@ -240,7 +240,7 @@ class TestFifoMessages:
                      "4,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
                      "5,1,open_read,/tmp/pipe\n")
         # the message predates the writer's taint, so the reader stays clean
-        assert Flag.TAINT not in result.world.processes[1].flags
+        assert not result.world.processes[1].flags & TAINT
 
     def test_messages_drain_on_read(self):
         result = run("1,1,fork,2\n"
@@ -249,8 +249,8 @@ class TestFifoMessages:
                      "4,2,open_write,/tmp/pipe\n"
                      "5,1,open_read,/tmp/pipe\n"
                      "6,1,open_read,/tmp/pipe\n")
-        assert result.records[4].flag_changes != []
-        assert result.records[5].flag_changes == []
+        assert result.records[4].flag_changes != ()
+        assert result.records[5].flag_changes == ()
 
 
 class TestLeakChannelSoundness:
@@ -264,7 +264,7 @@ class TestLeakChannelSoundness:
                      "5,1,fork,3\n"
                      "6,3,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
                      "7,3,open_read,/tmp/stash\n")
-        assert Flag.CONF in result.world.node_at("/tmp/stash").flags
+        assert result.world.node_at("/tmp/stash").flags & CONF
         assert result.records[6].result == "DENY(PR_conf)"
 
     def test_exec_reset_is_order_sensitive(self):
@@ -276,10 +276,10 @@ class TestLeakChannelSoundness:
                      "4,2,execve,/bin/copy\n"        # reset: conf lost, leak gained
                      "5,2,create,/tmp/out,0\n")
         child = result.world.processes[3]
-        assert Flag.CONF in child.flags
+        assert child.flags & CONF
         writer = result.world.processes[2]
-        assert writer.flags & (Flag.CONF | Flag.LEAK) == Flag.LEAK
-        assert Flag.CONF not in result.world.node_at("/tmp/out").flags
+        assert writer.flags & (CONF | LEAK) == LEAK
+        assert not result.world.node_at("/tmp/out").flags & CONF
 
 
 class TestNoTaintFromPlainReads:
@@ -292,8 +292,8 @@ class TestNoTaintFromPlainReads:
             "5,2,exit\n"
             "6,1,open_read,/tmp/drop\n"
             "7,1,open_read,/tmp/drop\n")
-        assert Flag.TAINT in result.world.node_at("/tmp/drop").flags
-        assert Flag.TAINT not in result.world.processes[1].flags
+        assert result.world.node_at("/tmp/drop").flags & TAINT
+        assert not result.world.processes[1].flags & TAINT
 
 
 class TestRename:
@@ -380,8 +380,8 @@ class TestTraceChecks:
         for trace in (f"1,1,fork,2\n2,1,fork,3\n3,3,{untrusted}\n4,2,shmat,3\n",
                       f"1,1,fork,2\n2,1,fork,3\n3,2,{untrusted}\n4,2,shmat,3\n"):
             result = run(trace)
-            assert Flag.TAINT in result.world.processes[2].flags
-            assert Flag.TAINT in result.world.processes[3].flags
+            assert result.world.processes[2].flags & TAINT
+            assert result.world.processes[3].flags & TAINT
             assert len(result.records[3].flag_changes) == 1
 
 
@@ -389,9 +389,9 @@ def scanned_snapshot(world):
     """Live tainted processes and tainted nodes by path, from a full scan of
     the world that does not read its tainted set."""
     procs = {("proc", pid) for pid, proc in world.processes.items()
-             if proc.alive and Flag.TAINT in proc.flags}
+             if proc.alive and proc.flags & TAINT}
     files = {("file", node.path) for node in world.fs.values()
-             if Flag.TAINT in node.flags}
+             if node.flags & TAINT}
     return frozenset(procs | files)
 
 

@@ -22,12 +22,15 @@ from stbac.guard import (
 )
 from stbac.model import (
     ALLOW,
+    CONF,
     DENY_AVAI,
     DENY_CONF,
     DENY_INTE,
-    ConfigError,
-    Flag,
+    INTE,
+    LEAK,
     NO_FLAGS,
+    TAINT,
+    ConfigError,
     ResourceExhausted,
     ResourceKind,
 )
@@ -51,9 +54,9 @@ def proc(world, flags=NO_FLAGS):
 
 
 def all_flag_subsets():
-    bits = [Flag.TAINT, Flag.CONF, Flag.INTE, Flag.LEAK]
+    bits = [TAINT, CONF, INTE, LEAK]
     for mask in range(16):
-        flags = Flag(0)
+        flags = NO_FLAGS
         for i, bit in enumerate(bits):
             if mask >> i & 1:
                 flags |= bit
@@ -70,15 +73,15 @@ class TestConfRule:
             for object_flags in all_flag_subsets():
                 node.flags = object_flags
                 for op in sorted(CONF_OPS):
-                    expected_deny = (Flag.TAINT in subject_flags and (
+                    expected_deny = (subject_flags & TAINT and (
                         op in ("ptrace", "get_stbac_attr")
-                        or Flag.CONF in object_flags))
+                        or object_flags & CONF))
                     decision = pr_conf(p, node, op)
                     expected = DENY_CONF if expected_deny else ALLOW
                     assert decision is expected, (subject_flags, object_flags, op)
 
     def test_redirect_replaces_denial(self, world):
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
         decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
         assert decision.allowed
@@ -90,7 +93,7 @@ class TestConfRule:
         assert decision is ALLOW
 
     def test_unmapped_secret_still_denied(self, world):
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         pcopy = PartialCopyMap({"/other": "/.stbac/other"})
         assert pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy) is DENY_CONF
 
@@ -104,13 +107,13 @@ class TestInteRule:
                 node.flags = object_flags
                 for op in ("write", "delete", "rename", "truncate", "chmod",
                            "chown", "create_in_dir", "rename_into", "kill"):
-                    expected_deny = (Flag.TAINT in subject_flags
-                                     and Flag.INTE in object_flags)
+                    expected_deny = (subject_flags & TAINT
+                                     and object_flags & INTE)
                     decision = pr_inte(p, node, op)
                     assert decision is (DENY_INTE if expected_deny else ALLOW)
 
     def test_privileged_ops_unconditional_for_tainted(self, world):
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         for op in sorted(INTE_PRIVILEGED_OPS):
             assert pr_inte(p, None, op) is DENY_INTE
         p = proc(world)
@@ -118,25 +121,25 @@ class TestInteRule:
             assert pr_inte(p, None, op) is ALLOW
 
     def test_kill_keys_on_target_process_label(self, world):
-        attacker = proc(world, Flag.TAINT)
+        attacker = proc(world, TAINT)
         victim = world.spawn(attacker, 2)
         assert pr_inte(attacker, victim, "kill") is ALLOW
-        victim.flags |= Flag.INTE
+        victim.flags |= INTE
         assert pr_inte(attacker, victim, "kill") is DENY_INTE
 
     def test_write_redirect_for_shared_secret(self, world):
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         node = world.node_at("/etc/passwd")
-        node.flags |= Flag.INTE
+        node.flags |= INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
         decision = pr_inte(p, node, "write", pcopy)
         assert decision.allowed
         assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
 
     def test_delete_of_shared_secret_is_not_redirected(self, world):
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         node = world.node_at("/etc/passwd")
-        node.flags |= Flag.INTE
+        node.flags |= INTE
         pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
         assert not pr_inte(p, node, "delete", pcopy).allowed
 
@@ -149,7 +152,7 @@ class TestInteRule:
 class TestAvaiRule:
     def test_boundary_is_strict(self, world):
         """Landing exactly on the per-process mark allows; one past denies."""
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         p.usage[ResourceKind.CPU_TICKS] = 9
         assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1) is ALLOW
         p.usage[ResourceKind.CPU_TICKS] = 10
@@ -158,7 +161,7 @@ class TestAvaiRule:
     def test_system_percentage_mark(self, world):
         # memory: cap 1000, system mark 50%; a tainted request that would
         # push the system past 500 is refused even under its own mark
-        p = proc(world, Flag.TAINT)
+        p = proc(world, TAINT)
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 450
         assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50) is ALLOW
         world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 460
@@ -281,7 +284,7 @@ class TestPartialCopies:
         missing = parse_pcopy_map("pcopy /etc/passwd /.stbac/nope\n")
         with pytest.raises(ConfigError, match="missing"):
             validate_pcopy_against_world(missing, world)
-        world.node_at("/.stbac/passwd").flags |= Flag.CONF
+        world.node_at("/.stbac/passwd").flags |= CONF
         with pytest.raises(ConfigError, match="must not be marked conf"):
             validate_pcopy_against_world(pcopy, world)
 

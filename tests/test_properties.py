@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from stbac.engine import Policy, apply_event, export_graph, parse_trace, replay
 from stbac.guard import parse_trust_list
-from stbac.model import Flag
+from stbac.model import CONF, TAINT, Flag
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -130,8 +130,8 @@ def test_secret_content_is_never_readable_by_suspects(intent_list):
             reader = world.processes.get(event.pid)
             node_id = world.lookup(event.args[0])
             node = world.fs.get(node_id) if node_id is not None else None
-            expect_deny = (reader is not None and Flag.TAINT in reader.flags
-                           and node is not None and Flag.CONF in node.flags
+            expect_deny = (reader is not None and reader.flags & TAINT
+                           and node is not None and node.flags & CONF
                            and node.path not in policy.pcopy.entries)
         record = apply_event(world, event, policy)
         if expect_deny:

@@ -1,6 +1,6 @@
 import pytest
 
-from stbac.model import Flag, TaintRule
+from stbac.model import TAINT, TaintRule
 from stbac.taint import tr_exe_proc, tr_proc_exe, tr_proc_proc, tr_sock_proc
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -35,7 +35,7 @@ class TestSockProc:
 
     def test_already_tainted_owner_is_idempotent(self, world):
         p = proc(world)
-        p.flags |= Flag.TAINT
+        p.flags |= TAINT
         sock = make_socket(world, INIT_PID, trusted=False)
         mutation = tr_sock_proc(p, sock)
         assert mutation is not None  # applying it again changes nothing
@@ -44,7 +44,7 @@ class TestSockProc:
 class TestProcProc:
     def test_tainted_parent_taints_fork_child(self, world):
         parent = proc(world)
-        parent.flags |= Flag.TAINT
+        parent.flags |= TAINT
         child = world.spawn(parent, 2)
         mutation = tr_proc_proc(parent, child)
         assert mutation.rule is TaintRule.PROC_PROC
@@ -58,7 +58,7 @@ class TestProcProc:
     def test_taint_flows_from_source_to_sink_only(self, world):
         a = world.spawn(proc(world), 2)
         b = world.spawn(proc(world), 3)
-        b.flags |= Flag.TAINT
+        b.flags |= TAINT
         assert tr_proc_proc(a, b) is None
         assert tr_proc_proc(b, a).target == ("proc", 2)
 
@@ -66,7 +66,7 @@ class TestProcProc:
 class TestProcExe:
     def test_tainted_writer_taints_executable(self, world):
         p = proc(world)
-        p.flags |= Flag.TAINT
+        p.flags |= TAINT
         node = world.node_at("/tmp/dropper")
         mutation = tr_proc_exe(p, node)
         assert mutation.rule is TaintRule.PROC_EXE
@@ -74,7 +74,7 @@ class TestProcExe:
 
     def test_non_executable_write_spreads_nothing(self, world):
         p = proc(world)
-        p.flags |= Flag.TAINT
+        p.flags |= TAINT
         assert tr_proc_exe(p, world.node_at("/tmp/log")) is None
 
     def test_health_writer_spreads_nothing(self, world):
@@ -82,7 +82,7 @@ class TestProcExe:
 
     def test_chmod_to_executable_taints(self, world):
         p = proc(world)
-        p.flags |= Flag.TAINT
+        p.flags |= TAINT
         node = world.node_at("/tmp/log")
         node.exec_bits = True  # state after the chmod took effect
         mutation = tr_proc_exe(p, node)
@@ -92,7 +92,7 @@ class TestProcExe:
 class TestExeProc:
     def test_exec_of_tainted_file_taints(self, world):
         node = world.node_at("/tmp/dropper")
-        node.flags |= Flag.TAINT
+        node.flags |= TAINT
         mutation = tr_exe_proc(proc(world), node)
         assert mutation.rule is TaintRule.EXE_PROC
         assert mutation.target == ("proc", INIT_PID)
@@ -102,6 +102,6 @@ class TestExeProc:
 
     def test_mmap_of_tainted_library_taints(self, world):
         node = world.node_at("/tmp/log")   # not executable, still loadable
-        node.flags |= Flag.TAINT
+        node.flags |= TAINT
         mutation = tr_exe_proc(proc(world), node)
         assert mutation is not None

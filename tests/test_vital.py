@@ -1,6 +1,6 @@
 import pytest
 
-from stbac.model import Flag, NO_FLAGS, VitalRule
+from stbac.model import CONF, INTE, LEAK, NO_FLAGS, VitalRule
 from stbac.vital import vr_dir_dir, vr_file_proc, vr_proc_file, vr_proc_proc
 from stbac.world import INIT_PID, parent_of, parse_init_config, spawn_boot_world
 
@@ -28,7 +28,7 @@ class TestDirDir:
         node = add(world, "/sbin/new_command", "file", exec_bits=True)
         mutation = vr_dir_dir(parent, node)
         assert mutation.rule is VitalRule.DIR_DIR
-        assert mutation.flags_added == Flag.INTE
+        assert mutation.flags_added == INTE
 
     def test_unflagged_parent_spreads_nothing(self, world):
         parent = world.node_at("/tmp")
@@ -41,19 +41,19 @@ class TestDirDir:
         subdir = add(world, "/vault/inner", "dir")
         mutation = vr_dir_dir(vault, subdir)
         subdir.flags |= mutation.flags_added
-        assert subdir.flags == Flag.CONF
+        assert subdir.flags == CONF
         leaf = add(world, "/vault/inner/file", "file")
         mutation = vr_dir_dir(subdir, leaf)
-        assert mutation.flags_added == Flag.CONF
+        assert mutation.flags_added == CONF
 
 
 class TestProcProc:
     def test_conf_and_leak_inherited(self, world):
         parent = proc(world)
-        parent.flags = Flag.CONF | Flag.LEAK
+        parent.flags = CONF | LEAK
         child = world.spawn(parent, 2)
         mutation = vr_proc_proc(parent, child)
-        assert mutation.flags_added == Flag.CONF | Flag.LEAK
+        assert mutation.flags_added == CONF | LEAK
 
     def test_flagless_parent_spreads_nothing(self, world):
         child = world.spawn(proc(world), 2)
@@ -61,15 +61,15 @@ class TestProcProc:
 
     def test_leak_only_parent(self, world):
         parent = proc(world)
-        parent.flags = Flag.LEAK
+        parent.flags = LEAK
         child = world.spawn(parent, 2)
-        assert vr_proc_proc(parent, child).flags_added == Flag.LEAK
+        assert vr_proc_proc(parent, child).flags_added == LEAK
 
     def test_inte_is_not_inherited(self, world):
         parent = proc(world)
-        parent.flags = Flag.INTE | Flag.CONF
+        parent.flags = INTE | CONF
         child = world.spawn(parent, 2)
-        assert vr_proc_proc(parent, child).flags_added == Flag.CONF
+        assert vr_proc_proc(parent, child).flags_added == CONF
 
 
 class TestProcFile:
@@ -81,11 +81,11 @@ class TestProcFile:
     ])
     def test_selective_spread_truth_table(self, world, conf, leak, spreads):
         p = proc(world)
-        p.flags = (Flag.CONF if conf else NO_FLAGS) | (Flag.LEAK if leak else NO_FLAGS)
+        p.flags = (CONF if conf else NO_FLAGS) | (LEAK if leak else NO_FLAGS)
         node = add(world, "/tmp/out", "file")
         mutation = vr_proc_file(p, node)
         if spreads:
-            assert mutation.flags_added == Flag.CONF
+            assert mutation.flags_added == CONF
             assert mutation.rule is VitalRule.PROC_FILE
         else:
             assert mutation is None
@@ -94,19 +94,19 @@ class TestProcFile:
 class TestFileProc:
     def test_exec_inherits_leak(self, world):
         mutation = vr_file_proc(proc(world), world.node_at("/bin/copy"), "execve")
-        assert mutation.flags_added == Flag.LEAK
-        assert mutation.flags_cleared is NO_FLAGS
+        assert mutation.flags_added == LEAK
+        assert mutation.flags_cleared == NO_FLAGS
 
     def test_exec_clears_old_conf_and_leak(self, world):
         p = proc(world)
-        p.flags = Flag.CONF | Flag.LEAK
+        p.flags = CONF | LEAK
         mutation = vr_file_proc(p, world.node_at("/bin/sh"), "execve")
-        assert mutation.flags_cleared == Flag.CONF | Flag.LEAK
-        assert mutation.flags_added is NO_FLAGS
+        assert mutation.flags_cleared == CONF | LEAK
+        assert mutation.flags_added == NO_FLAGS
 
     def test_read_of_secret_marks_reader(self, world):
         mutation = vr_file_proc(proc(world), world.node_at("/etc/passwd"), "read")
-        assert mutation.flags_added == Flag.CONF
+        assert mutation.flags_added == CONF
 
     def test_read_of_plain_file_spreads_nothing(self, world):
         assert vr_file_proc(proc(world), world.node_at("/bin/sh"), "read") is None

@@ -12,7 +12,13 @@ from stbac import engine
 from stbac.engine import FlagChange, parse_trace, replay
 from stbac.model import (
     ALLOW,
+    AVAI,
+    CONF,
     FLAG_NAMES,
+    INTE,
+    LEAK,
+    NO_FLAGS,
+    TAINT,
     ConfigError,
     Flag,
     ResourceKind,
@@ -43,14 +49,14 @@ class TestBoot:
         world = boot("")
         assert world.lookup("/") is not None
         assert set(world.processes) == {INIT_PID}
-        assert world.processes[INIT_PID].flags is Flag(0)
-        assert all(node.flags is Flag(0) for node in world.fs.values())
+        assert world.processes[INIT_PID].flags == NO_FLAGS
+        assert all(node.flags == NO_FLAGS for node in world.fs.values())
 
     def test_conf_mark_applied(self):
         world = boot("node /etc dir 0\nnode /etc/passwd file 0\nconf /etc/passwd\n")
         node = world.node_at("/etc/passwd")
-        assert Flag.CONF in node.flags
-        assert Flag.INTE not in node.flags
+        assert node.flags & CONF
+        assert not node.flags & INTE
 
     def test_parents_created_implicitly(self):
         world = boot("node /a/b/c file 1\n")
@@ -78,7 +84,7 @@ class TestBoot:
         assert world.ledger.hwm_st[ResourceKind.MEMORY_BYTES] == 512
         assert world.ledger.hwm_sys[ResourceKind.MEMORY_BYTES] == 75
         assert world.ledger.caps[ResourceKind.MEMORY_BYTES] == 4096
-        assert Flag.AVAI in world.ledger.flags[ResourceKind.MEMORY_BYTES]
+        assert world.ledger.flags[ResourceKind.MEMORY_BYTES] & AVAI
 
     def test_unknown_directive_rejected(self):
         with pytest.raises(ConfigError, match="unknown directive"):
@@ -108,14 +114,14 @@ def boot_node_by_node(config):
             raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
                               f"on nonexistent path {path}")
         node = world.node_at(path)
-        world.set_flags(("file", node.node_id), node.flags | flag)
+        world.set_flags(("file", node.node_id), node.flags | flag.value)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit
         world.ledger.hwm_sys[kind] = percent
-        world.set_flags(("res", kind), Flag.AVAI)
+        world.set_flags(("res", kind), AVAI)
     for kind, total in config.caps.items():
         world.ledger.caps[kind] = total
-        world.set_flags(("res", kind), Flag.AVAI)
+        world.set_flags(("res", kind), AVAI)
         if kind not in config.hwms:
             world.ledger.hwm_st[kind] = total // 2
     return world
@@ -210,7 +216,7 @@ def admin(world, trace_text, tainted=False):
     """Audit records of a flag administration trace; the actor is tainted
     first when asked."""
     if tainted:
-        world.set_flags(("proc", INIT_PID), Flag.TAINT)
+        world.set_flags(("proc", INIT_PID), TAINT)
     return replay(world, parse_trace(trace_text)).records
 
 
@@ -220,16 +226,16 @@ class TestFlagOps:
         (record,) = admin(world, "1,1,set_stbac_attr,/sbin,inte,1\n")
         assert record.result == "ALLOW"
         assert record.param == "inte=1"
-        assert record.flag_changes == [
-            FlagChange(("file", "/sbin"), Flag.INTE, True, "set_stbac_attr")]
-        assert Flag.INTE in world.node_at("/sbin").flags
+        assert record.flag_changes == (
+            FlagChange(("file", "/sbin"), Flag.INTE, True, "set_stbac_attr"),)
+        assert world.node_at("/sbin").flags & INTE
 
     def test_tainted_actor_denied_set(self):
         world = boot("node /sbin dir 0\n")
         (record,) = admin(world, "1,1,set_stbac_attr,/sbin,inte,1\n", tainted=True)
         assert record.result == "DENY(PR_inte)"
-        assert record.flag_changes == []
-        assert Flag.INTE not in world.node_at("/sbin").flags
+        assert record.flag_changes == ()
+        assert not world.node_at("/sbin").flags & INTE
 
     def test_set_is_idempotent(self):
         world = boot("node /f file 0\n")
@@ -237,18 +243,18 @@ class TestFlagOps:
                                      "2,1,set_stbac_attr,/f,conf,1\n")
         assert [c.flag for c in first.flag_changes] == [Flag.CONF]
         assert second.result == "ALLOW"
-        assert second.flag_changes == []
-        assert world.node_at("/f").flags == Flag.CONF
+        assert second.flag_changes == ()
+        assert world.node_at("/f").flags == CONF
 
     def test_clear_taint_explicitly_allowed(self):
         world = boot("node /f file 1\n")
         node = world.node_at("/f")
-        world.set_flags(("file", node.node_id), Flag.TAINT)
+        world.set_flags(("file", node.node_id), TAINT)
         (record,) = admin(world, "1,1,set_stbac_attr,/f,taint,0\n")
         assert record.result == "ALLOW"
-        assert record.flag_changes == [
-            FlagChange(("file", "/f"), Flag.TAINT, False, "set_stbac_attr")]
-        assert Flag.TAINT not in node.flags
+        assert record.flag_changes == (
+            FlagChange(("file", "/f"), Flag.TAINT, False, "set_stbac_attr"),)
+        assert not node.flags & TAINT
 
     def test_avai_only_on_resources(self):
         world = boot("node /f file 0\n")
@@ -261,7 +267,7 @@ class TestFlagOps:
         assert change == FlagChange(("res", "cpu_ticks"), Flag.AVAI, True,
                                     "set_stbac_attr")
         assert type(change.entity[1]) is str and type(change.rule) is str
-        assert Flag.AVAI in world.ledger.flags[ResourceKind.CPU_TICKS]
+        assert world.ledger.flags[ResourceKind.CPU_TICKS] & AVAI
         with pytest.raises(TraceError,
                            match="line 1: flag conf only applies to processes and nodes"):
             admin(world, "1,1,set_stbac_attr,res:cpu_ticks,conf,1\n")
@@ -303,7 +309,7 @@ class TestFlagOps:
         set_record, get_record = admin(world, "1,1,set_stbac_attr,/f,conf,1\n"
                                               "2,1,get_stbac_attr,/f\n", tainted=True)
         assert set_record.result == "ALLOW"
-        assert Flag.CONF in world.node_at("/f").flags
+        assert world.node_at("/f").flags & CONF
         assert (get_record.result, get_record.param) == ("ALLOW", "flags=conf")
 
 
@@ -312,19 +318,19 @@ class TestTaintedSet:
         """Refs of the live TAINT processes and of the TAINT nodes (by node
         id, or by path), from a full scan of the world."""
         return ({("proc", pid) for pid, p in world.processes.items()
-                 if p.alive and Flag.TAINT in p.flags}
+                 if p.alive and p.flags & TAINT}
                 | {("file", n.path if by_path else i) for i, n in world.fs.items()
-                   if Flag.TAINT in n.flags})
+                   if n.flags & TAINT})
 
     def test_set_flags_exit_remove_and_repath_keep_it_current(self):
         world = boot("node /d/f file 0\nnode /g file 0\n")
         child = world.spawn(world.processes[INIT_PID], 2)
         f = world.node_at("/d/f")
-        world.set_flags(("file", f.node_id), Flag.TAINT)
-        world.set_flags(("proc", 2), Flag.TAINT)
+        world.set_flags(("file", f.node_id), TAINT)
+        world.set_flags(("proc", 2), TAINT)
         assert world.tainted == self.scan(world) == {("file", f.node_id), ("proc", 2)}
         assert world.taint_epoch == 2
-        world.set_flags(("file", f.node_id), Flag.TAINT | Flag.CONF)
+        world.set_flags(("file", f.node_id), TAINT | CONF)
         world.repath(world.node_at("/g"), "/h")
         assert world.taint_epoch == 2           # no TAINT flip, no tainted member moved
         world.repath(world.node_at("/d"), "/e")
@@ -345,11 +351,11 @@ class TestTaintedSet:
             roll = rng.random()
             if roll < 0.2:
                 node = rng.choice(list(world.fs.values()))
-                world.set_flags(("file", node.node_id), node.flags ^ Flag.TAINT)
+                world.set_flags(("file", node.node_id), node.flags ^ TAINT)
             elif roll < 0.3:
                 proc = rng.choice([p for p in world.processes.values() if p.alive])
                 if proc.pid == INIT_PID or rng.random() < 0.5:
-                    world.set_flags(("proc", proc.pid), proc.flags ^ Flag.TAINT)
+                    world.set_flags(("proc", proc.pid), proc.flags ^ TAINT)
                 else:
                     world.exit(proc)
             elif roll < 0.35:
@@ -367,8 +373,7 @@ class TestTaintedSet:
         monkeypatch.setattr(World, "set_flags", lambda world, ref, flags: (
             writes.append((ref[0], flags)), set_flags(world, ref, flags)))
         boot("node /f file 0\nconf /f\nleak /f\nhwm cpu_ticks 5 50\n")
-        assert writes == [("file", Flag.CONF), ("file", Flag.CONF | Flag.LEAK),
-                          ("res", Flag.AVAI)]
+        assert writes == [("file", CONF), ("file", CONF | LEAK), ("res", AVAI)]
 
 
 class LabelWrites(ast.NodeVisitor):
@@ -418,13 +423,13 @@ def test_set_flags_is_the_only_writer_of_label_bits():
 
 class TestClassification:
     @pytest.mark.parametrize("flags,tainted,vital,health", [
-        (Flag(0), False, Flag(0), True),
-        (Flag.TAINT, True, Flag(0), False),
-        (Flag.CONF, False, Flag.CONF, False),
-        (Flag.INTE, False, Flag.INTE, False),
-        (Flag.TAINT | Flag.INTE, True, Flag.INTE, False),
-        (Flag.LEAK, False, Flag(0), True),
-        (Flag.TAINT | Flag.CONF | Flag.LEAK, True, Flag.CONF, False),
+        (NO_FLAGS, False, Flag(0), True),
+        (TAINT, True, Flag(0), False),
+        (CONF, False, Flag.CONF, False),
+        (INTE, False, Flag.INTE, False),
+        (TAINT | INTE, True, Flag.INTE, False),
+        (LEAK, False, Flag(0), True),
+        (TAINT | CONF | LEAK, True, Flag.CONF, False),
     ])
     def test_partition_reports_bits_faithfully(self, flags, tainted, vital, health):
         report = classify(flags)
@@ -433,14 +438,14 @@ class TestClassification:
         assert report.health is health
 
     def test_every_combination_is_classifiable(self):
-        all_bits = [Flag.TAINT, Flag.CONF, Flag.INTE, Flag.LEAK]
+        all_bits = [TAINT, CONF, INTE, LEAK]
         for mask in range(16):
-            flags = Flag(0)
+            flags = NO_FLAGS
             for i, bit in enumerate(all_bits):
                 if mask >> i & 1:
                     flags |= bit
             report = classify(flags)
-            assert report.tainted == (Flag.TAINT in flags)
+            assert report.tainted == bool(flags & TAINT)
             assert report.health == (not report.tainted and not report.vital)
 
 
@@ -452,9 +457,9 @@ class TestSerialization:
         world = boot(text)
         rendered = serialize_config(world)
         again = boot(rendered)
-        assert Flag.CONF in again.node_at("/etc/passwd").flags
-        assert Flag.INTE in again.node_at("/bin").flags
-        assert Flag.LEAK in again.node_at("/bin/sh").flags
+        assert again.node_at("/etc/passwd").flags & CONF
+        assert again.node_at("/bin").flags & INTE
+        assert again.node_at("/bin/sh").flags & LEAK
         assert again.node_at("/bin/sh").exec_bits
         assert again.ledger.hwm_st[ResourceKind.CPU_TICKS] == 10
         assert again.ledger.caps[ResourceKind.CPU_TICKS] == 100
