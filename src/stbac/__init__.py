@@ -30,18 +30,20 @@ from .guard import (
     pr_inte,
 )
 from .model import (
+    AVAI,
+    CONF,
+    FLAG_NAMES,
+    INTE,
+    LEAK,
+    RESOURCE_KINDS,
+    TAINT,
     ConfigError,
     Decision,
-    Flag,
     FlagMutation,
-    ProtRule,
     ResourceExhausted,
-    ResourceKind,
     StbacError,
-    TaintRule,
     TraceError,
     UnknownEntity,
-    VitalRule,
 )
 from .oracle import BibaReport, check_biba, closure_from_replay, diff_taint, taint_closure
 from .taint import tr_exe_proc, tr_proc_exe, tr_proc_proc, tr_sock_proc

@@ -22,7 +22,6 @@ from .guard import (
 )
 from .model import (
     ConfigError,
-    FLAG_NAMES,
     StbacError,
     TraceError,
     UnknownEntity,
@@ -225,8 +224,7 @@ def _snapshot_world(args):
 
 def cmd_set_flag(args) -> int:
     world = _snapshot_world(args)
-    flag = parse_flag(args.flag)
-    bit = flag.value
+    bit = parse_flag(args.flag)
     on = args.value == "on"
     node = world.node_at(args.path)
     targets = world.subtree(node) if args.recursive else [node]
@@ -234,7 +232,7 @@ def cmd_set_flag(args) -> int:
         flags = target.flags | bit if on else target.flags & ~bit
         world.set_flags(("file", target.node_id), flags)
     _write(args.init, serialize_config(world))
-    print(f"{FLAG_NAMES[flag]} {'set' if on else 'cleared'} on "
+    print(f"{args.flag} {'set' if on else 'cleared'} on "
           f"{len(targets)} node(s)")
     return EXIT_OK
 

@@ -14,10 +14,9 @@ rules before step applies any mutation; _Replayer._apply_mutation is the one
 place a replay applies them, through World.set_flags.  The world, not the
 engine, owns the tainted set and its epoch; tainted_snapshot only reads them.
 
-Label bits stay int masks through a replay.  Flag members appear only in
-the FlagChange records of an audit record, and the audit spellings of rules
-and resource kinds come from dicts built at import, so the per-event path
-calls no enum code.
+Label bits stay int masks through a replay, and a FlagChange names the one
+bit that flipped.  Rule names and resource kinds are plain strings that are
+their own audit spelling, so nothing translates a name on the way out.
 
 The engine is the one place that checks trace input: paths, kinds, exec
 bits, live pids, socket owners and amounts are checked in the handlers
@@ -44,20 +43,15 @@ from .model import (
     AVAI,
     CONF,
     FLAG_NAMES,
-    FLAG_ORDER,
     INTE,
     LEAK,
     NO_FLAGS,
+    RESOURCE_KINDS,
     TAINT,
-    Flag,
     FlagMutation,
-    ProtRule,
     ResourceExhausted,
-    ResourceKind,
     StbacError,
-    TaintRule,
     TraceError,
-    VitalRule,
     ascii_int,
     content_lines,
     flag_bits,
@@ -67,16 +61,6 @@ from .model import (
     proc_ref,
 )
 from .world import World, parent_of
-
-
-# Audit spellings.  Rule enums carry theirs as value, and administration is
-# audited under its op name.  Looked up here rather than through .value, an
-# enum property call, or an f-string, whose rendering of a str-mixin enum
-# changed in Python 3.11.
-RULE_NAMES = {rule: rule.value for rules in (TaintRule, VitalRule, ProtRule)
-              for rule in rules}
-RULE_NAMES["set_stbac_attr"] = "set_stbac_attr"
-RESOURCE_NAMES = {kind: kind.value for kind in ResourceKind}
 
 
 class Event(NamedTuple):
@@ -122,8 +106,8 @@ def parse_trace(text: str) -> list[Event]:
 class FlagChange:
     """One flag bit flipping on an entity, as caused by one event."""
 
-    entity: tuple        # ("proc", pid) or ("file", path at change time)
-    flag: Flag
+    entity: tuple        # ("file", path at change time), else the target ref
+    flag: int            # the one bit that flipped
     on: bool
     rule: str
 
@@ -237,8 +221,9 @@ def tainted_snapshot(world: World) -> frozenset:
 
 def apply_event(world: World, event: Event, policy: Policy,
                 graph: DepGraph | None = None) -> AuditRecord:
-    """Run one event through guard and rules; mutate the world on allow."""
-    return _Replayer(world, policy, graph).step(event)
+    """Run one event through guard and rules; mutate the world on allow.
+    Without a graph, the event's edges go to a fresh one."""
+    return _Replayer(world, policy, DepGraph() if graph is None else graph).step(event)
 
 
 def replay(world: World, events, policy: Policy | None = None,
@@ -268,7 +253,7 @@ def replay(world: World, events, policy: Policy | None = None,
 class _Replayer:
     """Per-replay dispatch state; the world carries everything durable."""
 
-    def __init__(self, world: World, policy: Policy, graph: DepGraph | None):
+    def __init__(self, world: World, policy: Policy, graph: DepGraph):
         self.world = world
         self.policy = policy
         self.graph = graph
@@ -296,8 +281,8 @@ class _Replayer:
                 changes += self._apply_mutation(mutation, ev.tick)
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
                              decision.result, changes)
-        if decision.rule is not None and self.graph is not None:
-            self._mark_denial(proc, obj, RULE_NAMES[decision.rule], ev.tick)
+        if decision.rule is not None:
+            self._mark_denial(proc, obj, decision.rule, ev.tick)
         return record
 
     # -- mutation plumbing ---------------------------------------------------
@@ -306,18 +291,16 @@ class _Replayer:
         """The one place a replay changes label bits; the FlagChange records
         of the bits that flipped, or () when none did."""
         world = self.world
-        target, cause = mutation.target, mutation.cause
+        target, rule, cause = mutation.target, mutation.rule, mutation.cause
         before = world.flags_of(target)
         after = before & ~mutation.flags_cleared | mutation.flags_added
         if after == before:
             return ()
         world.set_flags(target, after)
-        rule = RULE_NAMES[mutation.rule]
-        label = self._entity_label(target)
-        flipped = before ^ after
-        changes = tuple(FlagChange(label, flag, after & bit != 0, rule)
-                        for bit, flag in FLAG_ORDER if flipped & bit)
-        if self.graph is not None and target[0] != "res":
+        label = ("file", world.fs[target[1]].path) if target[0] == "file" else target
+        changes = tuple(FlagChange(label, bit, after & bit != 0, rule)
+                        for bit in flag_bits(before ^ after))
+        if target[0] != "res":
             target_node = self.graph.touch(target, self._display_label(target))
             target_node.flags_ever |= after
             if cause is not None:
@@ -325,14 +308,6 @@ class _Replayer:
                 cause_node.flags_ever |= world.flags_of(cause)
                 self.graph.edges.append((cause, target, rule, tick))
         return changes
-
-    def _entity_label(self, ref) -> tuple:
-        kind, ident = ref
-        if kind == "proc":
-            return ("proc", ident)
-        if kind == "file":
-            return ("file", self.world.fs[ident].path)
-        return ("res", RESOURCE_NAMES[ident])
 
     def _display_label(self, ref) -> str:
         kind, ident = ref
@@ -633,12 +608,12 @@ class _Replayer:
         peer = None
         if len(ev.args) == 3:
             peer = self.world.live_process(_int_arg(ev.args[2], "peer pid", ev))
-        decision = pr_avai(self.world, proc, ResourceKind.NET_BYTES, amount)
+        decision = pr_avai(self.world, proc, "net_bytes", amount)
         arrow = "->" if sending else "<-"
         param = str(amount) if peer is None else f"{amount}{arrow}pid:{peer.pid}"
         mutations = ()
         if decision.allowed:
-            self.world.ledger.charge(proc, ResourceKind.NET_BYTES, amount)
+            self.world.ledger.charge(proc, "net_bytes", amount)
             if peer is not None:
                 source, sink = (proc, peer) if sending else (peer, proc)
                 mutations = (taint.tr_proc_proc(source, sink),)
@@ -648,14 +623,14 @@ class _Replayer:
 
     def _ev_brk_alloc(self, proc, ev):
         amount = _int_arg(ev.args[0], "byte count", ev)
-        return self._allocate(proc, ev, ResourceKind.MEMORY_BYTES, amount)
+        return self._allocate(proc, ev, "memory_bytes", amount)
 
     def _ev_disk_alloc(self, proc, ev):
         amount = _int_arg(ev.args[0], "block count", ev)
-        return self._allocate(proc, ev, ResourceKind.DISK_BLOCKS, amount)
+        return self._allocate(proc, ev, "disk_blocks", amount)
 
     def _ev_sched_tick(self, proc, ev):
-        return self._allocate(proc, ev, ResourceKind.CPU_TICKS, 1)
+        return self._allocate(proc, ev, "cpu_ticks", 1)
 
     def _allocate(self, proc, ev, kind, amount):
         if amount <= 0:
@@ -663,24 +638,23 @@ class _Replayer:
         decision = pr_avai(self.world, proc, kind, amount)
         if decision.allowed:
             self.world.ledger.charge(proc, kind, amount)
-        return decision, RESOURCE_NAMES[kind], str(amount), ()
+        return decision, kind, str(amount), ()
 
     # -- flag administration --------------------------------------------------------
 
     def _ev_set_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
-        flag = _flag_arg(ev.args[1], ev)
-        bit = flag.value
+        bit = _flag_arg(ev.args[1], ev)
         on = _bit_arg(ev.args[2], "flag value", ev)
         if (bit == AVAI) != (ref[0] == "res"):
             target = "resource kinds" if bit == AVAI else "processes and nodes"
-            raise TraceError(f"flag {FLAG_NAMES[flag]} only applies to {target}", ev.line)
+            raise TraceError(f"flag {FLAG_NAMES[bit]} only applies to {target}", ev.line)
         decision = pr_inte(proc, None, "set_stbac_attr")
         mutations = ()
         if decision.allowed:
             added, cleared = (bit, NO_FLAGS) if on else (NO_FLAGS, bit)
             mutations = (FlagMutation(ref, "set_stbac_attr", None, added, cleared),)
-        return decision, obj, f"{FLAG_NAMES[flag]}={int(on)}", mutations
+        return decision, obj, f"{FLAG_NAMES[bit]}={int(on)}", mutations
 
     def _ev_get_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev)
@@ -696,11 +670,9 @@ class _Replayer:
             self.world.live_process(pid)
             return proc_ref(pid), token
         if token.startswith("res:"):
-            name = token[4:]
-            try:
-                kind = ResourceKind(name)
-            except ValueError:
-                raise TraceError(f"unknown resource kind {name!r}", ev.line) from None
+            kind = token[4:]
+            if kind not in RESOURCE_KINDS:
+                raise TraceError(f"unknown resource kind {kind!r}", ev.line)
             return ("res", kind), token
         node = self._node_arg(token, ev)
         return ("file", node.node_id), node.path
@@ -726,7 +698,7 @@ class _Replayer:
             # writer may be gone by now, so the mutation is built directly
             # rather than through the live-process IPC rule.
             if tainted:
-                mutations.append(FlagMutation(proc_ref(proc.pid), TaintRule.PROC_PROC,
+                mutations.append(FlagMutation(proc_ref(proc.pid), "TR_proc_proc",
                                               proc_ref(writer_pid), TAINT))
         queue.clear()
         return mutations
@@ -767,7 +739,7 @@ def _endpoint_arg(token: str, ev: Event) -> tuple:
         raise TraceError(f"port must be an integer, got {port!r}", ev.line) from None
 
 
-def _flag_arg(token: str, ev: Event) -> Flag:
+def _flag_arg(token: str, ev: Event) -> int:
     try:
         return parse_flag(token)
     except StbacError as exc:

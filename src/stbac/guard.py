@@ -22,7 +22,6 @@ from .model import (
     ConfigError,
     Decision,
     ResourceExhausted,
-    ResourceKind,
     StbacError,
     ascii_int,
     content_lines,
@@ -33,7 +32,7 @@ from .world import FsNode, Process, World, check_path
 
 # Operation kinds the confidentiality rule judges.  ptrace and flag reads
 # are denied for tainted subjects regardless of the target's labels.
-CONF_OPS = frozenset({"read_file", "read_dir", "search_dir", "ptrace", "get_stbac_attr"})
+CONF_OPS = frozenset({"read_file", "read_dir", "ptrace", "get_stbac_attr"})
 CONF_UNCONDITIONAL = frozenset({"ptrace", "get_stbac_attr"})
 
 # Integrity-rule operation kinds.  The privileged group is denied for every
@@ -130,7 +129,7 @@ def pr_inte(process: Process, target, op_kind: str,
     return DENY_INTE
 
 
-def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> Decision:
+def pr_avai(world: World, process: Process, kind: str, amount: int) -> Decision:
     """Availability: judge one allocation request against the water marks.
 
     The check is predictive (the post-allocation value is compared) and
@@ -151,7 +150,7 @@ def pr_avai(world: World, process: Process, kind: ResourceKind, amount: int) -> 
             return DENY_AVAI
     if allocated + amount > cap:
         raise ResourceExhausted(
-            f"{kind.value}: {allocated} + {amount} exceeds system total {cap}")
+            f"{kind}: {allocated} + {amount} exceeds system total {cap}")
     return ALLOW
 
 

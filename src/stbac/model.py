@@ -2,11 +2,12 @@
 verdict constants and FlagMutation, the one shape of every label change a
 replay applies.
 
-Label bits travel as plain int masks built from TAINT, CONF, INTE, AVAI and
-LEAK: an int test costs a fraction of an enum.Flag operator, and a replay
-makes several per event.  Flag is the API-edge type, for parsing names
-(parse_flag, FLAG_NAMES), for FlagChange records and for classify; flag_bits
-turns a mask into Flag members where a label leaves the engine.
+Every name is a plain value that is its own audit spelling.  Label bits are
+the ints TAINT, CONF, INTE, AVAI and LEAK, and a label is an int mask of
+them; FLAG_NAMES spells each bit.  Rule names are the strings the audit and
+the DOT graph print ("TR_proc_proc", "VR_dir_dir", "PR_conf", ...), and
+resource kinds are the names in RESOURCE_KINDS.  No enum sits between a
+name and its spelling, so the per-event path calls no enum code.
 
 Everything here is plain data.  Rule logic lives in taint/vital/guard; state
 lives in world; sequencing lives in engine.
@@ -14,7 +15,6 @@ lives in world; sequencing lives in engine.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,108 +77,52 @@ def content_lines(text: str):
             yield line_no, line
 
 
-class Flag(enum.Flag):
-    """Label bits carried by processes, filesystem nodes and resources.
-
-    A plain enum.Flag, not an IntFlag: or-ing an IntFlag into an int mask
-    gives an IntFlag back, and every later test on that mask would run enum
-    code again.  A Flag mixed into a mask raises TypeError instead.
-
-    TAINT marks entities suspected to be under intruder control.  CONF and
-    INTE mark confidentiality/integrity protected objects.  LEAK marks
-    executables (and processes derived from them) able to relay secrets,
-    e.g. cp or dd.  AVAI only ever attaches to resource kinds, never to
-    nodes or processes.
-    """
-
-    TAINT = enum.auto()
-    CONF = enum.auto()
-    INTE = enum.auto()
-    AVAI = enum.auto()
-    LEAK = enum.auto()
-
-
-# The int bits of the label masks that entities carry.
-TAINT = Flag.TAINT.value
-CONF = Flag.CONF.value
-INTE = Flag.INTE.value
-AVAI = Flag.AVAI.value
-LEAK = Flag.LEAK.value
+# Label bits carried by processes, filesystem nodes and resources, as int
+# masks.  TAINT marks entities suspected to be under intruder control.  CONF
+# and INTE mark confidentiality/integrity protected objects.  LEAK marks
+# executables (and processes derived from them) able to relay secrets, e.g.
+# cp or dd.  AVAI only ever attaches to resource kinds, never to nodes or
+# processes.
+TAINT, CONF, INTE, AVAI, LEAK = 1, 2, 4, 8, 16
 NO_FLAGS = 0
 
-# Canonical short names, also the config / CLI / audit spelling.
-FLAG_NAMES = {
-    Flag.TAINT: "taint",
-    Flag.CONF: "conf",
-    Flag.INTE: "inte",
-    Flag.AVAI: "avai",
-    Flag.LEAK: "leak",
-}
-FLAGS_BY_NAME = {name: flag for flag, name in FLAG_NAMES.items()}
-
-# (bit, member) pairs in the fixed rendering order of flag sets.
-FLAG_ORDER = ((TAINT, Flag.TAINT), (CONF, Flag.CONF), (INTE, Flag.INTE),
-              (AVAI, Flag.AVAI), (LEAK, Flag.LEAK))
+# Canonical short names, also the config / CLI / audit spelling, in the
+# fixed rendering order of flag sets.
+FLAG_NAMES = {TAINT: "taint", CONF: "conf", INTE: "inte", AVAI: "avai", LEAK: "leak"}
+FLAGS_BY_NAME = {name: bit for bit, name in FLAG_NAMES.items()}
 
 
-def flag_bits(mask: int) -> list[Flag]:
-    """The Flag members of a mask's set bits, in canonical order."""
-    return [flag for bit, flag in FLAG_ORDER if mask & bit]
+def flag_bits(mask: int) -> list[int]:
+    """The set bits of a mask, in canonical order."""
+    return [bit for bit in FLAG_NAMES if mask & bit]
 
 
 def format_flags(mask: int) -> str:
     """Render a mask as 'conf|leak', or '-' when empty."""
-    names = [FLAG_NAMES[flag] for flag in flag_bits(mask)]
-    return "|".join(names) if names else "-"
+    return "|".join(FLAG_NAMES[bit] for bit in flag_bits(mask)) or "-"
 
 
-def parse_flag(name: str) -> Flag:
+def parse_flag(name: str) -> int:
     try:
         return FLAGS_BY_NAME[name]
     except KeyError:
         raise ConfigError(f"unknown flag {name!r}") from None
 
 
-class ResourceKind(str, enum.Enum):
-    """The limited resources guarded by the availability rule."""
-
-    CPU_TICKS = "cpu_ticks"
-    MEMORY_BYTES = "memory_bytes"
-    DISK_BLOCKS = "disk_blocks"
-    NET_BYTES = "net_bytes"
-    KERNEL_OBJECTS = "kernel_objects"
+# The limited resources guarded by the availability rule, by audit name.
+RESOURCE_KINDS = ("cpu_ticks", "memory_bytes", "disk_blocks", "net_bytes",
+                  "kernel_objects")
 
 
-def parse_resource(name: str) -> ResourceKind:
-    try:
-        return ResourceKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown resource kind {name!r}") from None
-
-
-class TaintRule(str, enum.Enum):
-    SOCK_PROC = "TR_sock_proc"
-    PROC_PROC = "TR_proc_proc"
-    PROC_EXE = "TR_proc_exe"
-    EXE_PROC = "TR_exe_proc"
-
-
-class VitalRule(str, enum.Enum):
-    DIR_DIR = "VR_dir_dir"
-    PROC_PROC = "VR_proc_proc"
-    PROC_FILE = "VR_proc_file"
-    FILE_PROC = "VR_file_proc"
-
-
-class ProtRule(str, enum.Enum):
-    CONF = "PR_conf"
-    INTE = "PR_inte"
-    AVAI = "PR_avai"
+def parse_resource(name: str) -> str:
+    if name not in RESOURCE_KINDS:
+        raise ConfigError(f"unknown resource kind {name!r}")
+    return name
 
 
 # Entity references are (kind, id) pairs: ("proc", pid), ("file", node id),
-# ("sock", socket id) or ("res", ResourceKind).  Lightweight on purpose;
-# the world resolves them.
+# ("sock", socket id) or ("res", resource kind).  Lightweight on purpose;
+# the world looks them up.
 Ref = tuple
 
 
@@ -197,10 +141,11 @@ def sock_ref(sock_id: int) -> Ref:
 class FlagMutation(NamedTuple):
     """Clears, then adds, label bits (int masks) on target.
 
-    rule is the TaintRule or VitalRule that fired, or the op name
-    "set_stbac_attr" for administration.  cause is the entity the bits
-    flowed from, None for administration.  flags_cleared is nonempty only
-    for the exec reset of VR_file_proc and for administrative clears.  A
+    rule is the audit name of the taint or vital rule that fired
+    ("TR_proc_proc", "VR_dir_dir", ...), or the op name "set_stbac_attr" for
+    administration.  cause is the entity the bits flowed from, None for
+    administration.  flags_cleared is nonempty only for the exec reset of
+    VR_file_proc and for administrative clears.  A
     NamedTuple builds in about half the time of a frozen dataclass, and a
     replay builds one per rule that fires.
     """
@@ -217,13 +162,14 @@ class Decision:
     """Outcome of the protection rules for one access, an immutable value.
 
     result is the audit spelling: ALLOW, ALLOW_REDIR(path) or DENY(rule).
-    rule is the ProtRule that denied, None on allow.  Every outcome is one
-    of the shared constants below except a redirect, which names its path.
+    rule is the audit name of the protection rule that denied ("PR_conf",
+    "PR_inte" or "PR_avai"), None on allow.  Every outcome is one of the
+    shared constants below except a redirect, which names its path.
     The flag mutations of an allowed access travel beside it, not in it.
     """
 
     result: str
-    rule: ProtRule | None = None
+    rule: str | None = None
     redirect_path: str | None = None
 
     @property
@@ -232,9 +178,9 @@ class Decision:
 
 
 ALLOW = Decision("ALLOW")
-DENY_CONF = Decision("DENY(PR_conf)", ProtRule.CONF)
-DENY_INTE = Decision("DENY(PR_inte)", ProtRule.INTE)
-DENY_AVAI = Decision("DENY(PR_avai)", ProtRule.AVAI)
+DENY_CONF = Decision("DENY(PR_conf)", "PR_conf")
+DENY_INTE = Decision("DENY(PR_inte)", "PR_inte")
+DENY_AVAI = Decision("DENY(PR_avai)", "PR_avai")
 
 
 def redirect(path: str) -> Decision:

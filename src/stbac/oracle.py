@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Flag, TraceError, ascii_int, is_ascii_int
+from .model import INTE, TAINT, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
 
 
@@ -84,8 +84,8 @@ class _Structure:
             if parent is None:
                 parent = self._make_dirs(parent_path)
             self.add_cell(path, kind, exec_bits, parent)
-        for flag, path in config.marks:
-            if flag is Flag.INTE and path in self.cells:
+        for bit, path in config.marks:
+            if bit == INTE and path in self.cells:
                 self.protected.add(self.cells[path])
 
     def _make_dirs(self, path: str) -> _Cell:
@@ -505,10 +505,10 @@ def check_biba(config: InitConfig, trust, events, records) -> BibaReport:
                     cond_write.violations.append(f"{where}: {violation}")
         for change in records[index].flag_changes:
             kind, ident = change.entity
-            if change.flag is Flag.TAINT and kind == "proc":
+            if change.flag == TAINT and kind == "proc":
                 low_pids.add(ident) if change.on else low_pids.discard(ident)
-            elif kind == "file" and change.flag in (Flag.TAINT, Flag.INTE):
-                cells = low_cells if change.flag is Flag.TAINT else struct.protected
+            elif kind == "file" and change.flag in (TAINT, INTE):
+                cells = low_cells if change.flag == TAINT else struct.protected
                 cell = struct.cells.get(ident)
                 if cell is not None:
                     cells.add(cell) if change.on else cells.discard(cell)

@@ -11,7 +11,7 @@ reads and writes of non-executable files never spread taint.
 
 from __future__ import annotations
 
-from .model import TAINT, FlagMutation, TaintRule, file_ref, proc_ref, sock_ref
+from .model import TAINT, FlagMutation, file_ref, proc_ref, sock_ref
 from .world import Process, FsNode, Socket
 
 
@@ -19,7 +19,7 @@ def tr_sock_proc(process: Process, socket: Socket) -> FlagMutation | None:
     """A process speaking over an untrusted remote endpoint becomes tainted."""
     if socket.trusted:
         return None
-    return FlagMutation(proc_ref(process.pid), TaintRule.SOCK_PROC,
+    return FlagMutation(proc_ref(process.pid), "TR_sock_proc",
                         sock_ref(socket.sock_id), TAINT)
 
 
@@ -30,7 +30,7 @@ def tr_proc_proc(source: Process, sink: Process) -> FlagMutation | None:
     """
     if not source.flags & TAINT:
         return None
-    return FlagMutation(proc_ref(sink.pid), TaintRule.PROC_PROC,
+    return FlagMutation(proc_ref(sink.pid), "TR_proc_proc",
                         proc_ref(source.pid), TAINT)
 
 
@@ -44,7 +44,7 @@ def tr_proc_exe(process: Process, node: FsNode) -> FlagMutation | None:
         return None
     if not node.exec_bits:
         return None
-    return FlagMutation(file_ref(node.node_id), TaintRule.PROC_EXE,
+    return FlagMutation(file_ref(node.node_id), "TR_proc_exe",
                         proc_ref(process.pid), TAINT)
 
 
@@ -52,5 +52,5 @@ def tr_exe_proc(process: Process, node: FsNode) -> FlagMutation | None:
     """Executing or loading a tainted file taints the process."""
     if not node.flags & TAINT:
         return None
-    return FlagMutation(proc_ref(process.pid), TaintRule.EXE_PROC,
+    return FlagMutation(proc_ref(process.pid), "TR_exe_proc",
                         file_ref(node.node_id), TAINT)

@@ -10,7 +10,7 @@ None; the engine has checked the trace first and applies the mutation.
 
 from __future__ import annotations
 
-from .model import CONF, INTE, LEAK, FlagMutation, VitalRule, file_ref, proc_ref
+from .model import CONF, INTE, LEAK, FlagMutation, file_ref, proc_ref
 from .world import Process, FsNode
 
 
@@ -19,7 +19,7 @@ def vr_dir_dir(parent_dir: FsNode, new_node: FsNode) -> FlagMutation | None:
     inherited = parent_dir.flags & (CONF | INTE)
     if not inherited:
         return None
-    return FlagMutation(file_ref(new_node.node_id), VitalRule.DIR_DIR,
+    return FlagMutation(file_ref(new_node.node_id), "VR_dir_dir",
                         file_ref(parent_dir.node_id), inherited)
 
 
@@ -28,7 +28,7 @@ def vr_proc_proc(parent: Process, child: Process) -> FlagMutation | None:
     inherited = parent.flags & (CONF | LEAK)
     if not inherited:
         return None
-    return FlagMutation(proc_ref(child.pid), VitalRule.PROC_PROC,
+    return FlagMutation(proc_ref(child.pid), "VR_proc_proc",
                         proc_ref(parent.pid), inherited)
 
 
@@ -40,7 +40,7 @@ def vr_proc_file(process: Process, node: FsNode) -> FlagMutation | None:
     two bits spreads nothing.
     """
     if process.flags & (CONF | LEAK) == CONF | LEAK:
-        return FlagMutation(file_ref(node.node_id), VitalRule.PROC_FILE,
+        return FlagMutation(file_ref(node.node_id), "VR_proc_file",
                             proc_ref(process.pid), CONF)
     return None
 
@@ -57,9 +57,9 @@ def vr_file_proc(process: Process, node: FsNode, action: str) -> FlagMutation | 
         added = node.flags & LEAK
         if not cleared and not added:
             return None
-        return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
+        return FlagMutation(proc_ref(process.pid), "VR_file_proc",
                             file_ref(node.node_id), added, cleared)
     if node.flags & CONF:
-        return FlagMutation(proc_ref(process.pid), VitalRule.FILE_PROC,
+        return FlagMutation(proc_ref(process.pid), "VR_file_proc",
                             file_ref(node.node_id), CONF)
     return None

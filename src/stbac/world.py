@@ -2,7 +2,8 @@
 
 The world is the single mutable value a replay folds over.  Label bits live
 inline on the entity records as int masks of model's TAINT, CONF, INTE,
-AVAI and LEAK bits, written only by World.set_flags; the world owns the
+AVAI and LEAK bits, written only by World.set_flags; resources carry theirs
+in the ledger, keyed by the resource kind's name.  The world owns the
 tainted set (refs of the live entities holding TAINT) and an epoch that
 moves when that set or the path of a member changes.
 """
@@ -18,11 +19,10 @@ from .model import (
     INTE,
     LEAK,
     NO_FLAGS,
+    RESOURCE_KINDS,
     TAINT,
     ConfigError,
-    Flag,
     Ref,
-    ResourceKind,
     StbacError,
     UnknownEntity,
     ascii_int,
@@ -48,7 +48,7 @@ class Process:
     exe_path: str = "-"           # path snapshot taken at exec time, for audit
     flags: int = NO_FLAGS         # label mask
     alive: bool = True
-    usage: dict = field(default_factory=dict)   # ResourceKind -> allocated amount
+    usage: dict = field(default_factory=dict)   # resource kind -> allocated amount
 
 
 @dataclass(slots=True)
@@ -69,7 +69,6 @@ class Socket:
     remote: tuple
     proto: str                    # "tcp" | "udp"
     trusted: bool                 # decided once, at open time
-    opened_at: int = 0
 
 
 @dataclass
@@ -89,14 +88,14 @@ class ResourceLedger:
     flags: dict = field(default_factory=dict)         # kind -> mask (AVAI bit only)
 
     def __post_init__(self):
-        for kind in ResourceKind:
+        for kind in RESOURCE_KINDS:
             self.caps.setdefault(kind, DEFAULT_CAP)
             self.allocated_sys.setdefault(kind, 0)
             self.hwm_st.setdefault(kind, self.caps[kind] // 2)
             self.hwm_sys.setdefault(kind, DEFAULT_HWM_SYS_PERCENT)
             self.flags.setdefault(kind, NO_FLAGS)
 
-    def charge(self, process: Process, kind: ResourceKind, amount: int):
+    def charge(self, process: Process, kind: str, amount: int):
         process.usage[kind] = process.usage.get(kind, 0) + amount
         self.allocated_sys[kind] += amount
 
@@ -115,7 +114,7 @@ class Classification:
     """
 
     tainted: bool
-    vital: Flag      # CONF/INTE bits present
+    vital: int       # mask of the CONF/INTE bits present
     leak: bool
 
     @property
@@ -126,7 +125,7 @@ class Classification:
 def classify(mask: int) -> Classification:
     return Classification(
         tainted=bool(mask & TAINT),
-        vital=Flag(mask & (CONF | INTE)),
+        vital=mask & (CONF | INTE),
         leak=bool(mask & LEAK),
     )
 
@@ -154,12 +153,6 @@ class World:
     def lookup(self, path: str) -> int | None:
         """Node id of the live node at an absolute path, or None."""
         return self.path_index.get(path)
-
-    def node(self, node_id: int) -> FsNode:
-        try:
-            return self.fs[node_id]
-        except KeyError:
-            raise UnknownEntity(f"no such node id {node_id}") from None
 
     def node_at(self, path: str) -> FsNode:
         node_id = self.lookup(path)
@@ -267,41 +260,32 @@ class World:
             raise StbacError(
                 f"socket id {sock_id} is not fresh (last seen {self.max_sock_seen})")
         self.max_sock_seen = sock_id
-        sock = Socket(sock_id, owner, local, remote, proto, trusted, self.clock)
+        sock = Socket(sock_id, owner, local, remote, proto, trusted)
         self.sockets[sock_id] = sock
         return sock
 
     # -- label access ------------------------------------------------------
 
-    def resolve(self, ref: Ref):
+    def flags_of(self, ref: Ref) -> int:
         kind, ident = ref
         if kind == "proc":
-            return self.process(ident)
+            return self.processes[ident].flags
         if kind == "file":
-            return self.node(ident)
-        if kind == "sock":
-            return self.socket(ident)
+            return self.fs[ident].flags
         if kind == "res":
-            return ident
-        raise UnknownEntity(f"bad entity reference {ref!r}")
-
-    def flags_of(self, ref: Ref) -> int:
-        entity = self.resolve(ref)
-        if isinstance(entity, ResourceKind):
-            return self.ledger.flags[entity]
-        if isinstance(entity, Socket):
-            return NO_FLAGS
-        return entity.flags
+            return self.ledger.flags[ident]
+        return NO_FLAGS               # sockets carry no label
 
     def set_flags(self, ref: Ref, flags: int):
         """Store an entity's label mask, unguarded: the one writer of label
         bits, for replay mutations, boot marks and config edits alike."""
-        entity = self.resolve(ref)
-        if isinstance(entity, ResourceKind):
-            self.ledger.flags[entity] = flags
-        else:
-            entity.flags = flags
-            self._track(ref, flags & TAINT != 0)
+        kind, ident = ref
+        if kind == "res":
+            self.ledger.flags[ident] = flags
+            return
+        entity = self.processes[ident] if kind == "proc" else self.fs[ident]
+        entity.flags = flags
+        self._track(ref, flags & TAINT != 0)
 
     def _track(self, ref: Ref, tainted: bool):
         """Make ref's membership of the tainted set match tainted."""
@@ -338,7 +322,7 @@ class InitConfig:
     """
 
     nodes: list = field(default_factory=list)   # (path, kind, exec_bits)
-    marks: list = field(default_factory=list)   # (Flag, path), as parsed
+    marks: list = field(default_factory=list)   # (flag bit, path), as parsed
     node_lines: list = field(default_factory=list)  # line number of each entry of nodes
     mark_lines: list = field(default_factory=list)  # line number of each entry of marks
     hwms: dict = field(default_factory=dict)    # kind -> (per-taint limit, sys percent)
@@ -416,12 +400,12 @@ def spawn_boot_world(config: InitConfig) -> World:
             world.add_node(path, kind, exec_bits, parent_id)
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-    for (flag, path), line_no in zip(config.marks, config.mark_lines, strict=True):
+    for (bit, path), line_no in zip(config.marks, config.mark_lines, strict=True):
         node_id = world.lookup(path)
         if node_id is None:
-            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
+            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[bit]} "
                               f"on nonexistent path {path}")
-        world.set_flags(("file", node_id), world.fs[node_id].flags | flag.value)
+        world.set_flags(("file", node_id), world.fs[node_id].flags | bit)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit
         world.ledger.hwm_sys[kind] = percent
@@ -461,12 +445,12 @@ def serialize_config(world: World, ledger_lines: bool = True) -> str:
     for node in nodes:
         lines.append(f"node {node.path} {node.kind} {int(node.exec_bits)}")
     for node in nodes:
-        for flag in flag_bits(node.flags & (CONF | INTE | LEAK)):
-            lines.append(f"{FLAG_NAMES[flag]} {node.path}")
+        for bit in flag_bits(node.flags & (CONF | INTE | LEAK)):
+            lines.append(f"{FLAG_NAMES[bit]} {node.path}")
     if ledger_lines:
-        for kind in ResourceKind:
+        for kind in RESOURCE_KINDS:
             if world.ledger.flags[kind] & AVAI:
-                lines.append(f"hwm {kind.value} {world.ledger.hwm_st[kind]}"
+                lines.append(f"hwm {kind} {world.ledger.hwm_st[kind]}"
                              f" {world.ledger.hwm_sys[kind]}")
-                lines.append(f"cap {kind.value} {world.ledger.caps[kind]}")
+                lines.append(f"cap {kind} {world.ledger.caps[kind]}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from stbac import scenarios
 from stbac.engine import Policy, parse_trace, replay
 from stbac.guard import parse_trust_list
-from stbac.model import CONF, LEAK, TAINT, Flag
+from stbac.model import CONF, INTE, LEAK, TAINT
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -37,13 +37,13 @@ def test_criterion_1_remote_user_scenario():
 
     assert result.audit_text() == bundle.expected_audit
     assert flag_events(result) == [
-        (("file", "/sbin/new_command"), Flag.INTE, "VR_dir_dir"),
-        (("proc", 102), Flag.LEAK, "VR_file_proc"),
-        (("proc", 102), Flag.CONF, "VR_file_proc"),
-        (("file", "/tmp/passwd"), Flag.CONF, "VR_proc_file"),
-        (("proc", 200), Flag.TAINT, "TR_sock_proc"),
-        (("proc", 201), Flag.TAINT, "TR_proc_proc"),
-        (("proc", 202), Flag.TAINT, "TR_proc_proc"),
+        (("file", "/sbin/new_command"), INTE, "VR_dir_dir"),
+        (("proc", 102), LEAK, "VR_file_proc"),
+        (("proc", 102), CONF, "VR_file_proc"),
+        (("file", "/tmp/passwd"), CONF, "VR_proc_file"),
+        (("proc", 200), TAINT, "TR_sock_proc"),
+        (("proc", 201), TAINT, "TR_proc_proc"),
+        (("proc", 202), TAINT, "TR_proc_proc"),
     ]
     assert denial_summary(result) == [
         ("open_read", "/tmp/passwd", "DENY(PR_conf)"),
@@ -62,11 +62,11 @@ def test_criterion_2_web_download_scenario():
 
     assert result.audit_text() == bundle.expected_audit
     assert flag_events(result) == [
-        (("proc", 300), Flag.TAINT, "TR_sock_proc"),
-        (("file", "/home/user/consume-cpu"), Flag.TAINT, "TR_proc_exe"),
-        (("file", "/home/user/consume-mem"), Flag.TAINT, "TR_proc_exe"),
-        (("proc", 302), Flag.TAINT, "TR_exe_proc"),
-        (("proc", 303), Flag.TAINT, "TR_exe_proc"),
+        (("proc", 300), TAINT, "TR_sock_proc"),
+        (("file", "/home/user/consume-cpu"), TAINT, "TR_proc_exe"),
+        (("file", "/home/user/consume-mem"), TAINT, "TR_proc_exe"),
+        (("proc", 302), TAINT, "TR_exe_proc"),
+        (("proc", 303), TAINT, "TR_exe_proc"),
     ]
     # five ticks land exactly on the mark; the sixth is refused and the
     # burner stays stopped, then the hog's third allocation is refused

@@ -13,7 +13,7 @@ from stbac.engine import (
     replay,
 )
 from stbac.guard import parse_pcopy_map, parse_trust_list
-from stbac.model import CONF, LEAK, TAINT, ResourceKind, TraceError
+from stbac.model import CONF, LEAK, TAINT, TraceError
 from stbac.world import parse_init_config, spawn_boot_world
 
 BOOT = """
@@ -48,14 +48,13 @@ def run(trace_text, trust="", pcopy="", track_taint=False):
 def fingerprint(world):
     """World state modulo the clock."""
     return (
-        {pid: (p.parent, p.uid, p.exe, p.flags, p.alive, tuple(sorted(
-            (k.value, v) for k, v in p.usage.items())))
+        {pid: (p.parent, p.uid, p.exe, p.flags, p.alive, tuple(sorted(p.usage.items())))
          for pid, p in world.processes.items()},
         {nid: (n.path, n.kind, n.exec_bits, n.flags, n.parent)
          for nid, n in world.fs.items()},
         {sid: (s.owner, s.local, s.remote, s.proto, s.trusted)
          for sid, s in world.sockets.items()},
-        tuple(sorted((k.value, v) for k, v in world.ledger.allocated_sys.items())),
+        tuple(sorted(world.ledger.allocated_sys.items())),
         {nid: tuple(q) for nid, q in world.fifo_queues.items() if q},
     )
 
@@ -135,7 +134,7 @@ class TestApplyBasics:
                      "3,2,sock_send,1,50\n"
                      "4,2,exit\n")
         ledger = result.world.ledger
-        assert ledger.allocated_sys[ResourceKind.NET_BYTES] == 0
+        assert ledger.allocated_sys["net_bytes"] == 0
         assert not result.world.processes[2].alive
 
     def test_empty_trace_changes_nothing(self):

@@ -32,7 +32,6 @@ from stbac.model import (
     TAINT,
     ConfigError,
     ResourceExhausted,
-    ResourceKind,
 )
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -153,37 +152,37 @@ class TestAvaiRule:
     def test_boundary_is_strict(self, world):
         """Landing exactly on the per-process mark allows; one past denies."""
         p = proc(world, TAINT)
-        p.usage[ResourceKind.CPU_TICKS] = 9
-        assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1) is ALLOW
-        p.usage[ResourceKind.CPU_TICKS] = 10
-        assert pr_avai(world, p, ResourceKind.CPU_TICKS, 1) is DENY_AVAI
+        p.usage["cpu_ticks"] = 9
+        assert pr_avai(world, p, "cpu_ticks", 1) is ALLOW
+        p.usage["cpu_ticks"] = 10
+        assert pr_avai(world, p, "cpu_ticks", 1) is DENY_AVAI
 
     def test_system_percentage_mark(self, world):
         # memory: cap 1000, system mark 50%; a tainted request that would
         # push the system past 500 is refused even under its own mark
         p = proc(world, TAINT)
-        world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 450
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50) is ALLOW
-        world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 460
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 50) is DENY_AVAI
+        world.ledger.allocated_sys["memory_bytes"] = 450
+        assert pr_avai(world, p, "memory_bytes", 50) is ALLOW
+        world.ledger.allocated_sys["memory_bytes"] = 460
+        assert pr_avai(world, p, "memory_bytes", 50) is DENY_AVAI
         # The mark is compared exactly: at this cap, 33% + 1e-18 would
         # round onto the mark as a float, and exactly 33% lands on it.
-        world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 0
-        world.ledger.caps[ResourceKind.MEMORY_BYTES] = 1000000000000000003
-        world.ledger.hwm_st[ResourceKind.MEMORY_BYTES] = 10000000000000000000
-        world.ledger.hwm_sys[ResourceKind.MEMORY_BYTES] = 33
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES,
+        world.ledger.allocated_sys["memory_bytes"] = 0
+        world.ledger.caps["memory_bytes"] = 1000000000000000003
+        world.ledger.hwm_st["memory_bytes"] = 10000000000000000000
+        world.ledger.hwm_sys["memory_bytes"] = 33
+        assert pr_avai(world, p, "memory_bytes",
                        330000000000000001) is DENY_AVAI
-        world.ledger.caps[ResourceKind.MEMORY_BYTES] = 1000000000000000000
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES,
+        world.ledger.caps["memory_bytes"] = 1000000000000000000
+        assert pr_avai(world, p, "memory_bytes",
                        330000000000000000) is ALLOW
 
     def test_health_processes_unbounded_until_capacity(self, world):
         p = proc(world)
-        assert pr_avai(world, p, ResourceKind.MEMORY_BYTES, 999) is ALLOW
-        world.ledger.allocated_sys[ResourceKind.MEMORY_BYTES] = 999
+        assert pr_avai(world, p, "memory_bytes", 999) is ALLOW
+        world.ledger.allocated_sys["memory_bytes"] = 999
         with pytest.raises(ResourceExhausted):
-            pr_avai(world, p, ResourceKind.MEMORY_BYTES, 2)
+            pr_avai(world, p, "memory_bytes", 2)
 
 
 class TestTrustMatching:
@@ -294,11 +293,11 @@ class TestLedgerConservation:
         ledger = world.ledger
         p1 = world.processes[INIT_PID]
         p2 = world.spawn(p1, 2)
-        ledger.charge(p1, ResourceKind.MEMORY_BYTES, 30)
-        ledger.charge(p2, ResourceKind.MEMORY_BYTES, 50)
-        assert ledger.allocated_sys[ResourceKind.MEMORY_BYTES] == 80
+        ledger.charge(p1, "memory_bytes", 30)
+        ledger.charge(p2, "memory_bytes", 50)
+        assert ledger.allocated_sys["memory_bytes"] == 80
         ledger.release_all(p1)
-        assert ledger.allocated_sys[ResourceKind.MEMORY_BYTES] == 50
+        assert ledger.allocated_sys["memory_bytes"] == 50
         assert p1.usage == {}
 
 

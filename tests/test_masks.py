@@ -1,22 +1,20 @@
-"""Label bits are plain int masks inside the engine; Flag is the API-edge type.
+"""Label bits, rule names and resource kinds are plain values.
 
-An enum.Flag operator costs a Python-level call, an int test does not, so
-every mask a replay touches per event must stay an int.  enum.Flag (not
-IntFlag) makes a stray member in a mask raise TypeError instead of turning
-the mask into an IntFlag.
+A label is an int mask of model's bits, a flag change names one int bit and
+its rule by the rule's audit string, and no module of the package imports
+enum: an enum operator costs a Python-level call, an int test does not, and
+a second spelling of each name would need tables to translate it back.
 """
 
 import ast
 import random
 from pathlib import Path
 
-import pytest
-
 import stbac
 from stbac import scenarios
 from stbac.engine import Policy, parse_trace, replay
 from stbac.guard import parse_pcopy_map, parse_trust_list
-from stbac.model import TAINT, Flag, flag_bits, format_flags
+from stbac.model import AVAI, CONF, FLAG_NAMES, INTE, LEAK, TAINT, flag_bits, format_flags
 from stbac.world import parse_init_config, spawn_boot_world
 
 import trace_gen
@@ -57,7 +55,8 @@ def _replay(trace_text, trust_text):
 
 def test_masks_stay_ints_through_replays():
     """Every entity mask and graph mask is an int after the three scenarios
-    and 60 generated traces; only FlagChange records carry Flag members."""
+    and 60 generated traces; each FlagChange names one bit of FLAG_NAMES and
+    its rule as a str."""
     replayed = list(replays())
     assert len(replayed) >= 53
     for name, result in replayed:
@@ -69,50 +68,30 @@ def test_masks_stay_ints_through_replays():
         assert {type(mask) for mask in masks} == {int}, name
         for record in result.records:
             assert type(record.flag_changes) is tuple, name
-            assert all(type(c.flag) is Flag for c in record.flag_changes), name
+            for change in record.flag_changes:
+                assert type(change.flag) is int and change.flag in FLAG_NAMES, name
+                assert type(change.rule) is str, name
     changed = [c for _, result in replayed for r in result.records for c in r.flag_changes]
-    assert {c.flag for c in changed} == set(Flag.__members__.values())
-
-
-def test_a_flag_member_does_not_mix_into_a_mask():
-    with pytest.raises(TypeError):
-        TAINT | Flag.CONF
-    with pytest.raises(TypeError):
-        Flag.TAINT in TAINT
+    assert {c.flag for c in changed} == set(FLAG_NAMES)
 
 
 def test_flag_bits_and_format_flags_take_masks():
     mask = 0
-    for flag in Flag.__members__.values():
-        mask |= flag.value
-    assert flag_bits(mask) == [Flag.TAINT, Flag.CONF, Flag.INTE, Flag.AVAI, Flag.LEAK]
+    for bit in FLAG_NAMES:
+        mask |= bit
+    assert flag_bits(mask) == [TAINT, CONF, INTE, AVAI, LEAK]
     assert flag_bits(0) == []
-    assert format_flags(Flag.CONF.value | Flag.LEAK.value) == "conf|leak"
+    assert format_flags(CONF | LEAK) == "conf|leak"
     assert format_flags(0) == "-"
 
 
-def flag_names(tree) -> list:
-    """Line numbers of every `Flag` name, attribute or import in tree."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "Flag":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "Flag":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.alias) and node.name == "Flag":
-            lines.append(node.lineno)
-    return lines
-
-
-@pytest.mark.parametrize("module", ["taint.py", "vital.py"])
-def test_spread_rules_name_no_flag(module):
-    assert flag_names(ast.parse((PACKAGE / module).read_text())) == []
-
-
-def test_protection_rules_name_no_flag():
-    tree = ast.parse((PACKAGE / "guard.py").read_text())
-    rules = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name in ("pr_conf", "pr_inte", "pr_avai")}
-    assert len(rules) == 3
-    for name, rule in rules.items():
-        assert flag_names(rule) == [], name
+def test_no_module_imports_enum():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "enum" for name in names), (path, node.lineno)

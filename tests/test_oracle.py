@@ -15,7 +15,7 @@ from stbac.guard import (
     parse_trust_entry,
     parse_trust_list,
 )
-from stbac.model import Flag, TraceError
+from stbac.model import INTE, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
 from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
 
@@ -287,7 +287,7 @@ def structure_cell_by_cell(config):
             struct.add_cell(dir_path, "dir", False, struct.cells[parent_of(dir_path)])
         struct.add_cell(path, kind, exec_bits, struct.cells[parent_of(path)])
     for flag, path in config.marks:
-        if flag is Flag.INTE and path in struct.cells:
+        if flag == INTE and path in struct.cells:
             struct.protected.add(struct.cells[path])
     return struct
 

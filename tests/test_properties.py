@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from stbac.engine import Policy, apply_event, export_graph, parse_trace, replay
 from stbac.guard import parse_trust_list
-from stbac.model import CONF, TAINT, Flag
+from stbac.model import CONF, TAINT
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -35,7 +35,7 @@ def test_taint_is_never_cleared_by_rules(intent_list):
     _, events, _, result = run_generated(intent_list)
     for record in result.records:
         for change in record.flag_changes:
-            if change.flag is Flag.TAINT:
+            if change.flag == TAINT:
                 assert change.on, record.line()
     # snapshot view: a tainted live process stays tainted until it exits
     exited = set()

@@ -1,6 +1,6 @@
 import pytest
 
-from stbac.model import TAINT, TaintRule
+from stbac.model import TAINT
 from stbac.taint import tr_exe_proc, tr_proc_exe, tr_proc_proc, tr_sock_proc
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -25,7 +25,7 @@ class TestSockProc:
     def test_untrusted_socket_taints_owner(self, world):
         sock = make_socket(world, INIT_PID, trusted=False)
         mutation = tr_sock_proc(proc(world), sock)
-        assert mutation.rule is TaintRule.SOCK_PROC
+        assert mutation.rule == "TR_sock_proc"
         assert mutation.target == ("proc", INIT_PID)
         assert mutation.cause == ("sock", sock.sock_id)
 
@@ -47,7 +47,7 @@ class TestProcProc:
         parent.flags |= TAINT
         child = world.spawn(parent, 2)
         mutation = tr_proc_proc(parent, child)
-        assert mutation.rule is TaintRule.PROC_PROC
+        assert mutation.rule == "TR_proc_proc"
         assert mutation.target == ("proc", 2)
         assert mutation.cause == ("proc", INIT_PID)
 
@@ -69,7 +69,7 @@ class TestProcExe:
         p.flags |= TAINT
         node = world.node_at("/tmp/dropper")
         mutation = tr_proc_exe(p, node)
-        assert mutation.rule is TaintRule.PROC_EXE
+        assert mutation.rule == "TR_proc_exe"
         assert mutation.target == ("file", node.node_id)
 
     def test_non_executable_write_spreads_nothing(self, world):
@@ -94,7 +94,7 @@ class TestExeProc:
         node = world.node_at("/tmp/dropper")
         node.flags |= TAINT
         mutation = tr_exe_proc(proc(world), node)
-        assert mutation.rule is TaintRule.EXE_PROC
+        assert mutation.rule == "TR_exe_proc"
         assert mutation.target == ("proc", INIT_PID)
 
     def test_exec_of_clean_file_spreads_nothing(self, world):

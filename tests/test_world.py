@@ -20,8 +20,6 @@ from stbac.model import (
     NO_FLAGS,
     TAINT,
     ConfigError,
-    Flag,
-    ResourceKind,
     StbacError,
     TraceError,
 )
@@ -81,10 +79,10 @@ class TestBoot:
 
     def test_hwm_and_cap_recorded(self):
         world = boot("hwm memory_bytes 512 75\ncap memory_bytes 4096\n")
-        assert world.ledger.hwm_st[ResourceKind.MEMORY_BYTES] == 512
-        assert world.ledger.hwm_sys[ResourceKind.MEMORY_BYTES] == 75
-        assert world.ledger.caps[ResourceKind.MEMORY_BYTES] == 4096
-        assert world.ledger.flags[ResourceKind.MEMORY_BYTES] & AVAI
+        assert world.ledger.hwm_st["memory_bytes"] == 512
+        assert world.ledger.hwm_sys["memory_bytes"] == 75
+        assert world.ledger.caps["memory_bytes"] == 4096
+        assert world.ledger.flags["memory_bytes"] & AVAI
 
     def test_unknown_directive_rejected(self):
         with pytest.raises(ConfigError, match="unknown directive"):
@@ -109,12 +107,12 @@ def boot_node_by_node(config):
             world.add_node(path, kind, exec_bits, world.lookup(parent_of(path)))
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-    for (flag, path), line_no in zip(config.marks, config.mark_lines):
+    for (bit, path), line_no in zip(config.marks, config.mark_lines):
         if world.lookup(path) is None:
-            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[flag]} "
+            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[bit]} "
                               f"on nonexistent path {path}")
         node = world.node_at(path)
-        world.set_flags(("file", node.node_id), node.flags | flag.value)
+        world.set_flags(("file", node.node_id), node.flags | bit)
     for kind, (limit, percent) in config.hwms.items():
         world.ledger.hwm_st[kind] = limit
         world.ledger.hwm_sys[kind] = percent
@@ -227,7 +225,7 @@ class TestFlagOps:
         assert record.result == "ALLOW"
         assert record.param == "inte=1"
         assert record.flag_changes == (
-            FlagChange(("file", "/sbin"), Flag.INTE, True, "set_stbac_attr"),)
+            FlagChange(("file", "/sbin"), INTE, True, "set_stbac_attr"),)
         assert world.node_at("/sbin").flags & INTE
 
     def test_tainted_actor_denied_set(self):
@@ -241,7 +239,7 @@ class TestFlagOps:
         world = boot("node /f file 0\n")
         first, second = admin(world, "1,1,set_stbac_attr,/f,conf,1\n"
                                      "2,1,set_stbac_attr,/f,conf,1\n")
-        assert [c.flag for c in first.flag_changes] == [Flag.CONF]
+        assert [c.flag for c in first.flag_changes] == [CONF]
         assert second.result == "ALLOW"
         assert second.flag_changes == ()
         assert world.node_at("/f").flags == CONF
@@ -253,7 +251,7 @@ class TestFlagOps:
         (record,) = admin(world, "1,1,set_stbac_attr,/f,taint,0\n")
         assert record.result == "ALLOW"
         assert record.flag_changes == (
-            FlagChange(("file", "/f"), Flag.TAINT, False, "set_stbac_attr"),)
+            FlagChange(("file", "/f"), TAINT, False, "set_stbac_attr"),)
         assert not node.flags & TAINT
 
     def test_avai_only_on_resources(self):
@@ -264,10 +262,10 @@ class TestFlagOps:
         (record,) = admin(world, "1,1,set_stbac_attr,res:cpu_ticks,avai,1\n")
         assert record.result == "ALLOW"
         (change,) = record.flag_changes
-        assert change == FlagChange(("res", "cpu_ticks"), Flag.AVAI, True,
+        assert change == FlagChange(("res", "cpu_ticks"), AVAI, True,
                                     "set_stbac_attr")
         assert type(change.entity[1]) is str and type(change.rule) is str
-        assert world.ledger.flags[ResourceKind.CPU_TICKS] & AVAI
+        assert world.ledger.flags["cpu_ticks"] & AVAI
         with pytest.raises(TraceError,
                            match="line 1: flag conf only applies to processes and nodes"):
             admin(world, "1,1,set_stbac_attr,res:cpu_ticks,conf,1\n")
@@ -423,13 +421,13 @@ def test_set_flags_is_the_only_writer_of_label_bits():
 
 class TestClassification:
     @pytest.mark.parametrize("flags,tainted,vital,health", [
-        (NO_FLAGS, False, Flag(0), True),
-        (TAINT, True, Flag(0), False),
-        (CONF, False, Flag.CONF, False),
-        (INTE, False, Flag.INTE, False),
-        (TAINT | INTE, True, Flag.INTE, False),
-        (LEAK, False, Flag(0), True),
-        (TAINT | CONF | LEAK, True, Flag.CONF, False),
+        (NO_FLAGS, False, NO_FLAGS, True),
+        (TAINT, True, NO_FLAGS, False),
+        (CONF, False, CONF, False),
+        (INTE, False, INTE, False),
+        (TAINT | INTE, True, INTE, False),
+        (LEAK, False, NO_FLAGS, True),
+        (TAINT | CONF | LEAK, True, CONF, False),
     ])
     def test_partition_reports_bits_faithfully(self, flags, tainted, vital, health):
         report = classify(flags)
@@ -461,8 +459,8 @@ class TestSerialization:
         assert again.node_at("/bin").flags & INTE
         assert again.node_at("/bin/sh").flags & LEAK
         assert again.node_at("/bin/sh").exec_bits
-        assert again.ledger.hwm_st[ResourceKind.CPU_TICKS] == 10
-        assert again.ledger.caps[ResourceKind.CPU_TICKS] == 100
+        assert again.ledger.hwm_st["cpu_ticks"] == 10
+        assert again.ledger.caps["cpu_ticks"] == 100
 
 
 class TestIdentifiers:
