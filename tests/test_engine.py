@@ -559,6 +559,16 @@ class TestDotExport:
         assert result.world.processes[1].uid == 0
 
 
+class TestApplyEventGraph:
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_apply_event_without_a_graph_gives_the_replay_records(self, name):
+        bundle = scenarios.load(name)
+        world = spawn_boot_world(bundle.config())
+        policy = bundle.policy()
+        records = [apply_event(world, event, policy) for event in bundle.events()]
+        assert records == bundle.replay().records
+
+
 class TestDenyPurity:
     def test_all_denied_events_leave_state_untouched(self):
         trace = ("1,1,fork,2\n"

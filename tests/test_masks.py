@@ -10,11 +10,26 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 import stbac
 from stbac import scenarios
 from stbac.engine import Policy, parse_trace, replay
 from stbac.guard import parse_pcopy_map, parse_trust_list
-from stbac.model import AVAI, CONF, FLAG_NAMES, INTE, LEAK, TAINT, flag_bits, format_flags
+from stbac.model import (
+    AVAI,
+    CONF,
+    FLAG_NAMES,
+    INTE,
+    LEAK,
+    RESOURCE_KINDS,
+    TAINT,
+    ConfigError,
+    flag_bits,
+    format_flags,
+    parse_flag,
+    parse_resource,
+)
 from stbac.world import parse_init_config, spawn_boot_world
 
 import trace_gen
@@ -83,6 +98,21 @@ def test_flag_bits_and_format_flags_take_masks():
     assert flag_bits(0) == []
     assert format_flags(CONF | LEAK) == "conf|leak"
     assert format_flags(0) == "-"
+
+
+def test_parse_flag_returns_the_bit_of_its_audit_name():
+    assert [parse_flag(name) for name in FLAG_NAMES.values()] == list(FLAG_NAMES)
+    assert all(type(parse_flag(name)) is int for name in FLAG_NAMES.values())
+    for name in ("CONF", "Flag.CONF", "1", ""):
+        with pytest.raises(ConfigError, match=f"^unknown flag {name!r}$"):
+            parse_flag(name)
+
+
+def test_parse_resource_checks_membership_of_resource_kinds():
+    assert [parse_resource(kind) for kind in RESOURCE_KINDS] == list(RESOURCE_KINDS)
+    for name in ("cpu", "CPU_TICKS", "ResourceKind.CPU_TICKS", ""):
+        with pytest.raises(ConfigError, match=f"^unknown resource kind {name!r}$"):
+            parse_resource(name)
 
 
 def test_no_module_imports_enum():

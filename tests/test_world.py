@@ -219,6 +219,22 @@ def admin(world, trace_text, tainted=False):
 
 
 class TestFlagOps:
+    def test_flags_of_and_set_flags_switch_on_the_ref_kind(self):
+        world = boot("node /d file 0\n")
+        node = world.node_at("/d")
+        world.open_socket(1, INIT_PID, ("1.1.1.1", 1), ("2.2.2.2", 2), "udp", False)
+        world.set_flags(("proc", INIT_PID), CONF)
+        world.set_flags(("file", node.node_id), INTE | LEAK)
+        world.set_flags(("res", "disk_blocks"), AVAI | TAINT)
+        assert world.processes[INIT_PID].flags == CONF
+        assert node.flags == INTE | LEAK
+        assert world.ledger.flags["disk_blocks"] == AVAI | TAINT
+        assert world.flags_of(("proc", INIT_PID)) == CONF
+        assert world.flags_of(("file", node.node_id)) == INTE | LEAK
+        assert world.flags_of(("res", "disk_blocks")) == AVAI | TAINT
+        assert world.flags_of(("sock", 1)) == NO_FLAGS
+        assert world.tainted == set()           # resources are not tracked entities
+
     def test_health_actor_sets_flag(self):
         world = boot("node /sbin dir 0\n")
         (record,) = admin(world, "1,1,set_stbac_attr,/sbin,inte,1\n")
