@@ -251,6 +251,7 @@ def cmd_trust_add(args) -> int:
             f" {args.proto} {args.span}")
     entry = parse_trust_entry(line)
     text = _read(args.trust) if os.path.exists(args.trust) else ""
+    parse_trust_list(text)     # a malformed list stays as it is
     if text and not text.endswith("\n"):
         text += "\n"
     _write(args.trust, text + format_trust_entry(entry) + "\n")

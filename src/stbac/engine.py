@@ -21,7 +21,9 @@ their own audit spelling, so nothing translates a name on the way out.
 The engine is the one place that checks trace input: paths, kinds, exec
 bits, live pids, socket owners and amounts are checked in the handlers
 before any guard or rule is asked, and the rules and World.add_node trust
-their arguments.
+their arguments.  Handlers and the token helpers raise their StbacError
+with the message alone; _Replayer.step is the one place that gives a trace
+error its line, as parse_trace does for the lines it rejects.
 
 Audit line shape (one per event):
 
@@ -134,7 +136,6 @@ class AuditRecord:
 
 @dataclass
 class GraphNode:
-    key: tuple
     label: str
     flags_ever: int = NO_FLAGS    # union of every mask the entity showed
 
@@ -150,7 +151,7 @@ class DepGraph:
     def touch(self, key: tuple, label: str) -> GraphNode:
         node = self.nodes.get(key)
         if node is None:
-            node = GraphNode(key, label)
+            node = GraphNode(label)
             self.nodes[key] = node
         else:
             node.label = label
@@ -269,8 +270,6 @@ class _Replayer:
         try:
             proc = world.live_process(ev.pid)
             decision, obj, param, mutations = OPS[ev.op].handler(self, proc, ev)
-        except TraceError:
-            raise
         except ResourceExhausted as exc:
             raise TraceError(f"resource exhausted: {exc}", ev.line) from exc
         except StbacError as exc:
@@ -336,41 +335,37 @@ class _Replayer:
 
     # -- argument helpers ----------------------------------------------------
 
-    def _node_arg(self, token: str, ev: Event):
-        path = _path_arg(token, ev)
-        node_id = self.world.lookup(path)
-        if node_id is None:
-            raise TraceError(f"no such path {path}", ev.line)
-        return self.world.fs[node_id]
+    def _node_arg(self, token: str):
+        return self.world.node_at(_path_arg(token))
 
-    def _fresh_path(self, token: str, ev: Event) -> str:
-        path = _path_arg(token, ev)
+    def _fresh_path(self, token: str) -> str:
+        path = _path_arg(token)
         if self.world.lookup(path) is not None:
-            raise TraceError(f"path exists: {path}", ev.line)
+            raise TraceError(f"path exists: {path}")
         return path
 
-    def _parent_dir(self, path: str, ev: Event):
+    def _parent_dir(self, path: str):
         parent_path = parent_of(path)
         parent_id = self.world.lookup(parent_path)
         if parent_id is None:
-            raise TraceError(f"missing parent directory {parent_path}", ev.line)
+            raise TraceError(f"missing parent directory {parent_path}")
         parent = self.world.fs[parent_id]
         if parent.kind != "dir":
-            raise TraceError(f"parent is not a directory: {parent_path}", ev.line)
+            raise TraceError(f"parent is not a directory: {parent_path}")
         return parent
 
-    def _redirect_target(self, decision, default_node, ev: Event):
+    def _redirect_target(self, decision, default_node):
         if decision.redirect_path is None:
             return default_node
         node_id = self.world.lookup(decision.redirect_path)
         if node_id is None:
-            raise TraceError(f"partial copy {decision.redirect_path} missing", ev.line)
+            raise TraceError(f"partial copy {decision.redirect_path} missing")
         return self.world.fs[node_id]
 
     # -- process lifecycle ---------------------------------------------------
 
     def _ev_fork(self, proc, ev):
-        child_pid = _int_arg(ev.args[0], "child pid", ev)
+        child_pid = _int_arg(ev.args[0], "child pid")
         child = self.world.spawn(proc, child_pid)
         return ALLOW, f"pid:{child_pid}", "-", (taint.tr_proc_proc(proc, child),
                                                  vital.vr_proc_proc(proc, child))
@@ -382,52 +377,52 @@ class _Replayer:
     # -- IPC -------------------------------------------------------------------
 
     def _ev_pipe(self, proc, ev):
-        reader = self.world.live_process(_int_arg(ev.args[0], "reader pid", ev))
+        reader = self.world.live_process(_int_arg(ev.args[0], "reader pid"))
         return ALLOW, f"pid:{reader.pid}", "-", (taint.tr_proc_proc(proc, reader),)
 
     def _ev_shmat(self, proc, ev):
-        peer = self.world.live_process(_int_arg(ev.args[0], "peer pid", ev))
+        peer = self.world.live_process(_int_arg(ev.args[0], "peer pid"))
         # Shared memory has no direction: each side reads the other.
         return ALLOW, f"pid:{peer.pid}", "-", (taint.tr_proc_proc(proc, peer),
                                                taint.tr_proc_proc(peer, proc))
 
     def _ev_msgrcv(self, proc, ev):
-        sender = self.world.live_process(_int_arg(ev.args[0], "sender pid", ev))
+        sender = self.world.live_process(_int_arg(ev.args[0], "sender pid"))
         return ALLOW, f"pid:{sender.pid}", "-", (taint.tr_proc_proc(sender, proc),)
 
     # -- filesystem --------------------------------------------------------------
 
     def _ev_open_read(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         op_kind = "read_dir" if node.kind == "dir" else "read_file"
         decision = pr_conf(proc, node, op_kind, self.policy.pcopy)
         mutations = ()
         if decision.allowed:
-            target = self._redirect_target(decision, node, ev)
+            target = self._redirect_target(decision, node)
             if target.kind == "file":
                 mutations = (vital.vr_file_proc(proc, target, "read"),
                              *self._drain_fifo(proc, target))
         return decision, node.path, "-", mutations
 
     def _ev_open_write(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind == "dir":
-            raise TraceError(f"cannot write a directory: {node.path}", ev.line)
+            raise TraceError(f"cannot write a directory: {node.path}")
         decision = pr_inte(proc, node, "write", self.policy.pcopy)
         mutations = ()
         if decision.allowed:
-            target = self._redirect_target(decision, node, ev)
+            target = self._redirect_target(decision, node)
             if target.kind == "file":
                 mutations = self._write_mutations(proc, target)
-                if target.node_id in self.world.fifos:
-                    queue = self.world.fifo_queues.setdefault(target.node_id, [])
+                queue = self.world.fifo_queues.get(target.node_id)
+                if queue is not None:
                     queue.append((proc.pid, proc.flags & TAINT != 0))
         return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
-        path = self._fresh_path(ev.args[0], ev)
-        exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
-        parent = self._parent_dir(path, ev)
+        path = self._fresh_path(ev.args[0])
+        exec_bits = _bit_arg(ev.args[1], "exec bit")
+        parent = self._parent_dir(path)
         decision = pr_inte(proc, parent, "create_in_dir")
         mutations = ()
         if decision.allowed:
@@ -441,29 +436,28 @@ class _Replayer:
         if ev.op == "mknod":
             kind = ev.args[1]
             if kind not in ("file", "device", "fifo"):
-                raise TraceError(f"mknod kind must be file|device|fifo, got {kind!r}",
-                                 ev.line)
+                raise TraceError(f"mknod kind must be file|device|fifo, got {kind!r}")
         else:
             kind = "dir" if ev.op == "mkdir" else "fifo"
-        path = self._fresh_path(ev.args[0], ev)
-        parent = self._parent_dir(path, ev)
+        path = self._fresh_path(ev.args[0])
+        parent = self._parent_dir(path)
         decision = pr_inte(proc, parent, "create_in_dir")
         mutations = ()
         if decision.allowed:
             node = self.world.add_node(path, "file" if kind == "fifo" else kind,
                                        False, parent.node_id)
             if kind == "fifo":
-                self.world.fifos.add(node.node_id)
+                self.world.fifo_queues[node.node_id] = []
             mutations = (vital.vr_dir_dir(parent, node),)
         return decision, path, "-" if kind == "dir" else kind, mutations
 
     def _ev_chmod(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
-        exec_bits = _bit_arg(ev.args[1], "exec bit", ev)
+        node = self._node_arg(ev.args[0])
+        exec_bits = _bit_arg(ev.args[1], "exec bit")
         decision = pr_inte(proc, node, "chmod", self.policy.pcopy)
         mutations = ()
         if decision.allowed:
-            target = self._redirect_target(decision, node, ev)
+            target = self._redirect_target(decision, node)
             if target.kind == "file":
                 became_set = exec_bits and not target.exec_bits
                 target.exec_bits = exec_bits
@@ -472,52 +466,52 @@ class _Replayer:
         return decision, node.path, f"exec={int(exec_bits)}", mutations
 
     def _ev_truncate(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind == "dir":
-            raise TraceError(f"cannot truncate a directory: {node.path}", ev.line)
+            raise TraceError(f"cannot truncate a directory: {node.path}")
         decision = pr_inte(proc, node, "truncate", self.policy.pcopy)
         return decision, node.path, "-", ()
 
     def _ev_chown(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
-        uid = _int_arg(ev.args[1], "uid", ev)
+        node = self._node_arg(ev.args[0])
+        uid = _int_arg(ev.args[1], "uid")
         decision = pr_inte(proc, node, "chown")
         return decision, node.path, f"uid={uid}", ()
 
     def _ev_unlink(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind == "dir":
-            raise TraceError(f"unlink of a directory: {node.path}", ev.line)
+            raise TraceError(f"unlink of a directory: {node.path}")
         decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-", ()
 
     def _ev_rmdir(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind != "dir":
-            raise TraceError(f"rmdir of a non-directory: {node.path}", ev.line)
+            raise TraceError(f"rmdir of a non-directory: {node.path}")
         if node.parent is None:
-            raise TraceError("cannot remove /", ev.line)
+            raise TraceError("cannot remove /")
         if self.world.children(node):
-            raise TraceError(f"directory not empty: {node.path}", ev.line)
+            raise TraceError(f"directory not empty: {node.path}")
         decision = pr_inte(proc, node, "delete")
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-", ()
 
     def _ev_rename(self, proc, ev):
-        src = self._node_arg(ev.args[0], ev)
+        src = self._node_arg(ev.args[0])
         if src.parent is None:
-            raise TraceError("cannot rename /", ev.line)
-        dst_path = _path_arg(ev.args[1], ev)
+            raise TraceError("cannot rename /")
+        dst_path = _path_arg(ev.args[1])
         if dst_path == src.path or dst_path.startswith(src.path + "/"):
-            raise TraceError(f"cannot rename {src.path} into itself", ev.line)
-        dst_parent = self._parent_dir(dst_path, ev)
+            raise TraceError(f"cannot rename {src.path} into itself")
+        dst_parent = self._parent_dir(dst_path)
         dst_id = self.world.lookup(dst_path)
         overwritten = None if dst_id is None else self.world.fs[dst_id]
         if overwritten is not None and overwritten.kind == "dir":
-            raise TraceError(f"rename target is a directory: {dst_path}", ev.line)
+            raise TraceError(f"rename target is a directory: {dst_path}")
         decision = pr_inte(proc, src, "rename")
         if decision.allowed and overwritten is not None:
             decision = pr_inte(proc, overwritten, "delete")
@@ -532,21 +526,20 @@ class _Replayer:
     # -- exec and loading ----------------------------------------------------------
 
     def _ev_execve(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind != "file":
-            raise TraceError(f"cannot exec {node.kind} {node.path}", ev.line)
+            raise TraceError(f"cannot exec {node.kind} {node.path}")
         if not node.exec_bits:
-            raise TraceError(f"{node.path} is not executable", ev.line)
+            raise TraceError(f"{node.path} is not executable")
         mutations = (taint.tr_exe_proc(proc, node),
                      vital.vr_file_proc(proc, node, "execve"))
-        proc.exe = node.node_id
         proc.exe_path = node.path
         return ALLOW, node.path, "-", mutations
 
     def _ev_mmap_exec(self, proc, ev):
-        node = self._node_arg(ev.args[0], ev)
+        node = self._node_arg(ev.args[0])
         if node.kind != "file":
-            raise TraceError(f"{node.path} is not a regular file", ev.line)
+            raise TraceError(f"{node.path} is not a regular file")
         return ALLOW, node.path, "-", (taint.tr_exe_proc(proc, node),)
 
     # -- privileged operations --------------------------------------------------
@@ -559,55 +552,51 @@ class _Replayer:
         return decision, obj, "-", ()
 
     def _ev_set_id(self, proc, ev):
-        """setuid, setgid, setfsuid; only setuid's new id is modeled."""
+        """setuid, setgid, setfsuid; the new id is audited, not modeled."""
         what = "gid" if ev.op == "setgid" else "uid"
-        ident = _int_arg(ev.args[0], what, ev)
+        ident = _int_arg(ev.args[0], what)
         decision = pr_inte(proc, None, "setuid_family")
-        if decision.allowed and ev.op == "setuid":
-            proc.uid = ident
         return decision, "-", f"{what}={ident}", ()
 
     def _ev_kill(self, proc, ev):
-        target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
+        target = self.world.live_process(_int_arg(ev.args[0], "target pid"))
         decision = pr_inte(proc, target, "kill")
         # Signal delivery itself is not modeled; a dying target shows up
         # in the trace as its own exit event.
         return decision, f"pid:{target.pid}", "-", ()
 
     def _ev_ptrace(self, proc, ev):
-        target = self.world.live_process(_int_arg(ev.args[0], "target pid", ev))
+        target = self.world.live_process(_int_arg(ev.args[0], "target pid"))
         decision = pr_conf(proc, target, "ptrace")
         return decision, f"pid:{target.pid}", "-", ()
 
     # -- network ---------------------------------------------------------------
 
     def _ev_socket_open(self, proc, ev):
-        sock_id = _int_arg(ev.args[0], "socket id", ev)
-        local = _endpoint_arg(ev.args[1], ev)
-        remote = _endpoint_arg(ev.args[2], ev)
+        sock_id = _int_arg(ev.args[0], "socket id")
+        local = _endpoint_arg(ev.args[1])
+        remote = _endpoint_arg(ev.args[2])
         proto = ev.args[3]
         if proto not in ("tcp", "udp"):
-            raise TraceError(f"bad protocol {proto!r}", ev.line)
+            raise TraceError(f"bad protocol {proto!r}")
         trusted = match_trust(self.policy.trust, proc.exe_path, local, remote,
                               proto, ev.tick)
-        sock = self.world.open_socket(sock_id, proc.pid, local, remote, proto,
-                                      trusted)
+        sock = self.world.open_socket(sock_id, proc.pid, remote, trusted)
         param = (f"{local[0]}:{local[1]}->{remote[0]}:{remote[1]}/{proto}")
         return ALLOW, f"sock:{sock_id}", param, (taint.tr_sock_proc(proc, sock),)
 
     def _ev_sock_io(self, proc, ev):
         """sock_send and sock_recv; with a peer pid the message carries taint."""
         sending = ev.op == "sock_send"
-        sock = self.world.socket(_int_arg(ev.args[0], "socket id", ev))
+        sock = self.world.socket(_int_arg(ev.args[0], "socket id"))
         if sock.owner != proc.pid:
-            raise TraceError(f"socket {sock.sock_id} belongs to pid {sock.owner}",
-                             ev.line)
-        amount = _int_arg(ev.args[1], "byte count", ev)
+            raise TraceError(f"socket {sock.sock_id} belongs to pid {sock.owner}")
+        amount = _int_arg(ev.args[1], "byte count")
         if amount <= 0:
-            raise TraceError(f"byte count must be positive, got {amount}", ev.line)
+            raise TraceError(f"byte count must be positive, got {amount}")
         peer = None
         if len(ev.args) == 3:
-            peer = self.world.live_process(_int_arg(ev.args[2], "peer pid", ev))
+            peer = self.world.live_process(_int_arg(ev.args[2], "peer pid"))
         decision = pr_avai(self.world, proc, "net_bytes", amount)
         arrow = "->" if sending else "<-"
         param = str(amount) if peer is None else f"{amount}{arrow}pid:{peer.pid}"
@@ -622,19 +611,19 @@ class _Replayer:
     # -- resource allocation ------------------------------------------------------
 
     def _ev_brk_alloc(self, proc, ev):
-        amount = _int_arg(ev.args[0], "byte count", ev)
-        return self._allocate(proc, ev, "memory_bytes", amount)
+        amount = _int_arg(ev.args[0], "byte count")
+        return self._allocate(proc, "memory_bytes", amount)
 
     def _ev_disk_alloc(self, proc, ev):
-        amount = _int_arg(ev.args[0], "block count", ev)
-        return self._allocate(proc, ev, "disk_blocks", amount)
+        amount = _int_arg(ev.args[0], "block count")
+        return self._allocate(proc, "disk_blocks", amount)
 
     def _ev_sched_tick(self, proc, ev):
-        return self._allocate(proc, ev, "cpu_ticks", 1)
+        return self._allocate(proc, "cpu_ticks", 1)
 
-    def _allocate(self, proc, ev, kind, amount):
+    def _allocate(self, proc, kind, amount):
         if amount <= 0:
-            raise TraceError(f"allocation must be positive, got {amount}", ev.line)
+            raise TraceError(f"allocation must be positive, got {amount}")
         decision = pr_avai(self.world, proc, kind, amount)
         if decision.allowed:
             self.world.ledger.charge(proc, kind, amount)
@@ -643,12 +632,12 @@ class _Replayer:
     # -- flag administration --------------------------------------------------------
 
     def _ev_set_stbac_attr(self, proc, ev):
-        ref, obj = self._attr_target(ev)
-        bit = _flag_arg(ev.args[1], ev)
-        on = _bit_arg(ev.args[2], "flag value", ev)
+        ref, obj = self._attr_target(ev.args[0])
+        bit = parse_flag(ev.args[1])
+        on = _bit_arg(ev.args[2], "flag value")
         if (bit == AVAI) != (ref[0] == "res"):
             target = "resource kinds" if bit == AVAI else "processes and nodes"
-            raise TraceError(f"flag {FLAG_NAMES[bit]} only applies to {target}", ev.line)
+            raise TraceError(f"flag {FLAG_NAMES[bit]} only applies to {target}")
         decision = pr_inte(proc, None, "set_stbac_attr")
         mutations = ()
         if decision.allowed:
@@ -657,24 +646,23 @@ class _Replayer:
         return decision, obj, f"{FLAG_NAMES[bit]}={int(on)}", mutations
 
     def _ev_get_stbac_attr(self, proc, ev):
-        ref, obj = self._attr_target(ev)
+        ref, obj = self._attr_target(ev.args[0])
         decision = pr_conf(proc, None, "get_stbac_attr")
         if decision.allowed:
             return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}", ()
         return decision, obj, "-", ()
 
-    def _attr_target(self, ev: Event):
-        token = ev.args[0]
+    def _attr_target(self, token: str):
         if token.startswith("pid:"):
-            pid = _int_arg(token[4:], "pid", ev)
+            pid = _int_arg(token[4:], "pid")
             self.world.live_process(pid)
             return proc_ref(pid), token
         if token.startswith("res:"):
             kind = token[4:]
             if kind not in RESOURCE_KINDS:
-                raise TraceError(f"unknown resource kind {kind!r}", ev.line)
+                raise TraceError(f"unknown resource kind {kind!r}")
             return ("res", kind), token
-        node = self._node_arg(token, ev)
+        node = self._node_arg(token)
         return ("file", node.node_id), node.path
 
     # -- shared pieces -------------------------------------------------------------
@@ -687,8 +675,6 @@ class _Replayer:
         return taint.tr_proc_exe(proc, node), vital.vr_proc_file(proc, node)
 
     def _drain_fifo(self, proc, node) -> list:
-        if node.node_id not in self.world.fifos:
-            return []
         queue = self.world.fifo_queues.get(node.node_id)
         if not queue:
             return []
@@ -706,44 +692,37 @@ class _Replayer:
 
 # -- trace tokens ------------------------------------------------------------------
 
-def _int_arg(token: str, what: str, ev: Event) -> int:
+def _int_arg(token: str, what: str) -> int:
     try:
         return ascii_int(token)
     except ValueError:
-        raise TraceError(f"{what} must be an integer, got {token!r}", ev.line) from None
+        raise TraceError(f"{what} must be an integer, got {token!r}") from None
 
 
-def _bit_arg(token: str, what: str, ev: Event) -> bool:
+def _bit_arg(token: str, what: str) -> bool:
     if token not in ("0", "1"):
-        raise TraceError(f"{what} must be 0 or 1, got {token!r}", ev.line)
+        raise TraceError(f"{what} must be 0 or 1, got {token!r}")
     return token == "1"
 
 
-def _path_arg(token: str, ev: Event) -> str:
+def _path_arg(token: str) -> str:
     if not token.startswith("/") or (token != "/" and token.endswith("/")):
-        raise TraceError(f"bad path {token!r}", ev.line)
+        raise TraceError(f"bad path {token!r}")
     return token
 
 
-def _endpoint_arg(token: str, ev: Event) -> tuple:
+def _endpoint_arg(token: str) -> tuple:
     if ":" not in token:
-        raise TraceError(f"endpoint must be ip:port, got {token!r}", ev.line)
+        raise TraceError(f"endpoint must be ip:port, got {token!r}")
     ip, port = token.rsplit(":", 1)
     if not ip:
-        raise TraceError(f"empty IP address in {token!r}", ev.line)
+        raise TraceError(f"empty IP address in {token!r}")
     if not is_ascii_int(port, signed=False):
-        raise TraceError(f"bad port {port!r}", ev.line)
+        raise TraceError(f"bad port {port!r}")
     try:
         return (ip, int(port))
     except ValueError:          # more digits than int() converts
-        raise TraceError(f"port must be an integer, got {port!r}", ev.line) from None
-
-
-def _flag_arg(token: str, ev: Event) -> int:
-    try:
-        return parse_flag(token)
-    except StbacError as exc:
-        raise TraceError(str(exc), ev.line) from None
+        raise TraceError(f"port must be an integer, got {port!r}") from None
 
 
 # -- the op table ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .model import (
     is_ascii_int,
     redirect,
 )
-from .world import FsNode, Process, World, check_path
+from .world import Process, World, check_path
 
 # Operation kinds the confidentiality rule judges.  ptrace and flag reads
 # are denied for tainted subjects regardless of the target's labels.
@@ -93,7 +93,7 @@ def pr_conf(process: Process, target, op_kind: str,
         return DENY_CONF
     if target is None or not target.flags & CONF:
         return ALLOW
-    if pcopy is not None and isinstance(target, FsNode):
+    if pcopy is not None:
         copy_path = pcopy.entries.get(target.path)
         if copy_path is not None:
             return redirect(copy_path)
@@ -115,14 +115,9 @@ def pr_inte(process: Process, target, op_kind: str,
         return ALLOW
     if op_kind in INTE_PRIVILEGED_OPS:
         return DENY_INTE
-    if op_kind == "kill":
-        if target is not None and target.flags & INTE:
-            return DENY_INTE
-        return ALLOW
     if target is None or not target.flags & INTE:
         return ALLOW
-    if (pcopy is not None and op_kind in INTE_REDIRECT_OPS
-            and isinstance(target, FsNode)):
+    if pcopy is not None and op_kind in INTE_REDIRECT_OPS:
         copy_path = pcopy.entries.get(target.path)
         if copy_path is not None:
             return redirect(copy_path)

@@ -42,9 +42,6 @@ DEFAULT_HWM_SYS_PERCENT = 90
 @dataclass(slots=True)
 class Process:
     pid: int
-    parent: int
-    uid: int = 0
-    exe: int | None = None        # node id of the last exec'd file, None before any exec
     exe_path: str = "-"           # path snapshot taken at exec time, for audit
     flags: int = NO_FLAGS         # label mask
     alive: bool = True
@@ -65,9 +62,7 @@ class FsNode:
 class Socket:
     sock_id: int
     owner: int
-    local: tuple                  # (ip, port)
-    remote: tuple
-    proto: str                    # "tcp" | "udp"
+    remote: tuple                 # (ip, port), for the graph label
     trusted: bool                 # decided once, at open time
 
 
@@ -142,8 +137,9 @@ class World:
     taint_epoch: int = 0                            # moves with tainted or a member's path
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
-    fifos: set = field(default_factory=set)         # node ids created as fifos
-    fifo_queues: dict = field(default_factory=dict) # node id -> [(writer pid, tainted at write)]
+    # One entry per live fifo, made empty by mkfifo or mknod: node id ->
+    # unread messages as [(writer pid, tainted at write)].
+    fifo_queues: dict = field(default_factory=dict)
     next_node_id: int = 1
     max_pid_seen: int = INIT_PID
     max_sock_seen: int = 0
@@ -160,15 +156,10 @@ class World:
             raise UnknownEntity(f"no such path {path}")
         return self.fs[node_id]
 
-    def process(self, pid: int) -> Process:
-        try:
-            proc = self.processes[pid]
-        except KeyError:
-            raise UnknownEntity(f"no such pid {pid}") from None
-        return proc
-
     def live_process(self, pid: int) -> Process:
-        proc = self.process(pid)
+        proc = self.processes.get(pid)
+        if proc is None:
+            raise UnknownEntity(f"no such pid {pid}")
         if not proc.alive:
             raise UnknownEntity(f"pid {pid} has exited")
         return proc
@@ -206,7 +197,6 @@ class World:
         del self.fs[node.node_id]
         del self.kids[node.parent][node.node_id]
         self.kids.pop(node.node_id, None)
-        self.fifos.discard(node.node_id)
         self.fifo_queues.pop(node.node_id, None)
         self._track(("file", node.node_id), False)
 
@@ -244,8 +234,7 @@ class World:
             raise StbacError(
                 f"pid {child_pid} is not fresh (last seen {self.max_pid_seen})")
         self.max_pid_seen = child_pid
-        child = Process(child_pid, parent.pid, uid=parent.uid,
-                        exe=parent.exe, exe_path=parent.exe_path)
+        child = Process(child_pid, exe_path=parent.exe_path)
         self.processes[child_pid] = child
         return child
 
@@ -254,13 +243,13 @@ class World:
         proc.alive = False
         self._track(("proc", proc.pid), False)
 
-    def open_socket(self, sock_id: int, owner: int, local, remote, proto,
+    def open_socket(self, sock_id: int, owner: int, remote: tuple,
                     trusted: bool) -> Socket:
         if sock_id <= self.max_sock_seen:
             raise StbacError(
                 f"socket id {sock_id} is not fresh (last seen {self.max_sock_seen})")
         self.max_sock_seen = sock_id
-        sock = Socket(sock_id, owner, local, remote, proto, trusted)
+        sock = Socket(sock_id, owner, remote, trusted)
         self.sockets[sock_id] = sock
         return sock
 
@@ -415,7 +404,7 @@ def spawn_boot_world(config: InitConfig) -> World:
         world.set_flags(("res", kind), AVAI)
         if kind not in config.hwms:
             world.ledger.hwm_st[kind] = total // 2
-    world.processes[INIT_PID] = Process(INIT_PID, parent=0)
+    world.processes[INIT_PID] = Process(INIT_PID)
     return world
 
 
@@ -433,7 +422,7 @@ def _make_dirs(world: World, path: str) -> int:
     return parent_id
 
 
-def serialize_config(world: World, ledger_lines: bool = True) -> str:
+def serialize_config(world: World) -> str:
     """Render the current tree and labels back into config directives.
 
     Used by the flag administration commands, which treat the config file
@@ -447,10 +436,9 @@ def serialize_config(world: World, ledger_lines: bool = True) -> str:
     for node in nodes:
         for bit in flag_bits(node.flags & (CONF | INTE | LEAK)):
             lines.append(f"{FLAG_NAMES[bit]} {node.path}")
-    if ledger_lines:
-        for kind in RESOURCE_KINDS:
-            if world.ledger.flags[kind] & AVAI:
-                lines.append(f"hwm {kind} {world.ledger.hwm_st[kind]}"
-                             f" {world.ledger.hwm_sys[kind]}")
-                lines.append(f"cap {kind} {world.ledger.caps[kind]}")
+    for kind in RESOURCE_KINDS:
+        if world.ledger.flags[kind] & AVAI:
+            lines.append(f"hwm {kind} {world.ledger.hwm_st[kind]}"
+                         f" {world.ledger.hwm_sys[kind]}")
+            lines.append(f"cap {kind} {world.ledger.caps[kind]}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -335,6 +335,17 @@ class TestTrustCommands:
         assert main(["trust", "--trust", str(trust), "list"]) == 2
         assert "trust list line 2: empty IP address" in capsys.readouterr().err
 
+    def test_add_to_a_malformed_list_rejected_and_file_unchanged(self, tmp_path, capsys):
+        trust = tmp_path / "trust.list"
+        before = "garbage line here\n"
+        trust.write_text(before)
+        code = main(["trust", "--trust", str(trust), "add",
+                     "/usr/sbin/sshd", "*:22", "*:*", "tcp", "0..inf"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trust list line 1: malformed trust entry: 'garbage line here'\n")
+        assert trust.read_text() == before
+
     def test_list_empty_file(self, tmp_path, capsys):
         trust = tmp_path / "trust.list"
         trust.write_text("")

@@ -1,4 +1,6 @@
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -48,11 +50,11 @@ def run(trace_text, trust="", pcopy="", track_taint=False):
 def fingerprint(world):
     """World state modulo the clock."""
     return (
-        {pid: (p.parent, p.uid, p.exe, p.flags, p.alive, tuple(sorted(p.usage.items())))
+        {pid: (p.exe_path, p.flags, p.alive, tuple(sorted(p.usage.items())))
          for pid, p in world.processes.items()},
         {nid: (n.path, n.kind, n.exec_bits, n.flags, n.parent)
          for nid, n in world.fs.items()},
-        {sid: (s.owner, s.local, s.remote, s.proto, s.trusted)
+        {sid: (s.owner, s.remote, s.trusted)
          for sid, s in world.sockets.items()},
         tuple(sorted(world.ledger.allocated_sys.items())),
         {nid: tuple(q) for nid, q in world.fifo_queues.items() if q},
@@ -340,6 +342,14 @@ class TestRmdir:
         assert world.lookup("/") is not None
 
 
+# A port with more digits than int() converts.
+LONG_PORT = "1" * 5000
+
+# Maps /etc/passwd to a copy the tree lacks; only a tainted access of
+# /etc/passwd looks the copy up.
+GONE_COPY = "pcopy /etc/passwd /.stbac/gone\n"
+
+
 class TestTraceChecks:
     """The engine checks every trace fact before a guard or rule sees it."""
 
@@ -361,15 +371,58 @@ class TestTraceChecks:
         ("1,1,mkdir,/none/d", "missing parent directory /none"),
         ("1,1,create,/etc/passwd/f,0", "parent is not a directory: /etc/passwd"),
         ("1,1,mkdir,/etc/passwd/d", "parent is not a directory: /etc/passwd"),
+        ("1,1,fork,x", "child pid must be an integer, got 'x'"),
+        ("1,1,kill,-", "target pid must be an integer, got '-'"),
+        ("1,1,setuid,root", "uid must be an integer, got 'root'"),
+        ("1,1,chown,/tmp,1.5", "uid must be an integer, got '1.5'"),
+        ("1,1,create,/tmp/f,2", "exec bit must be 0 or 1, got '2'"),
+        ("1,1,set_stbac_attr,/tmp,conf,on", "flag value must be 0 or 1, got 'on'"),
+        ("1,1,open_read,tmp", "bad path 'tmp'"),
+        ("1,1,mkdir,/tmp/d/", "bad path '/tmp/d/'"),
+        ("1,1,open_read,/nope", "no such path /nope"),
+        ("1,1,set_stbac_attr,/nope,conf,1", "no such path /nope"),
+        ("1,99,sched_tick", "no such pid 99"),
+        ("1,1,socket_open,1,10.0.0.1,10.0.0.9:99,tcp",
+         "endpoint must be ip:port, got '10.0.0.1'"),
+        (f"1,1,socket_open,1,10.0.0.1:{LONG_PORT},10.0.0.9:99,tcp",
+         f"port must be an integer, got '{LONG_PORT}'"),
+        ("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,sctp", "bad protocol 'sctp'"),
+        ("1,1,set_stbac_attr,/tmp,bogus,1", "unknown flag 'bogus'"),
+        ("1,1,get_stbac_attr,res:gpu", "unknown resource kind 'gpu'"),
+        ("1,1,set_stbac_attr,/tmp,avai,1", "flag avai only applies to resource kinds"),
+        ("1,1,set_stbac_attr,res:cpu_ticks,conf,1",
+         "flag conf only applies to processes and nodes"),
+        ("1,1,mknod,/tmp/p,pipe", "mknod kind must be file|device|fifo, got 'pipe'"),
+        ("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n2,1,open_read,/etc/passwd",
+         "partial copy /.stbac/gone missing"),
+        ("1,1,rmdir,/bin", "directory not empty: /bin"),
+        ("1,1,rmdir,/etc/passwd", "rmdir of a non-directory: /etc/passwd"),
+        ("1,1,unlink,/tmp", "unlink of a directory: /tmp"),
+        ("1,1,truncate,/tmp", "cannot truncate a directory: /tmp"),
+        ("1,1,sock_send,7,5", "no such socket 7"),
+        ("1,1,fork,1", "pid 1 is not fresh (last seen 1)"),
+        ("1,1,socket_open,2,10.0.0.1:23,10.0.0.9:99,udp\n"
+         "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,udp",
+         "socket id 1 is not fresh (last seen 2)"),
+        ("1,1,brk_alloc,1000001",
+         "resource exhausted: memory_bytes: 0 + 1000001 exceeds system total 1000000"),
     ], ids=["execve dir", "execve non-executable", "open_write dir", "mmap_exec dir",
             "mmap_exec device", "brk_alloc 0", "sock_send 0", "sock_send foreign socket",
             "pipe to exited pid", "create over existing", "mkdir over existing",
             "create under missing", "mkdir under missing", "create under file",
-            "mkdir under file"])
+            "mkdir under file", "non-integer pid", "dash pid", "non-integer setuid",
+            "non-integer chown", "exec bit 2", "flag value on", "relative path",
+            "trailing slash", "no such path", "no such attr path", "no such pid",
+            "endpoint without port", "over-long port", "bad protocol", "unknown flag",
+            "unknown resource kind", "avai on a node", "conf on a resource",
+            "mknod kind", "partial copy missing", "rmdir non-empty",
+            "rmdir of a file", "unlink of a directory", "truncate dir",
+            "no such socket", "pid not fresh", "socket id not fresh",
+            "resource exhausted"])
     def test_bad_trace_input_names_its_line(self, trace, message):
         line = trace.count("\n") + 1
         with pytest.raises(TraceError) as info:
-            run(trace + "\n")
+            run(trace + "\n", pcopy=GONE_COPY)
         assert info.value.line == line
         assert str(info.value) == f"line {line}: {message}"
 
@@ -382,6 +435,43 @@ class TestTraceChecks:
             assert result.world.processes[2].flags & TAINT
             assert result.world.processes[3].flags & TAINT
             assert len(result.records[3].flag_changes) == 1
+
+
+def _takes_an_event(func) -> bool:
+    return any(arg.arg in ("ev", "event")
+               or (isinstance(arg.annotation, ast.Name) and arg.annotation.id == "Event")
+               for arg in func.args.args)
+
+
+class TestOneLineStamp:
+    """_Replayer.step gives every replay-time TraceError its line, so no
+    handler or helper needs the event for that."""
+
+    TREE = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+
+    def test_only_step_and_parse_trace_pass_a_line(self):
+        stampers = set()
+        for func in ast.walk(self.TREE):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "TraceError"
+                        and (len(call.args) > 1 or call.keywords)):
+                    stampers.add(func.name)
+        assert stampers == {"step", "parse_trace"}
+
+    def test_no_helper_takes_an_event(self):
+        module_helpers = [node for node in self.TREE.body
+                          if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+        (replayer,) = [node for node in self.TREE.body
+                       if isinstance(node, ast.ClassDef) and node.name == "_Replayer"]
+        method_helpers = [node for node in replayer.body
+                          if isinstance(node, ast.FunctionDef)
+                          and not node.name.startswith("_ev_") and node.name != "step"]
+        assert module_helpers and method_helpers
+        assert [f.name for f in module_helpers + method_helpers
+                if _takes_an_event(f)] == []
 
 
 def scanned_snapshot(world):
@@ -556,7 +646,7 @@ class TestDotExport:
     def test_privileged_ops_allowed_for_health(self):
         result = run("1,1,setuid,0\n2,1,mount,/tmp\n3,1,setrlimit\n")
         assert all(r.result == "ALLOW" for r in result.records)
-        assert result.world.processes[1].uid == 0
+        assert result.records[0].param == "uid=0"
 
 
 class TestApplyEventGraph:

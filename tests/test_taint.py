@@ -17,8 +17,8 @@ def proc(world, pid=INIT_PID):
 
 
 def make_socket(world, owner, trusted):
-    return world.open_socket(world.max_sock_seen + 1, owner, ("10.0.0.1", 23),
-                             ("10.0.0.9", 4000), "tcp", trusted)
+    return world.open_socket(world.max_sock_seen + 1, owner, ("10.0.0.9", 4000),
+                             trusted)
 
 
 class TestSockProc:

@@ -135,7 +135,7 @@ def boot_state(world):
         "path_index": list(world.path_index.items()),
         "tainted": world.tainted,
         "ledger": world.ledger,
-        "processes": [(p.pid, p.parent, p.flags) for p in world.processes.values()],
+        "processes": [(p.pid, p.exe_path, p.flags) for p in world.processes.values()],
         "next_node_id": world.next_node_id,
     }
 
@@ -222,7 +222,7 @@ class TestFlagOps:
     def test_flags_of_and_set_flags_switch_on_the_ref_kind(self):
         world = boot("node /d file 0\n")
         node = world.node_at("/d")
-        world.open_socket(1, INIT_PID, ("1.1.1.1", 1), ("2.2.2.2", 2), "udp", False)
+        world.open_socket(1, INIT_PID, ("2.2.2.2", 2), False)
         world.set_flags(("proc", INIT_PID), CONF)
         world.set_flags(("file", node.node_id), INTE | LEAK)
         world.set_flags(("res", "disk_blocks"), AVAI | TAINT)

@@ -1,0 +1,232 @@
+"""Byte-identity check of the CLI outputs of two checkouts.
+
+Usage (from the root of a checkout):
+
+    python3 tools/compare_outputs.py OLD_DIR NEW_DIR --seeds 3 --mutants 200
+
+Each case is one input bundle (boot config, trust list, copy map, trace):
+
+* the three bundled scenarios;
+* the `mix`, `fstree` and `ipc` workloads of perfbench/workloads.py at
+  seeds 1..--seeds, once over the whole trace and once over the window
+  `stbac check` runs on in the benchmark;
+* --mutants scenario traces with one argument of one event swapped for a
+  token from TOKENS, to reach the error paths.  Mutant k is drawn from
+  random.Random(k), so a run is repeatable.
+
+The inputs come from this script's own checkout and are written once; both
+sides read the same files.  For each side, one fresh interpreter imports
+stbac from that checkout's src/ and runs `replay --audit --dot`, `graph`
+and `check` on every case.  The exit code, stdout, stderr, audit file and
+DOT file of each call are compared; an exception that escapes the CLI is
+compared by its type and message.  Exit status: 0 when every call matches,
+1 on any difference, 2 when a side could not be run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ("remote_user", "web_download", "remote_attack")
+WORKLOADS = ("mix", "fstree", "ipc")
+FIELDS = ("code", "stdout", "stderr", "audit", "dot")
+
+# Replacement arguments: integers out of range or malformed, bad and
+# missing paths, endpoints, protocols, flags, mknod kinds, attr targets.
+# None holds a comma, so a mutant keeps its event's arity.
+TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
+          "/", "/nope", "/tmp/", "tmp", "/etc", "10.0.0.1", "10.0.0.1:", ":80",
+          "10.0.0.1:x", "*:*", "tcp", "sctp", "file", "dir", "fifo", "pipe",
+          "taint", "avai", "leak", "bogus", "pid:1", "pid:99", "pid:x",
+          "res:cpu_ticks", "res:gpu")
+
+# Runs in the child interpreter: argv[1] is the checkout's src directory,
+# argv[2] the list of CLI argument lists, argv[3] where the results go, and
+# argv[4:6] the audit and DOT paths the calls write.
+CHILD = r"""
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+src, jobs_path, results_path, *outputs = map(Path, sys.argv[1:6])
+sys.path.insert(0, str(src))
+import stbac
+from stbac.cli import main
+if Path(stbac.__file__).resolve().parent != (src / "stbac").resolve():
+    sys.exit(f"stbac imported from {stbac.__file__}, not {src}")
+
+def digest(text):
+    return None if text is None else hashlib.sha256(text.encode()).hexdigest()
+
+def read(path):
+    if not path.exists():
+        return None
+    text = path.read_bytes().decode("utf-8", "backslashreplace")
+    path.unlink()
+    return text
+
+results = []
+for argv in json.loads(jobs_path.read_text()):
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    audit, dot = map(read, outputs)
+    results.append({
+        "code": code,
+        "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
+        "audit": digest(audit), "dot": digest(dot),
+        "stderr_head": err.getvalue()[:300],
+    })
+results_path.write_text(json.dumps(results))
+"""
+
+
+def mutant(k: int, traces: dict) -> tuple:
+    """(scenario, mutated trace, description) of mutant k."""
+    rng = random.Random(k)
+    name = rng.choice(SCENARIOS)
+    lines = traces[name].splitlines()
+    events = [i for i, line in enumerate(lines)
+              if line.strip() and not line.lstrip().startswith("#")
+              and line.count(",") >= 3]
+    index = rng.choice(events)
+    fields = lines[index].split(",")
+    arg = rng.randrange(3, len(fields))
+    token = rng.choice(TOKENS)
+    fields[arg] = token
+    lines[index] = ",".join(fields)
+    shown = token if len(token) <= 20 else f"{token[:8]}...({len(token)} chars)"
+    return name, "\n".join(lines) + "\n", f"line {index + 1} arg {arg - 2} := {shown!r}"
+
+
+def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
+    """Write every case's input files under workdir; (name, bundle argv,
+    trace path) per case."""
+    cases = []
+
+    def add(name, init, trust, pcopy, trace):
+        case_dir = workdir / f"case{len(cases)}"
+        case_dir.mkdir()
+        paths = []
+        for file_name, text in (("init.cfg", init), ("trust.list", trust),
+                                ("pcopy.list", pcopy), ("events.trace", trace)):
+            (case_dir / file_name).write_text(text, encoding="utf-8")
+            paths.append(str(case_dir / file_name))
+        cases.append((name, ["--init", paths[0], "--trust", paths[1],
+                             "--pcopy", paths[2]], paths[3]))
+
+    bundles = {}
+    for name in SCENARIOS:
+        root = ROOT / "src" / "stbac" / "scenarios" / name
+        bundles[name] = {part: (root / part).read_text(encoding="utf-8")
+                         for part in ("init.cfg", "trust.list", "pcopy.list",
+                                      "scenario.trace")}
+        add(f"scenario {name}", *bundles[name].values())
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    for name in WORKLOADS:
+        for seed in range(1, seeds + 1):
+            w = getattr(workloads, name)(seed)
+            add(f"{name} seed {seed}", w.init_text, w.trust_text, w.pcopy_text,
+                w.trace_text)
+            add(f"{name} seed {seed} check window", w.init_text, w.trust_text,
+                w.pcopy_text, w.check_trace_text())
+
+    traces = {name: bundle["scenario.trace"] for name, bundle in bundles.items()}
+    for k in range(mutants):
+        name, trace, what = mutant(k, traces)
+        bundle = bundles[name]
+        add(f"mutant {k} of {name} ({what})", bundle["init.cfg"], bundle["trust.list"],
+            bundle["pcopy.list"], trace)
+    return cases
+
+
+def jobs_for(cases: list, outputs: tuple) -> list:
+    """Three CLI argument lists per case.  Both sides write the same two
+    output paths, so a message that names one reads the same."""
+    audit, dot = outputs
+    jobs = []
+    for _, bundle, trace in cases:
+        jobs.append(["replay", *bundle, trace, "--audit", audit, "--dot", dot])
+        jobs.append(["graph", *bundle, trace])
+        jobs.append(["check", *bundle, trace])
+    return jobs
+
+
+class SideError(Exception):
+    """A checkout's child interpreter failed."""
+
+
+def run_side(checkout: Path, jobs_path: Path, results_path: Path, outputs: tuple) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", CHILD, str(checkout / "src"), str(jobs_path),
+         str(results_path), *outputs],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SideError(f"error: {checkout} could not be run "
+                        f"(exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(results_path.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="checkout whose outputs are the reference")
+    parser.add_argument("new", type=Path, help="checkout to compare with it")
+    parser.add_argument("--seeds", type=int, default=3,
+                        help="workload seeds 1..N (default 3)")
+    parser.add_argument("--mutants", type=int, default=200,
+                        help="mutated scenario traces (default 200)")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
+        workdir = Path(tmp)
+        cases = build_cases(workdir, args.seeds, args.mutants)
+        outputs = (str(workdir / "out.audit"), str(workdir / "out.dot"))
+        jobs = jobs_for(cases, outputs)
+        jobs_path = workdir / "jobs.json"
+        jobs_path.write_text(json.dumps(jobs))
+        try:
+            old, new = (run_side(checkout.resolve(), jobs_path,
+                                 workdir / "results.json", outputs)
+                        for checkout in (args.old, args.new))
+        except SideError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
+    differences = []
+    for index, (job, before, after) in enumerate(zip(jobs, old, new)):
+        for name in FIELDS:
+            if before[name] != after[name]:
+                detail = ""
+                if name in ("code", "stderr"):
+                    key = "code" if name == "code" else "stderr_head"
+                    detail = f": {before[key]!r} -> {after[key]!r}"
+                differences.append(f"{cases[index // 3][0]}: {job[0]} {name} differs{detail}")
+    for line in differences[:40]:
+        print(line)
+    if len(differences) > 40:
+        print(f"... and {len(differences) - 40} more")
+
+    on_mutants = [result for index, result in enumerate(new)
+                  if cases[index // 3][0].startswith("mutant ")]
+    rejected = sum(result["code"] == 2 for result in on_mutants)
+    print(f"{len(cases)} cases, {len(jobs)} calls per checkout "
+          f"({len(on_mutants)} on mutants, {rejected} of them exit 2): "
+          f"{len(differences)} differences")
+    return 1 if differences else 0
+
+if __name__ == "__main__":
+    sys.exit(main())
