@@ -20,7 +20,6 @@ from .engine import (
     replay,
 )
 from .guard import (
-    PartialCopyMap,
     TrustEntry,
     match_trust,
     parse_pcopy_map,

@@ -152,12 +152,10 @@ def _write(path, text):
 def _load_bundle(args):
     config = parse_init_config(_read(args.init))
     trust = parse_trust_list(_read(args.trust)) if args.trust else []
-    pcopy = parse_pcopy_map(_read(args.pcopy)) if args.pcopy else None
+    pcopy = parse_pcopy_map(_read(args.pcopy)) if args.pcopy else {}
     world = spawn_boot_world(config)
-    policy = Policy(trust)
-    if pcopy is not None:
-        validate_pcopy_against_world(pcopy, world)
-        policy.pcopy = pcopy
+    validate_pcopy_against_world(pcopy, world)
+    policy = Policy(trust, pcopy)
     events = parse_trace(_read(args.trace))
     return config, world, policy, events
 
@@ -277,7 +275,7 @@ def cmd_trust_list(args) -> int:
 def cmd_pcopy_add(args) -> int:
     text = _read(args.pcopy) if os.path.exists(args.pcopy) else ""
     pcopy = parse_pcopy_map(text)
-    if args.shared in pcopy.entries:
+    if args.shared in pcopy:
         print(f"error: {args.shared} already mapped", file=sys.stderr)
         return EXIT_DENIED
     line = f"pcopy {args.shared} {args.copy}"
@@ -290,18 +288,18 @@ def cmd_pcopy_add(args) -> int:
 
 def cmd_pcopy_remove(args) -> int:
     pcopy = parse_pcopy_map(_read(args.pcopy))
-    if args.shared not in pcopy.entries:
+    if args.shared not in pcopy:
         print(f"error: {args.shared} is not mapped", file=sys.stderr)
         return EXIT_DENIED
-    del pcopy.entries[args.shared]
+    del pcopy[args.shared]
     _write(args.pcopy, "".join(f"pcopy {shared} {copy}\n"
-                               for shared, copy in sorted(pcopy.entries.items())))
+                               for shared, copy in sorted(pcopy.items())))
     return EXIT_OK
 
 
 def cmd_pcopy_list(args) -> int:
     pcopy = parse_pcopy_map(_read(args.pcopy))
-    for shared, copy in sorted(pcopy.entries.items()):
+    for shared, copy in sorted(pcopy.items()):
         print(f"pcopy {shared} {copy}")
     return EXIT_OK
 

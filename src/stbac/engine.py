@@ -18,6 +18,11 @@ Label bits stay int masks through a replay, and a FlagChange names the one
 bit that flipped.  Rule names and resource kinds are plain strings that are
 their own audit spelling, so nothing translates a name on the way out.
 
+The engine alone decides how an op is guarded: the target it hands
+pr_conf or pr_inte (none when the op is refused to every suspect), and
+whether it hands the copy map, as open_read, open_write, chmod, fchmod and
+truncate do.  A redirect to a copy that copy_fault rejects is a denial.
+
 The engine is the one place that checks trace input: paths, kinds, exec
 bits, live pids, socket owners and amounts are checked in the handlers
 before any guard or rule is asked, and the rules and World.add_node trust
@@ -39,11 +44,13 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import taint, vital
-from .guard import PartialCopyMap, match_trust, pr_avai, pr_conf, pr_inte
+from .guard import copy_fault, match_trust, pr_avai, pr_conf, pr_inte
 from .model import (
     ALLOW,
     AVAI,
     CONF,
+    DENY_CONF,
+    DENY_INTE,
     FLAG_NAMES,
     INTE,
     LEAK,
@@ -196,7 +203,7 @@ class Policy:
     """Replay-scoped configuration: trusted endpoints and partial copies."""
 
     trust: list = field(default_factory=list)
-    pcopy: PartialCopyMap = field(default_factory=PartialCopyMap)
+    pcopy: dict = field(default_factory=dict)    # shared path -> copy path
 
 
 @dataclass
@@ -258,7 +265,7 @@ class _Replayer:
         self.world = world
         self.policy = policy
         self.graph = graph
-        self.copy_paths = policy.pcopy.copy_paths()
+        self.copy_paths = set(policy.pcopy.values())
 
     # -- main step ---------------------------------------------------------
 
@@ -354,13 +361,12 @@ class _Replayer:
             raise TraceError(f"parent is not a directory: {parent_path}")
         return parent
 
-    def _redirect_target(self, decision, default_node):
-        if decision.redirect_path is None:
-            return default_node
-        node_id = self.world.lookup(decision.redirect_path)
-        if node_id is None:
-            raise TraceError(f"partial copy {decision.redirect_path} missing")
-        return self.world.fs[node_id]
+    def _redirect(self, decision, denial):
+        """A redirect and the copy it touches while that copy is valid;
+        the rule's denial once it is not."""
+        if copy_fault(self.world, decision.redirect_path) is not None:
+            return denial, None
+        return decision, self.world.node_at(decision.redirect_path)
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -393,37 +399,36 @@ class _Replayer:
     # -- filesystem --------------------------------------------------------------
 
     def _ev_open_read(self, proc, ev):
-        node = self._node_arg(ev.args[0])
-        op_kind = "read_dir" if node.kind == "dir" else "read_file"
-        decision = pr_conf(proc, node, op_kind, self.policy.pcopy)
+        node = target = self._node_arg(ev.args[0])
+        decision = pr_conf(proc, node, self.policy.pcopy)
+        if decision.redirect_path is not None:
+            decision, target = self._redirect(decision, DENY_CONF)
         mutations = ()
-        if decision.allowed:
-            target = self._redirect_target(decision, node)
-            if target.kind == "file":
-                mutations = (vital.vr_file_proc(proc, target, "read"),
-                             *self._drain_fifo(proc, target))
+        if decision.allowed and target.kind == "file":
+            mutations = (vital.vr_file_proc(proc, target, "read"),
+                         *self._drain_fifo(proc, target))
         return decision, node.path, "-", mutations
 
     def _ev_open_write(self, proc, ev):
-        node = self._node_arg(ev.args[0])
+        node = target = self._node_arg(ev.args[0])
         if node.kind == "dir":
             raise TraceError(f"cannot write a directory: {node.path}")
-        decision = pr_inte(proc, node, "write", self.policy.pcopy)
+        decision = pr_inte(proc, node, self.policy.pcopy)
+        if decision.redirect_path is not None:
+            decision, target = self._redirect(decision, DENY_INTE)
         mutations = ()
-        if decision.allowed:
-            target = self._redirect_target(decision, node)
-            if target.kind == "file":
-                mutations = self._write_mutations(proc, target)
-                queue = self.world.fifo_queues.get(target.node_id)
-                if queue is not None:
-                    queue.append((proc.pid, proc.flags & TAINT != 0))
+        if decision.allowed and target.kind == "file":
+            mutations = self._write_mutations(proc, target)
+            queue = self.world.fifo_queues.get(target.node_id)
+            if queue is not None:
+                queue.append((proc.pid, proc.flags & TAINT != 0))
         return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
         path = self._fresh_path(ev.args[0])
         exec_bits = _bit_arg(ev.args[1], "exec bit")
         parent = self._parent_dir(path)
-        decision = pr_inte(proc, parent, "create_in_dir")
+        decision = pr_inte(proc, parent)
         mutations = ()
         if decision.allowed:
             node = self.world.add_node(path, "file", exec_bits, parent.node_id)
@@ -441,7 +446,7 @@ class _Replayer:
             kind = "dir" if ev.op == "mkdir" else "fifo"
         path = self._fresh_path(ev.args[0])
         parent = self._parent_dir(path)
-        decision = pr_inte(proc, parent, "create_in_dir")
+        decision = pr_inte(proc, parent)
         mutations = ()
         if decision.allowed:
             node = self.world.add_node(path, "file" if kind == "fifo" else kind,
@@ -452,37 +457,39 @@ class _Replayer:
         return decision, path, "-" if kind == "dir" else kind, mutations
 
     def _ev_chmod(self, proc, ev):
-        node = self._node_arg(ev.args[0])
+        node = target = self._node_arg(ev.args[0])
         exec_bits = _bit_arg(ev.args[1], "exec bit")
-        decision = pr_inte(proc, node, "chmod", self.policy.pcopy)
+        decision = pr_inte(proc, node, self.policy.pcopy)
+        if decision.redirect_path is not None:
+            decision, target = self._redirect(decision, DENY_INTE)
         mutations = ()
-        if decision.allowed:
-            target = self._redirect_target(decision, node)
-            if target.kind == "file":
-                became_set = exec_bits and not target.exec_bits
-                target.exec_bits = exec_bits
-                if became_set:
-                    mutations = (taint.tr_proc_exe(proc, target),)
+        if decision.allowed and target.kind == "file":
+            became_set = exec_bits and not target.exec_bits
+            target.exec_bits = exec_bits
+            if became_set:
+                mutations = (taint.tr_proc_exe(proc, target),)
         return decision, node.path, f"exec={int(exec_bits)}", mutations
 
     def _ev_truncate(self, proc, ev):
         node = self._node_arg(ev.args[0])
         if node.kind == "dir":
             raise TraceError(f"cannot truncate a directory: {node.path}")
-        decision = pr_inte(proc, node, "truncate", self.policy.pcopy)
+        decision = pr_inte(proc, node, self.policy.pcopy)
+        if decision.redirect_path is not None:
+            decision, _ = self._redirect(decision, DENY_INTE)
         return decision, node.path, "-", ()
 
     def _ev_chown(self, proc, ev):
         node = self._node_arg(ev.args[0])
         uid = _int_arg(ev.args[1], "uid")
-        decision = pr_inte(proc, node, "chown")
+        decision = pr_inte(proc, node)
         return decision, node.path, f"uid={uid}", ()
 
     def _ev_unlink(self, proc, ev):
         node = self._node_arg(ev.args[0])
         if node.kind == "dir":
             raise TraceError(f"unlink of a directory: {node.path}")
-        decision = pr_inte(proc, node, "delete")
+        decision = pr_inte(proc, node)
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-", ()
@@ -495,7 +502,7 @@ class _Replayer:
             raise TraceError("cannot remove /")
         if self.world.children(node):
             raise TraceError(f"directory not empty: {node.path}")
-        decision = pr_inte(proc, node, "delete")
+        decision = pr_inte(proc, node)
         if decision.allowed:
             self.world.remove_node(node)
         return decision, node.path, "-", ()
@@ -512,11 +519,11 @@ class _Replayer:
         overwritten = None if dst_id is None else self.world.fs[dst_id]
         if overwritten is not None and overwritten.kind == "dir":
             raise TraceError(f"rename target is a directory: {dst_path}")
-        decision = pr_inte(proc, src, "rename")
+        decision = pr_inte(proc, src)
         if decision.allowed and overwritten is not None:
-            decision = pr_inte(proc, overwritten, "delete")
+            decision = pr_inte(proc, overwritten)
         if decision.allowed:
-            decision = pr_inte(proc, dst_parent, "rename_into")
+            decision = pr_inte(proc, dst_parent)
         if decision.allowed:
             if overwritten is not None:
                 self.world.remove_node(overwritten)
@@ -546,8 +553,8 @@ class _Replayer:
 
     def _ev_privileged(self, proc, ev):
         """mount, umount, setrlimit, reboot, swapoff, create/delete_module:
-        the op itself is the integrity-guarded kind."""
-        decision = pr_inte(proc, None, ev.op)
+        refused to every suspect, so the guard gets no target."""
+        decision = pr_inte(proc, None)
         obj = ev.args[0] if ev.args else "-"
         return decision, obj, "-", ()
 
@@ -555,19 +562,19 @@ class _Replayer:
         """setuid, setgid, setfsuid; the new id is audited, not modeled."""
         what = "gid" if ev.op == "setgid" else "uid"
         ident = _int_arg(ev.args[0], what)
-        decision = pr_inte(proc, None, "setuid_family")
+        decision = pr_inte(proc, None)
         return decision, "-", f"{what}={ident}", ()
 
     def _ev_kill(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid"))
-        decision = pr_inte(proc, target, "kill")
+        decision = pr_inte(proc, target)
         # Signal delivery itself is not modeled; a dying target shows up
         # in the trace as its own exit event.
         return decision, f"pid:{target.pid}", "-", ()
 
     def _ev_ptrace(self, proc, ev):
         target = self.world.live_process(_int_arg(ev.args[0], "target pid"))
-        decision = pr_conf(proc, target, "ptrace")
+        decision = pr_conf(proc, None)
         return decision, f"pid:{target.pid}", "-", ()
 
     # -- network ---------------------------------------------------------------
@@ -638,7 +645,7 @@ class _Replayer:
         if (bit == AVAI) != (ref[0] == "res"):
             target = "resource kinds" if bit == AVAI else "processes and nodes"
             raise TraceError(f"flag {FLAG_NAMES[bit]} only applies to {target}")
-        decision = pr_inte(proc, None, "set_stbac_attr")
+        decision = pr_inte(proc, None)
         mutations = ()
         if decision.allowed:
             added, cleared = (bit, NO_FLAGS) if on else (NO_FLAGS, bit)
@@ -647,7 +654,7 @@ class _Replayer:
 
     def _ev_get_stbac_attr(self, proc, ev):
         ref, obj = self._attr_target(ev.args[0])
-        decision = pr_conf(proc, None, "get_stbac_attr")
+        decision = pr_conf(proc, None)
         if decision.allowed:
             return decision, obj, f"flags={format_flags(self.world.flags_of(ref))}", ()
         return decision, obj, "-", ()

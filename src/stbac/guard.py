@@ -5,11 +5,18 @@ of secret objects, integrity denies their writes to protected objects and
 their dangerous privileged calls, availability caps their resource intake
 against two high-water marks.  Trusted-endpoint matching and partial-copy
 redirection keep legitimate remote administration working.
+
+The rules judge labels only and know no trace op.  The engine decides what
+each op hands them: the node, parent directory or process whose CONF or
+INTE bit it keys on; no target for the ops refused to every tainted
+subject; and the copy map only for the five ops that may redirect.  A
+redirect stands only while its copy is valid (copy_fault): the CLI checks
+every copy at boot, and the engine checks the copy of every redirect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     ALLOW,
@@ -30,25 +37,6 @@ from .model import (
 )
 from .world import Process, World, check_path
 
-# Operation kinds the confidentiality rule judges.  ptrace and flag reads
-# are denied for tainted subjects regardless of the target's labels.
-CONF_OPS = frozenset({"read_file", "read_dir", "ptrace", "get_stbac_attr"})
-CONF_UNCONDITIONAL = frozenset({"ptrace", "get_stbac_attr"})
-
-# Integrity-rule operation kinds.  The privileged group is denied for every
-# tainted subject no matter the target; kill keys on the target process's
-# INTE label; the rest key on the target node (or destination directory).
-INTE_WRITE_OPS = frozenset({"write", "delete", "rename", "truncate", "chmod", "chown"})
-INTE_CREATE_OPS = frozenset({"create_in_dir", "rename_into"})
-# Content/attribute modifications may be redirected to a partial copy;
-# removing or moving the shared object itself may not.
-INTE_REDIRECT_OPS = frozenset({"write", "truncate", "chmod"})
-INTE_PRIVILEGED_OPS = frozenset({
-    "mount", "umount", "setuid_family", "create_module", "delete_module",
-    "reboot", "swapoff", "setrlimit", "set_stbac_attr",
-})
-INTE_OPS = INTE_WRITE_OPS | INTE_CREATE_OPS | INTE_PRIVILEGED_OPS | {"kill"}
-
 
 @dataclass(frozen=True)
 class TrustEntry:
@@ -68,60 +56,39 @@ class TrustEntry:
             raise ConfigError(f"empty time span {self.tick_from}..{self.tick_to}")
 
 
-@dataclass
-class PartialCopyMap:
-    """Static map from shared secret paths to their redacted copies."""
-
-    entries: dict = field(default_factory=dict)   # shared path -> copy path
-
-    def copy_paths(self):
-        return set(self.entries.values())
-
-
-def pr_conf(process: Process, target, op_kind: str,
-            pcopy: PartialCopyMap | None = None) -> Decision:
+def pr_conf(process: Process, target, pcopy: dict | None = None) -> Decision:
     """Confidentiality: tainted subjects may not read secret objects.
 
-    A read that would be denied is redirected instead when the path has a
-    registered partial copy.
+    Without a target the access is refused to every tainted subject.  A
+    read that would be denied is redirected instead when pcopy maps the
+    target's path to a partial copy.
     """
-    if op_kind not in CONF_OPS:
-        raise StbacError(f"bad confidentiality op {op_kind!r}")
     if not process.flags & TAINT:
         return ALLOW
-    if op_kind in CONF_UNCONDITIONAL:
+    if target is None:
         return DENY_CONF
-    if target is None or not target.flags & CONF:
+    if not target.flags & CONF:
         return ALLOW
-    if pcopy is not None:
-        copy_path = pcopy.entries.get(target.path)
-        if copy_path is not None:
-            return redirect(copy_path)
-    return DENY_CONF
+    copy = pcopy.get(target.path) if pcopy else None
+    return DENY_CONF if copy is None else redirect(copy)
 
 
-def pr_inte(process: Process, target, op_kind: str,
-            pcopy: PartialCopyMap | None = None) -> Decision:
+def pr_inte(process: Process, target, pcopy: dict | None = None) -> Decision:
     """Integrity: tainted subjects may not modify protected objects nor run
     the privileged calls that would subvert them.
 
-    For create_in_dir / rename_into the target is the destination
-    directory.  Like reads, a write denial against a shared secret with a
-    partial copy becomes a redirect.
+    Without a target the access is refused to every tainted subject.  A
+    write that would be denied is redirected instead when pcopy maps the
+    target's path to a partial copy.
     """
-    if op_kind not in INTE_OPS:
-        raise StbacError(f"bad integrity op {op_kind!r}")
     if not process.flags & TAINT:
         return ALLOW
-    if op_kind in INTE_PRIVILEGED_OPS:
+    if target is None:
         return DENY_INTE
-    if target is None or not target.flags & INTE:
+    if not target.flags & INTE:
         return ALLOW
-    if pcopy is not None and op_kind in INTE_REDIRECT_OPS:
-        copy_path = pcopy.entries.get(target.path)
-        if copy_path is not None:
-            return redirect(copy_path)
-    return DENY_INTE
+    copy = pcopy.get(target.path) if pcopy else None
+    return DENY_INTE if copy is None else redirect(copy)
 
 
 def pr_avai(world: World, process: Process, kind: str, amount: int) -> Decision:
@@ -244,8 +211,9 @@ def _parse_span(token: str):
     return tick_from, tick_to
 
 
-def parse_pcopy_map(text: str) -> PartialCopyMap:
-    pcopy = PartialCopyMap()
+def parse_pcopy_map(text: str) -> dict:
+    """The copy map as {shared path: copy path}."""
+    pcopy = {}
     line_of = {}             # shared path -> line number of its entry
     for line_no, line in content_lines(text):
         fields = line.split()
@@ -256,25 +224,39 @@ def parse_pcopy_map(text: str) -> PartialCopyMap:
             shared, copy = check_path(shared), check_path(copy)
         except StbacError as exc:
             raise ConfigError(f"copy map line {line_no}: {exc}") from None
-        if shared in pcopy.entries:
+        if shared in pcopy:
             raise ConfigError(f"copy map line {line_no}: duplicate entry for {shared}")
-        pcopy.entries[shared] = copy
+        pcopy[shared] = copy
         line_of[shared] = line_no
-    for shared, copy in pcopy.entries.items():
-        if copy in pcopy.entries:
+    for shared, copy in pcopy.items():
+        if copy in pcopy:
             raise ConfigError(f"copy map line {line_of[shared]}: "
                               f"copy path {copy} is itself a shared path")
     return pcopy
 
 
-def validate_pcopy_against_world(pcopy: PartialCopyMap, world: World):
-    """Copies must exist, be plain files, and never carry the CONF label."""
-    for shared, copy in sorted(pcopy.entries.items()):
-        node_id = world.lookup(copy)
-        if node_id is None:
-            raise ConfigError(f"partial copy {copy} (for {shared}) missing from the tree")
-        node = world.fs[node_id]
-        if node.kind != "file":
-            raise ConfigError(f"partial copy {copy} is not a regular file")
-        if node.flags & CONF:
-            raise ConfigError(f"partial copy {copy} must not be marked conf")
+_MISSING = "missing from the tree"
+
+
+def copy_fault(world: World, copy: str) -> str | None:
+    """Why the node at copy cannot stand in for a shared path, or None when
+    it can: a copy must exist, be a regular file (not a directory, device
+    or fifo) and not carry CONF."""
+    node_id = world.lookup(copy)
+    if node_id is None:
+        return _MISSING
+    node = world.fs[node_id]
+    if node.kind != "file" or node_id in world.fifo_queues:
+        return "is not a regular file"
+    if node.flags & CONF:
+        return "must not be marked conf"
+    return None
+
+
+def validate_pcopy_against_world(pcopy: dict, world: World):
+    """Every copy of the map must be a valid copy at boot."""
+    for shared, copy in sorted(pcopy.items()):
+        fault = copy_fault(world, copy)
+        if fault is not None:
+            owner = f" (for {shared})" if fault is _MISSING else ""
+            raise ConfigError(f"partial copy {copy}{owner} {fault}")

@@ -217,6 +217,20 @@ conf /etc/passwd
                      "--pcopy", str(tmp_path / "pcopy.list"),
                      str(tmp_path / "trace")]) == 2
 
+    def test_copy_removed_by_the_trace_is_a_denial(self, tmp_path, capsys):
+        """A copy valid at boot and unlinked later is no input error: the
+        suspect's read is denied, and check still passes."""
+        (tmp_path / "init.cfg").write_text(self.BOOT)
+        (tmp_path / "pcopy.list").write_text("pcopy /etc/passwd /.stbac/passwd\n")
+        (tmp_path / "trace").write_text("0,1,unlink,/.stbac/passwd\n" + self.TRACE)
+        common = ["--init", str(tmp_path / "init.cfg"),
+                  "--pcopy", str(tmp_path / "pcopy.list"), str(tmp_path / "trace")]
+        assert main(["replay", *common]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith(",open_read,-,DENY(PR_conf)\n")
+        assert captured.err == ""
+        assert main(["check", *common]) == 0
+
 
 class TestGraphCommand:
     def test_graph_to_stdout(self, bundle_dir, capsys):

@@ -1,6 +1,7 @@
-"""tools/compare_outputs.py: a checkout matches itself, and one changed
-error message in a copy of src/ is caught."""
+"""tools/compare_outputs.py: a checkout matches itself, one changed error
+message in a copy of src/ is caught, and some mutants reach the copy map."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
-# Scenarios only, and 20 mutants: several of them hit the bad-path check.
+# No workloads, and 20 mutants: several of them hit the bad-path check.
 ARGS = ["--seeds", "0", "--mutants", "20"]
 
 
@@ -36,3 +37,18 @@ def test_one_altered_error_message_is_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "replay stderr differs" in proc.stdout
     assert "bad path: " in proc.stdout
+
+
+def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert "/etc/shared_copy" in tool.TOKENS
+    cases = tool.build_cases(tmp_path, 0, 20)
+    sources = {}
+    for name, bundle, _ in cases:
+        if name.startswith("mutant "):
+            source = name.split(" of ", 1)[1].split(" (", 1)[0]
+            sources[source] = Path(bundle[bundle.index("--pcopy") + 1]).read_text()
+    assert set(sources) == {*tool.SCENARIOS, tool.COPY_MAP_SOURCE}
+    assert sources[tool.COPY_MAP_SOURCE] == "pcopy /etc/shared /etc/shared_copy\n"

@@ -36,12 +36,12 @@ cap net_bytes 10000
 """
 
 
-def boot():
-    return spawn_boot_world(parse_init_config(BOOT))
+def boot(config=BOOT):
+    return spawn_boot_world(parse_init_config(config))
 
 
-def run(trace_text, trust="", pcopy="", track_taint=False):
-    world = boot()
+def run(trace_text, trust="", pcopy="", track_taint=False, config=BOOT):
+    world = boot(config)
     policy = Policy(parse_trust_list(trust), parse_pcopy_map(pcopy))
     events = parse_trace(trace_text)
     return replay(world, events, policy, track_taint=track_taint)
@@ -199,6 +199,12 @@ class TestAuditFormat:
         assert result.records[1].result == "ALLOW_REDIR(/.stbac/passwd)"
 
 
+# BOOT with a second secret and a protected /etc/passwd, for the copy checks.
+REDIRECT_BOOT = BOOT + "node /etc/shadow file 0\nconf /etc/shadow\ninte /etc/passwd\n"
+PASSWD_COPY = "pcopy /etc/passwd /.stbac/passwd\n"
+UNTRUSTED = "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+
+
 class TestRedirection:
     def test_redirected_read_touches_the_copy(self):
         result = run("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
@@ -216,11 +222,144 @@ class TestRedirection:
                      pcopy="pcopy /etc/passwd /.stbac/passwd\n")
         assert not result.world.node_at("/.stbac/passwd").flags & CONF
 
-    def test_missing_copy_aborts(self):
-        with pytest.raises(TraceError, match="missing"):
-            run("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
-                "2,1,open_read,/etc/passwd\n",
-                pcopy="pcopy /etc/passwd /.stbac/gone\n")
+    @pytest.mark.parametrize("spoil", [
+        "1,1,rename,/etc/shadow,/.stbac/passwd",
+        "1,1,set_stbac_attr,/.stbac/passwd,conf,1",
+        "1,1,unlink,/.stbac/passwd\n1,1,mkdir,/.stbac/passwd",
+        "1,1,unlink,/.stbac/passwd\n1,1,mkfifo,/.stbac/passwd",
+    ], ids=["secret moved over the copy", "copy marked conf", "copy made a directory",
+            "copy made a fifo"])
+    def test_spoiled_copy_is_not_read(self, spoil):
+        """A health process may spoil the copy after boot; a suspect's read
+        is then denied, not redirected to the secret now behind it."""
+        result = run(f"{spoil}\n{UNTRUSTED}3,1,open_read,/etc/passwd\n",
+                     pcopy=PASSWD_COPY, config=REDIRECT_BOOT)
+        assert result.records[-1].result == "DENY(PR_conf)"
+        passwd = result.world.lookup("/etc/passwd")
+        assert result.graph.denials == [(("proc", 1), ("file", passwd), "PR_conf", 3)]
+
+    @pytest.mark.parametrize("access,rule", [
+        ("open_read,/etc/passwd", "PR_conf"),
+        ("open_write,/etc/passwd", "PR_inte"),
+        ("chmod,/etc/passwd,1", "PR_inte"),
+        ("fchmod,/etc/passwd,1", "PR_inte"),
+        ("truncate,/etc/passwd", "PR_inte"),
+    ])
+    def test_missing_copy_denies(self, access, rule):
+        result = run(f"1,1,unlink,/.stbac/passwd\n{UNTRUSTED}3,1,{access}\n",
+                     pcopy=PASSWD_COPY, config=REDIRECT_BOOT)
+        assert result.records[-1].result == f"DENY({rule})"
+        passwd = result.world.lookup("/etc/passwd")
+        assert result.graph.denials == [(("proc", 1), ("file", passwd), rule, 3)]
+
+    def test_restored_copy_redirects_again(self):
+        result = run("1,1,unlink,/.stbac/passwd\n1,1,create,/.stbac/passwd,0\n"
+                     f"{UNTRUSTED}3,1,open_read,/etc/passwd\n",
+                     pcopy=PASSWD_COPY, config=REDIRECT_BOOT)
+        assert result.records[-1].result == "ALLOW_REDIR(/.stbac/passwd)"
+
+
+# The guard table's world: /o holds unlabeled nodes, /l labeled ones (and
+# /l itself is inte, so a node made in it is guarded), /o/i is an inte file
+# in an unlabeled directory, and /c holds the copies of the labeled nodes.
+# Pid 2 is an unlabeled process and pid 3 an inte one.
+GUARD_BOOT = """
+node /o dir 0
+node /o/f file 0
+node /o/d dir 0
+node /o/i file 0
+node /l dir 0
+node /l/f file 0
+node /l/d dir 0
+node /c dir 0
+node /c/f file 0
+node /c/d file 0
+node /c/l file 0
+node /c/i file 0
+inte /o/i
+inte /l
+inte /l/f
+inte /l/d
+conf /l/f
+"""
+GUARD_PCOPY = ("pcopy /l/f /c/f\npcopy /l/d /c/d\npcopy /l /c/l\n"
+               "pcopy /o/i /c/i\n")
+GUARD_PRELUDE = "1,1,fork,2\n2,1,fork,3\n3,1,set_stbac_attr,pid:3,inte,1\n"
+SUSPECT = "4,1,socket_open,1,10.0.0.1:5000,10.0.0.9:80,tcp\n"
+
+# Ops judged by a target's label: op -> (arguments on an unlabeled target,
+# on a labeled one).
+KEYED_ROWS = {
+    "open_read": ("/o/f", "/l/f"),
+    "open_write": ("/o/f", "/l/f"),
+    "chmod": ("/o/f,1", "/l/f,1"),
+    "fchmod": ("/o/f,1", "/l/f,1"),
+    "truncate": ("/o/f", "/l/f"),
+    "chown": ("/o/f,0", "/l/f,0"),
+    "unlink": ("/o/f", "/l/f"),
+    "rmdir": ("/o/d", "/l/d"),
+    "create": ("/o/n,0", "/l/n,0"),
+    "mkdir": ("/o/n", "/l/n"),
+    "mkfifo": ("/o/n", "/l/n"),
+    "mknod": ("/o/n,device", "/l/n,device"),
+    "rename": ("/o/f,/o/n", "/l/f,/o/n"),
+    "kill": ("2", "3"),
+}
+# The other keys of rename: the node it overwrites and its destination.
+RENAME_LABELED = ("/o/f,/o/i", "/o/f,/l/n")
+# Ops refused to every suspect, with the same two kinds of target.
+UNCONDITIONAL_ROWS = {
+    "ptrace": ("2", "3"), "get_stbac_attr": ("/o/f", "/l/f"),
+    "set_stbac_attr": ("/o/f,conf,1", "/l/f,conf,0"), "mount": ("/o", "/l"),
+    "umount": ("/o", "/l"), "create_module": ("m", "m"),
+    "delete_module": ("m", "m"), "setuid": ("0", "0"), "setgid": ("0", "0"),
+    "setfsuid": ("0", "0"), "setrlimit": ("", ""), "reboot": ("", ""),
+    "swapoff": ("", ""),
+}
+REDIRECTING = ("open_read", "open_write", "chmod", "fchmod", "truncate")
+
+
+def guarded_ops() -> set:
+    return {op for op, spec in OPS.items() if spec.families & {"PR_conf", "PR_inte"}}
+
+
+def guard_result(op, args, suspect=True, pcopy="") -> str:
+    """The audit result of pid 1 running op with args in the guard world."""
+    event = f"5,1,{op}{',' + args if args else ''}\n"
+    trace = GUARD_PRELUDE + (SUSPECT if suspect else "") + event
+    return run(trace, pcopy=pcopy, config=GUARD_BOOT).records[-1].result
+
+
+def guard_cases():
+    """(op, arguments, whether the target is labeled) for every case."""
+    for op, (unlabeled, labeled) in sorted({**KEYED_ROWS, **UNCONDITIONAL_ROWS}.items()):
+        yield op, unlabeled, False
+        yield op, labeled, True
+        if op == "rename":
+            for args in RENAME_LABELED:
+                yield op, args, True
+
+
+class TestGuardTable:
+    """Per trace op, the verdict a suspect gets from the protection rules,
+    with and without a copy map; a health process is always allowed."""
+
+    def test_rows_cover_every_guarded_op(self):
+        assert KEYED_ROWS.keys() | UNCONDITIONAL_ROWS.keys() == guarded_ops()
+        assert not KEYED_ROWS.keys() & UNCONDITIONAL_ROWS.keys()
+
+    @pytest.mark.parametrize("op,args,labeled", list(guard_cases()))
+    def test_verdict(self, op, args, labeled):
+        rule = "PR_conf" if "PR_conf" in OPS[op].families else "PR_inte"
+        keyed = op in KEYED_ROWS
+        expected = f"DENY({rule})" if labeled or not keyed else "ALLOW"
+        assert guard_result(op, args) == expected
+        mapped = guard_result(op, args, pcopy=GUARD_PCOPY)
+        if labeled and op in REDIRECTING:
+            assert mapped == "ALLOW_REDIR(/c/f)"
+        else:
+            assert mapped == expected
+        assert guard_result(op, args, suspect=False, pcopy=GUARD_PCOPY) == "ALLOW"
 
 
 class TestFifoMessages:
@@ -345,10 +484,6 @@ class TestRmdir:
 # A port with more digits than int() converts.
 LONG_PORT = "1" * 5000
 
-# Maps /etc/passwd to a copy the tree lacks; only a tainted access of
-# /etc/passwd looks the copy up.
-GONE_COPY = "pcopy /etc/passwd /.stbac/gone\n"
-
 
 class TestTraceChecks:
     """The engine checks every trace fact before a guard or rule sees it."""
@@ -393,8 +528,6 @@ class TestTraceChecks:
         ("1,1,set_stbac_attr,res:cpu_ticks,conf,1",
          "flag conf only applies to processes and nodes"),
         ("1,1,mknod,/tmp/p,pipe", "mknod kind must be file|device|fifo, got 'pipe'"),
-        ("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n2,1,open_read,/etc/passwd",
-         "partial copy /.stbac/gone missing"),
         ("1,1,rmdir,/bin", "directory not empty: /bin"),
         ("1,1,rmdir,/etc/passwd", "rmdir of a non-directory: /etc/passwd"),
         ("1,1,unlink,/tmp", "unlink of a directory: /tmp"),
@@ -415,14 +548,14 @@ class TestTraceChecks:
             "trailing slash", "no such path", "no such attr path", "no such pid",
             "endpoint without port", "over-long port", "bad protocol", "unknown flag",
             "unknown resource kind", "avai on a node", "conf on a resource",
-            "mknod kind", "partial copy missing", "rmdir non-empty",
+            "mknod kind", "rmdir non-empty",
             "rmdir of a file", "unlink of a directory", "truncate dir",
             "no such socket", "pid not fresh", "socket id not fresh",
             "resource exhausted"])
     def test_bad_trace_input_names_its_line(self, trace, message):
         line = trace.count("\n") + 1
         with pytest.raises(TraceError) as info:
-            run(trace + "\n", pcopy=GONE_COPY)
+            run(trace + "\n")
         assert info.value.line == line
         assert str(info.value) == f"line {line}: {message}"
 

@@ -4,12 +4,10 @@ from pathlib import Path
 import pytest
 
 import stbac
+from stbac.engine import OPS
 from stbac.guard import (
-    CONF_OPS,
-    INTE_OPS,
-    INTE_PRIVILEGED_OPS,
-    PartialCopyMap,
     TrustEntry,
+    copy_fault,
     format_trust_entry,
     match_trust,
     parse_pcopy_map,
@@ -62,90 +60,108 @@ def all_flag_subsets():
         yield flags
 
 
+# Copy maps a rule may get: none, an empty one, and one that maps /f.
+COPY_MAPS = (None, {}, {"/f": "/.stbac/f"})
+
+
+def expected_decision(subject_flags, target, bit, pcopy, denial):
+    """The rule contract, in its order: a health subject is allowed, no
+    target is the denial, an unlabeled target is allowed, a mapped target
+    is redirected, anything else is the denial."""
+    if not subject_flags & TAINT:
+        return "ALLOW"
+    if target is None:
+        return denial.result
+    if not target.flags & bit:
+        return "ALLOW"
+    if pcopy and target.path in pcopy:
+        return f"ALLOW_REDIR({pcopy[target.path]})"
+    return denial.result
+
+
 class TestConfRule:
     def test_exhaustive_truth_table(self, world):
-        """Deny exactly when a tainted subject reads secret content or runs
-        the unconditional operations."""
         node = world.node_at("/f")
         for subject_flags in all_flag_subsets():
             p = proc(world, subject_flags)
             for object_flags in all_flag_subsets():
                 node.flags = object_flags
-                for op in sorted(CONF_OPS):
-                    expected_deny = (subject_flags & TAINT and (
-                        op in ("ptrace", "get_stbac_attr")
-                        or object_flags & CONF))
-                    decision = pr_conf(p, node, op)
-                    expected = DENY_CONF if expected_deny else ALLOW
-                    assert decision is expected, (subject_flags, object_flags, op)
+                for target in (node, None):
+                    for pcopy in COPY_MAPS:
+                        decision = pr_conf(p, target, pcopy)
+                        expected = expected_decision(subject_flags, target, CONF,
+                                                     pcopy, DENY_CONF)
+                        assert decision.result == expected, (
+                            subject_flags, object_flags, target, pcopy)
 
     def test_redirect_replaces_denial(self, world):
         p = proc(world, TAINT)
-        pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        decision = pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy)
+        pcopy = {"/etc/passwd": "/.stbac/passwd"}
+        decision = pr_conf(p, world.node_at("/etc/passwd"), pcopy)
         assert decision.allowed
         assert decision.redirect_path == "/.stbac/passwd"
         assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
 
     def test_health_read_of_secret_is_allowed(self, world):
-        decision = pr_conf(proc(world), world.node_at("/etc/passwd"), "read_file")
-        assert decision is ALLOW
+        assert pr_conf(proc(world), world.node_at("/etc/passwd")) is ALLOW
 
     def test_unmapped_secret_still_denied(self, world):
         p = proc(world, TAINT)
-        pcopy = PartialCopyMap({"/other": "/.stbac/other"})
-        assert pr_conf(p, world.node_at("/etc/passwd"), "read_file", pcopy) is DENY_CONF
+        pcopy = {"/other": "/.stbac/other"}
+        assert pr_conf(p, world.node_at("/etc/passwd"), pcopy) is DENY_CONF
+
+    def test_no_target_is_denied_even_with_a_map(self, world):
+        assert pr_conf(proc(world, TAINT), None, {"/f": "/g"}) is DENY_CONF
+        assert pr_conf(proc(world), None) is ALLOW
 
 
 class TestInteRule:
-    def test_truth_table_for_target_ops(self, world):
+    def test_exhaustive_truth_table(self, world):
         node = world.node_at("/f")
         for subject_flags in all_flag_subsets():
             p = proc(world, subject_flags)
             for object_flags in all_flag_subsets():
                 node.flags = object_flags
-                for op in ("write", "delete", "rename", "truncate", "chmod",
-                           "chown", "create_in_dir", "rename_into", "kill"):
-                    expected_deny = (subject_flags & TAINT
-                                     and object_flags & INTE)
-                    decision = pr_inte(p, node, op)
-                    assert decision is (DENY_INTE if expected_deny else ALLOW)
+                for target in (node, None):
+                    for pcopy in COPY_MAPS:
+                        decision = pr_inte(p, target, pcopy)
+                        expected = expected_decision(subject_flags, target, INTE,
+                                                     pcopy, DENY_INTE)
+                        assert decision.result == expected, (
+                            subject_flags, object_flags, target, pcopy)
 
-    def test_privileged_ops_unconditional_for_tainted(self, world):
-        p = proc(world, TAINT)
-        for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(p, None, op) is DENY_INTE
-        p = proc(world)
-        for op in sorted(INTE_PRIVILEGED_OPS):
-            assert pr_inte(p, None, op) is ALLOW
+    def test_denials_and_allows_are_the_shared_constants(self, world):
+        node = world.node_at("/f")
+        node.flags = INTE
+        assert pr_inte(proc(world, TAINT), node) is DENY_INTE
+        assert pr_inte(proc(world, TAINT), None) is DENY_INTE
+        assert pr_inte(proc(world), node) is ALLOW
+        node.flags = NO_FLAGS
+        assert pr_inte(proc(world, TAINT), node) is ALLOW
 
     def test_kill_keys_on_target_process_label(self, world):
         attacker = proc(world, TAINT)
         victim = world.spawn(attacker, 2)
-        assert pr_inte(attacker, victim, "kill") is ALLOW
+        assert pr_inte(attacker, victim) is ALLOW
         victim.flags |= INTE
-        assert pr_inte(attacker, victim, "kill") is DENY_INTE
+        assert pr_inte(attacker, victim) is DENY_INTE
 
     def test_write_redirect_for_shared_secret(self, world):
         p = proc(world, TAINT)
         node = world.node_at("/etc/passwd")
         node.flags |= INTE
-        pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        decision = pr_inte(p, node, "write", pcopy)
+        pcopy = {"/etc/passwd": "/.stbac/passwd"}
+        decision = pr_inte(p, node, pcopy)
         assert decision.allowed
         assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
 
-    def test_delete_of_shared_secret_is_not_redirected(self, world):
+    def test_without_the_map_a_shared_secret_is_denied(self, world):
+        """The engine hands no map for deletes, renames and creates, so the
+        shared object itself is never moved or removed through a copy."""
         p = proc(world, TAINT)
         node = world.node_at("/etc/passwd")
         node.flags |= INTE
-        pcopy = PartialCopyMap({"/etc/passwd": "/.stbac/passwd"})
-        assert not pr_inte(p, node, "delete", pcopy).allowed
-
-    def test_known_ops_only(self, world):
-        assert "write" in INTE_OPS
-        with pytest.raises(Exception):
-            pr_inte(proc(world), None, "fly")
+        assert pr_inte(p, node) is DENY_INTE
 
 
 class TestAvaiRule:
@@ -259,14 +275,13 @@ class TestTrustMatching:
 
 class TestPartialCopies:
     def test_mapped_path_redirects(self):
-        pcopy = parse_pcopy_map("pcopy /etc/passwd /.stbac/passwd\n"
+        pcopy = parse_pcopy_map("# copies\npcopy /etc/passwd /.stbac/passwd\n"
                                 "pcopy /etc/shadow /.stbac/shadow\n")
-        assert pcopy.entries.get("/etc/passwd") == "/.stbac/passwd"
-        assert pcopy.entries.get("/etc/shadow") == "/.stbac/shadow"
+        assert pcopy == {"/etc/passwd": "/.stbac/passwd",
+                         "/etc/shadow": "/.stbac/shadow"}
 
-    def test_unmapped_path_is_none(self):
-        pcopy = parse_pcopy_map("pcopy /etc/passwd /.stbac/passwd\n")
-        assert pcopy.entries.get("/etc/hosts") is None
+    def test_empty_map_is_an_empty_dict(self):
+        assert parse_pcopy_map("# No partial copies.\n") == {}
 
     def test_copy_cannot_be_shared(self):
         with pytest.raises(ConfigError,
@@ -283,9 +298,26 @@ class TestPartialCopies:
         missing = parse_pcopy_map("pcopy /etc/passwd /.stbac/nope\n")
         with pytest.raises(ConfigError, match="missing"):
             validate_pcopy_against_world(missing, world)
+        with pytest.raises(ConfigError, match=r"^partial copy /\.stbac/nope "
+                           r"\(for /etc/passwd\) missing from the tree$"):
+            validate_pcopy_against_world(missing, world)
+        not_file = parse_pcopy_map("pcopy /etc/passwd /d\n")
+        with pytest.raises(ConfigError,
+                           match="^partial copy /d is not a regular file$"):
+            validate_pcopy_against_world(not_file, world)
         world.node_at("/.stbac/passwd").flags |= CONF
-        with pytest.raises(ConfigError, match="must not be marked conf"):
+        with pytest.raises(ConfigError,
+                           match=r"^partial copy /\.stbac/passwd must not be marked conf$"):
             validate_pcopy_against_world(pcopy, world)
+
+    def test_copy_fault_names_each_condition(self, world):
+        assert copy_fault(world, "/.stbac/passwd") is None
+        assert copy_fault(world, "/.stbac/nope") == "missing from the tree"
+        assert copy_fault(world, "/d") == "is not a regular file"
+        world.node_at("/.stbac/passwd").flags |= LEAK | INTE
+        assert copy_fault(world, "/.stbac/passwd") is None
+        world.node_at("/.stbac/passwd").flags |= CONF
+        assert copy_fault(world, "/.stbac/passwd") == "must not be marked conf"
 
 
 class TestLedgerConservation:
@@ -319,3 +351,11 @@ def test_decisions_are_built_only_in_model():
         ("model.py", "ALLOW"), ("model.py", "DENY_CONF"), ("model.py", "DENY_INTE"),
         ("model.py", "DENY_AVAI"), ("model.py", "redirect")}, builders
     assert len(builders) == 5
+
+
+def test_guard_names_no_trace_op():
+    """The rules judge labels only: no string in guard.py names a trace op."""
+    tree = ast.parse(Path(stbac.guard.__file__).read_text())
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not named & set(OPS), sorted(named & set(OPS))

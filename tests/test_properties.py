@@ -132,7 +132,7 @@ def test_secret_content_is_never_readable_by_suspects(intent_list):
             node = world.fs.get(node_id) if node_id is not None else None
             expect_deny = (reader is not None and reader.flags & TAINT
                            and node is not None and node.flags & CONF
-                           and node.path not in policy.pcopy.entries)
+                           and node.path not in policy.pcopy)
         record = apply_event(world, event, policy)
         if expect_deny:
             assert record.result == "DENY(PR_conf)", record.line()

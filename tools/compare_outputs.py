@@ -10,9 +10,11 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 * the `mix`, `fstree` and `ipc` workloads of perfbench/workloads.py at
   seeds 1..--seeds, once over the whole trace and once over the window
   `stbac check` runs on in the benchmark;
-* --mutants scenario traces with one argument of one event swapped for a
-  token from TOKENS, to reach the error paths.  Mutant k is drawn from
-  random.Random(k), so a run is repeatable.
+* --mutants traces with one argument of one event swapped for a token from
+  TOKENS, to reach the error paths.  Each mutates a scenario trace or the
+  `fstree` seed-1 check window, the one input whose copy map is not empty
+  and whose trace redirects.  Mutant k is drawn from random.Random(k), so
+  a run is repeatable.
 
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
@@ -38,11 +40,16 @@ SCENARIOS = ("remote_user", "web_download", "remote_attack")
 WORKLOADS = ("mix", "fstree", "ipc")
 FIELDS = ("code", "stdout", "stderr", "audit", "dot")
 
+# The mutated bundle with a partial copy: `fstree` at seed 1, cut to its
+# check window.
+COPY_MAP_SOURCE = "fstree check window"
+
 # Replacement arguments: integers out of range or malformed, bad and
-# missing paths, endpoints, protocols, flags, mknod kinds, attr targets.
-# None holds a comma, so a mutant keeps its event's arity.
+# missing paths, the fstree copy, endpoints, protocols, flags, mknod kinds,
+# attr targets.  None holds a comma, so a mutant keeps its event's arity.
 TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
-          "/", "/nope", "/tmp/", "tmp", "/etc", "10.0.0.1", "10.0.0.1:", ":80",
+          "/", "/nope", "/tmp/", "tmp", "/etc", "/etc/shared_copy",
+          "10.0.0.1", "10.0.0.1:", ":80",
           "10.0.0.1:x", "*:*", "tcp", "sctp", "file", "dir", "fifo", "pipe",
           "taint", "avai", "leak", "bogus", "pid:1", "pid:99", "pid:x",
           "res:cpu_ticks", "res:gpu")
@@ -94,9 +101,9 @@ results_path.write_text(json.dumps(results))
 
 
 def mutant(k: int, traces: dict) -> tuple:
-    """(scenario, mutated trace, description) of mutant k."""
+    """(source bundle, mutated trace, description) of mutant k."""
     rng = random.Random(k)
-    name = rng.choice(SCENARIOS)
+    name = rng.choice(list(traces))
     lines = traces[name].splitlines()
     events = [i for i, line in enumerate(lines)
               if line.strip() and not line.lstrip().startswith("#")
@@ -137,6 +144,10 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
+    w = workloads.fstree(1)
+    bundles[COPY_MAP_SOURCE] = {"init.cfg": w.init_text, "trust.list": w.trust_text,
+                                "pcopy.list": w.pcopy_text,
+                                "scenario.trace": w.check_trace_text()}
     for name in WORKLOADS:
         for seed in range(1, seeds + 1):
             w = getattr(workloads, name)(seed)
