@@ -1,31 +1,50 @@
 """Independent brute-force verifiers for the rule engine.
 
 One structural walker, _walk, replays the allowed events of a trace over a
-_Structure (paths, exec bits, fifos, pids, protected cells) rebuilt from
-the boot config and the raw trace alone, and yields for each event the
-flow facts it implies, judged against its caller's sets of low (tainted)
-pids and cells.  The structure keeps its own child index, so a rename
-costs the size of the moved subtree; nothing of it comes from the world.
-The facts are:
+_Structure (paths, exec bits, pids, protected cells) rebuilt from the boot
+config and the raw trace alone, and yields for each event the flow facts
+it implies.  The structure keeps its own child index, so a rename costs
+the size of the moved subtree; nothing of it comes from the world.
+
+A fact is (kind, target, source, detail).  It names its source entity
+instead of judging it ("child of pid P", not "child of a low pid"), so one
+walk serves any view of which entities are low: a fact holds in a view
+where its source is low, and a source of None always holds.  The kinds:
 
 * _READ: a pid that low input must lower (an untrusted endpoint, an IPC
-  message from a low process, executing or loading a low file);
-* _EXEC: a pid that must be low because it comes from a low source (a
-  child of a low process, an exec of a low file or by a low process);
-* _PRODUCE: a cell that a low writer must lower (an executable it
-  created, wrote or made executable);
-* _EXCEPTION: a low write to a non-executable, carrying its exception
-  text and the violation text that applies if the object is protected;
-* _MARK: an administrative taint mark.
+  message from a pid, executing or loading a file);
+* _EXEC: a pid that must be low when its source is (a child of a pid, an
+  exec of a file, or the pid itself across its exec);
+* _PRODUCE: a cell its writer must lower (an executable it created,
+  wrote or made executable);
+* _EXCEPTION: a write to a non-executable, carrying its exception text
+  and the violation text that applies if the object is protected;
+* _SEND and _RECV: a message a pid wrote into a fifo, and a read that
+  delivers the fifo's messages, which is low input if one was low when
+  it was written;
+* _MARK: an administrative taint mark;
+* _LIVE and _TREE: a pid was born or exited, and a path op ran; they move
+  the live entities under a view's low sets without changing the sets.
 
-taint_closure folds the facts into its own low sets: plain forward
-reachability that shares no code with the taint rule module, which
-diff_taint compares with the engine's tainted sets.  Trusted endpoints are
-matched by the oracle's own reading of the trust entries, so nothing here
-comes from the engine, the rule modules or the guard.  check_biba checks the
-same facts against the engine's audited flag changes, verifying the
-low-water-mark integrity conditions (two levels: tainted entities are low,
-everything else is high).
+The stepper, _one_pass, builds one structure, walks the trace once and
+hands each event's facts to two folds.  Each judges lowness in its own
+view and keeps its own record of which fifo messages were low:
+
+* the closure fold: plain forward reachability over the oracle's own low
+  sets, sharing no code with the taint rule module.  Its snapshot of the
+  live low entities is rebuilt only when a low set changed, a low pid was
+  born or exited, or a path op ran while some cell was low; otherwise the
+  event gets the previous frozenset object, as the engine's tracked
+  replay does with its taint epoch;
+* the Biba fold: the low-water-mark integrity conditions (two levels:
+  tainted entities are low, everything else is high), judged against the
+  levels the engine's audit reports in its flag changes.
+
+diff_taint compares the closure with the engine's tainted sets, and
+where neither side's set object changed since the previous event it
+repeats that event's comparison.  Trusted endpoints are matched by the
+oracle's own reading of the trust entries, so nothing here comes from the
+engine, the rule modules or the guard.
 
 Denied events contribute no edges and no structure on either side: the
 engine applies nothing on a denial, so equivalence is judged over the
@@ -61,7 +80,7 @@ class _Cell:
 
 
 class _Structure:
-    """Structural shadow of a replay: paths, exec bits, fifos, pids, protection.
+    """Structural shadow of a replay: paths, exec bits, pids, protection.
 
     Rebuilt from the boot config and the raw trace only; never from engine
     state.  kids is the oracle's own child index: each directory cell maps
@@ -75,7 +94,6 @@ class _Structure:
         self.kids = {}           # directory _Cell -> {child _Cell: None}, in insertion order
         self.live_pids = {1}
         self.exe_paths = {1: "-"}
-        self.fifo_msgs = {}      # _Cell -> [(writer pid, low at write)]
         self.protected = set()   # INTE cells
         self.add_cell("/", "dir", False, None)
         for path, kind, exec_bits in config.nodes:
@@ -135,7 +153,6 @@ class _Structure:
     def remove(self, path: str):
         cell = self.cells.pop(path, None)
         if cell is not None:
-            self.fifo_msgs.pop(cell, None)
             self.kids.pop(cell, None)
             siblings = self.kids.get(self.cells.get(parent_of(path)))
             if siblings is not None:
@@ -205,25 +222,29 @@ def _covers(ip_pattern: str, port_pattern: str, endpoint: tuple) -> bool:
             and port_pattern in ("*", str(port).zfill(len(port_pattern))))
 
 
-# Flow facts are (kind, target, detail) triples; see the module docstring.
-_READ = 1          # target pid; detail: the reason
-_EXEC = 2          # target pid; detail: the reason
-_PRODUCE = 4       # target cell; detail: the reason
-_EXCEPTION = 8     # target cell; detail: (exception text or None, violation text)
-_MARK = 16         # target pid or cell; detail: True to mark, False to clear
+# Flow facts are (kind, target, source, detail); see the module docstring.
+# A reason is a tuple (template, *args), formatted only when a finding
+# cites it.
+_READ = 1          # target pid; source pid, cell or None; detail: the reason
+_EXEC = 2          # target pid; source pid or cell; detail: the reason
+_PRODUCE = 4       # target cell; source: the writer pid; detail: the reason
+_EXCEPTION = 8     # target cell; source: the writer pid;
+                   # detail: (exception reason or None, violation reason)
+_SEND = 16         # target: a fifo cell; source: the writer pid
+_RECV = 32         # target: the reader pid; source: a fifo cell
+_MARK = 64         # target pid or cell; detail: True to mark, False to clear
+_LIVE = 128        # target: a pid born or exited
+_TREE = 256        # a path op ran
+
+_DEMANDS = _READ | _EXEC | _PRODUCE
+_TREE_FACT = (_TREE, None, None, None)
 
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
-def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_cells):
+def _walk(struct: _Structure, trust, events, denied, redirects):
     """Apply each allowed event to struct; yield (index, event, facts) for
-    every event, with facts None for a denied one.
-
-    Lowness is read from the caller's sets as they stand when the event is
-    reached, so a caller that folds an event's facts into them between
-    events sees its own levels; a fifo message records whether its writer
-    was low when it wrote.
-    """
+    every event, with facts None for a denied one."""
     for index, ev in enumerate(events):
         if index in denied:
             yield index, ev, None
@@ -231,39 +252,35 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
         op, args, pid = ev.op, ev.args, ev.pid
         if index in redirects and op in _REDIRECTABLE:
             args = (redirects[index],) + args[1:]
-        pid_low = pid in low_pids
         facts = []
         if op in ("fork", "vfork", "clone"):
             child = _int(args[0], ev)
             struct.live_pids.add(child)
             struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
-            if pid_low:
-                facts.append((_READ | _EXEC, child, f"child of low pid {pid}"))
+            facts.append((_READ | _EXEC, child, pid, ("child of low pid {}", pid)))
+            facts.append((_LIVE, child, None, None))
         elif op == "exit":
             struct.live_pids.discard(pid)
+            facts.append((_LIVE, pid, None, None))
         elif op == "pipe":
             reader = _int(args[0], ev)
-            if pid_low:
-                facts.append((_READ, reader, f"pipe from low pid {pid}"))
+            facts.append((_READ, reader, pid, ("pipe from low pid {}", pid)))
         elif op == "shmat":
             peer = _int(args[0], ev)
-            if pid_low:
-                facts.append((_READ, peer, f"shared memory with low pid {pid}"))
-            if peer in low_pids:
-                facts.append((_READ, pid, f"shared memory with low pid {peer}"))
+            facts.append((_READ, peer, pid, ("shared memory with low pid {}", pid)))
+            facts.append((_READ, pid, peer, ("shared memory with low pid {}", peer)))
         elif op == "msgrcv":
-            if _int(args[0], ev) in low_pids:
-                facts.append((_READ, pid, f"message from low pid {args[0]}"))
+            facts.append((_READ, pid, _int(args[0], ev),
+                          ("message from low pid {}", args[0])))
         elif op == "socket_open":
             local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
             if not _trusted(trust, struct.exe_paths.get(pid, "-"), local, remote,
                             args[3], ev.tick):
-                facts.append((_READ, pid, "untrusted endpoint"))
+                facts.append((_READ, pid, None, ("untrusted endpoint",)))
         elif op in ("sock_send", "sock_recv") and len(args) == 3:
             peer = _int(args[2], ev)
             source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
-            if source in low_pids:
-                facts.append((_READ, sink, f"local socket from low pid {source}"))
+            facts.append((_READ, sink, source, ("local socket from low pid {}", source)))
         elif op in ("create", "mkdir", "mkfifo", "mknod"):
             path = args[0]
             if op == "create":
@@ -274,55 +291,59 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
                 kind = "fifo" if op == "mkfifo" else args[1]
                 cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
                 noun = "special file"
-            if pid_low and cell.executable:
-                facts.append((_PRODUCE, cell, f"low pid {pid} created executable"))
-            elif pid_low:
-                facts.append((_EXCEPTION, cell, (
-                    f"{noun} {path}",
-                    f"allowed creation in protected directory {parent_of(path)}")))
+            if cell.executable:
+                facts.append((_PRODUCE, cell, pid, ("low pid {} created executable", pid)))
+            else:
+                facts.append((_EXCEPTION, cell, pid, (
+                    ("{} {}", noun, path),
+                    ("allowed creation in protected directory {}", parent_of(path)))))
+            facts.append(_TREE_FACT)
         elif op == "open_write":
             cell = struct.cells.get(args[0])
             if cell is not None and cell.kind != "dir":
                 if cell.kind == "fifo":
-                    struct.fifo_msgs.setdefault(cell, []).append((pid, pid_low))
-                if pid_low and cell.executable:
-                    facts.append((_PRODUCE, cell, f"low pid {pid} wrote executable"))
-                elif pid_low:
-                    facts.append((_EXCEPTION, cell, (
-                        f"non-executable {args[0]}", f"allowed write to protected {args[0]}")))
+                    facts.append((_SEND, cell, pid, None))
+                if cell.executable:
+                    facts.append((_PRODUCE, cell, pid, ("low pid {} wrote executable", pid)))
+                else:
+                    facts.append((_EXCEPTION, cell, pid, (
+                        ("non-executable {}", args[0]),
+                        ("allowed write to protected {}", args[0]))))
         elif op == "truncate":
             cell = struct.cells.get(args[0])
-            if cell is not None and pid_low and not cell.executable:
-                facts.append((_EXCEPTION, cell, (
-                    f"non-executable {args[0]}", f"allowed truncate of protected {args[0]}")))
+            if cell is not None and not cell.executable:
+                facts.append((_EXCEPTION, cell, pid, (
+                    ("non-executable {}", args[0]),
+                    ("allowed truncate of protected {}", args[0]))))
         elif op in ("chmod", "fchmod"):
             cell = struct.cells.get(args[0])
             if cell is not None and cell.kind != "dir":
-                became_set = struct.chmod(cell, args[1])
-                if pid_low and became_set:
-                    facts.append((_PRODUCE, cell, f"low pid {pid} made {args[0]} executable"))
-                elif pid_low and not cell.executable:
-                    facts.append((_EXCEPTION, cell, (
-                        None, f"allowed chmod of protected {args[0]}")))
+                if struct.chmod(cell, args[1]):
+                    facts.append((_PRODUCE, cell, pid,
+                                  ("low pid {} made {} executable", pid, args[0])))
+                elif not cell.executable:
+                    facts.append((_EXCEPTION, cell, pid, (
+                        None, ("allowed chmod of protected {}", args[0]))))
         elif op == "open_read":
             cell = struct.cells.get(args[0])
             if cell is not None and cell.kind == "fifo":
-                senders = [w for w, low in struct.fifo_msgs.pop(cell, ()) if low]
-                if senders:
-                    facts.append((_READ, pid, f"fifo message from low pid {senders[0]}"))
+                facts.append((_RECV, pid, cell, None))
         elif op == "execve":
             struct.exe_paths[pid] = args[0]
-            if struct.cells.get(args[0]) in low_cells:
-                facts.append((_READ | _EXEC, pid, f"exec of low file {args[0]}"))
-            if pid_low:
-                facts.append((_EXEC, pid, f"low pid {pid} after exec"))
+            cell = struct.cells.get(args[0])
+            if cell is not None:
+                facts.append((_READ | _EXEC, pid, cell, ("exec of low file {}", args[0])))
+            facts.append((_EXEC, pid, pid, ("low pid {} after exec", pid)))
         elif op == "mmap_exec":
-            if struct.cells.get(args[0]) in low_cells:
-                facts.append((_READ, pid, f"load of low file {args[0]}"))
+            cell = struct.cells.get(args[0])
+            if cell is not None:
+                facts.append((_READ, pid, cell, ("load of low file {}", args[0])))
         elif op in ("unlink", "rmdir"):
             struct.remove(args[0])
+            facts.append(_TREE_FACT)
         elif op == "rename":
             struct.rename(args[0], args[1])
+            facts.append(_TREE_FACT)
         elif op == "set_stbac_attr":
             target, flag_name, value = args
             if target.startswith("pid:"):
@@ -330,8 +351,17 @@ def _walk(struct: _Structure, trust, events, denied, redirects, low_pids, low_ce
             else:
                 marked = struct.cells.get(target)
             if flag_name == "taint" and marked is not None:
-                facts.append((_MARK, marked, value == "1"))
+                facts.append((_MARK, marked, None, value == "1"))
         yield index, ev, facts
+
+
+def _text(reason: tuple) -> str:
+    template, *args = reason
+    return template.format(*args)
+
+
+def _where(index: int, ev) -> str:
+    return f"event {index} ({ev.op}, tick {ev.tick})"
 
 
 def _access_verdicts(records) -> tuple:
@@ -346,35 +376,48 @@ def _access_verdicts(records) -> tuple:
     return denied, redirects
 
 
-def taint_closure(config: InitConfig, trust, events, denied=frozenset(),
-                  redirects=None):
-    """Tainted entities after each event, by direct forward reachability.
+class _ClosureFold:
+    """The oracle's own low sets, grown by every flow fact whose source they
+    hold, and the labels of the live low entities after each event."""
 
-    Seeds are processes that open endpoints matching no trusted entry
-    (plus explicit administrative taint marks); taint then follows process
-    creation, IPC message delivery, writes that leave executables behind,
-    and execution or loading of tainted files.  Events whose index is in
-    ``denied`` contribute nothing; events in ``redirects`` act on the
-    substitute path.  Both come from the audit, matching the engine's own
-    access verdicts.  Returns one frozenset per event of ("proc", pid) /
-    ("file", path) labels for live entities.
-    """
-    struct = _Structure(config)
-    low_pids = set()
-    low_cells = set()
-    snapshots = []
-    for _, _, facts in _walk(struct, trust, events, denied, redirects or {},
-                             low_pids, low_cells):
-        for kind, target, detail in facts or ():
-            if kind & (_READ | _EXEC):
-                low_pids.add(target)
-            elif kind == _PRODUCE:
-                low_cells.add(target)
+    def __init__(self, struct: _Structure):
+        self.struct = struct
+        self.low_pids = set()
+        self.low_cells = set()
+        self.fifo_low = {}           # fifo cell -> low writers of its pending messages
+        self.snapshot = frozenset()
+
+    def step(self, facts) -> frozenset:
+        """Fold one event's facts (None for a denied event).  The snapshot is
+        rebuilt only if the event can change it; otherwise it is the previous
+        event's object."""
+        if not facts:
+            return self.snapshot
+        low_pids, low_cells = self.low_pids, self.low_cells
+        size = len(low_pids) + len(low_cells)
+        moved = False
+        for kind, target, source, detail in facts:
+            if kind & _DEMANDS:
+                if source is None or source in low_pids or source in low_cells:
+                    (low_cells if kind == _PRODUCE else low_pids).add(target)
+            elif kind == _SEND:
+                if source in low_pids:
+                    self.fifo_low.setdefault(target, []).append(source)
+            elif kind == _RECV:
+                if self.fifo_low.pop(source, None):
+                    low_pids.add(target)
             elif kind == _MARK:
                 low = low_pids if isinstance(target, int) else low_cells
                 low.add(target) if detail else low.discard(target)
-        snapshots.append(_closure_snapshot(struct, low_pids, low_cells))
-    return snapshots
+            elif kind == _LIVE:
+                moved = moved or target in low_pids
+            elif kind == _TREE:
+                moved = moved or bool(low_cells)
+        # Facts only add to the sets and a mark is its event's only fact, so
+        # a change of size is a change of contents.
+        if moved or len(low_pids) + len(low_cells) != size:
+            self.snapshot = _closure_snapshot(self.struct, low_pids, low_cells)
+        return self.snapshot
 
 
 def _closure_snapshot(struct: _Structure, low_pids, low_cells) -> frozenset:
@@ -406,22 +449,26 @@ def _format_labels(labels) -> str:
     return ",".join(f"{kind}:{ident}" for kind, ident in sorted(labels))
 
 
+_NO_LABELS = frozenset()
+
+
 def diff_taint(engine_sets, oracle_sets, events=None) -> list:
     """Per-event differences between engine and oracle tainted sets; empty
-    means full agreement."""
+    means full agreement.  Where neither side's set object changed since the
+    previous event, that event's comparison stands: a difference is repeated
+    under the new index and tick."""
     out = []
+    engine = oracle = difference = None
     for index in range(max(len(engine_sets), len(oracle_sets))):
-        engine = engine_sets[index] if index < len(engine_sets) else frozenset()
-        oracle = oracle_sets[index] if index < len(oracle_sets) else frozenset()
-        if engine != oracle:
+        now_engine = engine_sets[index] if index < len(engine_sets) else _NO_LABELS
+        now_oracle = oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS
+        if now_engine is not engine or now_oracle is not oracle:
+            engine, oracle = now_engine, now_oracle
+            difference = None if engine == oracle else (oracle - engine, engine - oracle)
+        if difference is not None:
             tick = events[index].tick if events and index < len(events) else -1
-            out.append(Divergence(index, tick, oracle - engine, engine - oracle))
+            out.append(Divergence(index, tick, *difference))
     return out
-
-
-def closure_from_replay(config: InitConfig, trust, events, records):
-    """Convenience: the oracle closure with the audit's access verdicts."""
-    return taint_closure(config, trust, events, *_access_verdicts(records))
 
 
 # -- low-water-mark integrity conditions ---------------------------------------
@@ -469,41 +516,53 @@ class BibaReport:
         return out
 
 
-def check_biba(config: InitConfig, trust, events, records) -> BibaReport:
-    """Check the three conditions against an engine audit of the same trace.
+class _BibaFold:
+    """The three conditions, judged against the engine's levels: boot marks
+    plus the flag changes its audit reports per event.  Low input means an
+    untrusted endpoint, an IPC message from a low process, or
+    executing/loading a low file.  Plain data reads are not low input; that
+    is exactly the concession the write condition records through its
+    exception list."""
 
-    The subject/object levels come from the engine's own flag timeline
-    (boot marks plus per-event flag changes in the audit); the structure
-    (paths, exec bits, fifos) is rebuilt independently from the trace.
-    Low input means: an untrusted endpoint, an IPC message from a low
-    process, or executing/loading a low file.  Plain data reads are not
-    low input; that is exactly the concession the write condition records
-    through its exception list.
-    """
-    if len(events) != len(records):
-        raise ValueError(f"audit has {len(records)} records for {len(events)} events")
-    struct = _Structure(config)
-    low_pids = set()
-    low_cells = set()
-    cond_read = ConditionReport("low-input consumers become low")
-    cond_write = ConditionReport("low writers lower what they produce")
-    cond_exec = ConditionReport("processes from low sources are low")
+    def __init__(self, struct: _Structure):
+        self.struct = struct
+        self.low_pids = set()
+        self.low_cells = set()
+        self.fifo_low = {}           # fifo cell -> low writers of its pending messages
+        self.report = BibaReport(ConditionReport("low-input consumers become low"),
+                                 ConditionReport("low writers lower what they produce"),
+                                 ConditionReport("processes from low sources are low"))
 
-    for index, ev, facts in _walk(struct, trust, events, *_access_verdicts(records),
-                                  low_pids, low_cells):
-        if facts is None:
-            continue
-        where = f"event {index} ({ev.op}, tick {ev.tick})" if facts else ""
-        # Exceptions and protected-object violations judge the levels before
-        # this event's engine-reported flag changes; the demands, after.
-        for kind, target, detail in facts:
-            if kind == _EXCEPTION:
-                exception, violation = detail
-                if exception:
-                    cond_write.exceptions.append(f"{where}: {exception}")
-                if target in struct.protected:
-                    cond_write.violations.append(f"{where}: {violation}")
-        for change in records[index].flag_changes:
+    def step(self, index: int, ev, facts, flag_changes):
+        """Judge one allowed event's facts.  Exceptions and protected-object
+        violations judge the levels before the event's flag changes; the
+        demands, after."""
+        struct, low_pids, low_cells = self.struct, self.low_pids, self.low_cells
+        cond_read, cond_write, cond_exec = (self.report.cond_read, self.report.cond_write,
+                                            self.report.cond_exec)
+        demands = []
+        for kind, target, source, detail in facts:
+            if kind & _DEMANDS:
+                if source is None or source in low_pids or source in low_cells:
+                    demands.append((kind, target, detail))
+            elif kind == _EXCEPTION:
+                if source in low_pids:
+                    exception, violation = detail
+                    if exception:
+                        cond_write.exceptions.append(f"{_where(index, ev)}: "
+                                                     f"{_text(exception)}")
+                    if target in struct.protected:
+                        cond_write.violations.append(f"{_where(index, ev)}: "
+                                                     f"{_text(violation)}")
+            elif kind == _SEND:
+                if source in low_pids:
+                    self.fifo_low.setdefault(target, []).append(source)
+            elif kind == _RECV:
+                senders = self.fifo_low.pop(source, None)
+                if senders:
+                    demands.append((_READ, target,
+                                    ("fifo message from low pid {}", senders[0])))
+        for change in flag_changes:
             kind, ident = change.entity
             if change.flag == TAINT and kind == "proc":
                 low_pids.add(ident) if change.on else low_pids.discard(ident)
@@ -512,12 +571,72 @@ def check_biba(config: InitConfig, trust, events, records) -> BibaReport:
                 cell = struct.cells.get(ident)
                 if cell is not None:
                     cells.add(cell) if change.on else cells.discard(cell)
-        for kind, target, reason in facts:
+        for kind, target, reason in demands:
             if kind & _READ and target not in low_pids:
-                cond_read.violations.append(f"{where}: {reason} did not lower the consumer")
+                cond_read.violations.append(
+                    f"{_where(index, ev)}: {_text(reason)} did not lower the consumer")
             if kind & _EXEC and target not in low_pids:
-                cond_exec.violations.append(f"{where}: {reason} is not low")
+                cond_exec.violations.append(
+                    f"{_where(index, ev)}: {_text(reason)} is not low")
             if kind == _PRODUCE and target not in low_cells:
-                cond_write.violations.append(f"{where}: {reason} but the file is not low")
+                cond_write.violations.append(
+                    f"{_where(index, ev)}: {_text(reason)} but the file is not low")
 
-    return BibaReport(cond_read, cond_write, cond_exec)
+
+# -- the stepper and its entry points -------------------------------------------
+
+def _one_pass(config: InitConfig, trust, events, denied, redirects, records=None):
+    """The stepper: one _Structure and one _walk feed the closure fold and,
+    given the audit's records, the Biba fold.  Returns the closure's set
+    after each event and the BibaReport (None without records)."""
+    struct = _Structure(config)
+    closure = _ClosureFold(struct)
+    biba = None if records is None else _BibaFold(struct)
+    sets = []
+    for index, ev, facts in _walk(struct, trust, events, denied, redirects):
+        if biba is not None and facts is not None:
+            biba.step(index, ev, facts, records[index].flag_changes)
+        sets.append(closure.step(facts))
+    return sets, None if biba is None else biba.report
+
+
+def taint_closure(config: InitConfig, trust, events, denied=frozenset(),
+                  redirects=None):
+    """Tainted entities after each event, by direct forward reachability.
+
+    Seeds are processes that open endpoints matching no trusted entry
+    (plus explicit administrative taint marks); taint then follows process
+    creation, IPC message delivery, writes that leave executables behind,
+    and execution or loading of tainted files.  Events whose index is in
+    ``denied`` contribute nothing; events in ``redirects`` act on the
+    substitute path.  Both come from the audit, matching the engine's own
+    access verdicts.  Returns one frozenset per event of ("proc", pid) /
+    ("file", path) labels for live entities; consecutive events whose set
+    did not change share one object.
+    """
+    return _one_pass(config, trust, events, denied, redirects or {})[0]
+
+
+def closure_from_replay(config: InitConfig, trust, events, records):
+    """Convenience: the oracle closure with the audit's access verdicts."""
+    return taint_closure(config, trust, events, *_access_verdicts(records))
+
+
+def verify_replay(config: InitConfig, trust, events, records) -> tuple:
+    """Both checks of an audited replay in one pass: the oracle closure after
+    each event, to compare with the engine's tainted sets, and the
+    BibaReport.
+
+    The subject/object levels of the Biba conditions come from the engine's
+    own flag timeline (boot marks plus per-event flag changes in the audit);
+    the structure (paths, exec bits, fifos) is rebuilt independently from
+    the trace, and the access verdicts come from the audit.
+    """
+    if len(events) != len(records):
+        raise ValueError(f"audit has {len(records)} records for {len(events)} events")
+    return _one_pass(config, trust, events, *_access_verdicts(records), records)
+
+
+def check_biba(config: InitConfig, trust, events, records) -> BibaReport:
+    """Check the three conditions against an engine audit of the same trace."""
+    return verify_replay(config, trust, events, records)[1]

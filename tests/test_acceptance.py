@@ -293,9 +293,13 @@ def timed_replay(count):
 
 
 def test_criterion_8_throughput_and_linear_scaling():
-    small = timed_replay(10_000)
-    large = timed_replay(100_000)
-    assert large < 10.0, f"100k-event replay took {large:.2f}s"
+    # One timing of a short replay swings with the host's load, so each size
+    # is timed as the fastest of three runs; every large run stays bounded.
+    small_runs = [timed_replay(10_000) for _ in range(3)]
+    large_runs = [timed_replay(100_000) for _ in range(3)]
+    for run in large_runs:
+        assert run < 10.0, f"100k-event replay took {run:.2f}s"
+    small, large = min(small_runs), min(large_runs)
     # amortized O(1) decisions: 10x the events within 2x of 10x the time
     ratio = large / max(small, 1e-3)
     assert ratio <= 20.0, f"scaling ratio {ratio:.1f} exceeds 2x proportional"

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from stbac.cli import main
 from stbac import scenarios
+
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 BOOT = """node /bin dir 0
 node /bin/sh file 1
@@ -263,6 +267,45 @@ class TestCheckCommand:
         (bundle_dir / "trace").write_text("")
         assert main(["check", "--init", str(bundle_dir / "init.cfg"),
                      str(bundle_dir / "trace")]) == 0
+
+    def test_one_structure_and_one_walk_per_check(self, tmp_path, monkeypatch):
+        from stbac import oracle
+        counts = {"structures": 0, "walks": 0}
+        structure, walk = oracle._Structure, oracle._walk
+
+        class CountedStructure(structure):
+            def __init__(self, *args):
+                counts["structures"] += 1
+                super().__init__(*args)
+
+        def counted_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(oracle, "_Structure", CountedStructure)
+        monkeypatch.setattr(oracle, "_walk", counted_walk)
+        args, _ = scenario_args("remote_attack", tmp_path)
+        assert main(["check", *args]) == 0
+        assert counts == {"structures": 1, "walks": 1}
+
+    @pytest.mark.parametrize("name", ["remote_attack", "trace_gen_seed4"])
+    def test_failing_output_is_pinned(self, name, tmp_path, capsys, monkeypatch):
+        """With tr_sock_proc stubbed the engine never taints, so a divergence
+        persists across events that change neither side's tainted set.  The
+        output is pinned byte for byte as a per-event comparison printed it:
+        the divergence count, the first 20 divergences and the Biba lines.
+        trace_gen_seed4/ is a trace_gen "full" trace, kept as files."""
+        import stbac.taint
+        monkeypatch.setattr(stbac.taint, "tr_sock_proc", lambda process, socket: None)
+        if name == "remote_attack":
+            args, _ = scenario_args(name, tmp_path)
+        else:
+            bundle = PINNED / name
+            args = ["--init", str(bundle / "init.cfg"), "--trust", str(bundle / "trust.list"),
+                    "--pcopy", str(bundle / "pcopy.list"), str(bundle / "trace")]
+        assert main(["check", *args]) == 1
+        expected = (PINNED / f"{name}.tr_sock_proc.out").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
 
 class TestFlagCommands:

@@ -1,5 +1,6 @@
 """tools/compare_outputs.py: a checkout matches itself, one changed error
-message in a copy of src/ is caught, and some mutants reach the copy map."""
+message or divergence line in a copy of src/ is caught, and some mutants
+reach the copy map."""
 
 import importlib.util
 import shutil
@@ -39,6 +40,22 @@ def test_one_altered_error_message_is_a_difference(tmp_path):
     assert "bad path: " in proc.stdout
 
 
+def test_an_altered_divergence_line_is_a_difference(tmp_path):
+    """Only a failing check prints divergence lines; the checks with a taint
+    rule stubbed reach them."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    oracle = tmp_path / "src" / "stbac" / "oracle.py"
+    text = oracle.read_text(encoding="utf-8")
+    assert text.count('"engine missing "') == 1
+    oracle.write_text(text.replace('"engine missing "', '"engine lacks "'),
+                      encoding="utf-8")
+    proc = compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "scenario remote_attack: check with taint.tr_sock_proc stubbed stdout differs" \
+        in proc.stdout
+
+
 def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):
     spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
@@ -46,7 +63,7 @@ def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):
     assert "/etc/shared_copy" in tool.TOKENS
     cases = tool.build_cases(tmp_path, 0, 20)
     sources = {}
-    for name, bundle, _ in cases:
+    for name, bundle, _, _ in cases:
         if name.startswith("mutant "):
             source = name.split(" of ", 1)[1].split(" (", 1)[0]
             sources[source] = Path(bundle[bundle.index("--pcopy") + 1]).read_text()

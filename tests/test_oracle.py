@@ -165,7 +165,7 @@ class TestUnreplayedStructure:
                 lines.append(",".join((str(tick), "1", op) + args))
             events = parse_trace("\n".join(lines) + "\n")
             struct = oracle._Structure(self.BOOT)
-            for _ in oracle._walk(struct, [], events, set(), {}, set(), set()):
+            for _ in oracle._walk(struct, [], events, set(), {}):
                 pass
             for directory, kids in struct.kids.items():
                 assert struct.cells[directory.path] is directory, seed
@@ -182,7 +182,7 @@ def walk_structure(config, trust, events, records):
     struct = oracle._Structure(config)
     denied, redirects = oracle._access_verdicts(records)
     seen = {"directory with children": 0, "onto a file": 0}
-    walk = oracle._walk(struct, trust, events, denied, redirects, set(), set())
+    walk = oracle._walk(struct, trust, events, denied, redirects)
     for index, ev in enumerate(events):
         assert_index_consistent(struct)
         if ev.op == "rename" and index not in denied:
@@ -271,6 +271,111 @@ class TestChildIndex:
         assert report.all_passed(), report.summary_lines()
         struct, _ = walk_structure(BOOT, TRUSTED, events, result.records)
         assert_structure_matches(struct, result.world)
+
+
+def ungated_closure(config, trust, events, denied=frozenset(), redirects=None):
+    """Reference closure: the closure fold's loop with a fresh snapshot of
+    the live low entities after every event, as taint_closure computed it
+    before snapshots were gated."""
+    struct = oracle._Structure(config)
+    low_pids, low_cells, fifo_low = set(), set(), {}
+    snapshots = []
+    for _, _, facts in oracle._walk(struct, trust, events, denied, redirects or {}):
+        for kind, target, source, detail in facts or ():
+            if kind & (oracle._READ | oracle._EXEC | oracle._PRODUCE):
+                if source is None or source in low_pids or source in low_cells:
+                    (low_cells if kind == oracle._PRODUCE else low_pids).add(target)
+            elif kind == oracle._SEND and source in low_pids:
+                fifo_low.setdefault(target, []).append(source)
+            elif kind == oracle._RECV and fifo_low.pop(source, None):
+                low_pids.add(target)
+            elif kind == oracle._MARK:
+                low = low_pids if isinstance(target, int) else low_cells
+                low.add(target) if detail else low.discard(target)
+        out = {("proc", pid) for pid in low_pids if pid in struct.live_pids}
+        out |= {("file", cell.path) for cell in low_cells
+                if struct.cells.get(cell.path) is cell}
+        snapshots.append(frozenset(out))
+    return snapshots
+
+
+def uniform_case(seed: int, mode: str) -> tuple:
+    """A trace_gen trace over every opcode alike."""
+    rng = random.Random(seed)
+    intents = [(rng.randrange(trace_gen.N_OPCODES), rng.randint(0, 7),
+                rng.randint(0, 7), rng.randint(0, 1), rng.randint(0, 2))
+               for _ in range(rng.randint(40, 160))]
+    trace_text, trust_text = trace_gen.build_trace(intents, mode)
+    policy = Policy(parse_trust_list(trust_text), parse_pcopy_map(trace_gen.PCOPY_TEXT))
+    return parse_init_config(trace_gen.BOOT_CONFIG), policy, parse_trace(trace_text)
+
+
+class TestGatedSnapshots:
+    """The closure fold rebuilds its snapshot only where an event can change
+    it; per event its sets equal the ungated reference's."""
+
+    def assert_matches_reference(self, config, policy, events):
+        """The gated and ungated closures of a replayed trace; returns how
+        many events reused the previous event's set object."""
+        result = replay(spawn_boot_world(config), events, policy)
+        verdicts = oracle._access_verdicts(result.records)
+        gated = taint_closure(config, policy.trust, events, *verdicts)
+        assert gated == ungated_closure(config, policy.trust, events, *verdicts)
+        return sum(now is before for before, now in zip(gated, gated[1:]))
+
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_bundled_scenarios(self, name):
+        bundle = scenarios.load(name)
+        reused = self.assert_matches_reference(bundle.config(), bundle.policy(),
+                                               bundle.events())
+        assert reused > 0
+
+    @pytest.mark.parametrize("mode", ["full", "benign"])
+    def test_generated_traces(self, mode):
+        reused = 0
+        for seed in range(60):
+            for case in (uniform_case, generated_case):
+                reused += self.assert_matches_reference(*case(seed, mode))
+        assert reused > 0
+
+
+class TestGatedDiff:
+    """diff_taint repeats a comparison where neither set object changed."""
+
+    def test_reused_sets_repeat_the_previous_difference(self):
+        a, b = frozenset({("proc", 1)}), frozenset({("proc", 1), ("proc", 2)})
+        events = parse_trace("".join(f"{tick},1,sched_tick\n" for tick in range(1, 6)))
+        engine_sets = [a, a, a, b, b]
+        oracle_sets = [a, b, b, b, frozenset(b)]
+        assert [(d.index, d.tick, d.missing, d.extra)
+                for d in diff_taint(engine_sets, oracle_sets, events)] == [
+            (1, 2, frozenset({("proc", 2)}), frozenset()),
+            (2, 3, frozenset({("proc", 2)}), frozenset()),
+        ]
+
+    def test_matches_a_comparison_on_every_event(self):
+        """Random list pairs with shared objects: the result equals comparing
+        contents on every event."""
+        pool = [frozenset(), frozenset({("proc", 1)}), frozenset({("file", "/a")}),
+                frozenset({("proc", 1), ("file", "/a")})]
+        for seed in range(200):
+            rng = random.Random(seed)
+            sides = []
+            for length in (rng.randint(0, 12), rng.randint(0, 12)):
+                sets = []
+                for _ in range(length):
+                    keep = sets and rng.random() < 0.6
+                    sets.append(sets[-1] if keep else frozenset(rng.choice(pool)))
+                sides.append(sets)
+            engine_sets, oracle_sets = sides
+            expected = []
+            for index in range(max(len(engine_sets), len(oracle_sets))):
+                engine = engine_sets[index] if index < len(engine_sets) else frozenset()
+                now = oracle_sets[index] if index < len(oracle_sets) else frozenset()
+                if engine != now:
+                    expected.append((index, now - engine, engine - now))
+            assert [(d.index, d.missing, d.extra)
+                    for d in diff_taint(engine_sets, oracle_sets)] == expected, seed
 
 
 def structure_cell_by_cell(config):

@@ -19,8 +19,11 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
 stbac from that checkout's src/ and runs `replay --audit --dot`, `graph`
-and `check` on every case.  The exit code, stdout, stderr, audit file and
-DOT file of each call are compared; an exception that escapes the CLI is
+and `check` on every case.  On the scenarios and the check windows it also
+runs `check` once per rule in RULE_STUBS with that rule replaced by one
+that returns None, so the divergence and violation lines of a failing
+check are compared too.  The exit code, stdout, stderr, audit file and DOT
+file of each call are compared; an exception that escapes the CLI is
 compared by its type and message.  Exit status: 0 when every call matches,
 1 on any difference, 2 when a side could not be run.
 """
@@ -40,6 +43,13 @@ SCENARIOS = ("remote_user", "web_download", "remote_attack")
 WORKLOADS = ("mix", "fstree", "ipc")
 FIELDS = ("code", "stdout", "stderr", "audit", "dot")
 
+# The taint and vital rules a stubbed `check` replaces, as module.name under
+# stbac.  A stubbed rule never changes a label, so the engine falls short
+# of the oracle and `check` takes its failure paths.
+RULE_STUBS = ("taint.tr_sock_proc", "taint.tr_proc_proc", "taint.tr_proc_exe",
+              "taint.tr_exe_proc", "vital.vr_dir_dir", "vital.vr_proc_proc",
+              "vital.vr_proc_file", "vital.vr_file_proc")
+
 # The mutated bundle with a partial copy: `fstree` at seed 1, cut to its
 # check window.
 COPY_MAP_SOURCE = "fstree check window"
@@ -55,10 +65,11 @@ TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
           "res:cpu_ticks", "res:gpu")
 
 # Runs in the child interpreter: argv[1] is the checkout's src directory,
-# argv[2] the list of CLI argument lists, argv[3] where the results go, and
-# argv[4:6] the audit and DOT paths the calls write.
+# argv[2] the list of jobs (CLI argument list and rule to stub, or null),
+# argv[3] where the results go, and argv[4:6] the audit and DOT paths the
+# calls write.
 CHILD = r"""
-import contextlib, hashlib, io, json, sys
+import contextlib, hashlib, importlib, io, json, sys
 from pathlib import Path
 src, jobs_path, results_path, *outputs = map(Path, sys.argv[1:6])
 sys.path.insert(0, str(src))
@@ -77,10 +88,18 @@ def read(path):
     path.unlink()
     return text
 
+def stubbed(rule):
+    module_name, name = rule.split(".")
+    module = importlib.import_module("stbac." + module_name)
+    original = getattr(module, name)
+    setattr(module, name, lambda *args, **kwargs: None)
+    return lambda: setattr(module, name, original)
+
 results = []
-for argv in json.loads(jobs_path.read_text()):
+for argv, rule in json.loads(jobs_path.read_text()):
     for path in outputs:
         path.unlink(missing_ok=True)
+    restore = stubbed(rule) if rule else None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -89,6 +108,8 @@ for argv in json.loads(jobs_path.read_text()):
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
+    if restore:
+        restore()
     audit, dot = map(read, outputs)
     results.append({
         "code": code,
@@ -120,10 +141,10 @@ def mutant(k: int, traces: dict) -> tuple:
 
 def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
     """Write every case's input files under workdir; (name, bundle argv,
-    trace path) per case."""
+    trace path, whether to run the stubbed checks) per case."""
     cases = []
 
-    def add(name, init, trust, pcopy, trace):
+    def add(name, init, trust, pcopy, trace, stubs=False):
         case_dir = workdir / f"case{len(cases)}"
         case_dir.mkdir()
         paths = []
@@ -132,7 +153,7 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
             (case_dir / file_name).write_text(text, encoding="utf-8")
             paths.append(str(case_dir / file_name))
         cases.append((name, ["--init", paths[0], "--trust", paths[1],
-                             "--pcopy", paths[2]], paths[3]))
+                             "--pcopy", paths[2]], paths[3], stubs))
 
     bundles = {}
     for name in SCENARIOS:
@@ -140,7 +161,7 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
         bundles[name] = {part: (root / part).read_text(encoding="utf-8")
                          for part in ("init.cfg", "trust.list", "pcopy.list",
                                       "scenario.trace")}
-        add(f"scenario {name}", *bundles[name].values())
+        add(f"scenario {name}", *bundles[name].values(), stubs=True)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -154,7 +175,7 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
             add(f"{name} seed {seed}", w.init_text, w.trust_text, w.pcopy_text,
                 w.trace_text)
             add(f"{name} seed {seed} check window", w.init_text, w.trust_text,
-                w.pcopy_text, w.check_trace_text())
+                w.pcopy_text, w.check_trace_text(), stubs=True)
 
     traces = {name: bundle["scenario.trace"] for name, bundle in bundles.items()}
     for k in range(mutants):
@@ -165,16 +186,23 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
     return cases
 
 
-def jobs_for(cases: list, outputs: tuple) -> list:
-    """Three CLI argument lists per case.  Both sides write the same two
-    output paths, so a message that names one reads the same."""
+def jobs_for(cases: list, outputs: tuple) -> tuple:
+    """(jobs, the case name of each job).  A job is a CLI argument list and
+    the rule to stub for it, or None: `replay`, `graph` and `check` per
+    case, and a stubbed `check` per rule where the case asks for them.
+    Both sides write the same two output paths, so a message that names one
+    reads the same."""
     audit, dot = outputs
-    jobs = []
-    for _, bundle, trace in cases:
-        jobs.append(["replay", *bundle, trace, "--audit", audit, "--dot", dot])
-        jobs.append(["graph", *bundle, trace])
-        jobs.append(["check", *bundle, trace])
-    return jobs
+    jobs, owners = [], []
+    for name, bundle, trace, stubs in cases:
+        case_jobs = [(["replay", *bundle, trace, "--audit", audit, "--dot", dot], None),
+                     (["graph", *bundle, trace], None),
+                     (["check", *bundle, trace], None)]
+        if stubs:
+            case_jobs += [(["check", *bundle, trace], rule) for rule in RULE_STUBS]
+        jobs += case_jobs
+        owners += [name] * len(case_jobs)
+    return jobs, owners
 
 
 class SideError(Exception):
@@ -206,7 +234,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         cases = build_cases(workdir, args.seeds, args.mutants)
         outputs = (str(workdir / "out.audit"), str(workdir / "out.dot"))
-        jobs = jobs_for(cases, outputs)
+        jobs, owners = jobs_for(cases, outputs)
         jobs_path = workdir / "jobs.json"
         jobs_path.write_text(json.dumps(jobs))
         try:
@@ -218,24 +246,28 @@ def main(argv=None) -> int:
             return 2
 
     differences = []
-    for index, (job, before, after) in enumerate(zip(jobs, old, new)):
+    for owner, (argv, rule), before, after in zip(owners, jobs, old, new):
+        call = argv[0] + (f" with {rule} stubbed" if rule else "")
         for name in FIELDS:
             if before[name] != after[name]:
                 detail = ""
                 if name in ("code", "stderr"):
                     key = "code" if name == "code" else "stderr_head"
                     detail = f": {before[key]!r} -> {after[key]!r}"
-                differences.append(f"{cases[index // 3][0]}: {job[0]} {name} differs{detail}")
+                differences.append(f"{owner}: {call} {name} differs{detail}")
     for line in differences[:40]:
         print(line)
     if len(differences) > 40:
         print(f"... and {len(differences) - 40} more")
 
-    on_mutants = [result for index, result in enumerate(new)
-                  if cases[index // 3][0].startswith("mutant ")]
+    on_mutants = [result for owner, result in zip(owners, new)
+                  if owner.startswith("mutant ")]
     rejected = sum(result["code"] == 2 for result in on_mutants)
+    on_stubs = [result for (_, rule), result in zip(jobs, new) if rule]
+    failed = sum(result["code"] == 1 for result in on_stubs)
     print(f"{len(cases)} cases, {len(jobs)} calls per checkout "
-          f"({len(on_mutants)} on mutants, {rejected} of them exit 2): "
+          f"({len(on_stubs)} stubbed checks, {failed} of them exit 1; "
+          f"{len(on_mutants)} on mutants, {rejected} of them exit 2): "
           f"{len(differences)} differences")
     return 1 if differences else 0
 
