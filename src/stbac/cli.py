@@ -9,6 +9,7 @@ missing entity, 2 malformed input (config, trace, policy files).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -54,7 +55,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs many
+    times a parse, and each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="stbac",
         description="Replay OS event traces under suspicious-taint access control.")
@@ -279,11 +283,11 @@ def cmd_pcopy_add(args) -> int:
     if args.shared in pcopy:
         print(f"error: {args.shared} already mapped", file=sys.stderr)
         return EXIT_DENIED
-    line = f"pcopy {args.shared} {args.copy}"
-    parse_pcopy_map(text + line + "\n")   # full-file validation
     if text and not text.endswith("\n"):
         text += "\n"
-    _write(args.pcopy, text + line + "\n")
+    text += f"pcopy {args.shared} {args.copy}\n"
+    parse_pcopy_map(text)   # full-file validation
+    _write(args.pcopy, text)
     return EXIT_OK
 
 

@@ -265,7 +265,6 @@ class _Replayer:
         self.world = world
         self.policy = policy
         self.graph = graph
-        self.copy_paths = set(policy.pcopy.values())
 
     # -- main step ---------------------------------------------------------
 
@@ -321,10 +320,8 @@ class _Replayer:
             return f"pid {ident} ({self.world.processes[ident].exe_path})"
         if kind == "file":
             return self.world.fs[ident].path
-        if kind == "sock":
-            sock = self.world.sockets[ident]
-            return f"sock {ident} ({sock.remote[0]}:{sock.remote[1]})"
-        return str(ident)
+        sock = self.world.sockets[ident]
+        return f"sock {ident} ({sock.remote[0]}:{sock.remote[1]})"
 
     def _mark_denial(self, proc, obj: str, rule: str, tick: int):
         subject = proc_ref(proc.pid)
@@ -675,10 +672,8 @@ class _Replayer:
     # -- shared pieces -------------------------------------------------------------
 
     def _write_mutations(self, proc, node) -> tuple:
-        # Partial copies hold the non-secret subset by construction, so the
-        # secrecy spread of a leak-capable writer stops at them.
-        if node.path in self.copy_paths:
-            return (taint.tr_proc_exe(proc, node),)
+        # A copy gets the secrecy spread too: once a leak-capable writer
+        # marks it conf, copy_fault refuses it at the next redirect.
         return taint.tr_proc_exe(proc, node), vital.vr_proc_file(proc, node)
 
     def _drain_fifo(self, proc, node) -> list:

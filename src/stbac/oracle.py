@@ -26,8 +26,8 @@ where its source is low, and a source of None always holds.  The kinds:
 * _LIVE and _TREE: a pid was born or exited, and a path op ran; they move
   the live entities under a view's low sets without changing the sets.
 
-The stepper, _one_pass, builds one structure, walks the trace once and
-hands each event's facts to two folds.  Each judges lowness in its own
+The one pass, verify_replay, builds one structure, walks the trace once
+and hands each event's facts to two folds.  Each judges lowness in its own
 view and keeps its own record of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
@@ -46,9 +46,12 @@ repeats that event's comparison.  Trusted endpoints are matched by the
 oracle's own reading of the trust entries, so nothing here comes from the
 engine, the rule modules or the guard.
 
-Denied events contribute no edges and no structure on either side: the
-engine applies nothing on a denial, so equivalence is judged over the
-allowed events only.
+The walk reads each event's access verdict off its audit record when it
+reaches that event: a denied event adds no facts and no structure, since
+the engine applies nothing on a denial, and an ALLOW_REDIR(copy) makes the
+access act on the copy.  Without an audit every event counts as allowed.
+taint_closure, closure_from_replay and check_biba are views of the one
+pass.
 """
 
 from __future__ import annotations
@@ -242,16 +245,20 @@ _TREE_FACT = (_TREE, None, None, None)
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
-def _walk(struct: _Structure, trust, events, denied, redirects):
+def _walk(struct: _Structure, trust, events, records=None):
     """Apply each allowed event to struct; yield (index, event, facts) for
-    every event, with facts None for a denied one."""
+    every event, with facts None for one its audit record denies.  A record
+    ALLOW_REDIR(copy) makes a redirectable op act on the copy; without
+    records every event counts as allowed."""
     for index, ev in enumerate(events):
-        if index in denied:
-            yield index, ev, None
-            continue
         op, args, pid = ev.op, ev.args, ev.pid
-        if index in redirects and op in _REDIRECTABLE:
-            args = (redirects[index],) + args[1:]
+        result = "ALLOW" if records is None else records[index].result
+        if result != "ALLOW":
+            if result.startswith("DENY("):
+                yield index, ev, None
+                continue
+            if op in _REDIRECTABLE:         # ALLOW_REDIR(copy)
+                args = (result[len("ALLOW_REDIR("):-1],) + args[1:]
         facts = []
         if op in ("fork", "vfork", "clone"):
             child = _int(args[0], ev)
@@ -362,18 +369,6 @@ def _text(reason: tuple) -> str:
 
 def _where(index: int, ev) -> str:
     return f"event {index} ({ev.op}, tick {ev.tick})"
-
-
-def _access_verdicts(records) -> tuple:
-    """(denied event indexes, event index -> substitute path for accesses the
-    guard redirected), from an audit."""
-    denied, redirects = set(), {}
-    for index, record in enumerate(records):
-        if record.denied:
-            denied.add(index)
-        elif record.result.startswith("ALLOW_REDIR("):
-            redirects[index] = record.result[len("ALLOW_REDIR("):-1]
-    return denied, redirects
 
 
 class _ClosureFold:
@@ -583,58 +578,47 @@ class _BibaFold:
                     f"{_where(index, ev)}: {_text(reason)} but the file is not low")
 
 
-# -- the stepper and its entry points -------------------------------------------
+# -- the one pass and its views ----------------------------------------------
 
-def _one_pass(config: InitConfig, trust, events, denied, redirects, records=None):
-    """The stepper: one _Structure and one _walk feed the closure fold and,
-    given the audit's records, the Biba fold.  Returns the closure's set
-    after each event and the BibaReport (None without records)."""
+def verify_replay(config: InitConfig, trust, events, records=None) -> tuple:
+    """The one pass: one _Structure and one _walk feed the closure fold and,
+    given an audit of the same events, the Biba fold.  Returns the closure's
+    set after each event and the BibaReport (None without records).
+
+    The closure's sets are the tainted entities after each event, by direct
+    forward reachability: seeds are processes that open endpoints matching
+    no trusted entry (plus administrative taint marks); taint then follows
+    process creation, IPC message delivery, writes that leave executables
+    behind, and execution or loading of tainted files.  Each is a frozenset
+    of ("proc", pid) / ("file", path) labels for live entities; consecutive
+    events whose set did not change share one object.
+
+    The audit supplies the access verdicts, each read when the walk reaches
+    its event, and the subject/object levels of the Biba conditions (boot
+    marks plus per-event flag changes); the structure (paths, exec bits,
+    fifos) is rebuilt independently from the trace.
+    """
+    if records is not None and len(records) != len(events):
+        raise ValueError(f"audit has {len(records)} records for {len(events)} events")
     struct = _Structure(config)
     closure = _ClosureFold(struct)
     biba = None if records is None else _BibaFold(struct)
     sets = []
-    for index, ev, facts in _walk(struct, trust, events, denied, redirects):
+    for index, ev, facts in _walk(struct, trust, events, records):
         if biba is not None and facts is not None:
             biba.step(index, ev, facts, records[index].flag_changes)
         sets.append(closure.step(facts))
     return sets, None if biba is None else biba.report
 
 
-def taint_closure(config: InitConfig, trust, events, denied=frozenset(),
-                  redirects=None):
-    """Tainted entities after each event, by direct forward reachability.
-
-    Seeds are processes that open endpoints matching no trusted entry
-    (plus explicit administrative taint marks); taint then follows process
-    creation, IPC message delivery, writes that leave executables behind,
-    and execution or loading of tainted files.  Events whose index is in
-    ``denied`` contribute nothing; events in ``redirects`` act on the
-    substitute path.  Both come from the audit, matching the engine's own
-    access verdicts.  Returns one frozenset per event of ("proc", pid) /
-    ("file", path) labels for live entities; consecutive events whose set
-    did not change share one object.
-    """
-    return _one_pass(config, trust, events, denied, redirects or {})[0]
+def taint_closure(config: InitConfig, trust, events) -> list:
+    """The oracle closure of a trace with every event allowed."""
+    return verify_replay(config, trust, events)[0]
 
 
-def closure_from_replay(config: InitConfig, trust, events, records):
-    """Convenience: the oracle closure with the audit's access verdicts."""
-    return taint_closure(config, trust, events, *_access_verdicts(records))
-
-
-def verify_replay(config: InitConfig, trust, events, records) -> tuple:
-    """Both checks of an audited replay in one pass: the oracle closure after
-    each event, to compare with the engine's tainted sets, and the
-    BibaReport.
-
-    The subject/object levels of the Biba conditions come from the engine's
-    own flag timeline (boot marks plus per-event flag changes in the audit);
-    the structure (paths, exec bits, fifos) is rebuilt independently from
-    the trace, and the access verdicts come from the audit.
-    """
-    if len(events) != len(records):
-        raise ValueError(f"audit has {len(records)} records for {len(events)} events")
-    return _one_pass(config, trust, events, *_access_verdicts(records), records)
+def closure_from_replay(config: InitConfig, trust, events, records) -> list:
+    """The oracle closure with the audit's access verdicts."""
+    return verify_replay(config, trust, events, records)[0]
 
 
 def check_biba(config: InitConfig, trust, events, records) -> BibaReport:

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from stbac import cli, scenarios
 from stbac.cli import main
-from stbac import scenarios
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 
@@ -105,6 +105,7 @@ class TestReplayCommand:
          "line 3: pid 3 has exited"),
         ("1,1,fork,3\n2,3,exit\n3,1,get_stbac_attr,pid:3\n", "line 3: pid 3 has exited"),
         ("1,1,mmap_exec,/etc\n", "line 1: /etc is not a regular file"),
+        ("-1,1,sched_tick\n", "line 1: negative tick -1"),
     ])
     def test_bad_events_exit_two_with_line(self, bundle_dir, capsys, trace, message):
         (bundle_dir / "trace").write_text(trace)
@@ -119,6 +120,27 @@ class TestReplayCommand:
         code = main(["replay", "--init", str(bundle_dir / "init.cfg"),
                      str(bundle_dir / "trace")])
         assert code == 2
+
+    def test_missing_input_file_exits_two(self, bundle_dir, capsys):
+        missing = bundle_dir / "missing.cfg"
+        assert main(["replay", "--init", str(missing), str(bundle_dir / "trace")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("init.cfg", BOOT + "hwm cpu_ticks -1 90\n",
+         "line 8: per-taint limit must be >= 0"),
+        ("init.cfg", BOOT + "cap cpu_ticks 0\n", "line 8: system total must be positive"),
+        ("trust.list", "trust /bin/sh *:* *:* tcp -1..5\n",
+         "trust list line 1: span start must be >= 0"),
+    ], ids=["negative hwm limit", "zero cap", "negative span start"])
+    def test_out_of_range_config_numbers_exit_two_with_line(self, bundle_dir, capsys,
+                                                         name, text, message):
+        (bundle_dir / name).write_text(text)
+        code = main(["replay", "--init", str(bundle_dir / "init.cfg"),
+                     "--trust", str(bundle_dir / "trust.list"), str(bundle_dir / "trace")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("config,message", [
         ("node /x file 0\n# again\nnode /x file 0\n",
@@ -221,6 +243,25 @@ conf /etc/passwd
                      "--pcopy", str(tmp_path / "pcopy.list"),
                      str(tmp_path / "trace")]) == 2
 
+    def test_copy_holding_a_leaked_secret_is_a_denial(self, tmp_path, capsys):
+        """A leak-capable health process that writes /etc/passwd into its
+        copy marks the copy conf, so a suspect's later read is denied."""
+        (tmp_path / "init.cfg").write_text(
+            self.BOOT + "node /bin/copy file 1\nleak /bin/copy\n")
+        (tmp_path / "pcopy.list").write_text("pcopy /etc/passwd /.stbac/passwd\n")
+        (tmp_path / "trace").write_text("1,1,fork,2\n"
+                                        "2,2,execve,/bin/copy\n"
+                                        "3,2,open_read,/etc/passwd\n"
+                                        "4,2,open_write,/.stbac/passwd\n"
+                                        "5,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                        "6,1,open_read,/etc/passwd\n")
+        common = ["--init", str(tmp_path / "init.cfg"),
+                  "--pcopy", str(tmp_path / "pcopy.list"), str(tmp_path / "trace")]
+        assert main(["replay", *common]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "<4>6,1:-,/etc/passwd,open_read,-,DENY(PR_conf)")
+        assert main(["check", *common]) == 0
+
     def test_copy_removed_by_the_trace_is_a_denial(self, tmp_path, capsys):
         """A copy valid at boot and unlinked later is no input error: the
         suspect's read is denied, and check still passes."""
@@ -243,6 +284,14 @@ class TestGraphCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("digraph replay {")
 
+    def test_graph_to_file(self, bundle_dir, capsys):
+        dot = bundle_dir / "graph.dot"
+        code = main(["graph", "--init", str(bundle_dir / "init.cfg"),
+                     str(bundle_dir / "trace"), "--dot", str(dot)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert dot.read_text().startswith("digraph replay {")
+
 
 class TestCheckCommand:
     def test_scenarios_pass(self, tmp_path, capsys):
@@ -262,6 +311,20 @@ class TestCheckCommand:
         # the engine falls short: the process running the dropped file
         assert "engine missing proc:302" in out
         assert "engine extra" not in out
+
+    def test_low_writer_leaving_a_clean_executable_fails_biba(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import stbac.taint
+        monkeypatch.setattr(stbac.taint, "tr_proc_exe", lambda process, node: None)
+        args, _ = scenario_args("web_download", tmp_path)
+        assert main(["check", *args]) == 1
+        out = capsys.readouterr().out
+        assert "low writers lower what they produce: FAIL\n" in out
+        assert [line for line in out.splitlines() if "but the file is not low" in line] == [
+            "  violation: event 4 (create, tick 5): low pid 300 created executable"
+            " but the file is not low",
+            "  violation: event 5 (create, tick 6): low pid 300 created executable"
+            " but the file is not low"]
 
     def test_empty_trace_vacuous_pass(self, bundle_dir):
         (bundle_dir / "trace").write_text("")
@@ -373,6 +436,21 @@ class TestTrustCommands:
                      "/usr/sbin/sshd"]) == 0
         assert trust.read_text() == ""
 
+    def test_remove_of_an_absent_program_exits_one(self, tmp_path, capsys):
+        trust = tmp_path / "trust.list"
+        trust.write_text("trust /bin/sh *:* *:* tcp 0..inf\n")
+        assert main(["trust", "--trust", str(trust), "remove", "/usr/sbin/sshd"]) == 1
+        assert capsys.readouterr().err == "error: no entry for program /usr/sbin/sshd\n"
+        assert trust.read_text() == "trust /bin/sh *:* *:* tcp 0..inf\n"
+
+    def test_add_after_a_last_line_without_newline(self, tmp_path):
+        trust = tmp_path / "trust.list"
+        trust.write_text("trust /bin/sh *:* *:* tcp 0..inf")
+        assert main(["trust", "--trust", str(trust), "add",
+                     "/usr/sbin/sshd", "*:22", "*:*", "tcp", "0..5"]) == 0
+        assert trust.read_text() == ("trust /bin/sh *:* *:* tcp 0..inf\n"
+                                     "trust /usr/sbin/sshd *:22 *:* tcp 0..5\n")
+
     def test_malformed_entry_rejected(self, tmp_path):
         trust = tmp_path / "trust.list"
         code = main(["trust", "--trust", str(trust), "add",
@@ -418,6 +496,12 @@ class TestPcopyCommands:
         main(["pcopy", "--pcopy", str(pcopy), "list"])
         assert capsys.readouterr().out == "pcopy /etc/shadow /.stbac/shadow\n"
 
+    def test_add_after_a_last_line_without_newline(self, tmp_path):
+        pcopy = tmp_path / "pcopy.list"
+        pcopy.write_text("pcopy /etc/shadow /.stbac/shadow")
+        assert main(["pcopy", "--pcopy", str(pcopy), "add", "/a", "/b"]) == 0
+        assert pcopy.read_text() == "pcopy /etc/shadow /.stbac/shadow\npcopy /a /b\n"
+
     def test_duplicate_add_rejected(self, tmp_path):
         pcopy = tmp_path / "pcopy.list"
         main(["pcopy", "--pcopy", str(pcopy), "add", "/a", "/b"])
@@ -429,3 +513,25 @@ class TestPcopyCommands:
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 0
         assert pcopy.read_text() == ""
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call parses afresh."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_keep_no_parsed_state(self, bundle_dir, capsys):
+        common = ["--init", str(bundle_dir / "init.cfg"), str(bundle_dir / "trace")]
+        dot = bundle_dir / "graph.dot"
+        assert main(["replay", *common, "--dot", str(dot)]) == 0
+        first = dot.read_text()
+        dot.write_text("untouched")
+        assert main(["replay", *common]) == 0
+        assert dot.read_text() == "untouched"
+        assert main(["check", *common]) == 0
+        assert main(["trust", "--trust", str(bundle_dir / "trust.list"), "list"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("replay: 3 events, 0 denials\n"
+                            "trust /bin/sh *:* *:* tcp 0..inf\n")
+        assert first.startswith("digraph replay {")

@@ -1,6 +1,6 @@
 """tools/compare_outputs.py: a checkout matches itself, one changed error
-message or divergence line in a copy of src/ is caught, and some mutants
-reach the copy map."""
+message, divergence line or trust listing in a copy of src/ is caught, and
+some mutants reach the copy map."""
 
 import importlib.util
 import shutil
@@ -54,6 +54,20 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "scenario remote_attack: check with taint.tr_sock_proc stubbed stdout differs" \
         in proc.stdout
+
+
+def test_an_altered_trust_listing_is_a_difference(tmp_path):
+    """`trust list` runs on the bundles that are not mutants."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    guard = tmp_path / "src" / "stbac" / "guard.py"
+    text = guard.read_text(encoding="utf-8")
+    assert text.count('return (f"trust {entry.program}') == 1
+    guard.write_text(text.replace('return (f"trust {entry.program}',
+                                  'return (f"trust  {entry.program}'), encoding="utf-8")
+    proc = compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "scenario remote_user: trust stdout differs" in proc.stdout
 
 
 def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):

@@ -214,13 +214,33 @@ class TestRedirection:
         assert result.world.processes[1].flags == TAINT
         assert result.records[1].flag_changes == ()
 
-    def test_secrecy_spread_stops_at_copies(self):
-        # a leak-capable secret-holding writer does not mark the copy
+    def test_secrecy_spread_marks_copies(self):
+        # a leak-capable secret-holding writer marks the copy like any file
         result = run("1,1,execve,/bin/copy\n"
                      "2,1,open_read,/etc/passwd\n"
                      "3,1,open_write,/.stbac/passwd\n",
                      pcopy="pcopy /etc/passwd /.stbac/passwd\n")
-        assert not result.world.node_at("/.stbac/passwd").flags & CONF
+        assert result.world.node_at("/.stbac/passwd").flags & CONF
+        copy = ("file", result.world.lookup("/.stbac/passwd"))
+        assert result.graph.edges[-1] == (("proc", 1), copy, "VR_proc_file", 3)
+
+    def test_secret_written_to_the_copy_is_not_read_through_it(self):
+        """A health process that leaks /etc/passwd into its copy spoils the
+        copy, so a suspect's later read is denied, not redirected."""
+        result = run("1,1,fork,2\n"
+                     "2,2,execve,/bin/copy\n"
+                     "3,2,open_read,/etc/passwd\n"
+                     "4,2,open_write,/.stbac/passwd\n"
+                     "5,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                     "6,1,open_read,/etc/passwd\n",
+                     pcopy=PASSWD_COPY)
+        assert [r.result for r in result.records] == ["ALLOW"] * 5 + ["DENY(PR_conf)"]
+        passwd = result.world.lookup("/etc/passwd")
+        assert result.graph.denials == [(("proc", 1), ("file", passwd), "PR_conf", 6)]
+        copy = result.world.lookup("/.stbac/passwd")
+        dot = export_graph(result.graph)
+        assert f'"proc:2" -> "file:{copy}" [label="VR_proc_file@4"];' in dot
+        assert f'"proc:1" -> "file:{passwd}" [label="PR_conf@6", style=dashed];' in dot
 
     @pytest.mark.parametrize("spoil", [
         "1,1,rename,/etc/shadow,/.stbac/passwd",

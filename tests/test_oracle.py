@@ -165,7 +165,7 @@ class TestUnreplayedStructure:
                 lines.append(",".join((str(tick), "1", op) + args))
             events = parse_trace("\n".join(lines) + "\n")
             struct = oracle._Structure(self.BOOT)
-            for _ in oracle._walk(struct, [], events, set(), {}):
+            for _ in oracle._walk(struct, [], events):
                 pass
             for directory, kids in struct.kids.items():
                 assert struct.cells[directory.path] is directory, seed
@@ -180,12 +180,11 @@ def walk_structure(config, trust, events, records):
     index checked before every event; also counts renames of a directory
     with children and renames onto an existing file."""
     struct = oracle._Structure(config)
-    denied, redirects = oracle._access_verdicts(records)
     seen = {"directory with children": 0, "onto a file": 0}
-    walk = oracle._walk(struct, trust, events, denied, redirects)
-    for index, ev in enumerate(events):
+    walk = oracle._walk(struct, trust, events, records)
+    for ev, record in zip(events, records):
         assert_index_consistent(struct)
-        if ev.op == "rename" and index not in denied:
+        if ev.op == "rename" and not record.denied:
             moved = struct.cells[ev.args[0]]
             seen["directory with children"] += bool(struct.kids.get(moved))
             seen["onto a file"] += ev.args[1] in struct.cells
@@ -273,14 +272,14 @@ class TestChildIndex:
         assert_structure_matches(struct, result.world)
 
 
-def ungated_closure(config, trust, events, denied=frozenset(), redirects=None):
+def ungated_closure(config, trust, events, records):
     """Reference closure: the closure fold's loop with a fresh snapshot of
     the live low entities after every event, as taint_closure computed it
     before snapshots were gated."""
     struct = oracle._Structure(config)
     low_pids, low_cells, fifo_low = set(), set(), {}
     snapshots = []
-    for _, _, facts in oracle._walk(struct, trust, events, denied, redirects or {}):
+    for _, _, facts in oracle._walk(struct, trust, events, records):
         for kind, target, source, detail in facts or ():
             if kind & (oracle._READ | oracle._EXEC | oracle._PRODUCE):
                 if source is None or source in low_pids or source in low_cells:
@@ -318,9 +317,8 @@ class TestGatedSnapshots:
         """The gated and ungated closures of a replayed trace; returns how
         many events reused the previous event's set object."""
         result = replay(spawn_boot_world(config), events, policy)
-        verdicts = oracle._access_verdicts(result.records)
-        gated = taint_closure(config, policy.trust, events, *verdicts)
-        assert gated == ungated_closure(config, policy.trust, events, *verdicts)
+        gated = closure_from_replay(config, policy.trust, events, result.records)
+        assert gated == ungated_closure(config, policy.trust, events, result.records)
         return sum(now is before for before, now in zip(gated, gated[1:]))
 
     @pytest.mark.parametrize("name", scenarios.NAMES)
@@ -564,6 +562,18 @@ class TestNegativeControls:
         assert divergences
         assert ("proc", 3) in divergences[-1].missing
 
+    def test_over_tainting_engine_is_detected(self, monkeypatch):
+        """An engine that trusts no endpoint taints a process the oracle
+        keeps clean: the divergence names it as engine extra."""
+        from stbac import engine
+        monkeypatch.setattr(engine, "match_trust", lambda *args: False)
+        events, result = run("1,1,execve,/bin/sh\n"
+                             "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,tcp\n")
+        oracle_sets = closure_from_replay(BOOT, TRUSTED, events, result.records)
+        assert [d.describe() for d in diff_taint(result.tainted_after, oracle_sets,
+                                                 events)] == [
+            "event 1 (tick 2): engine extra proc:1"]
+
     def test_correct_engine_has_no_divergence(self):
         events, result = run(self.TRACE)
         oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
@@ -684,10 +694,15 @@ class TestBiba:
             "event 10 (open_write, tick 11): non-executable /etc/passwd",
         ]
 
-    def test_audit_length_mismatch_rejected(self):
-        events, result = run("1,1,execve,/bin/sh\n")
-        with pytest.raises(ValueError, match="records"):
-            check_biba(BOOT, TRUSTED, events, [])
+    @pytest.mark.parametrize("entry", [check_biba, closure_from_replay,
+                                       oracle.verify_replay])
+    def test_audit_length_mismatch_rejected(self, entry):
+        """A short audit is refused, not walked as if its missing events
+        were allowed; so is a long one."""
+        events, result = run("1,1,execve,/bin/sh\n2,1,fork,2\n")
+        for records in ([], result.records[:1], result.records * 2):
+            with pytest.raises(ValueError, match=f"{len(records)} records for 2 events"):
+                entry(BOOT, TRUSTED, events, records)
 
 
 class TestGeneratedEquivalence:

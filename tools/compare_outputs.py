@@ -19,12 +19,16 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
 stbac from that checkout's src/ and runs `replay --audit --dot`, `graph`
-and `check` on every case.  On the scenarios and the check windows it also
-runs `check` once per rule in RULE_STUBS with that rule replaced by one
-that returns None, so the divergence and violation lines of a failing
-check are compared too.  The exit code, stdout, stderr, audit file and DOT
-file of each call are compared; an exception that escapes the CLI is
-compared by its type and message.  Exit status: 0 when every call matches,
+and `check` on every case.  On every case that is not a mutant it also
+runs the admin listings `get-flag --recursive /`, `trust list` and
+`pcopy list` on the bundle's files, so those subparsers are compared too,
+and on the scenarios and the check windows it runs `check` once per rule
+in RULE_STUBS with that rule replaced by one that returns None, so the
+divergence and violation lines of a failing check are compared too.  All
+calls of a side go through `main` in one interpreter, which also covers
+reusing the CLI parser across calls.  The exit code, stdout, stderr,
+audit file and DOT file of each call are compared; an exception that
+escapes the CLI is compared by its type and message.  Exit status: 0 when every call matches,
 1 on any difference, 2 when a side could not be run.
 """
 
@@ -189,7 +193,8 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
 def jobs_for(cases: list, outputs: tuple) -> tuple:
     """(jobs, the case name of each job).  A job is a CLI argument list and
     the rule to stub for it, or None: `replay`, `graph` and `check` per
-    case, and a stubbed `check` per rule where the case asks for them.
+    case, the admin listings per case that is not a mutant, and a stubbed
+    `check` per rule where the case asks for them.
     Both sides write the same two output paths, so a message that names one
     reads the same."""
     audit, dot = outputs
@@ -198,6 +203,11 @@ def jobs_for(cases: list, outputs: tuple) -> tuple:
         case_jobs = [(["replay", *bundle, trace, "--audit", audit, "--dot", dot], None),
                      (["graph", *bundle, trace], None),
                      (["check", *bundle, trace], None)]
+        if not name.startswith("mutant "):
+            init, trust, pcopy = bundle[1::2]
+            case_jobs += [(["get-flag", "--init", init, "--recursive", "/"], None),
+                          (["trust", "--trust", trust, "list"], None),
+                          (["pcopy", "--pcopy", pcopy, "list"], None)]
         if stubs:
             case_jobs += [(["check", *bundle, trace], rule) for rule in RULE_STUBS]
         jobs += case_jobs
