@@ -695,7 +695,8 @@ class TestBiba:
         ]
 
     @pytest.mark.parametrize("entry", [check_biba, closure_from_replay,
-                                       oracle.verify_replay])
+                                       oracle.verify_replay],
+                             ids=["check_biba", "closure_from_replay", "verify_replay"])
     def test_audit_length_mismatch_rejected(self, entry):
         """A short audit is refused, not walked as if its missing events
         were allowed; so is a long one."""
