@@ -16,6 +16,7 @@ from .engine import (
     ReplayResult,
     apply_event,
     export_graph,
+    iter_trace,
     parse_trace,
     replay,
 )

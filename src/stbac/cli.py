@@ -4,6 +4,16 @@ Subcommands: replay, graph, check, set-flag, get-flag, trust, pcopy.
 
 Exit codes: 0 success (for replay: no denial), 1 denial or failed check or
 missing entity, 2 malformed input (config, trace, policy files).
+
+replay, graph and check read the trace one event at a time (engine.iter_trace)
+and step the engine over it; they keep no list of events or audit records,
+so their memory grows with the world, not with the trace.  check steps the
+oracle's one pass in lockstep with the engine.  No output is written until
+the whole trace has replayed: audit lines wait in a spool that spills to an
+anonymous temporary file past SPOOL_CHARS, and a malformed or inapplicable
+event, reported with its line, leaves stdout and every output file as they
+were.  Trace errors come in trace order: the first bad line is reported,
+whether it is malformed or names something the replay does not have.
 """
 
 from __future__ import annotations
@@ -11,9 +21,14 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shutil
 import sys
+import tempfile
 
-from .engine import Policy, export_graph, parse_trace, replay
+from .engine import DepGraph, Policy, _Replayer, export_graph, iter_trace
+# perfbench/layers.py wraps these by name on this module; the commands call none
+# of parse_trace, replay, diff_taint, closure_from_replay or check_biba.
+from .engine import parse_trace, replay  # noqa: F401
 from .guard import (
     format_trust_entry,
     parse_pcopy_map,
@@ -29,14 +44,20 @@ from .model import (
     format_flags,
     parse_flag,
 )
-from .oracle import diff_taint, verify_replay
-# perfbench/layers.py wraps these by name on this module; cmd_check calls neither.
-from .oracle import check_biba, closure_from_replay  # noqa: F401
+from .oracle import OnePass, TaintDiff
+from .oracle import check_biba, closure_from_replay, diff_taint  # noqa: F401
 from .world import parse_init_config, serialize_config, spawn_boot_world
 
 EXIT_OK = 0
 EXIT_DENIED = 1
 EXIT_BAD_INPUT = 2
+
+# Characters of audit text an output keeps in memory before it spills to an
+# anonymous temporary file, and audit lines joined into one write.
+SPOOL_CHARS = 1 << 18
+AUDIT_BATCH = 1024
+# Divergences check prints; it counts them all.
+SHOWN_DIVERGENCES = 20
 
 
 def main(argv=None) -> int:
@@ -156,67 +177,101 @@ def _write(path, text):
 
 
 def _load_bundle(args):
+    """The boot config, the booted world, the policy and the trace's events
+    as an iterator: each line is parsed when the replay reaches it."""
     config = parse_init_config(_read(args.init))
     trust = parse_trust_list(_read(args.trust)) if args.trust else []
     pcopy = parse_pcopy_map(_read(args.pcopy)) if args.pcopy else {}
     world = spawn_boot_world(config)
     validate_pcopy_against_world(pcopy, world)
     policy = Policy(trust, pcopy)
-    events = parse_trace(_read(args.trace))
+    events = iter_trace(_read(args.trace))
     return config, world, policy, events
 
 
-def cmd_replay(args) -> int:
+def _stream(args, audit=None) -> _Replayer:
+    """Step a replayer over the trace, one event at a time, writing each
+    audit line to audit (a text file) when given, AUDIT_BATCH lines per
+    write.  Returns the replayer: its graph, and its count of denials."""
     _, world, policy, events = _load_bundle(args)
-    result = replay(world, events, policy)
-    audit = result.audit_text()
-    if args.audit:
-        _write(args.audit, audit)
-    else:
-        sys.stdout.write(audit)
+    replayer = _Replayer(world, policy, DepGraph())
+    lines = []
+    for event in events:
+        record = replayer.step(event)
+        if audit is not None:
+            lines.append(record.line())
+            if len(lines) == AUDIT_BATCH:
+                audit.write("\n".join(lines) + "\n")
+                lines.clear()
+    if lines:
+        audit.write("\n".join(lines) + "\n")
+    return replayer
+
+
+def _spool():
+    """A text buffer for output that must wait for the whole replay: in
+    memory up to SPOOL_CHARS, then an anonymous temporary file."""
+    return tempfile.SpooledTemporaryFile(SPOOL_CHARS, mode="w+", encoding="utf-8",
+                                         newline="")
+
+
+def _deliver(spool, path):
+    """Copy a spool's text to the file at path, or to stdout without one."""
+    spool.seek(0)
+    if path is None:
+        shutil.copyfileobj(spool, sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        shutil.copyfileobj(spool, handle)
+
+
+def cmd_replay(args) -> int:
+    with _spool() as audit:
+        replayer = _stream(args, audit)
+        _deliver(audit, args.audit)
     if args.dot:
-        _write(args.dot, export_graph(result.graph))
-    return _exit_code(result)
+        _write(args.dot, export_graph(replayer.graph))
+    return EXIT_DENIED if replayer.denials else EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    _, world, policy, events = _load_bundle(args)
-    result = replay(world, events, policy)
-    dot = export_graph(result.graph)
+    replayer = _stream(args)
+    dot = export_graph(replayer.graph)
     if args.dot:
         _write(args.dot, dot)
     else:
         sys.stdout.write(dot)
-    return _exit_code(result)
-
-
-def _exit_code(result) -> int:
-    """EXIT_DENIED when the replay denied some event, EXIT_OK otherwise."""
-    return EXIT_DENIED if any(r.denied for r in result.records) else EXIT_OK
+    return EXIT_DENIED if replayer.denials else EXIT_OK
 
 
 def cmd_check(args) -> int:
+    """The engine and the oracle's one pass step together, one (event,
+    record) pair at a time; each event's tainted sets are compared as soon
+    as both sides have stepped it."""
     config, world, policy, events = _load_bundle(args)
-    result = replay(world, events, policy, track_taint=True)
-    failures = 0
+    replayer = _Replayer(world, policy, None)     # check exports no graph
+    one_pass = OnePass(config, policy.trust)
+    diff = TaintDiff(SHOWN_DIVERGENCES)
+    step, tainted, compare = replayer.step, replayer.tainted, diff.add
+    for event, oracle_set in one_pass.run((ev, step(ev)) for ev in events):
+        compare(event.tick, tainted(), oracle_set)
 
-    oracle_sets, report = verify_replay(config, policy.trust, events, result.records)
-    divergences = diff_taint(result.tainted_after, oracle_sets, events)
-    if divergences:
+    failures = 0
+    if diff.count:
         failures += 1
-        print(f"taint closure: FAIL ({len(divergences)} diverging events)")
-        for div in divergences[:20]:
+        print(f"taint closure: FAIL ({diff.count} diverging events)")
+        for div in diff.divergences:
             print(f"  {div.describe()}")
     else:
         print("taint closure: PASS (engine matches oracle on every event)")
 
+    report = one_pass.report
     for line in report.summary_lines():
         print(line)
     if not report.all_passed():
         failures += 1
 
-    denials = sum(r.denied for r in result.records)
-    print(f"replay: {len(result.records)} events, {denials} denials")
+    print(f"replay: {diff.events} events, {replayer.denials} denials")
     return EXIT_OK if failures == 0 else EXIT_DENIED
 
 

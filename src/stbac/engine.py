@@ -6,6 +6,12 @@ exactly one audit record; a denied event changes nothing but the clock and
 the audit log.  Replay is a pure function of its inputs: identical trace,
 boot config, trust list and copy map give bit-identical audit output.
 
+A replay streams: iter_trace yields one Event per line as the replay asks
+for it, and _Replayer.step turns each into its AuditRecord, so a caller
+that keeps neither (the CLI) holds memory for the world and the graph, not
+for the trace.  parse_trace and replay are collectors over the two for
+callers that want the lists.
+
 Each handler returns its verdict, a shared constant of model or a redirect,
 beside the label changes the event implies.  Every label change is a
 FlagMutation: a taint or vital rule's spread, or an administrative
@@ -28,7 +34,7 @@ bits, live pids, socket owners and amounts are checked in the handlers
 before any guard or rule is asked, and the rules and World.add_node trust
 their arguments.  Handlers and the token helpers raise their StbacError
 with the message alone; _Replayer.step is the one place that gives a trace
-error its line, as parse_trace does for the lines it rejects.
+error its line, as iter_trace does for the lines it rejects.
 
 Audit line shape (one per event):
 
@@ -62,7 +68,6 @@ from .model import (
     StbacError,
     TraceError,
     ascii_int,
-    content_lines,
     flag_bits,
     format_flags,
     is_ascii_int,
@@ -80,35 +85,62 @@ class Event(NamedTuple):
     line: int = 0
 
 
-def parse_trace(text: str) -> list[Event]:
-    """Parse a trace file; the first malformed line aborts with its number."""
-    events = []
+# Characters of trace text split into lines at a time.  A chunk ends just
+# after a "\n" (or at the end of the text), which is always a line break of
+# str.splitlines, so lines are numbered as splitlines numbers the whole text.
+TRACE_CHUNK = 1 << 16
+
+# Event(...) runs the NamedTuple's Python-level __new__; iter_trace builds
+# each tuple directly, a tenth of its per-line cost, from fields it checked.
+_new_event = tuple.__new__
+
+
+def iter_trace(text: str):
+    """Yield the events of a trace in order, one per line that is neither
+    blank nor a # comment.  A malformed line raises TraceError with its
+    number when the iteration reaches it; the lines before it are yielded."""
     last_tick = None
-    for line_no, line in content_lines(text):
-        parts = line.split(",")
-        if len(parts) < 3:
-            raise TraceError(f"expected tick,pid,op[,...], got {line!r}", line_no)
-        try:
-            tick = ascii_int(parts[0])
-            pid = ascii_int(parts[1])
-        except ValueError:
-            raise TraceError(f"tick and pid must be integers: {line!r}", line_no) from None
-        if tick < 0:
-            raise TraceError(f"negative tick {tick}", line_no)
-        if last_tick is not None and tick < last_tick:
-            raise TraceError(f"tick {tick} decreases (previous {last_tick})", line_no)
-        last_tick = tick
-        op = parts[2]
-        spec = OPS.get(op)
-        if spec is None:
-            raise TraceError(f"unknown operation {op!r}", line_no)
-        args = tuple(parts[3:])
-        lo, hi = spec.arity
-        if not lo <= len(args) <= hi:
-            raise TraceError(
-                f"{op} takes {lo}..{hi} argument(s), got {len(args)}", line_no)
-        events.append(Event(tick, pid, op, args, line_no))
-    return events
+    line_no = 0
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + TRACE_CHUNK) + 1 or size
+        chunk = text[start:end].splitlines()
+        start = end
+        for raw in chunk:
+            line_no += 1
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            parts = line.split(",")
+            if len(parts) < 3:
+                raise TraceError(f"expected tick,pid,op[,...], got {line!r}", line_no)
+            tick, pid, op = parts[0], parts[1], parts[2]
+            try:
+                if line.isascii() and tick.isdigit() and pid.isdigit():
+                    tick, pid = int(tick), int(pid)
+                else:
+                    tick, pid = ascii_int(tick), ascii_int(pid)
+            except ValueError:
+                raise TraceError(f"tick and pid must be integers: {line!r}", line_no) from None
+            if tick < 0:
+                raise TraceError(f"negative tick {tick}", line_no)
+            if last_tick is not None and tick < last_tick:
+                raise TraceError(f"tick {tick} decreases (previous {last_tick})", line_no)
+            last_tick = tick
+            spec = OPS.get(op)
+            if spec is None:
+                raise TraceError(f"unknown operation {op!r}", line_no)
+            args = tuple(parts[3:])
+            lo, hi = spec.arity
+            if not lo <= len(args) <= hi:
+                raise TraceError(
+                    f"{op} takes {lo}..{hi} argument(s), got {len(args)}", line_no)
+            yield _new_event(Event, (tick, pid, op, args, line_no))
+
+
+def parse_trace(text: str) -> list[Event]:
+    """Parse a whole trace; the first malformed line aborts with its number."""
+    return list(iter_trace(text))
 
 
 @dataclass
@@ -236,35 +268,42 @@ def apply_event(world: World, event: Event, policy: Policy,
 
 def replay(world: World, events, policy: Policy | None = None,
            track_taint: bool = False) -> ReplayResult:
-    """Replay events in order.  With track_taint, tainted_after[i] is
-    tainted_snapshot(world) after event i.  The world owns the tainted set
-    and moves its taint_epoch whenever the snapshot may differ; the snapshot
-    is rebuilt only then, and otherwise the previous frozenset is reused."""
-    policy = policy or Policy()
-    graph = DepGraph()
-    replayer = _Replayer(world, policy, graph)
+    """Replay events in order and keep every record: a collector over
+    _Replayer.step.  With track_taint, tainted_after[i] is
+    _Replayer.tainted() after event i."""
+    replayer = _Replayer(world, policy or Policy(), DepGraph())
     records = []
     tainted_after = [] if track_taint else None
-    tainted = tainted_snapshot(world) if track_taint else None
-    epoch = world.taint_epoch
     for event in events:
-        record = replayer.step(event)
-        records.append(record)
+        records.append(replayer.step(event))
         if track_taint:
-            if world.taint_epoch != epoch:
-                epoch = world.taint_epoch
-                tainted = tainted_snapshot(world)
-            tainted_after.append(tainted)
-    return ReplayResult(world, records, graph, tainted_after)
+            tainted_after.append(replayer.tainted())
+    return ReplayResult(world, records, replayer.graph, tainted_after)
 
 
 class _Replayer:
-    """Per-replay dispatch state; the world carries everything durable."""
+    """Per-replay dispatch state; the world carries everything durable.
+    step is the one way an event is replayed: the CLI steps a replayer over
+    a trace one event at a time, and replay collects its records.  With a
+    graph of None the replay records no edges or denials, for a caller that
+    never exports them.  denials counts the denied events stepped so far."""
 
-    def __init__(self, world: World, policy: Policy, graph: DepGraph):
+    def __init__(self, world: World, policy: Policy, graph: DepGraph | None):
         self.world = world
         self.policy = policy
         self.graph = graph
+        self.denials = 0
+        self._epoch = None           # the world's taint_epoch at self._tainted
+        self._tainted = None
+
+    def tainted(self) -> frozenset:
+        """tainted_snapshot of the world now.  The world moves its
+        taint_epoch whenever the snapshot may differ; the snapshot is
+        rebuilt only then, and otherwise the previous frozenset is reused."""
+        if self.world.taint_epoch != self._epoch:
+            self._epoch = self.world.taint_epoch
+            self._tainted = tainted_snapshot(self.world)
+        return self._tainted
 
     # -- main step ---------------------------------------------------------
 
@@ -287,7 +326,9 @@ class _Replayer:
         record = AuditRecord(ev.tick, ev.pid, proc.exe_path, obj, ev.op, param,
                              decision.result, changes)
         if decision.rule is not None:
-            self._mark_denial(proc, obj, decision.rule, ev.tick)
+            self.denials += 1
+            if self.graph is not None:
+                self._mark_denial(proc, obj, decision.rule, ev.tick)
         return record
 
     # -- mutation plumbing ---------------------------------------------------
@@ -305,7 +346,7 @@ class _Replayer:
         label = ("file", world.fs[target[1]].path) if target[0] == "file" else target
         changes = tuple(FlagChange(label, bit, after & bit != 0, rule)
                         for bit in flag_bits(before ^ after))
-        if target[0] != "res":
+        if target[0] != "res" and self.graph is not None:
             target_node = self.graph.touch(target, self._display_label(target))
             target_node.flags_ever |= after
             if cause is not None:

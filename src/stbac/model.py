@@ -62,7 +62,8 @@ def is_ascii_int(token: str, signed: bool = True) -> bool:
 
 def ascii_int(token: str) -> int:
     """int(token) for a token that is_ascii_int accepts; ValueError otherwise."""
-    # Unsigned tokens skip the call: parse_trace converts two per event.
+    # Unsigned tokens skip the call: the engine converts integer arguments
+    # per event.
     if (token.isdigit() and token.isascii()) or is_ascii_int(token):
         return int(token)
     raise ValueError(f"not an ASCII integer: {token!r}")

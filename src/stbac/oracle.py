@@ -26,37 +26,43 @@ where its source is low, and a source of None always holds.  The kinds:
 * _LIVE and _TREE: a pid was born or exited, and a path op ran; they move
   the live entities under a view's low sets without changing the sets.
 
-The one pass, verify_replay, builds one structure, walks the trace once
-and hands each event's facts to two folds.  Each judges lowness in its own
-view and keeps its own record of which fifo messages were low:
+The one pass, OnePass, builds one structure, walks (event, audit record)
+pairs once as they come and hands each event's facts to two folds, so the
+CLI's check steps it in lockstep with the engine and keeps no event or
+record.  Each fold judges lowness in its own view and keeps its own record
+of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
   sets, sharing no code with the taint rule module.  Its snapshot of the
   live low entities is rebuilt only when a low set changed, a low pid was
   born or exited, or a path op ran while some cell was low; otherwise the
-  event gets the previous frozenset object, as the engine's tracked
-  replay does with its taint epoch;
+  event gets the previous frozenset object, as the engine's tainted
+  snapshot does with its taint epoch;
 * the Biba fold: the low-water-mark integrity conditions (two levels:
   tainted entities are low, everything else is high), judged against the
   levels the engine's audit reports in its flag changes.
 
-diff_taint compares the closure with the engine's tainted sets, and
-where neither side's set object changed since the previous event it
-repeats that event's comparison.  Trusted endpoints are matched by the
+TaintDiff compares the closure with the engine's tainted sets one event
+at a time, and where neither side's set object changed since the previous
+event it repeats that event's comparison; it counts every diverging event
+and keeps the first few.  Trusted endpoints are matched by the
 oracle's own reading of the trust entries, so nothing here comes from the
 engine, the rule modules or the guard.
 
 The walk reads each event's access verdict off its audit record when it
 reaches that event: a denied event adds no facts and no structure, since
 the engine applies nothing on a denial, and an ALLOW_REDIR(copy) makes the
-access act on the copy.  Without an audit every event counts as allowed.
-taint_closure, closure_from_replay and check_biba are views of the one
-pass.
+access act on the copy.  A record whose tick, pid or op is not its event's
+is refused with ValueError.  Without an audit every event counts as
+allowed.  verify_replay and diff_taint collect the pass and the comparison
+over whole lists, and taint_closure, closure_from_replay and check_biba are
+views of verify_replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .model import INTE, TAINT, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
@@ -245,17 +251,25 @@ _TREE_FACT = (_TREE, None, None, None)
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
-def _walk(struct: _Structure, trust, events, records=None):
-    """Apply each allowed event to struct; yield (index, event, facts) for
-    every event, with facts None for one its audit record denies.  A record
-    ALLOW_REDIR(copy) makes a redirectable op act on the copy; without
-    records every event counts as allowed."""
-    for index, ev in enumerate(events):
+def _walk(struct: _Structure, trust, pairs):
+    """Apply each allowed event of (event, audit record) pairs to struct;
+    yield (index, event, record, facts) for every pair, with facts None for
+    an event its record denies.  A record ALLOW_REDIR(copy) makes a
+    redirectable op act on the copy; a record of None counts as ALLOW.  A
+    record whose tick, pid or op is not its event's raises ValueError."""
+    for index, (ev, record) in enumerate(pairs):
         op, args, pid = ev.op, ev.args, ev.pid
-        result = "ALLOW" if records is None else records[index].result
+        if record is None:
+            result = "ALLOW"
+        elif record.tick != ev.tick or record.pid != pid or record.op != op:
+            raise ValueError(f"audit record {index} ({record.op}, tick {record.tick}, "
+                             f"pid {record.pid}) is not the record of event {index} "
+                             f"({op}, tick {ev.tick}, pid {pid})")
+        else:
+            result = record.result
         if result != "ALLOW":
             if result.startswith("DENY("):
-                yield index, ev, None
+                yield index, ev, record, None
                 continue
             if op in _REDIRECTABLE:         # ALLOW_REDIR(copy)
                 args = (result[len("ALLOW_REDIR("):-1],) + args[1:]
@@ -359,7 +373,7 @@ def _walk(struct: _Structure, trust, events, records=None):
                 marked = struct.cells.get(target)
             if flag_name == "taint" and marked is not None:
                 facts.append((_MARK, marked, None, value == "1"))
-        yield index, ev, facts
+        yield index, ev, record, facts
 
 
 def _text(reason: tuple) -> str:
@@ -447,23 +461,42 @@ def _format_labels(labels) -> str:
 _NO_LABELS = frozenset()
 
 
+class TaintDiff:
+    """The comparison of the engine's tainted sets with the oracle's, fed
+    one event at a time.  Where neither side's set object changed since the
+    previous event, that event's comparison stands: a difference is
+    repeated under the new index and tick.  count is the number of diverging
+    events; divergences keeps the first `keep` of them (all without keep)."""
+
+    def __init__(self, keep: int | None = None):
+        self.keep = keep
+        self.events = 0              # events compared so far
+        self.count = 0
+        self.divergences = []
+        self._engine = self._oracle = self._difference = None
+
+    def add(self, tick: int, engine_set: frozenset, oracle_set: frozenset):
+        if engine_set is not self._engine or oracle_set is not self._oracle:
+            self._engine, self._oracle = engine_set, oracle_set
+            self._difference = (None if engine_set == oracle_set else
+                                (oracle_set - engine_set, engine_set - oracle_set))
+        if self._difference is not None:
+            self.count += 1
+            if self.keep is None or len(self.divergences) < self.keep:
+                self.divergences.append(Divergence(self.events, tick, *self._difference))
+        self.events += 1
+
+
 def diff_taint(engine_sets, oracle_sets, events=None) -> list:
-    """Per-event differences between engine and oracle tainted sets; empty
-    means full agreement.  Where neither side's set object changed since the
-    previous event, that event's comparison stands: a difference is repeated
-    under the new index and tick."""
-    out = []
-    engine = oracle = difference = None
+    """Every per-event difference between two lists of tainted sets, the
+    shorter list read as empty sets past its end; empty means full
+    agreement.  A collector over TaintDiff."""
+    diff = TaintDiff()
     for index in range(max(len(engine_sets), len(oracle_sets))):
-        now_engine = engine_sets[index] if index < len(engine_sets) else _NO_LABELS
-        now_oracle = oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS
-        if now_engine is not engine or now_oracle is not oracle:
-            engine, oracle = now_engine, now_oracle
-            difference = None if engine == oracle else (oracle - engine, engine - oracle)
-        if difference is not None:
-            tick = events[index].tick if events and index < len(events) else -1
-            out.append(Divergence(index, tick, *difference))
-    return out
+        diff.add(events[index].tick if events and index < len(events) else -1,
+                 engine_sets[index] if index < len(engine_sets) else _NO_LABELS,
+                 oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS)
+    return diff.divergences
 
 
 # -- low-water-mark integrity conditions ---------------------------------------
@@ -580,10 +613,12 @@ class _BibaFold:
 
 # -- the one pass and its views ----------------------------------------------
 
-def verify_replay(config: InitConfig, trust, events, records=None) -> tuple:
-    """The one pass: one _Structure and one _walk feed the closure fold and,
-    given an audit of the same events, the Biba fold.  Returns the closure's
-    set after each event and the BibaReport (None without records).
+class OnePass:
+    """The one pass: one _Structure and one _walk feed the closure fold
+    and, for audited events, the Biba fold.  run takes (event, record)
+    pairs as they come, so a caller can step the engine and the oracle in
+    lockstep and keep no event or record; report is the Biba report of the
+    audited events walked so far.
 
     The closure's sets are the tainted entities after each event, by direct
     forward reachability: seeds are processes that open endpoints matching
@@ -598,17 +633,33 @@ def verify_replay(config: InitConfig, trust, events, records=None) -> tuple:
     marks plus per-event flag changes); the structure (paths, exec bits,
     fifos) is rebuilt independently from the trace.
     """
+
+    def __init__(self, config: InitConfig, trust):
+        self.trust = trust
+        self.struct = _Structure(config)
+        self.closure = _ClosureFold(self.struct)
+        self.biba = _BibaFold(self.struct)
+        self.report = self.biba.report
+
+    def run(self, pairs):
+        """Walk (event, record or None) pairs; yield (event, the closure's
+        set after the event) for each."""
+        closure, biba = self.closure, self.biba
+        for index, ev, record, facts in _walk(self.struct, self.trust, pairs):
+            if record is not None and facts is not None:
+                biba.step(index, ev, facts, record.flag_changes)
+            yield ev, closure.step(facts)
+
+
+def verify_replay(config: InitConfig, trust, events, records=None) -> tuple:
+    """A collector over OnePass: the closure's set after each event, and the
+    BibaReport of an audit of the same events (None without records)."""
     if records is not None and len(records) != len(events):
         raise ValueError(f"audit has {len(records)} records for {len(events)} events")
-    struct = _Structure(config)
-    closure = _ClosureFold(struct)
-    biba = None if records is None else _BibaFold(struct)
-    sets = []
-    for index, ev, facts in _walk(struct, trust, events, records):
-        if biba is not None and facts is not None:
-            biba.step(index, ev, facts, records[index].flag_changes)
-        sets.append(closure.step(facts))
-    return sets, None if biba is None else biba.report
+    one_pass = OnePass(config, trust)
+    pairs = zip(events, repeat(None) if records is None else records)
+    sets = [closure for _, closure in one_pass.run(pairs)]
+    return sets, None if records is None else one_pass.report
 
 
 def taint_closure(config: InitConfig, trust, events) -> list:

@@ -231,57 +231,12 @@ def test_criterion_7_compatibility_explicit():
           "(zero denials on trusted/local-only activity)")
 
 
-PERF_BOOT = """
-node /bin dir 0
-node /bin/sh file 1
-node /srv dir 0
-node /data dir 0
-node /data/secret file 0
-conf /data/secret
-hwm cpu_ticks 900000000 90
-cap cpu_ticks 2000000000
-hwm memory_bytes 900000000 90
-cap memory_bytes 2000000000
-hwm disk_blocks 900000000 90
-cap disk_blocks 2000000000
-hwm net_bytes 900000000 90
-cap net_bytes 2000000000
-"""
-
-
 def synthetic_events(count):
-    lines = [
-        "1,1,execve,/bin/sh",
-        "2,1,fork,2",
-        "3,1,fork,3",
-        "4,3,socket_open,1,10.0.0.1:9999,10.0.0.9:80,udp",
-        "5,2,create,/srv/f0,0",
-        "6,2,create,/srv/f1,0",
-        "7,2,create,/srv/f2,1",
-    ]
-    tick = 8
-    cycle = [
-        lambda i: f"2,open_write,/srv/f{i % 2}",
-        lambda i: f"2,open_read,/srv/f{i % 2}",
-        lambda i: "2,sched_tick",
-        lambda i: "3,sched_tick",
-        lambda i: "3,open_read,/data/secret",     # a denial every cycle
-        lambda i: f"3,open_write,/srv/f{i % 3}",
-        lambda i: "2,brk_alloc,3",
-        lambda i: "2,open_read,/data/secret",
-        lambda i: "2,disk_alloc,1",
-        lambda i: "3,brk_alloc,2",
-    ]
-    i = 0
-    while len(lines) < count:
-        lines.append(f"{tick},{cycle[i % len(cycle)](i)}")
-        tick += 1
-        i += 1
-    return parse_trace("\n".join(lines[:count]) + "\n")
+    return parse_trace(trace_gen.synthetic_trace(count))
 
 
 def timed_replay(count):
-    config = parse_init_config(PERF_BOOT)
+    config = parse_init_config(trace_gen.PERF_BOOT)
     world = spawn_boot_world(config)
     events = synthetic_events(count)
     assert len(events) == count

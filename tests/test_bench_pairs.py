@@ -93,3 +93,20 @@ def test_main_fails_when_a_run_is_not_correct(tmp_path, monkeypatch):
     code = bench_pairs.main([str(tmp_path), str(tmp_path / "change"), "--pairs", "1",
                              "--out", str(tmp_path / "out.json")])
     assert code == 1
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    """Each perfbench run gets PYTHONDONTWRITEBYTECODE=1, which its
+    peak-memory children inherit, so neither checkout gains a cache."""
+    seen = {}
+
+    def fake_subprocess_run(argv, **kwargs):
+        seen.update(kwargs)
+        return type("Proc", (), {"returncode": 0, "stderr": "",
+                                 "stdout": json.dumps(run(mix__replay_eps=1.0)) + "\n"})
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_once(tmp_path, 1, 1.0)["correct"] is True
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

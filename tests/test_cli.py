@@ -1,9 +1,15 @@
+import contextlib
+import gc
+import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from stbac import cli, scenarios
+from stbac import cli, engine, scenarios
 from stbac.cli import main
+
+import trace_gen
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 
@@ -535,3 +541,104 @@ class TestParserReuse:
         assert out.endswith("replay: 3 events, 0 denials\n"
                             "trust /bin/sh *:* *:* tcp 0..inf\n")
         assert first.startswith("digraph replay {")
+
+
+def synthetic_args(tmp_path, count, tail=""):
+    """Bundle arguments for the first count events of the criterion-8
+    synthetic trace followed by the lines in tail."""
+    (tmp_path / "init.cfg").write_text(trace_gen.PERF_BOOT)
+    trace = tmp_path / f"synthetic{count}.trace"
+    trace.write_text(trace_gen.synthetic_trace(count) + tail)
+    return ["--init", str(tmp_path / "init.cfg"), str(trace)]
+
+
+class TestStreaming:
+    """replay, graph and check step over the trace one event at a time and
+    write nothing before the whole trace has replayed.  LONG events give a
+    trace longer than one engine.TRACE_CHUNK and an audit longer than the
+    in-memory part of the spool, cli.SPOOL_CHARS."""
+
+    LONG = 12_000
+
+    @pytest.fixture
+    def long_args(self, tmp_path):
+        args = synthetic_args(tmp_path, self.LONG)
+        assert len(Path(args[-1]).read_text()) > engine.TRACE_CHUNK
+        return args
+
+    def test_a_spilled_audit_is_the_whole_audit(self, tmp_path, long_args, capsys):
+        audit, dot = tmp_path / "audit", tmp_path / "dot"
+        assert main(["replay", *long_args, "--audit", str(audit), "--dot", str(dot)]) == 1
+        assert main(["replay", *long_args]) == 1
+        assert main(["graph", *long_args]) == 1
+        out = capsys.readouterr().out
+        events = engine.parse_trace(Path(long_args[-1]).read_text())
+        world = cli.spawn_boot_world(cli.parse_init_config(trace_gen.PERF_BOOT))
+        result = engine.replay(world, events)
+        expected = result.audit_text()
+        assert len(expected) > cli.SPOOL_CHARS
+        assert audit.read_text() == expected
+        assert out == expected + dot.read_text()
+        assert dot.read_text() == engine.export_graph(result.graph)
+
+    @pytest.mark.parametrize("command", [["replay", "--audit", "A", "--dot", "D"],
+                                         ["replay"], ["graph"], ["check"]],
+                             ids=["replay to files", "replay", "graph", "check"])
+    def test_an_error_past_the_spool_writes_nothing(self, tmp_path, capsys, command):
+        """An inapplicable event after the in-memory chunks exits 2 with its
+        line; earlier output files keep their bytes and stdout stays empty."""
+        line = self.LONG + 1
+        args = synthetic_args(tmp_path, self.LONG, f"{10 ** 9},99,sched_tick\n")
+        outputs = {"A": tmp_path / "old.audit", "D": tmp_path / "old.dot"}
+        for name, path in outputs.items():
+            path.write_text(f"previous {name}\n")
+        argv = [str(outputs.get(arg, arg)) for arg in command]
+        assert main([*argv, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}: no such pid 99\n"
+        assert captured.out == ""
+        for name, path in outputs.items():
+            assert path.read_text() == f"previous {name}\n"
+
+    @pytest.mark.parametrize("command", ["replay", "graph", "check"])
+    def test_the_first_bad_line_in_trace_order_is_reported(self, bundle_dir, capsys,
+                                                           command):
+        """An inapplicable event on line 3 is reported before a malformed
+        line 10: the trace is parsed as it is replayed."""
+        lines = ["1,1,sched_tick", "2,1,sched_tick", "3,99,sched_tick"]
+        lines += [f"{tick},1,sched_tick" for tick in range(4, 10)] + ["10,1,no_such_op"]
+        (bundle_dir / "trace").write_text("\n".join(lines) + "\n")
+        assert main([command, "--init", str(bundle_dir / "init.cfg"),
+                     str(bundle_dir / "trace")]) == 2
+        assert capsys.readouterr().err == "error: line 3: no such pid 99\n"
+
+
+class TestMemoryPerEvent:
+    """Peak memory of replay and check grows with the world, not with the
+    trace: from 10k to 40k criterion-8 events the tracemalloc peak of an
+    in-process call grows by at most 64 B per added event.  That leaves
+    room for the decoded trace text, which the CLI reads whole, and for the
+    DOT graph's denial edges (one per ten events here)."""
+
+    BOUND = 64
+
+    @staticmethod
+    def peak(argv) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["replay", "check"])
+    def test_peak_grows_by_at_most_64_bytes_per_event(self, tmp_path, command):
+        outputs = ["--audit", str(tmp_path / "F"), "--dot", str(tmp_path / "G")]
+        extra = outputs if command == "replay" else []
+        self.peak([command, *synthetic_args(tmp_path, 100), *extra])   # warm-up
+        small, large = (self.peak([command, *synthetic_args(tmp_path, count), *extra])
+                        for count in (10_000, 40_000))
+        per_event = (large - small) / 30_000
+        assert per_event <= self.BOUND, f"{command}: {per_event:.0f} B per event"

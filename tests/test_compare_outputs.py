@@ -83,3 +83,14 @@ def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):
             sources[source] = Path(bundle[bundle.index("--pcopy") + 1]).read_text()
     assert set(sources) == {*tool.SCENARIOS, tool.COPY_MAP_SOURCE}
     assert sources[tool.COPY_MAP_SOURCE] == "pcopy /etc/shared /etc/shared_copy\n"
+
+
+def test_the_compared_checkouts_get_no_bytecode(tmp_path):
+    """The children run with -B: a comparison leaves both checkouts as it
+    found them, so a later benchmark of the two imports no cache."""
+    for side in ("old", "new"):
+        shutil.copytree(ROOT / "src", tmp_path / side / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = compare(tmp_path / "old", tmp_path / "new")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [str(path) for path in tmp_path.rglob("__pycache__")] == []

@@ -602,7 +602,7 @@ class TestOneLineStamp:
 
     TREE = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
 
-    def test_only_step_and_parse_trace_pass_a_line(self):
+    def test_only_step_and_iter_trace_pass_a_line(self):
         stampers = set()
         for func in ast.walk(self.TREE):
             if not isinstance(func, ast.FunctionDef):
@@ -612,7 +612,7 @@ class TestOneLineStamp:
                         and call.func.id == "TraceError"
                         and (len(call.args) > 1 or call.keywords)):
                     stampers.add(func.name)
-        assert stampers == {"step", "parse_trace"}
+        assert stampers == {"step", "iter_trace"}
 
     def test_no_helper_takes_an_event(self):
         module_helpers = [node for node in self.TREE.body

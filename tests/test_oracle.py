@@ -165,7 +165,7 @@ class TestUnreplayedStructure:
                 lines.append(",".join((str(tick), "1", op) + args))
             events = parse_trace("\n".join(lines) + "\n")
             struct = oracle._Structure(self.BOOT)
-            for _ in oracle._walk(struct, [], events):
+            for _ in oracle._walk(struct, [], ((ev, None) for ev in events)):
                 pass
             for directory, kids in struct.kids.items():
                 assert struct.cells[directory.path] is directory, seed
@@ -181,7 +181,7 @@ def walk_structure(config, trust, events, records):
     with children and renames onto an existing file."""
     struct = oracle._Structure(config)
     seen = {"directory with children": 0, "onto a file": 0}
-    walk = oracle._walk(struct, trust, events, records)
+    walk = oracle._walk(struct, trust, zip(events, records))
     for ev, record in zip(events, records):
         assert_index_consistent(struct)
         if ev.op == "rename" and not record.denied:
@@ -279,7 +279,7 @@ def ungated_closure(config, trust, events, records):
     struct = oracle._Structure(config)
     low_pids, low_cells, fifo_low = set(), set(), {}
     snapshots = []
-    for _, _, facts in oracle._walk(struct, trust, events, records):
+    for _, _, _, facts in oracle._walk(struct, trust, zip(events, records)):
         for kind, target, source, detail in facts or ():
             if kind & (oracle._READ | oracle._EXEC | oracle._PRODUCE):
                 if source is None or source in low_pids or source in low_cells:
@@ -704,6 +704,24 @@ class TestBiba:
         for records in ([], result.records[:1], result.records * 2):
             with pytest.raises(ValueError, match=f"{len(records)} records for 2 events"):
                 entry(BOOT, TRUSTED, events, records)
+
+    @pytest.mark.parametrize("entry", [check_biba, closure_from_replay,
+                                       oracle.verify_replay],
+                             ids=["check_biba", "closure_from_replay", "verify_replay"])
+    def test_records_of_other_events_rejected(self, entry):
+        """Each record must be its own event's: an audit of as many events
+        from another trace is refused, naming the first event whose record
+        has another tick, pid or op."""
+        _, result = run("1,1,socket_open,1,10.0.0.1:1,10.0.0.2:80,tcp\n"
+                        "2,1,open_read,/etc/passwd\n3,1,fork,2\n")
+        assert [r.result for r in result.records] == ["ALLOW", "DENY(PR_conf)", "ALLOW"]
+        for trace, index in (("1,1,sched_tick\n2,1,sched_tick\n3,1,sched_tick\n", 0),
+                             ("1,1,socket_open,1,10.0.0.1:1,10.0.0.2:80,tcp\n"
+                              "2,1,open_read,/etc/passwd\n4,1,fork,2\n", 2),
+                             ("1,1,socket_open,1,10.0.0.1:1,10.0.0.2:80,tcp\n"
+                              "2,2,open_read,/etc/passwd\n3,1,fork,2\n", 1)):
+            with pytest.raises(ValueError, match=f"audit record {index} .* event {index} "):
+                entry(BOOT, TRUSTED, parse_trace(trace), result.records)
 
 
 class TestGeneratedEquivalence:

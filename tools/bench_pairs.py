@@ -37,11 +37,14 @@ def pair_order(pair: int) -> tuple:
 
 
 def run_once(checkout: Path, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --workload all` in checkout; its JSON result."""
+    """One `perfbench/run.py --workload all` in checkout; its JSON result.
+    The run writes no bytecode into the checkout, so no side imports a
+    cache the other side lacks."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all",
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])

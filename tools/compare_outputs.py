@@ -221,7 +221,7 @@ class SideError(Exception):
 
 def run_side(checkout: Path, jobs_path: Path, results_path: Path, outputs: tuple) -> list:
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", CHILD, str(checkout / "src"), str(jobs_path),
+        [sys.executable, "-I", "-B", "-c", CHILD, str(checkout / "src"), str(jobs_path),
          str(results_path), *outputs],
         capture_output=True, text=True)
     if proc.returncode != 0:
