@@ -208,13 +208,6 @@ def _stream(args, audit=None) -> _Replayer:
     return replayer
 
 
-def _spool():
-    """A text buffer for output that must wait for the whole replay: in
-    memory up to SPOOL_CHARS, then an anonymous temporary file."""
-    return tempfile.SpooledTemporaryFile(SPOOL_CHARS, mode="w+", encoding="utf-8",
-                                         newline="")
-
-
 def _deliver(spool, path):
     """Copy a spool's text to the file at path, or to stdout without one."""
     spool.seek(0)
@@ -226,7 +219,10 @@ def _deliver(spool, path):
 
 
 def cmd_replay(args) -> int:
-    with _spool() as audit:
+    # The audit waits for the whole replay: in memory up to SPOOL_CHARS,
+    # then in an anonymous temporary file.
+    with tempfile.SpooledTemporaryFile(SPOOL_CHARS, mode="w+", encoding="utf-8",
+                                       newline="") as audit:
         replayer = _stream(args, audit)
         _deliver(audit, args.audit)
     if args.dot:
