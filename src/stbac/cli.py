@@ -37,10 +37,12 @@ from .guard import (
     validate_pcopy_against_world,
 )
 from .model import (
+    PROTOCOLS,
     ConfigError,
     StbacError,
     TraceError,
     UnknownEntity,
+    check_path,
     format_flags,
     parse_flag,
 )
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     trust_add.add_argument("program")
     trust_add.add_argument("local", help="ip:port, * as wildcard")
     trust_add.add_argument("remote", help="ip:port, * as wildcard")
-    trust_add.add_argument("proto", choices=["tcp", "udp"])
+    trust_add.add_argument("proto", choices=PROTOCOLS)
     trust_add.add_argument("span", help="from..to, to may be inf")
     trust_add.set_defaults(func=cmd_trust_add)
     trust_remove = trust_sub.add_parser("remove")
@@ -280,7 +282,7 @@ def cmd_set_flag(args) -> int:
     world = _snapshot_world(args)
     bit = parse_flag(args.flag)
     on = args.value == "on"
-    node = world.node_at(args.path)
+    node = world.node_at(check_path(args.path))
     targets = world.subtree(node) if args.recursive else [node]
     for target in targets:
         flags = target.flags | bit if on else target.flags & ~bit
@@ -293,7 +295,7 @@ def cmd_set_flag(args) -> int:
 
 def cmd_get_flag(args) -> int:
     world = _snapshot_world(args)
-    node = world.node_at(args.path)
+    node = world.node_at(check_path(args.path))
     targets = world.subtree(node) if args.recursive else [node]
     for target in sorted(targets, key=lambda n: n.path):
         print(f"{target.path} {format_flags(target.flags)}")

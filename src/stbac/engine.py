@@ -29,12 +29,13 @@ pr_conf or pr_inte (none when the op is refused to every suspect), and
 whether it hands the copy map, as open_read, open_write, chmod, fchmod and
 truncate do.  A redirect to a copy that copy_fault rejects is a denial.
 
-The engine is the one place that checks trace input: paths, kinds, exec
-bits, live pids, socket owners and amounts are checked in the handlers
-before any guard or rule is asked, and the rules and World.add_node trust
-their arguments.  Handlers and the token helpers raise their StbacError
-with the message alone; _Replayer.step is the one place that gives a trace
-error its line, as iter_trace does for the lines it rejects.
+The engine checks trace input first: paths, endpoints, kinds, exec bits,
+live pids, socket owners and amounts are checked in the handlers, by
+model's token rules, before any guard or rule is asked, and the rules and
+World.add_node trust their arguments.  Handlers and the token rules raise
+their StbacError with the message alone; _Replayer.step is the one place
+that gives a trace error its line, as iter_trace does for the lines it
+rejects.
 
 Audit line shape (one per event):
 
@@ -61,18 +62,20 @@ from .model import (
     INTE,
     LEAK,
     NO_FLAGS,
-    RESOURCE_KINDS,
+    PROTOCOLS,
     TAINT,
     FlagMutation,
     ResourceExhausted,
     StbacError,
     TraceError,
     ascii_int,
+    check_path,
     flag_bits,
     format_flags,
-    is_ascii_int,
     parse_flag,
+    parse_resource,
     proc_ref,
+    split_endpoint,
 )
 from .world import World, parent_of
 
@@ -381,10 +384,10 @@ class _Replayer:
     # -- argument helpers ----------------------------------------------------
 
     def _node_arg(self, token: str):
-        return self.world.node_at(_path_arg(token))
+        return self.world.node_at(check_path(token))
 
     def _fresh_path(self, token: str) -> str:
-        path = _path_arg(token)
+        path = check_path(token)
         if self.world.lookup(path) is not None:
             raise TraceError(f"path exists: {path}")
         return path
@@ -549,7 +552,7 @@ class _Replayer:
         src = self._node_arg(ev.args[0])
         if src.parent is None:
             raise TraceError("cannot rename /")
-        dst_path = _path_arg(ev.args[1])
+        dst_path = check_path(ev.args[1])
         if dst_path == src.path or dst_path.startswith(src.path + "/"):
             raise TraceError(f"cannot rename {src.path} into itself")
         dst_parent = self._parent_dir(dst_path)
@@ -622,7 +625,7 @@ class _Replayer:
         local = _endpoint_arg(ev.args[1])
         remote = _endpoint_arg(ev.args[2])
         proto = ev.args[3]
-        if proto not in ("tcp", "udp"):
+        if proto not in PROTOCOLS:
             raise TraceError(f"bad protocol {proto!r}")
         trusted = match_trust(self.policy.trust, proc.exe_path, local, remote,
                               proto, ev.tick)
@@ -703,10 +706,7 @@ class _Replayer:
             self.world.live_process(pid)
             return proc_ref(pid), token
         if token.startswith("res:"):
-            kind = token[4:]
-            if kind not in RESOURCE_KINDS:
-                raise TraceError(f"unknown resource kind {kind!r}")
-            return ("res", kind), token
+            return ("res", parse_resource(token[4:])), token
         node = self._node_arg(token)
         return ("file", node.node_id), node.path
 
@@ -748,19 +748,10 @@ def _bit_arg(token: str, what: str) -> bool:
     return token == "1"
 
 
-def _path_arg(token: str) -> str:
-    if not token.startswith("/") or (token != "/" and token.endswith("/")):
-        raise TraceError(f"bad path {token!r}")
-    return token
-
-
 def _endpoint_arg(token: str) -> tuple:
-    if ":" not in token:
-        raise TraceError(f"endpoint must be ip:port, got {token!r}")
-    ip, port = token.rsplit(":", 1)
-    if not ip:
-        raise TraceError(f"empty IP address in {token!r}")
-    if not is_ascii_int(port, signed=False):
+    """(ip, int port); a trace port is never the "*" of a trust entry."""
+    ip, port = split_endpoint(token)
+    if port == "*":
         raise TraceError(f"bad port {port!r}")
     try:
         return (ip, int(port))

@@ -25,17 +25,19 @@ from .model import (
     DENY_CONF,
     DENY_INTE,
     INTE,
+    PROTOCOLS,
     TAINT,
     ConfigError,
     Decision,
     ResourceExhausted,
     StbacError,
     ascii_int,
+    check_path,
     content_lines,
-    is_ascii_int,
     redirect,
+    split_endpoint,
 )
-from .world import Process, World, check_path
+from .world import Process, World
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,10 @@ def parse_trust_entry(line: str) -> TrustEntry:
     if len(fields) != 6 or fields[0] != "trust":
         raise ConfigError(f"malformed trust entry: {line!r}")
     _, program, local, remote, proto, span = fields
-    if proto not in ("tcp", "udp"):
+    if proto not in PROTOCOLS:
         raise ConfigError(f"bad protocol {proto!r}")
-    local_ip, local_port = _split_endpoint(local)
-    remote_ip, remote_port = _split_endpoint(remote)
+    local_ip, local_port = split_endpoint(local)
+    remote_ip, remote_port = split_endpoint(remote)
     tick_from, tick_to = _parse_span(span)
     return TrustEntry(check_path(program), local_ip, local_port,
                       remote_ip, remote_port, proto, tick_from, tick_to)
@@ -179,17 +181,6 @@ def format_trust_entry(entry: TrustEntry) -> str:
     return (f"trust {entry.program} {entry.local_ip}:{entry.local_port}"
             f" {entry.remote_ip}:{entry.remote_port} {entry.proto}"
             f" {entry.tick_from}..{to_part}")
-
-
-def _split_endpoint(token: str):
-    if ":" not in token:
-        raise ConfigError(f"endpoint must be ip:port, got {token!r}")
-    ip, port = token.rsplit(":", 1)
-    if not ip:
-        raise ConfigError(f"empty IP address in {token!r}")
-    if port != "*" and not is_ascii_int(port, signed=False):
-        raise ConfigError(f"bad port {port!r}")
-    return ip, port
 
 
 def _parse_span(token: str):

@@ -9,8 +9,11 @@ the DOT graph print ("TR_proc_proc", "VR_dir_dir", "PR_conf", ...), and
 resource kinds are the names in RESOURCE_KINDS.  No enum sits between a
 name and its spelling, so the per-event path calls no enum code.
 
-Everything here is plain data.  Rule logic lives in taint/vital/guard; state
-lives in world; sequencing lives in engine.
+Everything here is plain data, plus the one input grammar: ASCII integers,
+comment and blank-line syntax, paths, endpoints, protocols, flags and
+resource kinds, so a token is refused with one message in every input (the
+oracle alone reads its own, to stay independent).  Rule logic lives in
+taint/vital/guard; state lives in world; sequencing lives in engine.
 """
 
 from __future__ import annotations
@@ -67,6 +70,37 @@ def ascii_int(token: str) -> int:
     if (token.isdigit() and token.isascii()) or is_ascii_int(token):
         return int(token)
     raise ValueError(f"not an ASCII integer: {token!r}")
+
+
+def check_path(path: str) -> str:
+    """path itself when it is absolute, with no comma, no trailing slash
+    (except "/" itself) and no empty component; StbacError otherwise."""
+    if not path.startswith("/"):
+        raise StbacError(f"path must be absolute: {path!r}")
+    if "," in path:
+        raise StbacError(f"comma not allowed in paths: {path!r}")
+    if path != "/" and path.endswith("/"):
+        raise StbacError(f"trailing slash not allowed: {path!r}")
+    if "//" in path:
+        raise StbacError(f"empty path component not allowed: {path!r}")
+    return path
+
+
+def split_endpoint(token: str) -> tuple:
+    """(ip, port) of an ip:port token, both strings: the ip is not empty and
+    the port is ASCII digits or "*"; StbacError otherwise."""
+    if ":" not in token:
+        raise StbacError(f"endpoint must be ip:port, got {token!r}")
+    ip, port = token.rsplit(":", 1)
+    if not ip:
+        raise StbacError(f"empty IP address in {token!r}")
+    if port != "*" and not is_ascii_int(port, signed=False):
+        raise StbacError(f"bad port {port!r}")
+    return ip, port
+
+
+# Transport protocols of a socket and of a trust entry.
+PROTOCOLS = ("tcp", "udp")
 
 
 def content_lines(text: str):

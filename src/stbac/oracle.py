@@ -501,11 +501,15 @@ def diff_taint(engine_sets, oracle_sets, events=None) -> list:
 
 # -- low-water-mark integrity conditions ---------------------------------------
 
+KEPT_EXCEPTIONS = 20     # exception texts a condition keeps; it counts them all
+
+
 @dataclass
 class ConditionReport:
     name: str
     violations: list = field(default_factory=list)
-    exceptions: list = field(default_factory=list)
+    exceptions: list = field(default_factory=list)   # the first KEPT_EXCEPTIONS
+    exception_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -537,8 +541,8 @@ class BibaReport:
         for report in (self.cond_read, self.cond_write, self.cond_exec):
             status = "PASS" if report.passed else "FAIL"
             extra = ""
-            if report.exceptions:
-                extra = f" ({len(report.exceptions)} non-executable-write exceptions)"
+            if report.exception_count:
+                extra = f" ({report.exception_count} non-executable-write exceptions)"
             out.append(f"{report.name}: {status}{extra}")
             out.extend(f"  violation: {v}" for v in report.violations)
         return out
@@ -577,8 +581,10 @@ class _BibaFold:
                 if source in low_pids:
                     exception, violation = detail
                     if exception:
-                        cond_write.exceptions.append(f"{_where(index, ev)}: "
-                                                     f"{_text(exception)}")
+                        cond_write.exception_count += 1
+                        if len(cond_write.exceptions) < KEPT_EXCEPTIONS:
+                            cond_write.exceptions.append(f"{_where(index, ev)}: "
+                                                         f"{_text(exception)}")
                     if target in struct.protected:
                         cond_write.violations.append(f"{_where(index, ev)}: "
                                                      f"{_text(violation)}")

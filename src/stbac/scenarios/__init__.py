@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ..engine import Policy, ReplayResult, parse_trace, replay
-from ..guard import parse_pcopy_map, parse_trust_list
+from ..guard import parse_pcopy_map, parse_trust_list, validate_pcopy_against_world
 from ..world import InitConfig, parse_init_config, spawn_boot_world
 
 NAMES = ("remote_user", "web_download", "remote_attack")
@@ -45,8 +45,12 @@ class Bundle:
         return parse_trace(self.trace_text)
 
     def replay(self, track_taint: bool = False) -> ReplayResult:
+        """Replay the bundle as `stbac replay` does: every copy of the map is
+        checked against the booted tree first."""
         world = spawn_boot_world(self.config())
-        return replay(world, self.events(), self.policy(), track_taint=track_taint)
+        policy = self.policy()
+        validate_pcopy_against_world(policy.pcopy, world)
+        return replay(world, self.events(), policy, track_taint=track_taint)
 
 
 def load(name: str) -> Bundle:

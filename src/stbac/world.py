@@ -26,6 +26,7 @@ from .model import (
     StbacError,
     UnknownEntity,
     ascii_int,
+    check_path,
     content_lines,
     flag_bits,
     parse_flag,
@@ -286,18 +287,6 @@ class World:
 def parent_of(path: str) -> str:
     """Parent of an absolute path ('/' is its own parent)."""
     return path.rsplit("/", 1)[0] or "/"
-
-
-def check_path(path: str) -> str:
-    if not path.startswith("/"):
-        raise StbacError(f"path must be absolute: {path!r}")
-    if "," in path:
-        raise StbacError(f"comma not allowed in paths: {path!r}")
-    if path != "/" and path.endswith("/"):
-        raise StbacError(f"trailing slash not allowed: {path!r}")
-    if "//" in path:
-        raise StbacError(f"empty path component not allowed: {path!r}")
-    return path
 
 
 # -- boot config --------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from stbac import cli, engine, scenarios
 from stbac.cli import main
+from stbac.model import ConfigError
 
 import trace_gen
 
@@ -283,6 +284,22 @@ conf /etc/passwd
         assert main(["check", *common]) == 0
 
 
+    def test_a_bundle_checks_its_copy_map_as_replay_does(self, tmp_path, capsys):
+        (tmp_path / "init.cfg").write_text(self.BOOT)
+        (tmp_path / "pcopy.list").write_text("pcopy /etc/passwd /nope\n")
+        (tmp_path / "trace").write_text(self.TRACE)
+        message = "partial copy /nope (for /etc/passwd) missing from the tree"
+        assert main(["replay", "--init", str(tmp_path / "init.cfg"),
+                     "--pcopy", str(tmp_path / "pcopy.list"),
+                     str(tmp_path / "trace")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        bundle = scenarios.Bundle("copy", self.BOOT, "", "pcopy /etc/passwd /nope\n",
+                                  self.TRACE, None)
+        with pytest.raises(ConfigError) as info:
+            bundle.replay()
+        assert str(info.value) == message
+
+
 class TestGraphCommand:
     def test_graph_to_stdout(self, bundle_dir, capsys):
         code = main(["graph", "--init", str(bundle_dir / "init.cfg"),
@@ -519,6 +536,95 @@ class TestPcopyCommands:
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 0
         assert pcopy.read_text() == ""
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 1
+
+
+# Malformed path and endpoint tokens, each with the one message every input
+# that takes such a token gives for it.
+BAD_PATHS = [
+    ("tmp", "path must be absolute: 'tmp'"),
+    ("/tmp/", "trailing slash not allowed: '/tmp/'"),
+    ("//tmp", "empty path component not allowed: '//tmp'"),
+    ("/a//b", "empty path component not allowed: '/a//b'"),
+]
+BAD_ENDPOINTS = [
+    ("10.0.0.1", "endpoint must be ip:port, got '10.0.0.1'"),
+    (":80", "empty IP address in ':80'"),
+    ("10.0.0.1:x", "bad port 'x'"),
+]
+
+# The inputs that take a path or an endpoint: the file the token goes into,
+# its text around the token, and what the error names before the message.
+PATH_INPUTS = {
+    "trace node": ("trace", "1,1,sched_tick\n2,1,open_read,{}\n", "line 2: "),
+    "trace fresh path": ("trace", "1,1,sched_tick\n2,1,create,{},0\n", "line 2: "),
+    "boot node": ("init.cfg", BOOT + "node {} file 0\n", "line 8: "),
+    "boot conf": ("init.cfg", BOOT + "conf {}\n", "line 8: "),
+    "trust program": ("trust.list", "# programs\ntrust {} *:* *:* tcp 0..inf\n",
+                      "trust list line 2: "),
+    "copy map shared": ("pcopy.list", "# shared\npcopy {} /bin/ls\n", "copy map line 2: "),
+    "copy map copy": ("pcopy.list", "# copy\npcopy /etc/passwd {}\n", "copy map line 2: "),
+}
+ENDPOINT_INPUTS = {
+    "trace local": ("trace", "1,1,sched_tick\n2,1,socket_open,1,{},10.0.0.9:99,tcp\n",
+                    "line 2: "),
+    "trace remote": ("trace", "1,1,sched_tick\n2,1,socket_open,1,10.0.0.1:23,{},tcp\n",
+                     "line 2: "),
+    "trust local": ("trust.list", "# endpoints\ntrust /bin/sh {} *:* tcp 0..inf\n",
+                    "trust list line 2: "),
+    "trust remote": ("trust.list", "# endpoints\ntrust /bin/sh *:* {} tcp 0..inf\n",
+                     "trust list line 2: "),
+}
+
+
+class TestOneGrammar:
+    """A malformed path or endpoint gets one message in every input that
+    takes one, with exit 2 and, in a file, the line it sits on."""
+
+    @staticmethod
+    def assert_refused(bundle_dir, capsys, name, template, token, expected):
+        (bundle_dir / name).write_text(template.format(token))
+        for command in ("replay", "check"):
+            code = main([command, "--init", str(bundle_dir / "init.cfg"),
+                         "--trust", str(bundle_dir / "trust.list"),
+                         "--pcopy", str(bundle_dir / "pcopy.list"),
+                         str(bundle_dir / "trace")])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("token,message", BAD_PATHS, ids=[t for t, _ in BAD_PATHS])
+    @pytest.mark.parametrize("where", PATH_INPUTS)
+    def test_a_bad_path(self, bundle_dir, capsys, where, token, message):
+        name, template, prefix = PATH_INPUTS[where]
+        self.assert_refused(bundle_dir, capsys, name, template, token, prefix + message)
+
+    @pytest.mark.parametrize("token,message", BAD_ENDPOINTS,
+                             ids=[t for t, _ in BAD_ENDPOINTS])
+    @pytest.mark.parametrize("where", ENDPOINT_INPUTS)
+    def test_a_bad_endpoint(self, bundle_dir, capsys, where, token, message):
+        name, template, prefix = ENDPOINT_INPUTS[where]
+        self.assert_refused(bundle_dir, capsys, name, template, token, prefix + message)
+
+    @pytest.mark.parametrize("token,message", BAD_PATHS, ids=[t for t, _ in BAD_PATHS])
+    @pytest.mark.parametrize("command", ["set-flag", "get-flag"])
+    def test_a_bad_flag_command_path(self, bundle_dir, capsys, command, token, message):
+        init = bundle_dir / "init.cfg"
+        values = ["conf", "on"] if command == "set-flag" else []
+        assert main([command, "--init", str(init), token, *values]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert init.read_text() == BOOT
+
+    def test_a_star_port_is_refused_only_in_a_trace(self, bundle_dir, capsys):
+        (bundle_dir / "trust.list").write_text("trust /bin/sh 10.0.0.1:* *:* tcp 0..inf\n")
+        self.assert_refused(bundle_dir, capsys, "trace",
+                            "1,1,execve,/bin/sh\n2,1,socket_open,1,{},10.0.0.9:99,tcp\n",
+                            "10.0.0.1:*", "line 2: bad port '*'")
+        (bundle_dir / "trace").write_text(
+            "1,1,execve,/bin/sh\n2,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n")
+        assert main(["replay", "--init", str(bundle_dir / "init.cfg"),
+                     "--trust", str(bundle_dir / "trust.list"),
+                     str(bundle_dir / "trace")]) == 0
+        assert capsys.readouterr().out.endswith(
+            ",sock:1,socket_open,10.0.0.1:23->10.0.0.9:99/tcp,ALLOW\n")
 
 
 class TestParserReuse:

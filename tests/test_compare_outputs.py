@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
-# No workloads, and 20 mutants: several of them hit the bad-path check.
+# No workloads, and 20 mutants: several of them hit the absolute-path check.
 ARGS = ["--seeds", "0", "--mutants", "20"]
 
 
@@ -29,15 +29,15 @@ def test_a_checkout_matches_itself():
 def test_one_altered_error_message_is_a_difference(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    engine = tmp_path / "src" / "stbac" / "engine.py"
-    text = engine.read_text(encoding="utf-8")
-    assert text.count('f"bad path {token!r}"') == 1
-    engine.write_text(text.replace('f"bad path {token!r}"', 'f"bad path: {token!r}"'),
-                      encoding="utf-8")
+    model = tmp_path / "src" / "stbac" / "model.py"
+    text = model.read_text(encoding="utf-8")
+    old, new = 'f"path must be absolute: {path!r}"', 'f"path not absolute: {path!r}"'
+    assert text.count(old) == 1
+    model.write_text(text.replace(old, new), encoding="utf-8")
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "replay stderr differs" in proc.stdout
-    assert "bad path: " in proc.stdout
+    assert "path not absolute: " in proc.stdout
 
 
 def test_an_altered_divergence_line_is_a_difference(tmp_path):

@@ -532,8 +532,9 @@ class TestTraceChecks:
         ("1,1,chown,/tmp,1.5", "uid must be an integer, got '1.5'"),
         ("1,1,create,/tmp/f,2", "exec bit must be 0 or 1, got '2'"),
         ("1,1,set_stbac_attr,/tmp,conf,on", "flag value must be 0 or 1, got 'on'"),
-        ("1,1,open_read,tmp", "bad path 'tmp'"),
-        ("1,1,mkdir,/tmp/d/", "bad path '/tmp/d/'"),
+        ("1,1,open_read,tmp", "path must be absolute: 'tmp'"),
+        ("1,1,mkdir,/tmp/d/", "trailing slash not allowed: '/tmp/d/'"),
+        ("1,1,create,//tmp2,0", "empty path component not allowed: '//tmp2'"),
         ("1,1,open_read,/nope", "no such path /nope"),
         ("1,1,set_stbac_attr,/nope,conf,1", "no such path /nope"),
         ("1,99,sched_tick", "no such pid 99"),
@@ -565,7 +566,7 @@ class TestTraceChecks:
             "create under missing", "mkdir under missing", "create under file",
             "mkdir under file", "non-integer pid", "dash pid", "non-integer setuid",
             "non-integer chown", "exec bit 2", "flag value on", "relative path",
-            "trailing slash", "no such path", "no such attr path", "no such pid",
+            "trailing slash", "empty component", "no such path", "no such attr path", "no such pid",
             "endpoint without port", "over-long port", "bad protocol", "unknown flag",
             "unknown resource kind", "avai on a node", "conf on a resource",
             "mknod kind", "rmdir non-empty",

@@ -646,6 +646,18 @@ class TestBiba:
         assert report.all_passed()
         assert len(report.cond_write.exceptions) == 1
 
+    def test_exception_texts_are_bounded_and_counted(self):
+        writes = "".join(f"{3 + i},1,create,/srv/n{i},0\n" for i in range(25))
+        trace = ("1,1,execve,/bin/sh\n"
+                 "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n" + writes)
+        events, result = run(trace)
+        report = check_biba(BOOT, TRUSTED, events, result.records)
+        assert report.cond_write.exception_count == 25
+        assert len(report.cond_write.exceptions) == oracle.KEPT_EXCEPTIONS == 20
+        assert report.cond_write.exceptions[-1] == (
+            "event 21 (create, tick 22): non-executable /srv/n19")
+        assert "(25 non-executable-write exceptions)" in report.summary_lines()[1]
+
     def test_broken_taint_rule_fails_the_read_condition(self, monkeypatch):
         import stbac.taint
         monkeypatch.setattr(stbac.taint, "tr_sock_proc", lambda process, socket: None)

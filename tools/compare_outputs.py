@@ -62,8 +62,8 @@ COPY_MAP_SOURCE = "fstree check window"
 # missing paths, the fstree copy, endpoints, protocols, flags, mknod kinds,
 # attr targets.  None holds a comma, so a mutant keeps its event's arity.
 TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
-          "/", "/nope", "/tmp/", "tmp", "/etc", "/etc/shared_copy",
-          "10.0.0.1", "10.0.0.1:", ":80",
+          "/", "/nope", "/tmp/", "tmp", "//etc", "/etc//passwd", "/etc",
+          "/etc/shared_copy", "10.0.0.1", "10.0.0.1:", ":80",
           "10.0.0.1:x", "*:*", "tcp", "sctp", "file", "dir", "fifo", "pipe",
           "taint", "avai", "leak", "bogus", "pid:1", "pid:99", "pid:x",
           "res:cpu_ticks", "res:gpu")
