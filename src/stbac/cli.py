@@ -315,6 +315,7 @@ def cmd_trust_add(args) -> int:
 
 
 def cmd_trust_remove(args) -> int:
+    check_path(args.program)
     entries = parse_trust_list(_read(args.trust))
     kept = [e for e in entries if e.program != args.program]
     if len(kept) == len(entries):
@@ -345,6 +346,7 @@ def cmd_pcopy_add(args) -> int:
 
 
 def cmd_pcopy_remove(args) -> int:
+    check_path(args.shared)
     pcopy = parse_pcopy_map(_read(args.pcopy))
     if args.shared not in pcopy:
         print(f"error: {args.shared} is not mapped", file=sys.stderr)

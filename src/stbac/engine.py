@@ -26,8 +26,9 @@ their own audit spelling, so nothing translates a name on the way out.
 
 The engine alone decides how an op is guarded: the target it hands
 pr_conf or pr_inte (none when the op is refused to every suspect), and
-whether it hands the copy map, as open_read, open_write, chmod, fchmod and
-truncate do.  A redirect to a copy that copy_fault rejects is a denial.
+whether a denial of open_read, open_write, chmod, fchmod or truncate
+becomes a redirect to the target's partial copy, which it builds only
+while copy_fault accepts the copy.
 
 The engine checks trace input first: paths, endpoints, kinds, exec bits,
 live pids, socket owners and amounts are checked in the handlers, by
@@ -56,8 +57,6 @@ from .model import (
     ALLOW,
     AVAI,
     CONF,
-    DENY_CONF,
-    DENY_INTE,
     FLAG_NAMES,
     INTE,
     LEAK,
@@ -65,7 +64,6 @@ from .model import (
     PROTOCOLS,
     TAINT,
     FlagMutation,
-    ResourceExhausted,
     StbacError,
     TraceError,
     ascii_int,
@@ -74,7 +72,7 @@ from .model import (
     format_flags,
     parse_flag,
     parse_resource,
-    proc_ref,
+    redirect,
     split_endpoint,
 )
 from .world import World, parent_of
@@ -318,8 +316,6 @@ class _Replayer:
         try:
             proc = world.live_process(ev.pid)
             decision, obj, param, mutations = OPS[ev.op].handler(self, proc, ev)
-        except ResourceExhausted as exc:
-            raise TraceError(f"resource exhausted: {exc}", ev.line) from exc
         except StbacError as exc:
             raise TraceError(str(exc), ev.line) from exc
         changes = ()
@@ -368,7 +364,7 @@ class _Replayer:
         return f"sock {ident} ({sock.remote[0]}:{sock.remote[1]})"
 
     def _mark_denial(self, proc, obj: str, rule: str, tick: int):
-        subject = proc_ref(proc.pid)
+        subject = ("proc", proc.pid)
         self.graph.touch(subject, self._display_label(subject))
         object_key = ("op", obj)
         node_id = self.world.lookup(obj) if obj.startswith("/") else None
@@ -402,12 +398,13 @@ class _Replayer:
             raise TraceError(f"parent is not a directory: {parent_path}")
         return parent
 
-    def _redirect(self, decision, denial):
-        """A redirect and the copy it touches while that copy is valid;
-        the rule's denial once it is not."""
-        if copy_fault(self.world, decision.redirect_path) is not None:
-            return denial, None
-        return decision, self.world.node_at(decision.redirect_path)
+    def _redirect(self, denial, node):
+        """The redirect to node's mapped copy and the copy's node while
+        copy_fault accepts the copy; else the denial and node."""
+        copy = self.policy.pcopy.get(node.path)
+        if copy is None or copy_fault(self.world, copy) is not None:
+            return denial, node
+        return redirect(copy), self.world.node_at(copy)
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -441,9 +438,9 @@ class _Replayer:
 
     def _ev_open_read(self, proc, ev):
         node = target = self._node_arg(ev.args[0])
-        decision = pr_conf(proc, node, self.policy.pcopy)
-        if decision.redirect_path is not None:
-            decision, target = self._redirect(decision, DENY_CONF)
+        decision = pr_conf(proc, node)
+        if decision.rule is not None:
+            decision, target = self._redirect(decision, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             mutations = (vital.vr_file_proc(proc, target, "read"),
@@ -454,9 +451,9 @@ class _Replayer:
         node = target = self._node_arg(ev.args[0])
         if node.kind == "dir":
             raise TraceError(f"cannot write a directory: {node.path}")
-        decision = pr_inte(proc, node, self.policy.pcopy)
-        if decision.redirect_path is not None:
-            decision, target = self._redirect(decision, DENY_INTE)
+        decision = pr_inte(proc, node)
+        if decision.rule is not None:
+            decision, target = self._redirect(decision, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             mutations = self._write_mutations(proc, target)
@@ -500,9 +497,9 @@ class _Replayer:
     def _ev_chmod(self, proc, ev):
         node = target = self._node_arg(ev.args[0])
         exec_bits = _bit_arg(ev.args[1], "exec bit")
-        decision = pr_inte(proc, node, self.policy.pcopy)
-        if decision.redirect_path is not None:
-            decision, target = self._redirect(decision, DENY_INTE)
+        decision = pr_inte(proc, node)
+        if decision.rule is not None:
+            decision, target = self._redirect(decision, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             became_set = exec_bits and not target.exec_bits
@@ -515,9 +512,9 @@ class _Replayer:
         node = self._node_arg(ev.args[0])
         if node.kind == "dir":
             raise TraceError(f"cannot truncate a directory: {node.path}")
-        decision = pr_inte(proc, node, self.policy.pcopy)
-        if decision.redirect_path is not None:
-            decision, _ = self._redirect(decision, DENY_INTE)
+        decision = pr_inte(proc, node)
+        if decision.rule is not None:
+            decision, _ = self._redirect(decision, node)
         return decision, node.path, "-", ()
 
     def _ev_chown(self, proc, ev):
@@ -704,7 +701,7 @@ class _Replayer:
         if token.startswith("pid:"):
             pid = _int_arg(token[4:], "pid")
             self.world.live_process(pid)
-            return proc_ref(pid), token
+            return ("proc", pid), token
         if token.startswith("res:"):
             return ("res", parse_resource(token[4:])), token
         node = self._node_arg(token)
@@ -727,8 +724,8 @@ class _Replayer:
             # writer may be gone by now, so the mutation is built directly
             # rather than through the live-process IPC rule.
             if tainted:
-                mutations.append(FlagMutation(proc_ref(proc.pid), "TR_proc_proc",
-                                              proc_ref(writer_pid), TAINT))
+                mutations.append(FlagMutation(("proc", proc.pid), "TR_proc_proc",
+                                              ("proc", writer_pid), TAINT))
         queue.clear()
         return mutations
 

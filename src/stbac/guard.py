@@ -3,15 +3,17 @@
 Protection binds tainted subjects only.  Confidentiality denies their reads
 of secret objects, integrity denies their writes to protected objects and
 their dangerous privileged calls, availability caps their resource intake
-against two high-water marks.  Trusted-endpoint matching and partial-copy
-redirection keep legitimate remote administration working.
+against two high-water marks.  Trusted-endpoint matching and the
+partial-copy map, parsed and checked here, keep legitimate remote
+administration working.
 
-The rules judge labels only and know no trace op.  The engine decides what
-each op hands them: the node, parent directory or process whose CONF or
-INTE bit it keys on; no target for the ops refused to every tainted
-subject; and the copy map only for the five ops that may redirect.  A
-redirect stands only while its copy is valid (copy_fault): the CLI checks
-every copy at boot, and the engine checks the copy of every redirect.
+The rules judge labels only, know no trace op and return only the shared
+verdicts of model.  The engine decides what each op hands them: the node,
+parent directory or process whose CONF or INTE bit it keys on, or no
+target for the ops refused to every tainted subject.  The engine alone
+redirects a denied access to a partial copy, and only while that copy is
+valid (copy_fault): the CLI checks every copy at boot, and the engine
+checks the copy of every redirect.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .model import (
     TAINT,
     ConfigError,
     Decision,
-    ResourceExhausted,
     StbacError,
     ascii_int,
     check_path,
     content_lines,
-    redirect,
     split_endpoint,
 )
 from .world import Process, World
@@ -58,39 +58,29 @@ class TrustEntry:
             raise ConfigError(f"empty time span {self.tick_from}..{self.tick_to}")
 
 
-def pr_conf(process: Process, target, pcopy: dict | None = None) -> Decision:
+def pr_conf(process: Process, target) -> Decision:
     """Confidentiality: tainted subjects may not read secret objects.
 
-    Without a target the access is refused to every tainted subject.  A
-    read that would be denied is redirected instead when pcopy maps the
-    target's path to a partial copy.
+    Without a target the access is refused to every tainted subject.
     """
     if not process.flags & TAINT:
         return ALLOW
-    if target is None:
+    if target is None or target.flags & CONF:
         return DENY_CONF
-    if not target.flags & CONF:
-        return ALLOW
-    copy = pcopy.get(target.path) if pcopy else None
-    return DENY_CONF if copy is None else redirect(copy)
+    return ALLOW
 
 
-def pr_inte(process: Process, target, pcopy: dict | None = None) -> Decision:
+def pr_inte(process: Process, target) -> Decision:
     """Integrity: tainted subjects may not modify protected objects nor run
     the privileged calls that would subvert them.
 
-    Without a target the access is refused to every tainted subject.  A
-    write that would be denied is redirected instead when pcopy maps the
-    target's path to a partial copy.
+    Without a target the access is refused to every tainted subject.
     """
     if not process.flags & TAINT:
         return ALLOW
-    if target is None:
+    if target is None or target.flags & INTE:
         return DENY_INTE
-    if not target.flags & INTE:
-        return ALLOW
-    copy = pcopy.get(target.path) if pcopy else None
-    return DENY_INTE if copy is None else redirect(copy)
+    return ALLOW
 
 
 def pr_avai(world: World, process: Process, kind: str, amount: int) -> Decision:
@@ -99,8 +89,9 @@ def pr_avai(world: World, process: Process, kind: str, amount: int) -> Decision:
     The check is predictive (the post-allocation value is compared) and
     strict: landing exactly on a mark is allowed.  The system mark, a
     percentage of the capacity, is compared exactly in integers.  Health
-    processes are bounded only by the system capacity, which is an error
-    condition rather than a denial.  Pure; the engine checks that amount
+    processes are bounded only by the system capacity, and a request past
+    it, by anyone, is a StbacError rather than a denial: denials bind
+    tainted processes only.  Pure; the engine checks that amount
     is positive and charges the ledger on allow.
     """
     ledger = world.ledger
@@ -113,8 +104,8 @@ def pr_avai(world: World, process: Process, kind: str, amount: int) -> Decision:
         if 100 * (allocated + amount) > ledger.hwm_sys[kind] * cap:
             return DENY_AVAI
     if allocated + amount > cap:
-        raise ResourceExhausted(
-            f"{kind}: {allocated} + {amount} exceeds system total {cap}")
+        raise StbacError(f"resource exhausted: {kind}: {allocated} + {amount}"
+                         f" exceeds system total {cap}")
     return ALLOW
 
 

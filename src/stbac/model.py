@@ -7,7 +7,9 @@ the ints TAINT, CONF, INTE, AVAI and LEAK, and a label is an int mask of
 them; FLAG_NAMES spells each bit.  Rule names are the strings the audit and
 the DOT graph print ("TR_proc_proc", "VR_dir_dir", "PR_conf", ...), and
 resource kinds are the names in RESOURCE_KINDS.  No enum sits between a
-name and its spelling, so the per-event path calls no enum code.
+name and its spelling, so the per-event path calls no enum code.  An
+entity reference is a plain (kind, id) tuple, written out where it is
+built.  Every error is a StbacError; a spent system capacity is a plain one.
 
 Everything here is plain data, plus the one input grammar: ASCII integers,
 comment and blank-line syntax, paths, endpoints, protocols, flags and
@@ -42,14 +44,6 @@ class TraceError(StbacError):
 
 class UnknownEntity(StbacError):
     """A referenced path, pid, socket or resource does not exist."""
-
-
-class ResourceExhausted(StbacError):
-    """System-wide capacity of a resource is spent.
-
-    Distinct from an availability denial: denials bind tainted processes
-    only, exhaustion can hit anyone.
-    """
 
 
 def is_ascii_int(token: str, signed: bool = True) -> bool:
@@ -155,39 +149,23 @@ def parse_resource(name: str) -> str:
     return name
 
 
-# Entity references are (kind, id) pairs: ("proc", pid), ("file", node id),
-# ("sock", socket id) or ("res", resource kind).  Lightweight on purpose;
-# the world looks them up.
-Ref = tuple
-
-
-def proc_ref(pid: int) -> Ref:
-    return ("proc", pid)
-
-
-def file_ref(node_id: int) -> Ref:
-    return ("file", node_id)
-
-
-def sock_ref(sock_id: int) -> Ref:
-    return ("sock", sock_id)
-
-
 class FlagMutation(NamedTuple):
     """Clears, then adds, label bits (int masks) on target.
 
-    rule is the audit name of the taint or vital rule that fired
-    ("TR_proc_proc", "VR_dir_dir", ...), or the op name "set_stbac_attr" for
-    administration.  cause is the entity the bits flowed from, None for
-    administration.  flags_cleared is nonempty only for the exec reset of
-    VR_file_proc and for administrative clears.  A
-    NamedTuple builds in about half the time of a frozen dataclass, and a
-    replay builds one per rule that fires.
+    target and cause are entity references, plain (kind, id) tuples that
+    every reader unpacks itself: ("proc", pid), ("file", node id), ("sock",
+    socket id) or ("res", resource kind).  rule is the audit name of the
+    taint or vital rule that fired ("TR_proc_proc", "VR_dir_dir", ...), or
+    the op name "set_stbac_attr" for administration.  cause is the entity
+    the bits flowed from, None for administration.  flags_cleared is
+    nonempty only for the exec reset of VR_file_proc and for administrative
+    clears.  A NamedTuple builds in about half the time of a frozen
+    dataclass, and a replay builds one per rule that fires.
     """
 
-    target: Ref
+    target: tuple
     rule: str
-    cause: Ref | None
+    cause: tuple | None
     flags_added: int = NO_FLAGS
     flags_cleared: int = NO_FLAGS
 
@@ -198,14 +176,13 @@ class Decision:
 
     result is the audit spelling: ALLOW, ALLOW_REDIR(path) or DENY(rule).
     rule is the audit name of the protection rule that denied ("PR_conf",
-    "PR_inte" or "PR_avai"), None on allow.  Every outcome is one of the
-    shared constants below except a redirect, which names its path.
-    The flag mutations of an allowed access travel beside it, not in it.
+    "PR_inte" or "PR_avai"), None on allow.  The guard returns only the
+    shared constants below; only the engine builds a redirect, which names
+    its copy.  The flag mutations of an allowed access travel beside it.
     """
 
     result: str
     rule: str | None = None
-    redirect_path: str | None = None
 
     @property
     def allowed(self) -> bool:
@@ -219,4 +196,4 @@ DENY_AVAI = Decision("DENY(PR_avai)", "PR_avai")
 
 
 def redirect(path: str) -> Decision:
-    return Decision(f"ALLOW_REDIR({path})", redirect_path=path)
+    return Decision(f"ALLOW_REDIR({path})")

@@ -11,7 +11,7 @@ reads and writes of non-executable files never spread taint.
 
 from __future__ import annotations
 
-from .model import TAINT, FlagMutation, file_ref, proc_ref, sock_ref
+from .model import TAINT, FlagMutation
 from .world import Process, FsNode, Socket
 
 
@@ -19,8 +19,8 @@ def tr_sock_proc(process: Process, socket: Socket) -> FlagMutation | None:
     """A process speaking over an untrusted remote endpoint becomes tainted."""
     if socket.trusted:
         return None
-    return FlagMutation(proc_ref(process.pid), "TR_sock_proc",
-                        sock_ref(socket.sock_id), TAINT)
+    return FlagMutation(("proc", process.pid), "TR_sock_proc",
+                        ("sock", socket.sock_id), TAINT)
 
 
 def tr_proc_proc(source: Process, sink: Process) -> FlagMutation | None:
@@ -30,8 +30,8 @@ def tr_proc_proc(source: Process, sink: Process) -> FlagMutation | None:
     """
     if not source.flags & TAINT:
         return None
-    return FlagMutation(proc_ref(sink.pid), "TR_proc_proc",
-                        proc_ref(source.pid), TAINT)
+    return FlagMutation(("proc", sink.pid), "TR_proc_proc",
+                        ("proc", source.pid), TAINT)
 
 
 def tr_proc_exe(process: Process, node: FsNode) -> FlagMutation | None:
@@ -44,13 +44,13 @@ def tr_proc_exe(process: Process, node: FsNode) -> FlagMutation | None:
         return None
     if not node.exec_bits:
         return None
-    return FlagMutation(file_ref(node.node_id), "TR_proc_exe",
-                        proc_ref(process.pid), TAINT)
+    return FlagMutation(("file", node.node_id), "TR_proc_exe",
+                        ("proc", process.pid), TAINT)
 
 
 def tr_exe_proc(process: Process, node: FsNode) -> FlagMutation | None:
     """Executing or loading a tainted file taints the process."""
     if not node.flags & TAINT:
         return None
-    return FlagMutation(proc_ref(process.pid), "TR_exe_proc",
-                        file_ref(node.node_id), TAINT)
+    return FlagMutation(("proc", process.pid), "TR_exe_proc",
+                        ("file", node.node_id), TAINT)

@@ -22,7 +22,6 @@ from .model import (
     RESOURCE_KINDS,
     TAINT,
     ConfigError,
-    Ref,
     StbacError,
     UnknownEntity,
     ascii_int,
@@ -99,31 +98,6 @@ class ResourceLedger:
         for kind, amount in process.usage.items():
             self.allocated_sys[kind] -= amount
         process.usage = {}
-
-
-@dataclass
-class Classification:
-    """Faithful report of an entity's partition bits.
-
-    Taint and vital are not exclusive; health means neither is set (a LEAK
-    bit alone still counts as health).
-    """
-
-    tainted: bool
-    vital: int       # mask of the CONF/INTE bits present
-    leak: bool
-
-    @property
-    def health(self) -> bool:
-        return not self.tainted and not self.vital
-
-
-def classify(mask: int) -> Classification:
-    return Classification(
-        tainted=bool(mask & TAINT),
-        vital=mask & (CONF | INTE),
-        leak=bool(mask & LEAK),
-    )
 
 
 @dataclass
@@ -256,7 +230,7 @@ class World:
 
     # -- label access ------------------------------------------------------
 
-    def flags_of(self, ref: Ref) -> int:
+    def flags_of(self, ref: tuple) -> int:
         kind, ident = ref
         if kind == "proc":
             return self.processes[ident].flags
@@ -266,7 +240,7 @@ class World:
             return self.ledger.flags[ident]
         return NO_FLAGS               # sockets carry no label
 
-    def set_flags(self, ref: Ref, flags: int):
+    def set_flags(self, ref: tuple, flags: int):
         """Store an entity's label mask, unguarded: the one writer of label
         bits, for replay mutations, boot marks and config edits alike."""
         kind, ident = ref
@@ -277,7 +251,7 @@ class World:
         entity.flags = flags
         self._track(ref, flags & TAINT != 0)
 
-    def _track(self, ref: Ref, tainted: bool):
+    def _track(self, ref: tuple, tainted: bool):
         """Make ref's membership of the tainted set match tainted."""
         if (ref in self.tainted) != tainted:
             self.tainted ^= {ref}
@@ -415,13 +389,14 @@ def serialize_config(world: World) -> str:
     """Render the current tree and labels back into config directives.
 
     Used by the flag administration commands, which treat the config file
-    itself as the state snapshot.  Comments are not preserved.
+    itself as the state snapshot.  Comments are not preserved.  "/" gets
+    mark lines but no node line: every boot makes it.
     """
     lines = []
-    nodes = sorted((n for n in world.fs.values() if n.path != "/"),
-                   key=lambda n: (n.path.count("/"), n.path))
+    nodes = sorted(world.fs.values(), key=lambda n: (n.path.count("/"), n.path))
     for node in nodes:
-        lines.append(f"node {node.path} {node.kind} {int(node.exec_bits)}")
+        if node.parent is not None:
+            lines.append(f"node {node.path} {node.kind} {int(node.exec_bits)}")
     for node in nodes:
         for bit in flag_bits(node.flags & (CONF | INTE | LEAK)):
             lines.append(f"{FLAG_NAMES[bit]} {node.path}")

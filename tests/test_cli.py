@@ -439,6 +439,18 @@ class TestFlagCommands:
             "error: line 1: empty path component not allowed: '/a//b'\n")
         assert init.read_text() == "node /a//b file 0\n"
 
+    def test_marks_of_the_root_are_kept(self, bundle_dir, capsys):
+        """inte / refuses a suspect's top-level creates; no edit drops it."""
+        init = bundle_dir / "init.cfg"
+        init.write_text("node /etc dir 0\n")
+        assert main(["set-flag", "--init", str(init), "/", "inte", "on"]) == 0
+        assert init.read_text() == "node /etc dir 0\ninte /\n"
+        assert main(["set-flag", "--init", str(init), "/etc", "conf", "on"]) == 0
+        assert init.read_text() == "node /etc dir 0\ninte /\nconf /etc\n"
+        capsys.readouterr()
+        assert main(["get-flag", "--init", str(init), "/"]) == 0
+        assert capsys.readouterr().out == "/ inte\n"
+
     def test_snapshot_still_boots_after_rewrite(self, bundle_dir):
         init = bundle_dir / "init.cfg"
         main(["set-flag", "--init", str(init), "--recursive", "/bin", "inte", "on"])
@@ -612,6 +624,17 @@ class TestOneGrammar:
         assert main([command, "--init", str(init), token, *values]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert init.read_text() == BOOT
+
+    @pytest.mark.parametrize("token,message", BAD_PATHS, ids=[t for t, _ in BAD_PATHS])
+    @pytest.mark.parametrize("command,entry", [
+        ("trust", "trust /bin/sh *:* *:* tcp 0..inf\n"),
+        ("pcopy", "pcopy /etc/passwd /.stbac/passwd\n")], ids=["trust", "pcopy"])
+    def test_a_bad_remove_path(self, tmp_path, capsys, command, entry, token, message):
+        listing = tmp_path / "list"
+        listing.write_text(entry)
+        assert main([command, f"--{command}", str(listing), "remove", token]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert listing.read_text() == entry
 
     def test_a_star_port_is_refused_only_in_a_trace(self, bundle_dir, capsys):
         (bundle_dir / "trust.list").write_text("trust /bin/sh 10.0.0.1:* *:* tcp 0..inf\n")

@@ -272,6 +272,15 @@ class TestRedirection:
         passwd = result.world.lookup("/etc/passwd")
         assert result.graph.denials == [(("proc", 1), ("file", passwd), rule, 3)]
 
+    @pytest.mark.parametrize("access,rule,pcopy", [
+        ("open_read,/etc/shadow", "PR_conf", PASSWD_COPY),
+        ("open_write,/etc/passwd", "PR_inte", "pcopy /etc/shadow /.stbac/passwd\n"),
+    ])
+    def test_unmapped_target_is_denied_under_a_map(self, access, rule, pcopy):
+        """Only a mapped path redirects."""
+        result = run(f"{UNTRUSTED}3,1,{access}\n", pcopy=pcopy, config=REDIRECT_BOOT)
+        assert result.records[-1].result == f"DENY({rule})"
+
     def test_restored_copy_redirects_again(self):
         result = run("1,1,unlink,/.stbac/passwd\n1,1,create,/.stbac/passwd,0\n"
                      f"{UNTRUSTED}3,1,open_read,/etc/passwd\n",

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from stbac.model import (
     NO_FLAGS,
     TAINT,
     ConfigError,
-    ResourceExhausted,
+    StbacError,
 )
 from stbac.world import INIT_PID, parse_init_config, spawn_boot_world
 
@@ -60,23 +62,15 @@ def all_flag_subsets():
         yield flags
 
 
-# Copy maps a rule may get: none, an empty one, and one that maps /f.
-COPY_MAPS = (None, {}, {"/f": "/.stbac/f"})
-
-
-def expected_decision(subject_flags, target, bit, pcopy, denial):
+def expected_decision(subject_flags, target, bit, denial):
     """The rule contract, in its order: a health subject is allowed, no
-    target is the denial, an unlabeled target is allowed, a mapped target
-    is redirected, anything else is the denial."""
+    target is the denial, an unlabeled target is allowed, and a labeled
+    one is the denial."""
     if not subject_flags & TAINT:
-        return "ALLOW"
-    if target is None:
-        return denial.result
-    if not target.flags & bit:
-        return "ALLOW"
-    if pcopy and target.path in pcopy:
-        return f"ALLOW_REDIR({pcopy[target.path]})"
-    return denial.result
+        return ALLOW
+    if target is None or target.flags & bit:
+        return denial
+    return ALLOW
 
 
 class TestConfRule:
@@ -87,32 +81,12 @@ class TestConfRule:
             for object_flags in all_flag_subsets():
                 node.flags = object_flags
                 for target in (node, None):
-                    for pcopy in COPY_MAPS:
-                        decision = pr_conf(p, target, pcopy)
-                        expected = expected_decision(subject_flags, target, CONF,
-                                                     pcopy, DENY_CONF)
-                        assert decision.result == expected, (
-                            subject_flags, object_flags, target, pcopy)
-
-    def test_redirect_replaces_denial(self, world):
-        p = proc(world, TAINT)
-        pcopy = {"/etc/passwd": "/.stbac/passwd"}
-        decision = pr_conf(p, world.node_at("/etc/passwd"), pcopy)
-        assert decision.allowed
-        assert decision.redirect_path == "/.stbac/passwd"
-        assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
+                    expected = expected_decision(subject_flags, target, CONF, DENY_CONF)
+                    assert pr_conf(p, target) is expected, (
+                        subject_flags, object_flags, target)
 
     def test_health_read_of_secret_is_allowed(self, world):
         assert pr_conf(proc(world), world.node_at("/etc/passwd")) is ALLOW
-
-    def test_unmapped_secret_still_denied(self, world):
-        p = proc(world, TAINT)
-        pcopy = {"/other": "/.stbac/other"}
-        assert pr_conf(p, world.node_at("/etc/passwd"), pcopy) is DENY_CONF
-
-    def test_no_target_is_denied_even_with_a_map(self, world):
-        assert pr_conf(proc(world, TAINT), None, {"/f": "/g"}) is DENY_CONF
-        assert pr_conf(proc(world), None) is ALLOW
 
 
 class TestInteRule:
@@ -123,12 +97,9 @@ class TestInteRule:
             for object_flags in all_flag_subsets():
                 node.flags = object_flags
                 for target in (node, None):
-                    for pcopy in COPY_MAPS:
-                        decision = pr_inte(p, target, pcopy)
-                        expected = expected_decision(subject_flags, target, INTE,
-                                                     pcopy, DENY_INTE)
-                        assert decision.result == expected, (
-                            subject_flags, object_flags, target, pcopy)
+                    expected = expected_decision(subject_flags, target, INTE, DENY_INTE)
+                    assert pr_inte(p, target) is expected, (
+                        subject_flags, object_flags, target)
 
     def test_denials_and_allows_are_the_shared_constants(self, world):
         node = world.node_at("/f")
@@ -146,18 +117,9 @@ class TestInteRule:
         victim.flags |= INTE
         assert pr_inte(attacker, victim) is DENY_INTE
 
-    def test_write_redirect_for_shared_secret(self, world):
-        p = proc(world, TAINT)
-        node = world.node_at("/etc/passwd")
-        node.flags |= INTE
-        pcopy = {"/etc/passwd": "/.stbac/passwd"}
-        decision = pr_inte(p, node, pcopy)
-        assert decision.allowed
-        assert decision.result == "ALLOW_REDIR(/.stbac/passwd)"
-
     def test_without_the_map_a_shared_secret_is_denied(self, world):
-        """The engine hands no map for deletes, renames and creates, so the
-        shared object itself is never moved or removed through a copy."""
+        """The guard knows no copy map: a suspect's access to a protected
+        shared file is the denial, and the engine alone may redirect it."""
         p = proc(world, TAINT)
         node = world.node_at("/etc/passwd")
         node.flags |= INTE
@@ -197,7 +159,8 @@ class TestAvaiRule:
         p = proc(world)
         assert pr_avai(world, p, "memory_bytes", 999) is ALLOW
         world.ledger.allocated_sys["memory_bytes"] = 999
-        with pytest.raises(ResourceExhausted):
+        message = "resource exhausted: memory_bytes: 999 + 2 exceeds system total 1000"
+        with pytest.raises(StbacError, match=f"^{re.escape(message)}$"):
             pr_avai(world, p, "memory_bytes", 2)
 
 
@@ -351,6 +314,20 @@ def test_decisions_are_built_only_in_model():
         ("model.py", "ALLOW"), ("model.py", "DENY_CONF"), ("model.py", "DENY_INTE"),
         ("model.py", "DENY_AVAI"), ("model.py", "redirect")}, builders
     assert len(builders) == 5
+
+
+def test_only_the_engine_redirects():
+    """pr_conf and pr_inte take a process and a target, no copy map, and no
+    module but engine.py calls redirect()."""
+    for rule in (pr_conf, pr_inte):
+        assert list(inspect.signature(rule).parameters) == ["process", "target"]
+    callers = set()
+    for path in sorted(Path(stbac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and "redirect" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                callers.add(path.name)
+    assert callers == {"engine.py"}
 
 
 def test_guard_names_no_trace_op():

@@ -28,7 +28,6 @@ from stbac.world import (
     InitConfig,
     World,
     check_path,
-    classify,
     parse_init_config,
     parent_of,
     serialize_config,
@@ -435,32 +434,11 @@ def test_set_flags_is_the_only_writer_of_label_bits():
     assert len(writers["world.py", "World.set_flags"]) == 2
 
 
-class TestClassification:
-    @pytest.mark.parametrize("flags,tainted,vital,health", [
-        (NO_FLAGS, False, NO_FLAGS, True),
-        (TAINT, True, NO_FLAGS, False),
-        (CONF, False, CONF, False),
-        (INTE, False, INTE, False),
-        (TAINT | INTE, True, INTE, False),
-        (LEAK, False, NO_FLAGS, True),
-        (TAINT | CONF | LEAK, True, CONF, False),
-    ])
-    def test_partition_reports_bits_faithfully(self, flags, tainted, vital, health):
-        report = classify(flags)
-        assert report.tainted is tainted
-        assert report.vital == vital
-        assert report.health is health
-
-    def test_every_combination_is_classifiable(self):
-        all_bits = [TAINT, CONF, INTE, LEAK]
-        for mask in range(16):
-            flags = NO_FLAGS
-            for i, bit in enumerate(all_bits):
-                if mask >> i & 1:
-                    flags |= bit
-            report = classify(flags)
-            assert report.tainted == bool(flags & TAINT)
-            assert report.health == (not report.tainted and not report.vital)
+def config_state(world):
+    """What a boot config sets: each node's kind, exec bit and label by path,
+    and the ledger."""
+    return ({n.path: (n.kind, n.exec_bits, n.flags) for n in world.fs.values()},
+            world.ledger)
 
 
 class TestSerialization:
@@ -477,6 +455,19 @@ class TestSerialization:
         assert again.node_at("/bin/sh").exec_bits
         assert again.ledger.hwm_st["cpu_ticks"] == 10
         assert again.ledger.caps["cpu_ticks"] == 100
+
+    @given(boot_gen.boot_configs)
+    @example("inte /\n")
+    @example("node /a dir 0\nconf /\nleak /\nleak /a\nhwm net_bytes 3 40\n")
+    @settings(max_examples=300, deadline=None)
+    def test_booting_the_rendering_gives_the_same_world(self, text):
+        """serialize_config keeps every node, exec bit, label (those of "/"
+        too) and ledger entry of any config that boots."""
+        try:
+            world = boot(text)
+        except ConfigError:
+            return
+        assert config_state(boot(serialize_config(world))) == config_state(world)
 
 
 class TestIdentifiers:
