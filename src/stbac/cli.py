@@ -5,15 +5,19 @@ Subcommands: replay, graph, check, set-flag, get-flag, trust, pcopy.
 Exit codes: 0 success (for replay: no denial), 1 denial or failed check or
 missing entity, 2 malformed input (config, trace, policy files).
 
+Every command that boots a world calls load_bundle, and check calls
+check_replay, which steps the engine and the oracle's one pass in lockstep;
+the tests call the same two functions.
+
 replay, graph and check read the trace one event at a time (engine.iter_trace)
 and step the engine over it; they keep no list of events or audit records,
-so their memory grows with the world, not with the trace.  check steps the
-oracle's one pass in lockstep with the engine.  No output is written until
-the whole trace has replayed: audit lines wait in a spool that spills to an
-anonymous temporary file past SPOOL_CHARS, and a malformed or inapplicable
-event, reported with its line, leaves stdout and every output file as they
-were.  Trace errors come in trace order: the first bad line is reported,
-whether it is malformed or names something the replay does not have.
+so their memory grows with the world, not with the trace.  No output is
+written until the whole trace has replayed: audit lines wait in a spool that
+spills to an anonymous temporary file past SPOOL_CHARS, and a malformed or
+inapplicable event, reported with its line, leaves stdout and every output
+file as they were.  Trace errors come in trace order: the first bad line is
+reported, whether it is malformed or names something the replay does not
+have.
 """
 
 from __future__ import annotations
@@ -178,24 +182,32 @@ def _write(path, text):
         handle.write(text)
 
 
-def _load_bundle(args):
-    """The boot config, the booted world, the policy and the trace's events
-    as an iterator: each line is parsed when the replay reaches it."""
-    config = parse_init_config(_read(args.init))
-    trust = parse_trust_list(_read(args.trust)) if args.trust else []
-    pcopy = parse_pcopy_map(_read(args.pcopy)) if args.pcopy else {}
+def load_bundle(init_text: str, trust_text: str, pcopy_text: str) -> tuple:
+    """The boot config, the booted world and the policy of one input bundle;
+    an absent trust list or copy map is an empty text.  Every copy of the
+    map must be a valid copy in the booted tree."""
+    config = parse_init_config(init_text)
+    trust = parse_trust_list(trust_text)
+    pcopy = parse_pcopy_map(pcopy_text)
     world = spawn_boot_world(config)
     validate_pcopy_against_world(pcopy, world)
-    policy = Policy(trust, pcopy)
-    events = iter_trace(_read(args.trace))
-    return config, world, policy, events
+    return config, world, Policy(trust, pcopy)
+
+
+def _load(args) -> tuple:
+    """load_bundle over the files args names, and the trace's events as an
+    iterator: each line is parsed when the replay reaches it."""
+    config, world, policy = load_bundle(_read(args.init),
+                                        _read(args.trust) if args.trust else "",
+                                        _read(args.pcopy) if args.pcopy else "")
+    return config, world, policy, iter_trace(_read(args.trace))
 
 
 def _stream(args, audit=None) -> _Replayer:
     """Step a replayer over the trace, one event at a time, writing each
     audit line to audit (a text file) when given, AUDIT_BATCH lines per
     write.  Returns the replayer: its graph, and its count of denials."""
-    _, world, policy, events = _load_bundle(args)
+    _, world, policy, events = _load(args)
     replayer = _Replayer(world, policy, DepGraph())
     lines = []
     for event in events:
@@ -208,6 +220,20 @@ def _stream(args, audit=None) -> _Replayer:
     if lines:
         audit.write("\n".join(lines) + "\n")
     return replayer
+
+
+def check_replay(config, world, policy, events) -> tuple:
+    """Step the engine and the oracle's one pass together, one (event,
+    record) pair at a time, comparing each event's tainted sets as soon as
+    both sides have stepped it.  Returns the TaintDiff, the BibaReport and
+    the replayer."""
+    replayer = _Replayer(world, policy, None)     # check exports no graph
+    one_pass = OnePass(config, policy.trust)
+    diff = TaintDiff(SHOWN_DIVERGENCES)
+    step, tainted, compare = replayer.step, replayer.tainted, diff.add
+    for event, oracle_set in one_pass.run((ev, step(ev)) for ev in events):
+        compare(event.tick, tainted(), oracle_set)
+    return diff, one_pass.report, replayer
 
 
 def _deliver(spool, path):
@@ -243,17 +269,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """The engine and the oracle's one pass step together, one (event,
-    record) pair at a time; each event's tainted sets are compared as soon
-    as both sides have stepped it."""
-    config, world, policy, events = _load_bundle(args)
-    replayer = _Replayer(world, policy, None)     # check exports no graph
-    one_pass = OnePass(config, policy.trust)
-    diff = TaintDiff(SHOWN_DIVERGENCES)
-    step, tainted, compare = replayer.step, replayer.tainted, diff.add
-    for event, oracle_set in one_pass.run((ev, step(ev)) for ev in events):
-        compare(event.tick, tainted(), oracle_set)
-
+    diff, report, replayer = check_replay(*_load(args))
     failures = 0
     if diff.count:
         failures += 1
@@ -263,7 +279,6 @@ def cmd_check(args) -> int:
     else:
         print("taint closure: PASS (engine matches oracle on every event)")
 
-    report = one_pass.report
     for line in report.summary_lines():
         print(line)
     if not report.all_passed():
@@ -273,13 +288,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_DENIED
 
 
-def _snapshot_world(args):
-    config = parse_init_config(_read(args.init))
-    return spawn_boot_world(config)
-
-
 def cmd_set_flag(args) -> int:
-    world = _snapshot_world(args)
+    _, world, _ = load_bundle(_read(args.init), "", "")
     bit = parse_flag(args.flag)
     on = args.value == "on"
     node = world.node_at(check_path(args.path))
@@ -294,7 +304,7 @@ def cmd_set_flag(args) -> int:
 
 
 def cmd_get_flag(args) -> int:
-    world = _snapshot_world(args)
+    _, world, _ = load_bundle(_read(args.init), "", "")
     node = world.node_at(check_path(args.path))
     targets = world.subtree(node) if args.recursive else [node]
     for target in sorted(targets, key=lambda n: n.path):
@@ -332,6 +342,8 @@ def cmd_trust_list(args) -> int:
 
 
 def cmd_pcopy_add(args) -> int:
+    check_path(args.shared)
+    check_path(args.copy)
     text = _read(args.pcopy) if os.path.exists(args.pcopy) else ""
     pcopy = parse_pcopy_map(text)
     if args.shared in pcopy:

@@ -9,8 +9,10 @@ boot config, trust list and copy map give bit-identical audit output.
 A replay streams: iter_trace yields one Event per line as the replay asks
 for it, and _Replayer.step turns each into its AuditRecord, so a caller
 that keeps neither (the CLI) holds memory for the world and the graph, not
-for the trace.  parse_trace and replay are collectors over the two for
-callers that want the lists.
+for the trace.  cli.load_bundle builds the world and the policy a replay
+starts from, and cli.check_replay steps a _Replayer in lockstep with the
+oracle.  parse_trace and replay are collectors over the two for callers
+that want the lists.
 
 Each handler returns its verdict, a shared constant of model or a redirect,
 beside the label changes the event implies.  Every label change is a
@@ -244,7 +246,6 @@ class ReplayResult:
     world: World
     records: list
     graph: DepGraph
-    tainted_after: list | None = None   # per-event frozensets when tracked
 
     def audit_text(self) -> str:
         return "\n".join(r.line() for r in self.records) + ("\n" if self.records else "")
@@ -267,27 +268,20 @@ def apply_event(world: World, event: Event, policy: Policy,
     return _Replayer(world, policy, DepGraph() if graph is None else graph).step(event)
 
 
-def replay(world: World, events, policy: Policy | None = None,
-           track_taint: bool = False) -> ReplayResult:
+def replay(world: World, events, policy: Policy | None = None) -> ReplayResult:
     """Replay events in order and keep every record: a collector over
-    _Replayer.step.  With track_taint, tainted_after[i] is
-    _Replayer.tainted() after event i."""
+    _Replayer.step."""
     replayer = _Replayer(world, policy or Policy(), DepGraph())
-    records = []
-    tainted_after = [] if track_taint else None
-    for event in events:
-        records.append(replayer.step(event))
-        if track_taint:
-            tainted_after.append(replayer.tainted())
-    return ReplayResult(world, records, replayer.graph, tainted_after)
+    records = [replayer.step(event) for event in events]
+    return ReplayResult(world, records, replayer.graph)
 
 
 class _Replayer:
     """Per-replay dispatch state; the world carries everything durable.
     step is the one way an event is replayed: the CLI steps a replayer over
     a trace one event at a time, and replay collects its records.  With a
-    graph of None the replay records no edges or denials, for a caller that
-    never exports them.  denials counts the denied events stepped so far."""
+    graph of None the replay records no edges, for a caller that never
+    exports them.  denials counts the denied events stepped so far."""
 
     def __init__(self, world: World, policy: Policy, graph: DepGraph | None):
         self.world = world

@@ -27,10 +27,11 @@ where its source is low, and a source of None always holds.  The kinds:
   the live entities under a view's low sets without changing the sets.
 
 The one pass, OnePass, builds one structure, walks (event, audit record)
-pairs once as they come and hands each event's facts to two folds, so the
-CLI's check steps it in lockstep with the engine and keeps no event or
-record.  Each fold judges lowness in its own view and keeps its own record
-of which fifo messages were low:
+pairs once as they come and hands each event's facts to two folds, so
+cli.check_replay, which `stbac check` and the differential tests run,
+steps it in lockstep with the engine and keeps no event or record.  Each
+fold judges lowness in its own view and keeps its own record of which fifo
+messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
   sets, sharing no code with the taint rule module.  Its snapshot of the
@@ -53,16 +54,14 @@ The walk reads each event's access verdict off its audit record when it
 reaches that event: a denied event adds no facts and no structure, since
 the engine applies nothing on a denial, and an ALLOW_REDIR(copy) makes the
 access act on the copy.  A record whose tick, pid or op is not its event's
-is refused with ValueError.  Without an audit every event counts as
-allowed.  verify_replay and diff_taint collect the pass and the comparison
-over whole lists, and taint_closure, closure_from_replay and check_biba are
-views of verify_replay.
+is refused with ValueError.  verify_replay and diff_taint collect the pass
+and the comparison over whole lists, and closure_from_replay and
+check_biba are views of verify_replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .model import INTE, TAINT, TraceError, ascii_int, is_ascii_int
 from .world import InitConfig, parent_of
@@ -255,18 +254,15 @@ def _walk(struct: _Structure, trust, pairs):
     """Apply each allowed event of (event, audit record) pairs to struct;
     yield (index, event, record, facts) for every pair, with facts None for
     an event its record denies.  A record ALLOW_REDIR(copy) makes a
-    redirectable op act on the copy; a record of None counts as ALLOW.  A
-    record whose tick, pid or op is not its event's raises ValueError."""
+    redirectable op act on the copy.  A record whose tick, pid or op is not
+    its event's raises ValueError."""
     for index, (ev, record) in enumerate(pairs):
         op, args, pid = ev.op, ev.args, ev.pid
-        if record is None:
-            result = "ALLOW"
-        elif record.tick != ev.tick or record.pid != pid or record.op != op:
+        if record.tick != ev.tick or record.pid != pid or record.op != op:
             raise ValueError(f"audit record {index} ({record.op}, tick {record.tick}, "
                              f"pid {record.pid}) is not the record of event {index} "
                              f"({op}, tick {ev.tick}, pid {pid})")
-        else:
-            result = record.result
+        result = record.result
         if result != "ALLOW":
             if result.startswith("DENY("):
                 yield index, ev, record, None
@@ -621,10 +617,10 @@ class _BibaFold:
 
 class OnePass:
     """The one pass: one _Structure and one _walk feed the closure fold
-    and, for audited events, the Biba fold.  run takes (event, record)
+    and, for allowed events, the Biba fold.  run takes (event, record)
     pairs as they come, so a caller can step the engine and the oracle in
     lockstep and keep no event or record; report is the Biba report of the
-    audited events walked so far.
+    events walked so far.
 
     The closure's sets are the tainted entities after each event, by direct
     forward reachability: seeds are processes that open endpoints matching
@@ -648,29 +644,23 @@ class OnePass:
         self.report = self.biba.report
 
     def run(self, pairs):
-        """Walk (event, record or None) pairs; yield (event, the closure's
-        set after the event) for each."""
+        """Walk (event, record) pairs; yield (event, the closure's set after
+        the event) for each."""
         closure, biba = self.closure, self.biba
         for index, ev, record, facts in _walk(self.struct, self.trust, pairs):
-            if record is not None and facts is not None:
+            if facts is not None:
                 biba.step(index, ev, facts, record.flag_changes)
             yield ev, closure.step(facts)
 
 
-def verify_replay(config: InitConfig, trust, events, records=None) -> tuple:
+def verify_replay(config: InitConfig, trust, events, records) -> tuple:
     """A collector over OnePass: the closure's set after each event, and the
-    BibaReport of an audit of the same events (None without records)."""
-    if records is not None and len(records) != len(events):
+    BibaReport of an audit of the same events."""
+    if len(records) != len(events):
         raise ValueError(f"audit has {len(records)} records for {len(events)} events")
     one_pass = OnePass(config, trust)
-    pairs = zip(events, repeat(None) if records is None else records)
-    sets = [closure for _, closure in one_pass.run(pairs)]
-    return sets, None if records is None else one_pass.report
-
-
-def taint_closure(config: InitConfig, trust, events) -> list:
-    """The oracle closure of a trace with every event allowed."""
-    return verify_replay(config, trust, events)[0]
+    sets = [closure for _, closure in one_pass.run(zip(events, records))]
+    return sets, one_pass.report
 
 
 def closure_from_replay(config: InitConfig, trust, events, records) -> list:

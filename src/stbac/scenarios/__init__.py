@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from ..engine import Policy, ReplayResult, parse_trace, replay
-from ..guard import parse_pcopy_map, parse_trust_list, validate_pcopy_against_world
-from ..world import InitConfig, parse_init_config, spawn_boot_world
+from ..cli import check_replay, load_bundle
+from ..engine import ReplayResult, parse_trace, replay
 
 NAMES = ("remote_user", "web_download", "remote_attack")
 
@@ -34,23 +33,22 @@ class Bundle:
     trace_text: str
     expected_audit: str | None
 
-    def config(self) -> InitConfig:
-        return parse_init_config(self.init_text)
-
-    def policy(self) -> Policy:
-        return Policy(parse_trust_list(self.trust_text),
-                      parse_pcopy_map(self.pcopy_text))
+    def load(self) -> tuple:
+        """(config, booted world, policy), loaded as `stbac replay` loads
+        them: every copy of the map is checked against the booted tree."""
+        return load_bundle(self.init_text, self.trust_text, self.pcopy_text)
 
     def events(self) -> list:
         return parse_trace(self.trace_text)
 
-    def replay(self, track_taint: bool = False) -> ReplayResult:
-        """Replay the bundle as `stbac replay` does: every copy of the map is
-        checked against the booted tree first."""
-        world = spawn_boot_world(self.config())
-        policy = self.policy()
-        validate_pcopy_against_world(policy.pcopy, world)
-        return replay(world, self.events(), policy, track_taint=track_taint)
+    def replay(self) -> ReplayResult:
+        _, world, policy = self.load()
+        return replay(world, self.events(), policy)
+
+    def check(self) -> tuple:
+        """What `stbac check` runs on the bundle: (TaintDiff, BibaReport,
+        replayer) of check_replay."""
+        return check_replay(*self.load(), self.events())
 
 
 def load(name: str) -> Bundle:

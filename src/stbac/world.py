@@ -269,8 +269,9 @@ def parent_of(path: str) -> str:
 class InitConfig:
     """Parsed boot configuration.
 
-    Directives apply in file order; a node line must precede any flag line
-    for that path.  Missing parent directories are created implicitly.
+    Node lines apply in file order, and missing parent directories are
+    created implicitly.  Flag lines apply after every node, so a flag line
+    may come before or after the node line of its path.
     """
 
     nodes: list = field(default_factory=list)   # (path, kind, exec_bits)

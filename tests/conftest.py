@@ -1,7 +1,7 @@
 import pytest
 
-from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import parse_pcopy_map, parse_trust_list
+from stbac.cli import check_replay, load_bundle
+from stbac.engine import parse_trace, replay
 from stbac.world import parse_init_config, spawn_boot_world
 
 import trace_gen
@@ -13,13 +13,27 @@ def boot_world():
     return spawn_boot_world(parse_init_config(trace_gen.BOOT_CONFIG))
 
 
-def run_generated(intents, mode="full", track_taint=True):
-    """Replay a generated intent list; returns (config, events, policy, result)."""
+def generated_bundle(intents, mode="full"):
+    """(config, booted world, policy, events) of a generated intent list,
+    loaded as the CLI loads a bundle."""
     trace_text, trust_text = trace_gen.build_trace(intents, mode)
-    config = parse_init_config(trace_gen.BOOT_CONFIG)
-    world = spawn_boot_world(config)
-    events = parse_trace(trace_text)
-    policy = Policy(parse_trust_list(trust_text),
-                    parse_pcopy_map(trace_gen.PCOPY_TEXT))
-    result = replay(world, events, policy, track_taint=track_taint)
-    return config, events, policy, result
+    config, world, policy = load_bundle(trace_gen.BOOT_CONFIG, trust_text,
+                                        trace_gen.PCOPY_TEXT)
+    return config, world, policy, parse_trace(trace_text)
+
+
+def run_generated(intents, mode="full"):
+    """Replay a generated intent list; returns (config, events, policy, result)."""
+    config, world, policy, events = generated_bundle(intents, mode)
+    return config, events, policy, replay(world, events, policy)
+
+
+def check_generated(intents, mode="full"):
+    """`stbac check` of a generated intent list: check_replay's (TaintDiff,
+    BibaReport, replayer)."""
+    return check_replay(*generated_bundle(intents, mode))
+
+
+def assert_agrees(diff):
+    """The engine's tainted sets equal the oracle's on every event."""
+    assert diff.count == 0, [d.describe() for d in diff.divergences]

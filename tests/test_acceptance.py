@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from stbac import scenarios
-from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import parse_trust_list
+from stbac.cli import load_bundle
+from stbac.engine import DepGraph, Policy, _Replayer, iter_trace, parse_trace, replay
 from stbac.model import CONF, INTE, LEAK, TAINT
-from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
-from conftest import run_generated
+from conftest import assert_agrees, check_generated, run_generated
 import trace_gen
 
 
@@ -110,11 +109,9 @@ def test_criterion_3_remote_attack_scenario():
 @given(trace_gen.intents_strategy)
 @settings(max_examples=1000, deadline=None, derandomize=True)
 def test_criterion_4a_closure_equivalence_on_random_traces(intent_list):
-    config, events, policy, result = run_generated(intent_list)
-    oracle = closure_from_replay(config, policy.trust, events, result.records)
-    assert diff_taint(result.tainted_after, oracle, events) == []
+    diff, report, _ = check_generated(intent_list)
+    assert_agrees(diff)
     # criterion 5 rides along: the integrity conditions hold on the same corpus
-    report = check_biba(config, policy.trust, events, result.records)
     assert report.all_passed(), report.summary_lines()
 
 
@@ -143,26 +140,22 @@ MARKED_FIRST = {
 def test_criterion_4b_mutation_controls(rule_name, stub, scenario, monkeypatch):
     import stbac.taint
     monkeypatch.setattr(stbac.taint, rule_name, stub)
-    bundle = scenarios.load(scenario)
-    result = bundle.replay(track_taint=True)
-    oracle = closure_from_replay(bundle.config(), bundle.policy().trust,
-                                 bundle.events(), result.records)
-    divergences = diff_taint(result.tainted_after, oracle, bundle.events())
+    diff, _, _ = scenarios.load(scenario).check()
+    divergences = diff.divergences
     assert divergences, f"disabling {rule_name} went unnoticed on {scenario}"
+    assert len(divergences) == diff.count      # every diverging event is kept
     # the engine falls short of the oracle and never overshoots it
     assert all(d.missing and not d.extra for d in divergences), \
         [d.describe() for d in divergences]
     assert MARKED_FIRST[rule_name] in divergences[0].missing, divergences[0].describe()
     print(f"\nACCEPTANCE 4b (mutation control {rule_name}): PASS "
-          f"({len(divergences)} diverging events on {scenario})")
+          f"({diff.count} diverging events on {scenario})")
 
 
 def test_criterion_5_biba_on_bundled_scenarios():
     for name in scenarios.NAMES:
-        bundle = scenarios.load(name)
-        result = bundle.replay()
-        report = check_biba(bundle.config(), bundle.policy().trust,
-                            bundle.events(), result.records)
+        diff, report, _ = scenarios.load(name).check()
+        assert_agrees(diff)
         assert report.all_passed(), (name, report.summary_lines())
         if name == "remote_user":
             # every protected write was denied, so nothing even reaches
@@ -222,28 +215,24 @@ def test_criterion_7_compatibility_on_random_benign_traces(intent_list):
 
 
 def test_criterion_7_compatibility_explicit():
-    config = parse_init_config(trace_gen.BOOT_CONFIG)
-    world = spawn_boot_world(config)
-    policy = Policy(parse_trust_list(trace_gen.TRUST_BENIGN))
+    _, world, policy = load_bundle(trace_gen.BOOT_CONFIG, trace_gen.TRUST_BENIGN, "")
     result = replay(world, parse_trace(COMPAT_TRACE), policy)
     assert result.denial_records() == []
     print("\nACCEPTANCE 7 (compatibility): PASS "
           "(zero denials on trusted/local-only activity)")
 
 
-def synthetic_events(count):
-    return parse_trace(trace_gen.synthetic_trace(count))
-
-
 def timed_replay(count):
-    config = parse_init_config(trace_gen.PERF_BOOT)
-    world = spawn_boot_world(config)
-    events = synthetic_events(count)
-    assert len(events) == count
+    """Seconds the loop of `stbac replay` takes over a count-event trace:
+    parse each line and step it, keeping no event or record."""
+    _, world, policy = load_bundle(trace_gen.PERF_BOOT, "", "")
+    text = trace_gen.synthetic_trace(count)
     started = time.perf_counter()
-    result = replay(world, events, Policy())
+    replayer = _Replayer(world, policy, DepGraph())
+    for stepped, event in enumerate(iter_trace(text), 1):
+        replayer.step(event)
     elapsed = time.perf_counter() - started
-    assert len(result.records) == count
+    assert stepped == count
     return elapsed
 
 

@@ -636,6 +636,17 @@ class TestOneGrammar:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert listing.read_text() == entry
 
+    @pytest.mark.parametrize("token,message", BAD_PATHS, ids=[t for t, _ in BAD_PATHS])
+    @pytest.mark.parametrize("where", ["shared", "copy"])
+    def test_a_bad_pcopy_add_path(self, tmp_path, capsys, where, token, message):
+        """The bad argument is named alone, not as a line of the file, and
+        no file is written."""
+        listing = tmp_path / "list"
+        paths = [token, "/b"] if where == "shared" else ["/a", token]
+        assert main(["pcopy", "--pcopy", str(listing), "add", *paths]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not listing.exists()
+
     def test_a_star_port_is_refused_only_in_a_trace(self, bundle_dir, capsys):
         (bundle_dir / "trust.list").write_text("trust /bin/sh 10.0.0.1:* *:* tcp 0..inf\n")
         self.assert_refused(bundle_dir, capsys, "trace",

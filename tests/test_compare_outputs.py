@@ -1,8 +1,9 @@
 """tools/compare_outputs.py: a checkout matches itself, one changed error
 message, divergence line or trust listing in a copy of src/ is caught, and
-some mutants reach the copy map."""
+mutants reach the copy map and every file of a bundle."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,23 @@ def compare(old, new):
                           capture_output=True, text=True, timeout=300)
 
 
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def copy_src_replacing(tmp_path, module, old, new):
+    """A copy of src/ under tmp_path with one text of one module replaced."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "stbac" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
 def test_a_checkout_matches_itself():
     proc = compare(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -27,13 +45,8 @@ def test_a_checkout_matches_itself():
 
 
 def test_one_altered_error_message_is_a_difference(tmp_path):
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    model = tmp_path / "src" / "stbac" / "model.py"
-    text = model.read_text(encoding="utf-8")
-    old, new = 'f"path must be absolute: {path!r}"', 'f"path not absolute: {path!r}"'
-    assert text.count(old) == 1
-    model.write_text(text.replace(old, new), encoding="utf-8")
+    copy_src_replacing(tmp_path, "model.py", 'f"path must be absolute: {path!r}"',
+                       'f"path not absolute: {path!r}"')
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "replay stderr differs" in proc.stdout
@@ -43,13 +56,7 @@ def test_one_altered_error_message_is_a_difference(tmp_path):
 def test_an_altered_divergence_line_is_a_difference(tmp_path):
     """Only a failing check prints divergence lines; the checks with a taint
     rule stubbed reach them."""
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    oracle = tmp_path / "src" / "stbac" / "oracle.py"
-    text = oracle.read_text(encoding="utf-8")
-    assert text.count('"engine missing "') == 1
-    oracle.write_text(text.replace('"engine missing "', '"engine lacks "'),
-                      encoding="utf-8")
+    copy_src_replacing(tmp_path, "oracle.py", '"engine missing "', '"engine lacks "')
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "scenario remote_attack: check with taint.tr_sock_proc stubbed stdout differs" \
@@ -58,31 +65,58 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
 
 def test_an_altered_trust_listing_is_a_difference(tmp_path):
     """`trust list` runs on the bundles that are not mutants."""
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    guard = tmp_path / "src" / "stbac" / "guard.py"
-    text = guard.read_text(encoding="utf-8")
-    assert text.count('return (f"trust {entry.program}') == 1
-    guard.write_text(text.replace('return (f"trust {entry.program}',
-                                  'return (f"trust  {entry.program}'), encoding="utf-8")
+    copy_src_replacing(tmp_path, "guard.py", 'return (f"trust {entry.program}',
+                       'return (f"trust  {entry.program}')
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "scenario remote_user: trust stdout differs" in proc.stdout
 
 
 def test_some_mutants_mutate_the_copy_map_bundle(tmp_path):
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     assert "/etc/shared_copy" in tool.TOKENS
     cases = tool.build_cases(tmp_path, 0, 20)
-    sources = {}
+    copy_maps = {}
     for name, bundle, _, _ in cases:
         if name.startswith("mutant "):
             source = name.split(" of ", 1)[1].split(" (", 1)[0]
-            sources[source] = Path(bundle[bundle.index("--pcopy") + 1]).read_text()
-    assert set(sources) == {*tool.SCENARIOS, tool.COPY_MAP_SOURCE}
-    assert sources[tool.COPY_MAP_SOURCE] == "pcopy /etc/shared /etc/shared_copy\n"
+            copy_maps.setdefault(source, set()).add(
+                Path(bundle[bundle.index("--pcopy") + 1]).read_text())
+    assert set(copy_maps) == {*tool.SCENARIOS, tool.COPY_MAP_SOURCE}
+    assert "pcopy /etc/shared /etc/shared_copy\n" in copy_maps[tool.COPY_MAP_SOURCE]
+
+
+def test_each_mutant_swaps_one_token_of_one_file():
+    """A mutant changes at most one line of one file of its bundle (none when
+    the token drawn equals the one it replaces); the boot config, trust list,
+    copy map and trace are each mutated."""
+    tool = load_tool()
+    bundles = tool.source_bundles()
+    mutated = set()
+    for k in range(40):
+        name, files, what = tool.mutant(k, bundles)
+        assert list(files) == list(tool.PARTS)
+        changed = [part for part in tool.PARTS if files[part] != bundles[name][part]]
+        assert changed in ([], [what.split()[0]]), (k, what)
+        for part in changed:
+            before, after = bundles[name][part].splitlines(), files[part].splitlines()
+            assert len(before) == len(after)
+            assert sum(a != b for a, b in zip(before, after)) == 1, (k, what)
+            mutated.add(part)
+    assert mutated == set(tool.PARTS)
+
+
+def test_an_altered_boot_config_error_is_a_difference(tmp_path):
+    """A mutant of a boot config reaches the loader's error path."""
+    copy_src_replacing(tmp_path, "world.py",
+                       'raise ConfigError(f"line {line_no}: {exc}") from None\n    return config',
+                       'raise ConfigError(f"config line {line_no}: {exc}") from None\n'
+                       '    return config')
+    proc = compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert re.search(r"^mutant \d+ of [^(]+\(init\.cfg line .*\): replay stderr differs: "
+                     r".error: line \d+: .* -> .error: config line \d+: ", proc.stdout, re.M), \
+        proc.stdout
 
 
 def test_the_compared_checkouts_get_no_bytecode(tmp_path):

@@ -5,16 +5,17 @@ from pathlib import Path
 import pytest
 
 from stbac import engine, scenarios
+from stbac.cli import load_bundle
 from stbac.engine import (
     OPS,
     DepGraph,
     Policy,
+    _Replayer,
     apply_event,
     export_graph,
     parse_trace,
     replay,
 )
-from stbac.guard import parse_pcopy_map, parse_trust_list
 from stbac.model import CONF, LEAK, TAINT, TraceError
 from stbac.world import parse_init_config, spawn_boot_world
 
@@ -40,11 +41,9 @@ def boot(config=BOOT):
     return spawn_boot_world(parse_init_config(config))
 
 
-def run(trace_text, trust="", pcopy="", track_taint=False, config=BOOT):
-    world = boot(config)
-    policy = Policy(parse_trust_list(trust), parse_pcopy_map(pcopy))
-    events = parse_trace(trace_text)
-    return replay(world, events, policy, track_taint=track_taint)
+def run(trace_text, trust="", pcopy="", config=BOOT):
+    _, world, policy = load_bundle(config, trust, pcopy)
+    return replay(world, parse_trace(trace_text), policy)
 
 
 def fingerprint(world):
@@ -98,10 +97,9 @@ class TestEndpoints:
     def test_trust_port_with_leading_zero_matches(self):
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:5000,10.0.0.9:22,tcp\n")
-        result = run(trace, trust="trust /bin/sh *:* *:022 tcp 0..inf\n",
-                     track_taint=True)
+        result = run(trace, trust="trust /bin/sh *:* *:022 tcp 0..inf\n")
         assert result.world.sockets[1].trusted
-        assert result.tainted_after[-1] == frozenset()
+        assert engine.tainted_snapshot(result.world) == frozenset()
 
 
 class TestApplyBasics:
@@ -109,7 +107,7 @@ class TestApplyBasics:
         result = run("1,1,execve,/bin/copy\n"
                      "2,1,open_read,/etc/passwd\n"     # init gains conf
                      "3,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"  # taints init
-                     "4,1,fork,2\n", track_taint=True)
+                     "4,1,fork,2\n")
         rules = [c.rule for c in result.records[3].flag_changes]
         assert "TR_proc_proc" in rules and "VR_proc_proc" in rules
         child = result.world.processes[2]
@@ -172,11 +170,13 @@ class TestDeterminism:
              "8,3,exit\n")
 
     def test_bit_identical_audit_and_graph(self):
-        first = run(self.TRACE, track_taint=True)
-        second = run(self.TRACE, track_taint=True)
+        first = run(self.TRACE)
+        second = run(self.TRACE)
         assert first.audit_text() == second.audit_text()
         assert export_graph(first.graph) == export_graph(second.graph)
-        assert first.tainted_after == second.tainted_after
+        events = parse_trace(self.TRACE)
+        assert (tracked_snapshots(boot(), events, Policy())
+                == tracked_snapshots(boot(), events, Policy()))
 
 
 class TestAuditFormat:
@@ -656,8 +656,19 @@ def rebuilt_snapshots(world, events, policy):
     return out
 
 
+def tracked_snapshots(world, events, policy):
+    """_Replayer.tainted() after each event, stepping one replayer as
+    `stbac check` does."""
+    replayer = _Replayer(world, policy, None)
+    out = []
+    for event in events:
+        replayer.step(event)
+        out.append(replayer.tainted())
+    return out
+
+
 class TestTrackedSnapshots:
-    """A tracked replay rebuilds its snapshot from the world's tainted set
+    """A replayer rebuilds its tainted snapshot from the world's tainted set
     only when the world's taint epoch moved; every snapshot must still
     equal a full scan."""
 
@@ -685,7 +696,7 @@ class TestTrackedSnapshots:
 
     def test_hand_written_trace_matches_rebuilds(self):
         events = parse_trace(self.TRACE)
-        tracked = run(self.TRACE, track_taint=True).tainted_after
+        tracked = tracked_snapshots(boot(), events, Policy())
         assert tracked == rebuilt_snapshots(boot(), events, Policy())
         assert tracked[7] == {("file", "/tmp/e/x"), ("file", "/tmp/y"),
                               ("file", "/tmp/z"), ("proc", 2), ("proc", 3)}
@@ -697,9 +708,10 @@ class TestTrackedSnapshots:
     @pytest.mark.parametrize("name", scenarios.NAMES)
     def test_bundled_scenarios_match_rebuilds(self, name):
         bundle = scenarios.load(name)
-        tracked = bundle.replay(track_taint=True).tainted_after
-        world = spawn_boot_world(bundle.config())
-        assert tracked == rebuilt_snapshots(world, bundle.events(), bundle.policy())
+        _, world, policy = bundle.load()
+        tracked = tracked_snapshots(world, bundle.events(), policy)
+        _, world, policy = bundle.load()
+        assert tracked == rebuilt_snapshots(world, bundle.events(), policy)
         assert any(tracked)
 
     def test_untainted_structure_changes_do_not_rebuild(self, monkeypatch):
@@ -707,16 +719,17 @@ class TestTrackedSnapshots:
         snapshot = engine.tainted_snapshot
         monkeypatch.setattr(engine, "tainted_snapshot",
                             lambda world: rebuilds.append(world) or snapshot(world))
-        result = run("1,1,mkdir,/tmp/d\n"
-                     "2,1,create,/tmp/d/f,0\n"
-                     "3,1,create,/tmp/g,0\n"
-                     "4,1,fork,2\n"
-                     "5,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
-                     "6,1,unlink,/tmp/g\n"              # untainted file
-                     "7,1,rename,/tmp/d,/tmp/e\n",      # untainted directory
-                     track_taint=True)
+        tracked = tracked_snapshots(boot(), parse_trace(
+            "1,1,mkdir,/tmp/d\n"
+            "2,1,create,/tmp/d/f,0\n"
+            "3,1,create,/tmp/g,0\n"
+            "4,1,fork,2\n"
+            "5,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+            "6,1,unlink,/tmp/g\n"              # untainted file
+            "7,1,rename,/tmp/d,/tmp/e\n"),     # untainted directory
+            Policy())
         assert len(rebuilds) == 2   # the initial snapshot, then pid 2's taint
-        assert result.tainted_after[-1] == {("proc", 2)}
+        assert tracked[-1] == {("proc", 2)}
 
 
 class TestTableMapping:
@@ -816,8 +829,7 @@ class TestApplyEventGraph:
     @pytest.mark.parametrize("name", scenarios.NAMES)
     def test_apply_event_without_a_graph_gives_the_replay_records(self, name):
         bundle = scenarios.load(name)
-        world = spawn_boot_world(bundle.config())
-        policy = bundle.policy()
+        _, world, policy = bundle.load()
         records = [apply_event(world, event, policy) for event in bundle.events()]
         assert records == bundle.replay().records
 

@@ -14,8 +14,8 @@ import pytest
 
 import stbac
 from stbac import scenarios
-from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import parse_pcopy_map, parse_trust_list
+from stbac.cli import load_bundle
+from stbac.engine import parse_trace, replay
 from stbac.model import (
     AVAI,
     CONF,
@@ -30,7 +30,6 @@ from stbac.model import (
     parse_flag,
     parse_resource,
 )
-from stbac.world import parse_init_config, spawn_boot_world
 
 import trace_gen
 
@@ -63,8 +62,7 @@ def replays():
 
 
 def _replay(trace_text, trust_text):
-    world = spawn_boot_world(parse_init_config(trace_gen.BOOT_CONFIG))
-    policy = Policy(parse_trust_list(trust_text), parse_pcopy_map(trace_gen.PCOPY_TEXT))
+    _, world, policy = load_bundle(trace_gen.BOOT_CONFIG, trust_text, trace_gen.PCOPY_TEXT)
     return replay(world, parse_trace(trace_text), policy)
 
 

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stbac import scenarios
-from stbac.engine import OPS, Policy, parse_trace, replay
+from stbac.cli import check_replay, load_bundle
+from stbac.engine import OPS, parse_trace, replay
 from stbac.guard import parse_pcopy_map, parse_trust_list
 from stbac.model import StbacError
-from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import parse_init_config, spawn_boot_world
 
-from conftest import run_generated
+from conftest import assert_agrees, run_generated
 import trace_gen
 
 
@@ -47,7 +47,7 @@ def test_bundled_scenarios_name_only_wired_rules(name):
 @given(trace_gen.intents_strategy)
 @settings(max_examples=150, deadline=None)
 def test_generated_traces_name_only_wired_rules(intent_list):
-    _, _, _, result = run_generated(intent_list, track_taint=False)
+    _, _, _, result = run_generated(intent_list)
     assert_rules_are_wired(result.records)
 
 
@@ -160,15 +160,15 @@ SILENT_HOOKS = {("mkfifo", "TR_proc_proc"), ("mknod", "TR_proc_proc"),
                 ("open_write", "TR_proc_proc")}
 
 
-def replay_over_generated_boot(trace_text: str):
-    world = spawn_boot_world(parse_init_config(trace_gen.BOOT_CONFIG))
-    policy = Policy(parse_trust_list(trace_gen.TRUST_FULL),
-                    parse_pcopy_map(trace_gen.PCOPY_TEXT))
-    return replay(world, parse_trace(trace_text), policy, track_taint=True)
+def generated_boot_bundle() -> tuple:
+    """(config, world, policy) of trace_gen's boot config, full trust list
+    and copy map."""
+    return load_bundle(trace_gen.BOOT_CONFIG, trace_gen.TRUST_FULL, trace_gen.PCOPY_TEXT)
 
 
 def test_all_ops_trace_names_every_wired_family():
-    records = replay_over_generated_boot(ALL_OPS_TRACE).records
+    _, world, policy = generated_boot_bundle()
+    records = replay(world, parse_trace(ALL_OPS_TRACE), policy).records
     assert_rules_are_wired(records)
     named = {(record.op, rule) for record in records for rule in named_rules(record)}
     wired = {(op, family) for op, spec in OPS.items() for family in spec.families}
@@ -176,13 +176,8 @@ def test_all_ops_trace_names_every_wired_family():
 
 
 def test_all_ops_trace_passes_both_checkers():
-    config = parse_init_config(trace_gen.BOOT_CONFIG)
-    trust = parse_trust_list(trace_gen.TRUST_FULL)
-    events = parse_trace(ALL_OPS_TRACE)
-    result = replay_over_generated_boot(ALL_OPS_TRACE)
-    closure = closure_from_replay(config, trust, events, result.records)
-    assert diff_taint(result.tainted_after, closure, events) == []
-    report = check_biba(config, trust, events, result.records)
+    diff, report, _ = check_replay(*generated_boot_bundle(), parse_trace(ALL_OPS_TRACE))
+    assert_agrees(diff)
     assert report.all_passed(), report.summary_lines()
     assert len(report.cond_write.exceptions) == 2, report.cond_write.exceptions
 
@@ -217,8 +212,9 @@ def garbled_traces(draw) -> str:
 
 
 def assert_fails_only_with_a_line_number(trace_text: str):
+    _, world, policy = generated_boot_bundle()
     try:
-        replay_over_generated_boot(trace_text)
+        replay(world, parse_trace(trace_text), policy)
     except StbacError as exc:
         assert getattr(exc, "line", None) is not None, exc
 

@@ -7,34 +7,48 @@ from hypothesis import example, given, settings
 
 from stbac import oracle
 from stbac import scenarios
-from stbac.engine import Policy, parse_trace, replay
-from stbac.guard import (
-    TrustEntry,
-    match_trust,
-    parse_pcopy_map,
-    parse_trust_entry,
-    parse_trust_list,
-)
+from stbac.cli import check_replay, load_bundle
+from stbac.engine import AuditRecord, parse_trace, replay
+from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
 from stbac.model import INTE, TraceError
-from stbac.oracle import check_biba, closure_from_replay, diff_taint, taint_closure
-from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
+from stbac.oracle import check_biba, closure_from_replay, diff_taint
+from stbac.world import InitConfig, parent_of, parse_init_config
 
+from conftest import assert_agrees, generated_bundle
 import boot_gen
 import trace_gen
 
-BOOT = parse_init_config(
-    "node /bin dir 0\nnode /bin/sh file 1\nnode /srv dir 0\n"
-    "node /etc dir 0\nnode /etc/passwd file 0\n"
-    "node /sbin dir 0\nconf /etc/passwd\ninte /sbin\n")
+BOOT_TEXT = ("node /bin dir 0\nnode /bin/sh file 1\nnode /srv dir 0\n"
+             "node /etc dir 0\nnode /etc/passwd file 0\n"
+             "node /sbin dir 0\nconf /etc/passwd\ninte /sbin\n")
+BOOT = parse_init_config(BOOT_TEXT)
 
-TRUSTED = parse_trust_list("trust /bin/sh *:* *:* tcp 0..inf\n")
+TRUSTED_TEXT = "trust /bin/sh *:* *:* tcp 0..inf\n"
+TRUSTED = parse_trust_list(TRUSTED_TEXT)
 
 
-def run(trace_text, config=BOOT, trust=TRUSTED):
-    world = spawn_boot_world(config)
+def run(trace_text, config=BOOT_TEXT):
+    """(events, replay result) of a trace over a loaded bundle."""
+    _, world, policy = load_bundle(config, TRUSTED_TEXT, "")
     events = parse_trace(trace_text)
-    result = replay(world, events, Policy(list(trust)), track_taint=True)
-    return events, result
+    return events, replay(world, events, policy)
+
+
+def check(trace_text, config=BOOT_TEXT, pcopy=""):
+    """What `stbac check` runs on a trace: (TaintDiff, BibaReport, replayer)."""
+    return check_replay(*load_bundle(config, TRUSTED_TEXT, pcopy), parse_trace(trace_text))
+
+
+def allowed(events) -> list:
+    """An audit that allows every event, for walking traces the engine
+    never replayed."""
+    return [AuditRecord(ev.tick, ev.pid, "-", "-", ev.op, "-", "ALLOW") for ev in events]
+
+
+def closure_of_unreplayed(config, trace_text) -> list:
+    """The oracle closure of a trace with every event allowed."""
+    events = parse_trace(trace_text)
+    return closure_from_replay(config, TRUSTED, events, allowed(events))
 
 
 class TestClosure:
@@ -43,9 +57,9 @@ class TestClosure:
                  "2,1,socket_open,1,10.0.0.1:22,10.0.0.9:50,tcp\n"
                  "3,1,fork,2\n")
         events, result = run(trace)
-        sets = taint_closure(BOOT, TRUSTED, events)
-        assert all(s == frozenset() for s in sets)
-        assert diff_taint(result.tainted_after, sets, events) == []
+        sets = closure_from_replay(BOOT, TRUSTED, events, result.records)
+        assert sets == [frozenset()] * 3
+        assert_agrees(check(trace)[0])
 
     def test_chain_through_fork_and_exec(self):
         # socket taints p1; p1 forks p2; p2 drops an executable; p3 runs it
@@ -56,25 +70,22 @@ class TestClosure:
                  "5,3,create,/srv/drop,1\n"
                  "6,1,fork,4\n"
                  "7,4,execve,/srv/drop\n")
-        events, result = run(trace)
-        sets = taint_closure(BOOT, TRUSTED, events)
+        diff, _, replayer = check(trace)
+        assert_agrees(diff)
         # hand fixpoint over the five entities:
         # seed proc2 -> fork proc3 -> file /srv/drop -> exec proc4
-        assert sets[-1] == frozenset({
+        assert replayer.tainted() == frozenset({
             ("proc", 2), ("proc", 3), ("proc", 4), ("file", "/srv/drop")})
-        assert diff_taint(result.tainted_after, sets, events) == []
 
     def test_empty_trace(self):
-        events, result = run("")
-        assert taint_closure(BOOT, TRUSTED, events) == []
-        assert diff_taint(result.tainted_after, [], events) == []
+        diff, report, _ = check("")
+        assert (diff.events, diff.count) == (0, 0)
+        assert report.all_passed()
 
     def test_web_download_closure_names_the_whole_chain(self):
-        from stbac import scenarios
-        bundle = scenarios.load("web_download")
-        events = bundle.events()
-        sets = taint_closure(bundle.config(), bundle.policy().trust, events)
-        assert sets[-1] == frozenset({
+        diff, _, replayer = scenarios.load("web_download").check()
+        assert_agrees(diff)
+        assert replayer.tainted() == frozenset({
             ("proc", 300), ("proc", 302), ("proc", 303),
             ("file", "/home/user/consume-cpu"),
             ("file", "/home/user/consume-mem")})
@@ -84,21 +95,20 @@ class TestClosure:
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
                  "3,1,create,/sbin/drop,1\n")
-        events, result = run(trace)
-        oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        assert ("file", "/sbin/drop") not in oracle[-1]
-        assert diff_taint(result.tainted_after, oracle, events) == []
+        diff, _, replayer = check(trace)
+        assert_agrees(diff)
+        assert replayer.denials == 1
+        assert ("file", "/sbin/drop") not in replayer.tainted()
 
     def test_rename_tracks_taint_under_new_path(self):
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
                  "3,1,create,/srv/a,1\n"
                  "4,1,rename,/srv/a,/srv/b\n")
-        events, result = run(trace)
-        oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        assert ("file", "/srv/b") in oracle[-1]
-        assert ("file", "/srv/a") not in oracle[-1]
-        assert diff_taint(result.tainted_after, oracle, events) == []
+        diff, _, replayer = check(trace)
+        assert_agrees(diff)
+        assert ("file", "/srv/b") in replayer.tainted()
+        assert ("file", "/srv/a") not in replayer.tainted()
 
     @pytest.mark.parametrize("trace", [
         "1,1,fork,١٠",
@@ -112,7 +122,7 @@ class TestClosure:
     ])
     def test_unreplayed_trace_takes_ascii_integers_only(self, trace):
         with pytest.raises(TraceError, match="^line 1: "):
-            taint_closure(BOOT, TRUSTED, parse_trace(trace))
+            closure_of_unreplayed(BOOT, trace)
 
     @pytest.mark.parametrize("endpoints,message", [
         (":22,10.0.0.9:50", "bad endpoint ':22'"),
@@ -121,12 +131,13 @@ class TestClosure:
     ], ids=["empty local ip", "empty remote ip", "5000-digit port"])
     def test_unreplayed_trace_rejects_bad_endpoints(self, endpoints, message):
         with pytest.raises(TraceError, match=f"^line 1: {message}"):
-            taint_closure(BOOT, TRUSTED, parse_trace(f"1,1,socket_open,1,{endpoints},tcp"))
+            closure_of_unreplayed(BOOT, f"1,1,socket_open,1,{endpoints},tcp")
 
 
 class TestUnreplayedStructure:
-    """taint_closure stays total on traces the engine never replayed: an
-    operand may be missing or the tree may break rules the engine enforces."""
+    """The oracle stays total on traces the engine never replayed, walked
+    with every event allowed: an operand may be missing or the tree may
+    break rules the engine enforces."""
 
     BOOT = parse_init_config("node /a dir 0\nnode /a/x file 1\n")
 
@@ -138,15 +149,15 @@ class TestUnreplayedStructure:
     ], ids=["missing source", "missing parent", "missing target parent",
             "non-empty rmdir then rename"])
     def test_missing_or_broken_structure_gives_empty_sets(self, trace):
-        events = parse_trace(trace)
-        assert taint_closure(self.BOOT, [], events) == [frozenset()] * len(events)
+        assert closure_of_unreplayed(self.BOOT, trace) == (
+            [frozenset()] * len(parse_trace(trace)))
 
     def test_rename_into_itself_changes_nothing(self):
-        events = parse_trace("1,1,set_stbac_attr,/a/x,taint,1\n"
-                             "2,1,rename,/a,/a\n3,1,rename,/a,/a/y\n"
-                             "4,1,rename,/,/b\n")
-        assert taint_closure(self.BOOT, [], events) == [
-            frozenset({("file", "/a/x")})] * len(events)
+        trace = ("1,1,set_stbac_attr,/a/x,taint,1\n"
+                 "2,1,rename,/a,/a\n3,1,rename,/a,/a/y\n"
+                 "4,1,rename,/,/b\n")
+        assert closure_of_unreplayed(self.BOOT, trace) == [
+            frozenset({("file", "/a/x")})] * 4
 
     PATHS = ("/", "/a", "/a/x", "/a/x/z", "/a/y", "/b", "/b/x", "/c", "a", "/a/")
     OPS = ("create", "mkdir", "mkfifo", "unlink", "rmdir", "rename", "rename",
@@ -163,16 +174,17 @@ class TestUnreplayedStructure:
                 args = {"create": (path, "1"), "rename": (path, rng.choice(self.PATHS)),
                         "set_stbac_attr": (path, "taint", "1")}.get(op, (path,))
                 lines.append(",".join((str(tick), "1", op) + args))
-            events = parse_trace("\n".join(lines) + "\n")
+            trace = "\n".join(lines) + "\n"
+            events = parse_trace(trace)
             struct = oracle._Structure(self.BOOT)
-            for _ in oracle._walk(struct, [], ((ev, None) for ev in events)):
+            for _ in oracle._walk(struct, [], zip(events, allowed(events))):
                 pass
             for directory, kids in struct.kids.items():
                 assert struct.cells[directory.path] is directory, seed
                 for cell in kids:
                     assert struct.cells[cell.path] is cell, seed
                     assert parent_of(cell.path) == directory.path, seed
-            assert len(taint_closure(self.BOOT, [], events)) == len(events)
+            assert len(closure_of_unreplayed(self.BOOT, trace)) == len(events)
 
 
 def walk_structure(config, trust, events, records):
@@ -214,15 +226,14 @@ def assert_structure_matches(struct, world):
 
 
 def generated_case(seed: int, mode: str) -> tuple:
-    """A trace_gen trace weighted towards mkdir, unlink/rmdir and rename."""
+    """(config, world, policy, events) of a trace_gen trace weighted towards
+    mkdir, unlink/rmdir and rename."""
     rng = random.Random(seed)
     intents = [(rng.choice((rng.randrange(trace_gen.N_OPCODES), 23, 24, 25)),
                 rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 1),
                 rng.randint(0, 2))
                for _ in range(rng.randint(40, 160))]
-    trace_text, trust_text = trace_gen.build_trace(intents, mode)
-    policy = Policy(parse_trust_list(trust_text), parse_pcopy_map(trace_gen.PCOPY_TEXT))
-    return parse_init_config(trace_gen.BOOT_CONFIG), policy, parse_trace(trace_text)
+    return generated_bundle(intents, mode)
 
 
 class TestChildIndex:
@@ -231,17 +242,17 @@ class TestChildIndex:
     @pytest.mark.parametrize("name", scenarios.NAMES)
     def test_bundled_scenarios(self, name):
         bundle = scenarios.load(name)
+        config, _, policy = bundle.load()
         result = bundle.replay()
-        struct, _ = walk_structure(bundle.config(), bundle.policy().trust,
-                                   bundle.events(), result.records)
+        struct, _ = walk_structure(config, policy.trust, bundle.events(), result.records)
         assert_structure_matches(struct, result.world)
 
     @pytest.mark.parametrize("mode", ["full", "benign"])
     def test_generated_traces(self, mode):
         seen = {}
         for seed in range(40):
-            config, policy, events = generated_case(seed, mode)
-            result = replay(spawn_boot_world(config), events, policy)
+            config, world, policy, events = generated_case(seed, mode)
+            result = replay(world, events, policy)
             struct, counts = walk_structure(config, policy.trust, events, result.records)
             assert_structure_matches(struct, result.world)
             for kind, count in counts.items():
@@ -260,21 +271,20 @@ class TestChildIndex:
                  "8,1,rename,/srv/d,/srv/n/d2\n"
                  "9,1,rename,/srv/n,/srv/m\n"
                  "10,1,execve,/srv/m/d2/e/tool\n")
-        events, result = run(trace)
-        assert not result.denial_records()
-        oracle_sets = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        assert diff_taint(result.tainted_after, oracle_sets, events) == []
-        assert oracle_sets[-1] == frozenset({
-            ("proc", 1), ("proc", 2), ("file", "/srv/m/d2/e/tool")})
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        diff, report, replayer = check(trace)
+        assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
+        assert replayer.denials == 0
+        assert replayer.tainted() == frozenset({
+            ("proc", 1), ("proc", 2), ("file", "/srv/m/d2/e/tool")})
+        events, result = run(trace)
         struct, _ = walk_structure(BOOT, TRUSTED, events, result.records)
         assert_structure_matches(struct, result.world)
 
 
 def ungated_closure(config, trust, events, records):
     """Reference closure: the closure fold's loop with a fresh snapshot of
-    the live low entities after every event, as taint_closure computed it
+    the live low entities after every event, as the closure was computed
     before snapshots were gated."""
     struct = oracle._Structure(config)
     low_pids, low_cells, fifo_low = set(), set(), {}
@@ -299,24 +309,23 @@ def ungated_closure(config, trust, events, records):
 
 
 def uniform_case(seed: int, mode: str) -> tuple:
-    """A trace_gen trace over every opcode alike."""
+    """(config, world, policy, events) of a trace_gen trace over every
+    opcode alike."""
     rng = random.Random(seed)
     intents = [(rng.randrange(trace_gen.N_OPCODES), rng.randint(0, 7),
                 rng.randint(0, 7), rng.randint(0, 1), rng.randint(0, 2))
                for _ in range(rng.randint(40, 160))]
-    trace_text, trust_text = trace_gen.build_trace(intents, mode)
-    policy = Policy(parse_trust_list(trust_text), parse_pcopy_map(trace_gen.PCOPY_TEXT))
-    return parse_init_config(trace_gen.BOOT_CONFIG), policy, parse_trace(trace_text)
+    return generated_bundle(intents, mode)
 
 
 class TestGatedSnapshots:
     """The closure fold rebuilds its snapshot only where an event can change
     it; per event its sets equal the ungated reference's."""
 
-    def assert_matches_reference(self, config, policy, events):
+    def assert_matches_reference(self, config, world, policy, events):
         """The gated and ungated closures of a replayed trace; returns how
         many events reused the previous event's set object."""
-        result = replay(spawn_boot_world(config), events, policy)
+        result = replay(world, events, policy)
         gated = closure_from_replay(config, policy.trust, events, result.records)
         assert gated == ungated_closure(config, policy.trust, events, result.records)
         return sum(now is before for before, now in zip(gated, gated[1:]))
@@ -324,8 +333,7 @@ class TestGatedSnapshots:
     @pytest.mark.parametrize("name", scenarios.NAMES)
     def test_bundled_scenarios(self, name):
         bundle = scenarios.load(name)
-        reused = self.assert_matches_reference(bundle.config(), bundle.policy(),
-                                               bundle.events())
+        reused = self.assert_matches_reference(*bundle.load(), bundle.events())
         assert reused > 0
 
     @pytest.mark.parametrize("mode", ["full", "benign"])
@@ -474,29 +482,22 @@ class TestIndependence:
 
 
 class TestRedirectedAccesses:
-    BOOT = parse_init_config(
-        "node /bin dir 0\nnode /bin/sh file 1\nnode /etc dir 0\n"
-        "node /etc/passwd file 0\nnode /.stbac dir 0\n"
-        "node /.stbac/passwd file 1\n"      # executable copy, worst case
-        "conf /etc/passwd\ninte /etc/passwd\n")
+    BOOT = ("node /bin dir 0\nnode /bin/sh file 1\nnode /etc dir 0\n"
+            "node /etc/passwd file 0\nnode /.stbac dir 0\n"
+            "node /.stbac/passwd file 1\n"      # executable copy, worst case
+            "conf /etc/passwd\ninte /etc/passwd\n")
 
     def test_redirected_write_taints_the_copy_on_both_sides(self):
-        from stbac.guard import parse_pcopy_map
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
                  "3,1,open_write,/etc/passwd\n")
-        world = spawn_boot_world(self.BOOT)
-        events = parse_trace(trace)
-        policy = Policy(list(TRUSTED), parse_pcopy_map(
-            "pcopy /etc/passwd /.stbac/passwd\n"))
-        result = replay(world, events, policy, track_taint=True)
-        assert result.records[2].result == "ALLOW_REDIR(/.stbac/passwd)"
-        oracle = closure_from_replay(self.BOOT, TRUSTED, events, result.records)
-        assert ("file", "/.stbac/passwd") in oracle[-1]
-        assert ("file", "/etc/passwd") not in oracle[-1]
-        assert diff_taint(result.tainted_after, oracle, events) == []
-        report = check_biba(self.BOOT, TRUSTED, events, result.records)
+        diff, report, replayer = check(trace, self.BOOT,
+                                       "pcopy /etc/passwd /.stbac/passwd\n")
+        assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
+        assert replayer.denials == 0
+        assert ("file", "/.stbac/passwd") in replayer.tainted()
+        assert ("file", "/etc/passwd") not in replayer.tainted()
 
 
 class TestOrderRobustness:
@@ -534,10 +535,9 @@ class TestOrderRobustness:
 
         finals = set()
         for order in ("aaabbb", "bbbaaa", "ababab", "abbaab"):
-            events, result = run(interleave(order))
-            sets = taint_closure(BOOT, TRUSTED, events)
-            assert diff_taint(result.tainted_after, sets, events) == [], order
-            finals.add(sets[-1])
+            diff, _, replayer = check(interleave(order))
+            assert_agrees(diff)
+            finals.add(replayer.tainted())
         assert len(finals) == 1
         (final,) = finals
         assert ("file", "/srv/a") in final and ("file", "/srv/b") in final
@@ -556,28 +556,22 @@ class TestNegativeControls:
     def test_disabled_exec_rule_is_detected(self, monkeypatch):
         import stbac.taint
         monkeypatch.setattr(stbac.taint, "tr_exe_proc", lambda process, node: None)
-        events, result = run(self.TRACE)
-        oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        divergences = diff_taint(result.tainted_after, oracle, events)
-        assert divergences
-        assert ("proc", 3) in divergences[-1].missing
+        diff, _, _ = check(self.TRACE)
+        assert diff.count
+        assert ("proc", 3) in diff.divergences[-1].missing
 
     def test_over_tainting_engine_is_detected(self, monkeypatch):
         """An engine that trusts no endpoint taints a process the oracle
         keeps clean: the divergence names it as engine extra."""
         from stbac import engine
         monkeypatch.setattr(engine, "match_trust", lambda *args: False)
-        events, result = run("1,1,execve,/bin/sh\n"
-                             "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,tcp\n")
-        oracle_sets = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        assert [d.describe() for d in diff_taint(result.tainted_after, oracle_sets,
-                                                 events)] == [
+        diff, _, _ = check("1,1,execve,/bin/sh\n"
+                           "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,tcp\n")
+        assert [d.describe() for d in diff.divergences] == [
             "event 1 (tick 2): engine extra proc:1"]
 
     def test_correct_engine_has_no_divergence(self):
-        events, result = run(self.TRACE)
-        oracle = closure_from_replay(BOOT, TRUSTED, events, result.records)
-        assert diff_taint(result.tainted_after, oracle, events) == []
+        assert_agrees(check(self.TRACE)[0])
 
 
 class TestDevices:
@@ -588,18 +582,15 @@ class TestDevices:
     SUSPECT = ("1,1,execve,/bin/sh\n"
                "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n")
     MKNOD_CHMOD = SUSPECT + "3,1,mknod,/srv/x,device\n4,1,chmod,/srv/x,1\n"
-    BOOT_DEVICE = parse_init_config(
-        "node /bin dir 0\nnode /bin/sh file 1\nnode /dev dir 0\n"
-        "node /dev/x device 1\n")
+    BOOT_DEVICE = ("node /bin dir 0\nnode /bin/sh file 1\nnode /dev dir 0\n"
+                   "node /dev/x device 1\n")
 
-    def assert_device_untainted(self, trace, path, config=BOOT):
-        events, result = run(trace, config)
-        oracle = closure_from_replay(config, TRUSTED, events, result.records)
-        assert diff_taint(result.tainted_after, oracle, events) == []
-        report = check_biba(config, TRUSTED, events, result.records)
+    def assert_device_untainted(self, trace, path, config=BOOT_TEXT):
+        diff, report, replayer = check(trace, config)
+        assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
-        assert ("file", path) not in oracle[-1]
-        assert ("proc", 1) in oracle[-1]
+        assert ("file", path) not in replayer.tainted()
+        assert ("proc", 1) in replayer.tainted()
 
     def test_chmod_of_created_device(self):
         self.assert_device_untainted(self.MKNOD_CHMOD, "/srv/x")
@@ -619,8 +610,7 @@ class TestBiba:
                  "2,1,fork,2\n"
                  "3,2,create,/srv/tool,1\n"
                  "4,2,open_read,/etc/passwd\n")
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert report.all_passed()
         assert report.cond_write.exceptions == []
 
@@ -633,16 +623,14 @@ class TestBiba:
                  "4,2,create,/srv/drop,1\n"
                  "5,1,fork,3\n"
                  "6,3,execve,/srv/drop\n")
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert report.all_passed()
 
     def test_non_executable_drop_is_the_documented_exception(self):
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n"
                  "3,1,create,/srv/notes,0\n")
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert report.all_passed()
         assert len(report.cond_write.exceptions) == 1
 
@@ -650,8 +638,7 @@ class TestBiba:
         writes = "".join(f"{3 + i},1,create,/srv/n{i},0\n" for i in range(25))
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n" + writes)
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert report.cond_write.exception_count == 25
         assert len(report.cond_write.exceptions) == oracle.KEPT_EXCEPTIONS == 20
         assert report.cond_write.exceptions[-1] == (
@@ -663,8 +650,7 @@ class TestBiba:
         monkeypatch.setattr(stbac.taint, "tr_sock_proc", lambda process, socket: None)
         trace = ("1,1,execve,/bin/sh\n"
                  "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:50,udp\n")
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert not report.cond_read.passed
 
     def test_broken_integrity_rule_fails_the_write_condition(self, monkeypatch):
@@ -685,8 +671,7 @@ class TestBiba:
                  "9,1,truncate,/sbin/x\n"
                  "10,1,chmod,/sbin/x,0\n"
                  "11,1,open_write,/etc/passwd\n")
-        events, result = run(trace)
-        report = check_biba(BOOT, TRUSTED, events, result.records)
+        _, report, _ = check(trace)
         assert report.cond_read.passed and report.cond_exec.passed
         assert report.cond_write.violations == [
             "event 4 (create, tick 5): allowed creation in protected directory /sbin",
@@ -745,10 +730,6 @@ class TestGeneratedEquivalence:
                         rng.randint(0, 7), rng.randint(0, 1), rng.randint(0, 2))
                        for _ in range(rng.randint(0, 120))]
             trace_text, trust_text = trace_gen.build_trace(intents)
-            config = parse_init_config(trace_gen.BOOT_CONFIG)
-            world = spawn_boot_world(config)
-            events = parse_trace(trace_text)
-            trust = parse_trust_list(trust_text)
-            result = replay(world, events, Policy(trust), track_taint=True)
-            oracle = closure_from_replay(config, trust, events, result.records)
-            assert diff_taint(result.tainted_after, oracle, events) == [], seed
+            diff, _, _ = check_replay(*load_bundle(trace_gen.BOOT_CONFIG, trust_text, ""),
+                                      parse_trace(trace_text))
+            assert diff.count == 0, (seed, [d.describe() for d in diff.divergences])

@@ -8,14 +8,11 @@ import copy
 
 from hypothesis import given, settings
 
-from stbac.engine import Policy, apply_event, export_graph, parse_trace, replay
-from stbac.guard import parse_trust_list
+from stbac.engine import _Replayer, apply_event, export_graph
 from stbac.model import CONF, TAINT
-from stbac.oracle import check_biba, closure_from_replay, diff_taint
-from stbac.world import parse_init_config, spawn_boot_world
 
-from conftest import run_generated
-from test_engine import fingerprint, rebuilt_snapshots
+from conftest import assert_agrees, check_generated, generated_bundle, run_generated
+from test_engine import fingerprint, rebuilt_snapshots, tracked_snapshots
 import trace_gen
 
 intents = trace_gen.intents_strategy
@@ -24,26 +21,26 @@ intents = trace_gen.intents_strategy
 @given(intents)
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_oracle(intent_list):
-    config, events, policy, result = run_generated(intent_list)
-    oracle = closure_from_replay(config, policy.trust, events, result.records)
-    assert diff_taint(result.tainted_after, oracle, events) == []
+    diff, _, _ = check_generated(intent_list)
+    assert_agrees(diff)
 
 
 @given(intents)
 @settings(max_examples=100, deadline=None)
 def test_taint_is_never_cleared_by_rules(intent_list):
-    _, events, _, result = run_generated(intent_list)
-    for record in result.records:
-        for change in record.flag_changes:
-            if change.flag == TAINT:
-                assert change.on, record.line()
+    _, world, policy, events = generated_bundle(intent_list)
+    replayer = _Replayer(world, policy, None)
     # snapshot view: a tainted live process stays tainted until it exits
     exited = set()
     tainted_seen = set()
-    for event, snapshot in zip(events, result.tainted_after):
+    for event in events:
+        record = replayer.step(event)
+        for change in record.flag_changes:
+            if change.flag == TAINT:
+                assert change.on, record.line()
         if event.op == "exit":
             exited.add(event.pid)
-        now_tainted = {label for label in snapshot if label[0] == "proc"}
+        now_tainted = {label for label in replayer.tainted() if label[0] == "proc"}
         for label in tainted_seen - now_tainted:
             assert label[1] in exited, f"{label} lost taint while alive"
         tainted_seen |= now_tainted
@@ -52,11 +49,7 @@ def test_taint_is_never_cleared_by_rules(intent_list):
 @given(intents)
 @settings(max_examples=60, deadline=None)
 def test_denied_events_are_pure(intent_list):
-    trace_text, trust_text = trace_gen.build_trace(intent_list)
-    config = parse_init_config(trace_gen.BOOT_CONFIG)
-    world = spawn_boot_world(config)
-    events = parse_trace(trace_text)
-    policy = Policy(parse_trust_list(trust_text))
+    _, world, policy, events = generated_bundle(intent_list)
     for event in events:
         before = fingerprint(copy.deepcopy(world))
         record = apply_event(world, event, policy)
@@ -97,8 +90,7 @@ def test_audit_covers_every_event(intent_list):
 @given(intents)
 @settings(max_examples=100, deadline=None)
 def test_low_water_mark_conditions_hold(intent_list):
-    config, events, policy, result = run_generated(intent_list)
-    report = check_biba(config, policy.trust, events, result.records)
+    _, report, _ = check_generated(intent_list)
     assert report.cond_read.passed, report.cond_read.violations
     assert report.cond_exec.passed, report.cond_exec.violations
     assert report.cond_write.passed, report.cond_write.violations
@@ -118,13 +110,8 @@ def test_secret_content_is_never_readable_by_suspects(intent_list):
     """The leak channel is cut: whatever carries the secrecy label at read
     time, including files it spread to, is unreadable for tainted subjects
     (unless a partial copy absorbs the access)."""
-    from stbac.guard import parse_pcopy_map
-    trace_text, trust_text = trace_gen.build_trace(intent_list)
-    config = parse_init_config(trace_gen.BOOT_CONFIG)
-    world = spawn_boot_world(config)
-    policy = Policy(parse_trust_list(trust_text),
-                    parse_pcopy_map(trace_gen.PCOPY_TEXT))
-    for event in parse_trace(trace_text):
+    _, world, policy, events = generated_bundle(intent_list)
+    for event in events:
         expect_deny = False
         if event.op == "open_read":
             reader = world.processes.get(event.pid)
@@ -150,6 +137,7 @@ def test_identifier_freshness(intent_list):
 @given(intents)
 @settings(max_examples=60, deadline=None)
 def test_tracked_snapshots_match_per_event_rebuilds(intent_list):
-    config, events, policy, result = run_generated(intent_list)
-    rebuilt = rebuilt_snapshots(spawn_boot_world(config), events, policy)
-    assert result.tainted_after == rebuilt
+    _, world, policy, events = generated_bundle(intent_list)
+    tracked = tracked_snapshots(world, events, policy)
+    _, world, policy, events = generated_bundle(intent_list)
+    assert tracked == rebuilt_snapshots(world, events, policy)

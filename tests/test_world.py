@@ -65,6 +65,14 @@ class TestBoot:
         with pytest.raises(ConfigError, match="duplicate"):
             boot("node /x file 0\nnode /x file 0\n")
 
+    def test_flag_line_may_precede_its_node_line(self):
+        """Every node is made before any flag applies, so a flag line may
+        come before the node line of its path, or name a directory that a
+        later, deeper node line creates implicitly."""
+        world = boot("conf /a\ninte /d\nnode /a file 0\nnode /d/f file 0\n")
+        assert world.node_at("/a").flags == CONF
+        assert world.node_at("/d").flags == INTE
+
     def test_flag_on_missing_path_rejected(self):
         with pytest.raises(ConfigError, match="nonexistent"):
             boot("conf /nope\n")

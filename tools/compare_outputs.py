@@ -10,11 +10,12 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 * the `mix`, `fstree` and `ipc` workloads of perfbench/workloads.py at
   seeds 1..--seeds, once over the whole trace and once over the window
   `stbac check` runs on in the benchmark;
-* --mutants traces with one argument of one event swapped for a token from
-  TOKENS, to reach the error paths.  Each mutates a scenario trace or the
-  `fstree` seed-1 check window, the one input whose copy map is not empty
-  and whose trace redirects.  Mutant k is drawn from random.Random(k), so
-  a run is repeatable.
+* --mutants bundles with one token swapped for a token from TOKENS, to
+  reach the error paths: one argument of one event of the trace, or one
+  field after the directive of one line of the boot config, trust list or
+  copy map.  Each mutates a scenario or the `fstree` seed-1 check window,
+  the one input whose copy map is not empty and whose trace redirects.
+  Mutant k is drawn from random.Random(k), so a run is repeatable.
 
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
@@ -57,6 +58,9 @@ RULE_STUBS = ("taint.tr_sock_proc", "taint.tr_proc_proc", "taint.tr_proc_exe",
 # The mutated bundle with a partial copy: `fstree` at seed 1, cut to its
 # check window.
 COPY_MAP_SOURCE = "fstree check window"
+
+# The files of a bundle, in the order of their CLI arguments.
+PARTS = ("init.cfg", "trust.list", "pcopy.list", "scenario.trace")
 
 # Replacement arguments: integers out of range or malformed, bad and
 # missing paths, the fstree copy, endpoints, protocols, flags, mknod kinds,
@@ -125,22 +129,59 @@ results_path.write_text(json.dumps(results))
 """
 
 
-def mutant(k: int, traces: dict) -> tuple:
-    """(source bundle, mutated trace, description) of mutant k."""
+def _fields(part: str, line: str) -> list:
+    """A line's fields: comma-separated in a trace, whitespace-separated in
+    the other files."""
+    return line.split(",") if part == "scenario.trace" else line.split()
+
+
+def _slots(part: str, text: str) -> list:
+    """(line index, field index) of each token a mutant may swap: the
+    arguments of an event in a trace, the fields after the directive in the
+    other files."""
+    first = 3 if part == "scenario.trace" else 1
+    return [(i, j) for i, line in enumerate(text.splitlines())
+            if line.strip() and not line.lstrip().startswith("#")
+            for j in range(first, len(_fields(part, line)))]
+
+
+def mutant(k: int, bundles: dict) -> tuple:
+    """(source bundle, its files with one token swapped, description) of
+    mutant k."""
     rng = random.Random(k)
-    name = rng.choice(list(traces))
-    lines = traces[name].splitlines()
-    events = [i for i, line in enumerate(lines)
-              if line.strip() and not line.lstrip().startswith("#")
-              and line.count(",") >= 3]
-    index = rng.choice(events)
-    fields = lines[index].split(",")
-    arg = rng.randrange(3, len(fields))
+    name = rng.choice(list(bundles))
+    files = dict(bundles[name])
+    slots = {part: _slots(part, text) for part, text in files.items()}
+    part = rng.choice([part for part in PARTS if slots[part]])
+    index, field = rng.choice(slots[part])
+    lines = files[part].splitlines()
+    fields = _fields(part, lines[index])
     token = rng.choice(TOKENS)
-    fields[arg] = token
-    lines[index] = ",".join(fields)
+    fields[field] = token
+    lines[index] = ("," if part == "scenario.trace" else " ").join(fields)
+    files[part] = "\n".join(lines) + "\n"
     shown = token if len(token) <= 20 else f"{token[:8]}...({len(token)} chars)"
-    return name, "\n".join(lines) + "\n", f"line {index + 1} arg {arg - 2} := {shown!r}"
+    return name, files, f"{part} line {index + 1} field {field} := {shown!r}"
+
+
+def source_bundles() -> dict:
+    """The bundles a mutant is drawn from, each as {file name: text}: the
+    scenarios and COPY_MAP_SOURCE."""
+    bundles = {}
+    for name in SCENARIOS:
+        root = ROOT / "src" / "stbac" / "scenarios" / name
+        bundles[name] = {part: (root / part).read_text(encoding="utf-8")
+                         for part in PARTS}
+    w = _workloads().fstree(1)
+    bundles[COPY_MAP_SOURCE] = dict(zip(PARTS, (w.init_text, w.trust_text, w.pcopy_text,
+                                                w.check_trace_text())))
+    return bundles
+
+
+def _workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    return workloads
 
 
 def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
@@ -159,20 +200,11 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
         cases.append((name, ["--init", paths[0], "--trust", paths[1],
                              "--pcopy", paths[2]], paths[3], stubs))
 
-    bundles = {}
+    bundles = source_bundles()
     for name in SCENARIOS:
-        root = ROOT / "src" / "stbac" / "scenarios" / name
-        bundles[name] = {part: (root / part).read_text(encoding="utf-8")
-                         for part in ("init.cfg", "trust.list", "pcopy.list",
-                                      "scenario.trace")}
         add(f"scenario {name}", *bundles[name].values(), stubs=True)
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-    w = workloads.fstree(1)
-    bundles[COPY_MAP_SOURCE] = {"init.cfg": w.init_text, "trust.list": w.trust_text,
-                                "pcopy.list": w.pcopy_text,
-                                "scenario.trace": w.check_trace_text()}
+    workloads = _workloads()
     for name in WORKLOADS:
         for seed in range(1, seeds + 1):
             w = getattr(workloads, name)(seed)
@@ -181,12 +213,9 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
             add(f"{name} seed {seed} check window", w.init_text, w.trust_text,
                 w.pcopy_text, w.check_trace_text(), stubs=True)
 
-    traces = {name: bundle["scenario.trace"] for name, bundle in bundles.items()}
     for k in range(mutants):
-        name, trace, what = mutant(k, traces)
-        bundle = bundles[name]
-        add(f"mutant {k} of {name} ({what})", bundle["init.cfg"], bundle["trust.list"],
-            bundle["pcopy.list"], trace)
+        name, files, what = mutant(k, bundles)
+        add(f"mutant {k} of {name} ({what})", *files.values())
     return cases
 
 
