@@ -193,10 +193,20 @@ def _parse_span(token: str):
     return tick_from, tick_to
 
 
-def parse_pcopy_map(text: str) -> dict:
-    """The copy map as {shared path: copy path}."""
-    pcopy = {}
-    line_of = {}             # shared path -> line number of its entry
+class CopyMap(dict):
+    """The copy map as {shared path: copy path}, in file order; lines maps
+    each shared path to the line number of its entry."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self):
+        super().__init__()
+        self.lines = {}
+
+
+def parse_pcopy_map(text: str) -> CopyMap:
+    """The copy map of a file's text; each error names its line."""
+    pcopy = CopyMap()
     for line_no, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3 or fields[0] != "pcopy":
@@ -209,10 +219,10 @@ def parse_pcopy_map(text: str) -> dict:
         if shared in pcopy:
             raise ConfigError(f"copy map line {line_no}: duplicate entry for {shared}")
         pcopy[shared] = copy
-        line_of[shared] = line_no
+        pcopy.lines[shared] = line_no
     for shared, copy in pcopy.items():
         if copy in pcopy:
-            raise ConfigError(f"copy map line {line_of[shared]}: "
+            raise ConfigError(f"copy map line {pcopy.lines[shared]}: "
                               f"copy path {copy} is itself a shared path")
     return pcopy
 
@@ -235,10 +245,12 @@ def copy_fault(world: World, copy: str) -> str | None:
     return None
 
 
-def validate_pcopy_against_world(pcopy: dict, world: World):
-    """Every copy of the map must be a valid copy at boot."""
-    for shared, copy in sorted(pcopy.items()):
+def validate_pcopy_against_world(pcopy: CopyMap, world: World):
+    """Every copy of the map must be a valid copy at boot; the first entry
+    in file order that is not is reported with its line."""
+    for shared, copy in pcopy.items():
         fault = copy_fault(world, copy)
         if fault is not None:
             owner = f" (for {shared})" if fault is _MISSING else ""
-            raise ConfigError(f"partial copy {copy}{owner} {fault}")
+            raise ConfigError(f"copy map line {pcopy.lines[shared]}: "
+                              f"partial copy {copy}{owner} {fault}")

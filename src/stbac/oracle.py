@@ -95,6 +95,12 @@ class _Structure:
     to its child cells, so a rename visits the moved subtree only.  A cell
     whose parent path holds no directory (possible only in a trace the
     engine would reject) is in no kids entry and moves with no rename.
+
+    The boot tree is built in one pass over the config's node lines, in
+    file order, with add_cell's work done inline: each cell's parent path
+    is cut off its own path, missing directories above it are made first,
+    and a cell that lands on a taken path replaces the cell there.  Nothing
+    of it is shared with the world's boot.
     """
 
     def __init__(self, config: InitConfig):
@@ -103,16 +109,25 @@ class _Structure:
         self.live_pids = {1}
         self.exe_paths = {1: "-"}
         self.protected = set()   # INTE cells
+        cells, kids = self.cells, self.kids
         self.add_cell("/", "dir", False, None)
         for path, kind, exec_bits in config.nodes:
-            parent_path = parent_of(path)
-            parent = self.cells.get(parent_path)
+            parent_path = path.rpartition("/")[0] or "/"
+            parent = cells.get(parent_path)
             if parent is None:
                 parent = self._make_dirs(parent_path)
-            self.add_cell(path, kind, exec_bits, parent)
+            cell = _Cell(path, kind, exec_bits)
+            if cells.setdefault(path, cell) is not cell:
+                self.remove(path)
+                cells[path] = cell
+            siblings = kids.get(parent)
+            if siblings is not None:
+                siblings[cell] = None
+            if kind == "dir":
+                kids[cell] = {}
         for bit, path in config.marks:
-            if bit == INTE and path in self.cells:
-                self.protected.add(self.cells[path])
+            if bit == INTE and path in cells:
+                self.protected.add(cells[path])
 
     def _make_dirs(self, path: str) -> _Cell:
         """Create the missing directory cell at a boot path and every missing

@@ -26,7 +26,6 @@ from .model import (
     UnknownEntity,
     ascii_int,
     check_path,
-    content_lines,
     flag_bits,
     parse_flag,
     parse_resource,
@@ -150,20 +149,22 @@ class World:
         """Insert a node at a free path straight under the node parent_id,
         which must be a directory (None only for "/").  The one inserter:
         callers check that the path is free and is an entry of parent_id."""
+        kids = self.kids
         siblings = None
         if parent_id is not None:
-            siblings = self.kids.get(parent_id)
+            siblings = kids.get(parent_id)
             if siblings is None:
                 raise StbacError(
                     f"parent is not a directory: {self.fs[parent_id].path}")
-        node = FsNode(self.next_node_id, path, kind, exec_bits, parent=parent_id)
-        self.next_node_id += 1
-        self.fs[node.node_id] = node
-        self.path_index[path] = node.node_id
+        node_id = self.next_node_id
+        self.next_node_id = node_id + 1
+        node = FsNode(node_id, path, kind, exec_bits, NO_FLAGS, parent_id)
+        self.fs[node_id] = node
+        self.path_index[path] = node_id
         if siblings is not None:
-            siblings[node.node_id] = node
+            siblings[node_id] = node
         if kind == "dir":
-            self.kids[node.node_id] = {}
+            kids[node_id] = {}
         return node
 
     def remove_node(self, node: FsNode):
@@ -283,9 +284,15 @@ class InitConfig:
 
 
 def parse_init_config(text: str) -> InitConfig:
+    """One pass over the lines.  str.split() alone tells a blank line (no
+    fields) and a # comment (a first field starting with #) from a
+    directive, so a line is stripped only to quote it in an error."""
     config = InitConfig()
-    for line_no, line in content_lines(text):
+    nodes, node_lines = config.nodes, config.node_lines
+    for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields:
+            continue
         directive = fields[0]
         try:
             if directive == "node":
@@ -299,8 +306,10 @@ def parse_init_config(text: str) -> InitConfig:
                     check_path(path)
                 if exec_bit != "0" and exec_bit != "1":
                     raise ConfigError(f"expected 0 or 1, got {exec_bit!r}")
-                config.nodes.append((path, kind, exec_bit == "1"))
-                config.node_lines.append(line_no)
+                nodes.append((path, kind, exec_bit == "1"))
+                node_lines.append(line_no)
+            elif directive[0] == "#":
+                continue
             elif directive in ("conf", "inte", "leak"):
                 _, path = fields
                 config.marks.append((parse_flag(directive), check_path(path)))
@@ -325,7 +334,8 @@ def parse_init_config(text: str) -> InitConfig:
             else:
                 raise ConfigError(f"unknown directive {directive!r}")
         except ValueError:
-            raise ConfigError(f"line {line_no}: malformed directive: {line}") from None
+            raise ConfigError(f"line {line_no}: malformed directive: "
+                              f"{line.strip()}") from None
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     return config
@@ -334,23 +344,28 @@ def parse_init_config(text: str) -> InitConfig:
 def spawn_boot_world(config: InitConfig) -> World:
     """Build the boot-time world: filesystem tree, labels, ledger, init process.
 
-    Boot marks are explicit only; directory inheritance applies to nodes
-    created later during replay, not to the configured tree.
+    One pass over the node lines, in file order: each node's parent path is
+    cut off its own path and looked up once, _make_dirs runs only when that
+    parent is missing, and every node, implicit directories included, goes
+    in through World.add_node.  Boot marks are explicit only; directory
+    inheritance applies to nodes created later during replay, not to the
+    configured tree.
     """
     world = World()
-    world.add_node("/", "dir", False, None)
+    add_node, path_index = world.add_node, world.path_index
+    add_node("/", "dir", False, None)
     for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines,
                                                 strict=True):
         try:
-            if path in world.path_index:
+            if path in path_index:
                 # A repeated node line, or a directory named after a deeper
                 # path created it implicitly: declare directories first.
                 raise ConfigError(f"duplicate path in config: {path}")
-            parent_path = parent_of(path)
-            parent_id = world.path_index.get(parent_path)
+            parent_path = path.rpartition("/")[0] or "/"
+            parent_id = path_index.get(parent_path)
             if parent_id is None:
                 parent_id = _make_dirs(world, parent_path)
-            world.add_node(path, kind, exec_bits, parent_id)
+            add_node(path, kind, exec_bits, parent_id)
         except StbacError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     for (bit, path), line_no in zip(config.marks, config.mark_lines, strict=True):

@@ -288,7 +288,7 @@ conf /etc/passwd
         (tmp_path / "init.cfg").write_text(self.BOOT)
         (tmp_path / "pcopy.list").write_text("pcopy /etc/passwd /nope\n")
         (tmp_path / "trace").write_text(self.TRACE)
-        message = "partial copy /nope (for /etc/passwd) missing from the tree"
+        message = "copy map line 1: partial copy /nope (for /etc/passwd) missing from the tree"
         assert main(["replay", "--init", str(tmp_path / "init.cfg"),
                      "--pcopy", str(tmp_path / "pcopy.list"),
                      str(tmp_path / "trace")]) == 2

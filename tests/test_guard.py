@@ -261,17 +261,35 @@ class TestPartialCopies:
         missing = parse_pcopy_map("pcopy /etc/passwd /.stbac/nope\n")
         with pytest.raises(ConfigError, match="missing"):
             validate_pcopy_against_world(missing, world)
-        with pytest.raises(ConfigError, match=r"^partial copy /\.stbac/nope "
-                           r"\(for /etc/passwd\) missing from the tree$"):
+        with pytest.raises(ConfigError, match=r"^copy map line 1: partial copy "
+                           r"/\.stbac/nope \(for /etc/passwd\) missing from the tree$"):
             validate_pcopy_against_world(missing, world)
         not_file = parse_pcopy_map("pcopy /etc/passwd /d\n")
-        with pytest.raises(ConfigError,
-                           match="^partial copy /d is not a regular file$"):
+        with pytest.raises(ConfigError, match="^copy map line 1: "
+                           "partial copy /d is not a regular file$"):
             validate_pcopy_against_world(not_file, world)
         world.node_at("/.stbac/passwd").flags |= CONF
-        with pytest.raises(ConfigError,
-                           match=r"^partial copy /\.stbac/passwd must not be marked conf$"):
+        with pytest.raises(ConfigError, match=r"^copy map line 1: partial copy "
+                           r"/\.stbac/passwd must not be marked conf$"):
             validate_pcopy_against_world(pcopy, world)
+
+    # A valid entry on line 2, the bad one on line 4 and a second bad one
+    # after it: the error names the first bad entry in file order.
+    @pytest.mark.parametrize("bad,message", [
+        ("pcopy /etc/shadow /nope",
+         "copy map line 4: partial copy /nope (for /etc/shadow) missing from the tree"),
+        ("pcopy /etc/shadow /d",
+         "copy map line 4: partial copy /d is not a regular file"),
+        ("pcopy /etc/shadow /etc/passwd",
+         "copy map line 4: partial copy /etc/passwd must not be marked conf"),
+    ])
+    def test_the_first_bad_copy_names_its_line(self, world, bad, message):
+        pcopy = parse_pcopy_map(f"# copies\npcopy /f /.stbac/passwd\n\n{bad}\n"
+                                "pcopy /a /also-missing\n")
+        assert pcopy.lines == {"/f": 2, "/etc/shadow": 4, "/a": 5}
+        with pytest.raises(ConfigError) as info:
+            validate_pcopy_against_world(pcopy, world)
+        assert str(info.value) == message
 
     def test_copy_fault_names_each_condition(self, world):
         assert copy_fault(world, "/.stbac/passwd") is None

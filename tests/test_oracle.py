@@ -10,9 +10,9 @@ from stbac import scenarios
 from stbac.cli import check_replay, load_bundle
 from stbac.engine import AuditRecord, parse_trace, replay
 from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
-from stbac.model import INTE, TraceError
+from stbac.model import INTE, ConfigError, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
-from stbac.world import InitConfig, parent_of, parse_init_config
+from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
 
 from conftest import assert_agrees, generated_bundle
 import boot_gen
@@ -430,6 +430,48 @@ class TestBootStructure:
         config = parse_init_config(text)
         assert (structure_shape(oracle._Structure(config))
                 == structure_shape(structure_cell_by_cell(config)))
+
+
+def world_tree(world):
+    """Each live path's kind, exec bits, parent path and children in order."""
+    fs = world.fs
+    return {node.path: (node.kind, node.exec_bits,
+                        None if node.parent is None else fs[node.parent].path,
+                        [child.path for child in world.kids.get(node.node_id, {}).values()])
+            for node in fs.values()}
+
+
+def structure_tree(struct):
+    """The same, read off the oracle's cells and its own child index."""
+    parents = {child: d.path for d, kids in struct.kids.items() for child in kids}
+    return {path: (cell.kind, cell.exec_bits, parents.get(cell),
+                   [child.path for child in struct.kids.get(cell, ())])
+            for path, cell in struct.cells.items()}
+
+
+class TestBootsAgree:
+    """The world and the oracle's structure, each booted its own way from
+    the same config, describe the same tree."""
+
+    @given(boot_gen.boot_configs)
+    @example("node /a/b/c file 1\nnode /d dir 0\nnode /a/e device 0\ninte /a/b\n")
+    @example("inte /\nnode /c file 1\n")
+    @settings(max_examples=400, deadline=None)
+    def test_world_and_structure_agree(self, text):
+        # Drop each line boot refuses (its error names it) until the rest
+        # boots, so every generated config gives a tree to compare.
+        lines = text.splitlines()
+        while True:
+            config = parse_init_config("\n".join(lines))
+            try:
+                world = spawn_boot_world(config)
+                break
+            except ConfigError as exc:
+                del lines[int(str(exc).split(":")[0].removeprefix("line ")) - 1]
+        struct = oracle._Structure(config)
+        assert structure_tree(struct) == world_tree(world)
+        assert ({cell.path for cell in struct.protected}
+                == {node.path for node in world.fs.values() if node.flags & INTE})
 
 
 class TestIndependence:

@@ -22,6 +22,9 @@ from stbac.model import (
     ConfigError,
     StbacError,
     TraceError,
+    ascii_int,
+    parse_flag,
+    parse_resource,
 )
 from stbac.world import (
     INIT_PID,
@@ -201,6 +204,111 @@ class TestBootDifferential:
         with pytest.raises(ConfigError) as info:
             parse_init_config(line + "\n")
         assert str(info.value) == message
+
+
+def parse_line_by_line(text):
+    """Reference boot parser: strip each line, skip blank and # lines, then
+    read one directive, its checks in the order their errors are reported."""
+    config = InitConfig()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if fields[0] == "node":
+                if len(fields) != 4:
+                    raise ValueError
+                _, path, kind, exec_bit = fields
+                if kind not in ("file", "dir", "device"):
+                    raise ConfigError(f"bad node kind {kind!r}")
+                check_path(path)
+                if exec_bit not in ("0", "1"):
+                    raise ConfigError(f"expected 0 or 1, got {exec_bit!r}")
+                config.nodes.append((path, kind, exec_bit == "1"))
+                config.node_lines.append(line_no)
+            elif fields[0] in ("conf", "inte", "leak"):
+                if len(fields) != 2:
+                    raise ValueError
+                config.marks.append((parse_flag(fields[0]), check_path(fields[1])))
+                config.mark_lines.append(line_no)
+            elif fields[0] == "hwm":
+                if len(fields) != 4:
+                    raise ValueError
+                kind = parse_resource(fields[1])
+                limit, percent = ascii_int(fields[2]), ascii_int(fields[3])
+                if limit < 0:
+                    raise ConfigError("per-taint limit must be >= 0")
+                if not 0 < percent <= 100:
+                    raise ConfigError(f"system percentage {percent} outside (0,100]")
+                config.hwms[kind] = (limit, percent)
+            elif fields[0] == "cap":
+                if len(fields) != 3:
+                    raise ValueError
+                kind = parse_resource(fields[1])
+                total = ascii_int(fields[2])
+                if total <= 0:
+                    raise ConfigError("system total must be positive")
+                config.caps[kind] = total
+            else:
+                raise ConfigError(f"unknown directive {fields[0]!r}")
+        except ValueError:
+            raise ConfigError(f"line {line_no}: malformed directive: {line}") from None
+        except StbacError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    return config
+
+
+def parse_outcome(parse, text):
+    try:
+        config = parse(text)
+    except ConfigError as exc:
+        return str(exc)
+    return (config.nodes, config.node_lines, config.marks, config.mark_lines,
+            config.hwms, config.caps)
+
+
+class TestParserDifferential:
+    """parse_init_config against a line-at-a-time reference parser, on
+    texts with malformed lines, odd whitespace and line breaks."""
+
+    @given(boot_gen.raw_boot_texts)
+    @example("  node /a file 0\n\tinte\t/a\n")              # leading whitespace
+    @example("node /a\x0cfile 0\n")                           # a break inside a line
+    @example("node\x1f/a\xa0file\t0\n\x1c\nconf /a\n")          # spaces, not breaks
+    @example("   # node /a file 9\n\t#\nnode /b dir 1\n")      # indented comments
+    @example("node a/ sock 2\n")                               # every check fails
+    @example("node /a file 0 # trailing comment\n")
+    @example("hwm cpu_ticks 3 50\nhwm cpu_ticks 4 60\ncap cpu_ticks ١٢\n")
+    @settings(max_examples=500, deadline=None)
+    def test_matches_line_by_line_parser(self, text):
+        assert parse_outcome(parse_init_config, text) == parse_outcome(parse_line_by_line,
+                                                                       text)
+
+    def test_the_texts_reach_every_outcome(self):
+        """The generated texts parse, fail on a node line's kind, path or exec
+        bit, fail on a field count and carry breaks and odd spaces."""
+        seen = set()
+
+        @given(boot_gen.raw_boot_texts)
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def collect(text):
+            outcome = parse_outcome(parse_init_config, text)
+            if not isinstance(outcome, str):
+                seen.add("parsed")
+            else:
+                for mark in ("bad node kind", "path must be absolute", "trailing slash",
+                             "empty path component", "comma", "expected 0 or 1",
+                             "malformed directive", "unknown"):
+                    if mark in outcome:
+                        seen.add(mark)
+            seen.update(c for c in "\x0c\x1c\x1f\xa0\t" if c in text)
+
+        collect()
+        assert seen == {"parsed", "bad node kind", "path must be absolute",
+                        "trailing slash", "empty path component", "comma",
+                        "expected 0 or 1", "malformed directive", "unknown",
+                        "\x0c", "\x1c", "\x1f", "\xa0", "\t"}
 
 
 class TestLookup:
