@@ -35,8 +35,8 @@ boot_configs = st.lists(
 
 # -- malformed and oddly spaced lines -------------------------------------------
 
-# One path of each break of the path rule: relative, trailing slash, empty
-# component (twice), comma.
+# Paths that break the path rule: relative (twice), trailing slash (twice),
+# empty component, comma.
 BAD_PATHS = ("a", "a/b", "/a/", "//", "/a//b", "/a,b")
 
 # Node lines whose path, kind and exec bit may each be bad, so that one line
