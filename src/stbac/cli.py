@@ -11,13 +11,14 @@ the tests call the same two functions.
 
 replay, graph and check read the trace one event at a time (engine.iter_trace)
 and step the engine over it; they keep no list of events or audit records,
-so their memory grows with the world, not with the trace.  No output is
-written until the whole trace has replayed: audit lines wait in a spool that
-spills to an anonymous temporary file past SPOOL_CHARS, and a malformed or
-inapplicable event, reported with its line, leaves stdout and every output
-file as they were.  Trace errors come in trace order: the first bad line is
-reported, whether it is malformed or names something the replay does not
-have.
+so their memory grows with the world, not with the trace; only graph and
+replay --dot record the dependency graph, whose edges do grow with it.  No
+output is written until the whole trace has replayed: audit lines wait in a
+spool that spills to an anonymous temporary file past SPOOL_CHARS, and a
+malformed or inapplicable event, reported with its line, leaves stdout and
+every output file as they were.  Trace errors come in trace order: the
+first bad line is reported, whether it is malformed or names something the
+replay does not have.
 """
 
 from __future__ import annotations
@@ -203,12 +204,13 @@ def _load(args) -> tuple:
     return config, world, policy, iter_trace(_read(args.trace))
 
 
-def _stream(args, audit=None) -> _Replayer:
-    """Step a replayer over the trace, one event at a time, writing each
-    audit line to audit (a text file) when given, AUDIT_BATCH lines per
-    write.  Returns the replayer: its graph, and its count of denials."""
+def _stream(args, graph, audit=None) -> _Replayer:
+    """Step a replayer over the trace, one event at a time, recording its
+    edges in graph and writing each audit line to audit (a text file) when
+    given, AUDIT_BATCH lines per write.  Returns the replayer: its graph,
+    and its count of denials."""
     _, world, policy, events = _load(args)
-    replayer = _Replayer(world, policy, DepGraph())
+    replayer = _Replayer(world, policy, graph)
     lines = []
     for event in events:
         record = replayer.step(event)
@@ -223,16 +225,17 @@ def _stream(args, audit=None) -> _Replayer:
 
 
 def check_replay(config, world, policy, events) -> tuple:
-    """Step the engine and the oracle's one pass together, one (event,
-    record) pair at a time, comparing each event's tainted sets as soon as
-    both sides have stepped it.  Returns the TaintDiff, the BibaReport and
-    the replayer."""
+    """Step the engine and the oracle's one pass together, one event at a
+    time: the engine's record of an event feeds the oracle's step, and the
+    two tainted sets are compared at once.  Returns the TaintDiff, the
+    BibaReport and the replayer."""
     replayer = _Replayer(world, policy, None)     # check exports no graph
     one_pass = OnePass(config, policy.trust)
     diff = TaintDiff(SHOWN_DIVERGENCES)
     step, tainted, compare = replayer.step, replayer.tainted, diff.add
-    for event, oracle_set in one_pass.run((ev, step(ev)) for ev in events):
-        compare(event.tick, tainted(), oracle_set)
+    for event in events:
+        record = step(event)
+        compare(event.tick, tainted(), one_pass.step(event, record))
     return diff, one_pass.report, replayer
 
 
@@ -251,7 +254,7 @@ def cmd_replay(args) -> int:
     # then in an anonymous temporary file.
     with tempfile.SpooledTemporaryFile(SPOOL_CHARS, mode="w+", encoding="utf-8",
                                        newline="") as audit:
-        replayer = _stream(args, audit)
+        replayer = _stream(args, DepGraph() if args.dot else None, audit)
         _deliver(audit, args.audit)
     if args.dot:
         _write(args.dot, export_graph(replayer.graph))
@@ -259,7 +262,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    replayer = _stream(args)
+    replayer = _stream(args, DepGraph())
     dot = export_graph(replayer.graph)
     if args.dot:
         _write(args.dot, dot)
@@ -365,7 +368,7 @@ def cmd_pcopy_remove(args) -> int:
         return EXIT_DENIED
     del pcopy[args.shared]
     _write(args.pcopy, "".join(f"pcopy {shared} {copy}\n"
-                               for shared, copy in sorted(pcopy.items())))
+                               for shared, copy in pcopy.items()))
     return EXIT_OK
 
 

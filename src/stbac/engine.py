@@ -261,13 +261,6 @@ def tainted_snapshot(world: World) -> frozenset:
                      for ref in world.tainted)
 
 
-def apply_event(world: World, event: Event, policy: Policy,
-                graph: DepGraph | None = None) -> AuditRecord:
-    """Run one event through guard and rules; mutate the world on allow.
-    Without a graph, the event's edges go to a fresh one."""
-    return _Replayer(world, policy, DepGraph() if graph is None else graph).step(event)
-
-
 def replay(world: World, events, policy: Policy | None = None) -> ReplayResult:
     """Replay events in order and keep every record: a collector over
     _Replayer.step."""

@@ -98,8 +98,9 @@ PROTOCOLS = ("tcp", "udp")
 
 
 def content_lines(text: str):
-    """Yield (line number, stripped line) for every line of a trace or
-    config file that is neither blank nor a # comment."""
+    """Yield (line number, stripped line) for every line of a trust list or
+    copy map that is neither blank nor a # comment.  The boot config and
+    trace parsers apply the same rule inline, in their own one loop."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):

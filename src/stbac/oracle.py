@@ -1,14 +1,14 @@
 """Independent brute-force verifiers for the rule engine.
 
-One structural walker, _walk, replays the allowed events of a trace over a
+One plain function, _facts, applies an allowed event of a trace to a
 _Structure (paths, exec bits, pids, protected cells) rebuilt from the boot
-config and the raw trace alone, and yields for each event the flow facts
-it implies.  The structure keeps its own child index, so a rename costs
-the size of the moved subtree; nothing of it comes from the world.
+config and the raw trace alone, and returns the flow facts the event
+implies.  The structure keeps its own child index, so a rename costs the
+size of the moved subtree; nothing of it comes from the world.
 
 A fact is (kind, target, source, detail).  It names its source entity
 instead of judging it ("child of pid P", not "child of a low pid"), so one
-walk serves any view of which entities are low: a fact holds in a view
+structure serves any view of which entities are low: a fact holds in a view
 where its source is low, and a source of None always holds.  The kinds:
 
 * _READ: a pid that low input must lower (an untrusted endpoint, an IPC
@@ -26,12 +26,12 @@ where its source is low, and a source of None always holds.  The kinds:
 * _LIVE and _TREE: a pid was born or exited, and a path op ran; they move
   the live entities under a view's low sets without changing the sets.
 
-The one pass, OnePass, builds one structure, walks (event, audit record)
-pairs once as they come and hands each event's facts to two folds, so
-cli.check_replay, which `stbac check` and the differential tests run,
-steps it in lockstep with the engine and keeps no event or record.  Each
-fold judges lowness in its own view and keeps its own record of which fifo
-messages were low:
+The one pass, OnePass, builds one structure and steps one event and its
+audit record at a time, as the engine's _Replayer steps one event, handing
+the event's facts to two folds; cli.check_replay, which `stbac check` and
+the differential tests run, calls the two steps in one loop and keeps no
+event or record.  Each fold judges lowness in its own view and keeps its
+own record of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
   sets, sharing no code with the taint rule module.  Its snapshot of the
@@ -50,13 +50,13 @@ and keeps the first few.  Trusted endpoints are matched by the
 oracle's own reading of the trust entries, so nothing here comes from the
 engine, the rule modules or the guard.
 
-The walk reads each event's access verdict off its audit record when it
-reaches that event: a denied event adds no facts and no structure, since
-the engine applies nothing on a denial, and an ALLOW_REDIR(copy) makes the
-access act on the copy.  A record whose tick, pid or op is not its event's
-is refused with ValueError.  verify_replay and diff_taint collect the pass
-and the comparison over whole lists, and closure_from_replay and
-check_biba are views of verify_replay.
+OnePass.step reads each event's access verdict off its audit record: a
+denied event adds no facts and no structure, since the engine applies
+nothing on a denial, and an ALLOW_REDIR(copy) makes the access act on the
+copy.  A record whose tick, pid or op is not its event's is refused with
+ValueError.  verify_replay and diff_taint collect the pass and the
+comparison over whole lists, and closure_from_replay and check_biba are
+views of verify_replay.
 """
 
 from __future__ import annotations
@@ -265,126 +265,111 @@ _TREE_FACT = (_TREE, None, None, None)
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
-def _walk(struct: _Structure, trust, pairs):
-    """Apply each allowed event of (event, audit record) pairs to struct;
-    yield (index, event, record, facts) for every pair, with facts None for
-    an event its record denies.  A record ALLOW_REDIR(copy) makes a
-    redirectable op act on the copy.  A record whose tick, pid or op is not
-    its event's raises ValueError."""
-    for index, (ev, record) in enumerate(pairs):
-        op, args, pid = ev.op, ev.args, ev.pid
-        if record.tick != ev.tick or record.pid != pid or record.op != op:
-            raise ValueError(f"audit record {index} ({record.op}, tick {record.tick}, "
-                             f"pid {record.pid}) is not the record of event {index} "
-                             f"({op}, tick {ev.tick}, pid {pid})")
-        result = record.result
-        if result != "ALLOW":
-            if result.startswith("DENY("):
-                yield index, ev, record, None
-                continue
-            if op in _REDIRECTABLE:         # ALLOW_REDIR(copy)
-                args = (result[len("ALLOW_REDIR("):-1],) + args[1:]
-        facts = []
-        if op in ("fork", "vfork", "clone"):
-            child = _int(args[0], ev)
-            struct.live_pids.add(child)
-            struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
-            facts.append((_READ | _EXEC, child, pid, ("child of low pid {}", pid)))
-            facts.append((_LIVE, child, None, None))
-        elif op == "exit":
-            struct.live_pids.discard(pid)
-            facts.append((_LIVE, pid, None, None))
-        elif op == "pipe":
-            reader = _int(args[0], ev)
-            facts.append((_READ, reader, pid, ("pipe from low pid {}", pid)))
-        elif op == "shmat":
-            peer = _int(args[0], ev)
-            facts.append((_READ, peer, pid, ("shared memory with low pid {}", pid)))
-            facts.append((_READ, pid, peer, ("shared memory with low pid {}", peer)))
-        elif op == "msgrcv":
-            facts.append((_READ, pid, _int(args[0], ev),
-                          ("message from low pid {}", args[0])))
-        elif op == "socket_open":
-            local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
-            if not _trusted(trust, struct.exe_paths.get(pid, "-"), local, remote,
-                            args[3], ev.tick):
-                facts.append((_READ, pid, None, ("untrusted endpoint",)))
-        elif op in ("sock_send", "sock_recv") and len(args) == 3:
-            peer = _int(args[2], ev)
-            source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
-            facts.append((_READ, sink, source, ("local socket from low pid {}", source)))
-        elif op in ("create", "mkdir", "mkfifo", "mknod"):
-            path = args[0]
-            if op == "create":
-                cell, noun = struct.create(path, "file", args[1] == "1"), "non-executable"
-            elif op == "mkdir":
-                cell, noun = struct.create(path, "dir"), "directory"
-            else:
-                kind = "fifo" if op == "mkfifo" else args[1]
-                cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
-                noun = "special file"
+def _facts(struct: _Structure, trust, ev, args) -> list:
+    """Apply one allowed event to struct, with args for the event's own
+    (the copy of a redirected access in place of its first); the flow
+    facts it implies."""
+    op, pid = ev.op, ev.pid
+    facts = []
+    if op in ("fork", "vfork", "clone"):
+        child = _int(args[0], ev)
+        struct.live_pids.add(child)
+        struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
+        facts.append((_READ | _EXEC, child, pid, ("child of low pid {}", pid)))
+        facts.append((_LIVE, child, None, None))
+    elif op == "exit":
+        struct.live_pids.discard(pid)
+        facts.append((_LIVE, pid, None, None))
+    elif op == "pipe":
+        reader = _int(args[0], ev)
+        facts.append((_READ, reader, pid, ("pipe from low pid {}", pid)))
+    elif op == "shmat":
+        peer = _int(args[0], ev)
+        facts.append((_READ, peer, pid, ("shared memory with low pid {}", pid)))
+        facts.append((_READ, pid, peer, ("shared memory with low pid {}", peer)))
+    elif op == "msgrcv":
+        facts.append((_READ, pid, _int(args[0], ev), ("message from low pid {}", args[0])))
+    elif op == "socket_open":
+        local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
+        if not _trusted(trust, struct.exe_paths.get(pid, "-"), local, remote,
+                        args[3], ev.tick):
+            facts.append((_READ, pid, None, ("untrusted endpoint",)))
+    elif op in ("sock_send", "sock_recv") and len(args) == 3:
+        peer = _int(args[2], ev)
+        source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
+        facts.append((_READ, sink, source, ("local socket from low pid {}", source)))
+    elif op in ("create", "mkdir", "mkfifo", "mknod"):
+        path = args[0]
+        if op == "create":
+            cell, noun = struct.create(path, "file", args[1] == "1"), "non-executable"
+        elif op == "mkdir":
+            cell, noun = struct.create(path, "dir"), "directory"
+        else:
+            kind = "fifo" if op == "mkfifo" else args[1]
+            cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
+            noun = "special file"
+        if cell.executable:
+            facts.append((_PRODUCE, cell, pid, ("low pid {} created executable", pid)))
+        else:
+            facts.append((_EXCEPTION, cell, pid, (
+                ("{} {}", noun, path),
+                ("allowed creation in protected directory {}", parent_of(path)))))
+        facts.append(_TREE_FACT)
+    elif op == "open_write":
+        cell = struct.cells.get(args[0])
+        if cell is not None and cell.kind != "dir":
+            if cell.kind == "fifo":
+                facts.append((_SEND, cell, pid, None))
             if cell.executable:
-                facts.append((_PRODUCE, cell, pid, ("low pid {} created executable", pid)))
+                facts.append((_PRODUCE, cell, pid, ("low pid {} wrote executable", pid)))
             else:
-                facts.append((_EXCEPTION, cell, pid, (
-                    ("{} {}", noun, path),
-                    ("allowed creation in protected directory {}", parent_of(path)))))
-            facts.append(_TREE_FACT)
-        elif op == "open_write":
-            cell = struct.cells.get(args[0])
-            if cell is not None and cell.kind != "dir":
-                if cell.kind == "fifo":
-                    facts.append((_SEND, cell, pid, None))
-                if cell.executable:
-                    facts.append((_PRODUCE, cell, pid, ("low pid {} wrote executable", pid)))
-                else:
-                    facts.append((_EXCEPTION, cell, pid, (
-                        ("non-executable {}", args[0]),
-                        ("allowed write to protected {}", args[0]))))
-        elif op == "truncate":
-            cell = struct.cells.get(args[0])
-            if cell is not None and not cell.executable:
                 facts.append((_EXCEPTION, cell, pid, (
                     ("non-executable {}", args[0]),
-                    ("allowed truncate of protected {}", args[0]))))
-        elif op in ("chmod", "fchmod"):
-            cell = struct.cells.get(args[0])
-            if cell is not None and cell.kind != "dir":
-                if struct.chmod(cell, args[1]):
-                    facts.append((_PRODUCE, cell, pid,
-                                  ("low pid {} made {} executable", pid, args[0])))
-                elif not cell.executable:
-                    facts.append((_EXCEPTION, cell, pid, (
-                        None, ("allowed chmod of protected {}", args[0]))))
-        elif op == "open_read":
-            cell = struct.cells.get(args[0])
-            if cell is not None and cell.kind == "fifo":
-                facts.append((_RECV, pid, cell, None))
-        elif op == "execve":
-            struct.exe_paths[pid] = args[0]
-            cell = struct.cells.get(args[0])
-            if cell is not None:
-                facts.append((_READ | _EXEC, pid, cell, ("exec of low file {}", args[0])))
-            facts.append((_EXEC, pid, pid, ("low pid {} after exec", pid)))
-        elif op == "mmap_exec":
-            cell = struct.cells.get(args[0])
-            if cell is not None:
-                facts.append((_READ, pid, cell, ("load of low file {}", args[0])))
-        elif op in ("unlink", "rmdir"):
-            struct.remove(args[0])
-            facts.append(_TREE_FACT)
-        elif op == "rename":
-            struct.rename(args[0], args[1])
-            facts.append(_TREE_FACT)
-        elif op == "set_stbac_attr":
-            target, flag_name, value = args
-            if target.startswith("pid:"):
-                marked = _int(target[4:], ev)
-            else:
-                marked = struct.cells.get(target)
-            if flag_name == "taint" and marked is not None:
-                facts.append((_MARK, marked, None, value == "1"))
-        yield index, ev, record, facts
+                    ("allowed write to protected {}", args[0]))))
+    elif op == "truncate":
+        cell = struct.cells.get(args[0])
+        if cell is not None and not cell.executable:
+            facts.append((_EXCEPTION, cell, pid, (
+                ("non-executable {}", args[0]),
+                ("allowed truncate of protected {}", args[0]))))
+    elif op in ("chmod", "fchmod"):
+        cell = struct.cells.get(args[0])
+        if cell is not None and cell.kind != "dir":
+            if struct.chmod(cell, args[1]):
+                facts.append((_PRODUCE, cell, pid,
+                              ("low pid {} made {} executable", pid, args[0])))
+            elif not cell.executable:
+                facts.append((_EXCEPTION, cell, pid, (
+                    None, ("allowed chmod of protected {}", args[0]))))
+    elif op == "open_read":
+        cell = struct.cells.get(args[0])
+        if cell is not None and cell.kind == "fifo":
+            facts.append((_RECV, pid, cell, None))
+    elif op == "execve":
+        struct.exe_paths[pid] = args[0]
+        cell = struct.cells.get(args[0])
+        if cell is not None:
+            facts.append((_READ | _EXEC, pid, cell, ("exec of low file {}", args[0])))
+        facts.append((_EXEC, pid, pid, ("low pid {} after exec", pid)))
+    elif op == "mmap_exec":
+        cell = struct.cells.get(args[0])
+        if cell is not None:
+            facts.append((_READ, pid, cell, ("load of low file {}", args[0])))
+    elif op in ("unlink", "rmdir"):
+        struct.remove(args[0])
+        facts.append(_TREE_FACT)
+    elif op == "rename":
+        struct.rename(args[0], args[1])
+        facts.append(_TREE_FACT)
+    elif op == "set_stbac_attr":
+        target, flag_name, value = args
+        if target.startswith("pid:"):
+            marked = _int(target[4:], ev)
+        else:
+            marked = struct.cells.get(target)
+        if flag_name == "taint" and marked is not None:
+            facts.append((_MARK, marked, None, value == "1"))
+    return facts
 
 
 def _text(reason: tuple) -> str:
@@ -631,11 +616,11 @@ class _BibaFold:
 # -- the one pass and its views ----------------------------------------------
 
 class OnePass:
-    """The one pass: one _Structure and one _walk feed the closure fold
-    and, for allowed events, the Biba fold.  run takes (event, record)
-    pairs as they come, so a caller can step the engine and the oracle in
-    lockstep and keep no event or record; report is the Biba report of the
-    events walked so far.
+    """The one pass: one _Structure feeds each allowed event's facts to the
+    closure fold and the Biba fold.  step takes one event and its audit
+    record, as _Replayer.step takes one event, so a caller steps the engine
+    and the oracle in lockstep and keeps no event or record; report is the
+    Biba report of the events stepped so far.
 
     The closure's sets are the tainted entities after each event, by direct
     forward reachability: seeds are processes that open endpoints matching
@@ -645,8 +630,8 @@ class OnePass:
     of ("proc", pid) / ("file", path) labels for live entities; consecutive
     events whose set did not change share one object.
 
-    The audit supplies the access verdicts, each read when the walk reaches
-    its event, and the subject/object levels of the Biba conditions (boot
+    The audit supplies the access verdicts, each read as its event is
+    stepped, and the subject/object levels of the Biba conditions (boot
     marks plus per-event flag changes); the structure (paths, exec bits,
     fifos) is rebuilt independently from the trace.
     """
@@ -657,15 +642,26 @@ class OnePass:
         self.closure = _ClosureFold(self.struct)
         self.biba = _BibaFold(self.struct)
         self.report = self.biba.report
+        self.events = 0              # events stepped so far
 
-    def run(self, pairs):
-        """Walk (event, record) pairs; yield (event, the closure's set after
-        the event) for each."""
-        closure, biba = self.closure, self.biba
-        for index, ev, record, facts in _walk(self.struct, self.trust, pairs):
-            if facts is not None:
-                biba.step(index, ev, facts, record.flag_changes)
-            yield ev, closure.step(facts)
+    def step(self, ev, record) -> frozenset:
+        """Step one event with its audit record; the closure's set after it.
+        A record whose tick, pid or op is not its event's raises ValueError."""
+        index = self.events
+        if record.tick != ev.tick or record.pid != ev.pid or record.op != ev.op:
+            raise ValueError(f"audit record {index} ({record.op}, tick {record.tick}, "
+                             f"pid {record.pid}) is not the record of event {index} "
+                             f"({ev.op}, tick {ev.tick}, pid {ev.pid})")
+        self.events = index + 1
+        facts = None                 # a denied event adds none
+        result = record.result
+        if not result.startswith("DENY("):
+            args = ev.args
+            if result != "ALLOW" and ev.op in _REDIRECTABLE:     # ALLOW_REDIR(copy)
+                args = (result[len("ALLOW_REDIR("):-1],) + args[1:]
+            facts = _facts(self.struct, self.trust, ev, args)
+            self.biba.step(index, ev, facts, record.flag_changes)
+        return self.closure.step(facts)
 
 
 def verify_replay(config: InitConfig, trust, events, records) -> tuple:
@@ -674,7 +670,7 @@ def verify_replay(config: InitConfig, trust, events, records) -> tuple:
     if len(records) != len(events):
         raise ValueError(f"audit has {len(records)} records for {len(events)} events")
     one_pass = OnePass(config, trust)
-    sets = [closure for _, closure in one_pass.run(zip(events, records))]
+    sets = [one_pass.step(ev, record) for ev, record in zip(events, records)]
     return sets, one_pass.report
 
 

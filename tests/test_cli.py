@@ -216,6 +216,24 @@ class TestReplayCommand:
         assert dot.startswith("digraph replay {")
         assert "TR_sock_proc" in dot
 
+    def test_only_replay_with_dot_records_a_graph(self, tmp_path, monkeypatch):
+        graphs = []
+
+        class CountedGraph(engine.DepGraph):
+            def __init__(self):
+                graphs.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(cli, "DepGraph", CountedGraph)
+        args, bundle = scenario_args("remote_user", tmp_path)
+        plain, dotted = tmp_path / "plain.audit", tmp_path / "dotted.audit"
+        assert main(["replay", *args, "--audit", str(plain)]) == 1
+        assert graphs == []
+        assert main(["replay", *args, "--audit", str(dotted),
+                     "--dot", str(tmp_path / "graph.dot")]) == 1
+        assert len(graphs) == 1 and graphs[0].denials
+        assert plain.read_bytes() == dotted.read_bytes() == bundle.expected_audit.encode()
+
 
 class TestRedirectBundle:
     BOOT = """node /bin dir 0
@@ -354,25 +372,30 @@ class TestCheckCommand:
         assert main(["check", "--init", str(bundle_dir / "init.cfg"),
                      str(bundle_dir / "trace")]) == 0
 
-    def test_one_structure_and_one_walk_per_check(self, tmp_path, monkeypatch):
+    def test_one_structure_one_pass_and_one_step_per_event_per_check(self, tmp_path,
+                                                                     monkeypatch):
         from stbac import oracle
-        counts = {"structures": 0, "walks": 0}
-        structure, walk = oracle._Structure, oracle._walk
+        counts = {"structures": 0, "passes": 0, "steps": 0}
 
-        class CountedStructure(structure):
+        class CountedStructure(oracle._Structure):
             def __init__(self, *args):
                 counts["structures"] += 1
                 super().__init__(*args)
 
-        def counted_walk(*args):
-            counts["walks"] += 1
-            return walk(*args)
+        class CountedPass(oracle.OnePass):
+            def __init__(self, *args):
+                counts["passes"] += 1
+                super().__init__(*args)
+
+            def step(self, *args):
+                counts["steps"] += 1
+                return super().step(*args)
 
         monkeypatch.setattr(oracle, "_Structure", CountedStructure)
-        monkeypatch.setattr(oracle, "_walk", counted_walk)
-        args, _ = scenario_args("remote_attack", tmp_path)
+        monkeypatch.setattr(cli, "OnePass", CountedPass)
+        args, bundle = scenario_args("remote_attack", tmp_path)
         assert main(["check", *args]) == 0
-        assert counts == {"structures": 1, "walks": 1}
+        assert counts == {"structures": 1, "passes": 1, "steps": len(bundle.events())}
 
     @pytest.mark.parametrize("name", ["remote_attack", "trace_gen_seed4"])
     def test_failing_output_is_pinned(self, name, tmp_path, capsys, monkeypatch):
@@ -548,6 +571,23 @@ class TestPcopyCommands:
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 0
         assert pcopy.read_text() == ""
         assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/a"]) == 1
+
+    def test_remove_keeps_file_order_and_the_first_bad_copy(self, bundle_dir, capsys):
+        """The map is validated in file order, so a remove that reordered the
+        rest would change which bad copy a replay reports; list stays sorted."""
+        pcopy = bundle_dir / "pcopy.list"
+        pcopy.write_text("pcopy /z /zc\npcopy /a /ac\npcopy /m /mc\n")
+        replay = ["replay", "--init", str(bundle_dir / "init.cfg"), "--pcopy", str(pcopy),
+                  str(bundle_dir / "trace")]
+        error = "error: copy map line 1: partial copy /zc (for /z) missing from the tree\n"
+        assert main(replay) == 2
+        assert capsys.readouterr().err == error
+        assert main(["pcopy", "--pcopy", str(pcopy), "remove", "/m"]) == 0
+        assert pcopy.read_text() == "pcopy /z /zc\npcopy /a /ac\n"
+        assert main(replay) == 2
+        assert capsys.readouterr().err == error
+        assert main(["pcopy", "--pcopy", str(pcopy), "list"]) == 0
+        assert capsys.readouterr().out == "pcopy /a /ac\npcopy /z /zc\n"
 
 
 # Malformed path and endpoint tokens, each with the one message every input

@@ -128,3 +128,15 @@ def test_the_compared_checkouts_get_no_bytecode(tmp_path):
     proc = compare(tmp_path / "old", tmp_path / "new")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [str(path) for path in tmp_path.rglob("__pycache__")] == []
+
+
+def test_every_case_replays_to_stdout_without_a_graph(tmp_path):
+    """Beside `replay --audit --dot`, each case runs `replay` with the audit
+    on stdout and no --dot, so that path's bytes are compared too."""
+    tool = load_tool()
+    cases = tool.build_cases(tmp_path, 1, 5)
+    jobs, owners = tool.jobs_for(cases, ("A", "D"))
+    for name, bundle, trace, _ in cases:
+        calls = [argv for (argv, rule), owner in zip(jobs, owners) if owner == name]
+        assert ["replay", *bundle, trace] in calls, name
+        assert ["replay", *bundle, trace, "--audit", "A", "--dot", "D"] in calls, name

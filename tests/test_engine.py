@@ -11,7 +11,6 @@ from stbac.engine import (
     DepGraph,
     Policy,
     _Replayer,
-    apply_event,
     export_graph,
     parse_trace,
     replay,
@@ -119,11 +118,10 @@ class TestApplyBasics:
         events = parse_trace(
             "1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
             "2,1,create,/sbin/backdoor,1\n")
-        policy = Policy()
-        from stbac.engine import apply_event
-        apply_event(world, events[0], policy)
+        step = _Replayer(world, Policy(), DepGraph()).step
+        step(events[0])
         before = fingerprint(world)
-        record = apply_event(world, events[1], policy)
+        record = step(events[1])
         assert record.result == "DENY(PR_inte)"
         assert fingerprint(world) == before
         assert world.lookup("/sbin/backdoor") is None
@@ -154,9 +152,8 @@ class TestApplyBasics:
     def test_tick_must_not_lag_the_clock(self):
         world = boot()
         world.clock = 10
-        from stbac.engine import apply_event
         with pytest.raises(TraceError, match="behind"):
-            apply_event(world, parse_trace("1,1,sched_tick\n")[0], Policy())
+            _Replayer(world, Policy(), DepGraph()).step(parse_trace("1,1,sched_tick\n")[0])
 
 
 class TestDeterminism:
@@ -648,10 +645,11 @@ def scanned_snapshot(world):
 
 
 def rebuilt_snapshots(world, events, policy):
-    """A full-scan snapshot after each event, applying one event at a time."""
+    """A full-scan snapshot after each event, stepping one replayer."""
+    step = _Replayer(world, policy, DepGraph()).step
     out = []
     for event in events:
-        apply_event(world, event, policy)
+        step(event)
         out.append(scanned_snapshot(world))
     return out
 
@@ -825,12 +823,13 @@ class TestDotExport:
         assert result.records[0].param == "uid=0"
 
 
-class TestApplyEventGraph:
+class TestReplayerGraph:
     @pytest.mark.parametrize("name", scenarios.NAMES)
-    def test_apply_event_without_a_graph_gives_the_replay_records(self, name):
+    def test_a_replayer_without_a_graph_gives_the_replay_records(self, name):
         bundle = scenarios.load(name)
         _, world, policy = bundle.load()
-        records = [apply_event(world, event, policy) for event in bundle.events()]
+        step = _Replayer(world, policy, None).step
+        records = [step(event) for event in bundle.events()]
         assert records == bundle.replay().records
 
 
@@ -847,11 +846,11 @@ class TestDenyPurity:
                  "9,2,get_stbac_attr,/etc/passwd\n")
         world = boot()
         events = parse_trace(trace)
-        from stbac.engine import apply_event
+        step = _Replayer(world, Policy(), DepGraph()).step
         denied = 0
         for event in events:
             before = fingerprint(copy.deepcopy(world))
-            record = apply_event(world, event, Policy())
+            record = step(event)
             if record.denied:
                 denied += 1
                 assert fingerprint(world) == before, event

@@ -1,6 +1,7 @@
 import ast
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -177,8 +178,8 @@ class TestUnreplayedStructure:
             trace = "\n".join(lines) + "\n"
             events = parse_trace(trace)
             struct = oracle._Structure(self.BOOT)
-            for _ in oracle._walk(struct, [], zip(events, allowed(events))):
-                pass
+            for ev in events:
+                oracle._facts(struct, [], ev, ev.args)
             for directory, kids in struct.kids.items():
                 assert struct.cells[directory.path] is directory, seed
                 for cell in kids:
@@ -188,19 +189,19 @@ class TestUnreplayedStructure:
 
 
 def walk_structure(config, trust, events, records):
-    """The oracle's structure after walking a replayed trace, with the
+    """The oracle's structure after stepping a replayed trace, with the
     index checked before every event; also counts renames of a directory
     with children and renames onto an existing file."""
-    struct = oracle._Structure(config)
+    one_pass = oracle.OnePass(config, trust)
+    struct = one_pass.struct
     seen = {"directory with children": 0, "onto a file": 0}
-    walk = oracle._walk(struct, trust, zip(events, records))
     for ev, record in zip(events, records):
         assert_index_consistent(struct)
         if ev.op == "rename" and not record.denied:
             moved = struct.cells[ev.args[0]]
             seen["directory with children"] += bool(struct.kids.get(moved))
             seen["onto a file"] += ev.args[1] in struct.cells
-        next(walk)
+        one_pass.step(ev, record)
     assert_index_consistent(struct)
     return struct, seen
 
@@ -283,13 +284,15 @@ class TestChildIndex:
 
 
 def ungated_closure(config, trust, events, records):
-    """Reference closure: the closure fold's loop with a fresh snapshot of
-    the live low entities after every event, as the closure was computed
-    before snapshots were gated."""
-    struct = oracle._Structure(config)
+    """Reference closure: OnePass stepped with the closure fold's loop in
+    place of the fold, taking a fresh snapshot of the live low entities
+    after every event, as the closure was computed before snapshots were
+    gated."""
+    one_pass = oracle.OnePass(config, trust)
+    struct = one_pass.struct
     low_pids, low_cells, fifo_low = set(), set(), {}
-    snapshots = []
-    for _, _, _, facts in oracle._walk(struct, trust, zip(events, records)):
+
+    def fresh_snapshot(facts):
         for kind, target, source, detail in facts or ():
             if kind & (oracle._READ | oracle._EXEC | oracle._PRODUCE):
                 if source is None or source in low_pids or source in low_cells:
@@ -304,8 +307,10 @@ def ungated_closure(config, trust, events, records):
         out = {("proc", pid) for pid in low_pids if pid in struct.live_pids}
         out |= {("file", cell.path) for cell in low_cells
                 if struct.cells.get(cell.path) is cell}
-        snapshots.append(frozenset(out))
-    return snapshots
+        return frozenset(out)
+
+    one_pass.closure = SimpleNamespace(step=fresh_snapshot)
+    return [one_pass.step(ev, record) for ev, record in zip(events, records)]
 
 
 def uniform_case(seed: int, mode: str) -> tuple:

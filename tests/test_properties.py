@@ -8,7 +8,7 @@ import copy
 
 from hypothesis import given, settings
 
-from stbac.engine import _Replayer, apply_event, export_graph
+from stbac.engine import DepGraph, _Replayer, export_graph
 from stbac.model import CONF, TAINT
 
 from conftest import assert_agrees, check_generated, generated_bundle, run_generated
@@ -50,9 +50,10 @@ def test_taint_is_never_cleared_by_rules(intent_list):
 @settings(max_examples=60, deadline=None)
 def test_denied_events_are_pure(intent_list):
     _, world, policy, events = generated_bundle(intent_list)
+    step = _Replayer(world, policy, DepGraph()).step
     for event in events:
         before = fingerprint(copy.deepcopy(world))
-        record = apply_event(world, event, policy)
+        record = step(event)
         if record.denied:
             assert fingerprint(world) == before
 
@@ -111,6 +112,7 @@ def test_secret_content_is_never_readable_by_suspects(intent_list):
     time, including files it spread to, is unreadable for tainted subjects
     (unless a partial copy absorbs the access)."""
     _, world, policy, events = generated_bundle(intent_list)
+    step = _Replayer(world, policy, DepGraph()).step
     for event in events:
         expect_deny = False
         if event.op == "open_read":
@@ -120,7 +122,7 @@ def test_secret_content_is_never_readable_by_suspects(intent_list):
             expect_deny = (reader is not None and reader.flags & TAINT
                            and node is not None and node.flags & CONF
                            and node.path not in policy.pcopy)
-        record = apply_event(world, event, policy)
+        record = step(event)
         if expect_deny:
             assert record.result == "DENY(PR_conf)", record.line()
 

@@ -19,8 +19,8 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
-stbac from that checkout's src/ and runs `replay --audit --dot`, `graph`
-and `check` on every case.  On every case that is not a mutant it also
+stbac from that checkout's src/ and runs `replay --audit --dot`, `replay`
+with the audit on stdout and no graph, `graph` and `check` on every case.  On every case that is not a mutant it also
 runs the admin listings `get-flag --recursive /`, `trust list` and
 `pcopy list` on the bundle's files, so those subparsers are compared too,
 and on the scenarios and the check windows it runs `check` once per rule
@@ -221,8 +221,8 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
 
 def jobs_for(cases: list, outputs: tuple) -> tuple:
     """(jobs, the case name of each job).  A job is a CLI argument list and
-    the rule to stub for it, or None: `replay`, `graph` and `check` per
-    case, the admin listings per case that is not a mutant, and a stubbed
+    the rule to stub for it, or None: `replay` to files and to stdout,
+    `graph` and `check` per case, the admin listings per case that is not a mutant, and a stubbed
     `check` per rule where the case asks for them.
     Both sides write the same two output paths, so a message that names one
     reads the same."""
@@ -230,6 +230,7 @@ def jobs_for(cases: list, outputs: tuple) -> tuple:
     jobs, owners = [], []
     for name, bundle, trace, stubs in cases:
         case_jobs = [(["replay", *bundle, trace, "--audit", audit, "--dot", dot], None),
+                     (["replay", *bundle, trace], None),
                      (["graph", *bundle, trace], None),
                      (["check", *bundle, trace], None)]
         if not name.startswith("mutant "):
