@@ -20,17 +20,18 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 The inputs come from this script's own checkout and are written once; both
 sides read the same files.  For each side, one fresh interpreter imports
 stbac from that checkout's src/ and runs `replay --audit --dot`, `replay`
-with the audit on stdout and no graph, `graph` and `check` on every case.  On every case that is not a mutant it also
-runs the admin listings `get-flag --recursive /`, `trust list` and
-`pcopy list` on the bundle's files, so those subparsers are compared too,
-and on the scenarios and the check windows it runs `check` once per rule
-in RULE_STUBS with that rule replaced by one that returns None, so the
-divergence and violation lines of a failing check are compared too.  All
-calls of a side go through `main` in one interpreter, which also covers
-reusing the CLI parser across calls.  The exit code, stdout, stderr,
-audit file and DOT file of each call are compared; an exception that
-escapes the CLI is compared by its type and message.  Exit status: 0 when every call matches,
-1 on any difference, 2 when a side could not be run.
+with the audit on stdout and no graph, `graph` and `check` on every case.
+On every case that is not a mutant it also runs the admin listings
+`get-flag --recursive /`, `trust list` and `pcopy list` on the bundle's
+files, so those subparsers are compared too, and on the scenarios and the
+check windows it runs `check` once per rule in RULE_STUBS with that rule
+replaced by one that returns None, so the divergence and violation lines of
+a failing check are compared too.  All calls of a side go through `main` in
+one interpreter, which also covers reusing the CLI parser across calls.
+The exit code, stdout, stderr, audit file and DOT file of each call are
+compared; an exception that escapes the CLI is compared by its type and
+message.  Exit status: 0 when every call matches, 1 on any difference, 2
+when a side could not be run.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
 def jobs_for(cases: list, outputs: tuple) -> tuple:
     """(jobs, the case name of each job).  A job is a CLI argument list and
     the rule to stub for it, or None: `replay` to files and to stdout,
-    `graph` and `check` per case, the admin listings per case that is not a mutant, and a stubbed
-    `check` per rule where the case asks for them.
+    `graph` and `check` per case, the admin listings per case that is not a
+    mutant, and a stubbed `check` per rule where the case asks for them.
     Both sides write the same two output paths, so a message that names one
     reads the same."""
     audit, dot = outputs
