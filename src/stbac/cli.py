@@ -45,7 +45,6 @@ from .model import (
     PROTOCOLS,
     ConfigError,
     StbacError,
-    TraceError,
     UnknownEntity,
     check_path,
     format_flags,
@@ -72,9 +71,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except UnknownEntity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENIED

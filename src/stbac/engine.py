@@ -202,11 +202,12 @@ class DepGraph:
 
 def export_graph(graph: DepGraph) -> str:
     """Deterministic DOT rendering: tainted nodes carry taint=1, vital nodes
-    vital="conf"/"inte", leak carriers leak=1; denial edges are dashed."""
+    vital="conf"/"inte", leak carriers leak=1; denial edges are dashed.
+    Node ids and labels are DOT strings, with \\ and " escaped."""
     out = ["digraph replay {"]
     for key in sorted(graph.nodes, key=_key_order):
         node = graph.nodes[key]
-        attrs = [f'label="{node.label}"']
+        attrs = [f"label={_quote(node.label)}"]
         if node.flags_ever & TAINT:
             attrs.append("taint=1")
         vital_bits = [FLAG_NAMES[f] for f in flag_bits(node.flags_ever & (CONF | INTE))]
@@ -214,19 +215,24 @@ def export_graph(graph: DepGraph) -> str:
             attrs.append(f'vital="{",".join(vital_bits)}"')
         if node.flags_ever & LEAK:
             attrs.append("leak=1")
-        out.append(f'  "{_key_id(key)}" [{", ".join(attrs)}];')
+        out.append(f'  {_key_id(key)} [{", ".join(attrs)}];')
     for cause, effect, rule, tick in graph.edges:
-        out.append(f'  "{_key_id(cause)}" -> "{_key_id(effect)}"'
+        out.append(f'  {_key_id(cause)} -> {_key_id(effect)}'
                    f' [label="{rule}@{tick}"];')
     for subject, obj, rule, tick in graph.denials:
-        out.append(f'  "{_key_id(subject)}" -> "{_key_id(obj)}"'
+        out.append(f'  {_key_id(subject)} -> {_key_id(obj)}'
                    f' [label="{rule}@{tick}", style=dashed];')
     out.append("}")
     return "\n".join(out) + "\n"
 
 
+def _quote(text: str) -> str:
+    """text as a DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _key_id(key: tuple) -> str:
-    return f"{key[0]}:{key[1]}"
+    return _quote(f"{key[0]}:{key[1]}")
 
 
 def _key_order(key: tuple):
@@ -358,7 +364,13 @@ class _Replayer:
         if node_id is not None:
             object_key = ("file", node_id)
         elif obj.startswith("pid:"):
-            object_key = ("proc", int(obj[4:]))
+            # A privileged op audits its raw argument: pid:<anything>.
+            try:
+                pid = ascii_int(obj[4:])
+            except ValueError:      # not an integer, or more digits than int() converts
+                pid = None
+            if pid in self.world.processes:
+                object_key = ("proc", pid)
         if object_key not in self.graph.nodes:
             label = obj if object_key[0] == "op" else self._display_label(object_key)
             self.graph.touch(object_key, label)
@@ -445,8 +457,8 @@ class _Replayer:
         if decision.allowed and target.kind == "file":
             mutations = self._write_mutations(proc, target)
             queue = self.world.fifo_queues.get(target.node_id)
-            if queue is not None:
-                queue.append((proc.pid, proc.flags & TAINT != 0))
+            if queue is not None and proc.flags & TAINT:
+                queue.append(proc.pid)
         return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
@@ -705,14 +717,11 @@ class _Replayer:
         queue = self.world.fifo_queues.get(node.node_id)
         if not queue:
             return []
-        mutations = []
-        for writer_pid, tainted in queue:
-            # The message carries the writer's taint as of write time; the
-            # writer may be gone by now, so the mutation is built directly
-            # rather than through the live-process IPC rule.
-            if tainted:
-                mutations.append(FlagMutation(("proc", proc.pid), "TR_proc_proc",
-                                              ("proc", writer_pid), TAINT))
+        # Each queued message carried its writer's taint at write time; the
+        # writer may be gone by now, so the mutation is built directly
+        # rather than through the live-process IPC rule.
+        mutations = [FlagMutation(("proc", proc.pid), "TR_proc_proc",
+                                  ("proc", writer_pid), TAINT) for writer_pid in queue]
         queue.clear()
         return mutations
 

@@ -23,8 +23,9 @@ where its source is low, and a source of None always holds.  The kinds:
   delivers the fifo's messages, which is low input if one was low when
   it was written;
 * _MARK: an administrative taint mark;
-* _LIVE and _TREE: a pid was born or exited, and a path op ran; they move
-  the live entities under a view's low sets without changing the sets.
+* _EXIT: a pid exited; each view drops it from its low sets;
+* _TREE: a path op ran; it moves the live cells under a view's low sets
+  without changing the sets.
 
 The one pass, OnePass, builds one structure and steps one event and its
 audit record at a time, as the engine's _Replayer steps one event, handing
@@ -35,10 +36,10 @@ own record of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
   sets, sharing no code with the taint rule module.  Its snapshot of the
-  live low entities is rebuilt only when a low set changed, a low pid was
-  born or exited, or a path op ran while some cell was low; otherwise the
-  event gets the previous frozenset object, as the engine's tainted
-  snapshot does with its taint epoch;
+  live low entities is rebuilt only when a low set changed or a path op
+  ran while some cell was low; otherwise the event gets the previous
+  frozenset object, as the engine's tainted snapshot does with its taint
+  epoch;
 * the Biba fold: the low-water-mark integrity conditions (two levels:
   tainted entities are low, everything else is high), judged against the
   levels the engine's audit reports in its flag changes.
@@ -106,12 +107,11 @@ class _Structure:
     def __init__(self, config: InitConfig):
         self.cells = {}          # path -> _Cell
         self.kids = {}           # directory _Cell -> {child _Cell: None}, in insertion order
-        self.live_pids = {1}
-        self.exe_paths = {1: "-"}
+        self.exe_paths = {1: "-"}    # live pid -> its image's path
         self.protected = set()   # INTE cells
         cells, kids = self.cells, self.kids
         self.add_cell("/", "dir", False, None)
-        for path, kind, exec_bits in config.nodes:
+        for path, kind, exec_bits, _ in config.nodes:
             parent_path = path.rpartition("/")[0] or "/"
             parent = cells.get(parent_path)
             if parent is None:
@@ -125,7 +125,7 @@ class _Structure:
                 siblings[cell] = None
             if kind == "dir":
                 kids[cell] = {}
-        for bit, path in config.marks:
+        for bit, path, _ in config.marks:
             if bit == INTE and path in cells:
                 self.protected.add(cells[path])
 
@@ -256,7 +256,7 @@ _EXCEPTION = 8     # target cell; source: the writer pid;
 _SEND = 16         # target: a fifo cell; source: the writer pid
 _RECV = 32         # target: the reader pid; source: a fifo cell
 _MARK = 64         # target pid or cell; detail: True to mark, False to clear
-_LIVE = 128        # target: a pid born or exited
+_EXIT = 128        # target: a pid that exited
 _TREE = 256        # a path op ran
 
 _DEMANDS = _READ | _EXEC | _PRODUCE
@@ -273,13 +273,11 @@ def _facts(struct: _Structure, trust, ev, args) -> list:
     facts = []
     if op in ("fork", "vfork", "clone"):
         child = _int(args[0], ev)
-        struct.live_pids.add(child)
         struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
         facts.append((_READ | _EXEC, child, pid, ("child of low pid {}", pid)))
-        facts.append((_LIVE, child, None, None))
     elif op == "exit":
-        struct.live_pids.discard(pid)
-        facts.append((_LIVE, pid, None, None))
+        struct.exe_paths.pop(pid, None)
+        facts.append((_EXIT, pid, None, None))
     elif op == "pipe":
         reader = _int(args[0], ev)
         facts.append((_READ, reader, pid, ("pipe from low pid {}", pid)))
@@ -414,12 +412,12 @@ class _ClosureFold:
             elif kind == _MARK:
                 low = low_pids if isinstance(target, int) else low_cells
                 low.add(target) if detail else low.discard(target)
-            elif kind == _LIVE:
-                moved = moved or target in low_pids
+            elif kind == _EXIT:
+                low_pids.discard(target)
             elif kind == _TREE:
                 moved = moved or bool(low_cells)
-        # Facts only add to the sets and a mark is its event's only fact, so
-        # a change of size is a change of contents.
+        # Facts only add to the sets, and a mark or an exit is its event's
+        # only fact, so a change of size is a change of contents.
         if moved or len(low_pids) + len(low_cells) != size:
             self.snapshot = _closure_snapshot(self.struct, low_pids, low_cells)
         return self.snapshot
@@ -428,7 +426,7 @@ class _ClosureFold:
 def _closure_snapshot(struct: _Structure, low_pids, low_cells) -> frozenset:
     """Labels of the live low entities; a removed cell stays in low_cells but
     is no longer the cell at its path."""
-    out = {("proc", pid) for pid in low_pids if pid in struct.live_pids}
+    out = {("proc", pid) for pid in low_pids}
     out |= {("file", cell.path) for cell in low_cells
             if struct.cells.get(cell.path) is cell}
     return frozenset(out)
@@ -592,6 +590,8 @@ class _BibaFold:
                 if senders:
                     demands.append((_READ, target,
                                     ("fifo message from low pid {}", senders[0])))
+            elif kind == _EXIT:
+                low_pids.discard(target)
         for change in flag_changes:
             kind, ident = change.entity
             if change.flag == TAINT and kind == "proc":

@@ -56,11 +56,15 @@ def load(name: str) -> Bundle:
         raise KeyError(f"unknown scenario {name!r}; have {', '.join(NAMES)}")
     root = resources.files(__package__) / name
     expected = root / "expected.audit"
+
+    def text(file):     # UTF-8, as the CLI reads it, whatever the locale
+        return file.read_text(encoding="utf-8")
+
     return Bundle(
         name=name,
-        init_text=(root / "init.cfg").read_text(),
-        trust_text=(root / "trust.list").read_text(),
-        pcopy_text=(root / "pcopy.list").read_text(),
-        trace_text=(root / "scenario.trace").read_text(),
-        expected_audit=expected.read_text() if expected.is_file() else None,
+        init_text=text(root / "init.cfg"),
+        trust_text=text(root / "trust.list"),
+        pcopy_text=text(root / "pcopy.list"),
+        trace_text=text(root / "scenario.trace"),
+        expected_audit=text(expected) if expected.is_file() else None,
     )

@@ -76,18 +76,12 @@ class ResourceLedger:
     """
 
     caps: dict = field(default_factory=dict)          # kind -> system total
-    allocated_sys: dict = field(default_factory=dict) # kind -> currently allocated
+    allocated_sys: dict = field(                      # kind -> currently allocated
+        default_factory=lambda: dict.fromkeys(RESOURCE_KINDS, 0))
     hwm_st: dict = field(default_factory=dict)        # kind -> absolute amount
     hwm_sys: dict = field(default_factory=dict)       # kind -> percent in (0, 100]
-    flags: dict = field(default_factory=dict)         # kind -> mask (AVAI bit only)
-
-    def __post_init__(self):
-        for kind in RESOURCE_KINDS:
-            self.caps.setdefault(kind, DEFAULT_CAP)
-            self.allocated_sys.setdefault(kind, 0)
-            self.hwm_st.setdefault(kind, self.caps[kind] // 2)
-            self.hwm_sys.setdefault(kind, DEFAULT_HWM_SYS_PERCENT)
-            self.flags.setdefault(kind, NO_FLAGS)
+    flags: dict = field(                              # kind -> mask (AVAI bit only)
+        default_factory=lambda: dict.fromkeys(RESOURCE_KINDS, NO_FLAGS))
 
     def charge(self, process: Process, kind: str, amount: int):
         process.usage[kind] = process.usage.get(kind, 0) + amount
@@ -111,8 +105,8 @@ class World:
     taint_epoch: int = 0                            # moves with tainted or a member's path
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
-    # One entry per live fifo, made empty by mkfifo or mknod: node id ->
-    # unread messages as [(writer pid, tainted at write)].
+    # One entry per live fifo, made empty by mkfifo or mknod: node id -> the
+    # writer pids of its unread messages, queued only by a tainted writer.
     fifo_queues: dict = field(default_factory=dict)
     next_node_id: int = 1
     max_pid_seen: int = INIT_PID
@@ -275,10 +269,8 @@ class InitConfig:
     may come before or after the node line of its path.
     """
 
-    nodes: list = field(default_factory=list)   # (path, kind, exec_bits)
-    marks: list = field(default_factory=list)   # (flag bit, path), as parsed
-    node_lines: list = field(default_factory=list)  # line number of each entry of nodes
-    mark_lines: list = field(default_factory=list)  # line number of each entry of marks
+    nodes: list = field(default_factory=list)   # (path, kind, exec_bits, line)
+    marks: list = field(default_factory=list)   # (flag bit, path, line), as parsed
     hwms: dict = field(default_factory=dict)    # kind -> (per-taint limit, sys percent)
     caps: dict = field(default_factory=dict)    # kind -> system total
 
@@ -288,7 +280,7 @@ def parse_init_config(text: str) -> InitConfig:
     fields) and a # comment (a first field starting with #) from a
     directive, so a line is stripped only to quote it in an error."""
     config = InitConfig()
-    nodes, node_lines = config.nodes, config.node_lines
+    nodes = config.nodes
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
@@ -306,14 +298,12 @@ def parse_init_config(text: str) -> InitConfig:
                     check_path(path)
                 if exec_bit != "0" and exec_bit != "1":
                     raise ConfigError(f"expected 0 or 1, got {exec_bit!r}")
-                nodes.append((path, kind, exec_bit == "1"))
-                node_lines.append(line_no)
+                nodes.append((path, kind, exec_bit == "1", line_no))
             elif directive[0] == "#":
                 continue
             elif directive in ("conf", "inte", "leak"):
                 _, path = fields
-                config.marks.append((parse_flag(directive), check_path(path)))
-                config.mark_lines.append(line_no)
+                config.marks.append((parse_flag(directive), check_path(path), line_no))
             elif directive == "hwm":
                 _, kind_name, limit, percent = fields
                 kind = parse_resource(kind_name)
@@ -334,10 +324,10 @@ def parse_init_config(text: str) -> InitConfig:
             else:
                 raise ConfigError(f"unknown directive {directive!r}")
         except ValueError:
-            raise ConfigError(f"line {line_no}: malformed directive: "
+            raise ConfigError(f"boot config line {line_no}: malformed directive: "
                               f"{line.strip()}") from None
         except StbacError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
+            raise ConfigError(f"boot config line {line_no}: {exc}") from None
     return config
 
 
@@ -349,13 +339,13 @@ def spawn_boot_world(config: InitConfig) -> World:
     parent is missing, and every node, implicit directories included, goes
     in through World.add_node.  Boot marks are explicit only; directory
     inheritance applies to nodes created later during replay, not to the
-    configured tree.
+    configured tree.  Every resource kind gets its cap and both marks here,
+    from its config lines or the defaults; a kind with a line is marked AVAI.
     """
     world = World()
     add_node, path_index = world.add_node, world.path_index
     add_node("/", "dir", False, None)
-    for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines,
-                                                strict=True):
+    for path, kind, exec_bits, line_no in config.nodes:
         try:
             if path in path_index:
                 # A repeated node line, or a directory named after a deeper
@@ -367,22 +357,20 @@ def spawn_boot_world(config: InitConfig) -> World:
                 parent_id = _make_dirs(world, parent_path)
             add_node(path, kind, exec_bits, parent_id)
         except StbacError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
-    for (bit, path), line_no in zip(config.marks, config.mark_lines, strict=True):
+            raise ConfigError(f"boot config line {line_no}: {exc}") from None
+    for bit, path, line_no in config.marks:
         node_id = world.lookup(path)
         if node_id is None:
-            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[bit]} "
+            raise ConfigError(f"boot config line {line_no}: flag {FLAG_NAMES[bit]} "
                               f"on nonexistent path {path}")
         world.set_flags(("file", node_id), world.fs[node_id].flags | bit)
-    for kind, (limit, percent) in config.hwms.items():
-        world.ledger.hwm_st[kind] = limit
-        world.ledger.hwm_sys[kind] = percent
-        world.set_flags(("res", kind), AVAI)
-    for kind, total in config.caps.items():
-        world.ledger.caps[kind] = total
-        world.set_flags(("res", kind), AVAI)
-        if kind not in config.hwms:
-            world.ledger.hwm_st[kind] = total // 2
+    ledger = world.ledger
+    for kind in RESOURCE_KINDS:
+        cap = ledger.caps[kind] = config.caps.get(kind, DEFAULT_CAP)
+        ledger.hwm_st[kind], ledger.hwm_sys[kind] = config.hwms.get(
+            kind, (cap // 2, DEFAULT_HWM_SYS_PERCENT))
+        if kind in config.hwms or kind in config.caps:
+            world.set_flags(("res", kind), AVAI)
     world.processes[INIT_PID] = Process(INIT_PID)
     return world
 

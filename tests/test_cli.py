@@ -1,6 +1,9 @@
 import contextlib
 import gc
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 
 from stbac import cli, engine, scenarios
 from stbac.cli import main
-from stbac.model import ConfigError
+from stbac.model import CONF, INTE, LEAK, ConfigError
 
 import trace_gen
 
@@ -136,8 +139,9 @@ class TestReplayCommand:
 
     @pytest.mark.parametrize("name,text,message", [
         ("init.cfg", BOOT + "hwm cpu_ticks -1 90\n",
-         "line 8: per-taint limit must be >= 0"),
-        ("init.cfg", BOOT + "cap cpu_ticks 0\n", "line 8: system total must be positive"),
+         "boot config line 8: per-taint limit must be >= 0"),
+        ("init.cfg", BOOT + "cap cpu_ticks 0\n",
+         "boot config line 8: system total must be positive"),
         ("trust.list", "trust /bin/sh *:* *:* tcp -1..5\n",
          "trust list line 1: span start must be >= 0"),
     ], ids=["negative hwm limit", "zero cap", "negative span start"])
@@ -151,13 +155,15 @@ class TestReplayCommand:
 
     @pytest.mark.parametrize("config,message", [
         ("node /x file 0\n# again\nnode /x file 0\n",
-         "line 3: duplicate path in config: /x"),
-        ("node /d/f file 0\nnode /d dir 0\n", "line 2: duplicate path in config: /d"),
+         "boot config line 3: duplicate path in config: /x"),
+        ("node /d/f file 0\nnode /d dir 0\n",
+         "boot config line 2: duplicate path in config: /d"),
         ("node /d dir 0\n\ninte /d\nconf /e\n",
-         "line 4: flag conf on nonexistent path /e"),
+         "boot config line 4: flag conf on nonexistent path /e"),
         ("node /d dir 0\nnode /d//f file 0\n",
-         "line 2: empty path component not allowed: '/d//f'"),
-        ("node /a file 0\nnode /a/b file 0\n", "line 2: parent is not a directory: /a"),
+         "boot config line 2: empty path component not allowed: '/d//f'"),
+        ("node /a file 0\nnode /a/b file 0\n",
+         "boot config line 2: parent is not a directory: /a"),
     ], ids=["repeated node", "directory after its implicit creation",
             "mark on a missing path", "empty path component", "entry under a file"])
     def test_boot_tree_errors_name_their_line(self, bundle_dir, capsys, config,
@@ -334,6 +340,29 @@ class TestGraphCommand:
         assert dot.read_text().startswith("digraph replay {")
 
 
+    @pytest.mark.parametrize("token,node", [
+        ("pid:x", None), ("pid:", None), ("pid:" + "9" * 5000, None), ("pid:99", None),
+        ("pid:-1", None), ("pid:1", "proc:1")],
+        ids=["letter", "empty", "5000 digits", "no such pid", "negative", "live pid"])
+    def test_a_denied_op_names_a_process_only_by_a_pid_it_holds(self, bundle_dir,
+                                                                capsys, token, node):
+        """A privileged op audits its raw argument, which may read like a pid;
+        it is a process node only when it names a process of the world, and
+        an op: node otherwise."""
+        (bundle_dir / "trace").write_text("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                          f"2,1,create_module,{token}\n")
+        args = ["--init", str(bundle_dir / "init.cfg"), str(bundle_dir / "trace")]
+        assert main(["replay", *args]) == 1
+        assert capsys.readouterr().out == (
+            "<4>1,1:-,sock:1,socket_open,10.0.0.1:23->10.0.0.9:99/tcp,ALLOW\n"
+            f"<4>2,1:-,{token},create_module,-,DENY(PR_inte)\n")
+        assert main(["graph", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        edge = f'"proc:1" -> "{node or "op:" + token}" [label="PR_inte@2", style=dashed];'
+        assert f"  {edge}\n" in captured.out
+
+
 class TestCheckCommand:
     def test_scenarios_pass(self, tmp_path, capsys):
         for name in scenarios.NAMES:
@@ -459,7 +488,7 @@ class TestFlagCommands:
         code = main(["set-flag", "--init", str(init), "/a//b", "conf", "on"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: line 1: empty path component not allowed: '/a//b'\n")
+            "error: boot config line 1: empty path component not allowed: '/a//b'\n")
         assert init.read_text() == "node /a//b file 0\n"
 
     def test_marks_of_the_root_are_kept(self, bundle_dir, capsys):
@@ -609,8 +638,8 @@ BAD_ENDPOINTS = [
 PATH_INPUTS = {
     "trace node": ("trace", "1,1,sched_tick\n2,1,open_read,{}\n", "line 2: "),
     "trace fresh path": ("trace", "1,1,sched_tick\n2,1,create,{},0\n", "line 2: "),
-    "boot node": ("init.cfg", BOOT + "node {} file 0\n", "line 8: "),
-    "boot conf": ("init.cfg", BOOT + "conf {}\n", "line 8: "),
+    "boot node": ("init.cfg", BOOT + "node {} file 0\n", "boot config line 8: "),
+    "boot conf": ("init.cfg", BOOT + "conf {}\n", "boot config line 8: "),
     "trust program": ("trust.list", "# programs\ntrust {} *:* *:* tcp 0..inf\n",
                       "trust list line 2: "),
     "copy map shared": ("pcopy.list", "# shared\npcopy {} /bin/ls\n", "copy map line 2: "),
@@ -626,6 +655,24 @@ ENDPOINT_INPUTS = {
     "trust remote": ("trust.list", "# endpoints\ntrust /bin/sh *:* {} tcp 0..inf\n",
                      "trust list line 2: "),
 }
+
+
+def readme_boot_config() -> str:
+    """The first code block after the README's **Boot config** heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("**Boot config**", 1)[1].split("```\n", 2)[1]
+    assert block.startswith("# path"), block
+    return block
+
+
+def test_the_readme_boot_config_boots():
+    config, world, _ = cli.load_bundle(readme_boot_config(), "", "")
+    assert world.node_at("/etc/passwd").flags == CONF
+    assert world.node_at("/etc").flags == INTE
+    assert world.node_at("/bin/cp").flags == LEAK
+    assert (world.ledger.hwm_st["cpu_ticks"], world.ledger.hwm_sys["cpu_ticks"],
+            world.ledger.caps["cpu_ticks"]) == (5, 90, 1000)
 
 
 class TestOneGrammar:
@@ -791,6 +838,50 @@ class TestStreaming:
         assert main([command, "--init", str(bundle_dir / "init.cfg"),
                      str(bundle_dir / "trace")]) == 2
         assert capsys.readouterr().err == "error: line 3: no such pid 99\n"
+
+
+class TestProgram:
+    """`python -m stbac.cli` as a program, with every read of a text file
+    under the locale's default encoding turned into an error."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    SCENARIOS = ROOT / "src" / "stbac" / "scenarios"
+
+    def run(self, *args):
+        return subprocess.run(
+            [sys.executable, "-B", "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", *args],
+            capture_output=True, text=True, encoding="utf-8", timeout=120,
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")})
+
+    def bundle_args(self, name):
+        root = self.SCENARIOS / name
+        return ["--init", str(root / "init.cfg"), "--trust", str(root / "trust.list"),
+                "--pcopy", str(root / "pcopy.list"), str(root / "scenario.trace")]
+
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_a_bundle_replays_to_its_audit_and_checks(self, name):
+        proc = self.run("-m", "stbac.cli", "replay", *self.bundle_args(name))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout == (self.SCENARIOS / name / "expected.audit").read_text(
+            encoding="utf-8")
+        proc = self.run("-m", "stbac.cli", "check", *self.bundle_args(name))
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+
+    def test_a_malformed_trace_exits_two_with_its_line(self, tmp_path):
+        trace = tmp_path / "trace"
+        trace.write_text("1,1,sched_tick\n2,1,frobnicate\n", encoding="utf-8")
+        init = self.SCENARIOS / "remote_user" / "init.cfg"
+        proc = self.run("-m", "stbac.cli", "replay", "--init", str(init), str(trace))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 2: unknown operation 'frobnicate'\n"
+
+    def test_loading_the_bundles_warns_of_no_encoding(self):
+        proc = self.run("-c", "from stbac import scenarios\n"
+                              "for name in scenarios.NAMES:\n"
+                              "    scenarios.load(name)\n")
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestMemoryPerEvent:

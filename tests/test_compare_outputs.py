@@ -63,6 +63,21 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
         in proc.stdout
 
 
+def test_a_call_that_raises_past_main_fails_the_run(tmp_path):
+    """A traceback on both sides compares equal, yet the run fails: each
+    raising call of the new side is listed with its case and counted."""
+    copy_src_replacing(tmp_path, "cli.py", "def cmd_check(args) -> int:\n",
+                       "def cmd_check(args) -> int:\n"
+                       "    raise RuntimeError('boom')\n")
+    proc = compare(tmp_path, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "scenario remote_user: check raised RuntimeError: boom\n" in proc.stdout
+    # The three scenarios' and twenty mutants' checks, and eight stubbed
+    # checks per scenario.
+    assert re.search(r"; 47 raised past main\): 0 differences\n$", proc.stdout), \
+        proc.stdout
+
+
 def test_an_altered_trust_listing_is_a_difference(tmp_path):
     """`trust list` runs on the bundles that are not mutants."""
     copy_src_replacing(tmp_path, "guard.py", 'return (f"trust {entry.program}',
@@ -109,13 +124,15 @@ def test_each_mutant_swaps_one_token_of_one_file():
 def test_an_altered_boot_config_error_is_a_difference(tmp_path):
     """A mutant of a boot config reaches the loader's error path."""
     copy_src_replacing(tmp_path, "world.py",
-                       'raise ConfigError(f"line {line_no}: {exc}") from None\n    return config',
-                       'raise ConfigError(f"config line {line_no}: {exc}") from None\n'
+                       'raise ConfigError(f"boot config line {line_no}: {exc}") from None\n'
+                       '    return config',
+                       'raise ConfigError(f"bad config line {line_no}: {exc}") from None\n'
                        '    return config')
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert re.search(r"^mutant \d+ of [^(]+\(init\.cfg line .*\): replay stderr differs: "
-                     r".error: line \d+: .* -> .error: config line \d+: ", proc.stdout, re.M), \
+                     r".error: boot config line \d+: .* -> .error: bad config line \d+: ",
+                     proc.stdout, re.M), \
         proc.stdout
 
 

@@ -419,6 +419,40 @@ class TestFifoMessages:
         assert result.records[5].flag_changes == ()
 
 
+class TestFifoQueues:
+    """A fifo queues the writer pid of each tainted message and nothing for
+    a message that carries no taint."""
+
+    def test_a_health_write_queues_nothing(self):
+        result = run("1,1,mkfifo,/tmp/pipe\n"
+                     "2,1,open_write,/tmp/pipe\n")
+        assert result.world.fifo_queues == {result.world.lookup("/tmp/pipe"): []}
+
+    def test_a_tainted_write_queues_its_writer_which_stays_the_cause(self):
+        result = run("1,1,fork,2\n"
+                     "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                     "3,2,mkfifo,/tmp/pipe\n"
+                     "4,2,open_write,/tmp/pipe\n"
+                     "5,2,open_write,/tmp/pipe\n"
+                     "6,2,exit\n"
+                     "7,1,open_read,/tmp/pipe\n")
+        assert result.world.fifo_queues == {result.world.lookup("/tmp/pipe"): []}
+        assert [(cause, effect, rule) for cause, effect, rule, tick in result.graph.edges
+                if tick == 7] == [(("proc", 2), ("proc", 1), "TR_proc_proc")]
+
+    def test_the_queue_holds_writer_pids(self):
+        _, world, policy = load_bundle(BOOT, "", "")
+        step = _Replayer(world, policy, None).step
+        for event in parse_trace("1,1,mkfifo,/tmp/pipe\n"
+                                 "2,1,fork,2\n"
+                                 "3,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                 "4,1,open_write,/tmp/pipe\n"
+                                 "5,2,open_write,/tmp/pipe\n"
+                                 "6,2,open_write,/tmp/pipe\n"):
+            step(event)
+        assert world.fifo_queues == {world.lookup("/tmp/pipe"): [2, 2]}
+
+
 class TestLeakChannelSoundness:
     def test_indirect_leak_path_is_cut(self):
         """A secret copied by a leak-capable health process is still secret:
@@ -789,6 +823,21 @@ class TestTableMapping:
 class TestDotExport:
     def test_empty_graph(self):
         assert export_graph(DepGraph()) == "digraph replay {\n}\n"
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        """The path rule allows " and \\; every quoted DOT string escapes them,
+        so each line holds an even number of unescaped quotes."""
+        result = run("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                     '2,1,create,/tmp/a"b\\,1\n'
+                     '3,1,mount,/x"y\n')
+        dot = export_graph(result.graph)
+        node = result.world.lookup('/tmp/a"b\\')
+        assert f'  "file:{node}" [label="/tmp/a\\"b\\\\", taint=1];' in dot
+        assert '  "op:/x\\"y" [label="/x\\"y"];' in dot
+        assert f'  "proc:1" -> "file:{node}" [label="TR_proc_exe@2"];' in dot
+        assert '  "proc:1" -> "op:/x\\"y" [label="PR_inte@3", style=dashed];' in dot
+        for line in dot.splitlines():
+            assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0, line
 
     def test_denial_edges_dashed(self):
         result = run("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings
 
-from stbac import oracle
+from stbac import cli, oracle
 from stbac import scenarios
 from stbac.cli import check_replay, load_bundle
 from stbac.engine import AuditRecord, parse_trace, replay
@@ -304,7 +304,7 @@ def ungated_closure(config, trust, events, records):
             elif kind == oracle._MARK:
                 low = low_pids if isinstance(target, int) else low_cells
                 low.add(target) if detail else low.discard(target)
-        out = {("proc", pid) for pid in low_pids if pid in struct.live_pids}
+        out = {("proc", pid) for pid in low_pids if pid in struct.exe_paths}
         out |= {("file", cell.path) for cell in low_cells
                 if struct.cells.get(cell.path) is cell}
         return frozenset(out)
@@ -350,6 +350,33 @@ class TestGatedSnapshots:
         assert reused > 0
 
 
+class TestExitedPids:
+    """The oracle forgets a pid when it exits: its structure and both folds
+    hold live pids only, so `check` keeps nothing per exited process."""
+
+    CYCLES = 1000
+
+    def test_fork_exit_cycles_of_a_tainted_parent_leave_live_pids_only(self,
+                                                                       monkeypatch):
+        passes = []
+
+        def one_pass(config, trust):
+            passes.append(oracle.OnePass(config, trust))
+            return passes[-1]
+
+        monkeypatch.setattr(cli, "OnePass", one_pass)
+        lines = ["1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp"]
+        for pid in range(2, self.CYCLES + 2):
+            lines += [f"{pid},1,fork,{pid}", f"{pid},{pid},sched_tick", f"{pid},{pid},exit"]
+        diff, report, replayer = check("\n".join(lines) + "\n")
+        assert diff.count == 0 and report.all_passed()
+        assert replayer.tainted() == {("proc", 1)}
+        (one,) = passes
+        assert one.struct.exe_paths == {1: "-"}
+        assert one.closure.low_pids == {1}
+        assert one.biba.low_pids == {1}
+
+
 class TestGatedDiff:
     """diff_taint repeats a comparison where neither set object changed."""
 
@@ -393,7 +420,7 @@ def structure_cell_by_cell(config):
     """Reference _Structure build: every boot cell, and every missing
     directory above it, through add_cell."""
     struct = oracle._Structure(InitConfig())
-    for path, kind, exec_bits in config.nodes:
+    for path, kind, exec_bits, _ in config.nodes:
         missing = []
         parent = parent_of(path)
         while parent not in struct.cells:
@@ -402,7 +429,7 @@ def structure_cell_by_cell(config):
         for dir_path in reversed(missing):
             struct.add_cell(dir_path, "dir", False, struct.cells[parent_of(dir_path)])
         struct.add_cell(path, kind, exec_bits, struct.cells[parent_of(path)])
-    for flag, path in config.marks:
+    for flag, path, _ in config.marks:
         if flag == INTE and path in struct.cells:
             struct.protected.add(struct.cells[path])
     return struct
@@ -472,7 +499,7 @@ class TestBootsAgree:
                 world = spawn_boot_world(config)
                 break
             except ConfigError as exc:
-                del lines[int(str(exc).split(":")[0].removeprefix("line ")) - 1]
+                del lines[int(str(exc).split(":")[0].removeprefix("boot config line ")) - 1]
         struct = oracle._Structure(config)
         assert structure_tree(struct) == world_tree(world)
         assert ({cell.path for cell in struct.protected}

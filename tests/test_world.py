@@ -103,7 +103,7 @@ def boot_node_by_node(config):
     """Reference boot: every node, and every missing directory above it,
     through World.add_node; marks through World.set_flags."""
     world = spawn_boot_world(InitConfig())
-    for (path, kind, exec_bits), line_no in zip(config.nodes, config.node_lines):
+    for path, kind, exec_bits, line_no in config.nodes:
         try:
             if world.lookup(path) is not None:
                 raise ConfigError(f"duplicate path in config: {path}")
@@ -116,10 +116,10 @@ def boot_node_by_node(config):
                 world.add_node(dir_path, "dir", False, world.lookup(parent_of(dir_path)))
             world.add_node(path, kind, exec_bits, world.lookup(parent_of(path)))
         except StbacError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
-    for (bit, path), line_no in zip(config.marks, config.mark_lines):
+            raise ConfigError(f"boot config line {line_no}: {exc}") from None
+    for bit, path, line_no in config.marks:
         if world.lookup(path) is None:
-            raise ConfigError(f"line {line_no}: flag {FLAG_NAMES[bit]} "
+            raise ConfigError(f"boot config line {line_no}: flag {FLAG_NAMES[bit]} "
                               f"on nonexistent path {path}")
         node = world.node_at(path)
         world.set_flags(("file", node.node_id), node.flags | bit)
@@ -184,7 +184,7 @@ class TestBootDifferential:
             check_path(path)
             expected = None
         except StbacError as exc:
-            expected = f"line 1: {exc}"
+            expected = f"boot config line 1: {exc}"
         try:
             parse_init_config(f"node {path} file 0\n")
             got = None
@@ -193,17 +193,17 @@ class TestBootDifferential:
         assert got == expected
 
     @pytest.mark.parametrize("line,message", [
-        ("conf /a//b", "line 1: empty path component not allowed: '/a//b'"),
-        ("node /a// file 0", "line 1: trailing slash not allowed: '/a//'"),
-        ("node a//b sock 0", "line 1: bad node kind 'sock'"),
-        ("node a//b file 2", "line 1: path must be absolute: 'a//b'"),
-        ("node /a file 2", "line 1: expected 0 or 1, got '2'"),
-        ("node /a file", "line 1: malformed directive: node /a file"),
+        ("conf /a//b", "empty path component not allowed: '/a//b'"),
+        ("node /a// file 0", "trailing slash not allowed: '/a//'"),
+        ("node a//b sock 0", "bad node kind 'sock'"),
+        ("node a//b file 2", "path must be absolute: 'a//b'"),
+        ("node /a file 2", "expected 0 or 1, got '2'"),
+        ("node /a file", "malformed directive: node /a file"),
     ])
     def test_node_line_errors_keep_their_order(self, line, message):
         with pytest.raises(ConfigError) as info:
             parse_init_config(line + "\n")
-        assert str(info.value) == message
+        assert str(info.value) == "boot config line 1: " + message
 
 
 def parse_line_by_line(text):
@@ -225,13 +225,12 @@ def parse_line_by_line(text):
                 check_path(path)
                 if exec_bit not in ("0", "1"):
                     raise ConfigError(f"expected 0 or 1, got {exec_bit!r}")
-                config.nodes.append((path, kind, exec_bit == "1"))
-                config.node_lines.append(line_no)
+                config.nodes.append((path, kind, exec_bit == "1", line_no))
             elif fields[0] in ("conf", "inte", "leak"):
                 if len(fields) != 2:
                     raise ValueError
-                config.marks.append((parse_flag(fields[0]), check_path(fields[1])))
-                config.mark_lines.append(line_no)
+                config.marks.append((parse_flag(fields[0]), check_path(fields[1]),
+                                     line_no))
             elif fields[0] == "hwm":
                 if len(fields) != 4:
                     raise ValueError
@@ -253,9 +252,10 @@ def parse_line_by_line(text):
             else:
                 raise ConfigError(f"unknown directive {fields[0]!r}")
         except ValueError:
-            raise ConfigError(f"line {line_no}: malformed directive: {line}") from None
+            raise ConfigError(f"boot config line {line_no}: malformed directive: "
+                              f"{line}") from None
         except StbacError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
+            raise ConfigError(f"boot config line {line_no}: {exc}") from None
     return config
 
 
@@ -264,8 +264,7 @@ def parse_outcome(parse, text):
         config = parse(text)
     except ConfigError as exc:
         return str(exc)
-    return (config.nodes, config.node_lines, config.marks, config.mark_lines,
-            config.hwms, config.caps)
+    return config.nodes, config.marks, config.hwms, config.caps
 
 
 class TestParserDifferential:

@@ -30,8 +30,11 @@ a failing check are compared too.  All calls of a side go through `main` in
 one interpreter, which also covers reusing the CLI parser across calls.
 The exit code, stdout, stderr, audit file and DOT file of each call are
 compared; an exception that escapes the CLI is compared by its type and
-message.  Exit status: 0 when every call matches, 1 on any difference, 2
-when a side could not be run.
+message.  A call of the new side that raises past `main` is listed with
+its case and counted, whether or not the old side raised too: the CLI
+reports every error with an exit code, never with a traceback.  Exit
+status: 0 when every call matches and none of the new side raised, 1 on
+any difference or raise, 2 when a side could not be run.
 """
 
 from __future__ import annotations
@@ -286,9 +289,11 @@ def main(argv=None) -> int:
             print(exc, file=sys.stderr)
             return 2
 
-    differences = []
+    differences, raised = [], []
     for owner, (argv, rule), before, after in zip(owners, jobs, old, new):
         call = argv[0] + (f" with {rule} stubbed" if rule else "")
+        if str(after["code"]).startswith("raised "):
+            raised.append(f"{owner}: {call} {after['code']}")
         for name in FIELDS:
             if before[name] != after[name]:
                 detail = ""
@@ -300,6 +305,8 @@ def main(argv=None) -> int:
         print(line)
     if len(differences) > 40:
         print(f"... and {len(differences) - 40} more")
+    for line in raised:
+        print(line)
 
     on_mutants = [result for owner, result in zip(owners, new)
                   if owner.startswith("mutant ")]
@@ -308,9 +315,9 @@ def main(argv=None) -> int:
     failed = sum(result["code"] == 1 for result in on_stubs)
     print(f"{len(cases)} cases, {len(jobs)} calls per checkout "
           f"({len(on_stubs)} stubbed checks, {failed} of them exit 1; "
-          f"{len(on_mutants)} on mutants, {rejected} of them exit 2): "
-          f"{len(differences)} differences")
-    return 1 if differences else 0
+          f"{len(on_mutants)} on mutants, {rejected} of them exit 2; "
+          f"{len(raised)} raised past main): {len(differences)} differences")
+    return 1 if differences or raised else 0
 
 if __name__ == "__main__":
     sys.exit(main())
