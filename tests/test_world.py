@@ -193,17 +193,17 @@ class TestBootDifferential:
         assert got == expected
 
     @pytest.mark.parametrize("line,message", [
-        ("conf /a//b", "empty path component not allowed: '/a//b'"),
-        ("node /a// file 0", "trailing slash not allowed: '/a//'"),
-        ("node a//b sock 0", "bad node kind 'sock'"),
-        ("node a//b file 2", "path must be absolute: 'a//b'"),
-        ("node /a file 2", "expected 0 or 1, got '2'"),
-        ("node /a file", "malformed directive: node /a file"),
+        ("conf /a//b", "line 1: empty path component not allowed: '/a//b'"),
+        ("node /a// file 0", "line 1: trailing slash not allowed: '/a//'"),
+        ("node a//b sock 0", "line 1: bad node kind 'sock'"),
+        ("node a//b file 2", "line 1: path must be absolute: 'a//b'"),
+        ("node /a file 2", "line 1: expected 0 or 1, got '2'"),
+        ("node /a file", "line 1: malformed directive: node /a file"),
     ])
     def test_node_line_errors_keep_their_order(self, line, message):
         with pytest.raises(ConfigError) as info:
             parse_init_config(line + "\n")
-        assert str(info.value) == "boot config line 1: " + message
+        assert str(info.value) == "boot config " + message
 
 
 def parse_line_by_line(text):
