@@ -223,15 +223,16 @@ def _stream(args, graph, audit=None) -> _Replayer:
 def check_replay(config, world, policy, events) -> tuple:
     """Step the engine and the oracle's one pass together, one event at a
     time: the engine's record of an event feeds the oracle's step, and the
-    two tainted sets are compared at once.  Returns the TaintDiff, the
+    event's flips of the two tainted sets are compared at once, so an event
+    costs its flips, not the size of the sets.  Returns the TaintDiff, the
     BibaReport and the replayer."""
     replayer = _Replayer(world, policy, None)     # check exports no graph
     one_pass = OnePass(config, policy.trust)
-    diff = TaintDiff(SHOWN_DIVERGENCES)
-    step, tainted, compare = replayer.step, replayer.tainted, diff.add
+    diff = TaintDiff(SHOWN_DIVERGENCES, world.tainted)    # the oracle starts empty
+    step, compare = replayer.step, diff.add
     for event in events:
         record = step(event)
-        compare(event.tick, tainted(), one_pass.step(event, record))
+        compare(event.tick, world.taint_changes, one_pass.step(event, record))
     return diff, one_pass.report, replayer
 
 

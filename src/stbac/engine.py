@@ -20,7 +20,9 @@ FlagMutation: a taint or vital rule's spread, or an administrative
 set_stbac_attr that the integrity rule allowed.  A handler asks all its
 rules before step applies any mutation; _Replayer._apply_mutation is the one
 place a replay applies them, through World.set_flags.  The world, not the
-engine, owns the tainted set and its epoch; tainted_snapshot only reads them.
+engine, owns the tainted set and its log of flips; _Replayer.step empties
+the log first, so after a step it holds that event's flips alone, and
+tainted_snapshot only copies the set.
 
 Label bits stay int masks through a replay, and a FlagChange names the one
 bit that flipped.  Rule names and resource kinds are plain strings that are
@@ -261,10 +263,9 @@ class ReplayResult:
 
 
 def tainted_snapshot(world: World) -> frozenset:
-    """Live tainted entities, files keyed by their current path, read from
-    the world's tainted set in O(tainted)."""
-    return frozenset(ref if ref[0] == "proc" else ("file", world.fs[ref[1]].path)
-                     for ref in world.tainted)
+    """Labels of the live tainted entities, files keyed by their current
+    path: a copy of the world's tainted set, in O(tainted)."""
+    return frozenset(world.tainted)
 
 
 def replay(world: World, events, policy: Policy | None = None) -> ReplayResult:
@@ -280,29 +281,25 @@ class _Replayer:
     step is the one way an event is replayed: the CLI steps a replayer over
     a trace one event at a time, and replay collects its records.  With a
     graph of None the replay records no edges, for a caller that never
-    exports them.  denials counts the denied events stepped so far."""
+    exports them.  denials counts the denied events stepped so far.  After
+    a step, world.taint_changes holds the flips of the world's tainted set
+    that the event made, in order, and nothing older."""
 
     def __init__(self, world: World, policy: Policy, graph: DepGraph | None):
         self.world = world
         self.policy = policy
         self.graph = graph
         self.denials = 0
-        self._epoch = None           # the world's taint_epoch at self._tainted
-        self._tainted = None
 
     def tainted(self) -> frozenset:
-        """tainted_snapshot of the world now.  The world moves its
-        taint_epoch whenever the snapshot may differ; the snapshot is
-        rebuilt only then, and otherwise the previous frozenset is reused."""
-        if self.world.taint_epoch != self._epoch:
-            self._epoch = self.world.taint_epoch
-            self._tainted = tainted_snapshot(self.world)
-        return self._tainted
+        """tainted_snapshot of the world now, built afresh on each call."""
+        return tainted_snapshot(self.world)
 
     # -- main step ---------------------------------------------------------
 
     def step(self, ev: Event) -> AuditRecord:
         world = self.world
+        world.taint_changes.clear()
         if ev.tick < world.clock:
             raise TraceError(f"tick {ev.tick} is behind the clock {world.clock}", ev.line)
         world.clock = ev.tick

@@ -35,29 +35,34 @@ event or record.  Each fold judges lowness in its own view and keeps its
 own record of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
-  sets, sharing no code with the taint rule module.  Its snapshot of the
-  live low entities is rebuilt only when a low set changed or a path op
-  ran while some cell was low; otherwise the event gets the previous
-  frozenset object, as the engine's tainted snapshot does with its taint
-  epoch;
+  sets, sharing no code with the taint rule module.  It keeps the labels
+  of the live low cells beside the sets and returns each event's flips of
+  the live low labels, (label, entered) in order: a pid's label enters
+  when the pid becomes low and leaves when it exits or its mark is
+  cleared, a cell's label enters when a live cell becomes low, and a path
+  op while some cell is low re-scans the low cells' labels.  So an event
+  costs the facts it brings, plus the low cells where a path op ran, not
+  the size of the low sets;
 * the Biba fold: the low-water-mark integrity conditions (two levels:
   tainted entities are low, everything else is high), judged against the
   levels the engine's audit reports in its flag changes.
 
 TaintDiff compares the closure with the engine's tainted sets one event
-at a time, and where neither side's set object changed since the previous
-event it repeats that event's comparison; it counts every diverging event
-and keeps the first few.  Trusted endpoints are matched by the
-oracle's own reading of the trust entries, so nothing here comes from the
-engine, the rule modules or the guard.
+at a time through their flips: it keeps the labels only the oracle holds
+(missing) and those only the engine holds (extra) current, one flip at a
+time, so an event costs the flips the two sides made.  An event diverges
+while either is non-empty; TaintDiff counts every diverging event and
+keeps the first few.  Trusted endpoints are matched by the oracle's own
+reading of the trust entries, so nothing here comes from the engine, the
+rule modules or the guard.
 
 OnePass.step reads each event's access verdict off its audit record: a
 denied event adds no facts and no structure, since the engine applies
 nothing on a denial, and an ALLOW_REDIR(copy) makes the access act on the
 copy.  A record whose tick, pid or op is not its event's is refused with
 ValueError.  verify_replay and diff_taint collect the pass and the
-comparison over whole lists, and closure_from_replay and check_biba are
-views of verify_replay.
+comparison over whole lists of tainted sets, one frozenset per event, and
+closure_from_replay and check_biba are views of verify_replay.
 """
 
 from __future__ import annotations
@@ -261,6 +266,7 @@ _TREE = 256        # a path op ran
 
 _DEMANDS = _READ | _EXEC | _PRODUCE
 _TREE_FACT = (_TREE, None, None, None)
+_NO_FLIPS = ()
 
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
@@ -381,55 +387,74 @@ def _where(index: int, ev) -> str:
 
 class _ClosureFold:
     """The oracle's own low sets, grown by every flow fact whose source they
-    hold, and the labels of the live low entities after each event."""
+    hold, and the labels of the live low cells (a low pid's label is
+    ("proc", pid), live while the pid is in low_pids)."""
 
     def __init__(self, struct: _Structure):
         self.struct = struct
         self.low_pids = set()
         self.low_cells = set()
+        self.cell_labels = set()     # ("file", path) of each live low cell
         self.fifo_low = {}           # fifo cell -> low writers of its pending messages
-        self.snapshot = frozenset()
 
-    def step(self, facts) -> frozenset:
-        """Fold one event's facts (None for a denied event).  The snapshot is
-        rebuilt only if the event can change it; otherwise it is the previous
-        event's object."""
+    def step(self, facts) -> list:
+        """Fold one event's facts (None for a denied event); the event's
+        flips of the live low labels, (label, entered) in order."""
         if not facts:
-            return self.snapshot
+            return _NO_FLIPS
+        flips = []
         low_pids, low_cells = self.low_pids, self.low_cells
-        size = len(low_pids) + len(low_cells)
+        cells = self.struct.cells
         moved = False
         for kind, target, source, detail in facts:
             if kind & _DEMANDS:
                 if source is None or source in low_pids or source in low_cells:
-                    (low_cells if kind == _PRODUCE else low_pids).add(target)
+                    if kind == _PRODUCE:
+                        if target not in low_cells:
+                            low_cells.add(target)
+                            if cells.get(target.path) is target:
+                                label = ("file", target.path)
+                                self.cell_labels.add(label)
+                                flips.append((label, True))
+                    elif target not in low_pids:
+                        low_pids.add(target)
+                        flips.append((("proc", target), True))
             elif kind == _SEND:
                 if source in low_pids:
                     self.fifo_low.setdefault(target, []).append(source)
             elif kind == _RECV:
-                if self.fifo_low.pop(source, None):
+                if self.fifo_low.pop(source, None) and target not in low_pids:
                     low_pids.add(target)
+                    flips.append((("proc", target), True))
             elif kind == _MARK:
-                low = low_pids if isinstance(target, int) else low_cells
-                low.add(target) if detail else low.discard(target)
+                if isinstance(target, int):
+                    if detail != (target in low_pids):
+                        low_pids.add(target) if detail else low_pids.discard(target)
+                        flips.append((("proc", target), detail))
+                else:
+                    low_cells.add(target) if detail else low_cells.discard(target)
+                    moved = True
             elif kind == _EXIT:
-                low_pids.discard(target)
+                if target in low_pids:
+                    low_pids.remove(target)
+                    flips.append((("proc", target), False))
             elif kind == _TREE:
                 moved = moved or bool(low_cells)
-        # Facts only add to the sets, and a mark or an exit is its event's
-        # only fact, so a change of size is a change of contents.
-        if moved or len(low_pids) + len(low_cells) != size:
-            self.snapshot = _closure_snapshot(self.struct, low_pids, low_cells)
-        return self.snapshot
+        if moved:
+            self._rescan_cells(flips)
+        return flips
 
-
-def _closure_snapshot(struct: _Structure, low_pids, low_cells) -> frozenset:
-    """Labels of the live low entities; a removed cell stays in low_cells but
-    is no longer the cell at its path."""
-    out = {("proc", pid) for pid in low_pids}
-    out |= {("file", cell.path) for cell in low_cells
-            if struct.cells.get(cell.path) is cell}
-    return frozenset(out)
+    def _rescan_cells(self, flips: list):
+        """Re-label the low cells after a path op or a cell's mark, adding
+        the flips to flips; a removed cell stays in low_cells but is no
+        longer the cell at its path."""
+        cells = self.struct.cells
+        now = {("file", cell.path) for cell in self.low_cells
+               if cells.get(cell.path) is cell}
+        before = self.cell_labels
+        flips += [(label, False) for label in before - now]
+        flips += [(label, True) for label in now - before]
+        self.cell_labels = now
 
 
 @dataclass
@@ -452,44 +477,80 @@ def _format_labels(labels) -> str:
     return ",".join(f"{kind}:{ident}" for kind, ident in sorted(labels))
 
 
-_NO_LABELS = frozenset()
-
-
 class TaintDiff:
     """The comparison of the engine's tainted sets with the oracle's, fed
-    one event at a time.  Where neither side's set object changed since the
-    previous event, that event's comparison stands: a difference is
-    repeated under the new index and tick.  count is the number of diverging
-    events; divergences keeps the first `keep` of them (all without keep)."""
+    one event's flips of each side at a time, each flip a (label, entered)
+    pair that changed its side's set.  missing holds the labels only the
+    oracle has, extra those only the engine has; both start as the
+    difference of the two sets before the first event (engine_set and
+    oracle_set) and move with each flip.  count is the number of events
+    after which either is non-empty; divergences keeps the first `keep` of
+    them (all without keep)."""
 
-    def __init__(self, keep: int | None = None):
+    def __init__(self, keep: int | None = None, engine_set=(), oracle_set=()):
         self.keep = keep
         self.events = 0              # events compared so far
         self.count = 0
         self.divergences = []
-        self._engine = self._oracle = self._difference = None
+        self.missing = set(oracle_set).difference(engine_set)
+        self.extra = set(engine_set).difference(oracle_set)
 
-    def add(self, tick: int, engine_set: frozenset, oracle_set: frozenset):
-        if engine_set is not self._engine or oracle_set is not self._oracle:
-            self._engine, self._oracle = engine_set, oracle_set
-            self._difference = (None if engine_set == oracle_set else
-                                (oracle_set - engine_set, engine_set - oracle_set))
-        if self._difference is not None:
+    def add(self, tick: int, engine_flips, oracle_flips):
+        missing, extra = self.missing, self.extra
+        for label, entered in engine_flips:
+            if entered:
+                if label in missing:
+                    missing.remove(label)
+                else:
+                    extra.add(label)
+            elif label in extra:
+                extra.remove(label)
+            else:
+                missing.add(label)
+        # The oracle gaining a label moves the difference as the engine
+        # losing it would, and the other way round.
+        for label, entered in oracle_flips:
+            if entered:
+                if label in extra:
+                    extra.remove(label)
+                else:
+                    missing.add(label)
+            elif label in missing:
+                missing.remove(label)
+            else:
+                extra.add(label)
+        if missing or extra:
             self.count += 1
             if self.keep is None or len(self.divergences) < self.keep:
-                self.divergences.append(Divergence(self.events, tick, *self._difference))
+                self.divergences.append(Divergence(self.events, tick, frozenset(missing),
+                                                   frozenset(extra)))
         self.events += 1
+
+
+_NO_LABELS = frozenset()
+
+
+def _flips(before: frozenset, after: frozenset) -> list:
+    """The flips that turn the set before into the set after."""
+    if after is before:
+        return []
+    return [(label, False) for label in before - after] + \
+        [(label, True) for label in after - before]
 
 
 def diff_taint(engine_sets, oracle_sets, events=None) -> list:
     """Every per-event difference between two lists of tainted sets, the
     shorter list read as empty sets past its end; empty means full
-    agreement.  A collector over TaintDiff."""
+    agreement.  A collector over TaintDiff, fed the flips between
+    consecutive sets of each list."""
     diff = TaintDiff()
+    engine_before = oracle_before = _NO_LABELS
     for index in range(max(len(engine_sets), len(oracle_sets))):
+        engine_now = engine_sets[index] if index < len(engine_sets) else _NO_LABELS
+        oracle_now = oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS
         diff.add(events[index].tick if events and index < len(events) else -1,
-                 engine_sets[index] if index < len(engine_sets) else _NO_LABELS,
-                 oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS)
+                 _flips(engine_before, engine_now), _flips(oracle_before, oracle_now))
+        engine_before, oracle_before = engine_now, oracle_now
     return diff.divergences
 
 
@@ -626,9 +687,9 @@ class OnePass:
     forward reachability: seeds are processes that open endpoints matching
     no trusted entry (plus administrative taint marks); taint then follows
     process creation, IPC message delivery, writes that leave executables
-    behind, and execution or loading of tainted files.  Each is a frozenset
-    of ("proc", pid) / ("file", path) labels for live entities; consecutive
-    events whose set did not change share one object.
+    behind, and execution or loading of tainted files.  Each holds
+    ("proc", pid) / ("file", path) labels for live entities, and step
+    returns the event's flips of it, as the engine's world logs its own.
 
     The audit supplies the access verdicts, each read as its event is
     stepped, and the subject/object levels of the Biba conditions (boot
@@ -644,8 +705,9 @@ class OnePass:
         self.report = self.biba.report
         self.events = 0              # events stepped so far
 
-    def step(self, ev, record) -> frozenset:
-        """Step one event with its audit record; the closure's set after it.
+    def step(self, ev, record) -> list:
+        """Step one event with its audit record; the event's flips of the
+        closure's set, (label, entered) in order.
         A record whose tick, pid or op is not its event's raises ValueError."""
         index = self.events
         if record.tick != ev.tick or record.pid != ev.pid or record.op != ev.op:
@@ -665,12 +727,20 @@ class OnePass:
 
 
 def verify_replay(config: InitConfig, trust, events, records) -> tuple:
-    """A collector over OnePass: the closure's set after each event, and the
-    BibaReport of an audit of the same events."""
+    """A collector over OnePass: the closure's set after each event, one
+    frozenset per event that is the previous event's object when the event
+    flipped nothing, and the BibaReport of an audit of the same events."""
     if len(records) != len(events):
         raise ValueError(f"audit has {len(records)} records for {len(events)} events")
     one_pass = OnePass(config, trust)
-    sets = [one_pass.step(ev, record) for ev, record in zip(events, records)]
+    live, now, sets = set(), _NO_LABELS, []
+    for ev, record in zip(events, records):
+        flips = one_pass.step(ev, record)
+        if flips:
+            for label, entered in flips:
+                live.add(label) if entered else live.discard(label)
+            now = frozenset(live)
+        sets.append(now)
     return sets, one_pass.report
 
 

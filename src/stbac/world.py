@@ -4,8 +4,12 @@ The world is the single mutable value a replay folds over.  Label bits live
 inline on the entity records as int masks of model's TAINT, CONF, INTE,
 AVAI and LEAK bits, written only by World.set_flags; resources carry theirs
 in the ledger, keyed by the resource kind's name.  The world owns the
-tainted set (refs of the live entities holding TAINT) and an epoch that
-moves when that set or the path of a member changes.
+tainted set: the labels of the live entities holding TAINT, ("proc", pid)
+for a process and ("file", current path) for a node.  Every flip of that
+set is also logged, in order, as (label, entered) in taint_changes: a
+change of a TAINT bit, an exit, a removal, and a rename of a tainted node
+(its old label leaves, its new one enters).  The log grows until its owner
+empties it; a replay empties it at the start of each event.
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ class World:
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
     clock: int = 0
 
-    tainted: set = field(default_factory=set)       # refs of live entities holding TAINT
-    taint_epoch: int = 0                            # moves with tainted or a member's path
+    tainted: set = field(default_factory=set)       # labels of live entities holding TAINT
+    taint_changes: list = field(default_factory=list)   # (label, entered) per flip of tainted
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
     # One entry per live fifo, made empty by mkfifo or mknod: node id -> the
@@ -168,7 +172,7 @@ class World:
         del self.kids[node.parent][node.node_id]
         self.kids.pop(node.node_id, None)
         self.fifo_queues.pop(node.node_id, None)
-        self._track(("file", node.node_id), False)
+        self._track(("file", node.path), False)
 
     def children(self, node: FsNode) -> list:
         return list(self.kids.get(node.node_id, {}).values())
@@ -189,12 +193,19 @@ class World:
         """Move a node (and its subtree) to a new absolute path, whose
         parent directory must exist outside that subtree."""
         old_prefix = node.path
+        tainted, log = self.tainted, self.taint_changes
         for member in self.subtree(node):
-            del self.path_index[member.path]
-            member.path = new_path + member.path[len(old_prefix):]
+            old_path = member.path
+            del self.path_index[old_path]
+            member.path = new_path + old_path[len(old_prefix):]
             self.path_index[member.path] = member.node_id
-            if ("file", member.node_id) in self.tainted:
-                self.taint_epoch += 1
+            old_label = ("file", old_path)
+            if old_label in tainted:
+                new_label = ("file", member.path)
+                tainted.remove(old_label)
+                tainted.add(new_label)
+                log.append((old_label, False))
+                log.append((new_label, True))
         del self.kids[node.parent][node.node_id]
         node.parent = self.lookup(parent_of(new_path))
         self.kids[node.parent][node.node_id] = node
@@ -244,13 +255,17 @@ class World:
             return
         entity = self.processes[ident] if kind == "proc" else self.fs[ident]
         entity.flags = flags
-        self._track(ref, flags & TAINT != 0)
+        self._track(ref if kind == "proc" else ("file", entity.path), flags & TAINT != 0)
 
-    def _track(self, ref: tuple, tainted: bool):
-        """Make ref's membership of the tainted set match tainted."""
-        if (ref in self.tainted) != tainted:
-            self.tainted ^= {ref}
-            self.taint_epoch += 1
+    def _track(self, label: tuple, tainted: bool):
+        """Make label's membership of the tainted set match tainted, and
+        log the flip if it made one."""
+        if (label in self.tainted) != tainted:
+            if tainted:
+                self.tainted.add(label)
+            else:
+                self.tainted.remove(label)
+            self.taint_changes.append((label, tainted))
 
 
 def parent_of(path: str) -> str:

@@ -2,6 +2,7 @@ import pytest
 
 from stbac.cli import check_replay, load_bundle
 from stbac.engine import parse_trace, replay
+from stbac.model import TAINT
 from stbac.world import parse_init_config, spawn_boot_world
 
 import trace_gen
@@ -37,3 +38,13 @@ def check_generated(intents, mode="full"):
 def assert_agrees(diff):
     """The engine's tainted sets equal the oracle's on every event."""
     assert diff.count == 0, [d.describe() for d in diff.divergences]
+
+
+def scanned_snapshot(world):
+    """Live tainted processes and tainted nodes by path, from a full scan of
+    the world that does not read its tainted set."""
+    procs = {("proc", pid) for pid, proc in world.processes.items()
+             if proc.alive and proc.flags & TAINT}
+    files = {("file", node.path) for node in world.fs.values()
+             if node.flags & TAINT}
+    return frozenset(procs | files)

@@ -63,6 +63,20 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
         in proc.stdout
 
 
+def test_differing_calls_are_tallied_by_field_and_command(tmp_path):
+    """An altered divergence line changes the stdout of failing checks
+    alone: the tally names that field and the stubbed checks, and nothing
+    else."""
+    copy_src_replacing(tmp_path, "oracle.py", '"engine missing "', '"engine lacks "')
+    proc = compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    tally = re.search(r"^(\d+) differing calls; by field: stdout (\d+); "
+                      r"by command: check \(rule stubbed\) (\d+)$", proc.stdout, re.M)
+    assert tally, proc.stdout
+    assert len(set(tally.groups())) == 1 and int(tally[1]) > 0, proc.stdout
+    assert re.search(rf": {tally[1]} differences\n$", proc.stdout), proc.stdout
+
+
 def test_a_call_that_raises_past_main_fails_the_run(tmp_path):
     """A traceback on both sides compares equal, yet the run fails: each
     raising call of the new side is listed with its case and counted."""

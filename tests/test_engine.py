@@ -18,6 +18,8 @@ from stbac.engine import (
 from stbac.model import CONF, LEAK, TAINT, TraceError
 from stbac.world import parse_init_config, spawn_boot_world
 
+from conftest import scanned_snapshot
+
 BOOT = """
 node /bin dir 0
 node /bin/sh file 1
@@ -668,16 +670,6 @@ class TestOneLineStamp:
                 if _takes_an_event(f)] == []
 
 
-def scanned_snapshot(world):
-    """Live tainted processes and tainted nodes by path, from a full scan of
-    the world that does not read its tainted set."""
-    procs = {("proc", pid) for pid, proc in world.processes.items()
-             if proc.alive and proc.flags & TAINT}
-    files = {("file", node.path) for node in world.fs.values()
-             if node.flags & TAINT}
-    return frozenset(procs | files)
-
-
 def rebuilt_snapshots(world, events, policy):
     """A full-scan snapshot after each event, stepping one replayer."""
     step = _Replayer(world, policy, DepGraph()).step
@@ -700,9 +692,9 @@ def tracked_snapshots(world, events, policy):
 
 
 class TestTrackedSnapshots:
-    """A replayer rebuilds its tainted snapshot from the world's tainted set
-    only when the world's taint epoch moved; every snapshot must still
-    equal a full scan."""
+    """The world keeps its tainted set of labels current through every
+    event, and logs each flip of it; every snapshot must equal a full scan,
+    and each step's log must turn the previous scan into the next."""
 
     TRACE = ("1,1,fork,2\n"
              "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
@@ -746,22 +738,57 @@ class TestTrackedSnapshots:
         assert tracked == rebuilt_snapshots(world, bundle.events(), policy)
         assert any(tracked)
 
-    def test_untainted_structure_changes_do_not_rebuild(self, monkeypatch):
-        rebuilds = []
-        snapshot = engine.tainted_snapshot
-        monkeypatch.setattr(engine, "tainted_snapshot",
-                            lambda world: rebuilds.append(world) or snapshot(world))
-        tracked = tracked_snapshots(boot(), parse_trace(
-            "1,1,mkdir,/tmp/d\n"
-            "2,1,create,/tmp/d/f,0\n"
-            "3,1,create,/tmp/g,0\n"
-            "4,1,fork,2\n"
-            "5,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
-            "6,1,unlink,/tmp/g\n"              # untainted file
-            "7,1,rename,/tmp/d,/tmp/e\n"),     # untainted directory
-            Policy())
-        assert len(rebuilds) == 2   # the initial snapshot, then pid 2's taint
-        assert tracked[-1] == {("proc", 2)}
+    def test_untainted_structure_changes_log_no_flip(self):
+        world = boot()
+        replayer = _Replayer(world, Policy(), None)
+        logs = []
+        for event in parse_trace("1,1,mkdir,/tmp/d\n"
+                                 "2,1,create,/tmp/d/f,0\n"
+                                 "3,1,create,/tmp/g,0\n"
+                                 "4,1,fork,2\n"
+                                 "5,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                 "6,1,unlink,/tmp/g\n"             # untainted file
+                                 "7,1,rename,/tmp/d,/tmp/e\n"):    # untainted directory
+            replayer.step(event)
+            logs.append(list(world.taint_changes))
+        assert logs == [[], [], [], [], [(("proc", 2), True)], [], []]
+        assert replayer.tainted() == {("proc", 2)}
+
+    @pytest.mark.parametrize("trace", ["hand_written", *scenarios.NAMES])
+    def test_each_step_logs_the_flips_from_the_previous_scan(self, trace):
+        if trace == "hand_written":
+            world, policy, events = boot(), Policy(), parse_trace(self.TRACE)
+        else:
+            bundle = scenarios.load(trace)
+            _, world, policy = bundle.load()
+            events = bundle.events()
+        step = _Replayer(world, policy, None).step
+        labels = set(scanned_snapshot(world))
+        flips = 0
+        for event in events:
+            step(event)
+            for label, entered in world.taint_changes:
+                assert (label in labels) != entered, (event, label, entered)
+                labels.add(label) if entered else labels.remove(label)
+            flips += len(world.taint_changes)
+            assert labels == scanned_snapshot(world), event
+        assert flips > 0
+
+
+class TestFlipLog:
+    """The world's log of tainted-set flips holds one event's worth: a
+    replay of any length keeps no more than its last step's flips."""
+
+    CYCLES = 1000
+
+    def test_fork_exit_cycles_of_a_tainted_parent_leave_the_last_exit(self):
+        lines = ["1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp"]
+        for pid in range(2, self.CYCLES + 2):
+            lines += [f"{pid},1,fork,{pid}", f"{pid},{pid},sched_tick", f"{pid},{pid},exit"]
+        world = boot()
+        replay(world, parse_trace("\n".join(lines) + "\n"), Policy())
+        assert world.taint_changes == [(("proc", self.CYCLES + 1), False)]
+        assert world.tainted == {("proc", 1)}
 
 
 class TestTableMapping:

@@ -1,21 +1,25 @@
 import ast
+import functools
+import os
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 
+import stbac.taint
 from stbac import cli, oracle
 from stbac import scenarios
 from stbac.cli import check_replay, load_bundle
-from stbac.engine import AuditRecord, parse_trace, replay
+from stbac.engine import AuditRecord, _Replayer, parse_trace, replay
 from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
 from stbac.model import INTE, ConfigError, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
 from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
 
-from conftest import assert_agrees, generated_bundle
+from conftest import assert_agrees, generated_bundle, scanned_snapshot
 import boot_gen
 import trace_gen
 
@@ -414,6 +418,100 @@ class TestGatedDiff:
                     expected.append((index, now - engine, engine - now))
             assert [(d.index, d.missing, d.extra)
                     for d in diff_taint(engine_sets, oracle_sets)] == expected, seed
+
+
+def fan_out_trace(children: int) -> str:
+    """pid 1 opens an untrusted socket, forks `children` children and pipes
+    to each, and the first four children exit: a tainted set that grows to
+    `children` + 1 processes."""
+    lines = ["1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp"]
+    lines += [f"2,1,fork,{pid}" for pid in range(2, children + 2)]
+    lines += [f"3,1,pipe,{pid}" for pid in range(2, children + 2)]
+    lines += [f"4,{pid},exit" for pid in range(2, 6)]
+    return "\n".join(lines) + "\n"
+
+
+def fan_out_case(children: int) -> tuple:
+    """(config, world, policy, events) of fan_out_trace(children)."""
+    return (*load_bundle(BOOT_TEXT, TRUSTED_TEXT, ""), parse_trace(fan_out_trace(children)))
+
+
+class TestCheckWorkPerEvent:
+    """check's Python work per event does not grow with the tainted set:
+    the lines run inside stbac per event, counted by sys.settrace over
+    check_replay, are no more with 400 tainted children than with 100."""
+
+    @staticmethod
+    def lines_per_event(children: int) -> float:
+        config, world, policy, events = fan_out_case(children)
+        package = str(Path(oracle.__file__).parent) + os.sep
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def on_call(frame, event, arg):
+            return count_lines if frame.f_code.co_filename.startswith(package) else None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            diff, report, _ = check_replay(config, world, policy, events)
+        finally:
+            sys.settrace(previous)
+        assert diff.count == 0 and report.all_passed()
+        return lines / len(events)
+
+    def test_lines_per_event_do_not_grow_with_the_tainted_set(self):
+        small, large = self.lines_per_event(100), self.lines_per_event(400)
+        assert large <= 1.05 * small, (small, large)
+
+
+class TestDivergenceBookkeeping:
+    """With a taint rule stubbed out the engine falls short of the oracle;
+    check_replay's TaintDiff, kept from the two sides' flips, must then
+    report what diff_taint reports over two sides computed from scratch
+    after every event: a by-path scan of the world, and ungated_closure.
+    Each stubbed rule makes some case diverge."""
+
+    STUBS = ("tr_proc_proc", "tr_sock_proc", "tr_exe_proc")
+
+    @staticmethod
+    def cases():
+        """Makers of (config, world, policy, events): trace_gen traces, the
+        fan-out trace and the bundled scenarios, where an exec spreads
+        taint that the trace_gen traces seldom spread."""
+        for seed in range(20):
+            yield functools.partial(uniform_case, seed, "full")
+            yield functools.partial(generated_case, seed, "full")
+        yield functools.partial(fan_out_case, 60)
+        for name in scenarios.NAMES:
+            bundle = scenarios.load(name)
+            yield lambda bundle=bundle: (*bundle.load(), bundle.events())
+
+    @pytest.mark.parametrize("rule", STUBS)
+    def test_divergences_match_a_from_scratch_reference(self, rule, monkeypatch):
+        monkeypatch.setattr(stbac.taint, rule, lambda *args: None)
+        diverging = 0
+        for case in self.cases():
+            diff, _, _ = check_replay(*case())
+            config, world, policy, events = case()
+            step = _Replayer(world, policy, None).step
+            records, scanned = [], []
+            for event in events:
+                records.append(step(event))
+                scanned.append(scanned_snapshot(world))
+            reference = diff_taint(scanned, ungated_closure(config, policy.trust, events,
+                                                            records), events)
+            assert diff.count == len(reference)
+            assert ([(d.index, d.tick, d.missing, d.extra) for d in diff.divergences]
+                    == [(d.index, d.tick, d.missing, d.extra)
+                        for d in reference[:cli.SHOWN_DIVERGENCES]])
+            diverging += diff.count > 0
+        assert diverging > 0
 
 
 def structure_cell_by_cell(config):

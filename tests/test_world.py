@@ -442,13 +442,12 @@ class TestFlagOps:
 
 
 class TestTaintedSet:
-    def scan(self, world, by_path=False):
-        """Refs of the live TAINT processes and of the TAINT nodes (by node
-        id, or by path), from a full scan of the world."""
+    def scan(self, world):
+        """Labels of the live TAINT processes and of the TAINT nodes by
+        path, from a full scan of the world."""
         return ({("proc", pid) for pid, p in world.processes.items()
                  if p.alive and p.flags & TAINT}
-                | {("file", n.path if by_path else i) for i, n in world.fs.items()
-                   if n.flags & TAINT})
+                | {("file", n.path) for n in world.fs.values() if n.flags & TAINT})
 
     def test_set_flags_exit_remove_and_repath_keep_it_current(self):
         world = boot("node /d/f file 0\nnode /g file 0\n")
@@ -456,26 +455,33 @@ class TestTaintedSet:
         f = world.node_at("/d/f")
         world.set_flags(("file", f.node_id), TAINT)
         world.set_flags(("proc", 2), TAINT)
-        assert world.tainted == self.scan(world) == {("file", f.node_id), ("proc", 2)}
-        assert world.taint_epoch == 2
+        assert world.tainted == self.scan(world) == {("file", "/d/f"), ("proc", 2)}
+        assert world.taint_changes == [(("file", "/d/f"), True), (("proc", 2), True)]
+        world.taint_changes.clear()
         world.set_flags(("file", f.node_id), TAINT | CONF)
         world.repath(world.node_at("/g"), "/h")
-        assert world.taint_epoch == 2           # no TAINT flip, no tainted member moved
+        assert world.taint_changes == []        # no TAINT flip, no tainted member moved
         world.repath(world.node_at("/d"), "/e")
-        assert world.taint_epoch == 3           # tainted /d/f is now /e/f
+        assert world.taint_changes == [(("file", "/d/f"), False), (("file", "/e/f"), True)]
+        assert world.tainted == self.scan(world) == {("file", "/e/f"), ("proc", 2)}
+        world.taint_changes.clear()
         world.exit(child)
-        assert world.tainted == self.scan(world) == {("file", f.node_id)}
+        assert world.tainted == self.scan(world) == {("file", "/e/f")}
         world.remove_node(f)
         assert world.tainted == self.scan(world) == set()
-        assert world.taint_epoch == 5
+        assert world.taint_changes == [(("proc", 2), False), (("file", "/e/f"), False)]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_changes_move_the_epoch_whenever_the_snapshot_changes(self, seed):
+    def test_random_changes_log_each_flip_of_the_snapshot(self, seed):
+        """After every change the tainted set equals a by-path scan, and the
+        change's log of flips, each one a real entry or exit, turns the scan
+        before it into the scan after it."""
         rng = random.Random(seed)
         names = itertools.count()
         world = boot("")
         for _ in range(300):
-            epoch, snapshot = world.taint_epoch, self.scan(world, by_path=True)
+            labels = self.scan(world)
+            world.taint_changes.clear()
             roll = rng.random()
             if roll < 0.2:
                 node = rng.choice(list(world.fs.values()))
@@ -491,9 +497,11 @@ class TestTaintedSet:
             else:
                 random_step(world, rng, names, defaultdict(int))
             assert world.tainted == self.scan(world)
-            assert engine.tainted_snapshot(world) == self.scan(world, by_path=True)
-            if self.scan(world, by_path=True) != snapshot:
-                assert world.taint_epoch != epoch
+            assert engine.tainted_snapshot(world) == self.scan(world)
+            for label, entered in world.taint_changes:
+                assert (label in labels) != entered, (label, entered)
+                labels.add(label) if entered else labels.remove(label)
+            assert labels == self.scan(world)
 
     def test_boot_marks_go_through_set_flags(self, monkeypatch):
         writes = []

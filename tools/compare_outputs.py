@@ -30,7 +30,10 @@ a failing check are compared too.  All calls of a side go through `main` in
 one interpreter, which also covers reusing the CLI parser across calls.
 The exit code, stdout, stderr, audit file and DOT file of each call are
 compared; an exception that escapes the CLI is compared by its type and
-message.  A call of the new side that raises past `main` is listed with
+message.  The first 40 differences are listed, and a tally of the
+differing calls follows them, by output field and by command (a `check`
+with a rule stubbed counted apart from a plain one), so a change with one
+intended difference can show that nothing else differs.  A call of the new side that raises past `main` is listed with
 its case and counted, whether or not the old side raised too: the CLI
 reports every error with an exit code, never with a traceback.  Exit
 status: 0 when every call matches and none of the new side raised, 1 on
@@ -45,6 +48,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -290,23 +294,32 @@ def main(argv=None) -> int:
             return 2
 
     differences, raised = [], []
+    by_field, by_command = Counter(), Counter()
     for owner, (argv, rule), before, after in zip(owners, jobs, old, new):
         call = argv[0] + (f" with {rule} stubbed" if rule else "")
         if str(after["code"]).startswith("raised "):
             raised.append(f"{owner}: {call} {after['code']}")
-        for name in FIELDS:
-            if before[name] != after[name]:
-                detail = ""
-                if name in ("code", "stderr"):
-                    key = "code" if name == "code" else "stderr_head"
-                    detail = f": {before[key]!r} -> {after[key]!r}"
-                differences.append(f"{owner}: {call} {name} differs{detail}")
+        differing = [name for name in FIELDS if before[name] != after[name]]
+        for name in differing:
+            detail = ""
+            if name in ("code", "stderr"):
+                key = "code" if name == "code" else "stderr_head"
+                detail = f": {before[key]!r} -> {after[key]!r}"
+            differences.append(f"{owner}: {call} {name} differs{detail}")
+        if differing:
+            by_field.update(differing)
+            by_command[argv[0] + (" (rule stubbed)" if rule else "")] += 1
     for line in differences[:40]:
         print(line)
     if len(differences) > 40:
         print(f"... and {len(differences) - 40} more")
     for line in raised:
         print(line)
+    if differences:
+        print(f"{sum(by_command.values())} differing calls; by field: "
+              + ", ".join(f"{name} {by_field[name]}" for name in FIELDS if by_field[name])
+              + "; by command: "
+              + ", ".join(f"{command} {count}" for command, count in sorted(by_command.items())))
 
     on_mutants = [result for owner, result in zip(owners, new)
                   if owner.startswith("mutant ")]
