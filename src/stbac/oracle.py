@@ -266,7 +266,6 @@ _TREE = 256        # a path op ran
 
 _DEMANDS = _READ | _EXEC | _PRODUCE
 _TREE_FACT = (_TREE, None, None, None)
-_NO_FLIPS = ()
 
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
@@ -401,7 +400,7 @@ class _ClosureFold:
         """Fold one event's facts (None for a denied event); the event's
         flips of the live low labels, (label, entered) in order."""
         if not facts:
-            return _NO_FLIPS
+            return ()
         flips = []
         low_pids, low_cells = self.low_pids, self.low_cells
         cells = self.struct.cells
@@ -481,19 +480,19 @@ class TaintDiff:
     """The comparison of the engine's tainted sets with the oracle's, fed
     one event's flips of each side at a time, each flip a (label, entered)
     pair that changed its side's set.  missing holds the labels only the
-    oracle has, extra those only the engine has; both start as the
-    difference of the two sets before the first event (engine_set and
-    oracle_set) and move with each flip.  count is the number of events
-    after which either is non-empty; divergences keeps the first `keep` of
-    them (all without keep)."""
+    oracle has, extra those only the engine has.  The oracle's closure
+    starts empty, so before the first event missing is empty and extra is
+    the engine's set then (engine_set); both move with each flip.  count is
+    the number of events after which either is non-empty; divergences keeps
+    the first `keep` of them (all without keep)."""
 
-    def __init__(self, keep: int | None = None, engine_set=(), oracle_set=()):
+    def __init__(self, keep: int | None = None, engine_set=()):
         self.keep = keep
         self.events = 0              # events compared so far
         self.count = 0
         self.divergences = []
-        self.missing = set(oracle_set).difference(engine_set)
-        self.extra = set(engine_set).difference(oracle_set)
+        self.missing = set()
+        self.extra = set(engine_set)
 
     def add(self, tick: int, engine_flips, oracle_flips):
         missing, extra = self.missing, self.extra

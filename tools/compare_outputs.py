@@ -33,9 +33,10 @@ compared; an exception that escapes the CLI is compared by its type and
 message.  The first 40 differences are listed, and a tally of the
 differing calls follows them, by output field and by command (a `check`
 with a rule stubbed counted apart from a plain one), so a change with one
-intended difference can show that nothing else differs.  A call of the new side that raises past `main` is listed with
-its case and counted, whether or not the old side raised too: the CLI
-reports every error with an exit code, never with a traceback.  Exit
+intended difference can show that nothing else differs.  A call of the
+new side that raises past `main` is listed with its case and counted,
+whether or not the old side raised too: the CLI reports every error with
+an exit code, never with a traceback.  Exit
 status: 0 when every call matches and none of the new side raised, 1 on
 any difference or raise, 2 when a side could not be run.
 """
