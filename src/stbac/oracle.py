@@ -24,8 +24,9 @@ where its source is low, and a source of None always holds.  The kinds:
   it was written;
 * _MARK: an administrative taint mark;
 * _EXIT: a pid exited; each view drops it from its low sets;
-* _TREE: a path op ran; it moves the live cells under a view's low sets
-  without changing the sets.
+* _MOVE: the cells a path op moved or removed, each with the path it
+  left, first among its event's facts; a cell that is no longer the cell
+  at its path was removed, and each view drops it from its low sets.
 
 The one pass, OnePass, builds one structure and steps one event and its
 audit record at a time, as the engine's _Replayer steps one event, handing
@@ -35,14 +36,14 @@ event or record.  Each fold judges lowness in its own view and keeps its
 own record of which fifo messages were low:
 
 * the closure fold: plain forward reachability over the oracle's own low
-  sets, sharing no code with the taint rule module.  It keeps the labels
-  of the live low cells beside the sets and returns each event's flips of
-  the live low labels, (label, entered) in order: a pid's label enters
-  when the pid becomes low and leaves when it exits or its mark is
-  cleared, a cell's label enters when a live cell becomes low, and a path
-  op while some cell is low re-scans the low cells' labels.  So an event
-  costs the facts it brings, plus the low cells where a path op ran, not
-  the size of the low sets;
+  sets, sharing no code with the taint rule module.  It returns each
+  event's flips of the live low labels, (label, entered) in order: a
+  pid's label enters when the pid becomes low and leaves when it exits or
+  its mark is cleared; a cell's label enters when the cell becomes low and
+  leaves when its mark is cleared or a path op moves or removes it, a
+  moved cell's label entering again at its new path.  So an event costs
+  the facts it brings and the cells its path op touched, not the size of
+  the low sets;
 * the Biba fold: the low-water-mark integrity conditions (two levels:
   tainted entities are low, everything else is high), judged against the
   levels the engine's audit reports in its flag changes.
@@ -114,6 +115,10 @@ class _Structure:
         self.kids = {}           # directory _Cell -> {child _Cell: None}, in insertion order
         self.exe_paths = {1: "-"}    # live pid -> its image's path
         self.protected = set()   # INTE cells
+        # (cell, path it left) of each cell moved or removed since _facts last
+        # took the log; the boot's replacements go to the first event, when
+        # nothing is low yet.
+        self.moves = []
         cells, kids = self.cells, self.kids
         self.add_cell("/", "dir", False, None)
         for path, kind, exec_bits, _ in config.nodes:
@@ -179,8 +184,12 @@ class _Structure:
         return became_set
 
     def remove(self, path: str):
+        """Drop the cell at path and its protection, and log it in moves; a
+        logged cell that is no longer the cell at its path was removed."""
         cell = self.cells.pop(path, None)
         if cell is not None:
+            self.moves.append((cell, path))
+            self.protected.discard(cell)
             self.kids.pop(cell, None)
             siblings = self.kids.get(self.cells.get(parent_of(path)))
             if siblings is not None:
@@ -188,7 +197,9 @@ class _Structure:
 
     def rename(self, src: str, dst: str):
         """Move the cell at src, and its subtree, to dst, replacing dst.  A
-        rename of "/", or onto or into its own subtree, changes nothing."""
+        rename of "/", or onto or into its own subtree, changes nothing.
+        Each moved cell is logged in moves after any cell it replaced, so a
+        reader of the log meets a path's removal before its new cell."""
         if src == "/" or dst == src or dst.startswith(src + "/"):
             return
         self.remove(dst)
@@ -207,10 +218,12 @@ class _Structure:
         if siblings is not None:
             siblings[cell] = None
         for member in moved:
-            member.path = dst + member.path[len(src):]
+            left = member.path
+            member.path = dst + left[len(src):]
             if member.path in self.cells:     # left below dst by a rejected trace
                 self.remove(member.path)
             self.cells[member.path] = member
+            self.moves.append((member, left))
 
 
 def _int(token: str, ev) -> int:
@@ -262,10 +275,9 @@ _SEND = 16         # target: a fifo cell; source: the writer pid
 _RECV = 32         # target: the reader pid; source: a fifo cell
 _MARK = 64         # target pid or cell; detail: True to mark, False to clear
 _EXIT = 128        # target: a pid that exited
-_TREE = 256        # a path op ran
+_MOVE = 256        # detail: the structure's moves, (cell, path it left) pairs
 
 _DEMANDS = _READ | _EXEC | _PRODUCE
-_TREE_FACT = (_TREE, None, None, None)
 
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
@@ -317,7 +329,6 @@ def _facts(struct: _Structure, trust, ev, args) -> list:
             facts.append((_EXCEPTION, cell, pid, (
                 ("{} {}", noun, path),
                 ("allowed creation in protected directory {}", parent_of(path)))))
-        facts.append(_TREE_FACT)
     elif op == "open_write":
         cell = struct.cells.get(args[0])
         if cell is not None and cell.kind != "dir":
@@ -360,10 +371,8 @@ def _facts(struct: _Structure, trust, ev, args) -> list:
             facts.append((_READ, pid, cell, ("load of low file {}", args[0])))
     elif op in ("unlink", "rmdir"):
         struct.remove(args[0])
-        facts.append(_TREE_FACT)
     elif op == "rename":
         struct.rename(args[0], args[1])
-        facts.append(_TREE_FACT)
     elif op == "set_stbac_attr":
         target, flag_name, value = args
         if target.startswith("pid:"):
@@ -372,6 +381,9 @@ def _facts(struct: _Structure, trust, ev, args) -> list:
             marked = struct.cells.get(target)
         if flag_name == "taint" and marked is not None:
             facts.append((_MARK, marked, None, value == "1"))
+    if struct.moves:
+        facts.insert(0, (_MOVE, None, None, struct.moves))
+        struct.moves = []
     return facts
 
 
@@ -386,14 +398,14 @@ def _where(index: int, ev) -> str:
 
 class _ClosureFold:
     """The oracle's own low sets, grown by every flow fact whose source they
-    hold, and the labels of the live low cells (a low pid's label is
-    ("proc", pid), live while the pid is in low_pids)."""
+    hold; low_cells holds live cells only (a low pid's label is
+    ("proc", pid), live while the pid is in low_pids, and a low cell's is
+    ("file", its path))."""
 
     def __init__(self, struct: _Structure):
         self.struct = struct
         self.low_pids = set()
         self.low_cells = set()
-        self.cell_labels = set()     # ("file", path) of each live low cell
         self.fifo_low = {}           # fifo cell -> low writers of its pending messages
 
     def step(self, facts) -> list:
@@ -403,18 +415,13 @@ class _ClosureFold:
             return ()
         flips = []
         low_pids, low_cells = self.low_pids, self.low_cells
-        cells = self.struct.cells
-        moved = False
         for kind, target, source, detail in facts:
             if kind & _DEMANDS:
                 if source is None or source in low_pids or source in low_cells:
                     if kind == _PRODUCE:
                         if target not in low_cells:
                             low_cells.add(target)
-                            if cells.get(target.path) is target:
-                                label = ("file", target.path)
-                                self.cell_labels.add(label)
-                                flips.append((label, True))
+                            flips.append((("file", target.path), True))
                     elif target not in low_pids:
                         low_pids.add(target)
                         flips.append((("proc", target), True))
@@ -426,34 +433,27 @@ class _ClosureFold:
                     low_pids.add(target)
                     flips.append((("proc", target), True))
             elif kind == _MARK:
-                if isinstance(target, int):
-                    if detail != (target in low_pids):
-                        low_pids.add(target) if detail else low_pids.discard(target)
-                        flips.append((("proc", target), detail))
-                else:
-                    low_cells.add(target) if detail else low_cells.discard(target)
-                    moved = True
+                low = low_pids if isinstance(target, int) else low_cells
+                if detail != (target in low):
+                    low.add(target) if detail else low.discard(target)
+                    flips.append((("proc", target) if low is low_pids
+                                  else ("file", target.path), detail))
             elif kind == _EXIT:
                 if target in low_pids:
                     low_pids.remove(target)
                     flips.append((("proc", target), False))
-            elif kind == _TREE:
-                moved = moved or bool(low_cells)
-        if moved:
-            self._rescan_cells(flips)
+            elif kind == _MOVE and (low_cells or self.fifo_low):
+                # Each logged cell left its path; a low one's label leaves
+                # with it and enters at its new path if it is still live.
+                for cell, left in detail:
+                    if cell in low_cells:
+                        flips.append((("file", left), False))
+                    if self.struct.cells.get(cell.path) is not cell:
+                        low_cells.discard(cell)
+                        self.fifo_low.pop(cell, None)
+                    elif cell in low_cells:
+                        flips.append((("file", cell.path), True))
         return flips
-
-    def _rescan_cells(self, flips: list):
-        """Re-label the low cells after a path op or a cell's mark, adding
-        the flips to flips; a removed cell stays in low_cells but is no
-        longer the cell at its path."""
-        cells = self.struct.cells
-        now = {("file", cell.path) for cell in self.low_cells
-               if cells.get(cell.path) is cell}
-        before = self.cell_labels
-        flips += [(label, False) for label in before - now]
-        flips += [(label, True) for label in now - before]
-        self.cell_labels = now
 
 
 @dataclass
@@ -652,6 +652,11 @@ class _BibaFold:
                                     ("fifo message from low pid {}", senders[0])))
             elif kind == _EXIT:
                 low_pids.discard(target)
+            elif kind == _MOVE and (low_cells or self.fifo_low):
+                for cell, _ in detail:
+                    if struct.cells.get(cell.path) is not cell:
+                        low_cells.discard(cell)
+                        self.fifo_low.pop(cell, None)
         for change in flag_changes:
             kind, ident = change.entity
             if change.flag == TAINT and kind == "proc":

@@ -913,3 +913,22 @@ class TestMemoryPerEvent:
                         for count in (10_000, 40_000))
         per_event = (large - small) / 30_000
         assert per_event <= self.BOUND, f"{command}: {per_event:.0f} B per event"
+
+    @pytest.mark.parametrize("command", ["replay", "check"])
+    def test_file_churn_peak_grows_by_at_most_64_bytes_per_event(self, tmp_path, command):
+        """The same bound on trace_gen.churn_trace, whose cycles create and
+        unlink a tainted executable, a protected file and a fifo with a
+        message pending: a removed file leaves nothing behind."""
+        (tmp_path / "init.cfg").write_text(trace_gen.CHURN_BOOT)
+        extra = ["--audit", str(tmp_path / "F")] if command == "replay" else []
+
+        def churn_peak(cycles):
+            trace = tmp_path / f"churn{cycles}.trace"
+            trace.write_text(trace_gen.churn_trace(cycles))
+            return self.peak([command, "--init", str(tmp_path / "init.cfg"), str(trace),
+                              *extra])
+
+        churn_peak(10)       # warm-up
+        small, large = churn_peak(1500), churn_peak(6000)
+        per_event = (large - small) / (7 * 4500)
+        assert per_event <= self.BOUND, f"{command}: {per_event:.0f} B per event"

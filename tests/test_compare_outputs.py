@@ -1,6 +1,7 @@
 """tools/compare_outputs.py: a checkout matches itself, one changed error
-message, divergence line or trust listing in a copy of src/ is caught, and
-mutants reach the copy map and every file of a bundle."""
+message, divergence line (engine missing or extra) or trust listing in a
+copy of src/ is caught, and mutants reach the copy map and every file of a
+bundle."""
 
 import importlib.util
 import re
@@ -63,6 +64,16 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
         in proc.stdout
 
 
+def test_an_altered_extra_line_is_a_difference(tmp_path):
+    """Only an engine holding labels the oracle lacks prints "engine extra"
+    lines; the checks with a taint rule firing reach them."""
+    copy_src_replacing(tmp_path, "oracle.py", '"engine extra "', '"engine has more "')
+    proc = compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "check with taint.tr_proc_exe firing stdout differs" in proc.stdout
+    assert "check with taint.tr_proc_proc firing stdout differs" in proc.stdout
+
+
 def test_differing_calls_are_tallied_by_field_and_command(tmp_path):
     """An altered divergence line changes the stdout of failing checks
     alone: the tally names that field and the stubbed checks, and nothing
@@ -86,9 +97,9 @@ def test_a_call_that_raises_past_main_fails_the_run(tmp_path):
     proc = compare(tmp_path, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "scenario remote_user: check raised RuntimeError: boom\n" in proc.stdout
-    # The three scenarios' and twenty mutants' checks, and eight stubbed
-    # checks per scenario.
-    assert re.search(r"; 47 raised past main\): 0 differences\n$", proc.stdout), \
+    # The three scenarios' and twenty mutants' checks, and ten checks with
+    # a rule changed per scenario: eight rules stubbed, two firing.
+    assert re.search(r"; 53 raised past main\): 0 differences\n$", proc.stdout), \
         proc.stdout
 
 

@@ -341,3 +341,22 @@ def synthetic_trace(count):
         tick += 1
         i += 1
     return "\n".join(lines[:count]) + "\n"
+
+
+CHURN_BOOT = "node /srv dir 0\nnode /sbin dir 0\ninte /sbin\n"
+
+
+def churn_trace(cycles):
+    """A trace over CHURN_BOOT that starts and ends files: pid 1 forks the
+    clean pid 2 and opens an untrusted socket, then each cycle has the
+    tainted pid 1 create and unlink an executable in /srv, pid 2 create and
+    unlink a file in the protected /sbin, and pid 1 make a fifo, write to
+    it and unlink it with the message pending.  Each cycle leaves the
+    world as it found it; 2 + 7 * cycles events."""
+    lines = ["1,1,fork,2", "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp"]
+    for tick in range(3, cycles + 3):
+        lines += [f"{tick},1,create,/srv/tool,1", f"{tick},1,unlink,/srv/tool",
+                  f"{tick},2,create,/sbin/note,0", f"{tick},2,unlink,/sbin/note",
+                  f"{tick},1,mkfifo,/srv/pipe", f"{tick},1,open_write,/srv/pipe",
+                  f"{tick},1,unlink,/srv/pipe"]
+    return "\n".join(lines) + "\n"

@@ -25,19 +25,22 @@ On every case that is not a mutant it also runs the admin listings
 `get-flag --recursive /`, `trust list` and `pcopy list` on the bundle's
 files, so those subparsers are compared too, and on the scenarios and the
 check windows it runs `check` once per rule in RULE_STUBS with that rule
-replaced by one that returns None, so the divergence and violation lines of
-a failing check are compared too.  All calls of a side go through `main` in
-one interpreter, which also covers reusing the CLI parser across calls.
+replaced by one that returns None, and once per rule in FIRING_STUBS with
+that rule asked as if its source pid were tainted.  The first kind
+leaves the engine short of the oracle and the second puts it past it, so the divergence lines of a failing check are
+compared on both sides ("engine missing" and "engine extra"), and so are
+the violation lines.  All calls of a side go through `main` in one
+interpreter, which also covers reusing the CLI parser across calls.
 The exit code, stdout, stderr, audit file and DOT file of each call are
 compared; an exception that escapes the CLI is compared by its type and
 message.  The first 40 differences are listed, and a tally of the
 differing calls follows them, by output field and by command (a `check`
-with a rule stubbed counted apart from a plain one), so a change with one
-intended difference can show that nothing else differs.  A call of the
-new side that raises past `main` is listed with its case and counted,
-whether or not the old side raised too: the CLI reports every error with
-an exit code, never with a traceback.  Exit
-status: 0 when every call matches and none of the new side raised, 1 on
+with a rule stubbed or firing counted apart from a plain one), so a
+change with one intended difference can show that nothing else differs.
+A call of the new side that raises past `main` is listed with its case
+and counted, whether or not the old side raised too: the CLI reports
+every error with an exit code, never with a traceback.  Exit status: 0
+when every call matches and none of the new side raised, 1 on
 any difference or raise, 2 when a side could not be run.
 """
 
@@ -64,6 +67,11 @@ RULE_STUBS = ("taint.tr_sock_proc", "taint.tr_proc_proc", "taint.tr_proc_exe",
               "taint.tr_exe_proc", "vital.vr_dir_dir", "vital.vr_proc_proc",
               "vital.vr_proc_file", "vital.vr_file_proc")
 
+# The taint rules a firing `check` asks as if the pid in their first
+# argument were tainted: any executable written is tainted, and taint
+# spreads from any process.  The engine then holds labels the oracle lacks.
+FIRING_STUBS = ("taint.tr_proc_exe", "taint.tr_proc_proc")
+
 # The mutated bundle with a partial copy: `fstree` at seed 1, cut to its
 # check window.
 COPY_MAP_SOURCE = "fstree check window"
@@ -82,16 +90,19 @@ TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
           "res:cpu_ticks", "res:gpu")
 
 # Runs in the child interpreter: argv[1] is the checkout's src directory,
-# argv[2] the list of jobs (CLI argument list and rule to stub, or null),
+# argv[2] the list of jobs (CLI argument list and the rule to change, as
+# "<module.name> stubbed" or "<module.name> firing", or null),
 # argv[3] where the results go, and argv[4:6] the audit and DOT paths the
 # calls write.
 CHILD = r"""
 import contextlib, hashlib, importlib, io, json, sys
 from pathlib import Path
+from types import SimpleNamespace
 src, jobs_path, results_path, *outputs = map(Path, sys.argv[1:6])
 sys.path.insert(0, str(src))
 import stbac
 from stbac.cli import main
+from stbac.model import TAINT
 if Path(stbac.__file__).resolve().parent != (src / "stbac").resolve():
     sys.exit(f"stbac imported from {stbac.__file__}, not {src}")
 
@@ -105,18 +116,23 @@ def read(path):
     path.unlink()
     return text
 
-def stubbed(rule):
+def stubbed(change):
+    rule, how = change.split()
     module_name, name = rule.split(".")
     module = importlib.import_module("stbac." + module_name)
     original = getattr(module, name)
-    setattr(module, name, lambda *args, **kwargs: None)
+    if how == "firing":
+        setattr(module, name, lambda source, *rest: original(
+            SimpleNamespace(pid=source.pid, flags=TAINT), *rest))
+    else:
+        setattr(module, name, lambda *args, **kwargs: None)
     return lambda: setattr(module, name, original)
 
 results = []
-for argv, rule in json.loads(jobs_path.read_text()):
+for argv, change in json.loads(jobs_path.read_text()):
     for path in outputs:
         path.unlink(missing_ok=True)
-    restore = stubbed(rule) if rule else None
+    restore = stubbed(change) if change else None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -230,9 +246,10 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
 
 def jobs_for(cases: list, outputs: tuple) -> tuple:
     """(jobs, the case name of each job).  A job is a CLI argument list and
-    the rule to stub for it, or None: `replay` to files and to stdout,
+    the rule to change for it, or None: `replay` to files and to stdout,
     `graph` and `check` per case, the admin listings per case that is not a
-    mutant, and a stubbed `check` per rule where the case asks for them.
+    mutant, and a `check` per rule stubbed and per rule firing where the
+    case asks for them.
     Both sides write the same two output paths, so a message that names one
     reads the same."""
     audit, dot = outputs
@@ -248,7 +265,10 @@ def jobs_for(cases: list, outputs: tuple) -> tuple:
                           (["trust", "--trust", trust, "list"], None),
                           (["pcopy", "--pcopy", pcopy, "list"], None)]
         if stubs:
-            case_jobs += [(["check", *bundle, trace], rule) for rule in RULE_STUBS]
+            case_jobs += [(["check", *bundle, trace], f"{rule} stubbed")
+                          for rule in RULE_STUBS]
+            case_jobs += [(["check", *bundle, trace], f"{rule} firing")
+                          for rule in FIRING_STUBS]
         jobs += case_jobs
         owners += [name] * len(case_jobs)
     return jobs, owners
@@ -296,8 +316,8 @@ def main(argv=None) -> int:
 
     differences, raised = [], []
     by_field, by_command = Counter(), Counter()
-    for owner, (argv, rule), before, after in zip(owners, jobs, old, new):
-        call = argv[0] + (f" with {rule} stubbed" if rule else "")
+    for owner, (argv, change), before, after in zip(owners, jobs, old, new):
+        call = argv[0] + (f" with {change}" if change else "")
         if str(after["code"]).startswith("raised "):
             raised.append(f"{owner}: {call} {after['code']}")
         differing = [name for name in FIELDS if before[name] != after[name]]
@@ -309,7 +329,7 @@ def main(argv=None) -> int:
             differences.append(f"{owner}: {call} {name} differs{detail}")
         if differing:
             by_field.update(differing)
-            by_command[argv[0] + (" (rule stubbed)" if rule else "")] += 1
+            by_command[argv[0] + (" (rule stubbed)" if change else "")] += 1
     for line in differences[:40]:
         print(line)
     if len(differences) > 40:
@@ -325,7 +345,7 @@ def main(argv=None) -> int:
     on_mutants = [result for owner, result in zip(owners, new)
                   if owner.startswith("mutant ")]
     rejected = sum(result["code"] == 2 for result in on_mutants)
-    on_stubs = [result for (_, rule), result in zip(jobs, new) if rule]
+    on_stubs = [result for (_, change), result in zip(jobs, new) if change]
     failed = sum(result["code"] == 1 for result in on_stubs)
     print(f"{len(cases)} cases, {len(jobs)} calls per checkout "
           f"({len(on_stubs)} stubbed checks, {failed} of them exit 1; "
