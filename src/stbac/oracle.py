@@ -26,7 +26,8 @@ where its source is low, and a source of None always holds.  The kinds:
 * _EXIT: a pid exited; each view drops it from its low sets;
 * _MOVE: the cells a path op moved or removed, each with the path it
   left, first among its event's facts; a cell that is no longer the cell
-  at its path was removed, and each view drops it from its low sets.
+  at its path was removed, and each view drops it from its low sets and
+  its fifo records.
 
 The one pass, OnePass, builds one structure and steps one event and its
 audit record at a time, as the engine's _Replayer steps one event, handing
