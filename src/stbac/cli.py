@@ -16,7 +16,9 @@ replay --dot record the dependency graph, whose edges do grow with it.  No
 output is written until the whole trace has replayed: audit lines wait in a
 spool that spills to an anonymous temporary file past SPOOL_CHARS, and a
 malformed or inapplicable event, reported with its line, leaves stdout and
-every output file as they were.  Trace errors come in trace order: the
+every output file as they were, with one exception: once check has found a
+divergence or a failed condition, it prints its findings for the events
+before the bad one and exits 1.  Trace errors come in trace order: the
 first bad line is reported, whether it is malformed or names something the
 replay does not have.
 """
@@ -45,6 +47,7 @@ from .model import (
     PROTOCOLS,
     ConfigError,
     StbacError,
+    TraceError,
     UnknownEntity,
     check_path,
     format_flags,
@@ -220,19 +223,36 @@ def _stream(args, graph, audit=None) -> _Replayer:
     return replayer
 
 
+class CheckStopped(TraceError):
+    """A trace error that stopped check_replay after an event had diverged
+    or a Biba condition had failed.  findings holds what check_replay
+    returns, for the events stepped before the error."""
+
+    def __init__(self, error: TraceError, findings: tuple):
+        super().__init__(str(error))      # the message already names the line
+        self.line = error.line
+        self.findings = findings
+
+
 def check_replay(config, world, policy, events) -> tuple:
     """Step the engine and the oracle's one pass together, one event at a
     time: the engine's record of an event feeds the oracle's step, and the
     event's flips of the two tainted sets are compared at once, so an event
     costs its flips, not the size of the sets.  Returns the TaintDiff, the
-    BibaReport and the replayer."""
+    BibaReport and the replayer.  A trace error propagates as it is while
+    nothing has been found, and as CheckStopped after."""
     replayer = _Replayer(world, policy, None)     # check exports no graph
     one_pass = OnePass(config, policy.trust)
-    diff = TaintDiff(SHOWN_DIVERGENCES, world.tainted)    # the oracle starts empty
+    diff = TaintDiff(SHOWN_DIVERGENCES)
     step, compare = replayer.step, diff.add
-    for event in events:
-        record = step(event)
-        compare(event.tick, world.taint_changes, one_pass.step(event, record))
+    try:
+        for event in events:
+            record = step(event)
+            compare(event.tick, world.taint_changes, one_pass.step(event, record))
+    except TraceError as exc:
+        if diff.count or not one_pass.report.all_passed():
+            raise CheckStopped(exc, (diff, one_pass.report, replayer)) from exc
+        raise
     return diff, one_pass.report, replayer
 
 
@@ -269,7 +289,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_check(args) -> int:
-    diff, report, replayer = check_replay(*_load(args))
+    stopped = None
+    try:
+        diff, report, replayer = check_replay(*_load(args))
+    except CheckStopped as exc:
+        stopped = exc
+        diff, report, replayer = exc.findings
     failures = 0
     if diff.count:
         failures += 1
@@ -285,6 +310,8 @@ def cmd_check(args) -> int:
         failures += 1
 
     print(f"replay: {diff.events} events, {replayer.denials} denials")
+    if stopped is not None:
+        print(f"error: {stopped}", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_DENIED
 
 

@@ -20,9 +20,9 @@ FlagMutation: a taint or vital rule's spread, or an administrative
 set_stbac_attr that the integrity rule allowed.  A handler asks all its
 rules before step applies any mutation; _Replayer._apply_mutation is the one
 place a replay applies them, through World.set_flags.  The world, not the
-engine, owns the tainted set and its log of flips; _Replayer.step empties
-the log first, so after a step it holds that event's flips alone, and
-tainted_snapshot only copies the set.
+engine, logs each taint flip from the TAINT bits it stores; _Replayer.step
+empties the log first, so after a step it holds that event's flips alone.
+tainted_snapshot scans the world for the live TAINT entities.
 
 Label bits stay int masks through a replay, and a FlagChange names the one
 bit that flipped.  Rule names and resource kinds are plain strings that are
@@ -264,8 +264,11 @@ class ReplayResult:
 
 def tainted_snapshot(world: World) -> frozenset:
     """Labels of the live tainted entities, files keyed by their current
-    path: a copy of the world's tainted set, in O(tainted)."""
-    return frozenset(world.tainted)
+    path: a scan of every process and node, in O(world)."""
+    return frozenset([("proc", pid) for pid, proc in world.processes.items()
+                      if proc.alive and proc.flags & TAINT]
+                     + [("file", node.path) for node in world.fs.values()
+                        if node.flags & TAINT])
 
 
 def replay(world: World, events, policy: Policy | None = None) -> ReplayResult:
@@ -282,18 +285,14 @@ class _Replayer:
     a trace one event at a time, and replay collects its records.  With a
     graph of None the replay records no edges, for a caller that never
     exports them.  denials counts the denied events stepped so far.  After
-    a step, world.taint_changes holds the flips of the world's tainted set
-    that the event made, in order, and nothing older."""
+    a step, world.taint_changes holds the taint flips that the event made,
+    in order, and nothing older."""
 
     def __init__(self, world: World, policy: Policy, graph: DepGraph | None):
         self.world = world
         self.policy = policy
         self.graph = graph
         self.denials = 0
-
-    def tainted(self) -> frozenset:
-        """tainted_snapshot of the world now, built afresh on each call."""
-        return tainted_snapshot(self.world)
 
     # -- main step ---------------------------------------------------------
 

@@ -481,19 +481,19 @@ class TaintDiff:
     """The comparison of the engine's tainted sets with the oracle's, fed
     one event's flips of each side at a time, each flip a (label, entered)
     pair that changed its side's set.  missing holds the labels only the
-    oracle has, extra those only the engine has.  The oracle's closure
-    starts empty, so before the first event missing is empty and extra is
-    the engine's set then (engine_set); both move with each flip.  count is
-    the number of events after which either is non-empty; divergences keeps
-    the first `keep` of them (all without keep)."""
+    oracle has, extra those only the engine has.  Both sides start empty
+    (a booted world holds no TAINT, and the oracle's closure starts
+    empty), so both differences start empty and move with each flip.
+    count is the number of events after which either is non-empty;
+    divergences keeps the first `keep` of them (all without keep)."""
 
-    def __init__(self, keep: int | None = None, engine_set=()):
+    def __init__(self, keep: int | None = None):
         self.keep = keep
         self.events = 0              # events compared so far
         self.count = 0
         self.divergences = []
         self.missing = set()
-        self.extra = set(engine_set)
+        self.extra = set()
 
     def add(self, tick: int, engine_flips, oracle_flips):
         missing, extra = self.missing, self.extra
@@ -538,16 +538,16 @@ def _flips(before: frozenset, after: frozenset) -> list:
         [(label, True) for label in after - before]
 
 
-def diff_taint(engine_sets, oracle_sets, events=None) -> list:
+def diff_taint(engine_side, oracle_side, events=None) -> list:
     """Every per-event difference between two lists of tainted sets, the
     shorter list read as empty sets past its end; empty means full
     agreement.  A collector over TaintDiff, fed the flips between
     consecutive sets of each list."""
     diff = TaintDiff()
     engine_before = oracle_before = _NO_LABELS
-    for index in range(max(len(engine_sets), len(oracle_sets))):
-        engine_now = engine_sets[index] if index < len(engine_sets) else _NO_LABELS
-        oracle_now = oracle_sets[index] if index < len(oracle_sets) else _NO_LABELS
+    for index in range(max(len(engine_side), len(oracle_side))):
+        engine_now = engine_side[index] if index < len(engine_side) else _NO_LABELS
+        oracle_now = oracle_side[index] if index < len(oracle_side) else _NO_LABELS
         diff.add(events[index].tick if events and index < len(events) else -1,
                  _flips(engine_before, engine_now), _flips(oracle_before, oracle_now))
         engine_before, oracle_before = engine_now, oracle_now

@@ -3,13 +3,14 @@
 The world is the single mutable value a replay folds over.  Label bits live
 inline on the entity records as int masks of model's TAINT, CONF, INTE,
 AVAI and LEAK bits, written only by World.set_flags; resources carry theirs
-in the ledger, keyed by the resource kind's name.  The world owns the
-tainted set: the labels of the live entities holding TAINT, ("proc", pid)
-for a process and ("file", current path) for a node.  Every flip of that
-set is also logged, in order, as (label, entered) in taint_changes: a
-change of a TAINT bit, an exit, a removal, and a rename of a tainted node
-(its old label leaves, its new one enters).  The log grows until its owner
-empties it; a replay empties it at the start of each event.
+in the ledger, keyed by the resource kind's name.  The TAINT bit is the
+one record of taint: a live entity holding it is tainted, under its label
+("proc", pid) for a process and ("file", current path) for a node.  Each
+flip of that view is logged, in order, as (label, entered) in
+taint_changes: a change of a stored TAINT bit, and the exit, removal or
+rename of an entity holding TAINT (a rename's old label leaves, its new
+one enters).  The log grows until its owner empties it; a replay empties
+it at the start of each event.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ class World:
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
     clock: int = 0
 
-    tainted: set = field(default_factory=set)       # labels of live entities holding TAINT
-    taint_changes: list = field(default_factory=list)   # (label, entered) per flip of tainted
+    taint_changes: list = field(default_factory=list)   # (label, entered) per taint flip
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
     # One entry per live fifo, made empty by mkfifo or mknod: node id -> the
@@ -172,7 +172,8 @@ class World:
         del self.kids[node.parent][node.node_id]
         self.kids.pop(node.node_id, None)
         self.fifo_queues.pop(node.node_id, None)
-        self._track(("file", node.path), False)
+        if node.flags & TAINT:
+            self.taint_changes.append((("file", node.path), False))
 
     def children(self, node: FsNode) -> list:
         return list(self.kids.get(node.node_id, {}).values())
@@ -193,19 +194,15 @@ class World:
         """Move a node (and its subtree) to a new absolute path, whose
         parent directory must exist outside that subtree."""
         old_prefix = node.path
-        tainted, log = self.tainted, self.taint_changes
+        log = self.taint_changes
         for member in self.subtree(node):
             old_path = member.path
             del self.path_index[old_path]
             member.path = new_path + old_path[len(old_prefix):]
             self.path_index[member.path] = member.node_id
-            old_label = ("file", old_path)
-            if old_label in tainted:
-                new_label = ("file", member.path)
-                tainted.remove(old_label)
-                tainted.add(new_label)
-                log.append((old_label, False))
-                log.append((new_label, True))
+            if member.flags & TAINT:
+                log.append((("file", old_path), False))
+                log.append((("file", member.path), True))
         del self.kids[node.parent][node.node_id]
         node.parent = self.lookup(parent_of(new_path))
         self.kids[node.parent][node.node_id] = node
@@ -222,7 +219,8 @@ class World:
     def exit(self, proc: Process):
         self.ledger.release_all(proc)
         proc.alive = False
-        self._track(("proc", proc.pid), False)
+        if proc.flags & TAINT:
+            self.taint_changes.append((("proc", proc.pid), False))
 
     def open_socket(self, sock_id: int, owner: int, remote: tuple,
                     trusted: bool) -> Socket:
@@ -248,24 +246,17 @@ class World:
 
     def set_flags(self, ref: tuple, flags: int):
         """Store an entity's label mask, unguarded: the one writer of label
-        bits, for replay mutations, boot marks and config edits alike."""
+        bits, for replay mutations, boot marks and config edits alike.  A
+        change of a process's or node's TAINT bit is logged as a flip."""
         kind, ident = ref
         if kind == "res":
             self.ledger.flags[ident] = flags
             return
         entity = self.processes[ident] if kind == "proc" else self.fs[ident]
+        if (entity.flags ^ flags) & TAINT:
+            self.taint_changes.append(
+                (ref if kind == "proc" else ("file", entity.path), flags & TAINT != 0))
         entity.flags = flags
-        self._track(ref if kind == "proc" else ("file", entity.path), flags & TAINT != 0)
-
-    def _track(self, label: tuple, tainted: bool):
-        """Make label's membership of the tainted set match tainted, and
-        log the flip if it made one."""
-        if (label in self.tainted) != tainted:
-            if tainted:
-                self.tainted.add(label)
-            else:
-                self.tainted.remove(label)
-            self.taint_changes.append((label, tainted))
 
 
 def parent_of(path: str) -> str:

@@ -6,12 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from stbac import cli, engine, scenarios
 from stbac.cli import main
-from stbac.model import CONF, INTE, LEAK, ConfigError
+from stbac.model import ALLOW, CONF, INTE, LEAK, TAINT, ConfigError
 
 import trace_gen
 
@@ -395,6 +396,56 @@ class TestCheckCommand:
             " but the file is not low",
             "  violation: event 5 (create, tick 6): low pid 300 created executable"
             " but the file is not low"]
+
+    def test_findings_before_a_trace_error_are_printed(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """With tr_proc_proc asked as if its source were tainted, the
+        administrator of remote_user is tainted and denied a create in /sbin
+        that line 25 relies on.  check prints what the 19 events before that
+        line showed, keeps the error on stderr and exits 1."""
+        import stbac.taint
+        original = stbac.taint.tr_proc_proc
+        monkeypatch.setattr(stbac.taint, "tr_proc_proc", lambda source, sink: original(
+            SimpleNamespace(pid=source.pid, flags=TAINT), sink))
+        args, bundle = scenario_args("remote_user", tmp_path)
+        assert main(["check", *args]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: line 25: no such path /sbin/new_command\n"
+        assert out.startswith("taint closure: FAIL (18 diverging events)\n"
+                              "  event 1 (tick 2): engine extra proc:100\n")
+        assert out.endswith("processes from low sources are low: PASS\n"
+                            "replay: 19 events, 2 denials\n")
+        with pytest.raises(cli.CheckStopped, match="^line 25: no such") as stopped:
+            bundle.check()
+        diff, report, replayer = stopped.value.findings
+        assert (stopped.value.line, diff.count, diff.events, replayer.denials) == (25, 18, 19, 2)
+        assert report.all_passed()
+
+    def test_a_failed_condition_before_a_trace_error_is_printed(self, bundle_dir, capsys,
+                                                                monkeypatch):
+        """A Biba violation alone, with the closure agreeing, is a finding."""
+        monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: ALLOW)
+        (bundle_dir / "init.cfg").write_text(BOOT + "node /etc/motd file 0\ninte /etc/motd\n")
+        (bundle_dir / "trace").write_text("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                          "2,1,open_write,/etc/motd\n"
+                                          "3,1,open_read,/nope\n")
+        assert main(["check", "--init", str(bundle_dir / "init.cfg"),
+                     str(bundle_dir / "trace")]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: line 3: no such path /nope\n"
+        assert out.startswith("taint closure: PASS")
+        assert "low writers lower what they produce: FAIL" in out
+        assert out.endswith("replay: 2 events, 0 denials\n")
+
+    def test_a_trace_error_with_nothing_found_prints_nothing(self, bundle_dir, capsys):
+        """Taint the engine and the oracle agree on is no finding: the error
+        alone is reported, with exit code 2."""
+        (bundle_dir / "trace").write_text("1,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                                          "2,1,fork,2\n"
+                                          "3,2,open_read,/nope\n")
+        assert main(["check", "--init", str(bundle_dir / "init.cfg"),
+                     str(bundle_dir / "trace")]) == 2
+        assert capsys.readouterr() == ("", "error: line 3: no such path /nope\n")
 
     def test_empty_trace_vacuous_pass(self, bundle_dir):
         (bundle_dir / "trace").write_text("")

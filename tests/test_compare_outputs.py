@@ -72,6 +72,7 @@ def test_an_altered_extra_line_is_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "check with taint.tr_proc_exe firing stdout differs" in proc.stdout
     assert "check with taint.tr_proc_proc firing stdout differs" in proc.stdout
+    assert "check with taint.tr_exe_proc firing stdout differs" in proc.stdout
 
 
 def test_differing_calls_are_tallied_by_field_and_command(tmp_path):
@@ -97,9 +98,9 @@ def test_a_call_that_raises_past_main_fails_the_run(tmp_path):
     proc = compare(tmp_path, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "scenario remote_user: check raised RuntimeError: boom\n" in proc.stdout
-    # The three scenarios' and twenty mutants' checks, and ten checks with
-    # a rule changed per scenario: eight rules stubbed, two firing.
-    assert re.search(r"; 53 raised past main\): 0 differences\n$", proc.stdout), \
+    # The three scenarios' and twenty mutants' checks, and twelve checks
+    # with a rule changed per scenario: eight rules stubbed, four firing.
+    assert re.search(r"; 59 raised past main\): 0 differences\n$", proc.stdout), \
         proc.stdout
 
 

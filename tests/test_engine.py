@@ -681,20 +681,24 @@ def rebuilt_snapshots(world, events, policy):
 
 
 def tracked_snapshots(world, events, policy):
-    """_Replayer.tainted() after each event, stepping one replayer as
-    `stbac check` does."""
+    """The tainted set after each event as `stbac check` keeps it: the
+    world's log of flips, folded one step at a time over the set the
+    replay starts from, stepping one replayer with no graph."""
     replayer = _Replayer(world, policy, None)
+    labels = set(engine.tainted_snapshot(world))
     out = []
     for event in events:
         replayer.step(event)
-        out.append(replayer.tainted())
+        for label, entered in world.taint_changes:
+            labels.add(label) if entered else labels.discard(label)
+        out.append(frozenset(labels))
     return out
 
 
 class TestTrackedSnapshots:
-    """The world keeps its tainted set of labels current through every
-    event, and logs each flip of it; every snapshot must equal a full scan,
-    and each step's log must turn the previous scan into the next."""
+    """The world logs each taint flip of every event from the TAINT bits it
+    stores; the log folded over the steps must equal a full scan after each
+    one, and each step's log must turn the previous scan into the next."""
 
     TRACE = ("1,1,fork,2\n"
              "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
@@ -752,7 +756,7 @@ class TestTrackedSnapshots:
             replayer.step(event)
             logs.append(list(world.taint_changes))
         assert logs == [[], [], [], [], [(("proc", 2), True)], [], []]
-        assert replayer.tainted() == {("proc", 2)}
+        assert engine.tainted_snapshot(world) == {("proc", 2)}
 
     @pytest.mark.parametrize("trace", ["hand_written", *scenarios.NAMES])
     def test_each_step_logs_the_flips_from_the_previous_scan(self, trace):
@@ -776,8 +780,8 @@ class TestTrackedSnapshots:
 
 
 class TestFlipLog:
-    """The world's log of tainted-set flips holds one event's worth: a
-    replay of any length keeps no more than its last step's flips."""
+    """The world's log of taint flips holds one event's worth: a replay
+    of any length keeps no more than its last step's flips."""
 
     CYCLES = 1000
 
@@ -788,7 +792,7 @@ class TestFlipLog:
         world = boot()
         replay(world, parse_trace("\n".join(lines) + "\n"), Policy())
         assert world.taint_changes == [(("proc", self.CYCLES + 1), False)]
-        assert world.tainted == {("proc", 1)}
+        assert engine.tainted_snapshot(world) == {("proc", 1)}
 
 
 class TestTableMapping:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import os
 import random
@@ -13,11 +14,11 @@ import stbac.taint
 from stbac import cli, oracle
 from stbac import scenarios
 from stbac.cli import check_replay, load_bundle
-from stbac.engine import AuditRecord, _Replayer, parse_trace, replay
+from stbac.engine import AuditRecord, _Replayer, parse_trace, replay, tainted_snapshot
 from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
 from stbac.model import INTE, TAINT, ConfigError, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
-from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
+from stbac.world import InitConfig, Socket, parent_of, parse_init_config, spawn_boot_world
 
 from conftest import assert_agrees, generated_bundle, scanned_snapshot
 import boot_gen
@@ -79,7 +80,7 @@ class TestClosure:
         assert_agrees(diff)
         # hand fixpoint over the five entities:
         # seed proc2 -> fork proc3 -> file /srv/drop -> exec proc4
-        assert replayer.tainted() == frozenset({
+        assert tainted_snapshot(replayer.world) == frozenset({
             ("proc", 2), ("proc", 3), ("proc", 4), ("file", "/srv/drop")})
 
     def test_empty_trace(self):
@@ -90,7 +91,7 @@ class TestClosure:
     def test_web_download_closure_names_the_whole_chain(self):
         diff, _, replayer = scenarios.load("web_download").check()
         assert_agrees(diff)
-        assert replayer.tainted() == frozenset({
+        assert tainted_snapshot(replayer.world) == frozenset({
             ("proc", 300), ("proc", 302), ("proc", 303),
             ("file", "/home/user/consume-cpu"),
             ("file", "/home/user/consume-mem")})
@@ -103,7 +104,7 @@ class TestClosure:
         diff, _, replayer = check(trace)
         assert_agrees(diff)
         assert replayer.denials == 1
-        assert ("file", "/sbin/drop") not in replayer.tainted()
+        assert ("file", "/sbin/drop") not in tainted_snapshot(replayer.world)
 
     def test_rename_tracks_taint_under_new_path(self):
         trace = ("1,1,execve,/bin/sh\n"
@@ -112,8 +113,8 @@ class TestClosure:
                  "4,1,rename,/srv/a,/srv/b\n")
         diff, _, replayer = check(trace)
         assert_agrees(diff)
-        assert ("file", "/srv/b") in replayer.tainted()
-        assert ("file", "/srv/a") not in replayer.tainted()
+        assert ("file", "/srv/b") in tainted_snapshot(replayer.world)
+        assert ("file", "/srv/a") not in tainted_snapshot(replayer.world)
 
     @pytest.mark.parametrize("trace", [
         "1,1,fork,١٠",
@@ -280,7 +281,7 @@ class TestChildIndex:
         assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
         assert replayer.denials == 0
-        assert replayer.tainted() == frozenset({
+        assert tainted_snapshot(replayer.world) == frozenset({
             ("proc", 1), ("proc", 2), ("file", "/srv/m/d2/e/tool")})
         events, result = run(trace)
         struct, _ = walk_structure(BOOT, TRUSTED, events, result.records)
@@ -391,7 +392,7 @@ class TestExitedPids:
             lines += [f"{pid},1,fork,{pid}", f"{pid},{pid},sched_tick", f"{pid},{pid},exit"]
         diff, report, replayer = check("\n".join(lines) + "\n")
         assert diff.count == 0 and report.all_passed()
-        assert replayer.tainted() == {("proc", 1)}
+        assert tainted_snapshot(replayer.world) == {("proc", 1)}
         (one,) = passes
         assert one.struct.exe_paths == {1: "-"}
         assert one.closure.low_pids == {1}
@@ -417,7 +418,7 @@ class TestRemovedCells:
                                        config=trace_gen.CHURN_BOOT)
         assert diff.count == 0 and report.all_passed()
         assert replayer.denials == 0
-        assert replayer.tainted() == {("proc", 1)}
+        assert tainted_snapshot(replayer.world) == {("proc", 1)}
         (one,) = passes
         assert set(one.struct.cells) == {"/", "/srv", "/sbin"}
         assert one.closure.low_cells == set() and one.biba.low_cells == set()
@@ -549,7 +550,7 @@ class TestDivergenceBookkeeping:
     and removes on its way there."""
 
     STUBS = ("tr_proc_proc", "tr_sock_proc", "tr_exe_proc")
-    FIRING = ("tr_proc_exe", "tr_proc_proc")     # their first argument is the source pid
+    FIRING = ("tr_proc_exe", "tr_proc_proc", "tr_sock_proc", "tr_exe_proc")
 
     @staticmethod
     def cases():
@@ -599,12 +600,21 @@ class TestDivergenceBookkeeping:
 
     @pytest.mark.parametrize("rule", FIRING)
     def test_over_tainting_matches_a_from_scratch_reference(self, rule, monkeypatch):
-        """The rule is asked as if its source pid were tainted."""
+        """The rule is asked as if every entity it reads were suspect: the
+        source pid of tr_proc_exe and tr_proc_proc tainted, the socket of
+        tr_sock_proc untrusted, the file of tr_exe_proc tainted."""
         original = getattr(stbac.taint, rule)
-        monkeypatch.setattr(stbac.taint, rule, lambda source, *rest: original(
-            SimpleNamespace(pid=source.pid, flags=TAINT), *rest))
+        monkeypatch.setattr(stbac.taint, rule, lambda *args: original(*map(suspect, args)))
         diffs = self.diffs_matching_the_reference()
         assert any(diff.extra for diff in diffs if diff is not None)
+
+
+def suspect(entity):
+    """A copy of entity that a taint rule reads as a source of taint: an
+    untrusted socket, or a tainted process or file."""
+    if isinstance(entity, Socket):
+        return dataclasses.replace(entity, trusted=False)
+    return dataclasses.replace(entity, flags=entity.flags | TAINT)
 
 
 def structure_cell_by_cell(config):
@@ -761,8 +771,8 @@ class TestRedirectedAccesses:
         assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
         assert replayer.denials == 0
-        assert ("file", "/.stbac/passwd") in replayer.tainted()
-        assert ("file", "/etc/passwd") not in replayer.tainted()
+        assert ("file", "/.stbac/passwd") in tainted_snapshot(replayer.world)
+        assert ("file", "/etc/passwd") not in tainted_snapshot(replayer.world)
 
 
 class TestAdministrativeMarks:
@@ -835,7 +845,7 @@ class TestOrderRobustness:
         for order in ("aaabbb", "bbbaaa", "ababab", "abbaab"):
             diff, _, replayer = check(interleave(order))
             assert_agrees(diff)
-            finals.add(replayer.tainted())
+            finals.add(tainted_snapshot(replayer.world))
         assert len(finals) == 1
         (final,) = finals
         assert ("file", "/srv/a") in final and ("file", "/srv/b") in final
@@ -887,8 +897,8 @@ class TestDevices:
         diff, report, replayer = check(trace, config)
         assert_agrees(diff)
         assert report.all_passed(), report.summary_lines()
-        assert ("file", path) not in replayer.tainted()
-        assert ("proc", 1) in replayer.tainted()
+        assert ("file", path) not in tainted_snapshot(replayer.world)
+        assert ("proc", 1) in tainted_snapshot(replayer.world)
 
     def test_chmod_of_created_device(self):
         self.assert_device_untainted(self.MKNOD_CHMOD, "/srv/x")

@@ -8,7 +8,7 @@ import copy
 
 from hypothesis import given, settings
 
-from stbac.engine import DepGraph, _Replayer, export_graph
+from stbac.engine import DepGraph, _Replayer, export_graph, tainted_snapshot
 from stbac.model import CONF, TAINT
 
 from conftest import assert_agrees, check_generated, generated_bundle, run_generated
@@ -40,7 +40,7 @@ def test_taint_is_never_cleared_by_rules(intent_list):
                 assert change.on, record.line()
         if event.op == "exit":
             exited.add(event.pid)
-        now_tainted = {label for label in replayer.tainted() if label[0] == "proc"}
+        now_tainted = {label for label in tainted_snapshot(replayer.world) if label[0] == "proc"}
         for label in tainted_seen - now_tainted:
             assert label[1] in exited, f"{label} lost taint while alive"
         tainted_seen |= now_tainted

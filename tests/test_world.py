@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import stbac
 from stbac import engine
+from stbac.cli import main
 from stbac.engine import FlagChange, parse_trace, replay
 from stbac.model import (
     ALLOW,
@@ -143,7 +145,7 @@ def boot_state(world):
         "kids": [(d, [(c, node is world.fs[c]) for c, node in kids.items()])
                  for d, kids in world.kids.items()],
         "path_index": list(world.path_index.items()),
-        "tainted": world.tainted,
+        "tainted": engine.tainted_snapshot(world),
         "ledger": world.ledger,
         "processes": [(p.pid, p.exe_path, p.flags) for p in world.processes.values()],
         "next_node_id": world.next_node_id,
@@ -267,6 +269,36 @@ def parse_outcome(parse, text):
     return config.nodes, config.marks, config.hwms, config.caps
 
 
+def assert_untainted(world):
+    """No process or node holds TAINT, and nothing logged a taint flip."""
+    assert engine.tainted_snapshot(world) == frozenset()
+    assert not any(proc.flags & TAINT for proc in world.processes.values())
+    assert not any(node.flags & TAINT for node in world.fs.values())
+    assert world.taint_changes == []
+
+
+class TestBootNeverTaints:
+    """check's TaintDiff starts both sides empty, since a booted world
+    holds no TAINT: the boot config marks only conf, inte and leak, and so
+    does a set-flag edit of it."""
+
+    @given(boot_gen.boot_configs, st.sampled_from(("conf", "inte", "leak")),
+           st.sampled_from(("on", "off")), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_config_and_no_recursive_set_flag_edit_taints(self, text, flag, value, data):
+        try:
+            world = boot(text)
+        except ConfigError:
+            return
+        assert_untainted(world)
+        path = data.draw(st.sampled_from(sorted(world.path_index)))
+        with tempfile.TemporaryDirectory() as tmp:
+            init = Path(tmp) / "init.cfg"
+            init.write_text(text, encoding="utf-8")
+            assert main(["set-flag", "--init", str(init), "--recursive", path, flag, value]) == 0
+            assert_untainted(boot(init.read_text(encoding="utf-8")))
+
+
 class TestParserDifferential:
     """parse_init_config against a line-at-a-time reference parser, on
     texts with malformed lines, odd whitespace and line breaks."""
@@ -347,7 +379,8 @@ class TestFlagOps:
         assert world.flags_of(("file", node.node_id)) == INTE | LEAK
         assert world.flags_of(("res", "disk_blocks")) == AVAI | TAINT
         assert world.flags_of(("sock", 1)) == NO_FLAGS
-        assert world.tainted == set()           # resources are not tracked entities
+        assert engine.tainted_snapshot(world) == frozenset()
+        assert world.taint_changes == []        # a resource's TAINT bit is no taint flip
 
     def test_health_actor_sets_flag(self):
         world = boot("node /sbin dir 0\n")
@@ -428,7 +461,7 @@ class TestFlagOps:
         world = boot("")
         with pytest.raises(TraceError, match="^line 3: pid 3 has exited$"):
             admin(world, f"1,1,fork,3\n2,3,exit\n3,1,{event}\n")
-        assert world.tainted == set()
+        assert engine.tainted_snapshot(world) == frozenset()
 
     def test_admin_verdicts_come_from_the_guard(self, monkeypatch):
         monkeypatch.setattr(engine, "pr_inte", lambda *args, **kwargs: ALLOW)
@@ -450,12 +483,16 @@ class TestTaintedSet:
                 | {("file", n.path) for n in world.fs.values() if n.flags & TAINT})
 
     def test_set_flags_exit_remove_and_repath_keep_it_current(self):
+        """Each TAINT bit set or cleared, and each exit, removal and rename
+        of an entity holding TAINT, logs its flip; tainted_snapshot scans the
+        same labels as the test's own scan."""
+        snapshot = engine.tainted_snapshot
         world = boot("node /d/f file 0\nnode /g file 0\n")
         child = world.spawn(world.processes[INIT_PID], 2)
         f = world.node_at("/d/f")
         world.set_flags(("file", f.node_id), TAINT)
         world.set_flags(("proc", 2), TAINT)
-        assert world.tainted == self.scan(world) == {("file", "/d/f"), ("proc", 2)}
+        assert snapshot(world) == self.scan(world) == {("file", "/d/f"), ("proc", 2)}
         assert world.taint_changes == [(("file", "/d/f"), True), (("proc", 2), True)]
         world.taint_changes.clear()
         world.set_flags(("file", f.node_id), TAINT | CONF)
@@ -463,19 +500,19 @@ class TestTaintedSet:
         assert world.taint_changes == []        # no TAINT flip, no tainted member moved
         world.repath(world.node_at("/d"), "/e")
         assert world.taint_changes == [(("file", "/d/f"), False), (("file", "/e/f"), True)]
-        assert world.tainted == self.scan(world) == {("file", "/e/f"), ("proc", 2)}
+        assert snapshot(world) == self.scan(world) == {("file", "/e/f"), ("proc", 2)}
         world.taint_changes.clear()
         world.exit(child)
-        assert world.tainted == self.scan(world) == {("file", "/e/f")}
+        assert snapshot(world) == self.scan(world) == {("file", "/e/f")}
         world.remove_node(f)
-        assert world.tainted == self.scan(world) == set()
+        assert snapshot(world) == self.scan(world) == set()
         assert world.taint_changes == [(("proc", 2), False), (("file", "/e/f"), False)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_changes_log_each_flip_of_the_snapshot(self, seed):
-        """After every change the tainted set equals a by-path scan, and the
-        change's log of flips, each one a real entry or exit, turns the scan
-        before it into the scan after it."""
+        """After every change tainted_snapshot equals the test's own by-path
+        scan, and the change's log of flips, each one a real entry or exit,
+        turns the scan before it into the scan after it."""
         rng = random.Random(seed)
         names = itertools.count()
         world = boot("")
@@ -496,7 +533,6 @@ class TestTaintedSet:
                 world.spawn(world.processes[INIT_PID], world.max_pid_seen + 1)
             else:
                 random_step(world, rng, names, defaultdict(int))
-            assert world.tainted == self.scan(world)
             assert engine.tainted_snapshot(world) == self.scan(world)
             for label, entered in world.taint_changes:
                 assert (label in labels) != entered, (label, entered)

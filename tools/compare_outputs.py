@@ -26,10 +26,10 @@ On every case that is not a mutant it also runs the admin listings
 files, so those subparsers are compared too, and on the scenarios and the
 check windows it runs `check` once per rule in RULE_STUBS with that rule
 replaced by one that returns None, and once per rule in FIRING_STUBS with
-that rule asked as if its source pid were tainted.  The first kind
-leaves the engine short of the oracle and the second puts it past it, so the divergence lines of a failing check are
-compared on both sides ("engine missing" and "engine extra"), and so are
-the violation lines.  All calls of a side go through `main` in one
+that rule asked as if its source of taint were suspect.  The first kind
+leaves the engine short of the oracle and the second puts it past it, so
+the divergence lines of a failing check are compared on both sides
+("engine missing" and "engine extra"), and so are the violation lines.  All calls of a side go through `main` in one
 interpreter, which also covers reusing the CLI parser across calls.
 The exit code, stdout, stderr, audit file and DOT file of each call are
 compared; an exception that escapes the CLI is compared by its type and
@@ -67,10 +67,13 @@ RULE_STUBS = ("taint.tr_sock_proc", "taint.tr_proc_proc", "taint.tr_proc_exe",
               "taint.tr_exe_proc", "vital.vr_dir_dir", "vital.vr_proc_proc",
               "vital.vr_proc_file", "vital.vr_file_proc")
 
-# The taint rules a firing `check` asks as if the pid in their first
-# argument were tainted: any executable written is tainted, and taint
-# spreads from any process.  The engine then holds labels the oracle lacks.
-FIRING_STUBS = ("taint.tr_proc_exe", "taint.tr_proc_proc")
+# The taint rules a firing `check` asks as if every entity they read were
+# suspect, a process or file tainted and a socket untrusted (suspect in
+# CHILD): any executable written is tainted, taint spreads from any
+# process, every socket taints its owner and every exec or load taints the
+# loader.  The engine then holds labels the oracle lacks.
+FIRING_STUBS = ("taint.tr_proc_exe", "taint.tr_proc_proc", "taint.tr_sock_proc",
+                "taint.tr_exe_proc")
 
 # The mutated bundle with a partial copy: `fstree` at seed 1, cut to its
 # check window.
@@ -95,14 +98,14 @@ TOKENS = ("", "x", "-1", "0", "1", "2", "99", "1.5", "+5", "²", "9" * 5000,
 # argv[3] where the results go, and argv[4:6] the audit and DOT paths the
 # calls write.
 CHILD = r"""
-import contextlib, hashlib, importlib, io, json, sys
+import contextlib, dataclasses, hashlib, importlib, io, json, sys
 from pathlib import Path
-from types import SimpleNamespace
 src, jobs_path, results_path, *outputs = map(Path, sys.argv[1:6])
 sys.path.insert(0, str(src))
 import stbac
 from stbac.cli import main
 from stbac.model import TAINT
+from stbac.world import Socket
 if Path(stbac.__file__).resolve().parent != (src / "stbac").resolve():
     sys.exit(f"stbac imported from {stbac.__file__}, not {src}")
 
@@ -116,14 +119,18 @@ def read(path):
     path.unlink()
     return text
 
+def suspect(entity):
+    if isinstance(entity, Socket):
+        return dataclasses.replace(entity, trusted=False)
+    return dataclasses.replace(entity, flags=entity.flags | TAINT)
+
 def stubbed(change):
     rule, how = change.split()
     module_name, name = rule.split(".")
     module = importlib.import_module("stbac." + module_name)
     original = getattr(module, name)
     if how == "firing":
-        setattr(module, name, lambda source, *rest: original(
-            SimpleNamespace(pid=source.pid, flags=TAINT), *rest))
+        setattr(module, name, lambda *args: original(*map(suspect, args)))
     else:
         setattr(module, name, lambda *args, **kwargs: None)
     return lambda: setattr(module, name, original)
