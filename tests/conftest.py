@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from stbac.cli import check_replay, load_bundle
 from stbac.engine import parse_trace, replay
 from stbac.model import TAINT
-from stbac.world import parse_init_config, spawn_boot_world
+from stbac.world import Socket, parse_init_config, spawn_boot_world
 
 import trace_gen
 
@@ -48,3 +50,11 @@ def scanned_snapshot(world):
     files = {("file", node.path) for node in world.fs.values()
              if node.flags & TAINT}
     return frozenset(procs | files)
+
+
+def suspect(entity):
+    """A copy of entity that a taint rule reads as a source of taint: an
+    untrusted socket, or a tainted process or file."""
+    if isinstance(entity, Socket):
+        return dataclasses.replace(entity, trusted=False)
+    return dataclasses.replace(entity, flags=entity.flags | TAINT)

@@ -6,14 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from stbac import cli, engine, scenarios
 from stbac.cli import main
-from stbac.model import ALLOW, CONF, INTE, LEAK, TAINT, ConfigError
+from stbac.model import ALLOW, CONF, INTE, LEAK, ConfigError
 
+from conftest import suspect
 import trace_gen
 
 PINNED = Path(__file__).resolve().parent / "pinned"
@@ -405,8 +405,8 @@ class TestCheckCommand:
         line showed, keeps the error on stderr and exits 1."""
         import stbac.taint
         original = stbac.taint.tr_proc_proc
-        monkeypatch.setattr(stbac.taint, "tr_proc_proc", lambda source, sink: original(
-            SimpleNamespace(pid=source.pid, flags=TAINT), sink))
+        monkeypatch.setattr(stbac.taint, "tr_proc_proc",
+                            lambda *args: original(*map(suspect, args)))
         args, bundle = scenario_args("remote_user", tmp_path)
         assert main(["check", *args]) == 1
         out, err = capsys.readouterr()

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import os
 import random
@@ -18,9 +17,9 @@ from stbac.engine import AuditRecord, _Replayer, parse_trace, replay, tainted_sn
 from stbac.guard import TrustEntry, match_trust, parse_trust_entry, parse_trust_list
 from stbac.model import INTE, TAINT, ConfigError, TraceError
 from stbac.oracle import check_biba, closure_from_replay, diff_taint
-from stbac.world import InitConfig, Socket, parent_of, parse_init_config, spawn_boot_world
+from stbac.world import InitConfig, parent_of, parse_init_config, spawn_boot_world
 
-from conftest import assert_agrees, generated_bundle, scanned_snapshot
+from conftest import assert_agrees, generated_bundle, scanned_snapshot, suspect
 import boot_gen
 import trace_gen
 
@@ -607,14 +606,6 @@ class TestDivergenceBookkeeping:
         monkeypatch.setattr(stbac.taint, rule, lambda *args: original(*map(suspect, args)))
         diffs = self.diffs_matching_the_reference()
         assert any(diff.extra for diff in diffs if diff is not None)
-
-
-def suspect(entity):
-    """A copy of entity that a taint rule reads as a source of taint: an
-    untrusted socket, or a tainted process or file."""
-    if isinstance(entity, Socket):
-        return dataclasses.replace(entity, trusted=False)
-    return dataclasses.replace(entity, flags=entity.flags | TAINT)
 
 
 def structure_cell_by_cell(config):
