@@ -32,7 +32,9 @@ The engine alone decides how an op is guarded: the target it hands
 pr_conf or pr_inte (none when the op is refused to every suspect), and
 whether a denial of open_read, open_write, chmod, fchmod or truncate
 becomes a redirect to the target's partial copy, which it builds only
-while copy_fault accepts the copy.
+while copy_fault accepts the copy and the rule that denied the target
+allows the subject on the copy: a suspect's write never lands on a copy
+that carries INTE.
 
 The engine checks trace input first: paths, endpoints, kinds, exec bits,
 live pids, socket owners and amounts are checked in the handlers, by
@@ -393,13 +395,17 @@ class _Replayer:
             raise TraceError(f"parent is not a directory: {parent_path}")
         return parent
 
-    def _redirect(self, denial, node):
+    def _redirect(self, denial, rule, proc, node):
         """The redirect to node's mapped copy and the copy's node while
-        copy_fault accepts the copy; else the denial and node."""
+        copy_fault accepts the copy and rule, which denied proc node, allows
+        proc the copy; else the denial and node."""
         copy = self.policy.pcopy.get(node.path)
         if copy is None or copy_fault(self.world, copy) is not None:
             return denial, node
-        return redirect(copy), self.world.node_at(copy)
+        target = self.world.node_at(copy)
+        if rule(proc, target).rule is not None:
+            return denial, node
+        return redirect(copy), target
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -435,7 +441,7 @@ class _Replayer:
         node = target = self._node_arg(ev.args[0])
         decision = pr_conf(proc, node)
         if decision.rule is not None:
-            decision, target = self._redirect(decision, node)
+            decision, target = self._redirect(decision, pr_conf, proc, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             mutations = (vital.vr_file_proc(proc, target, "read"),
@@ -448,13 +454,14 @@ class _Replayer:
             raise TraceError(f"cannot write a directory: {node.path}")
         decision = pr_inte(proc, node)
         if decision.rule is not None:
-            decision, target = self._redirect(decision, node)
+            decision, target = self._redirect(decision, pr_inte, proc, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             mutations = self._write_mutations(proc, target)
-            queue = self.world.fifo_queues.get(target.node_id)
-            if queue is not None and proc.flags & TAINT:
-                queue.append(proc.pid)
+            fifos = self.world.fifo_writers
+            if (proc.flags & TAINT and target.node_id in fifos
+                    and fifos[target.node_id] is None):
+                fifos[target.node_id] = proc.pid
         return decision, node.path, "-", mutations
 
     def _ev_create(self, proc, ev):
@@ -485,7 +492,7 @@ class _Replayer:
             node = self.world.add_node(path, "file" if kind == "fifo" else kind,
                                        False, parent.node_id)
             if kind == "fifo":
-                self.world.fifo_queues[node.node_id] = []
+                self.world.fifo_writers[node.node_id] = None
             mutations = (vital.vr_dir_dir(parent, node),)
         return decision, path, "-" if kind == "dir" else kind, mutations
 
@@ -494,7 +501,7 @@ class _Replayer:
         exec_bits = _bit_arg(ev.args[1], "exec bit")
         decision = pr_inte(proc, node)
         if decision.rule is not None:
-            decision, target = self._redirect(decision, node)
+            decision, target = self._redirect(decision, pr_inte, proc, node)
         mutations = ()
         if decision.allowed and target.kind == "file":
             became_set = exec_bits and not target.exec_bits
@@ -509,7 +516,7 @@ class _Replayer:
             raise TraceError(f"cannot truncate a directory: {node.path}")
         decision = pr_inte(proc, node)
         if decision.rule is not None:
-            decision, _ = self._redirect(decision, node)
+            decision, _ = self._redirect(decision, pr_inte, proc, node)
         return decision, node.path, "-", ()
 
     def _ev_chown(self, proc, ev):
@@ -709,17 +716,16 @@ class _Replayer:
         # marks it conf, copy_fault refuses it at the next redirect.
         return taint.tr_proc_exe(proc, node), vital.vr_proc_file(proc, node)
 
-    def _drain_fifo(self, proc, node) -> list:
-        queue = self.world.fifo_queues.get(node.node_id)
-        if not queue:
-            return []
-        # Each queued message carried its writer's taint at write time; the
-        # writer may be gone by now, so the mutation is built directly
+    def _drain_fifo(self, proc, node) -> tuple:
+        fifos = self.world.fifo_writers
+        writer_pid = fifos.get(node.node_id)
+        if writer_pid is None:
+            return ()
+        fifos[node.node_id] = None
+        # The first tainted message carried its writer's taint at write time;
+        # the writer may be gone by now, so the mutation is built directly
         # rather than through the live-process IPC rule.
-        mutations = [FlagMutation(("proc", proc.pid), "TR_proc_proc",
-                                  ("proc", writer_pid), TAINT) for writer_pid in queue]
-        queue.clear()
-        return mutations
+        return (FlagMutation(("proc", proc.pid), "TR_proc_proc", ("proc", writer_pid), TAINT),)
 
 
 # -- trace tokens ------------------------------------------------------------------

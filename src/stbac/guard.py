@@ -12,8 +12,10 @@ verdicts of model.  The engine decides what each op hands them: the node,
 parent directory or process whose CONF or INTE bit it keys on, or no
 target for the ops refused to every tainted subject.  The engine alone
 redirects a denied access to a partial copy, and only while that copy is
-valid (copy_fault): the CLI checks every copy at boot, and the engine
-checks the copy of every redirect.
+valid (copy_fault) and the rule that denied the access allows it on the
+copy: the CLI checks every copy at boot, and the engine checks the copy
+of every redirect and asks the rule again on it.  copy_fault does not
+refuse an INTE copy, which a read may still be redirected to.
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ def copy_fault(world: World, copy: str) -> str | None:
     if node_id is None:
         return _MISSING
     node = world.fs[node_id]
-    if node.kind != "file" or node_id in world.fifo_queues:
+    if node.kind != "file" or node_id in world.fifo_writers:
         return "is not a regular file"
     if node.flags & CONF:
         return "must not be marked conf"

@@ -34,7 +34,8 @@ audit record at a time, as the engine's _Replayer steps one event, handing
 the event's facts to two folds; cli.check_replay, which `stbac check` and
 the differential tests run, calls the two steps in one loop and keeps no
 event or record.  Each fold judges lowness in its own view and keeps its
-own record of which fifo messages were low:
+own record of the first low sender of each fifo's pending messages, the
+one a read delivers as low input:
 
 * the closure fold: plain forward reachability over the oracle's own low
   sets, sharing no code with the taint rule module.  It returns each
@@ -407,7 +408,7 @@ class _ClosureFold:
         self.struct = struct
         self.low_pids = set()
         self.low_cells = set()
-        self.fifo_low = {}           # fifo cell -> low writers of its pending messages
+        self.fifo_low = {}           # fifo cell -> first low sender of its pending messages
 
     def step(self, facts) -> list:
         """Fold one event's facts (None for a denied event); the event's
@@ -428,9 +429,9 @@ class _ClosureFold:
                         flips.append((("proc", target), True))
             elif kind == _SEND:
                 if source in low_pids:
-                    self.fifo_low.setdefault(target, []).append(source)
+                    self.fifo_low.setdefault(target, source)
             elif kind == _RECV:
-                if self.fifo_low.pop(source, None) and target not in low_pids:
+                if self.fifo_low.pop(source, None) is not None and target not in low_pids:
                     low_pids.add(target)
                     flips.append((("proc", target), True))
             elif kind == _MARK:
@@ -615,7 +616,7 @@ class _BibaFold:
         self.struct = struct
         self.low_pids = set()
         self.low_cells = set()
-        self.fifo_low = {}           # fifo cell -> low writers of its pending messages
+        self.fifo_low = {}           # fifo cell -> first low sender of its pending messages
         self.report = BibaReport(ConditionReport("low-input consumers become low"),
                                  ConditionReport("low writers lower what they produce"),
                                  ConditionReport("processes from low sources are low"))
@@ -645,12 +646,12 @@ class _BibaFold:
                                                      f"{_text(violation)}")
             elif kind == _SEND:
                 if source in low_pids:
-                    self.fifo_low.setdefault(target, []).append(source)
+                    self.fifo_low.setdefault(target, source)
             elif kind == _RECV:
-                senders = self.fifo_low.pop(source, None)
-                if senders:
+                sender = self.fifo_low.pop(source, None)
+                if sender is not None:
                     demands.append((_READ, target,
-                                    ("fifo message from low pid {}", senders[0])))
+                                    ("fifo message from low pid {}", sender)))
             elif kind == _EXIT:
                 low_pids.discard(target)
             elif kind == _MOVE and (low_cells or self.fifo_low):

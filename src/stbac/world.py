@@ -109,9 +109,11 @@ class World:
     taint_changes: list = field(default_factory=list)   # (label, entered) per taint flip
     path_index: dict = field(default_factory=dict)  # live path -> node id
     kids: dict = field(default_factory=dict)        # dir node id -> {child id: FsNode}
-    # One entry per live fifo, made empty by mkfifo or mknod: node id -> the
-    # writer pids of its unread messages, queued only by a tainted writer.
-    fifo_queues: dict = field(default_factory=dict)
+    # One entry per live fifo, made by mkfifo or mknod: node id -> the pid of
+    # the first tainted writer of its unread messages, or None.  Later
+    # writers are not kept: the reader that drains the fifo is tainted by
+    # the first, and a second message could change nothing more.
+    fifo_writers: dict = field(default_factory=dict)
     next_node_id: int = 1
     max_pid_seen: int = INIT_PID
     max_sock_seen: int = 0
@@ -171,7 +173,7 @@ class World:
         del self.fs[node.node_id]
         del self.kids[node.parent][node.node_id]
         self.kids.pop(node.node_id, None)
-        self.fifo_queues.pop(node.node_id, None)
+        self.fifo_writers.pop(node.node_id, None)
         if node.flags & TAINT:
             self.taint_changes.append((("file", node.path), False))
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import trace_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
@@ -66,13 +68,18 @@ def test_an_altered_divergence_line_is_a_difference(tmp_path):
 
 def test_an_altered_extra_line_is_a_difference(tmp_path):
     """Only an engine holding labels the oracle lacks prints "engine extra"
-    lines; the checks with a taint rule firing reach them."""
+    lines; the checks with a taint rule firing reach them, and the tally
+    counts those checks apart from the stubbed ones."""
     copy_src_replacing(tmp_path, "oracle.py", '"engine extra "', '"engine has more "')
     proc = compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "check with taint.tr_proc_exe firing stdout differs" in proc.stdout
     assert "check with taint.tr_proc_proc firing stdout differs" in proc.stdout
     assert "check with taint.tr_exe_proc firing stdout differs" in proc.stdout
+    tally = re.search(r"^(\d+) differing calls; by field: stdout (\d+); "
+                      r"by command: check \(rule firing\) (\d+)$", proc.stdout, re.M)
+    assert tally, proc.stdout
+    assert len(set(tally.groups())) == 1 and int(tally[1]) > 0, proc.stdout
 
 
 def test_differing_calls_are_tallied_by_field_and_command(tmp_path):
@@ -171,6 +178,28 @@ def test_the_compared_checkouts_get_no_bytecode(tmp_path):
     proc = compare(tmp_path / "old", tmp_path / "new")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [str(path) for path in tmp_path.rglob("__pycache__")] == []
+
+
+def test_each_seed_adds_a_full_and_a_benign_generated_trace(tmp_path):
+    """The trace_gen cases run over trace_gen's boot config and copy map;
+    at seeds 1..5 they hold what no scenario or workload holds: a fifo, a
+    device, structure ops in the protected /bin and /data, and
+    administrative taint marks."""
+    tool = load_tool()
+    cases = tool.build_cases(tmp_path, 5, 0)
+    generated = {name: (bundle, Path(trace).read_text()) for name, bundle, trace, _ in cases
+                 if name.startswith("trace_gen ")}
+    assert list(generated) == [f"trace_gen seed {seed} {mode}"
+                               for seed in range(1, 6) for mode in ("full", "benign")]
+    for bundle, _ in generated.values():
+        assert Path(bundle[1]).read_text() == trace_gen.BOOT_CONFIG
+        assert Path(bundle[5]).read_text() == trace_gen.PCOPY_TEXT
+    text = "".join(trace for _, trace in generated.values())
+    assert re.search(r",mkfifo,|,mknod,[^,]+,fifo$", text, re.M)
+    assert re.search(r",mknod,[^,]+,device$", text, re.M)
+    assert re.search(r",set_stbac_attr,[^,]+,taint,[01]$", text, re.M)
+    for op in ("create", "mkdir", "unlink", "rename"):
+        assert re.search(rf",{op},/(bin|data)/", text), op
 
 
 def test_every_case_replays_to_stdout_without_a_graph(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from stbac import engine, scenarios
-from stbac.cli import load_bundle
+from stbac.cli import check_replay, load_bundle
 from stbac.engine import (
     OPS,
     DepGraph,
@@ -16,9 +16,11 @@ from stbac.engine import (
     replay,
 )
 from stbac.model import CONF, LEAK, TAINT, TraceError
+from stbac.oracle import OnePass
 from stbac.world import parse_init_config, spawn_boot_world
 
 from conftest import scanned_snapshot
+import trace_gen
 
 BOOT = """
 node /bin dir 0
@@ -57,7 +59,7 @@ def fingerprint(world):
         {sid: (s.owner, s.remote, s.trusted)
          for sid, s in world.sockets.items()},
         tuple(sorted(world.ledger.allocated_sys.items())),
-        {nid: tuple(q) for nid, q in world.fifo_queues.items() if q},
+        {nid: pid for nid, pid in world.fifo_writers.items() if pid is not None},
     )
 
 
@@ -280,6 +282,26 @@ class TestRedirection:
         result = run(f"{UNTRUSTED}3,1,{access}\n", pcopy=pcopy, config=REDIRECT_BOOT)
         assert result.records[-1].result == f"DENY({rule})"
 
+    def test_a_suspect_is_not_redirected_onto_an_inte_copy(self):
+        """/bin/sh moved over the copy keeps its INTE bit: a suspect's
+        write, truncate and chmod of the shared path are denied rather than
+        redirected onto the protected executable, its read still redirects
+        (the copy holds no secret), and check passes."""
+        trace = ("1,1,rename,/bin/sh,/data/shared_copy\n"
+                 "2,1,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                 "3,1,open_write,/data/shared\n"
+                 "4,1,truncate,/data/shared\n"
+                 "5,1,chmod,/data/shared,0\n"
+                 "6,1,open_read,/data/shared\n")
+        bundle = load_bundle(trace_gen.BOOT_CONFIG, "", trace_gen.PCOPY_TEXT)
+        diff, report, replayer = check_replay(*bundle, parse_trace(trace))
+        assert diff.count == 0 and report.all_passed(), report.summary_lines()
+        assert replayer.denials == 3
+        result = run(trace, pcopy=trace_gen.PCOPY_TEXT, config=trace_gen.BOOT_CONFIG)
+        assert [r.result for r in result.records[2:]] == \
+            ["DENY(PR_inte)"] * 3 + ["ALLOW_REDIR(/data/shared_copy)"]
+        assert result.world.node_at("/data/shared_copy").exec_bits
+
     def test_restored_copy_redirects_again(self):
         result = run("1,1,unlink,/.stbac/passwd\n1,1,create,/.stbac/passwd,0\n"
                      f"{UNTRUSTED}3,1,open_read,/etc/passwd\n",
@@ -422,13 +444,13 @@ class TestFifoMessages:
 
 
 class TestFifoQueues:
-    """A fifo queues the writer pid of each tainted message and nothing for
-    a message that carries no taint."""
+    """A fifo keeps the pid of the first tainted writer of its unread
+    messages, and nothing for a message that carries no taint."""
 
     def test_a_health_write_queues_nothing(self):
         result = run("1,1,mkfifo,/tmp/pipe\n"
                      "2,1,open_write,/tmp/pipe\n")
-        assert result.world.fifo_queues == {result.world.lookup("/tmp/pipe"): []}
+        assert result.world.fifo_writers == {result.world.lookup("/tmp/pipe"): None}
 
     def test_a_tainted_write_queues_its_writer_which_stays_the_cause(self):
         result = run("1,1,fork,2\n"
@@ -438,7 +460,7 @@ class TestFifoQueues:
                      "5,2,open_write,/tmp/pipe\n"
                      "6,2,exit\n"
                      "7,1,open_read,/tmp/pipe\n")
-        assert result.world.fifo_queues == {result.world.lookup("/tmp/pipe"): []}
+        assert result.world.fifo_writers == {result.world.lookup("/tmp/pipe"): None}
         assert [(cause, effect, rule) for cause, effect, rule, tick in result.graph.edges
                 if tick == 7] == [(("proc", 2), ("proc", 1), "TR_proc_proc")]
 
@@ -452,7 +474,31 @@ class TestFifoQueues:
                                  "5,2,open_write,/tmp/pipe\n"
                                  "6,2,open_write,/tmp/pipe\n"):
             step(event)
-        assert world.fifo_queues == {world.lookup("/tmp/pipe"): [2, 2]}
+        assert world.fifo_writers == {world.lookup("/tmp/pipe"): 2}
+
+    def test_unread_writes_leave_one_writer_in_the_engine_and_both_folds(self):
+        """Fifty tainted writes by two pids with no read between them leave
+        one pending writer, the first, in the world and in each oracle
+        fold; the read drains it from all three."""
+        config, world, policy = load_bundle(BOOT, "", "")
+        replayer = _Replayer(world, policy, None)
+        one_pass = OnePass(config, policy.trust)
+        trace = ("1,1,mkfifo,/tmp/pipe\n1,1,fork,2\n1,1,fork,3\n"
+                 "2,2,socket_open,1,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                 "2,3,socket_open,2,10.0.0.1:23,10.0.0.9:99,tcp\n"
+                 + "".join(f"3,{2 + i % 2},open_write,/tmp/pipe\n" for i in range(50)))
+        for event in parse_trace(trace):
+            one_pass.step(event, replayer.step(event))
+        pipe = one_pass.struct.cells["/tmp/pipe"]
+        assert world.fifo_writers == {world.lookup("/tmp/pipe"): 2}
+        assert one_pass.closure.fifo_low == {pipe: 2} == one_pass.biba.fifo_low
+        (read,) = parse_trace("4,1,open_read,/tmp/pipe\n")
+        record = replayer.step(read)
+        assert one_pass.step(read, record) == [(("proc", 1), True)]
+        assert [(c.entity, c.rule) for c in record.flag_changes if c.flag == TAINT] == \
+            [(("proc", 1), "TR_proc_proc")]
+        assert world.fifo_writers == {world.lookup("/tmp/pipe"): None}
+        assert one_pass.closure.fifo_low == {} == one_pass.biba.fifo_low
 
 
 class TestLeakChannelSoundness:

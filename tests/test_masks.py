@@ -7,7 +7,6 @@ a second spelling of each name would need tables to translate it back.
 """
 
 import ast
-import random
 from pathlib import Path
 
 import pytest
@@ -45,18 +44,12 @@ ADMIN_TRACE = ("1,1,set_stbac_attr,/data/notes,conf,1\n"
                "6,1,fork,2\n")
 
 
-def generated_intents(seed):
-    rng = random.Random(seed)
-    return [(rng.randrange(trace_gen.N_OPCODES), rng.randrange(8), rng.randrange(8),
-             rng.randrange(2), rng.randrange(3)) for _ in range(rng.randrange(20, 200))]
-
-
 def replays():
     for name in scenarios.NAMES:
         yield name, scenarios.load(name).replay()
     for seed in range(30):
         for mode in ("full", "benign"):
-            trace_text, trust_text = trace_gen.build_trace(generated_intents(seed), mode)
+            trace_text, trust_text = trace_gen.build_trace(trace_gen.random_intents(seed), mode)
             yield f"gen{seed}{mode}", _replay(trace_text, trust_text)
     yield "admin", _replay(ADMIN_TRACE, "")
 

@@ -226,7 +226,7 @@ def assert_index_consistent(struct):
 def assert_structure_matches(struct, world):
     assert set(struct.cells) == set(world.path_index)
     for path, node_id in world.path_index.items():
-        kind = "fifo" if node_id in world.fifo_queues else world.fs[node_id].kind
+        kind = "fifo" if node_id in world.fifo_writers else world.fs[node_id].kind
         assert struct.cells[path].kind == kind, path
 
 

@@ -1,7 +1,11 @@
 """Invariant checks over randomized traces.
 
-The generator guarantees structural validity, so every failure here is a
-genuine semantics bug, not a malformed input.
+The generator steps the engine over every line it emits, so a generated
+trace is valid by construction and every failure here is a genuine
+semantics bug, not a malformed input.  Since the generator follows the
+engine's decisions, the engine's denials are checked here on their own:
+only tainted subjects are denied, and structure ops outside /srv are both
+allowed and denied.
 """
 
 import copy
@@ -30,20 +34,59 @@ def test_engine_matches_oracle(intent_list):
 def test_taint_is_never_cleared_by_rules(intent_list):
     _, world, policy, events = generated_bundle(intent_list)
     replayer = _Replayer(world, policy, None)
-    # snapshot view: a tainted live process stays tainted until it exits
+    # snapshot view: a tainted live process stays tainted until it exits or
+    # an administrative set_stbac_attr clears its mark
     exited = set()
+    cleared = set()
     tainted_seen = set()
     for event in events:
         record = replayer.step(event)
         for change in record.flag_changes:
-            if change.flag == TAINT:
+            if change.flag != TAINT:
+                continue
+            if change.rule != "set_stbac_attr":
                 assert change.on, record.line()
+            elif not change.on and change.entity[0] == "proc":
+                cleared.add(change.entity[1])
         if event.op == "exit":
             exited.add(event.pid)
         now_tainted = {label for label in tainted_snapshot(replayer.world) if label[0] == "proc"}
         for label in tainted_seen - now_tainted:
-            assert label[1] in exited, f"{label} lost taint while alive"
+            assert label[1] in exited | cleared, f"{label} lost taint while alive"
         tainted_seen |= now_tainted
+
+
+@given(intents)
+@settings(max_examples=100, deadline=None)
+def test_only_tainted_subjects_are_denied(intent_list):
+    _, world, policy, events = generated_bundle(intent_list)
+    step = _Replayer(world, policy, None).step
+    for event in events:
+        tainted = world.processes[event.pid].flags & TAINT
+        record = step(event)
+        assert tainted or not record.denied, record.line()
+
+
+STRUCTURE_OPS = ("create", "mkdir", "unlink", "rename")
+
+
+def test_structure_ops_outside_srv_are_allowed_and_denied():
+    """Over full-mode traces of seeds 0..29, each of create, mkdir, unlink
+    and rename is allowed and denied with no path under /srv, and some
+    suspect access is redirected to the partial copy."""
+    seen, redirects = set(), 0
+    for seed in range(30):
+        _, world, policy, events = generated_bundle(trace_gen.random_intents(seed))
+        step = _Replayer(world, policy, None).step
+        for event in events:
+            record = step(event)
+            redirects += record.result.startswith("ALLOW_REDIR(")
+            paths = event.args[:2] if event.op == "rename" else event.args[:1]
+            if event.op in STRUCTURE_OPS and not any(
+                    path == "/srv" or path.startswith("/srv/") for path in paths):
+                seen.add((event.op, record.denied))
+    assert seen == {(op, denied) for op in STRUCTURE_OPS for denied in (False, True)}
+    assert redirects > 0
 
 
 @given(intents)

@@ -1,21 +1,29 @@
 """Structured random traces for property tests.
 
-A trace is derived from a list of small integer "intents"; resolution
-against a running structural model guarantees the result is always a
-valid trace (fresh pids, live operands, existing paths), so every
-generated case must replay without errors.  Structure-changing events
-(create, mkdir, mkfifo, mknod, unlink, rmdir, rename) are restricted to
-/srv, where the guard never denies them, which keeps the generator's view
-of the tree exact without simulating decisions.  Device nodes stay out of
-the write, chmod and exec pools.
+A trace is derived from a list of small integer "intents".  The resolver
+boots the bundle below through cli.load_bundle and steps one engine
+_Replayer over each line as it emits it, so every operand comes from the
+engine's own world: live pids, executable images, files by kind,
+directories, empty directories and the sockets of live owners.  Validity
+comes from the engine: a line it rejects fails the build, and a denied op
+leaves the world as it was, a denied create no node behind.  Structure
+ops (create, mkdir, mkfifo, mknod, unlink, rmdir, rename) reach every
+directory, "/" and the protected ones included.  Devices stay out of the
+write, truncate, chown, chmod and exec pools.
 
-Two modes: "full" includes untrusted endpoints that seed taint; "benign"
-produces only trusted or local activity.
+Two modes: "full" includes untrusted endpoints that seed taint and
+administrative taint marks; "benign" produces only trusted or local
+activity.
 """
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
+
+from stbac.cli import load_bundle
+from stbac.engine import _Replayer, iter_trace
 
 BOOT_CONFIG = """
 node /bin dir 0
@@ -50,7 +58,6 @@ cap disk_blocks 1000000
 PCOPY_TEXT = "pcopy /data/shared /data/shared_copy\n"
 
 BOOT_BINS = ("/bin/sh", "/bin/tool", "/bin/copy")
-BOOT_FILES = BOOT_BINS + ("/data/secret", "/data/notes", "/data/shared")
 
 TRUST_FULL = "trust /bin/sh *:* *:* tcp 0..inf\n"
 TRUST_BENIGN = "".join(f"trust {p} *:* *:* tcp 0..inf\n" for p in BOOT_BINS)
@@ -73,164 +80,136 @@ intents_strategy = st.lists(
 )
 
 
+def random_intents(seed: int) -> list:
+    """20 to 199 intents drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [(rng.randrange(N_OPCODES), rng.randrange(8), rng.randrange(8),
+             rng.randrange(2), rng.randrange(3)) for _ in range(rng.randrange(20, 200))]
+
+
+def _within(path: str, top: str | None) -> bool:
+    return top is not None and (path == top or path.startswith(top + "/"))
+
+
 class _Resolver:
     def __init__(self, mode: str):
         self.mode = mode
-        self.lines = ["1,1,execve,/bin/sh"]
+        self.trust = TRUST_BENIGN if mode == "benign" else TRUST_FULL
+        _, self.world, policy = load_bundle(BOOT_CONFIG, self.trust, PCOPY_TEXT)
+        self.replayer = _Replayer(self.world, policy, None)
+        self.lines = []
         self.tick = 1
-        self.live = [1]
-        self.next_pid = 2
-        self.next_sock = 1
-        self.next_file = 0
-        self.exes = {1: "/bin/sh"}
-        self.nodes = []      # generated nodes under /srv, dicts: path, kind, exec
-        self.sockets = []    # (sock id, owner pid)
+        self.names = 0       # fresh names made so far
+        self.emit(1, "execve", "/bin/sh")
 
     def emit(self, pid: int, op: str, *args):
-        self.lines.append(",".join([str(self.tick), str(pid), op, *map(str, args)]))
+        """Append one line and step the replayer over it."""
+        line = ",".join([str(self.tick), str(pid), op, *map(str, args)])
+        for event in iter_trace(line):
+            self.replayer.step(event)
+        self.lines.append(line)
 
-    def pick_pid(self, sel: int) -> int:
-        return self.live[sel % len(self.live)]
-
-    def pick_file(self, sel: int, pool=None):
-        pool = pool if pool is not None else self.all_files()
-        if not pool:
-            return None
-        return pool[sel % len(pool)]
-
-    def all_files(self):
-        """Every non-directory: boot files, then generated ones."""
-        return [{"path": p, "kind": "file", "exec": p in BOOT_BINS}
-                for p in BOOT_FILES] + [n for n in self.nodes if n["kind"] != "dir"]
-
-    def writable(self):
-        return [f for f in self.all_files() if f["kind"] != "device"]
-
-    def regular(self):
-        """Generated regular files, the chmod pool."""
-        return [n for n in self.nodes if n["kind"] == "file"]
-
-    def dirs(self, outside=None):
-        """/srv and the generated directories, except outside's subtree."""
-        found = ["/srv"] + [n["path"] for n in self.nodes if n["kind"] == "dir"]
-        if outside is not None:
-            found = [d for d in found if not self.within(d, outside)]
-        return found
+    def emit_on(self, pool: list, sel: int, pid: int, op: str, *args):
+        """Emit op on the path of the node of pool that sel picks, if any."""
+        node = self.pick(pool, sel)
+        if node is not None:
+            self.emit(pid, op, node.path, *args)
 
     @staticmethod
-    def within(path: str, top: str) -> bool:
-        return path == top or path.startswith(top + "/")
+    def pick(pool: list, sel: int):
+        return pool[sel % len(pool)] if pool else None
 
-    def fresh_path(self, sel: int, prefix="f", outside=None) -> str:
-        self.next_file += 1
-        parent = self.pick_file(sel, self.dirs(outside))
-        return f"{parent}/{prefix}{self.next_file}"
+    def pids(self) -> list:
+        """The live pids, init first: it never exits."""
+        return [pid for pid, proc in self.world.processes.items() if proc.alive]
 
-    def add_node(self, path: str, kind: str, exec_bit=False):
-        self.nodes.append({"path": path, "kind": kind, "exec": exec_bit})
+    def nodes(self, keep) -> list:
+        return [node for node in self.world.fs.values() if keep(node)]
 
-    def spawn(self, pid: int, op: str):
-        child = self.next_pid
-        self.next_pid += 1
-        self.live.append(child)
-        self.exes[child] = self.exes[pid]
-        self.emit(pid, op, child)
+    def files(self) -> list:
+        return self.nodes(lambda node: node.kind != "dir")
+
+    def writable(self) -> list:
+        """Regular files and fifos: every non-directory but the devices."""
+        return self.nodes(lambda node: node.kind == "file")
+
+    def fresh_path(self, sel: int, prefix: str, outside: str | None = None) -> str:
+        """A new name under a directory that sel picks, outside's subtree
+        excepted."""
+        self.names += 1
+        parent = self.pick(self.nodes(lambda node: node.kind == "dir"
+                                      and not _within(node.path, outside)), sel)
+        return f"{parent.path.rstrip('/')}/{prefix}{self.names}"
 
     def resolve(self, intent):
         opcode, a, b, c, dt = intent
         self.tick += dt
-        pid = self.pick_pid(a)
+        world = self.world
+        pid = self.pick(self.pids(), a)
         if opcode == 0:      # fork
-            self.spawn(pid, "fork")
+            self.emit(pid, "fork", world.max_pid_seen + 1)
         elif opcode == 1:    # exit, init never leaves
-            candidates = [p for p in self.live if p != 1]
-            if candidates:
-                victim = candidates[a % len(candidates)]
-                self.live.remove(victim)
-                self.sockets = [(s, o) for s, o in self.sockets if o != victim]
+            victim = self.pick(self.pids()[1:], a)
+            if victim is not None:
                 self.emit(victim, "exit")
         elif opcode == 2:    # socket_open
-            if self.mode == "benign" and self.exes[pid] not in BOOT_BINS:
+            if self.mode == "benign" and world.processes[pid].exe_path not in BOOT_BINS:
                 self.emit(pid, "sched_tick")
                 return
             proto = "tcp" if (c == 0 or self.mode == "benign") else "udp"
-            sock = self.next_sock
-            self.next_sock += 1
-            self.sockets.append((sock, pid))
+            sock = world.max_sock_seen + 1
             self.emit(pid, "socket_open", sock,
                       f"10.0.0.1:{5000 + sock}", f"10.0.0.9:{80 + b}", proto)
-        elif opcode == 3:    # sock_send to a peer
-            usable = [(s, o) for s, o in self.sockets if o in self.live]
-            if usable:
-                sock, owner = usable[a % len(usable)]
-                peer = self.pick_pid(b)
-                self.emit(owner, "sock_send", sock, 10 + b, peer)
-        elif opcode == 4:    # sock_recv from a peer
-            usable = [(s, o) for s, o in self.sockets if o in self.live]
-            if usable:
-                sock, owner = usable[a % len(usable)]
-                peer = self.pick_pid(b)
-                self.emit(owner, "sock_recv", sock, 10 + b, peer)
+        elif opcode in (3, 4):   # sock_send / sock_recv with a peer
+            sock = self.pick([s for s in world.sockets.values()
+                              if world.processes[s.owner].alive], a)
+            if sock is not None:
+                self.emit(sock.owner, "sock_send" if opcode == 3 else "sock_recv",
+                          sock.sock_id, 10 + b, self.pick(self.pids(), b))
         elif opcode == 5:    # create a file (sometimes executable)
-            path = self.fresh_path(b)
-            self.add_node(path, "file", c == 1)
-            self.emit(pid, "create", path, c)
-        elif opcode == 6:    # write an existing file
-            entry = self.pick_file(b, self.writable())
-            if entry:
-                self.emit(pid, "open_write", entry["path"])
-        elif opcode == 7:    # read an existing file
-            entry = self.pick_file(b)
-            if entry:
-                self.emit(pid, "open_read", entry["path"])
-        elif opcode == 8:    # chmod a generated file
-            entry = self.pick_file(b, self.regular())
-            if entry:
-                entry["exec"] = c == 1
-                self.emit(pid, "chmod", entry["path"], c)
-        elif opcode == 9:    # exec a known-executable image
-            pool = [{"path": p} for p in BOOT_BINS] + \
-                   [f for f in self.regular() if f["exec"]]
-            entry = pool[b % len(pool)]
-            self.exes[pid] = entry["path"]
-            self.emit(pid, "execve", entry["path"])
+            self.emit(pid, "create", self.fresh_path(b, "f"), c)
+        elif opcode == 6:
+            self.emit_on(self.writable(), b, pid, "open_write")
+        elif opcode == 7:
+            self.emit_on(self.files(), b, pid, "open_read")
+        elif opcode == 8:
+            self.emit_on(self.writable(), b, pid, "chmod", c)
+        elif opcode == 9:    # exec an executable image
+            self.emit_on([node for node in self.writable() if node.exec_bits], b,
+                         pid, "execve")
         elif opcode == 10:   # pipe message
-            self.emit(pid, "pipe", self.pick_pid(b))
+            self.emit(pid, "pipe", self.pick(self.pids(), b))
         elif opcode == 11:   # shared memory attach
-            self.emit(pid, "shmat", self.pick_pid(b))
+            self.emit(pid, "shmat", self.pick(self.pids(), b))
         elif opcode == 12:   # message-queue receive
-            self.emit(pid, "msgrcv", self.pick_pid(b))
+            self.emit(pid, "msgrcv", self.pick(self.pids(), b))
         elif opcode == 13:   # named pipe
-            path = self.fresh_path(b, "p")
-            self.add_node(path, "fifo")
-            self.emit(pid, "mkfifo", path)
+            self.emit(pid, "mkfifo", self.fresh_path(b, "p"))
         elif opcode == 14:
             self.emit(pid, "brk_alloc", 20 + 10 * b)
         elif opcode == 15:
             self.emit(pid, "sched_tick")
         elif opcode == 16:
             self.emit(pid, "disk_alloc", 5 + b)
-        elif opcode == 17:   # label administration
-            entry = self.pick_file(b)
-            if entry:
-                flag = "conf" if c == 0 else "leak"
-                self.emit(pid, "set_stbac_attr", entry["path"], flag, a % 2)
+        elif opcode == 17:   # label administration; taint marks in full mode only
+            flags = ("conf", "leak") + (("taint",) if self.mode == "full" else ())
+            flag = flags[(b + c) % len(flags)]
+            if flag == "taint" and c == 1:
+                self.emit(pid, "set_stbac_attr", f"pid:{self.pick(self.pids(), b)}",
+                          flag, a % 2)
+            else:
+                self.emit_on(self.files(), b, pid, "set_stbac_attr", flag, a % 2)
         elif opcode == 18:   # kill / ptrace, no structural effect
-            target = self.pick_pid(b)
-            self.emit(pid, "kill" if c == 0 else "ptrace", target)
+            self.emit(pid, "kill" if c == 0 else "ptrace", self.pick(self.pids(), b))
         elif opcode == 19:   # load a library image
-            pool = [{"path": p} for p in BOOT_FILES] + self.regular()
-            entry = self.pick_file(b, pool)
-            if entry:
-                self.emit(pid, "mmap_exec", entry["path"])
+            self.emit_on(self.writable(), b, pid, "mmap_exec")
         elif opcode == 20:   # the other process-creating calls
-            self.spawn(pid, "vfork" if c == 0 else "clone")
+            self.emit(pid, "vfork" if c == 0 else "clone", world.max_pid_seen + 1)
         elif opcode == 21:   # content and owner changes
-            entry = self.pick_file(b, self.writable())
-            if entry and c == 0:
-                self.emit(pid, "truncate", entry["path"])
-            elif entry:
-                self.emit(pid, "chown", entry["path"], b)
+            if c == 0:
+                self.emit_on(self.writable(), b, pid, "truncate")
+            else:
+                self.emit_on(self.writable(), b, pid, "chown", b)
         elif opcode == 22:   # privileged calls; denied to suspects
             op = PRIVILEGED_OPS[b % len(PRIVILEGED_OPS)]
             if op in ("setuid", "setgid", "setfsuid"):
@@ -241,43 +220,30 @@ class _Resolver:
                 self.emit(pid, op)
         elif opcode == 23:   # directories and special files
             if c == 0:
-                path = self.fresh_path(b, "d")
-                self.add_node(path, "dir")
-                self.emit(pid, "mkdir", path)
+                self.emit(pid, "mkdir", self.fresh_path(b, "d"))
             else:
-                kind = MKNOD_KINDS[b % len(MKNOD_KINDS)]
-                path = self.fresh_path(b, "n")
-                self.add_node(path, kind)
-                self.emit(pid, "mknod", path, kind)
+                self.emit(pid, "mknod", self.fresh_path(b, "n"),
+                          MKNOD_KINDS[b % len(MKNOD_KINDS)])
         elif opcode == 24:   # unlink a file, remove an empty directory
             if c == 0:
-                pool = [n for n in self.nodes if n["kind"] != "dir"]
+                self.emit_on(self.files(), b, pid, "unlink")
             else:
-                pool = [n for n in self.nodes if n["kind"] == "dir" and not any(
-                    m["path"].startswith(n["path"] + "/") for m in self.nodes)]
-            entry = self.pick_file(b, pool)
-            if entry:
-                self.nodes.remove(entry)
-                self.emit(pid, "unlink" if c == 0 else "rmdir", entry["path"])
+                self.emit_on(self.nodes(lambda node: node.parent is not None
+                                        and world.kids.get(node.node_id) == {}),
+                             b, pid, "rmdir")
         elif opcode == 25:   # rename to a fresh name or onto an existing file
-            src = self.pick_file(b, self.nodes)
+            src = self.pick(self.nodes(lambda node: node.parent is not None), b)
             if src is None:
                 return
             if c == 0:
-                dst = self.fresh_path(a, "r", outside=src["path"])
+                dst = self.fresh_path(a, "r", outside=src.path)
             else:
-                pool = [n for n in self.nodes if n["kind"] != "dir"
-                        and not self.within(n["path"], src["path"])]
-                target = self.pick_file(a, pool)
+                target = self.pick(self.nodes(lambda node: node.kind != "dir"
+                                              and not _within(node.path, src.path)), a)
                 if target is None:
                     return
-                self.nodes.remove(target)
-                dst = target["path"]
-            old = src["path"]
-            for node in self.nodes:
-                if self.within(node["path"], old):
-                    node["path"] = dst + node["path"][len(old):]
-            self.emit(pid, "rename", old, dst)
+                dst = target.path
+            self.emit(pid, "rename", src.path, dst)
 
 
 def build_trace(intents, mode: str = "full") -> tuple[str, str]:
@@ -285,8 +251,7 @@ def build_trace(intents, mode: str = "full") -> tuple[str, str]:
     resolver = _Resolver(mode)
     for intent in intents:
         resolver.resolve(intent)
-    trust = TRUST_BENIGN if mode == "benign" else TRUST_FULL
-    return "\n".join(resolver.lines) + "\n", trust
+    return "\n".join(resolver.lines) + "\n", resolver.trust
 
 
 # -- the criterion-8 synthetic trace ----------------------------------------

@@ -10,6 +10,11 @@ Each case is one input bundle (boot config, trust list, copy map, trace):
 * the `mix`, `fstree` and `ipc` workloads of perfbench/workloads.py at
   seeds 1..--seeds, once over the whole trace and once over the window
   `stbac check` runs on in the benchmark;
+* one "full" and one "benign" trace of tests/trace_gen.py at seeds
+  1..--seeds, over its boot config and copy map, from the intents
+  trace_gen.random_intents draws from random.Random(seed): the cases with
+  fifos, devices, structure ops in protected directories and
+  administrative taint marks;
 * --mutants bundles with one token swapped for a token from TOKENS, to
   reach the error paths: one argument of one event of the trace, or one
   field after the directive of one line of the boot config, trust list or
@@ -35,8 +40,9 @@ The exit code, stdout, stderr, audit file and DOT file of each call are
 compared; an exception that escapes the CLI is compared by its type and
 message.  The first 40 differences are listed, and a tally of the
 differing calls follows them, by output field and by command (a `check`
-with a rule stubbed or firing counted apart from a plain one), so a
-change with one intended difference can show that nothing else differs.
+with a rule stubbed, one with a rule firing and a plain one each counted
+apart), so a change with one intended difference can show that nothing
+else differs.
 A call of the new side that raises past `main` is listed with its case
 and counted, whether or not the old side raised too: the CLI reports
 every error with an exit code, never with a traceback.  Exit status: 0
@@ -216,6 +222,15 @@ def _workloads():
     return workloads
 
 
+def _trace_gen():
+    """tests/trace_gen.py, stepping the engine of this checkout's src/;
+    imported without writing bytecode into the checkout."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import trace_gen
+    return trace_gen
+
+
 def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
     """Write every case's input files under workdir; (name, bundle argv,
     trace path, whether to run the stubbed checks) per case."""
@@ -244,6 +259,13 @@ def build_cases(workdir: Path, seeds: int, mutants: int) -> list:
                 w.trace_text)
             add(f"{name} seed {seed} check window", w.init_text, w.trust_text,
                 w.pcopy_text, w.check_trace_text(), stubs=True)
+
+    trace_gen = _trace_gen()
+    for seed in range(1, seeds + 1):
+        for mode in ("full", "benign"):
+            trace, trust = trace_gen.build_trace(trace_gen.random_intents(seed), mode)
+            add(f"trace_gen seed {seed} {mode}", trace_gen.BOOT_CONFIG, trust,
+                trace_gen.PCOPY_TEXT, trace)
 
     for k in range(mutants):
         name, files, what = mutant(k, bundles)
@@ -336,7 +358,7 @@ def main(argv=None) -> int:
             differences.append(f"{owner}: {call} {name} differs{detail}")
         if differing:
             by_field.update(differing)
-            by_command[argv[0] + (" (rule stubbed)" if change else "")] += 1
+            by_command[argv[0] + (f" (rule {change.split()[1]})" if change else "")] += 1
     for line in differences[:40]:
         print(line)
     if len(differences) > 40:
@@ -355,7 +377,7 @@ def main(argv=None) -> int:
     on_stubs = [result for (_, change), result in zip(jobs, new) if change]
     failed = sum(result["code"] == 1 for result in on_stubs)
     print(f"{len(cases)} cases, {len(jobs)} calls per checkout "
-          f"({len(on_stubs)} stubbed checks, {failed} of them exit 1; "
+          f"({len(on_stubs)} checks with a rule changed, {failed} of them exit 1; "
           f"{len(on_mutants)} on mutants, {rejected} of them exit 2; "
           f"{len(raised)} raised past main): {len(differences)} differences")
     return 1 if differences or raised else 0
