@@ -1,10 +1,12 @@
 """Independent brute-force verifiers for the rule engine.
 
-One plain function, _facts, applies an allowed event of a trace to a
-_Structure (paths, exec bits, pids, protected cells) rebuilt from the boot
-config and the raw trace alone, and returns the flow facts the event
-implies.  The structure keeps its own child index, so a rename costs the
-size of the moved subtree; nothing of it comes from the world.
+_facts applies an allowed event of a trace to a _Structure (paths, exec
+bits, pids, protected cells) rebuilt from the boot config and the raw trace
+alone, and returns the flow facts the event implies.  It dispatches through
+one table, _BUILDERS, of a fact builder per op; an op with no entry implies
+no facts and costs one lookup.  The structure keeps its own child index, so
+a rename costs the size of the moved subtree; nothing of it comes from the
+world.
 
 A fact is (kind, target, source, detail).  It names its source entity
 instead of judging it ("child of pid P", not "child of a low pid"), so one
@@ -17,8 +19,8 @@ where its source is low, and a source of None always holds.  The kinds:
   exec of a file, or the pid itself across its exec);
 * _PRODUCE: a cell its writer must lower (an executable it created,
   wrote or made executable);
-* _EXCEPTION: a write to a non-executable, carrying its exception text
-  and the violation text that applies if the object is protected;
+* _EXCEPTION: a change to a cell, carrying its exception text (None for an
+  executable or a chmod) and the violation text if the cell is protected;
 * _SEND and _RECV: a message a pid wrote into a fifo, and a read that
   delivers the fifo's messages, which is low input if one was low when
   it was written;
@@ -118,8 +120,8 @@ class _Structure:
         self.exe_paths = {1: "-"}    # live pid -> its image's path
         self.protected = set()   # INTE cells
         # (cell, path it left) of each cell moved or removed since _facts last
-        # took the log; the boot's replacements go to the first event, when
-        # nothing is low yet.
+        # took the log; the boot's replacements go to the first path op, and
+        # no fold ever holds their cells.
         self.moves = []
         cells, kids = self.cells, self.kids
         self.add_cell("/", "dir", False, None)
@@ -284,105 +286,144 @@ _DEMANDS = _READ | _EXEC | _PRODUCE
 _REDIRECTABLE = ("open_read", "open_write", "chmod", "fchmod", "truncate")
 
 
+# -- the fact table -----------------------------------------------------------
+# Each builder applies one allowed event of its ops to the structure, with
+# args for the event's own, and returns the facts the event implies.
+
+def _fork(struct, trust, ev, args):
+    child = _int(args[0], ev)
+    struct.exe_paths[child] = struct.exe_paths.get(ev.pid, "-")
+    return [(_READ | _EXEC, child, ev.pid, ("child of low pid {}", ev.pid))]
+
+def _exit(struct, trust, ev, args):
+    struct.exe_paths.pop(ev.pid, None)
+    return [(_EXIT, ev.pid, None, None)]
+
+def _pipe(struct, trust, ev, args):
+    return [(_READ, _int(args[0], ev), ev.pid, ("pipe from low pid {}", ev.pid))]
+
+def _shmat(struct, trust, ev, args):
+    pid, peer = ev.pid, _int(args[0], ev)
+    return [(_READ, peer, pid, ("shared memory with low pid {}", pid)),
+            (_READ, pid, peer, ("shared memory with low pid {}", peer))]
+
+def _msgrcv(struct, trust, ev, args):
+    return [(_READ, ev.pid, _int(args[0], ev), ("message from low pid {}", args[0]))]
+
+def _socket_open(struct, trust, ev, args):
+    local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
+    if _trusted(trust, struct.exe_paths.get(ev.pid, "-"), local, remote, args[3], ev.tick):
+        return []
+    return [(_READ, ev.pid, None, ("untrusted endpoint",))]
+
+def _sock_io(struct, trust, ev, args):
+    if len(args) != 3:
+        return []
+    peer = _int(args[2], ev)
+    source, sink = (ev.pid, peer) if ev.op == "sock_send" else (peer, ev.pid)
+    return [(_READ, sink, source, ("local socket from low pid {}", source))]
+
+def _make_node(struct, trust, ev, args):
+    op, path = ev.op, args[0]
+    if op == "create":
+        cell, noun = struct.create(path, "file", args[1] == "1"), "non-executable"
+    elif op == "mkdir":
+        cell, noun = struct.create(path, "dir"), "directory"
+    else:
+        kind = "fifo" if op == "mkfifo" else args[1]
+        cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
+        noun = "special file"
+    if cell.executable:
+        return [(_PRODUCE, cell, ev.pid, ("low pid {} created executable", ev.pid))]
+    return [(_EXCEPTION, cell, ev.pid, (("{} {}", noun, path), (
+        "allowed creation in protected directory {}", parent_of(path))))]
+
+def _open_write(struct, trust, ev, args):
+    cell = struct.cells.get(args[0])
+    if cell is None or cell.kind == "dir":
+        return []
+    facts = [(_SEND, cell, ev.pid, None)] if cell.kind == "fifo" else []
+    if cell.executable:
+        facts.append((_PRODUCE, cell, ev.pid, ("low pid {} wrote executable", ev.pid)))
+    exception = None if cell.executable else ("non-executable {}", args[0])
+    facts.append((_EXCEPTION, cell, ev.pid, (exception,
+                                             ("allowed write to protected {}", args[0]))))
+    return facts
+
+def _truncate(struct, trust, ev, args):
+    cell = struct.cells.get(args[0])
+    if cell is None:
+        return []
+    exception = None if cell.executable else ("non-executable {}", args[0])
+    return [(_EXCEPTION, cell, ev.pid, (exception,
+                                        ("allowed truncate of protected {}", args[0])))]
+
+def _chmod(struct, trust, ev, args):
+    cell = struct.cells.get(args[0])
+    if cell is None or cell.kind == "dir":
+        return []
+    if struct.chmod(cell, args[1]):
+        return [(_PRODUCE, cell, ev.pid, ("low pid {} made {} executable", ev.pid, args[0]))]
+    if cell.executable:
+        return []
+    return [(_EXCEPTION, cell, ev.pid, (None, ("allowed chmod of protected {}", args[0])))]
+
+def _open_read(struct, trust, ev, args):
+    cell = struct.cells.get(args[0])
+    return [(_RECV, ev.pid, cell, None)] if cell is not None and cell.kind == "fifo" else []
+
+def _execve(struct, trust, ev, args):
+    struct.exe_paths[ev.pid] = args[0]
+    cell = struct.cells.get(args[0])
+    facts = [] if cell is None else [(_READ | _EXEC, ev.pid, cell,
+                                      ("exec of low file {}", args[0]))]
+    facts.append((_EXEC, ev.pid, ev.pid, ("low pid {} after exec", ev.pid)))
+    return facts
+
+def _mmap_exec(struct, trust, ev, args):
+    cell = struct.cells.get(args[0])
+    return [] if cell is None else [(_READ, ev.pid, cell, ("load of low file {}", args[0]))]
+
+def _unlink_or_rename(struct, trust, ev, args):
+    if ev.op == "rename":
+        struct.rename(args[0], args[1])
+    else:
+        struct.remove(args[0])
+    return []
+
+def _set_stbac_attr(struct, trust, ev, args):
+    target, flag_name, value = args
+    if target.startswith("pid:"):
+        marked = _int(target[4:], ev)
+    else:
+        marked = struct.cells.get(target)
+    if flag_name == "taint" and marked is not None:
+        return [(_MARK, marked, None, value == "1")]
+    return []
+
+
+# op -> the builder of its facts.  The table is the one place that says
+# which ops imply facts: an op with no entry implies none.
+_BUILDERS = {
+    "fork": _fork, "vfork": _fork, "clone": _fork, "exit": _exit,
+    "pipe": _pipe, "shmat": _shmat, "msgrcv": _msgrcv, "socket_open": _socket_open,
+    "sock_send": _sock_io, "sock_recv": _sock_io,
+    "create": _make_node, "mkdir": _make_node, "mkfifo": _make_node, "mknod": _make_node,
+    "open_read": _open_read, "open_write": _open_write, "truncate": _truncate,
+    "chmod": _chmod, "fchmod": _chmod, "execve": _execve, "mmap_exec": _mmap_exec,
+    "unlink": _unlink_or_rename, "rmdir": _unlink_or_rename, "rename": _unlink_or_rename,
+    "set_stbac_attr": _set_stbac_attr,
+}
+
+
 def _facts(struct: _Structure, trust, ev, args) -> list:
     """Apply one allowed event to struct, with args for the event's own
     (the copy of a redirected access in place of its first); the flow
-    facts it implies."""
-    op, pid = ev.op, ev.pid
-    facts = []
-    if op in ("fork", "vfork", "clone"):
-        child = _int(args[0], ev)
-        struct.exe_paths[child] = struct.exe_paths.get(pid, "-")
-        facts.append((_READ | _EXEC, child, pid, ("child of low pid {}", pid)))
-    elif op == "exit":
-        struct.exe_paths.pop(pid, None)
-        facts.append((_EXIT, pid, None, None))
-    elif op == "pipe":
-        reader = _int(args[0], ev)
-        facts.append((_READ, reader, pid, ("pipe from low pid {}", pid)))
-    elif op == "shmat":
-        peer = _int(args[0], ev)
-        facts.append((_READ, peer, pid, ("shared memory with low pid {}", pid)))
-        facts.append((_READ, pid, peer, ("shared memory with low pid {}", peer)))
-    elif op == "msgrcv":
-        facts.append((_READ, pid, _int(args[0], ev), ("message from low pid {}", args[0])))
-    elif op == "socket_open":
-        local, remote = _endpoint(args[1], ev), _endpoint(args[2], ev)
-        if not _trusted(trust, struct.exe_paths.get(pid, "-"), local, remote,
-                        args[3], ev.tick):
-            facts.append((_READ, pid, None, ("untrusted endpoint",)))
-    elif op in ("sock_send", "sock_recv") and len(args) == 3:
-        peer = _int(args[2], ev)
-        source, sink = (pid, peer) if op == "sock_send" else (peer, pid)
-        facts.append((_READ, sink, source, ("local socket from low pid {}", source)))
-    elif op in ("create", "mkdir", "mkfifo", "mknod"):
-        path = args[0]
-        if op == "create":
-            cell, noun = struct.create(path, "file", args[1] == "1"), "non-executable"
-        elif op == "mkdir":
-            cell, noun = struct.create(path, "dir"), "directory"
-        else:
-            kind = "fifo" if op == "mkfifo" else args[1]
-            cell = struct.create(path, kind if kind in ("fifo", "device") else "file")
-            noun = "special file"
-        if cell.executable:
-            facts.append((_PRODUCE, cell, pid, ("low pid {} created executable", pid)))
-        else:
-            facts.append((_EXCEPTION, cell, pid, (
-                ("{} {}", noun, path),
-                ("allowed creation in protected directory {}", parent_of(path)))))
-    elif op == "open_write":
-        cell = struct.cells.get(args[0])
-        if cell is not None and cell.kind != "dir":
-            if cell.kind == "fifo":
-                facts.append((_SEND, cell, pid, None))
-            if cell.executable:
-                facts.append((_PRODUCE, cell, pid, ("low pid {} wrote executable", pid)))
-            else:
-                facts.append((_EXCEPTION, cell, pid, (
-                    ("non-executable {}", args[0]),
-                    ("allowed write to protected {}", args[0]))))
-    elif op == "truncate":
-        cell = struct.cells.get(args[0])
-        if cell is not None and not cell.executable:
-            facts.append((_EXCEPTION, cell, pid, (
-                ("non-executable {}", args[0]),
-                ("allowed truncate of protected {}", args[0]))))
-    elif op in ("chmod", "fchmod"):
-        cell = struct.cells.get(args[0])
-        if cell is not None and cell.kind != "dir":
-            if struct.chmod(cell, args[1]):
-                facts.append((_PRODUCE, cell, pid,
-                              ("low pid {} made {} executable", pid, args[0])))
-            elif not cell.executable:
-                facts.append((_EXCEPTION, cell, pid, (
-                    None, ("allowed chmod of protected {}", args[0]))))
-    elif op == "open_read":
-        cell = struct.cells.get(args[0])
-        if cell is not None and cell.kind == "fifo":
-            facts.append((_RECV, pid, cell, None))
-    elif op == "execve":
-        struct.exe_paths[pid] = args[0]
-        cell = struct.cells.get(args[0])
-        if cell is not None:
-            facts.append((_READ | _EXEC, pid, cell, ("exec of low file {}", args[0])))
-        facts.append((_EXEC, pid, pid, ("low pid {} after exec", pid)))
-    elif op == "mmap_exec":
-        cell = struct.cells.get(args[0])
-        if cell is not None:
-            facts.append((_READ, pid, cell, ("load of low file {}", args[0])))
-    elif op in ("unlink", "rmdir"):
-        struct.remove(args[0])
-    elif op == "rename":
-        struct.rename(args[0], args[1])
-    elif op == "set_stbac_attr":
-        target, flag_name, value = args
-        if target.startswith("pid:"):
-            marked = _int(target[4:], ev)
-        else:
-            marked = struct.cells.get(target)
-        if flag_name == "taint" and marked is not None:
-            facts.append((_MARK, marked, None, value == "1"))
+    facts it implies, after one lookup for an op that implies none."""
+    build = _BUILDERS.get(ev.op)
+    if build is None:
+        return []
+    facts = build(struct, trust, ev, args)
     if struct.moves:
         facts.insert(0, (_MOVE, None, None, struct.moves))
         struct.moves = []
@@ -498,6 +539,9 @@ class TaintDiff:
 
     def add(self, tick: int, engine_flips, oracle_flips):
         missing, extra = self.missing, self.extra
+        if not (engine_flips or oracle_flips or missing or extra):
+            self.events += 1
+            return
         for label, entered in engine_flips:
             if entered:
                 if label in missing:
@@ -579,7 +623,7 @@ class BibaReport:
     Reads/receives of low input must lower the consumer (condition on
     reads), writes must lower what low subjects produce - checked for
     executables, with non-executable writes listed as the documented
-    exception and allowed writes to protected non-executables flagged as
+    exception and allowed writes to protected objects flagged as
     violations (condition on writes) - and processes created or exec'd
     from low sources must be low (condition on invocation).
     """
@@ -625,6 +669,8 @@ class _BibaFold:
         """Judge one allowed event's facts.  Exceptions and protected-object
         violations judge the levels before the event's flag changes; the
         demands, after."""
+        if not facts and not flag_changes:
+            return
         struct, low_pids, low_cells = self.struct, self.low_pids, self.low_cells
         cond_read, cond_write, cond_exec = (self.report.cond_read, self.report.cond_write,
                                             self.report.cond_exec)

@@ -28,6 +28,13 @@ def denial_summary(result):
     return [(r.op, r.obj, r.result) for r in result.denial_records()]
 
 
+def test_an_unknown_scenario_names_the_bundled_ones():
+    with pytest.raises(KeyError) as raised:
+        scenarios.load("no_such_scenario")
+    assert raised.value.args == ("unknown scenario 'no_such_scenario'; "
+                                 "have remote_user, web_download, remote_attack",)
+
+
 def test_criterion_1_remote_user_scenario():
     bundle = scenarios.load("remote_user")
     started = time.perf_counter()
